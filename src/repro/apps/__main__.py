@@ -66,12 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--updates", type=int, default=1024)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run the conservative sharded dispatcher with N shards "
-        "(default: the REPRO_SIM_SHARDS environment variable; the virtual "
-        "schedule is bit-identical to the sequential dispatcher)",
-    )
-    parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record a trace and write it as Chrome/Perfetto JSON to PATH",
     )
@@ -112,7 +106,6 @@ def main(argv: list[str] | None = None) -> int:
         metrics=args.metrics is not None,
         live=args.live,
         live_interval=args.live_interval,
-        shards=args.shards,
     )
     print(
         f"== {args.app} on {spec.name} x{args.procs} images "
@@ -178,14 +171,6 @@ def main(argv: list[str] | None = None) -> int:
         res = run.results[0]
         print(f"{args.op}: {res.ops_per_second:,.0f} ops/s")
     _print_breakdown(run)
-    plan = run.cluster.shard_plan
-    if plan is not None:
-        st = run.cluster.engine.shard_stats()
-        print(
-            f"shards: {st['nshards']} (lookahead {st['lookahead']:.3e}s, "
-            f"{st['epochs']} epochs, {st['null_messages']} null msgs, "
-            f"{st['cross_messages']} cross-shard msgs)"
-        )
     if args.trace is not None:
         n = run.tracer.to_chrome_trace(args.trace)
         print(f"trace: {n} events -> {args.trace}")

@@ -110,8 +110,6 @@ def run_caf(
     metrics: bool = False,
     live: Any | None = None,
     live_interval: float | None = None,
-    shards: int | None = None,
-    digest_partition: int | None = None,
     checkpoint_every: int | None = None,
     checkpoint_store: Any | None = None,
     resume_from: Any | None = None,
@@ -133,20 +131,6 @@ def run_caf(
     (see :mod:`repro.sanitizer`); diagnostics land on
     ``run.sanitizer.report`` and the virtual timeline is unchanged.
 
-    ``shards`` selects the conservative sharded dispatcher
-    (:class:`~repro.sim.engine.ShardedEngine`): ``None`` reads
-    ``REPRO_SIM_SHARDS`` (unset means sequential), any value > 1
-    partitions the ranks per :func:`repro.sim.shard.plan_shards`. The
-    executed schedule — virtual times, order digest, profiler totals,
-    figure outputs — is bit-identical to the sequential dispatcher;
-    ``run.cluster.shard_plan`` and ``run.report()``'s ``shards`` section
-    expose the partition and protocol statistics. Not combinable with IR
-    recording or the sanitizer (both raise ``NotImplementedError``).
-    ``digest_partition=K`` enables the order digest plus per-shard digests
-    for a K-way partition on *any* dispatcher — it is how a sequential
-    baseline produces the partition-local fingerprints a ``shards=K``
-    run's ``engine.shard_digests()`` must match bit-for-bit.
-
     ``metrics=True`` arms the op-level observability layer (see
     :mod:`repro.obs`): call counts, bytes, and modeled latencies per op
     kind land on ``run.metrics``, the P x P traffic matrix on
@@ -158,7 +142,7 @@ def run_caf(
     ``live`` arms the streaming telemetry tap (see :mod:`repro.obs.live`):
     a path (or a prebuilt :class:`~repro.obs.live.LiveTelemetry`) to which
     the run appends JSONL progress snapshots — sim/wall time, events/s,
-    blocked ranks with call sites, shard window state, host RSS — every
+    blocked ranks with call sites, host RSS — every
     ``live_interval`` wall seconds (default 0.5). Like metrics, the tap
     never touches the engine: digests and makespans are bit-identical
     with telemetry on or off. Render streams with
@@ -217,8 +201,7 @@ def run_caf(
             )
     cluster = Cluster(
         nranks, spec, seed=sim_seed, faults=faults, reliable=reliable,
-        sanitize=sanitize, metrics=metrics, shards=shards,
-        digest_partition=digest_partition, live=telemetry,
+        sanitize=sanitize, metrics=metrics, live=telemetry,
     )
     if recording:
         _ir_record.attach(

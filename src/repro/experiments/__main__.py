@@ -52,12 +52,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record an op-stream trace per simulated run into DIR "
         "(fault-injected runs are skipped)",
     )
-    parser.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="run every simulated run under the conservative sharded "
-        "dispatcher with N shards (sets REPRO_SIM_SHARDS; figures are "
-        "bit-identical to the sequential dispatcher)",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
@@ -72,14 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     ids = args.ids or list(EXPERIMENTS)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-    if args.shards is not None:
-        if args.record_ir is not None and args.shards > 1:
-            parser.error("--record-ir cannot be combined with --shards > 1")
-        # The experiments never plumb engine options; the env gate is the
-        # sanctioned channel (same as REPRO_SIM_FASTPATH).
-        import os
-
-        os.environ["REPRO_SIM_SHARDS"] = str(args.shards)
     if args.metrics is not None:
         # Process-wide capture: every run_caf inside the experiments emits a
         # run-NNNN.report.json without the experiment code knowing about it.

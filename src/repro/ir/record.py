@@ -262,8 +262,6 @@ class Recorder:
             "nranks": self.nranks,
             "sim_seed": self.cluster.seed,
             "spec": dataclasses.asdict(spec),
-            "dispatcher": "fastpath" if self.engine._fastpath else "legacy",
-            "substrate": self.engine.substrate,
             "makespan": makespan,
             "nops": len(self._kind),
             "nchains": len(self._chain_kind),
@@ -342,15 +340,6 @@ def attach(cluster, *, backend: str = "", app: str = "") -> Recorder:
     """Install a recorder on ``cluster`` (run_caf calls this when active)."""
     if _irhook.RECORDER is not None:
         raise RecordError("an IR recording is already attached")
-    plan = getattr(cluster, "shard_plan", None)
-    if plan is not None and plan.is_sharded:
-        raise NotImplementedError(
-            "repro.ir recording does not support REPRO_SIM_SHARDS>1: the "
-            "sharded dispatcher does not thread events through the "
-            "recorder's issuer chains, so the trace would be silently "
-            "partial. Record with the sequential dispatcher (see "
-            "docs/architecture.md, 'Parallel simulation model')."
-        )
     rec = Recorder(cluster, backend=backend, app=app)
     _irhook.RECORDER = rec
     return rec

@@ -2,10 +2,9 @@
 
 A trace is two files sharing a stem: ``<stem>.npz`` (the numpy columns)
 and ``<stem>.json`` (the manifest). Both are deterministic — same program,
-same seed, same spec, either dispatcher, either substrate produce
-byte-identical manifests and equal arrays — and versioned: loading an
-artifact written by a different format version raises
-:class:`TraceVersionError` instead of misreading it.
+same seed, same spec produce byte-identical manifests and equal arrays —
+and versioned: loading an artifact written by a different format version
+raises :class:`TraceVersionError` instead of misreading it.
 
 Column layout (all arrays share length = op count, indexed by ``gseq``):
 

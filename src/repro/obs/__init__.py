@@ -18,7 +18,7 @@ Components
 * :mod:`repro.obs.capture` — process-wide capture so the experiments runner
   emits reports without code changes.
 * :class:`LiveTelemetry` (:mod:`repro.obs.live`) — streaming JSONL progress
-  snapshots (sim/wall time, events/s, blocked ranks, shard windows, RSS)
+  snapshots (sim/wall time, events/s, blocked ranks, RSS)
   from a read-only engine heartbeat; render with ``python -m repro.obs top``.
 * :func:`fit_scaling` / :class:`ScalingReport` (:mod:`repro.obs.scaling`) —
   fit per-op virtual cost vs P across a rank sweep of RunReports, check the

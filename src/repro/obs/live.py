@@ -1,19 +1,17 @@
 """Live run telemetry: a streaming JSONL tap on a running simulation.
 
-PR 9's paper-scale runs (4096-rank RA is ~500s of wall clock) are black
-boxes until they finish; this module is the heartbeat that makes them
+Paper-scale runs (4096-rank RA is ~500s of wall clock) are black boxes
+until they finish; this module is the heartbeat that makes them
 observable *while they run*. :class:`LiveTelemetry` attaches to a cluster
 the same way the sanitizer and metrics layers do — a handle cached on the
 engine, guarded by one ``is None`` test per executed resume — and
 periodically appends one JSON snapshot line to a ``*.telemetry.jsonl``
 stream: sim-time and wall-time progress, events/s, per-rank run/blocked
-state with blocked call sites (the watchdog's bookkeeping), the sharded
-dispatcher's LBTS window and null-message/cross-shard counters, and host
-RSS.
+state with blocked call sites (the watchdog's bookkeeping), and host RSS.
 
 The tap only *reads* engine state and writes to its own file, so the
 executed schedule — event-order digest, virtual makespan, profiler totals
-— is bit-identical with telemetry on or off, on every dispatcher
+— is bit-identical with telemetry on or off
 (`benchmarks/test_bench_obs_live.py` pins the wall-clock overhead ≤ 3%).
 
 Enable per run with ``run_caf(..., live="run.telemetry.jsonl")``, per CLI
@@ -116,7 +114,6 @@ class LiveTelemetry:
         if self._cluster is not None:
             raise SchemaError("LiveTelemetry is single-run; already attached")
         self._cluster = cluster
-        plan = getattr(cluster, "shard_plan", None)
         now = time.monotonic()
         self._t0 = now
         self._last_wall = now - self.interval_s  # first check may emit
@@ -130,8 +127,6 @@ class LiveTelemetry:
             "backend": self.backend,
             "app": self.app,
             "label": self.label,
-            "shards": plan.nshards if plan is not None else 1,
-            "shard_ranks": plan.sizes() if plan is not None else None,
             "interval_s": self.interval_s,
             "check_every": self.check_every,
             "pid": os.getpid(),
@@ -254,7 +249,6 @@ class LiveTelemetry:
             "blocked": blocked_rows[: self._max_blocked],
             "failed_images": sorted(cluster.failed_ranks),
             "rss_bytes": _rss_bytes(),
-            "shards": self._shard_snapshot(engine),
             "final": final,
         }
         if outcome is not None:
@@ -265,22 +259,6 @@ class LiveTelemetry:
         self.last = snap
         self._write(snap)
         return snap
-
-    def _shard_snapshot(self, engine: Any) -> dict[str, Any] | None:
-        lbts = getattr(engine, "lbts", None)
-        if lbts is None:
-            return None
-        return {
-            "nshards": engine.nshards,
-            "window": lbts.live_window(),
-            "epochs": lbts.epochs,
-            "null_messages": lbts.null_messages,
-            "cross_messages": engine.cross_messages,
-            "cross_bytes": engine.cross_bytes,
-            "coordinator_signals": engine.coordinator_signals,
-            "lookahead_violations": engine.lookahead_violations,
-            "events_per_shard": list(engine.events_per_shard),
-        }
 
     def describe_last(self) -> str:
         """One-line progress trail for error messages."""
@@ -319,10 +297,6 @@ def validate_meta(record: Any) -> None:
     need(
         isinstance(record.get("nranks"), int) and record["nranks"] > 0,
         "nranks",
-    )
-    need(
-        isinstance(record.get("shards"), int) and record["shards"] >= 1,
-        "shards",
     )
     need(
         isinstance(record.get("interval_s"), (int, float))
@@ -366,21 +340,6 @@ def validate_snapshot(record: Any, *, nranks: int | None = None) -> None:
             "blocked[].last_progress",
         )
     need(isinstance(record.get("failed_images"), list), "failed_images")
-    sh = record.get("shards")
-    if sh is not None:
-        need(isinstance(sh, dict), "shards")
-        for fld in (
-            "nshards",
-            "epochs",
-            "null_messages",
-            "cross_messages",
-            "cross_bytes",
-            "coordinator_signals",
-            "lookahead_violations",
-        ):
-            need(isinstance(sh.get(fld), int), f"shards.{fld}")
-        need(isinstance(sh.get("events_per_shard"), list), "shards.events_per_shard")
-        need(isinstance(sh.get("window"), dict), "shards.window")
     if record.get("final"):
         need(record.get("outcome") in ("ok", "failed"), "final without outcome")
 
@@ -467,19 +426,6 @@ def render_top(
     )
     if cur["failed_images"]:
         out.append(f"failed images: {cur['failed_images']}")
-    sh = cur.get("shards")
-    if sh:
-        win = sh["window"]
-        bound = win.get("bound")
-        bound_txt = f"{bound:.9g}" if isinstance(bound, (int, float)) else "-"
-        out.append(
-            f"shards: {sh['nshards']} | LBTS window start {win['start']:.9g} "
-            f"bound {bound_txt} (lookahead {win['lookahead']:.3e}s) | "
-            f"{sh['epochs']} epochs, {sh['null_messages']} null msgs, "
-            f"{sh['cross_messages']} cross msgs "
-            f"({_fmt_bytes(sh['cross_bytes'])}), "
-            f"{sh['coordinator_signals']} coord signals"
-        )
     if cur["blocked"]:
         rows = [
             [r["rank"], r["site"], f"{r['last_progress']:.9g}"]

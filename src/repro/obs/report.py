@@ -122,28 +122,6 @@ class RunReport:
                 f'repro_counter_total{{name="{name}",{lab}}} '
                 f"{self.data['counters'][name]}"
             )
-        sh = self.data.get("shards")
-        if sh is not None:
-            # Conservative-PDES protocol statistics (PR 9's shard stats) —
-            # mirrored here so Prometheus archives see the same counters
-            # the JSON report carries.
-            for name in (
-                "cross_messages",
-                "cross_bytes",
-                "null_messages",
-                "coordinator_signals",
-                "lookahead_violations",
-                "epochs",
-            ):
-                lines.append(f"# TYPE repro_shard_{name}_total counter")
-                lines.append(f"repro_shard_{name}_total{{{lab}}} {sh[name]}")
-            lines.append("# TYPE repro_shard_lookahead_seconds gauge")
-            lines.append(
-                f"repro_shard_lookahead_seconds{{{lab}}} {sh['lookahead']:.9e}"
-            )
-            lines.append("# TYPE repro_shard_events_total counter")
-            for i, n in enumerate(sh["events_per_shard"]):
-                lines.append(f'repro_shard_events_total{{shard="{i}",{lab}}} {n}')
         return "\n".join(lines) + "\n"
 
     def render(self, *, top: int = 12) -> str:
@@ -159,14 +137,6 @@ class RunReport:
         if tel:
             out.append(
                 f"live telemetry: {tel['snapshots']} snapshot(s) -> {tel['path']}"
-            )
-        sh = self.data.get("shards")
-        if sh:
-            out.append(
-                f"sharded dispatch: {sh['nshards']} shards, "
-                f"lookahead {sh['lookahead']:.3e}s, {sh['epochs']} epochs, "
-                f"{sh['null_messages']} null msgs, "
-                f"{sh['cross_messages']} cross-shard msgs"
             )
         fail = self.data.get("failure")
         if fail:
@@ -247,11 +217,6 @@ def validate_report(data: Any) -> None:
     need(isinstance(meta.get("makespan"), (int, float)), "meta.makespan")
     if "outcome" in meta:
         need(meta["outcome"] in ("ok", "failed"), "meta.outcome")
-    if "shards" in meta:
-        need(
-            isinstance(meta["shards"], int) and meta["shards"] >= 1,
-            "meta.shards",
-        )
     if "telemetry" in meta:
         tel = meta["telemetry"]
         need(isinstance(tel, dict), "meta.telemetry")
@@ -260,14 +225,6 @@ def validate_report(data: Any) -> None:
             isinstance(tel.get("snapshots"), int) and tel["snapshots"] >= 0,
             "meta.telemetry.snapshots",
         )
-    sh = data.get("shards")
-    if sh is not None:
-        need(isinstance(sh, dict), "shards")
-        for fld in ("nshards", "epochs", "null_messages", "cross_messages",
-                    "lookahead_violations"):
-            need(isinstance(sh.get(fld), int), f"shards.{fld}")
-        need(isinstance(sh.get("events_per_shard"), list), "shards.events_per_shard")
-        need(isinstance(sh.get("lookahead"), (int, float)), "shards.lookahead")
     fail = data.get("failure")
     if fail is not None:
         need(isinstance(fail, dict), "failure")
@@ -371,20 +328,12 @@ def build_report(
         "comm_matrix": None,
         "critical_path": None,
     }
-    plan = getattr(cluster, "shard_plan", None)
-    data["meta"]["shards"] = plan.nshards if plan is not None else 1
     tel = getattr(cluster, "telemetry", None)
     if tel is not None:
         data["meta"]["telemetry"] = {
             "path": str(tel.path),
             "snapshots": tel.snapshots_written,
         }
-    if plan is not None:
-        # Partition + protocol statistics from the conservative sharded
-        # dispatcher (epochs, null messages, cross-shard traffic, per-shard
-        # event counts). Purely descriptive: the schedule itself is
-        # bit-identical to the sequential dispatcher's.
-        data["shards"] = cluster.engine.shard_stats()
     if failure is not None:
         data["failure"] = {
             "error": type(failure).__name__,

@@ -9,35 +9,21 @@ compute verifiable answers *and* produce modeled performance numbers.
 """
 
 from repro.sim.cluster import Cluster, RankCtx
-from repro.sim.engine import Engine, Proc, ShardedEngine
-from repro.sim.lbts import LbtsController, lbts_bound
+from repro.sim.engine import Engine, Proc
 from repro.sim.memory import MemoryMeter
 from repro.sim.network import MachineSpec, NetFabric
 from repro.sim.profiler import Profiler
-from repro.sim.shard import (
-    ShardFallbackWarning,
-    ShardPlan,
-    plan_shards,
-    shards_from_env,
-)
 from repro.sim.sync import Channel, SimEvent
 
 __all__ = [
     "Channel",
     "Cluster",
     "Engine",
-    "LbtsController",
     "MachineSpec",
     "MemoryMeter",
     "NetFabric",
     "Proc",
     "Profiler",
     "RankCtx",
-    "ShardFallbackWarning",
-    "ShardPlan",
-    "ShardedEngine",
     "SimEvent",
-    "lbts_bound",
-    "plan_shards",
-    "shards_from_env",
 ]

@@ -13,13 +13,12 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.sim import irhook as _irhook
-from repro.sim.engine import Engine, Proc, ShardedEngine
+from repro.sim.engine import Engine, Proc
 from repro.sim.faults import FaultPlan
 from repro.sim.memory import MemoryMeter
 from repro.sim.network import MachineSpec, NetFabric
 from repro.sim.profiler import Profiler
 from repro.sim.reliable import ReliableTransport
-from repro.sim.shard import plan_shards, shards_from_env
 from repro.sim.trace import Tracer
 from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 from repro.util.rng import rank_rng
@@ -86,8 +85,6 @@ class Cluster:
         reliable: bool = False,
         sanitize: bool = False,
         metrics: bool = False,
-        shards: int | None = None,
-        digest_partition: int | None = None,
         live: Any | None = None,
     ):
         if nranks <= 0:
@@ -95,44 +92,7 @@ class Cluster:
         self.nranks = nranks
         self.spec = spec
         self.seed = seed
-        if shards is None:
-            shards = shards_from_env()
-        #: The rank partition when running sharded, else None. A requested
-        #: shard count that yields no usable lookahead (zero-latency spec)
-        #: falls back to None with a ShardFallbackWarning from plan_shards.
-        self.shard_plan = None
-        if shards > 1:
-            plan = plan_shards(nranks, spec, shards)
-            if plan.is_sharded:
-                if _irhook.RECORDER is not None:
-                    raise NotImplementedError(
-                        "repro.ir recording does not support "
-                        "REPRO_SIM_SHARDS>1; record with the sequential "
-                        "dispatcher (see docs/architecture.md, 'Parallel "
-                        "simulation model')"
-                    )
-                self.shard_plan = plan
-        if self.shard_plan is not None:
-            self.engine: Engine = ShardedEngine(self.shard_plan)
-        else:
-            self.engine = Engine()
-        if digest_partition is not None:
-            # Track per-shard digests without requiring the sharded
-            # dispatcher: this is how the sequential baseline produces the
-            # partition-local fingerprints the equivalence suite compares
-            # against a sharded run's. On a sharded cluster the partition
-            # must match the plan (the engine already tracks it).
-            if self.shard_plan is not None:
-                if digest_partition != self.shard_plan.nshards:
-                    raise SimulationError(
-                        f"digest_partition={digest_partition} conflicts "
-                        f"with shards={self.shard_plan.nshards}"
-                    )
-                self.engine.enable_order_digest()
-            else:
-                self.engine.enable_order_digest(
-                    plan_shards(nranks, spec, digest_partition)
-                )
+        self.engine = Engine()
         self.tracer = Tracer()
         self.fabric = NetFabric(self.engine, nranks, spec, tracer=self.tracer)
         self.profiler = Profiler(self.engine, nranks, tracer=self.tracer)
@@ -155,8 +115,6 @@ class Cluster:
         if faults is not None:
             faults.check_ranks(nranks)
             self.fabric.faults = faults
-        if self.shard_plan is not None:
-            self.fabric._shard_owner = self.shard_plan.owner
         if reliable:
             self.fabric.reliable = ReliableTransport(
                 self.fabric, rng=rank_rng(seed, 0, "reliable")
@@ -167,12 +125,6 @@ class Cluster:
             from repro import sanitizer as _san_mod
 
             sanitize = _san_mod.is_forced()
-        if sanitize and self.shard_plan is not None:
-            raise NotImplementedError(
-                "repro.sanitizer does not support REPRO_SIM_SHARDS>1; run "
-                "the checker under the sequential dispatcher (see "
-                "docs/architecture.md, 'Parallel simulation model')"
-            )
         if sanitize:
             from repro.sanitizer import Sanitizer
 
@@ -296,15 +248,8 @@ class Cluster:
             rank_procs.append(proc)
             self.ctxs.append(RankCtx(self, rank, proc))
         if self.faults is not None:
-            # Shard-aware seeding: a crash event belongs to the dying
-            # rank's shard (call_at_shard is a plain call_at sequentially).
-            plan = self.shard_plan
             for rank, when in self.faults.crashes:
-                self.engine.call_at_shard(
-                    when,
-                    lambda r=rank: self._crash_rank(r),
-                    plan.owner[rank] if plan is not None else 0,
-                )
+                self.engine.call_at(when, lambda r=rank: self._crash_rank(r))
         ok = False
         try:
             self.engine.run(deadline=deadline)

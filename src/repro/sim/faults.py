@@ -179,13 +179,8 @@ class FaultPlan:
     def check_ranks(self, nranks: int) -> None:
         """Validate every scheduled crash against the cluster size.
 
-        Called by :class:`~repro.sim.cluster.Cluster` at construction —
-        before crash events are seeded into the engine, which under a
-        sharded run also assigns each crash to the dying rank's shard.
-        :meth:`draw` stays shard-agnostic on purpose: the fabric consults
-        the plan in global executed-event order, which the sharded
-        engine's merged dispatch preserves, so one RNG cursor serves every
-        shard without forking the fault stream.
+        Called by :class:`~repro.sim.cluster.Cluster` at construction,
+        before crash events are seeded into the engine.
         """
         for rank, _when in self.crashes:
             if not 0 <= rank < nranks:

@@ -20,13 +20,6 @@ Unannotated sleeps fall back to ``CK_LIT`` — the recorded duration is
 replayed verbatim, which keeps same-spec calibration exact by
 construction and degrades gracefully (documented in ``docs/ir.md``) for
 cross-spec sweeps.
-
-Sharded runs (``REPRO_SIM_SHARDS>1``) refuse recording outright: the
-sharded dispatcher routes events by shard without threading them through
-the recorder's ``on_call_at`` issuer chains, so an attached recorder
-would emit a silently partial op stream. ``repro.ir.record.attach`` and
-``Cluster`` both raise ``NotImplementedError`` for the combination
-instead (see docs/architecture.md, "Parallel simulation model").
 """
 
 from __future__ import annotations

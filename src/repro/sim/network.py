@@ -116,22 +116,6 @@ class MachineSpec:
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
 
-    def cross_shard_lookahead(self, node_aligned: bool) -> float:
-        """Minimum virtual delay of any cross-shard message (seconds).
-
-        This is the conservative-PDES lookahead the sharded engine derives
-        from the fabric cost model (``_fabric_costs``): with node-aligned
-        shard boundaries every cross-shard message rides the wire, so no
-        effect can propagate between shards in under ``latency``; a
-        boundary inside a node exposes the loopback path, dropping the
-        floor to ``min(latency, loopback_latency)``. Every other cost term
-        (serialization, NIC occupancy, software overheads) only adds delay,
-        so this bound is safe by construction — and the engine counts (and
-        the suite asserts zero) deliveries that undercut it.
-        """
-        latency, _bw, _hdr, _tx, _rx, loopback, _copy = self._fabric_costs  # type: ignore[attr-defined]
-        return latency if node_aligned else min(latency, loopback)
-
     def srq_active(self, nranks: int) -> bool:
         return (
             self.gasnet_srq_threshold is not None
@@ -188,12 +172,6 @@ class NetFabric:
         #: accounting (:class:`repro.obs.metrics.CommMatrix`). One predicate
         #: guard per transfer; None keeps the hot path untouched.
         self.comm_matrix = None
-        #: Attached by a sharded ``Cluster``: ``owner[rank] -> shard``.
-        #: None (the default) keeps the sequential delivery path exactly
-        #: one ``engine.call_at``; when set, deliveries are routed to the
-        #: destination rank's shard and cross-shard messages are reported
-        #: to the engine's epoch/lookahead accounting.
-        self._shard_owner: tuple[int, ...] | None = None
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:
@@ -312,22 +290,10 @@ class NetFabric:
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             tracer.record("transfer", src, now, deliver, dst=dst, nbytes=nbytes)
-        owner = self._shard_owner
-        if owner is None:
-            engine.call_at(deliver, on_delivered)
-            if decision is not None and decision.duplicate:
-                self.duplicated += 1
-                engine.call_at(deliver + decision.duplicate_lag, on_delivered)
-        else:
-            dst_shard = owner[dst]
-            if owner[src] != dst_shard:
-                engine.note_cross(owner[src], dst_shard, nbytes, deliver)
-            engine.call_at_shard(deliver, on_delivered, dst_shard)
-            if decision is not None and decision.duplicate:
-                self.duplicated += 1
-                engine.call_at_shard(
-                    deliver + decision.duplicate_lag, on_delivered, dst_shard
-                )
+        engine.call_at(deliver, on_delivered)
+        if decision is not None and decision.duplicate:
+            self.duplicated += 1
+            engine.call_at(deliver + decision.duplicate_lag, on_delivered)
         return deliver
 
     def send(

@@ -44,7 +44,7 @@ class DeadlockError(SimulationError):
         The final live-telemetry snapshot (a dict), stamped by the cluster
         when the run had a :class:`~repro.obs.live.LiveTelemetry` tap
         armed; ``None`` otherwise. Carries the progress trail — events
-        executed, events/s, blocked-rank detail, shard window state — a
+        executed, events/s, blocked-rank detail — a
         hung paper-scale run dies with.
     """
 

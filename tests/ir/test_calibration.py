@@ -2,7 +2,7 @@
 
 The whole point of the IR is that a recorded trace re-priced at the
 recorded spec is indistinguishable from the live run — bit-for-bit, not
-approximately. Every (app x machine config x backend x dispatcher) cell
+approximately. Every (app x machine config x backend) cell
 below asserts exact float equality on the makespan and on every per-op
 aggregate, plus a clean deep validation (which itself includes a
 self-replay with per-transfer delivery-time checking).
@@ -15,18 +15,11 @@ from repro.ir import replay, validate_trace
 PLATFORM_CONFIGS = ["laptop", "edison"]
 
 
-@pytest.mark.parametrize("dispatcher", ["fastpath", "legacy"])
 @pytest.mark.parametrize("backend", ["mpi", "gasnet"])
 @pytest.mark.parametrize("platform", PLATFORM_CONFIGS)
 @pytest.mark.parametrize("app", ["ra", "fft", "cgpop"])
-def test_replay_matches_live_bit_exactly(
-    record, monkeypatch, app, platform, backend, dispatcher
-):
-    monkeypatch.setenv(
-        "REPRO_SIM_FASTPATH", "1" if dispatcher == "fastpath" else "0"
-    )
+def test_replay_matches_live_bit_exactly(record, app, platform, backend):
     run, trace = record(app, backend, platform)
-    assert trace.manifest["dispatcher"] == dispatcher
 
     result = replay(trace)  # default: the recorded spec
 

@@ -76,45 +76,7 @@ def test_emit_without_active_capture_is_a_noop(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-# -- capture under the sharded dispatcher (REPRO_SIM_SHARDS > 1) ----------
-
-
-def test_capture_under_sharded_dispatcher(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
-    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-    out = tmp_path / "obs"
-    with capture.capture(out):
-        run_caf(program, 4)
-    (path,) = sorted(out.glob("run-*.report.json"))
-    report = RunReport.load(str(path))
-    assert report.meta["shards"] == 2
-    assert report.data["shards"]["nshards"] == 2
-    assert report.data["shards"]["lookahead_violations"] == 0
-
-
-def test_capture_digest_identical_with_telemetry_under_shards(
-    tmp_path, monkeypatch
-):
-    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-
-    def digest(shards, live):
-        kwargs = {}
-        if live:
-            kwargs.update(
-                live=tmp_path / f"s{shards}-{live}.jsonl", live_interval=0.0
-            )
-        run = run_caf(program, 4, shards=shards, **kwargs)
-        return run.cluster.engine.order_digest()
-
-    baseline = digest(None, False)
-    assert baseline is not None
-    assert digest(None, True) == baseline
-    assert digest(2, False) == baseline
-    assert digest(2, True) == baseline
-
-
-def test_capture_live_emits_telemetry_stream_per_run(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_SHARDS", "2")
+def test_capture_live_emits_telemetry_stream_per_run(tmp_path):
     out = tmp_path / "obs"
     capture.start(out, live=True, live_interval=0.0)
     try:
@@ -135,7 +97,7 @@ def test_capture_live_emits_telemetry_stream_per_run(tmp_path, monkeypatch):
 
     for seq in (0, 1):
         meta, snaps = read_telemetry(out / f"run-{seq:04d}.telemetry.jsonl")
-        assert meta["shards"] == 2
+        assert meta["nranks"] == 4
         assert snaps[-1]["final"] is True and snaps[-1]["outcome"] == "ok"
         report = RunReport.load(str(out / f"run-{seq:04d}.report.json"))
         assert report.meta["telemetry"]["snapshots"] == len(snaps)

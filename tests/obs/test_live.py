@@ -2,9 +2,8 @@
 
 The contract under test is the tentpole's: the heartbeat only *reads*
 engine state, so event-order digests, makespans, and profiler totals are
-bit-identical with telemetry on or off — on both dispatchers and under
-``REPRO_SIM_SHARDS`` in {1, 2} — while the stream itself is a valid,
-renderable progress trail that failure diagnostics can stamp.
+bit-identical with telemetry on or off, while the stream itself is a
+valid, renderable progress trail that failure diagnostics can stamp.
 """
 
 import json
@@ -27,11 +26,11 @@ from repro.util.errors import DeadlockError, SimTimeoutError
 RA_KW = dict(table_bits_per_image=8, updates_per_image=64, batches=4)
 
 
-def _ra(tmp_path, *, live, shards=None, name="t.jsonl"):
+def _ra(tmp_path, *, live, name="t.jsonl"):
     kwargs = dict(RA_KW)
     if live:
         kwargs.update(live=tmp_path / name, live_interval=0.0)
-    return run_caf(run_randomaccess, 4, shards=shards, **kwargs)
+    return run_caf(run_randomaccess, 4, **kwargs)
 
 
 def _fingerprint(run):
@@ -42,22 +41,12 @@ def _fingerprint(run):
     )
 
 
-@pytest.mark.parametrize("fastpath", ["0", "1"])
-def test_digest_makespan_profiler_identical_on_off(tmp_path, monkeypatch, fastpath):
+def test_digest_makespan_profiler_identical_on_off(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
     off = _fingerprint(_ra(tmp_path, live=False))
     on = _fingerprint(_ra(tmp_path, live=True))
     assert off[0] is not None
     assert off == on
-
-
-def test_digest_identical_under_shards(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-    seq = _fingerprint(_ra(tmp_path, live=False))
-    sharded_off = _fingerprint(_ra(tmp_path, live=False, shards=2))
-    sharded_on = _fingerprint(_ra(tmp_path, live=True, shards=2, name="s.jsonl"))
-    assert seq == sharded_off == sharded_on
 
 
 def test_stream_is_schema_valid(tmp_path):
@@ -67,7 +56,6 @@ def test_stream_is_schema_valid(tmp_path):
     assert meta["nranks"] == 4
     assert meta["backend"] == "mpi"
     assert meta["app"] == "run_randomaccess"
-    assert meta["shards"] == 1
     for snap in snaps:
         validate_snapshot(snap, nranks=4)
     assert [s["seq"] for s in snaps] == list(range(len(snaps)))
@@ -78,22 +66,6 @@ def test_stream_is_schema_valid(tmp_path):
     assert last["ranks"] == {"total": 4, "running": 0, "blocked": 0, "done": 4}
     assert last["rss_bytes"] > 0
     assert last["sim_s"] == run.elapsed
-    assert last["shards"] is None  # sequential run: no shard section
-
-
-def test_shard_section_under_sharded_dispatcher(tmp_path):
-    run = _ra(tmp_path, live=True, shards=2)
-    meta, snaps = read_telemetry(tmp_path / "t.jsonl")
-    assert meta["shards"] == 2
-    assert meta["shard_ranks"] == [2, 2]
-    sh = snaps[-1]["shards"]
-    assert sh["nshards"] == 2
-    assert len(sh["events_per_shard"]) == 2
-    assert sh["cross_messages"] > 0
-    assert sh["null_messages"] >= 0
-    assert set(sh["window"]) == {"start", "bound", "lookahead"}
-    st = run.cluster.engine.shard_stats()
-    assert sh["cross_messages"] == st["cross_messages"]
 
 
 def test_interval_and_check_every_control_density(tmp_path):
@@ -203,12 +175,11 @@ def test_read_telemetry_tolerates_truncated_tail(tmp_path):
 
 
 def test_render_top_shows_progress(tmp_path):
-    _ra(tmp_path, live=True, shards=2)
+    _ra(tmp_path, live=True)
     meta, snaps = read_telemetry(tmp_path / "t.jsonl")
     out = render_top(meta, snaps)
     assert "live telemetry" in out
     assert "FINAL (ok)" in out
-    assert "shards: 2" in out
     assert "recent snapshots" in out
 
 

@@ -2,9 +2,9 @@
 
 The notify's delivery time is stretched by a seeded fault-plan delay while
 the waiter arms a timeout: whichever fires first is a genuine race in
-virtual time. The simulator must pick the SAME winner on every run and on
-both dispatchers (``REPRO_SIM_FASTPATH=0`` legacy scheduler-thread loop vs
-the fast-path), pinned by the event-order digest being bit-identical.
+virtual time. The simulator must pick the SAME winner on every run, with a
+bit-identical event-order digest — both pinned to the values recorded at
+127ef01, where the two dispatchers of the day agreed on them.
 """
 
 import pytest
@@ -18,7 +18,14 @@ from repro.util.errors import CafTimeoutError
 # the small timeouts lose to the clock, the large ones see the post, and
 # the middle ones sit inside the injected-delay window where the winner
 # depends on the exact seeded draw. Each must be stable.
-TIMEOUTS = (1e-4, 3e-3, 4e-3, 5e-3, 5e-2)
+GOLDEN = {
+    1e-4: ("timeout", "4b66065737dc5e18ab0ab098cdb67c32"),
+    3e-3: ("timeout", "ba5d3f8264d69d9c3e7643efd8a31a88"),
+    4e-3: ("timeout", "4b9f51b49bd18cfa407379e2c86aa989"),
+    5e-3: ("posted", "ec4005b76d43c9584b73716c1140088e"),
+    5e-2: ("posted", "aeef3cd5524d105529304faa7df88411"),
+}
+TIMEOUTS = tuple(GOLDEN)
 
 
 def racer(img, *, timeout):
@@ -46,23 +53,11 @@ def _race(timeout):
 
 
 @pytest.mark.parametrize("timeout", TIMEOUTS)
-def test_race_winner_and_digest_pinned_across_dispatchers(monkeypatch, timeout):
+def test_race_winner_and_digest_pinned(monkeypatch, timeout):
     monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-    outcomes = {}
-    for fastpath in ("0", "1"):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
-        outcomes[fastpath] = [_race(timeout) for _ in range(2)]
-
-    for fastpath, runs in outcomes.items():
-        winners = [w for w, _ in runs]
-        digests = [d for _, d in runs]
-        assert winners[0] == winners[1], f"winner flapped (fastpath={fastpath})"
-        assert winners[0] in ("posted", "timeout")
-        assert digests[0] is not None and digests[0] == digests[1]
-
-    # Same winner AND bit-identical event order on both dispatchers.
-    assert outcomes["0"][0][0] == outcomes["1"][0][0]
-    assert outcomes["0"][0][1] == outcomes["1"][0][1]
+    first, second = _race(timeout), _race(timeout)
+    assert first == second, "winner or event order flapped between runs"
+    assert first == GOLDEN[timeout]
 
 
 def test_race_actually_has_two_outcomes(monkeypatch):

@@ -1,4 +1,4 @@
-"""Watchdog firing on crash-induced hangs: both dispatchers, both backends.
+"""Watchdog firing on crash-induced hangs, on both backends.
 
 An event wait whose notifier is a corpse can never complete; plain
 deadlock detection may not fire (retransmission timers keep the heap
@@ -28,9 +28,7 @@ def orphaned_wait(img):
     ev.wait(0)
 
 
-@pytest.mark.parametrize("fastpath", ["0", "1"])
-def test_watchdog_names_corpse_and_blocked_ranks(monkeypatch, backend, fastpath):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
+def test_watchdog_names_corpse_and_blocked_ranks(backend):
     with pytest.raises(SimTimeoutError) as exc_info:
         run_caf(orphaned_wait, 3, backend=backend, deadline=0.05,
                 faults=FaultPlan(seed=4, crashes=[(VICTIM, 1e-3)]))
@@ -52,12 +50,8 @@ def test_watchdog_names_corpse_and_blocked_ranks(monkeypatch, backend, fastpath)
     assert all(0 < t < 0.05 for t in exc.last_progress.values())
 
 
-@pytest.mark.parametrize("fastpath", ["0", "1"])
-def test_watchdog_report_identical_across_dispatchers_is_deterministic(
-    monkeypatch, backend, fastpath
-):
-    """The same hang produces the same diagnostic on either dispatcher."""
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
+def test_watchdog_report_is_deterministic(backend):
+    """The same hang produces the same diagnostic on every run."""
     msgs = []
     for _ in range(2):
         with pytest.raises(SimTimeoutError) as exc_info:

@@ -1,94 +1,176 @@
-"""Dispatcher and substrate equivalence: the fast paths must never change
-*which* schedule executes, only how fast the host executes it.
+"""The dispatcher's contract: wall-clock work on the engine must never
+change *which* schedule executes, only how fast the host executes it.
 
-The golden digests below fingerprint the executed event order
-(``Engine.order_digest``) of a fixed RandomAccess run. They were recorded
-from the legacy dispatcher and are asserted against every dispatcher and
-substrate, so any future "optimization" that reorders events — even among
+``GOLDEN`` fingerprints fixed runs: the executed event order
+(``Engine.order_digest``), the executed event count, the virtual makespan
+and the profiler category totals (floats as ``float.hex()``, so equality
+is bit-exact), or for runs that die, the error, the failed images and
+the state at death. The values were recorded at commit 127ef01, where the
+scheduler-thread dispatcher, the baton-passing dispatcher and the 2-shard
+windowed dispatcher all produced them bit for bit; the first and last were
+then deleted. Any future "optimization" that reorders events — even among
 same-time ties — fails here rather than silently perturbing figures.
 """
 
 import pytest
 
+from repro.apps.cgpop import run_cgpop
+from repro.apps.fft import run_fft
 from repro.apps.randomaccess import run_randomaccess
 from repro.caf.program import run_caf
-from repro.sim.engine import Engine, _greenlet_mod
+from repro.sim.engine import Engine
+from repro.sim.faults import FaultPlan
 from repro.sim.network import MachineSpec
-from repro.util.errors import SimulationError
 
-# Fixed workload: RA on 4 images, 64 updates/image over 2 batches.
-GOLDEN_KW = dict(table_bits_per_image=6, updates_per_image=64, batches=2)
+RA_KW = dict(table_bits_per_image=6, updates_per_image=64, batches=2)
+#: row -> (program, images, program kwargs, FaultPlan kwargs or None)
+ROWS = {
+    "ra": (run_randomaccess, 4, RA_KW, None),
+    "fft": (run_fft, 8, dict(m=1 << 10), None),
+    "cgpop": (run_cgpop, 8, dict(ny=16, nx=16, max_iter=8), None),
+    "ra-crash": (run_randomaccess, 8, RA_KW, dict(crashes=[(5, 2e-4)])),
+    "ra-crash-drops": (
+        run_randomaccess, 8, RA_KW, dict(drop_rate=0.05, crashes=[(5, 2e-4)]),
+    ),
+}
 GOLDEN = {
-    "mpi": ("f33ad3ac50b403e26a0a9e79637fe49c", 944),
-    "gasnet": ("2928f96e7c3b173ea9ee19543f125f83", 895),
+    ("ra", "mpi"): (
+        "f33ad3ac50b403e26a0a9e79637fe49c", 944, "0x1.792236413b142p-14",
+        {
+            "barrier": "0x1.1aee54173f9e2p-15",
+            "coarray_write": "0x1.0c6f7a0b5eda0p-15",
+            "computation": "0x1.12e0be826d800p-25",
+            "event_notify": "0x1.0ced7662aff54p-14",
+            "event_wait": "0x1.2adbaf21239c0p-16",
+        },
+    ),
+    ("ra", "gasnet"): (
+        "2928f96e7c3b173ea9ee19543f125f83", 895, "0x1.4e58417960d90p-15",
+        {
+            "barrier": "0x1.64c02f40c6808p-16",
+            "coarray_write": "0x1.4a04deb9e211ep-16",
+            "computation": "0x1.12e0be826d400p-25",
+            "event_notify": "0x1.421f5f40d836ep-16",
+            "event_wait": "0x1.cb341e428e1e8p-17",
+        },
+    ),
+    ("fft", "mpi"): (
+        "3859c3dc1e010b772cc9cedd3d5d483e", 1584, "0x1.2cb6fe6a8fd24p-14",
+        {
+            "alltoall": "0x1.58a337db971dap-12",
+            "barrier": "0x1.8d8d8b8822be8p-15",
+            "computation": "0x1.0a49b88e5a040p-17",
+        },
+    ),
+    ("fft", "gasnet"): (
+        "1b6fa2b5bbc5ed1e078686687fc72686", 1893, "0x1.50b7fe5e95365p-15",
+        {
+            "alltoall": "0x1.1c5663d0cbcb7p-12",
+            "barrier": "0x1.06cc5e23321a7p-15",
+            "computation": "0x1.0a49b88e59ff8p-17",
+        },
+    ),
+    ("cgpop", "mpi"): (
+        "77952ffa4243b9ce4a00851957a80070", 6218, "0x1.30641295cb764p-12",
+        {
+            "barrier": "0x1.9596d599faf14p-14",
+            "computation": "0x1.285a4d649df00p-18",
+            "event_notify": "0x1.d4e3bef91c02cp-12",
+            "event_wait": "0x1.df877898d7106p-13",
+        },
+    ),
+    ("cgpop", "gasnet"): (
+        "9da564497274baf03409f53505f36ff3", 6417, "0x1.992a9fd2afa67p-13",
+        {
+            "barrier": "0x1.0aa3ea4cdcce4p-14",
+            "computation": "0x1.285a4d649e040p-18",
+            "event_notify": "0x1.bcc7e0c39385fp-13",
+            "event_wait": "0x1.36a09a894d3dep-13",
+        },
+    ),
+    ("ra-crash", "mpi"): (
+        "97936ba4c2f844a295870d5106deeb8f", 4185, "0x1.20099ca18b318p-12",
+        {
+            "barrier": "0x1.8df49fcf93a40p-14",
+            "coarray_write": "0x1.92a737110e45cp-14",
+            "computation": "0x1.12e0be826c000p-24",
+            "event_notify": "0x1.31b9c1e39b264p-12",
+            "event_wait": "0x1.c117af4097410p-15",
+        },
+    ),
+    ("ra-crash", "gasnet"): (
+        "c033c9f45c39a00e04bebaa7c90a415d", 3864, "0x1.a36e2eb1c432dp-13",
+        {
+            "barrier": "0x1.0a4f7292520b0p-14",
+            "coarray_write": "0x1.ef4ee3486fbcap-15",
+            "computation": "0x1.12e0be826dc00p-24",
+            "event_notify": "0x1.e32f0ee144538p-15",
+            "event_wait": "0x1.59353f40cc6acp-15",
+        },
+    ),
+    ("ra-crash-drops", "mpi"): (
+        "MpiProcFailedError", [5],
+        "1ee878837f1938186a877741d126d8e8", 179, "0x1.a36e2eb1c432dp-13",
+    ),
+    ("ra-crash-drops", "gasnet"): (
+        "DeadlockError", [5],
+        "80bc5e7b7036829bc0fd5024a7db5952", 261, "0x1.96da97c49fadbp-3",
+    ),
 }
 
-needs_greenlet = pytest.mark.skipif(
-    _greenlet_mod is None, reason="greenlet not installed"
-)
 
-
-def _run_golden(monkeypatch, backend, fastpath, substrate="threads"):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
-    monkeypatch.setenv("REPRO_SIM_SUBSTRATE", substrate)
-    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
-    r = run_caf(
-        run_randomaccess, 4, MachineSpec(name="generic"), backend=backend, **GOLDEN_KW
-    )
+def _fingerprint(row, backend):
+    program, nranks, kwargs, faults = ROWS[row]
+    extra = {}
+    if faults is not None:
+        extra = dict(faults=FaultPlan(seed=3, **faults), reliable=True, deadline=1.0)
+    try:
+        r = run_caf(
+            program, nranks, MachineSpec(name="generic"), backend=backend,
+            **extra, **kwargs,
+        )
+    except Exception as exc:  # noqa: BLE001 - how a run dies is pinned too
+        cl = exc.caf_cluster
+        return (
+            type(exc).__name__, sorted(cl.failed_ranks), cl.engine.order_digest(),
+            cl.engine.events_executed, cl.elapsed.hex(),
+        )
+    totals = {c: r.profiler.total(c).hex() for c in r.profiler.categories()}
     eng = r.cluster.engine
-    totals = {c: r.profiler.total(c) for c in r.profiler.categories()}
-    return eng.order_digest(), eng.events_executed, r.cluster.elapsed, totals
-
-
-@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
-def test_fast_and_legacy_dispatchers_execute_identical_schedules(
-    monkeypatch, backend
-):
-    fast = _run_golden(monkeypatch, backend, fastpath=True)
-    legacy = _run_golden(monkeypatch, backend, fastpath=False)
-    # Digest, event count, virtual makespan and profiler category totals
-    # must all be bit-identical, not merely close.
-    assert fast == legacy
+    return eng.order_digest(), eng.events_executed, r.elapsed.hex(), totals
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gasnet"])
 def test_dispatch_order_matches_golden_digest(monkeypatch, backend):
-    digest, events, _, _ = _run_golden(monkeypatch, backend, fastpath=True)
-    assert (digest, events) == GOLDEN[backend]
+    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
+    for row in ROWS:
+        assert _fingerprint(row, backend) == GOLDEN[row, backend], row
 
 
-@needs_greenlet
-@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
-def test_greenlet_substrate_executes_identical_schedule(monkeypatch, backend):
-    threads = _run_golden(monkeypatch, backend, fastpath=True)
-    glet = _run_golden(monkeypatch, backend, fastpath=True, substrate="greenlet")
-    assert glet == threads
-    assert glet[0] == GOLDEN[backend][0]
+def test_bare_engine_schedule_matches_golden():
+    eng = Engine()
+
+    def ping(p):
+        for _ in range(5):
+            p.sleep(0.25)
+
+    def pong(p):
+        for _ in range(4):
+            p.sleep(0.3)
+
+    eng.spawn(ping)
+    eng.spawn(pong)
+    eng.enable_order_digest()
+    eng.run()
+    assert (eng.events_executed, eng.order_digest(), eng.now) == (
+        11, "a67b2203b7afae626e022a51b1b03a63", 1.25,
+    )
 
 
-@pytest.mark.skipif(_greenlet_mod is not None, reason="greenlet is installed")
-def test_greenlet_substrate_without_package_is_a_clear_error():
-    with pytest.raises(SimulationError, match="greenlet"):
-        Engine(substrate="greenlet")
-
-
-def test_unknown_substrate_rejected():
-    with pytest.raises(SimulationError, match="substrate"):
-        Engine(substrate="coroutines")
-
-
-def test_greenlet_requires_fast_dispatcher():
-    if _greenlet_mod is None:
-        pytest.skip("greenlet not installed")
-    with pytest.raises(SimulationError, match="fast-path"):
-        Engine(fastpath=False, substrate="greenlet")
-
-
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_duplicate_wake_dropped_at_call_site(fastpath):
+def test_duplicate_wake_dropped_at_call_site():
     """A second wake of the same block generation must not allocate a heap
     event — it is dropped where it happens, and counted."""
-    eng = Engine(fastpath=fastpath)
+    eng = Engine()
     waiter_box = []
     payloads = []
 
@@ -131,7 +213,7 @@ def test_stale_wake_counter_starts_at_zero():
 def test_inline_sleep_bypasses_heap_on_fast_path():
     """A sole-runnable process's sleep advances the clock in place: no heap
     entry, no context switch, but the event still counts."""
-    eng = Engine(fastpath=True)
+    eng = Engine()
     heap_sizes = []
 
     def body(p):
@@ -145,24 +227,3 @@ def test_inline_sleep_bypasses_heap_on_fast_path():
     assert eng.now == 3.0
     # initial resume + three sleeps
     assert eng.events_executed == 4
-
-
-def test_events_executed_identical_across_dispatchers():
-    def make(fastpath):
-        eng = Engine(fastpath=fastpath)
-
-        def ping(p):
-            for _ in range(5):
-                p.sleep(0.25)
-
-        def pong(p):
-            for _ in range(4):
-                p.sleep(0.3)
-
-        eng.spawn(ping)
-        eng.spawn(pong)
-        eng.enable_order_digest()
-        eng.run()
-        return eng.events_executed, eng.order_digest(), eng.now
-
-    assert make(True) == make(False)

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import threading
+
 import pytest
 
 from repro.sim.engine import Engine
@@ -245,3 +247,29 @@ def test_scheduler_callbacks_run_in_time_order():
     eng.spawn(body)
     eng.run()
     assert order == ["a", "b", "c"]
+
+
+def test_thread_start_failure_names_started_fibers(monkeypatch):
+    """Thread exhaustion part-way through start-up (``ulimit -u`` at 4096
+    ranks) must surface as a SimulationError saying how far start-up got,
+    not as teardown's ``cannot join thread before it is started``."""
+    real_start = threading.Thread.start
+    seen = []
+
+    def flaky_start(self):
+        if self.name.startswith("sim-"):
+            seen.append(self.name)
+            if len(seen) == 3:
+                raise RuntimeError("can't start new thread")
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", flaky_start)
+    eng = Engine()
+    procs = [eng.spawn(lambda p: p.sleep(1.0)) for _ in range(5)]
+    with pytest.raises(SimulationError, match=r"2 of 5 process fibers") as exc_info:
+        eng.run()
+    assert "thread limit" in str(exc_info.value)
+    assert isinstance(exc_info.value.__cause__, RuntimeError)
+    # Teardown unwound the two started fibers and skipped the other three.
+    assert all(p.state == "done" for p in procs)
+    assert not any(t.name.startswith("sim-") for t in threading.enumerate())

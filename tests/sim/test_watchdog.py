@@ -65,7 +65,7 @@ def test_watchdog_fires_with_per_rank_diagnostics():
 def test_sleep_fastpath_respects_deadline():
     """Regression: the in-place sleep shortcut (sole runnable proc, empty
     queues) must not jump the clock past the deadline — that would silently
-    disable the watchdog under the default dispatcher."""
+    disable the watchdog."""
     eng = Engine()
     eng.spawn(lambda p: p.sleep(5.0), name="sleeper")
     with pytest.raises(SimTimeoutError) as exc_info:
@@ -77,8 +77,8 @@ def test_sleep_fastpath_respects_deadline():
 
 
 def test_sleep_fastpath_exactly_to_deadline_completes():
-    """A sleep landing exactly on the deadline is not a hang (the legacy
-    dispatcher only times out on events strictly past it)."""
+    """A sleep landing exactly on the deadline is not a hang (the watchdog
+    only fires on events strictly past it)."""
     eng = Engine()
     eng.spawn(lambda p: p.sleep(1.0))
     eng.run(deadline=1.0)
