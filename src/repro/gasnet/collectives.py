@@ -24,7 +24,7 @@ import functools
 import numpy as np
 
 from repro.gasnet.core import GasnetRank
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.gasnet.segment import SegmentAllocator
 from repro.util.errors import GasnetError
 
@@ -230,10 +230,7 @@ class TeamExchange:
             if vr & mask:
                 self._wait_signals(seq, 1)
                 flat[...] = self._local_arena(land, flat.nbytes)
-                _irhook.annotate(_irhook.CK_COPY, flat.nbytes)
-                self.gasnet.ctx.proc.sleep(
-                    self.gasnet.ctx.spec.copy_time(flat.nbytes)
-                )
+                _costs.charge(self.gasnet.ctx, "copy", flat.nbytes)
                 break
             mask <<= 1
         mask >>= 1
@@ -275,8 +272,7 @@ class TeamExchange:
                     continue
                 chunk = landing[i * nbytes : (i + 1) * nbytes].view(flat.dtype)
                 acc = op(acc, chunk)
-                _irhook.annotate(_irhook.CK_FLOPS, acc.size)
-                self.gasnet.ctx.proc.sleep(self.gasnet.ctx.spec.flops_time(acc.size))
+                _costs.charge(self.gasnet.ctx, "flops", acc.size)
             recv = np.asarray(recvbuf)
             recv.reshape(-1)[...] = acc
             # Ack: peers may not reuse the arena before the root combined.
@@ -323,8 +319,7 @@ class TeamExchange:
                 )
         # Unpack cost: landing zone -> user buffer (MPI's collectives
         # receive in place and skip this — part of why they win).
-        _irhook.annotate(_irhook.CK_COPY, nbytes * n)
-        self.gasnet.ctx.proc.sleep(self.gasnet.ctx.spec.copy_time(nbytes * n))
+        _costs.charge(self.gasnet.ctx, "copy", nbytes * n)
         self._finish_exchange(seq)
         self._arena_release(marker)
 
@@ -362,8 +357,7 @@ class TeamExchange:
                     .reshape(recv[i].shape)
                 )
         # Unpack cost (see allgather): landing zone -> user buffer.
-        _irhook.annotate(_irhook.CK_COPY, nbytes * n)
-        self.gasnet.ctx.proc.sleep(self.gasnet.ctx.spec.copy_time(nbytes * n))
+        _costs.charge(self.gasnet.ctx, "copy", nbytes * n)
         self._finish_exchange(seq)
         self._arena_release(marker)
 

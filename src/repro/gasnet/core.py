@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.sim.cluster import Cluster, RankCtx
 from repro.sim.memory import MB
 from repro.sim.sync import Counter, SimEvent
@@ -89,6 +89,8 @@ class GasnetWorld:
         self.segments: list[np.ndarray | None] = [None] * cluster.nranks
         self.ranks: dict[int, GasnetRank] = {}
         self.srq_enabled = cluster.spec.srq_active(cluster.nranks)
+        #: Per-message destination-NIC occupancy the SRQ adds (Fig. 3).
+        self.rx_extra = _costs.srq_penalty(cluster.spec, cluster.nranks)
         self._attached = Counter("gasnet.attached")
 
     def attach(self, ctx: RankCtx, segment_bytes: int) -> "GasnetRank":
@@ -141,9 +143,6 @@ class GasnetRank:
         self._credits: dict[int, int] = {}
         self.am_requests_sent = 0
         self.am_handled = 0
-        # Fixed at cluster construction; cached so per-op metrics guards
-        # are one attribute load (clones share the handle via __dict__).
-        self._obs = ctx.metrics
 
     # -- segment ---------------------------------------------------------
 
@@ -178,9 +177,6 @@ class GasnetRank:
                 f"segment access [{offset}, {offset + nbytes}) outside rank "
                 f"{rank}'s {seg.nbytes}-byte segment"
             )
-
-    def _rx_extra(self) -> float:
-        return self.ctx.spec.gasnet_srq_penalty if self.world.srq_enabled else 0.0
 
     # -- active messages ----------------------------------------------------
 
@@ -231,20 +227,12 @@ class GasnetRank:
             raise GasnetError(f"AM carries {len(args)} args > AMMaxArgs={AM_MAX_ARGS}")
         self._check_rank(dest)
         self._check_alive(dest)
-        spec = self.ctx.spec
         if not is_reply:
             # Replies have a guaranteed slot; only requests consume credits.
             self._acquire_credit(dest)
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.rank, "gasnet.am",
-                0 if payload is None else payload.nbytes,
-                spec.gasnet_am_overhead,
-            )
-        self.ctx.proc.sleep(spec.gasnet_am_overhead)
-        self.am_requests_sent += 1
         nbytes = 0 if payload is None else payload.nbytes
+        _costs.charge(self.ctx, "gasnet.am", nbytes)
+        self.am_requests_sent += 1
         wire = 32 + nbytes
         src = self.rank
         target = self.world.ranks.get(dest)
@@ -274,7 +262,7 @@ class GasnetRank:
             target.activity.add()
 
         self.ctx.fabric.send(
-            src, dest, wire, on_delivered, rx_extra=self._rx_extra(), reliable=True
+            src, dest, wire, on_delivered, rx_extra=self.world.rx_extra, reliable=True
         )
 
     def am_request_short(self, dest: int, handler_idx: int, *args: int) -> None:
@@ -318,11 +306,9 @@ class GasnetRank:
         execute (used by progress agents so they never run application
         handlers on the wrong execution context); others stay queued.
         """
-        spec = self.ctx.spec
         if handler_filter is None:
             handler_filter = self.default_handler_filter
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_GASNET_POLL)
-        self.ctx.proc.sleep(spec.gasnet_poll_overhead)
+        _costs.charge(self.ctx, "gasnet.poll")
         for hook in self.poll_hooks:
             hook()
         ran = 0
@@ -332,11 +318,7 @@ class GasnetRank:
             if handler_filter is not None and qam.handler_idx not in handler_filter:
                 pending.append(qam)
                 continue
-            cost = spec.gasnet_handler_overhead
-            if self.world.srq_enabled:
-                cost += spec.gasnet_srq_penalty
-            _irhook.annotate(_irhook.CK_HANDLER)
-            self.ctx.proc.sleep(cost)
+            _costs.charge(self.ctx, "gasnet.handler")
             handler = self.handlers.get(qam.handler_idx)
             if handler is None:
                 raise GasnetError(f"no handler registered at index {qam.handler_idx}")
@@ -359,15 +341,10 @@ class GasnetRank:
                 # credit one wire latency later.
                 sender = self.world.ranks.get(qam.src)
                 if sender is not None:
-                    back = (
-                        spec.loopback_latency
-                        if spec.node_of(qam.src) == spec.node_of(self.rank)
-                        else spec.latency
-                    )
-                    dest = self.rank
-                    _irhook.annotate(_irhook.CK_ACK, qam.src, self.rank)
-                    self.ctx.engine.call_in(
-                        back, lambda s=sender, d=dest: s._credit_returned(d)
+                    _costs.charge_in(
+                        self.ctx, "ack",
+                        lambda s=sender, d=self.rank: s._credit_returned(d),
+                        a=qam.src, b=self.rank,
                     )
         # Re-queue messages this caller wasn't allowed to handle, in order.
         for qam in reversed(pending):
@@ -427,129 +404,14 @@ class GasnetRank:
 
     # -- one-sided RDMA ---------------------------------------------------------
 
-    def put_nb(self, dest: int, dest_offset: int, data) -> Handle:
-        """gasnet_put_nb: RDMA write; the handle fires on remote completion
-        (data commits at delivery; the origin learns of it one ack later).
-
-        Ships a flat view of the source, not a copy: GASNet forbids
-        modifying the source until the handle syncs, so the only copy is
-        the commit into the destination segment at delivery.
-        """
-        arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        self._check_range(dest, dest_offset, arr.nbytes)
-        self._check_alive(dest)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(self.rank, "gasnet.put", arr.nbytes, spec.gasnet_put_overhead)
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_GASNET_PUT)
-        self.ctx.proc.sleep(spec.gasnet_put_overhead)
-        handle = Handle(kind=f"put(dest={dest})")
-        self._san_track(
-            handle, dest, [(dest_offset, dest_offset + arr.nbytes)],
-            "put_nb", is_write=True,
-        )
-        seg = self.segment_of(dest)
+    def _rdma_write(self, dest: int, runs, arr: np.ndarray, handle: Handle) -> None:
+        """Ship an RDMA write as one message: ``arr`` scatters into the
+        (byte_offset, nbytes) ``runs`` of ``dest``'s segment at delivery; the
+        origin learns of it (``handle`` fires) one ack later."""
+        ctx = self.ctx
         me = self
         src = self.rank
-        if src == dest or spec.node_of(src) == spec.node_of(dest):
-            ack = spec.loopback_latency
-        else:
-            ack = spec.latency
-        engine = self.ctx.engine
-
-        dest_rank = self.world.ranks.get(dest)
-
-        def on_delivered() -> None:
-            seg[dest_offset : dest_offset + arr.nbytes] = arr
-            if dest_rank is not None and dest_rank is not me:
-                # The destination may be spinning on segment memory
-                # (GASNET_BLOCKUNTIL on a flag): let it re-check.
-                dest_rank.activity.add()
-            _irhook.annotate(_irhook.CK_ACK, src, dest)
-            engine.call_in(ack, lambda: (handle.event.fire(), me.activity.add()))
-
-        self.ctx.fabric.send(
-            self.rank, dest, arr.nbytes + 32, on_delivered,
-            rx_extra=self._rx_extra(), reliable=True,
-        )
-        return handle
-
-    def get_nb(self, dest_buf, src: int, src_offset: int) -> Handle:
-        """gasnet_get_nb: RDMA read into ``dest_buf``."""
-        out = np.asarray(dest_buf)
-        if out.size and not out.flags["C_CONTIGUOUS"]:
-            raise GasnetError("get destination must be C-contiguous")
-        nbytes = out.nbytes
-        self._check_range(src, src_offset, nbytes)
-        self._check_alive(src)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(self.rank, "gasnet.get", nbytes, spec.gasnet_get_overhead)
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_GASNET_GET)
-        self.ctx.proc.sleep(spec.gasnet_get_overhead)
-        handle = Handle(kind=f"get(src={src})")
-        self._san_track(
-            handle, src, [(src_offset, src_offset + nbytes)],
-            "get_nb", is_write=False,
-        )
-        fabric = self.ctx.fabric
-        me = self
-
-        def at_source() -> None:
-            payload = self.segment_of(src)[src_offset : src_offset + nbytes].copy()
-
-            def at_origin() -> None:
-                out.reshape(-1).view(np.uint8)[...] = payload
-                handle.event.fire()
-                me.activity.add()
-
-            fabric.send(
-                src, self.rank, nbytes + 32, at_origin,
-                rx_extra=me._rx_extra(), reliable=True,
-            )
-
-        fabric.send(
-            self.rank, src, 32, at_source, rx_extra=self._rx_extra(), reliable=True
-        )
-        return handle
-
-    def put_runs_nb(self, dest: int, runs: list[tuple[int, int]], data) -> Handle:
-        """Strided RDMA write (the GASNet VIS extended API): one message
-        scatters ``data`` into the (byte_offset, nbytes) runs of the
-        destination segment."""
-        arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        total = sum(n for _off, n in runs)
-        if arr.nbytes != total:
-            raise GasnetError(f"put_runs data is {arr.nbytes} bytes, runs cover {total}")
-        for off, n in runs:
-            self._check_range(dest, int(off), int(n))
-        self._check_alive(dest)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.rank, "gasnet.put_runs", arr.nbytes,
-                spec.gasnet_put_overhead + spec.copy_time(arr.nbytes),
-            )
-        # Pack cost at the origin, then a single wire message. Like put_nb,
-        # the source may not change until the handle syncs, so no snapshot.
-        _irhook.annotate(_irhook.CK_PARAM_COPY, _irhook.F_GASNET_PUT, arr.nbytes)
-        self.ctx.proc.sleep(spec.gasnet_put_overhead + spec.copy_time(arr.nbytes))
-        handle = Handle(kind=f"put_runs(dest={dest})")
-        self._san_track(
-            handle, dest, [(int(off), int(off) + int(n)) for off, n in runs],
-            "put_runs_nb", is_write=True,
-        )
         seg = self.segment_of(dest)
-        me = self
-        src = self.rank
-        if src == dest or spec.node_of(src) == spec.node_of(dest):
-            ack = spec.loopback_latency
-        else:
-            ack = spec.latency
-        engine = self.ctx.engine
         dest_rank = self.world.ranks.get(dest)
 
         def on_delivered() -> None:
@@ -558,39 +420,26 @@ class GasnetRank:
                 seg[off : off + n] = arr[cursor : cursor + n]
                 cursor += n
             if dest_rank is not None and dest_rank is not me:
+                # The destination may be spinning on segment memory
+                # (GASNET_BLOCKUNTIL on a flag): let it re-check.
                 dest_rank.activity.add()
-            _irhook.annotate(_irhook.CK_ACK, src, dest)
-            engine.call_in(ack, lambda: (handle.event.fire(), me.activity.add()))
+            _costs.charge_in(
+                ctx, "ack", lambda: (handle.event.fire(), me.activity.add()),
+                a=src, b=dest,
+            )
 
-        self.ctx.fabric.send(
-            self.rank, dest, arr.nbytes + 32, on_delivered,
-            rx_extra=self._rx_extra(), reliable=True,
+        ctx.fabric.send(
+            src, dest, arr.nbytes + 32, on_delivered,
+            rx_extra=self.world.rx_extra, reliable=True,
         )
-        return handle
 
-    def get_runs_nb(self, dest_buf, src: int, runs: list[tuple[int, int]]) -> Handle:
-        """Strided RDMA read: gather the source segment's byte runs into
-        ``dest_buf`` with one request/response exchange."""
-        out = np.asarray(dest_buf)
-        total = sum(n for _off, n in runs)
-        if out.nbytes != total:
-            raise GasnetError(f"get_runs buffer is {out.nbytes} bytes, runs cover {total}")
-        for off, n in runs:
-            self._check_range(src, int(off), int(n))
-        self._check_alive(src)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(self.rank, "gasnet.get_runs", total, spec.gasnet_get_overhead)
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_GASNET_GET)
-        self.ctx.proc.sleep(spec.gasnet_get_overhead)
-        handle = Handle(kind=f"get_runs(src={src})")
-        self._san_track(
-            handle, src, [(int(off), int(off) + int(n)) for off, n in runs],
-            "get_runs_nb", is_write=False,
-        )
+    def _rdma_read(self, src: int, runs, out: np.ndarray, handle: Handle) -> None:
+        """Ship an RDMA read: one request, one response carrying the
+        (byte_offset, nbytes) ``runs`` of ``src``'s segment as they are at
+        request delivery; ``handle`` fires when they land in ``out``."""
         fabric = self.ctx.fabric
         me = self
+        nbytes = out.nbytes
 
         def at_source() -> None:
             seg = self.segment_of(src)
@@ -604,13 +453,90 @@ class GasnetRank:
                 me.activity.add()
 
             fabric.send(
-                src, self.rank, total + 32, at_origin,
-                rx_extra=me._rx_extra(), reliable=True,
+                src, self.rank, nbytes + 32, at_origin,
+                rx_extra=me.world.rx_extra, reliable=True,
             )
 
         fabric.send(
-            self.rank, src, 32, at_source, rx_extra=self._rx_extra(), reliable=True
+            self.rank, src, 32, at_source, rx_extra=self.world.rx_extra, reliable=True
         )
+
+    def put_nb(self, dest: int, dest_offset: int, data) -> Handle:
+        """gasnet_put_nb: RDMA write; the handle fires on remote completion
+        (data commits at delivery; the origin learns of it one ack later).
+
+        Ships a flat view of the source, not a copy: GASNet forbids
+        modifying the source until the handle syncs, so the only copy is
+        the commit into the destination segment at delivery.
+        """
+        arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        self._check_range(dest, dest_offset, arr.nbytes)
+        self._check_alive(dest)
+        _costs.charge(self.ctx, "gasnet.put", arr.nbytes)
+        handle = Handle(kind=f"put(dest={dest})")
+        self._san_track(
+            handle, dest, [(dest_offset, dest_offset + arr.nbytes)],
+            "put_nb", is_write=True,
+        )
+        self._rdma_write(dest, [(dest_offset, arr.nbytes)], arr, handle)
+        return handle
+
+    def get_nb(self, dest_buf, src: int, src_offset: int) -> Handle:
+        """gasnet_get_nb: RDMA read into ``dest_buf``."""
+        out = np.asarray(dest_buf)
+        if out.size and not out.flags["C_CONTIGUOUS"]:
+            raise GasnetError("get destination must be C-contiguous")
+        nbytes = out.nbytes
+        self._check_range(src, src_offset, nbytes)
+        self._check_alive(src)
+        _costs.charge(self.ctx, "gasnet.get", nbytes)
+        handle = Handle(kind=f"get(src={src})")
+        self._san_track(
+            handle, src, [(src_offset, src_offset + nbytes)],
+            "get_nb", is_write=False,
+        )
+        self._rdma_read(src, [(src_offset, nbytes)], out, handle)
+        return handle
+
+    def put_runs_nb(self, dest: int, runs: list[tuple[int, int]], data) -> Handle:
+        """Strided RDMA write (the GASNet VIS extended API): one message
+        scatters ``data`` into the (byte_offset, nbytes) runs of the
+        destination segment."""
+        arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        total = sum(n for _off, n in runs)
+        if arr.nbytes != total:
+            raise GasnetError(f"put_runs data is {arr.nbytes} bytes, runs cover {total}")
+        for off, n in runs:
+            self._check_range(dest, int(off), int(n))
+        self._check_alive(dest)
+        # Pack cost at the origin, then a single wire message. Like put_nb,
+        # the source may not change until the handle syncs, so no snapshot.
+        _costs.charge(self.ctx, "gasnet.put_runs", arr.nbytes)
+        handle = Handle(kind=f"put_runs(dest={dest})")
+        self._san_track(
+            handle, dest, [(int(off), int(off) + int(n)) for off, n in runs],
+            "put_runs_nb", is_write=True,
+        )
+        self._rdma_write(dest, runs, arr, handle)
+        return handle
+
+    def get_runs_nb(self, dest_buf, src: int, runs: list[tuple[int, int]]) -> Handle:
+        """Strided RDMA read: gather the source segment's byte runs into
+        ``dest_buf`` with one request/response exchange."""
+        out = np.asarray(dest_buf)
+        total = sum(n for _off, n in runs)
+        if out.nbytes != total:
+            raise GasnetError(f"get_runs buffer is {out.nbytes} bytes, runs cover {total}")
+        for off, n in runs:
+            self._check_range(src, int(off), int(n))
+        self._check_alive(src)
+        _costs.charge(self.ctx, "gasnet.get_runs", total)
+        handle = Handle(kind=f"get_runs(src={src})")
+        self._san_track(
+            handle, src, [(int(off), int(off) + int(n)) for off, n in runs],
+            "get_runs_nb", is_write=False,
+        )
+        self._rdma_read(src, runs, out, handle)
         return handle
 
     def wait_syncnb(self, handle: Handle) -> None:

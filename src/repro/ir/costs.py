@@ -1,17 +1,17 @@
-"""Vectorized cost evaluation: symbolized sleep costs and obs re-pricing.
+"""What replay and the static estimator add on top of the cost model.
 
-Replay never re-executes the runtime layers; it re-evaluates the cost
-expressions they *would* have evaluated, in the same IEEE-float operation
-order, against the target spec. Annotated ops use the CK_* expression
-recorded at the call site; unannotated ops (CK_LIT) replay their recorded
-duration verbatim — exact at the recorded spec by construction.
+The cost model itself — the per-kind table and both evaluators — is
+:mod:`repro.sim.costs`. This module holds the replay-side policy around
+it: which spec fields change the communication *pattern* (and so only
+warn), how recorded per-op totals are re-priced, and the first-order
+models the static estimator uses for kinds no closed form covers.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import irhook as _ck
+from repro.sim.costs import TABLE, expression, price
 from repro.sim.network import MachineSpec
 
 #: Spec fields whose value changes the *communication pattern*, not just
@@ -45,78 +45,16 @@ def structure_warnings(recorded: MachineSpec, target: MachineSpec, nranks: int) 
     return out
 
 
-def field_vector(spec: MachineSpec) -> np.ndarray:
-    return np.array([getattr(spec, f) for f in _ck.COST_FIELDS], dtype=np.float64)
-
-
-def eval_costs(
-    ck: np.ndarray,
-    c0: np.ndarray,
-    c1: np.ndarray,
-    c2: np.ndarray,
-    recorded: np.ndarray,
-    spec: MachineSpec,
-    nranks: int,
-) -> np.ndarray:
-    """Evaluate every op's cost expression under ``spec`` (one pass per kind).
-
-    Element order inside each expression mirrors the live call sites, so
-    at the recorded spec the result equals the recorded duration bit-for-bit
-    for every correctly annotated site (``validate`` cross-checks this).
-    """
-    fv = field_vector(spec)
-    out = recorded.astype(np.float64, copy=True)  # CK_LIT default
-
-    def sel(kind):
-        return np.nonzero(ck == kind)[0]
-
-    idx = sel(_ck.CK_PARAM)
-    if idx.size:
-        out[idx] = fv[c0[idx].astype(np.int64)]
-    idx = sel(_ck.CK_PARAM2)
-    if idx.size:
-        out[idx] = fv[c0[idx].astype(np.int64)] + fv[c1[idx].astype(np.int64)]
-    idx = sel(_ck.CK_COPY)
-    if idx.size:
-        out[idx] = c0[idx] / spec.mem_copy_bw
-    idx = sel(_ck.CK_PARAM_COPY)
-    if idx.size:
-        out[idx] = fv[c0[idx].astype(np.int64)] + c1[idx] / spec.mem_copy_bw
-    idx = sel(_ck.CK_PARAM2_COPY)
-    if idx.size:
-        out[idx] = (
-            fv[c0[idx].astype(np.int64)] + fv[c1[idx].astype(np.int64)]
-        ) + c2[idx] / spec.mem_copy_bw
-    idx = sel(_ck.CK_FLOPS)
-    if idx.size:
-        out[idx] = c0[idx] / spec.flops_per_sec
-    idx = sel(_ck.CK_MUL)
-    if idx.size:
-        out[idx] = c1[idx] * fv[c0[idx].astype(np.int64)]
-    idx = sel(_ck.CK_ACK)
-    if idx.size:
-        same = (c0[idx].astype(np.int64) // spec.ranks_per_node) == (
-            c1[idx].astype(np.int64) // spec.ranks_per_node
-        )
-        out[idx] = np.where(same, spec.loopback_latency, spec.latency)
-    idx = sel(_ck.CK_HANDLER)
-    if idx.size:
-        cost = spec.gasnet_handler_overhead
-        if spec.srq_active(nranks):
-            cost = spec.gasnet_handler_overhead + spec.gasnet_srq_penalty
-        out[idx] = cost
-    return out
-
-
 # -- obs (per-op totals) re-pricing ---------------------------------------
 #
 # The obs side table records (rank, kind, nbytes, seconds) per completed
 # op. At the recorded spec the recorded seconds are authoritative. Under a
-# different spec, kinds with a known closed-form origin cost are
-# re-evaluated below (branching on the *recorded* spec's structure
-# parameters — the pattern is frozen); span-measured kinds (flush waits,
-# CAF-level spans, collectives) keep their recorded values and are listed
-# in the result's warnings.
+# different spec, kinds the cost table records (repro.sim.costs.TABLE) are
+# re-priced: the expression the *recorded* spec's structure flags selected
+# — the pattern is frozen — evaluated under the target. Every other kind is
+# span-measured (flush waits, fetch-op/CAS round trips, CAF-level spans,
+# collectives): it keeps its recorded values and is listed in the result's
+# warnings.
 
 
 def obs_formula(
@@ -126,61 +64,22 @@ def obs_formula(
     recorded: MachineSpec,
     nranks: int,
 ) -> np.ndarray | None:
-    """Re-priced per-call seconds for ``kind``, or None (no closed form)."""
-    nb = nbytes.astype(np.float64)
-    if kind == "mpi.send":
-        eager = nbytes <= recorded.mpi_eager_threshold
-        return np.where(
-            eager,
-            target.mpi_p2p_overhead + nb / target.mem_copy_bw,
-            np.float64(target.mpi_p2p_overhead),
-        )
-    if kind == "mpi.recv":
-        return np.full(nb.shape, target.mpi_p2p_overhead)
-    if kind in ("mpi.put", "mpi.rput", "mpi.get", "mpi.rget"):
-        return np.full(nb.shape, _origin(target, recorded, target.mpi_rma_overhead))
-    if kind in (
-        "mpi.accumulate",
-        "mpi.raccumulate",
-        "mpi.get_accumulate",
-        "mpi.fetch_and_op",
-        "mpi.cas",
-    ):
-        return np.full(nb.shape, _origin(target, recorded, target.mpi_atomic_overhead))
-    if kind == "mpi.put_runs":
-        return _origin(target, recorded, target.mpi_rma_overhead) + nb / target.mem_copy_bw
-    if kind == "mpi.get_runs":
-        return np.full(nb.shape, _origin(target, recorded, target.mpi_rma_overhead))
-    if kind in ("mpi.rflush", "mpi.lock", "mpi.lock_all", "mpi.unlock", "mpi.unlock_all"):
-        return np.full(nb.shape, target.mpi_flush_overhead)
-    if kind == "mpi.rflush_all":
-        return np.full(nb.shape, target.mpi_flush_all_idle)
-    if kind == "gasnet.am":
-        return np.full(nb.shape, target.gasnet_am_overhead)
-    if kind == "gasnet.put":
-        return np.full(nb.shape, target.gasnet_put_overhead)
-    if kind == "gasnet.get":
-        return np.full(nb.shape, target.gasnet_get_overhead)
-    if kind == "gasnet.put_runs":
-        return target.gasnet_put_overhead + nb / target.mem_copy_bw
-    if kind == "gasnet.get_runs":
-        return np.full(nb.shape, target.gasnet_get_overhead)
-    return None
-
-
-def _origin(target: MachineSpec, recorded: MachineSpec, base: float) -> float:
-    # Branch on the recorded structure (sendrecv-backed RMA or not), price
-    # with the target's fields — mirrors Window._origin_overhead.
-    if recorded.mpi_rma_over_sendrecv:
-        return base + target.mpi_sendrecv_rma_extra
-    return base
+    """Re-priced per-call seconds for ``kind``, or None (span-measured)."""
+    row = TABLE.get(kind)
+    if row is None or not row.recorded:
+        return None
+    sizes, inverse = np.unique(nbytes, return_inverse=True)
+    per_size = [
+        price(expression(kind, recorded, int(nb)), target, nranks) for nb in sizes
+    ]
+    return np.array(per_size, dtype=np.float64)[inverse]
 
 
 # -- static (pre-run) pricing ---------------------------------------------
 #
 # The lint stream compiler predicts op streams before any run, so there is
 # no recorded baseline to branch on: the spec being priced *is* the
-# structure. Kinds with a closed-form origin cost reuse obs_formula with
+# structure. Kinds the cost table records reuse obs_formula with
 # recorded == target; CAF-level and collective kinds (span-measured at
 # runtime) get simple first-order models — a log2(P) tree for collectives,
 # initiation + wire cost for one-sided traffic. These are coarse by
@@ -196,6 +95,10 @@ def static_op_seconds(
     known = obs_formula(kind, np.asarray(nbytes), spec, spec, nranks)
     if known is not None:
         return known
+
+    def helper(row: str, a: int = 0) -> float:
+        return price(expression(row, spec, a=a), spec, nranks)
+
     wire = spec.latency + nb / spec.bandwidth
     if kind.startswith("caf.coll.") or kind.startswith("mpi.coll."):
         rounds = max(np.log2(max(nranks, 2)), 1.0)
@@ -211,10 +114,11 @@ def static_op_seconds(
     if kind == "mpi.win.flush_all":
         # MPICH-style FLUSH_ALL walks every rank in the window's group —
         # the paper's Fig. 4 O(P) scaling cliff.
-        return np.full(nb.shape, spec.mpi_flush_all_idle
-                       + nranks * spec.mpi_flush_all_per_target)
+        return np.full(
+            nb.shape, helper("mpi.flush_all.skip") + helper("mpi.flush_all.walk", nranks)
+        )
     if kind.startswith("mpi.win."):
-        return np.full(nb.shape, spec.mpi_flush_overhead)
+        return np.full(nb.shape, helper("mpi.flush_overhead"))
     if kind in ("caf.finish", "caf.cofence", "caf.serve", "caf.spawn"):
         return np.full(nb.shape, spec.mpi_coll_overhead)
     return wire if wire.shape else np.full((), float(wire))

@@ -51,8 +51,8 @@ class Recorder:
         self.nranks = cluster.nranks
         self.backend = backend
         self.app = app
-        #: Pending cost annotation, set by irhook.annotate() and consumed by
-        #: the next sleep / call_at hook.
+        #: Pending cost expression, set by repro.sim.costs.charge[_in] and
+        #: consumed by the sleep / call_at hook that directly follows.
         self.pending_cost: tuple[float, float, float, float] | None = None
         #: Chain id of the callback currently executing (CbThunk sets it).
         self.current_cb: int | None = None

@@ -28,8 +28,9 @@ from typing import Any
 import numpy as np
 
 from repro.ir import ops as _ops
-from repro.ir.costs import eval_costs, obs_formula, structure_warnings
+from repro.ir.costs import obs_formula, structure_warnings
 from repro.ir.trace import Trace
+from repro.sim.costs import NicState, eval_costs, srq_penalty
 from repro.sim.network import MachineSpec
 
 
@@ -148,8 +149,7 @@ class CompiledTrace:
     def costs_for(self, spec: MachineSpec) -> np.ndarray:
         a = self.trace.arrays
         return eval_costs(
-            a["kind"] * 0 + a["ck"],  # plain ck column (defensive copy not needed)
-            a["c0"], a["c1"], a["c2"], a["d"], spec, self.nranks,
+            a["ck"], a["c0"], a["c1"], a["c2"], a["d"], spec, self.nranks
         )
 
 
@@ -223,21 +223,9 @@ def _run(
     nchains = len(chain_ops)
     ptr = [0] * nchains
 
-    # Fabric state — the same arithmetic, in the same order, as
-    # NetFabric.transfer (bit-exact delivery times at the recorded spec).
-    latency = spec.latency
-    bandwidth = spec.bandwidth
-    header = spec.header_bytes
-    tx_oh = spec.tx_msg_overhead
-    rx_oh = spec.rx_msg_overhead
-    loopback = spec.loopback_latency
-    copy_bw = spec.mem_copy_bw
-    rpn = spec.ranks_per_node
-    node = [r // rpn for r in range(nranks)]
-    srq_pen = spec.gasnet_srq_penalty if spec.srq_active(nranks) else 0.0
-    tx_free = [0.0] * nranks
-    rx_free = [0.0] * nranks
-    pair_last: dict[int, float] = {}
+    # The fabric model NetFabric.transfer steps, under the target spec.
+    nic_deliver = NicState(spec, nranks).deliver
+    srq_pen = srq_penalty(spec, nranks)
 
     heap: list[tuple[float, int, int]] = []
     push = heapq.heappush
@@ -304,26 +292,9 @@ def _run(
                 src = pair // nranks
                 dst = pair - src * nranks
                 nb = c_l[i]
-                if node[src] == node[dst]:
-                    deliver = t + loopback + nb / copy_bw
-                else:
-                    ser = (nb + header) / bandwidth
-                    txf = tx_free[src]
-                    depart = t if t > txf else txf
-                    tx_free[src] = depart + ser + tx_oh
-                    head_arrive = depart + latency
-                    rxf = rx_free[dst]
-                    deliver = (
-                        (head_arrive if head_arrive > rxf else rxf)
-                        + ser
-                        + rx_oh
-                        + (srq_pen if c0_l[i] > 0.0 else 0.0)
-                    )
-                    rx_free[dst] = deliver
-                plast = pair_last.get(pair, 0.0)
-                if deliver < plast:
-                    deliver = plast
-                pair_last[pair] = deliver
+                deliver = nic_deliver(
+                    src, dst, nb, t, srq_pen if c0_l[i] > 0.0 else 0.0
+                )
                 if faults_active:
                     decision = faults.draw(src, dst, nb)
                     if decision.discard or decision.duplicate:

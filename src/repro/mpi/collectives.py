@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mpi.constants import SUM, Op
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.util.errors import MpiError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -28,15 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 def _enter(comm: "Comm") -> int:
     """Charge the per-call software overhead; returns this collective's tag."""
-    _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_COLL)
-    comm.ctx.proc.sleep(comm.ctx.spec.mpi_coll_overhead)
+    _costs.charge(comm.ctx, "mpi.coll_overhead")
     return comm._next_coll_tag()
 
 
 def _charge_reduce_flops(comm: "Comm", nelems: int) -> None:
     # One combine per element; charged as virtual compute.
-    _irhook.annotate(_irhook.CK_FLOPS, nelems)
-    comm.ctx.proc.sleep(comm.ctx.spec.flops_time(nelems))
+    _costs.charge(comm.ctx, "flops", nelems)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
@@ -158,12 +156,10 @@ def _alltoall_bruck(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int) 
     algorithms at this scale.
     """
     rank, size = comm.rank, comm.size
-    spec = comm.ctx.spec
     flat = np.ascontiguousarray(send).view(np.uint8).reshape(size, -1)
     # Phase 1: rotate so tmp[i] holds the block destined to rank+i.
     tmp = flat[(np.arange(size) + rank) % size].copy()
-    _irhook.annotate(_irhook.CK_COPY, tmp.nbytes)
-    comm.ctx.proc.sleep(spec.copy_time(tmp.nbytes))
+    _costs.charge(comm.ctx, "copy", tmp.nbytes)
     # Phase 2: log-round aggregated exchanges.
     pof2 = 1
     while pof2 < size:
@@ -172,19 +168,16 @@ def _alltoall_bruck(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int) 
         sel = np.nonzero(np.arange(size) & pof2)[0]
         outgoing = np.ascontiguousarray(tmp[sel])
         incoming = np.empty_like(outgoing)
-        _irhook.annotate(_irhook.CK_COPY, outgoing.nbytes)
-        comm.ctx.proc.sleep(spec.copy_time(outgoing.nbytes))  # pack
+        _costs.charge(comm.ctx, "copy", outgoing.nbytes)  # pack
         comm._coll_sendrecv(outgoing, dst, incoming, src, tag)
         tmp[sel] = incoming  # unpack into the same slots
-        _irhook.annotate(_irhook.CK_COPY, incoming.nbytes)
-        comm.ctx.proc.sleep(spec.copy_time(incoming.nbytes))
+        _costs.charge(comm.ctx, "copy", incoming.nbytes)
         pof2 <<= 1
     # Phase 3: tmp[i] now holds the block from rank-i; inverse-rotate it
     # into place.
     rflat = recv.view(np.uint8).reshape(size, -1)
     rflat[(rank - np.arange(size)) % size] = tmp
-    _irhook.annotate(_irhook.CK_COPY, tmp.nbytes)
-    comm.ctx.proc.sleep(spec.copy_time(tmp.nbytes))
+    _costs.charge(comm.ctx, "copy", tmp.nbytes)
 
 
 def alltoall(comm: "Comm", sendbuf, recvbuf) -> None:
@@ -210,8 +203,7 @@ def alltoall(comm: "Comm", sendbuf, recvbuf) -> None:
         _alltoall_bruck(comm, send, recv, tag)
         return
     recv[rank] = send[rank]
-    _irhook.annotate(_irhook.CK_COPY, send[rank].nbytes)
-    comm.ctx.proc.sleep(comm.ctx.spec.copy_time(send[rank].nbytes))
+    _costs.charge(comm.ctx, "copy", send[rank].nbytes)
     pow2 = size & (size - 1) == 0
     for i in range(1, size):
         if pow2:
@@ -241,8 +233,7 @@ def alltoallv(comm: "Comm", sendchunks, recvchunks) -> None:
 
     if recvchunks[rank] is not None and sendchunks[rank] is not None:
         np.asarray(recvchunks[rank])[...] = np.asarray(sendchunks[rank])
-        _irhook.annotate(_irhook.CK_COPY, chunk(sendchunks, rank).nbytes)
-        comm.ctx.proc.sleep(comm.ctx.spec.copy_time(chunk(sendchunks, rank).nbytes))
+        _costs.charge(comm.ctx, "copy", chunk(sendchunks, rank).nbytes)
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
@@ -260,8 +251,7 @@ def allgather(comm: "Comm", sendbuf, recvbuf) -> None:
     if recv.shape[0] != size:
         raise MpiError(f"allgather recvbuf must have leading dimension {size}")
     recv[rank] = send
-    _irhook.annotate(_irhook.CK_COPY, send.nbytes)
-    comm.ctx.proc.sleep(comm.ctx.spec.copy_time(send.nbytes))
+    _costs.charge(comm.ctx, "copy", send.nbytes)
     right = (rank + 1) % size
     left = (rank - 1) % size
     for step in range(size - 1):

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.sim.sync import Counter
 from repro.util.errors import MpiError
 
@@ -134,14 +134,6 @@ def _complete_recv(
             f"message truncation: {env.nbytes} bytes arrived for a "
             f"{posted.buf.nbytes}-byte receive (tag {env.tag})"
         )
-    spec = comm.ctx.spec
-    engine = comm.ctx.engine
-    delay = spec.mpi_match_overhead
-    if env.rendezvous is None:
-        delay += spec.copy_time(env.nbytes)
-        _irhook.annotate(_irhook.CK_PARAM_COPY, _irhook.F_MPI_MATCH, env.nbytes)
-    else:
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_MATCH)
     if land_now:
         posted.buf[: env.nbytes] = data[: env.nbytes]
 
@@ -156,7 +148,7 @@ def _complete_recv(
         posted.request.status.count = env.nbytes
         posted.request._complete()
 
-    engine.call_in(delay, finish)
+    _costs.charge_in(comm.ctx, "mpi.match", finish, env.nbytes)
 
 
 def _start_rendezvous_data(comm: "Comm", posted: _PostedRecv, env: _Envelope) -> None:
@@ -213,20 +205,12 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
     dst_world = comm.world_rank(dest)
 
     san = ctx.sanitizer
-    obs = ctx.metrics
-    eager = nbytes <= spec.mpi_eager_threshold
-    if obs is not None:
-        obs.record(
-            src_world, "mpi.send", nbytes,
-            spec.mpi_p2p_overhead + (spec.copy_time(nbytes) if eager else 0.0),
-        )
-    if eager:
+    if nbytes <= spec.mpi_eager_threshold:
         # Copy into the library's eager buffer, inject, complete locally.
         # The copy is mandatory: an eager send returns with the user buffer
         # immediately reusable.
         data = view.copy()
-        _irhook.annotate(_irhook.CK_PARAM_COPY, _irhook.F_MPI_P2P, nbytes)
-        ctx.proc.sleep(spec.mpi_p2p_overhead + spec.copy_time(nbytes))
+        _costs.charge(ctx, "mpi.send", nbytes)
         env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=data, rendezvous=None)
         if san is not None:
             env.clock = san.snapshot(src_world)
@@ -242,8 +226,7 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
         # Rendezvous: ship a view — the user buffer may not be reused until
         # the send request completes, which is when the payload lands, so
         # the only copy is the fill into the posted receive buffer.
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_P2P)
-        ctx.proc.sleep(spec.mpi_p2p_overhead)
+        _costs.charge(ctx, "mpi.send", nbytes)
         rv = _Rendezvous(payload=view, send_request=req, src_world=src_world)
         env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=None, rendezvous=rv)
         if san is not None:
@@ -261,7 +244,6 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
 def irecv(comm: "Comm", matching: Matching, buf, source: int, tag: int) -> Request:
     """Nonblocking receive into ``buf`` (a writable contiguous numpy array)."""
     ctx = comm.ctx
-    spec = ctx.spec
     comm.check_revoked()
     if source != ANY_SOURCE:
         comm.check_peer(source)
@@ -271,11 +253,7 @@ def irecv(comm: "Comm", matching: Matching, buf, source: int, tag: int) -> Reque
         src=source, tag=tag, buf=view, request=req,
         dst_world=comm.world_rank(comm.rank),
     )
-    obs = ctx.metrics
-    if obs is not None:
-        obs.record(posted.dst_world, "mpi.recv", view.nbytes, spec.mpi_p2p_overhead)
-    _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_P2P)
-    ctx.proc.sleep(spec.mpi_p2p_overhead)
+    _costs.charge(ctx, "mpi.recv", view.nbytes)
     # Search the unexpected queue in arrival order.
     queue = matching.unexpected[comm.rank]
     for i, env in enumerate(queue):

@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.mpi.constants import NO_OP, REPLACE, Op
 from repro.mpi.request import Request
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.sim.sync import SimEvent
 from repro.util.buffers import flatten, snapshot
 from repro.util.errors import MpiError
@@ -215,8 +215,7 @@ class Window:
         private = state.private_copies[self.rank]
         mask = state.rma_dirty_mask[self.rank]
         assert public is not None and private is not None and mask is not None
-        _irhook.annotate(_irhook.CK_COPY, public.nbytes)
-        self.ctx.proc.sleep(self.ctx.spec.copy_time(public.nbytes))
+        _costs.charge(self.ctx, "copy", public.nbytes)
         private[mask] = public[mask]
         mask[:] = False
         public[...] = private
@@ -303,44 +302,6 @@ class Window:
         if count > 0:
             self.state.resolve(target, offset, count)  # bounds / region check
 
-    def _origin_overhead(self, base: float) -> float:
-        spec = self.ctx.spec
-        if spec.mpi_rma_over_sendrecv:
-            return base + spec.mpi_sendrecv_rma_extra
-        return base
-
-    def _target_delay(self) -> float:
-        """Target-side software delay before an op commits (send/recv mode)."""
-        spec = self.ctx.spec
-        return spec.mpi_match_overhead if spec.mpi_rma_over_sendrecv else 0.0
-
-    def _annotate_origin(self, field: int, nbytes: int | None = None) -> None:
-        """IR cost annotation mirroring _origin_overhead (+ optional pack copy)."""
-        if _irhook.RECORDER is None:
-            return
-        if self.ctx.spec.mpi_rma_over_sendrecv:
-            if nbytes is None:
-                _irhook.annotate(
-                    _irhook.CK_PARAM2, field, _irhook.F_MPI_SENDRECV_EXTRA
-                )
-            else:
-                _irhook.annotate(
-                    _irhook.CK_PARAM2_COPY, field,
-                    _irhook.F_MPI_SENDRECV_EXTRA, nbytes,
-                )
-        elif nbytes is None:
-            _irhook.annotate(_irhook.CK_PARAM, field)
-        else:
-            _irhook.annotate(_irhook.CK_PARAM_COPY, field, nbytes)
-
-    def _annotate_ack(self, origin: int, target: int) -> None:
-        """IR cost annotation mirroring _ack_latency."""
-        _irhook.annotate(_irhook.CK_ACK, self._world(origin), self._world(target))
-
-    def _annotate_target_delay(self) -> None:
-        """IR cost annotation for the nonzero _target_delay branch."""
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_MATCH)
-
     def _op_started(self, target: int) -> None:
         state = self.state
         rank = self.rank
@@ -359,18 +320,6 @@ class Window:
         if state.inflight[origin] == 0 and state.quiet_waiters:
             for ev in state.quiet_waiters.pop(origin, []):
                 ev.fire()
-
-    def _ack_latency(self, origin: int, target: int) -> float:
-        """Completion-acknowledgement travel time back to the origin.
-
-        One-way ops (PUT/ACCUMULATE) commit at delivery, but the origin
-        only *learns* of remote completion an ack later.
-        """
-        spec = self.ctx.spec
-        src, dst = self._world(origin), self._world(target)
-        if src == dst or spec.node_of(src) == spec.node_of(dst):
-            return spec.loopback_latency
-        return spec.latency
 
     def _world(self, comm_rank: int) -> int:
         return self.state.group[comm_rank]
@@ -425,6 +374,64 @@ class Window:
 
     # -- one-sided data movement ------------------------------------------------
 
+    def _one_way(self, target: int, nbytes: int, apply, req: Request | None = None) -> None:
+        """Ship a one-way op (PUT/ACCUMULATE) of ``nbytes`` payload.
+
+        ``apply()`` commits it at delivery — after the target-side software
+        delay when RMA rides send/recv (Fig. 5) — but the origin only
+        *learns* of remote completion an ack later, which is when the op
+        stops being pending and ``req`` (if any) completes.
+        """
+        ctx = self.ctx
+        origin = self.rank
+        src, dst = self._world(origin), self._world(target)
+
+        def on_delivered() -> None:
+            def commit() -> None:
+                def acked() -> None:
+                    self._op_done_at_target(origin, target)
+                    if req is not None:
+                        req._complete()
+
+                apply()
+                _costs.charge_in(ctx, "ack", acked, a=src, b=dst)
+
+            _costs.charge_in(ctx, "mpi.target_delay", commit)
+
+        ctx.fabric.send(
+            src, dst, nbytes + _RMA_ENVELOPE_BYTES, on_delivered, reliable=True
+        )
+
+    def _round_trip(
+        self, target: int, request_nbytes: int, response_nbytes: int,
+        serve, dest: np.ndarray, req: Request,
+    ) -> None:
+        """Ship a round-trip op (GET/FETCH_AND_OP/CAS).
+
+        ``serve()`` runs at the target (after the same target-side delay as
+        one-way ops) and its result rides the response into ``dest`` at the
+        origin, where request completion *is* remote completion.
+        """
+        ctx = self.ctx
+        fabric = ctx.fabric
+        origin = self.rank
+        src, dst = self._world(origin), self._world(target)
+
+        def at_target() -> None:
+            def respond() -> None:
+                result = serve()
+
+                def at_origin() -> None:
+                    dest[...] = result
+                    self._op_done_at_target(origin, target)
+                    req._complete()
+
+                fabric.send(dst, src, response_nbytes, at_origin, reliable=True)
+
+            _costs.charge_in(ctx, "mpi.target_delay", respond)
+
+        fabric.send(src, dst, request_nbytes, at_target, reliable=True)
+
     def put(self, data, target: int, offset: int = 0) -> None:
         """MPI_PUT: one-sided write; remote completion requires a flush."""
         self.rput(data, target, offset)
@@ -433,20 +440,12 @@ class Window:
         """MPI_RPUT: like PUT, returning a request for *local* completion."""
         arr, private = flatten(data, self._dtype())
         self._check_target(target, offset, arr.size)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.rput", arr.nbytes,
-                self._origin_overhead(spec.mpi_rma_overhead),
-            )
-        self._annotate_origin(_irhook.F_MPI_RMA)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_rma_overhead))
+        _costs.charge(self.ctx, "mpi.rput", arr.nbytes)
         self._op_started(target)
         self._san_access(
             target, [(offset, offset + arr.size)], "rput", is_write=True
         )
-        eager = arr.nbytes <= spec.mpi_eager_threshold
+        eager = arr.nbytes <= self.ctx.spec.mpi_eager_threshold
         # Eager PUTs complete locally on return, so the library must buffer
         # the data now; rendezvous PUTs may read the user buffer at delivery
         # time because the contract forbids reuse before local completion —
@@ -454,39 +453,21 @@ class Window:
         # payload via the unread_puts registry.
         payload = arr.copy() if (eager and not private) else arr
         req = Request(f"rput(win={self.win_id},target={target})", self.ctx.proc)
-        origin = self.rank
+        unread = self.state.unread_puts[self.rank]
         pp = None
         if not eager and not private:
             pp = _PendingPut(target, payload)
-            self.state.unread_puts[origin].add(pp)
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-        ack = self._ack_latency(origin, target)
+            unread.add(pp)
 
-        def on_delivered() -> None:
-            def commit() -> None:
-                if pp is not None:
-                    data = pp.arr
-                    self.state.unread_puts[origin].discard(pp)
-                else:
-                    data = payload
-                self.state.write_target(target, offset, data)
-                self._annotate_ack(origin, target)
-                engine.call_in(ack, lambda: (self._op_done_at_target(origin, target), req._complete()))
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, commit)
+        def commit() -> None:
+            if pp is not None:
+                data = pp.arr
+                unread.discard(pp)
             else:
-                commit()
+                data = payload
+            self.state.write_target(target, offset, data)
 
-        self.ctx.fabric.send(
-            self._world(origin),
-            self._world(target),
-            payload.nbytes + _RMA_ENVELOPE_BYTES,
-            on_delivered,
-            reliable=True,
-        )
+        self._one_way(target, payload.nbytes, commit, req)
         if eager:
             # Small transfers are buffered by the library: locally complete now.
             req._complete()
@@ -506,50 +487,18 @@ class Window:
             )
         count = dest_arr.size
         self._check_target(target, offset, count)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.rget", count * self._dtype().itemsize,
-                self._origin_overhead(spec.mpi_rma_overhead),
-            )
-        self._annotate_origin(_irhook.F_MPI_RMA)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_rma_overhead))
+        nbytes = count * self._dtype().itemsize
+        _costs.charge(self.ctx, "mpi.rget", nbytes)
         self._op_started(target)
         rec = self._san_access(
             target, [(offset, offset + count)], "rget", is_write=False
         )
         req = Request(f"rget(win={self.win_id},target={target})", self.ctx.proc)
         self._san_release_on(req, rec)
-        origin = self.rank
-        fabric = self.ctx.fabric
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-        nbytes = count * self._dtype().itemsize
-
-        def at_target() -> None:
-            def respond() -> None:
-                payload = self.state.read_target(target, offset, count)
-
-                def at_origin() -> None:
-                    dest_arr.reshape(-1)[...] = payload
-                    self._op_done_at_target(origin, target)
-                    req._complete()
-
-                fabric.send(
-                    self._world(target), self._world(origin), nbytes, at_origin,
-                    reliable=True,
-                )
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, respond)
-            else:
-                respond()
-
-        fabric.send(
-            self._world(origin), self._world(target), _RMA_ENVELOPE_BYTES, at_target,
-            reliable=True,
+        self._round_trip(
+            target, _RMA_ENVELOPE_BYTES, nbytes,
+            lambda: self.state.read_target(target, offset, count),
+            dest_arr.reshape(-1), req,
         )
         return req
 
@@ -564,15 +513,7 @@ class Window:
         # must see the call-time value regardless of completion mode.
         snap = snapshot(data, self._dtype())
         self._check_target(target, offset, snap.size)
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.accumulate", snap.nbytes,
-                self._origin_overhead(spec.mpi_atomic_overhead),
-            )
-        self._annotate_origin(_irhook.F_MPI_ATOMIC)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_atomic_overhead))
+        _costs.charge(self.ctx, "mpi.accumulate", snap.nbytes)
         self._op_started(target)
         self._san_access(
             target,
@@ -582,31 +523,11 @@ class Window:
             atomic=True,
         )
         req = Request(f"raccumulate(win={self.win_id},target={target})", self.ctx.proc)
-        origin = self.rank
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-        ack = self._ack_latency(origin, target)
-
-        def on_delivered() -> None:
-            def commit() -> None:
-                self.state.apply_target(target, offset, snap, op)
-                self._annotate_ack(origin, target)
-                engine.call_in(ack, lambda: (self._op_done_at_target(origin, target), req._complete()))
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, commit)
-            else:
-                commit()
-
-        self.ctx.fabric.send(
-            self._world(origin),
-            self._world(target),
-            snap.nbytes + _RMA_ENVELOPE_BYTES,
-            on_delivered,
-            reliable=True,
+        self._one_way(
+            target, snap.nbytes,
+            lambda: self.state.apply_target(target, offset, snap, op), req,
         )
-        if snap.nbytes <= spec.mpi_eager_threshold:
+        if snap.nbytes <= self.ctx.spec.mpi_eager_threshold:
             req._complete()
         return req
 
@@ -638,9 +559,7 @@ class Window:
         snap = snapshot(data, self._dtype())
         result_arr = np.asarray(result).reshape(-1)
         self._check_target(target, offset, snap.size)
-        spec = self.ctx.spec
-        self._annotate_origin(_irhook.F_MPI_ATOMIC)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_atomic_overhead))
+        _costs.charge(self.ctx, "mpi.atomic_origin")
         self._op_started(target)
         rec = self._san_access(
             target,
@@ -651,37 +570,10 @@ class Window:
         )
         req = Request(f"fetch_op(win={self.win_id},target={target})", self.ctx.proc)
         self._san_release_on(req, rec)
-        origin = self.rank
-        fabric = self.ctx.fabric
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-
-        def at_target() -> None:
-            def commit() -> None:
-                old = self.state.apply_target(target, offset, snap, op)
-
-                def at_origin() -> None:
-                    result_arr[...] = old
-                    self._op_done_at_target(origin, target)
-                    req._complete()
-
-                fabric.send(
-                    self._world(target), self._world(origin), old.nbytes, at_origin,
-                    reliable=True,
-                )
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, commit)
-            else:
-                commit()
-
-        fabric.send(
-            self._world(origin),
-            self._world(target),
-            snap.nbytes + _RMA_ENVELOPE_BYTES,
-            at_target,
-            reliable=True,
+        self._round_trip(
+            target, snap.nbytes + _RMA_ENVELOPE_BYTES, snap.nbytes,
+            lambda: self.state.apply_target(target, offset, snap, op),
+            result_arr, req,
         )
         return req
 
@@ -692,11 +584,9 @@ class Window:
         new_val = np.asarray(value, dtype=dtype).reshape(())
         result_arr = np.asarray(result).reshape(-1)
         self._check_target(target, offset, 1)
-        spec = self.ctx.spec
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
-        self._annotate_origin(_irhook.F_MPI_ATOMIC)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_atomic_overhead))
+        _costs.charge(self.ctx, "mpi.atomic_origin")
         self._op_started(target)
         rec = self._san_access(
             target, [(offset, offset + 1)], "compare_and_swap",
@@ -704,40 +594,17 @@ class Window:
         )
         req = Request(f"cas(win={self.win_id},target={target})", self.ctx.proc)
         self._san_release_on(req, rec)
-        origin = self.rank
-        fabric = self.ctx.fabric
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
 
-        def at_target() -> None:
-            def commit() -> None:
-                tbuf, toff = self.state.resolve(target, offset, 1)
-                old = tbuf[toff].copy()
-                if old == cmp_val:
-                    tbuf[toff] = new_val
+        def swap():
+            tbuf, toff = self.state.resolve(target, offset, 1)
+            old = tbuf[toff].copy()
+            if old == cmp_val:
+                tbuf[toff] = new_val
+            return old
 
-                def at_origin() -> None:
-                    result_arr[0] = old
-                    self._op_done_at_target(origin, target)
-                    req._complete()
-
-                fabric.send(
-                    self._world(target), self._world(origin), old.nbytes, at_origin,
-                    reliable=True,
-                )
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, commit)
-            else:
-                commit()
-
-        fabric.send(
-            self._world(origin),
-            self._world(target),
-            2 * dtype.itemsize + _RMA_ENVELOPE_BYTES,
-            at_target,
-            reliable=True,
+        self._round_trip(
+            target, 2 * dtype.itemsize + _RMA_ENVELOPE_BYTES, dtype.itemsize,
+            swap, result_arr[:1], req,
         )
         req.wait()
         if obs is not None:
@@ -752,8 +619,7 @@ class Window:
         """MPI_WIN_LOCK_ALL (shared): open a passive epoch to every target."""
         if self.state.lock_all_held[self.rank]:
             raise MpiError("lock_all while already holding lock_all")
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.flush_overhead")
         self.state.lock_all_held[self.rank] = True
 
     def unlock_all(self) -> None:
@@ -773,19 +639,8 @@ class Window:
             raise MpiError(f"put_runs data has {arr.size} elements, runs cover {total}")
         for off, length in runs:
             self._check_target(target, int(off), int(length))
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.put_runs", arr.nbytes,
-                self._origin_overhead(spec.mpi_rma_overhead)
-                + spec.copy_time(arr.nbytes),
-            )
         # Origin packs the section, then one wire message carries it.
-        self._annotate_origin(_irhook.F_MPI_RMA, arr.nbytes)
-        self.ctx.proc.sleep(
-            self._origin_overhead(spec.mpi_rma_overhead) + spec.copy_time(arr.nbytes)
-        )
+        _costs.charge(self.ctx, "mpi.put_runs", arr.nbytes)
         self._op_started(target)
         self._san_access(
             target,
@@ -794,35 +649,16 @@ class Window:
             is_write=True,
         )
         snap = arr if private else arr.copy()
-        origin = self.rank
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-        ack = self._ack_latency(origin, target)
 
-        def on_delivered() -> None:
-            def commit() -> None:
-                cursor = 0
-                for off, length in runs:
-                    self.state.write_target(
-                        target, int(off), snap[cursor : cursor + length]
-                    )
-                    cursor += length
-                self._annotate_ack(origin, target)
-                engine.call_in(ack, lambda: self._op_done_at_target(origin, target))
+        def commit() -> None:
+            cursor = 0
+            for off, length in runs:
+                self.state.write_target(
+                    target, int(off), snap[cursor : cursor + length]
+                )
+                cursor += length
 
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, commit)
-            else:
-                commit()
-
-        self.ctx.fabric.send(
-            self._world(origin),
-            self._world(target),
-            snap.nbytes + _RMA_ENVELOPE_BYTES,
-            on_delivered,
-            reliable=True,
-        )
+        self._one_way(target, snap.nbytes, commit)
 
     def get_runs(self, dest, target: int, runs: list[tuple[int, int]]) -> Request:
         """GET with a derived datatype: gather the target's runs into
@@ -833,16 +669,8 @@ class Window:
             raise MpiError(f"get_runs buffer has {dest_arr.size} elements, runs cover {total}")
         for off, length in runs:
             self._check_target(target, int(off), int(length))
-        spec = self.ctx.spec
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.get_runs",
-                total * self._dtype().itemsize,
-                self._origin_overhead(spec.mpi_rma_overhead),
-            )
-        self._annotate_origin(_irhook.F_MPI_RMA)
-        self.ctx.proc.sleep(self._origin_overhead(spec.mpi_rma_overhead))
+        nbytes = total * self._dtype().itemsize
+        _costs.charge(self.ctx, "mpi.get_runs", nbytes)
         self._op_started(target)
         rec = self._san_access(
             target,
@@ -852,40 +680,15 @@ class Window:
         )
         req = Request(f"get_runs(win={self.win_id},target={target})", self.ctx.proc)
         self._san_release_on(req, rec)
-        origin = self.rank
-        fabric = self.ctx.fabric
-        engine = self.ctx.engine
-        target_delay = self._target_delay()
-        nbytes = total * self._dtype().itemsize
 
-        def at_target() -> None:
-            def respond() -> None:
-                parts = [
-                    self.state.read_target(target, int(off), int(length))
-                    for off, length in runs
-                ]
-                payload = np.concatenate(parts) if parts else np.empty(0, self._dtype())
+        def gather() -> np.ndarray:
+            parts = [
+                self.state.read_target(target, int(off), int(length))
+                for off, length in runs
+            ]
+            return np.concatenate(parts) if parts else np.empty(0, self._dtype())
 
-                def at_origin() -> None:
-                    dest_arr[...] = payload
-                    self._op_done_at_target(origin, target)
-                    req._complete()
-
-                fabric.send(
-                    self._world(target), self._world(origin), nbytes, at_origin,
-                    reliable=True,
-                )
-
-            if target_delay:
-                self._annotate_target_delay()
-                engine.call_in(target_delay, respond)
-            else:
-                respond()
-
-        fabric.send(
-            self._world(origin), self._world(target), _RMA_ENVELOPE_BYTES, at_target,
-            reliable=True,
-        )
+        self._round_trip(target, _RMA_ENVELOPE_BYTES, nbytes, gather, dest_arr, req)
         return req
 
     def lock(self, target: int, *, exclusive: bool = False) -> None:
@@ -896,8 +699,7 @@ class Window:
         locks are held (the blocking possibility §3.3 calls out).
         """
         self._check_target(target, 0, 0)
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.flush_overhead")
         lock = self.state.locks[target]
         me = (self.rank, "exclusive" if exclusive else "shared")
 
@@ -938,13 +740,7 @@ class Window:
         this is the extension the paper asks the Forum to standardize.
         """
         self._check_target(target, 0, 0)
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.rflush", 0, self.ctx.spec.mpi_flush_overhead
-            )
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.rflush")
         req = Request(f"rflush(win={self.win_id},t={target})", self.ctx.proc)
         san = self._san
         if san is not None:
@@ -959,13 +755,7 @@ class Window:
     def rflush_all(self) -> Request:
         """MPI_WIN_RFLUSH_ALL: request-based remote completion to every
         target, at constant (not linear-in-P) software cost."""
-        obs = self._obs
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.rflush_all", 0, self.ctx.spec.mpi_flush_all_idle
-            )
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH_ALL_IDLE)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_all_idle)
+        _costs.charge(self.ctx, "mpi.rflush_all")
         self.state.dirty[self.rank] = False
         req = Request(f"rflush_all(win={self.win_id})", self.ctx.proc)
         san = self._san
@@ -1008,8 +798,7 @@ class Window:
         self._check_target(target, 0, 0)
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.flush_overhead")
         self._wait_target_quiet(target)
         if obs is not None:
             obs.record(self.ctx.rank, "mpi.flush", 0, self.ctx.engine.now - t0)
@@ -1026,21 +815,16 @@ class Window:
         group; the paper identifies this as the dominant cost of CAF-MPI's
         ``event_notify`` in RandomAccess.
         """
-        spec = self.ctx.spec
         state = self.state
         origin = self.rank
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
         dirty = bool(state.dirty[origin])
         if dirty:
-            _irhook.annotate(
-                _irhook.CK_MUL, _irhook.F_MPI_FLUSH_ALL_PER_TARGET, self.group_size
-            )
-            self.ctx.proc.sleep(self.group_size * spec.mpi_flush_all_per_target)
+            _costs.charge(self.ctx, "mpi.flush_all.walk", a=self.group_size)
             state.dirty[origin] = False
         else:
-            _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH_ALL_IDLE)
-            self.ctx.proc.sleep(spec.mpi_flush_all_idle)
+            _costs.charge(self.ctx, "mpi.flush_all.skip")
         # The modeled cost above is linear in group size (MPICH behaviour);
         # the wall-clock wait is one counter check — inflight[origin] hits
         # zero exactly when the last pending op to any target completes, so
@@ -1050,10 +834,10 @@ class Window:
             state.quiet_waiters.setdefault(origin, []).append(ev)
             ev.wait(self.ctx.proc)
         if obs is not None:
-            # Active epochs and the idle walk are distinct symbolic terms in
-            # the IR (F_MPI_FLUSH_ALL_PER_TARGET vs F_MPI_FLUSH_ALL_IDLE) —
-            # mirror the split here so the linear-in-P active cost is not
-            # averaged away under the flat idle calls (§3.4, Fig. 4).
+            # Active epochs and the idle walk are distinct cost-table rows
+            # (mpi.flush_all.walk vs .skip) — mirror the split here so the
+            # linear-in-P active cost is not averaged away under the flat
+            # idle calls (§3.4, Fig. 4).
             kind = "mpi.flush_all" if dirty else "mpi.flush_all.idle"
             obs.record(self.ctx.rank, kind, 0, self.ctx.engine.now - t0)
         san = self._san
@@ -1067,13 +851,11 @@ class Window:
         private copies here — the library eats the memcpy (wall-clock only;
         the modeled cost stays the flat flush overhead)."""
         self._check_target(target, 0, 0)
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.flush_overhead")
         self._buffer_unread_puts(target)
 
     def flush_local_all(self) -> None:
-        _irhook.annotate(_irhook.CK_PARAM, _irhook.F_MPI_FLUSH)
-        self.ctx.proc.sleep(self.ctx.spec.mpi_flush_overhead)
+        _costs.charge(self.ctx, "mpi.flush_overhead")
         self._buffer_unread_puts(None)
 
     def _buffer_unread_puts(self, target: int | None) -> None:

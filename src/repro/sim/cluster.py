@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from typing import Any
 
-from repro.sim import irhook as _irhook
+from repro.sim import costs as _costs
 from repro.sim.engine import Engine, Proc
 from repro.sim.faults import FaultPlan
 from repro.sim.memory import MemoryMeter
@@ -59,11 +59,11 @@ class RankCtx:
         """Charge modeled compute time to this rank's virtual clock."""
         if (seconds is None) == (flops is None):
             raise SimulationError("pass exactly one of seconds= or flops=")
-        duration = self.spec.flops_time(flops) if seconds is None else seconds
-        if _irhook.RECORDER is not None and seconds is None:
-            # seconds= stays literal (spec-independent by definition).
-            _irhook.annotate(_irhook.CK_FLOPS, flops)
-        self.profiler.sleep_in(self.rank, self.proc, category, duration)
+        if seconds is None:
+            _costs.charge(self, "flops", flops, category=category)
+        else:
+            # Literal seconds are spec-independent by definition.
+            self.profiler.sleep_in(self.rank, self.proc, category, seconds)
 
     def profile(self, category: str):
         return self.profiler.region(self.rank, category)

@@ -5,21 +5,20 @@ recorder: hot paths (``Proc.sleep``, ``Engine.call_at``,
 ``NetFabric.transfer``, the sync primitives, ``Metrics.record``) guard on
 the module global ``RECORDER`` — one attribute load plus one ``is None``
 test when recording is off, mirroring the sanitizer/metrics cost
-discipline — and annotation sites declare *why* a sleep costs what it
-costs via :func:`annotate` so replay can re-price it under a different
-:class:`~repro.sim.network.MachineSpec`.
+discipline. Priced sleeps and callbacks are annotated with *why* they cost
+what they cost by :func:`repro.sim.costs.charge` (it sets the recorder's
+``pending_cost``, consumed by the next sleep / ``call_at`` hook), so replay
+can re-price them under a different :class:`~repro.sim.network.MachineSpec`.
 
 Cost symbols
 ------------
 A cost annotation is ``(kind, c0, c1, c2)`` describing the IEEE-float
 expression the live code is about to evaluate, with spec fields referenced
-by index into :data:`COST_FIELDS`. Replay re-evaluates the same expression
-(same operations, same order) against the target spec, so re-priced sleeps
-are bit-identical to what a live run under that spec would charge.
-Unannotated sleeps fall back to ``CK_LIT`` — the recorded duration is
-replayed verbatim, which keeps same-spec calibration exact by
-construction and degrades gracefully (documented in ``docs/ir.md``) for
-cross-spec sweeps.
+by index into :data:`COST_FIELDS`. The ``CK_*`` numbering and the
+``COST_FIELDS`` order are the on-disk trace format; what each op kind's
+expression *is* lives in :mod:`repro.sim.costs`. Unannotated sleeps are
+``CK_LIT``: spec-independent by definition (``compute(seconds=)``,
+timeouts), replayed verbatim.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from __future__ import annotations
 #: The active :class:`repro.ir.record.Recorder`, or None (recording off).
 RECORDER = None
 
-# -- cost expression kinds (see repro.ir.costs.eval_costs) ---------------
+# -- cost expression kinds (evaluated by repro.sim.costs) -----------------
 CK_LIT = 0  # recorded duration, replayed verbatim
 CK_PARAM = 1  # spec.<field c0>
 CK_PARAM2 = 2  # spec.<field c0> + spec.<field c1>
@@ -60,38 +59,6 @@ COST_FIELDS = (
     "gasnet_poll_overhead",
     "gasnet_srq_penalty",
 )
-
-# Index constants for annotation sites (F_<FIELD> = COST_FIELDS.index).
-F_LATENCY = 0
-F_LOOPBACK = 1
-F_MPI_P2P = 2
-F_MPI_MATCH = 3
-F_MPI_RMA = 4
-F_MPI_ATOMIC = 5
-F_MPI_FLUSH = 6
-F_MPI_FLUSH_ALL_PER_TARGET = 7
-F_MPI_FLUSH_ALL_IDLE = 8
-F_MPI_COLL = 9
-F_MPI_SENDRECV_EXTRA = 10
-F_GASNET_PUT = 11
-F_GASNET_GET = 12
-F_GASNET_AM = 13
-F_GASNET_HANDLER = 14
-F_GASNET_POLL = 15
-F_GASNET_SRQ_PENALTY = 16
-
-
-def annotate(kind: int, c0: float = 0.0, c1: float = 0.0, c2: float = 0.0) -> None:
-    """Declare the cost expression of the *next* recorded sleep/callback.
-
-    A no-op when recording is off. The pending annotation is consumed by
-    the next ``Proc.sleep`` or ``Engine.call_at`` hook (they always
-    directly follow the annotation at every instrumented site) and dropped
-    otherwise.
-    """
-    rec = RECORDER
-    if rec is not None:
-        rec.pending_cost = (kind, c0, c1, c2)
 
 
 class CbThunk:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.sim import irhook as _irhook
+from repro.sim.costs import NicState
 from repro.sim.engine import Engine
 from repro.util.errors import SimulationError
 
@@ -85,24 +86,6 @@ class MachineSpec:
     gasnet_mem_log_mb: float = 3.25  # per log2(P) segment metadata growth
     gasnet_mem_nosrq_per_rank_mb: float = 0.05  # per-peer recv buffers w/o SRQ
 
-    def __post_init__(self) -> None:
-        # Precomputed fabric cost tuple: one attribute load hands the inner
-        # loop every constant it needs. The arithmetic itself is unchanged
-        # (same operations, same order), so modeled times stay bit-identical.
-        object.__setattr__(
-            self,
-            "_fabric_costs",
-            (
-                self.latency,
-                self.bandwidth,
-                self.header_bytes,
-                self.tx_msg_overhead,
-                self.rx_msg_overhead,
-                self.loopback_latency,
-                self.mem_copy_bw,
-            ),
-        )
-
     def with_overrides(self, **kwargs: Any) -> "MachineSpec":
         """Return a copy with the given fields replaced (for ablations)."""
         return dataclasses.replace(self, **kwargs)
@@ -136,16 +119,8 @@ class NetFabric:
         self.nranks = nranks
         self.spec = spec
         self.tracer = tracer
-        self._tx_free = [0.0] * nranks
-        self._rx_free = [0.0] * nranks
-        # Per-(src, dst) last delivery time: enforces FIFO per ordered pair,
-        # which MPI's non-overtaking rule and GASNet AM ordering rely on.
-        # Keyed by src * nranks + dst (int keys hash faster than tuples).
-        self._pair_last: dict[int, float] = {}
-        # Memoized per-pair (intra?, latency, bw, header, tx_oh, rx_oh,
-        # loopback, copy_bw) cost tuples, filled lazily per ordered pair.
-        self._pair_cost: dict[int, tuple] = {}
-        self._node = [r // spec.ranks_per_node for r in range(nranks)]
+        #: The timing model's whole state; replay steps the same class.
+        self.nic = NicState(spec, nranks)
         self.messages_sent = 0
         self.bytes_sent = 0
         #: Optional :class:`repro.sim.faults.FaultPlan` consulted once per
@@ -222,38 +197,7 @@ class NetFabric:
             self.sanitizer.stats["transfers"] += 1
         if self.comm_matrix is not None:
             self.comm_matrix.record(src, dst, nbytes)
-        pair = src * nranks + dst
-        cost = self._pair_cost.get(pair)
-        if cost is None:
-            intra = src == dst or self._node[src] == self._node[dst]
-            cost = (intra,) + self.spec._fabric_costs  # type: ignore[attr-defined]
-            self._pair_cost[pair] = cost
-        intra, latency, bandwidth, header, tx_oh, rx_oh, loopback, copy_bw = cost
-        if intra:
-            # Intra-node: shared-memory copy, no NIC involvement.
-            deliver = now + loopback + nbytes / copy_bw
-        else:
-            ser = (nbytes + header) / bandwidth
-            tx_free = self._tx_free[src]
-            depart = now if now > tx_free else tx_free
-            # NICs have a message-rate limit independent of bandwidth: each
-            # message occupies the NIC for a fixed overhead plus its wire
-            # time. This is what punishes unscheduled incast (the naive
-            # all-to-all) as the process count grows.
-            self._tx_free[src] = depart + ser + tx_oh
-            head_arrive = depart + latency
-            rx_free = self._rx_free[dst]
-            deliver = (
-                (head_arrive if head_arrive > rx_free else rx_free)
-                + ser
-                + rx_oh
-                + rx_extra
-            )
-            self._rx_free[dst] = deliver
-        last = self._pair_last.get(pair, 0.0)
-        if deliver < last:
-            deliver = last
-        self._pair_last[pair] = deliver
+        deliver = self.nic.deliver(src, dst, nbytes, now, rx_extra)
 
         decision = None
         if self.faults is not None and self.faults.active:

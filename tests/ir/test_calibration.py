@@ -65,3 +65,55 @@ def test_cross_spec_replay_warns_and_stays_sane(record):
     assert result.makespan > 0.0
     assert result.makespan != run.elapsed
     assert any("structure parameter" in w for w in result.warnings)
+
+
+def _scaled_by_two(spec):
+    """Every seconds-valued field x2, every rate /2: a run under the result
+    takes exactly twice as long (powers of two scale IEEE floats exactly)."""
+    from repro.sim.irhook import COST_FIELDS
+
+    seconds = (*COST_FIELDS, "tx_msg_overhead", "rx_msg_overhead")
+    rates = ("bandwidth", "flops_per_sec", "mem_copy_bw")
+    return spec.with_overrides(
+        name=spec.name + "-x2",
+        **{f: getattr(spec, f) * 2 for f in seconds},
+        **{f: getattr(spec, f) / 2 for f in rates},
+    )
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
+@pytest.mark.parametrize("app", ["ra", "fft", "cgpop"])
+def test_cross_spec_replay_equals_live_under_power_of_two_scaling(
+    tmp_path, record, app, backend
+):
+    """An oracle for cross-spec replay that needs no tolerance: under spec
+    B = A with time x2, live virtual time doubles exactly, so a trace of A
+    replayed under B must equal both 2 x live(A) and live(B) — which it only
+    does if every modelled sleep carries its cost expression."""
+    from repro.caf import run_caf
+    from repro.platforms import PLATFORMS
+    from repro.sim.costs import TABLE
+    from tests.ir.conftest import APPS
+
+    spec_a = PLATFORMS["laptop"]
+    spec_b = _scaled_by_two(spec_a)
+    run_a, trace_a = record(app, backend, "laptop")
+    program, kwargs = APPS[app]
+    run_b = run_caf(program, 4, spec_b, backend=backend, metrics=True, **kwargs)
+
+    result = replay(trace_a, spec_b)
+
+    assert run_b.elapsed == 2 * run_a.elapsed
+    assert result.makespan == run_b.elapsed
+    live_b = run_b.metrics.by_kind()
+    assert set(result.op_totals) == set(live_b)
+    closed_form = [k for k in result.op_totals if k in TABLE]
+    assert closed_form  # every cell exercises the table
+    for kind in closed_form:
+        assert result.op_totals[kind]["time"] == live_b[kind].time, kind
+    # Nothing else is re-priced, and the result says so.
+    kept = sorted(k for k in result.op_totals if k not in TABLE)
+    assert result.warnings == [
+        "per-op totals kept recorded values for span-measured kinds: "
+        + ", ".join(kept)
+    ]

@@ -141,9 +141,9 @@ def test_negative_size_rejected():
         eng.run()
 
 
-def test_pair_cost_memoized_once_per_ordered_pair():
-    """The per-pair cost tuple is computed on first use and reused; repeat
-    transfers must price identically to the un-memoized formula."""
+def test_repeat_transfers_on_one_pair_queue_behind_the_nic():
+    """Repeat transfers on one ordered pair price by the same formula each
+    time and leave one FIFO entry behind."""
     eng = Engine()
     spec = make_spec()
     fabric = NetFabric(eng, 3, spec)
@@ -156,7 +156,7 @@ def test_pair_cost_memoized_once_per_ordered_pair():
 
     eng.spawn(body)
     eng.run()
-    assert len(fabric._pair_cost) == 1  # one ordered pair seen
+    assert len(fabric.nic.pair_last) == 1  # one ordered pair seen
     ser = 1000 / 1e9
     # Back-to-back sends queue behind the NIC: k-th message departs after
     # k-1 serializations, exactly as the memoization-free model priced it.
@@ -189,8 +189,8 @@ def test_intranode_transfer_bypasses_nic_state():
 
     eng.spawn(body)
     eng.run()
-    assert fabric._tx_free == [0.0, 0.0]
-    assert fabric._rx_free == [0.0, 0.0]
+    assert fabric.nic.tx_free == [0.0, 0.0]
+    assert fabric.nic.rx_free == [0.0, 0.0]
 
 
 def test_nic_message_rate_limit_under_memoized_model():
