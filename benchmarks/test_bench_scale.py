@@ -17,9 +17,13 @@ Writes ``BENCH_scale.json`` at the repo root:
   wall time; on a single-core runner the efficiency honestly reports the
   cost of a second interpreter against one usable core. The section
   records its own ``cpus_available`` (the sweeps above are taken pinned
-  to one core, this one needs two). Efficiency can exceed 1: a lone
-  unpinned run bounces its fibers between cores, two busy workers keep
-  each other's fibers home.
+  to one core and ``meta.cpus_available`` describes them; this one needs
+  two). The engine confines each run's fibers to one CPU and the pool
+  deals its workers distinct CPUs, so the serial side no longer pays for
+  fibers bouncing between cores (the "speedup 3.1 on 2 cores" once
+  recorded here was mostly that penalty). Efficiency can still read
+  slightly above 1: the serial side's one worker runs its second
+  configuration in a used interpreter (see below).
 
 Wall times are re-measured on every run; the fingerprints are asserted
 equal to the rows already checked into ``BENCH_scale.json`` (rows of rank
@@ -94,17 +98,17 @@ def _merge_rows(section: str, rows: list[dict]) -> None:
                 f: old[f] for f in _FINGERPRINT
             }, (section, row["nranks"])
         kept[row["nranks"]] = row
-    _merge(section, [kept[n] for n in sorted(kept)])
+    _merge(section, [kept[n] for n in sorted(kept)], cpus_available=_cpus_available())
 
 
-def _merge(section: str, payload) -> None:
+def _merge(section: str, payload, **meta) -> None:
     data = _load()
     data.setdefault("meta", {}).update(
         python=sys.version.split()[0],
         platform=sys.platform,
         cpus=os.cpu_count(),
-        cpus_available=_cpus_available(),
         budget_s=SCALE_BUDGET_S,
+        **meta,
     )
     data[section] = payload
     RESULT_PATH.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -10,8 +10,9 @@ and writes ``BENCH_wallclock.json`` at the repo root:
   switches, zero heap traffic): the bare scheduler's events/s.
 * ``ra_app`` — full RandomAccess runs (both backends, several rank
   counts). Cross-rank event interleaving forces a real thread handoff
-  for most events (~3us/switch on the reference container), which is
-  what separates these events/s from the microbench's.
+  for most events (3-7us each on the reference container, one context
+  switch; see docs/architecture.md), which is what separates these
+  events/s from the microbench's.
 * ``apps`` — absolute wall times for RA/FFT/HPL/CGPOP at fixed ranks:
   regression-tracking numbers for future PRs.
 * ``ra_scale`` — RandomAccess at 512 ranks on both backends must finish

@@ -51,8 +51,11 @@ def run_app_config(config: dict) -> dict:
     the executed event count and the profiler totals. It also reports
     ``wall_s`` (measured in-child around the run itself, so a
     spawn-per-measurement benchmark sees neither interpreter start-up nor
-    any state accumulated by earlier runs) and ``figures`` (the scalar
-    fields of the rank-0 app result, e.g. GUPS or GFLOP/s).
+    any state accumulated by earlier runs), ``figures`` (the scalar
+    fields of the rank-0 app result, e.g. GUPS or GFLOP/s) and
+    ``pid`` with ``fiber_cpu`` (the host CPU the engine confined the
+    run's fibers to, ``None`` if it could not — two processes reporting one
+    CPU for overlapping runs shared it, and each ran at about half speed).
     """
     for key, value in config.get("env", {}).items():
         os.environ[key] = value
@@ -86,10 +89,26 @@ def run_app_config(config: dict) -> dict:
         "wall_s": wall,
         "figures": figures,
         "events": engine.events_executed,
+        "pid": os.getpid(),
+        "fiber_cpu": engine.fiber_cpu,
         "profiler_totals": {
             cat: run.profiler.total(cat) for cat in run.profiler.categories()
         },
     }
+
+
+def _claim_cpu(allowed: list[int], claimed) -> None:
+    """Pool initializer: confine worker *i* to ``allowed[i % len(allowed)]``.
+
+    Every engine confines its fibers to one CPU of its caller's mask (the
+    CPU the caller happens to be on, when there are several), so two
+    workers left to choose for themselves can pick the same one and each
+    run at half speed. A one-CPU mask leaves nothing to chance.
+    """
+    with claimed.get_lock():
+        index = claimed.value
+        claimed.value += 1
+    os.sched_setaffinity(0, {allowed[index % len(allowed)]})
 
 
 def run_configs_parallel(
@@ -97,14 +116,21 @@ def run_configs_parallel(
 ) -> list[dict]:
     """Run configurations across OS worker processes (spawn context).
 
-    Each config gets a fresh interpreter, so environment overrides and
-    engine state never leak between runs — and on a multi-core host the
-    batch genuinely executes in parallel. Results come back in input
-    order.
+    Workers are fresh interpreters, so the parent's environment overrides
+    and engine state never leak into a run — and on a multi-core host the
+    batch genuinely executes in parallel: each worker gets its own CPU of
+    the parent's affinity mask (round-robin when there are more workers
+    than CPUs). Results come back in input order.
     """
     if not configs:
         return []
     nproc = processes or min(len(configs), os.cpu_count() or 1)
     ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=max(1, nproc)) as pool:
+    placement: dict = {}
+    if hasattr(os, "sched_setaffinity"):
+        placement = dict(
+            initializer=_claim_cpu,
+            initargs=(sorted(os.sched_getaffinity(0)), ctx.Value("i", 0)),
+        )
+    with ctx.Pool(processes=max(1, nproc), **placement) as pool:
         return pool.map(run_app_config, configs)

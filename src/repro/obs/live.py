@@ -28,7 +28,7 @@ import pathlib
 import time
 from typing import Any, TextIO
 
-from repro.obs.report import SchemaError
+from repro.obs.report import SchemaError, need_fiber_placement
 from repro.util.tables import format_table
 
 SCHEMA_NAME = "repro.obs/telemetry"
@@ -110,30 +110,44 @@ class LiveTelemetry:
     # -- lifecycle -------------------------------------------------------
 
     def attach(self, cluster: Any) -> None:
-        """Bind to a cluster and write the stream's meta header line."""
+        """Bind to a cluster and open the stream.
+
+        The meta header line is written with the first snapshot — the first
+        resume of the run — because it records where the host put the run's
+        fibers, which the engine only decides in ``run()``.
+        """
         if self._cluster is not None:
             raise SchemaError("LiveTelemetry is single-run; already attached")
         self._cluster = cluster
         now = time.monotonic()
         self._t0 = now
         self._last_wall = now - self.interval_s  # first check may emit
-        meta = {
-            "schema": SCHEMA_NAME,
-            "version": SCHEMA_VERSION,
-            "type": "meta",
-            "nranks": cluster.nranks,
-            "spec": cluster.spec.name,
-            "seed": cluster.seed,
-            "backend": self.backend,
-            "app": self.app,
-            "label": self.label,
-            "interval_s": self.interval_s,
-            "check_every": self.check_every,
-            "pid": os.getpid(),
-        }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "w")
-        self._write(meta)
+
+    def _write_meta(self) -> None:
+        cluster = self._cluster
+        engine = cluster.engine
+        self._write(
+            {
+                "schema": SCHEMA_NAME,
+                "version": SCHEMA_VERSION,
+                "type": "meta",
+                "nranks": cluster.nranks,
+                "spec": cluster.spec.name,
+                "seed": cluster.seed,
+                "backend": self.backend,
+                "app": self.app,
+                "label": self.label,
+                "interval_s": self.interval_s,
+                "check_every": self.check_every,
+                "pid": os.getpid(),
+                # A run that is slow because another process chose the same
+                # CPU (or because the host refused placement) says so here.
+                "fiber_cpu": engine.fiber_cpu,
+                "fiber_policy": engine.fiber_policy,
+            }
+        )
 
     def tick(self, engine: Any) -> None:
         """Engine heartbeat: called every ``check_every`` executed resumes.
@@ -253,6 +267,8 @@ class LiveTelemetry:
         }
         if outcome is not None:
             snap["outcome"] = outcome
+        if self._seq == 0:
+            self._write_meta()
         self._seq += 1
         self._last_wall = wall
         self._last_events = events
@@ -303,6 +319,7 @@ def validate_meta(record: Any) -> None:
         and record["interval_s"] >= 0,
         "interval_s",
     )
+    need_fiber_placement(record, need)
 
 
 def validate_snapshot(record: Any, *, nranks: int | None = None) -> None:

@@ -5,8 +5,9 @@ Assembled from the :class:`~repro.obs.metrics.Metrics` registry, the
 profiler's per-category time decomposition, the fabric's
 :class:`~repro.obs.metrics.CommMatrix`, and (when the run was traced) the
 :mod:`~repro.obs.critical` path. Field ordering is deterministic — the same
-run always serializes byte-identically — so reports diff cleanly and CI can
-archive them next to ``BENCH_wallclock.json``.
+run always serializes byte-identically, up to the two ``meta.fiber_*`` host
+facts — so reports diff cleanly and CI can archive them next to
+``BENCH_wallclock.json``.
 
 Exporters: canonical JSON (:meth:`RunReport.to_json`), Prometheus-style
 text (:meth:`RunReport.to_prometheus`), and the existing Chrome-trace export
@@ -17,6 +18,7 @@ report files (bench-regression triage).
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -201,6 +203,18 @@ class RunReport:
         return "\n".join(out)
 
 
+def need_fiber_placement(meta: dict[str, Any], need: Callable[[bool, str], None]) -> None:
+    """Check ``fiber_cpu`` / ``fiber_policy`` in a report or telemetry meta
+    object. Both are optional: artifacts written before the engine placed
+    its fibers (see ``Engine.fiber_cpu``) carry neither."""
+    cpu = meta.get("fiber_cpu")
+    need(cpu is None or (type(cpu) is int and cpu >= 0), "meta.fiber_cpu")
+    need(
+        meta.get("fiber_policy", "normal") in ("batch", "normal"),
+        "meta.fiber_policy",
+    )
+
+
 def validate_report(data: Any) -> None:
     """Structural schema check; raises :class:`SchemaError` on violation."""
 
@@ -217,6 +231,7 @@ def validate_report(data: Any) -> None:
     need(isinstance(meta.get("makespan"), (int, float)), "meta.makespan")
     if "outcome" in meta:
         need(meta["outcome"] in ("ok", "failed"), "meta.outcome")
+    need_fiber_placement(meta, need)
     if "telemetry" in meta:
         tel = meta["telemetry"]
         need(isinstance(tel, dict), "meta.telemetry")
@@ -298,6 +313,10 @@ def build_report(
             "metrics_enabled": cluster.metrics is not None,
             "traced": bool(cluster.tracer.events),
             "outcome": "failed" if failure is not None else "ok",
+            # Host placement of the fibers: a run that is slow because two
+            # processes chose the same CPU is diagnosable from the artifact.
+            "fiber_cpu": cluster.engine.fiber_cpu,
+            "fiber_policy": cluster.engine.fiber_policy,
         },
         "profiler": {
             "breakdown": dict(sorted(profiler.breakdown().items())),

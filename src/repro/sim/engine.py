@@ -37,6 +37,13 @@ heap traffic). Same-time events bypass the heap through a FIFO ``_due``
 deque, merged with the heap by ``(time, seq)``, so events always execute in
 global ``(time, seq)`` order.
 
+Since only one fiber ever runs, the fibers of a run are one logical thread
+of execution and are placed like one: each confines itself to one host CPU
+and asks for a scheduling policy whose wake-ups do not preempt the waker
+(:meth:`Engine._colocate_fiber`), which makes a handoff cost the one
+context switch it needs. The thread that calls :meth:`Engine.run` is left
+as it was.
+
 Invariant: wall-clock optimizations here change *how fast* the host
 executes the schedule, never *which* schedule is executed. Virtual times,
 event order (see :meth:`Engine.order_digest`), profiler totals and figure
@@ -60,6 +67,23 @@ from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 
 #: Event-order digest record: (virtual time, pid) — pid is -1 for callbacks.
 _pack_order = struct.Struct("<dq").pack
+
+
+def _caller_cpu() -> int | None:
+    """The CPU a run's fibers should share: the only one the calling thread
+    is allowed on, else the one it is executing on right now. ``None`` when
+    the host cannot say (no affinity calls, no ``/proc``)."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) == 1:
+            return next(iter(allowed))
+        with open("/proc/thread-self/stat", "rb") as stat:
+            # proc(5) field 39, ``processor``; the comm in field 2 may hold
+            # spaces, so count from its closing parenthesis (field 3 = [0]).
+            cpu = int(stat.read().rpartition(b")")[2].split()[36])
+    except (AttributeError, OSError, ValueError, IndexError):
+        return None
+    return cpu if cpu in allowed else None
 
 
 class _Killed(BaseException):
@@ -109,7 +133,10 @@ class Proc:
         #: deadlocked when everything else finishes.
         self.daemon = daemon
         self.state = Proc.NEW
-        self.block_reason = "not started"
+        #: What the process is parked on: a call-site string from
+        #: :meth:`block`, or the bare duration of a parked :meth:`sleep` —
+        #: formatted only when :attr:`block_reason` is read.
+        self._block_site: str | float = "not started"
         #: Virtual time this process last resumed execution — the watchdog
         #: and deadlock diagnostics report it so a hung rank can be told
         #: apart from a slow one.
@@ -188,8 +215,15 @@ class Proc:
 
     # -- process side ---------------------------------------------------
 
+    @property
+    def block_reason(self) -> str:
+        """Where this process is (or was last) parked, for diagnostics."""
+        site = self._block_site
+        return site if type(site) is str else f"sleep({site:g})"
+
     def _run(self) -> None:
         eng = self.engine
+        eng._colocate_fiber()
         self._baton.acquire()  # wait for the initial resume
         if self._killed:
             self.state = Proc.DONE
@@ -244,7 +278,7 @@ class Proc:
         self._check_running("block")
         self._gen += 1
         self.state = Proc.BLOCKED
-        self.block_reason = reason
+        self._block_site = reason
         self._park()
         payload, self._wake_payload = self._wake_payload, None
         return payload
@@ -305,7 +339,7 @@ class Proc:
                 return
         self._gen += 1
         self.state = Proc.BLOCKED
-        self.block_reason = f"sleep({duration:g})"
+        self._block_site = duration
         engine._schedule_resume(when, self, self._gen)
         self._park()
 
@@ -347,6 +381,10 @@ class Engine:
         #: ``check_every``-th resume.
         self.telemetry = None
         self._tel_countdown = 0
+        #: Host placement of this run's fibers, decided once in :meth:`run`
+        #: and withdrawn by :meth:`_colocate_fiber` if the host refuses.
+        self._fiber_cpu: int | None = None
+        self._fiber_batch = False
         self._failure: BaseException | None = None
         self._ran = False
         self._finished = False
@@ -385,6 +423,57 @@ class Engine:
         if self._ran:
             proc._start()
         return proc
+
+    # -- host placement of the fibers --------------------------------------
+
+    @property
+    def fiber_cpu(self) -> int | None:
+        """The host CPU this run's fibers were confined to, or ``None`` if
+        they were left wherever the kernel puts them (before :meth:`run`,
+        on hosts without affinity calls, or when the host refused)."""
+        return self._fiber_cpu
+
+    @property
+    def fiber_policy(self) -> str:
+        """``"batch"`` if the fibers run under ``SCHED_BATCH``, else
+        ``"normal"`` (the caller's policy, inherited)."""
+        return "batch" if self._fiber_batch else "normal"
+
+    def _colocate_fiber(self) -> None:
+        """Called by every fiber thread on *itself* before it first parks.
+
+        Confine the thread to the run's CPU (a handoff that wakes a thread
+        on another, idle CPU costs 3-5x one that stays put), then make it
+        ``SCHED_BATCH``, whose wake-ups never preempt the waker — under
+        the default policy the woken fiber preempts the one still holding
+        the GIL, finds it taken and goes back to sleep: two to three
+        context switches per handoff instead of one. Pin first, batch only
+        if the pin held: batch without co-location leaves every wake's
+        placement to the kernel's wake-affinity heuristic and has measured
+        up to 5x slower than doing nothing.
+
+        ``pid`` 0 is the calling thread on Linux, so the thread that
+        called :meth:`run`, the process and everything else the embedding
+        program owns are left alone; the fibers die with the run, so there
+        is nothing to restore. A refusal withdraws the fact
+        (:attr:`fiber_cpu`, :attr:`fiber_policy`) and the run proceeds
+        unplaced. Numbers: docs/architecture.md, "One handoff, one context
+        switch".
+        """
+        cpu = self._fiber_cpu
+        if cpu is None:
+            return
+        try:
+            os.sched_setaffinity(0, (cpu,))
+        except OSError:
+            self._fiber_cpu = None
+            self._fiber_batch = False
+            return
+        if self._fiber_batch:
+            try:
+                os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+            except (AttributeError, OSError):
+                self._fiber_batch = False
 
     # -- event-order digest ---------------------------------------------
 
@@ -554,6 +643,8 @@ class Engine:
             raise SimulationError(f"deadline must be non-negative, got {deadline}")
         self._ran = True
         self._deadline = deadline
+        self._fiber_cpu = _caller_cpu()
+        self._fiber_batch = self._fiber_cpu is not None
         try:
             for proc in self.procs:
                 proc._start()

@@ -56,6 +56,15 @@ def test_stream_is_schema_valid(tmp_path):
     assert meta["nranks"] == 4
     assert meta["backend"] == "mpi"
     assert meta["app"] == "run_randomaccess"
+    # Where the host ran the fibers: the engine's own account, in the header.
+    engine = run.cluster.engine
+    assert meta["fiber_cpu"] == engine.fiber_cpu
+    assert meta["fiber_policy"] == engine.fiber_policy in ("batch", "normal")
+    old = {k: v for k, v in meta.items() if not k.startswith("fiber_")}
+    validate_meta(old)  # streams written before the keys existed still load
+    for bad in ({"fiber_cpu": "1"}, {"fiber_cpu": -1}, {"fiber_policy": "fifo"}):
+        with pytest.raises(SchemaError, match="fiber_"):
+            validate_meta({**meta, **bad})
     for snap in snaps:
         validate_snapshot(snap, nranks=4)
     assert [s["seq"] for s in snaps] == list(range(len(snaps)))

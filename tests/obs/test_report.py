@@ -38,6 +38,9 @@ def test_report_meta_and_ops(run, report):
     assert report.meta["label"] == "ring-x4"
     assert report.meta["metrics_enabled"] is True
     assert report.makespan == pytest.approx(run.elapsed)
+    engine = run.cluster.engine
+    assert report.meta["fiber_cpu"] == engine.fiber_cpu
+    assert report.meta["fiber_policy"] == engine.fiber_policy in ("batch", "normal")
     # The ring writes are visible as op-level metrics on every rank.
     writes = report.op("caf.coarray_write")
     assert writes["calls"] == 4
@@ -77,10 +80,15 @@ def test_validate_rejects_malformed_documents(report):
         {**report.data, "meta": {}},
         {**report.data, "profiler": {"breakdown": {}}},
         {**report.data, "fabric": {"messages": "many", "bytes": 0}},
+        {**report.data, "meta": {**report.data["meta"], "fiber_cpu": 0.5}},
+        {**report.data, "meta": {**report.data["meta"], "fiber_policy": "rr"}},
     ]:
         with pytest.raises(SchemaError):
             validate_report(broken)
     validate_report(report.data)  # the real thing passes
+    # ... and so does a report written before the fiber-placement keys.
+    old_meta = {k: v for k, v in report.data["meta"].items() if not k.startswith("fiber_")}
+    validate_report({**report.data, "meta": old_meta})
 
 
 def test_prometheus_export_contains_scalars(report):

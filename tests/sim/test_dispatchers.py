@@ -12,6 +12,9 @@ then deleted. Any future "optimization" that reorders events — even among
 same-time ties — fails here rather than silently perturbing figures.
 """
 
+import errno
+import os
+
 import pytest
 
 from repro.apps.cgpop import run_cgpop
@@ -145,6 +148,50 @@ def test_dispatch_order_matches_golden_digest(monkeypatch, backend):
     monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
     for row in ROWS:
         assert _fingerprint(row, backend) == GOLDEN[row, backend], row
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="host has no thread-affinity calls"
+)
+@pytest.mark.parametrize(
+    "refused, error, stays_pinned",
+    [("sched_setaffinity", OSError, False), ("sched_setscheduler", PermissionError, True)],
+)
+def test_refused_placement_runs_the_same_schedule(monkeypatch, refused, error, stays_pinned):
+    """Pin first, batch only if the pin held: a host that refuses the pin
+    leaves the fibers exactly as the caller is (batch without co-location
+    can be slower than nothing); one that refuses only the policy leaves
+    them pinned. Either way nothing virtual moves."""
+    probe = Engine()
+    probe.spawn(lambda p: None)
+    probe.run()
+    if probe.fiber_cpu is None:
+        pytest.skip("host cannot co-locate the fibers")
+    caller = os.sched_getaffinity(0), os.sched_getscheduler(0)
+
+    def refuse(*_args):
+        raise error(errno.EPERM, "refused by the test")
+
+    monkeypatch.setattr(os, refused, refuse)
+    monkeypatch.setenv("REPRO_SIM_DIGEST", "1")
+    seen = []
+
+    def program(img, **kwargs):
+        seen.append((os.sched_getaffinity(0), os.sched_getscheduler(0)))
+        return run_randomaccess(img, **kwargs)
+
+    r = run_caf(program, 4, MachineSpec(name="generic"), backend="mpi", **RA_KW)
+    eng = r.cluster.engine
+    assert (eng.order_digest(), eng.events_executed, r.elapsed.hex()) == (
+        GOLDEN["ra", "mpi"][:3]
+    )
+    assert eng.fiber_policy == "normal"
+    if stays_pinned:
+        assert eng.fiber_cpu in caller[0]
+        assert seen == [({eng.fiber_cpu}, caller[1])] * 4
+    else:
+        assert eng.fiber_cpu is None
+        assert seen == [caller] * 4
 
 
 def test_bare_engine_schedule_matches_golden():
