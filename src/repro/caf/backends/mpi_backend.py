@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
 from repro.caf.backends.common import collective_agree, next_global_id
+from repro.mpi import p2p
 from repro.mpi.constants import ANY_SOURCE, SUM
 from repro.mpi.request import Request
 from repro.mpi.world import MpiWorld
@@ -146,12 +147,17 @@ class MpiBackend(RuntimeBackend):
 
     def _send_am(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
         """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
+        self.ctx.proc.run_script(self._send_am_steps(target_world, wire_bytes, thunk))
+
+    def _send_am_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]):
         seq = next(_am_seq)
         self._am_board[(self.ctx.rank, seq)] = thunk
         header = np.array([seq], dtype=np.int64)
         payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
         payload[: header.nbytes] = header.view(np.uint8)
-        req = self.am_comm.isend(payload, dest=target_world, tag=AM_TAG)
+        req = yield from p2p.isend_steps(
+            self.am_comm, self._am_matching, payload, target_world, AM_TAG
+        )
         self._release_requests.append(req)
 
     def poll(self) -> None:
@@ -200,9 +206,17 @@ class MpiBackend(RuntimeBackend):
     def local_view(self, storage: _CoarrayStorage) -> np.ndarray:
         return storage.win.local
 
+    @staticmethod
+    def _flushed_steps(win, op_steps, target: int):
+        """One RMA op, then ``MPI_WIN_FLUSH`` to its target, as one script."""
+        yield from op_steps
+        yield from win._flush_steps(target)
+
     def coarray_write(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray) -> None:
-        storage.win.put(data, target, offset)
-        storage.win.flush(target)
+        win = storage.win
+        self.ctx.proc.run_script(
+            self._flushed_steps(win, win._rput_steps(data, target, offset), target)
+        )
 
     def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
         req = storage.win.rget(out, target, offset)
@@ -212,8 +226,10 @@ class MpiBackend(RuntimeBackend):
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
     ) -> None:
         # A derived-datatype MPI_PUT followed by a flush (§3.1 semantics).
-        storage.win.put_runs(data, target, runs)
-        storage.win.flush(target)
+        win = storage.win
+        self.ctx.proc.run_script(
+            self._flushed_steps(win, win._put_runs_steps(data, target, runs), target)
+        )
 
     def coarray_read_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
@@ -325,9 +341,27 @@ class MpiBackend(RuntimeBackend):
     def kick_rank(self, world_rank: int) -> None:
         self._backends[world_rank]._am_matching.arrivals[world_rank].add()
 
-    def _release_barrier(self) -> None:
-        """§3.4: local completion of all initiated ops, then remote
-        completion via the (linear when active) FLUSH_ALL walk."""
+    def _rflush_windows(self, reason: str) -> None:
+        """The paper's §5 proposal: request-based remote completion at
+        constant software cost; wait on all requests while polling AMs."""
+        reqs = [win.rflush_all() for win in self._windows]
+        self.progress_wait(
+            lambda: all(r.completed for r in reqs),
+            reason,
+            extras=tuple(r._event for r in reqs),
+        )
+
+    def _flush_windows_steps(self):
+        """MPI_WIN_FLUSH_ALL on every window — the linear-in-P cost of
+        Figure 4 when the epoch has activity, a cheap constant-cost walk
+        when idle (which is why the paper's NOTIFY *microbenchmark* stays
+        flat in P)."""
+        for win in self._windows:
+            yield from win._flush_all_steps()
+
+    def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
+        # The release barrier (§3.4): local completion of all initiated ops
+        # (polling AMs meanwhile), then remote completion.
         requests, self._release_requests = self._release_requests, []
         self.progress_wait(
             lambda: all(r.completed for r in requests),
@@ -335,24 +369,14 @@ class MpiBackend(RuntimeBackend):
             extras=tuple(r._event for r in requests),
         )
         if self.use_rflush:
-            # The paper's §5 proposal: request-based completion at constant
-            # software cost; wait on all requests while polling AMs.
-            reqs = [win.rflush_all() for win in self._windows]
-            self.progress_wait(
-                lambda: all(r.completed for r in reqs),
-                "release.rflush_all",
-                extras=tuple(r._event for r in reqs),
-            )
-            return
-        # MPI_WIN_FLUSH_ALL on every window — the linear-in-P cost of
-        # Figure 4 when the epoch has activity, a cheap constant-cost walk
-        # when idle (which is why the paper's NOTIFY *microbenchmark*
-        # stays flat in P).
-        for win in self._windows:
-            win.flush_all()
+            self._rflush_windows("release.rflush_all")
+        self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
 
-    def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
-        self._release_barrier()
+    def _notify_steps(self, storage: EventStorage, target: int, slot: int):
+        """The rest of :meth:`event_notify` — the FLUSH_ALL walk and the
+        notification itself — as one script."""
+        if not self.use_rflush:
+            yield from self._flush_windows_steps()
         target_world = storage.team.world_rank(target)
         san = self.ctx.sanitizer
         if san is not None:
@@ -361,10 +385,12 @@ class MpiBackend(RuntimeBackend):
             san.event_notified(self.ctx.rank, (storage.event_id, target_world, slot))
         if isinstance(storage, _AtomicEventStorage):
             # §3.4 approach 1: MPI_FETCH_AND_OP-style one-sided increment.
-            storage.win.accumulate(
-                np.ones(1, np.int64), target, offset=slot, op=SUM
+            win = storage.win
+            yield from self._flushed_steps(
+                win,
+                win._raccumulate_steps(np.ones(1, np.int64), target, slot, SUM),
+                target,
             )
-            storage.win.flush(target)
             return
         # §3.4 approach 2 (the paper's choice): a short AM via MPI_ISEND
         # (nonblocking to avoid notify/wait deadlock cycles).
@@ -373,7 +399,7 @@ class MpiBackend(RuntimeBackend):
         def deliver() -> None:
             self._backends[target_world]._event_registry[event_id].post(slot)
 
-        self._send_am(target_world, _AM_HEADER_BYTES, deliver)
+        yield from self._send_am_steps(target_world, _AM_HEADER_BYTES, deliver)
 
     def event_count(self, storage: EventStorage, slot: int) -> int:
         if isinstance(storage, _AtomicEventStorage):
@@ -439,15 +465,9 @@ class MpiBackend(RuntimeBackend):
         )
         self._release_requests.clear()
         if self.use_rflush:
-            reqs = [win.rflush_all() for win in self._windows]
-            self.progress_wait(
-                lambda: all(r.completed for r in reqs),
-                "quiet.rflush_all",
-                extras=tuple(r._event for r in reqs),
-            )
-            return
-        for win in self._windows:
-            win.flush_all()
+            self._rflush_windows("quiet.rflush_all")
+        else:
+            self.ctx.proc.run_script(self._flush_windows_steps())
 
     # -- collectives --------------------------------------------------------------------------------
 

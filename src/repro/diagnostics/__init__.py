@@ -41,13 +41,14 @@ RUNTIME_PARTS = (
 )
 
 
-def call_site() -> str:
+def call_site(start: FrameType | None = None) -> str:
     """The innermost *application* frame, as ``file.py:NN in func``.
 
-    Walks outward past runtime and stdlib frames so a report points at the
-    user's ``A.write(...)`` line, not at the window implementation.
+    Walks outward — from ``start``, else from the caller — past runtime and
+    stdlib frames so a report points at the user's ``A.write(...)`` line,
+    not at the window implementation.
     """
-    frame: FrameType | None = sys._getframe(1)
+    frame: FrameType | None = start if start is not None else sys._getframe(1)
     fallback: str | None = None
     while frame is not None:
         fname = frame.f_code.co_filename.replace("\\", "/")

@@ -1,12 +1,14 @@
 """Collective algorithms, modeled after the tuned MPICH implementations.
 
-These run SPMD — every rank executes its side of the algorithm on its own
-simulated thread using the communicator's *collective* matching context —
-so their cost emerges from real message traffic through the fabric. This
-matters for the paper's FFT result: ``MPI_ALLTOALL`` here uses a pairwise
-exchange schedule (no incast hotspot), while CAF-GASNet's hand-rolled
-all-to-all (see :mod:`repro.gasnet.collectives`) blasts puts at every
-target and suffers delivery-side contention.
+These run SPMD — every rank executes its side of the algorithm as one
+*script* (a generator for ``Proc.run_script``: it yields its modelled costs
+and waits, so a whole collective parks its caller once) using the
+communicator's *collective* matching context — so their cost emerges from
+real message traffic through the fabric. This matters for the paper's FFT
+result: ``MPI_ALLTOALL`` here uses a pairwise exchange schedule (no incast
+hotspot), while CAF-GASNet's hand-rolled all-to-all (see
+:mod:`repro.gasnet.collectives`) blasts puts at every target and suffers
+delivery-side contention.
 
 All buffers are contiguous NumPy arrays; reductions assume commutative ops
 (all predefined ops here are commutative).
@@ -19,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mpi.constants import SUM, Op
+from repro.mpi.request import wait_all_steps
 from repro.sim import costs as _costs
 from repro.util.errors import MpiError
 
@@ -26,15 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.comm import Comm
 
 
-def _enter(comm: "Comm") -> int:
-    """Charge the per-call software overhead; returns this collective's tag."""
-    _costs.charge(comm.ctx, "mpi.coll_overhead")
+def _enter_steps(comm: "Comm"):
+    """Pay the per-call software overhead; returns this collective's tag."""
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
     return comm._next_coll_tag()
-
-
-def _charge_reduce_flops(comm: "Comm", nelems: int) -> None:
-    # One combine per element; charged as virtual compute.
-    _costs.charge(comm.ctx, "flops", nelems)
 
 
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
@@ -44,22 +42,22 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
         )
 
 
-def barrier(comm: "Comm") -> None:
+def barrier_steps(comm: "Comm"):
     """Dissemination barrier: ceil(log2(P)) rounds of zero-byte messages."""
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     rank, size = comm.rank, comm.size
     empty = np.empty(0, np.uint8)
     k = 1
     while k < size:
         dst = (rank + k) % size
         src = (rank - k) % size
-        comm._coll_sendrecv(empty, dst, np.empty(0, np.uint8), src, tag)
+        yield from comm._coll_sendrecv_steps(empty, dst, np.empty(0, np.uint8), src, tag)
         k <<= 1
 
 
-def bcast(comm: "Comm", buf, root: int = 0) -> None:
+def bcast_steps(comm: "Comm", buf, root: int = 0):
     """Binomial-tree broadcast (MPICH short-message algorithm)."""
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     arr = np.asarray(buf)
     rank, size = comm.rank, comm.size
     if size == 1:
@@ -69,21 +67,21 @@ def bcast(comm: "Comm", buf, root: int = 0) -> None:
     while mask < size:
         if vr & mask:
             src = ((vr - mask) + root) % size
-            comm._coll_recv(arr, src, tag)
+            yield from comm._coll_recv_steps(arr, src, tag)
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if vr + mask < size:
             dst = ((vr + mask) + root) % size
-            comm._coll_send(arr, dst, tag)
+            yield from comm._coll_send_steps(arr, dst, tag)
         mask >>= 1
 
 
-def reduce(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int = 0) -> None:
+def reduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int = 0):
     """Binomial-tree reduction toward ``root`` (commutative ops)."""
     op = op or SUM
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     send = np.asarray(sendbuf)
     rank, size = comm.rank, comm.size
     acc = send.copy()
@@ -96,12 +94,12 @@ def reduce(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int = 0) 
                 partner_vr = vr | mask
                 if partner_vr < size:
                     src = (partner_vr + root) % size
-                    comm._coll_recv(tmp, src, tag)
+                    yield from comm._coll_recv_steps(tmp, src, tag)
                     acc = op(acc, tmp)
-                    _charge_reduce_flops(comm, acc.size)
+                    yield _costs.cost(comm.ctx, "flops", acc.size)  # one combine per element
             else:
                 dst = ((vr - mask) + root) % size
-                comm._coll_send(acc, dst, tag)
+                yield from comm._coll_send_steps(acc, dst, tag)
                 break
             mask <<= 1
     if rank == root:
@@ -110,7 +108,7 @@ def reduce(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int = 0) 
         recv[...] = acc
 
 
-def allreduce(comm: "Comm", sendbuf, recvbuf, op: Op | None = None) -> None:
+def allreduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None):
     """Recursive doubling for power-of-two sizes; reduce+bcast otherwise."""
     op = op or SUM
     send = np.asarray(sendbuf)
@@ -118,20 +116,20 @@ def allreduce(comm: "Comm", sendbuf, recvbuf, op: Op | None = None) -> None:
     _check_same_shape(send, recv, "allreduce")
     size = comm.size
     if size & (size - 1) == 0 and size > 1:
-        tag = _enter(comm)
+        tag = yield from _enter_steps(comm)
         acc = send.copy()
         tmp = np.empty_like(acc)
         mask = 1
         while mask < size:
             partner = comm.rank ^ mask
-            comm._coll_sendrecv(acc, partner, tmp, partner, tag)
+            yield from comm._coll_sendrecv_steps(acc, partner, tmp, partner, tag)
             acc = op(acc, tmp)
-            _charge_reduce_flops(comm, acc.size)
+            yield _costs.cost(comm.ctx, "flops", acc.size)  # one combine per element
             mask <<= 1
         recv[...] = acc
     else:
-        reduce(comm, send, recv, op, root=0)
-        bcast(comm, recv, root=0)
+        yield from reduce_steps(comm, send, recv, op, root=0)
+        yield from bcast_steps(comm, recv, root=0)
 
 
 #: MPICH-style algorithm selection for ``alltoall``: below this per-block
@@ -143,7 +141,7 @@ _BRUCK_MAX_BLOCK_BYTES = 256
 _BRUCK_MIN_PROCS = 32
 
 
-def _alltoall_bruck(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int) -> None:
+def _alltoall_bruck_steps(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int):
     """Bruck's algorithm: the MPICH short-message all-to-all.
 
     Three phases: a local rotation (block ``i`` moves to slot
@@ -159,7 +157,7 @@ def _alltoall_bruck(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int) 
     flat = np.ascontiguousarray(send).view(np.uint8).reshape(size, -1)
     # Phase 1: rotate so tmp[i] holds the block destined to rank+i.
     tmp = flat[(np.arange(size) + rank) % size].copy()
-    _costs.charge(comm.ctx, "copy", tmp.nbytes)
+    yield _costs.cost(comm.ctx, "copy", tmp.nbytes)
     # Phase 2: log-round aggregated exchanges.
     pof2 = 1
     while pof2 < size:
@@ -168,27 +166,27 @@ def _alltoall_bruck(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag: int) 
         sel = np.nonzero(np.arange(size) & pof2)[0]
         outgoing = np.ascontiguousarray(tmp[sel])
         incoming = np.empty_like(outgoing)
-        _costs.charge(comm.ctx, "copy", outgoing.nbytes)  # pack
-        comm._coll_sendrecv(outgoing, dst, incoming, src, tag)
+        yield _costs.cost(comm.ctx, "copy", outgoing.nbytes)  # pack
+        yield from comm._coll_sendrecv_steps(outgoing, dst, incoming, src, tag)
         tmp[sel] = incoming  # unpack into the same slots
-        _costs.charge(comm.ctx, "copy", incoming.nbytes)
+        yield _costs.cost(comm.ctx, "copy", incoming.nbytes)
         pof2 <<= 1
     # Phase 3: tmp[i] now holds the block from rank-i; inverse-rotate it
     # into place.
     rflat = recv.view(np.uint8).reshape(size, -1)
     rflat[(rank - np.arange(size)) % size] = tmp
-    _costs.charge(comm.ctx, "copy", tmp.nbytes)
+    yield _costs.cost(comm.ctx, "copy", tmp.nbytes)
 
 
-def alltoall(comm: "Comm", sendbuf, recvbuf) -> None:
+def alltoall_steps(comm: "Comm", sendbuf, recvbuf):
     """All-to-all with MPICH's algorithm selection.
 
     ``sendbuf``/``recvbuf`` have shape ``(P, ...)``: row ``i`` goes to /
     comes from rank ``i``. Short blocks at scale take Bruck's log-round
-    algorithm (:func:`_alltoall_bruck`); everything else the pairwise
+    algorithm (:func:`_alltoall_bruck_steps`); everything else the pairwise
     exchange (MPICH's long-message algorithm).
     """
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
     _check_same_shape(send, recv, "alltoall")
@@ -200,10 +198,10 @@ def alltoall(comm: "Comm", sendbuf, recvbuf) -> None:
         and send[rank].nbytes <= _BRUCK_MAX_BLOCK_BYTES
         and recv.flags.c_contiguous
     ):
-        _alltoall_bruck(comm, send, recv, tag)
+        yield from _alltoall_bruck_steps(comm, send, recv, tag)
         return
     recv[rank] = send[rank]
-    _costs.charge(comm.ctx, "copy", send[rank].nbytes)
+    yield _costs.cost(comm.ctx, "copy", send[rank].nbytes)
     pow2 = size & (size - 1) == 0
     for i in range(1, size):
         if pow2:
@@ -211,18 +209,18 @@ def alltoall(comm: "Comm", sendbuf, recvbuf) -> None:
         else:
             dst = (rank + i) % size
             src = (rank - i) % size
-        comm._coll_sendrecv(
+        yield from comm._coll_sendrecv_steps(
             np.ascontiguousarray(send[dst]), dst, recv[src], src, tag
         )
 
 
-def alltoallv(comm: "Comm", sendchunks, recvchunks) -> None:
+def alltoallv_steps(comm: "Comm", sendchunks, recvchunks):
     """Vector all-to-all: per-peer chunks of independent sizes.
 
     ``sendchunks[i]`` is sent to rank ``i``; ``recvchunks[i]`` receives from
     rank ``i``. Chunks may be None for empty exchanges.
     """
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     rank, size = comm.rank, comm.size
     if len(sendchunks) != size or len(recvchunks) != size:
         raise MpiError(f"alltoallv chunk lists must have length {size}")
@@ -233,38 +231,38 @@ def alltoallv(comm: "Comm", sendchunks, recvchunks) -> None:
 
     if recvchunks[rank] is not None and sendchunks[rank] is not None:
         np.asarray(recvchunks[rank])[...] = np.asarray(sendchunks[rank])
-        _costs.charge(comm.ctx, "copy", chunk(sendchunks, rank).nbytes)
+        yield _costs.cost(comm.ctx, "copy", chunk(sendchunks, rank).nbytes)
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
-        comm._coll_sendrecv(
+        yield from comm._coll_sendrecv_steps(
             np.ascontiguousarray(chunk(sendchunks, dst)), dst, chunk(recvchunks, src), src, tag
         )
 
 
-def allgather(comm: "Comm", sendbuf, recvbuf) -> None:
+def allgather_steps(comm: "Comm", sendbuf, recvbuf):
     """Ring allgather (bandwidth-optimal): P-1 neighbor forwarding steps."""
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
     rank, size = comm.rank, comm.size
     if recv.shape[0] != size:
         raise MpiError(f"allgather recvbuf must have leading dimension {size}")
     recv[rank] = send
-    _costs.charge(comm.ctx, "copy", send.nbytes)
+    yield _costs.cost(comm.ctx, "copy", send.nbytes)
     right = (rank + 1) % size
     left = (rank - 1) % size
     for step in range(size - 1):
         send_block = (rank - step) % size
         recv_block = (rank - step - 1) % size
-        comm._coll_sendrecv(
+        yield from comm._coll_sendrecv_steps(
             np.ascontiguousarray(recv[send_block]), right, recv[recv_block], left, tag
         )
 
 
-def gather(comm: "Comm", sendbuf, recvbuf, root: int = 0) -> None:
+def gather_steps(comm: "Comm", sendbuf, recvbuf, root: int = 0):
     """Linear gather to root (fine at simulated scales)."""
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     send = np.asarray(sendbuf)
     rank, size = comm.rank, comm.size
     if rank == root:
@@ -276,16 +274,15 @@ def gather(comm: "Comm", sendbuf, recvbuf, root: int = 0) -> None:
             if src == root:
                 recv[root] = send
             else:
-                reqs.append(comm._coll_irecv(recv[src], src, tag))
-        for req in reqs:
-            req.wait()
+                reqs.append((yield from comm._coll_irecv_steps(recv[src], src, tag)))
+        yield from wait_all_steps(reqs)
     else:
-        comm._coll_send(send, root, tag)
+        yield from comm._coll_send_steps(send, root, tag)
 
 
-def scatter(comm: "Comm", sendbuf, recvbuf, root: int = 0) -> None:
+def scatter_steps(comm: "Comm", sendbuf, recvbuf, root: int = 0):
     """Linear scatter from root."""
-    tag = _enter(comm)
+    tag = yield from _enter_steps(comm)
     recv = np.asarray(recvbuf)
     rank, size = comm.rank, comm.size
     if rank == root:
@@ -297,14 +294,15 @@ def scatter(comm: "Comm", sendbuf, recvbuf, root: int = 0) -> None:
             if dst == root:
                 recv[...] = send[root]
             else:
-                reqs.append(comm._coll_isend(np.ascontiguousarray(send[dst]), dst, tag))
-        for req in reqs:
-            req.wait()
+                reqs.append(
+                    (yield from comm._coll_isend_steps(np.ascontiguousarray(send[dst]), dst, tag))
+                )
+        yield from wait_all_steps(reqs)
     else:
-        comm._coll_recv(recv, root, tag)
+        yield from comm._coll_recv_steps(recv, root, tag)
 
 
-def reduce_scatter_block(comm: "Comm", sendbuf, recvbuf, op: Op | None = None) -> None:
+def reduce_scatter_block_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None):
     """Reduce a (P, ...) buffer then scatter row i to rank i."""
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
@@ -313,5 +311,5 @@ def reduce_scatter_block(comm: "Comm", sendbuf, recvbuf, op: Op | None = None) -
             f"reduce_scatter_block sendbuf must have leading dimension {comm.size}"
         )
     full = np.empty_like(send)
-    reduce(comm, send, full, op, root=0)
-    scatter(comm, full, recv, root=0)
+    yield from reduce_steps(comm, send, full, op, root=0)
+    yield from scatter_steps(comm, full, recv, root=0)

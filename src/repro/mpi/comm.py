@@ -199,18 +199,40 @@ class Comm:
         return p2p.irecv(self, self.state.user, buf, source, tag)
 
     def send(self, buf, dest: int, tag: int = 0) -> None:
-        self.isend(buf, dest, tag).wait()
+        self.ctx.proc.run_script(self._send_steps(self.state.user, buf, dest, tag))
 
     def recv(self, buf, source: int, tag: int = ANY_TAG) -> Status:
-        return self.irecv(buf, source, tag).wait()
+        return self.ctx.proc.run_script(
+            self._recv_steps(self.state.user, buf, source, tag)
+        )
 
     def sendrecv(
         self, sendbuf, dest: int, recvbuf, source: int, sendtag: int = 0, recvtag: int = ANY_TAG
     ) -> Status:
-        rreq = self.irecv(recvbuf, source, recvtag)
-        sreq = self.isend(sendbuf, dest, sendtag)
-        sreq.wait()
-        return rreq.wait()
+        return self.ctx.proc.run_script(
+            self._sendrecv_steps(
+                self.state.user, sendbuf, dest, sendtag, recvbuf, source, recvtag
+            )
+        )
+
+    # Blocking p2p as scripts (see ``Proc.run_script``), on any context.
+
+    def _send_steps(self, matching: Matching, buf, dest: int, tag: int):
+        req = yield from p2p.isend_steps(self, matching, buf, dest, tag)
+        yield from req._wait_steps()
+
+    def _recv_steps(self, matching: Matching, buf, source: int, tag: int):
+        req = yield from p2p.irecv_steps(self, matching, buf, source, tag)
+        return (yield from req._wait_steps())
+
+    def _sendrecv_steps(
+        self, matching: Matching, sendbuf, dest: int, sendtag: int,
+        recvbuf, source: int, recvtag: int,
+    ):
+        rreq = yield from p2p.irecv_steps(self, matching, recvbuf, source, recvtag)
+        sreq = yield from p2p.isend_steps(self, matching, sendbuf, dest, sendtag)
+        yield from sreq._wait_steps()
+        return (yield from rreq._wait_steps())
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
         env = p2p.probe(self, self.state.user, source, tag, blocking=True)
@@ -233,23 +255,22 @@ class Comm:
     def _coll_seq_list(self) -> list[int]:
         return self.state.nbc_seq if self._space == "nbc" else self.state.coll_seq
 
-    def _coll_isend(self, buf, dest: int, tag: int) -> Request:
-        return p2p.isend(self, self._coll_matching, buf, dest, tag)
+    def _coll_isend_steps(self, buf, dest: int, tag: int):
+        return p2p.isend_steps(self, self._coll_matching, buf, dest, tag)
 
-    def _coll_irecv(self, buf, source: int, tag: int) -> Request:
-        return p2p.irecv(self, self._coll_matching, buf, source, tag)
+    def _coll_irecv_steps(self, buf, source: int, tag: int):
+        return p2p.irecv_steps(self, self._coll_matching, buf, source, tag)
 
-    def _coll_send(self, buf, dest: int, tag: int) -> None:
-        self._coll_isend(buf, dest, tag).wait()
+    def _coll_send_steps(self, buf, dest: int, tag: int):
+        return self._send_steps(self._coll_matching, buf, dest, tag)
 
-    def _coll_recv(self, buf, source: int, tag: int) -> Status:
-        return self._coll_irecv(buf, source, tag).wait()
+    def _coll_recv_steps(self, buf, source: int, tag: int):
+        return self._recv_steps(self._coll_matching, buf, source, tag)
 
-    def _coll_sendrecv(self, sendbuf, dest: int, recvbuf, source: int, tag: int) -> None:
-        rreq = self._coll_irecv(recvbuf, source, tag)
-        sreq = self._coll_isend(sendbuf, dest, tag)
-        sreq.wait()
-        rreq.wait()
+    def _coll_sendrecv_steps(self, sendbuf, dest: int, recvbuf, source: int, tag: int):
+        return self._sendrecv_steps(
+            self._coll_matching, sendbuf, dest, tag, recvbuf, source, tag
+        )
 
     def _next_coll_tag(self) -> int:
         seq_list = self._coll_seq_list
@@ -259,129 +280,113 @@ class Comm:
 
     # -- collectives --------------------------------------------------------
 
-    def _obs_coll(self, kind: str, nbytes: int, t0: float) -> None:
-        """Charge a finished blocking collective to the metrics registry."""
+    def _observed(self, kind: str, steps, *moved):
+        """``steps`` (one collective's script) — followed, when metrics are
+        on, by its ``mpi.coll.<kind>`` record of the bytes of ``moved``."""
         obs = self.ctx.metrics
-        if obs is None:  # pragma: no cover - callers guard already
-            return
+        if obs is None:
+            return steps
+        return self._recorded_steps(obs, kind, steps, moved)
+
+    def _recorded_steps(self, obs, kind: str, steps, moved):
+        engine = self.ctx.engine
+        t0 = engine.now
+        yield from steps
         obs.record(
             self.state.group[self.rank],
             "mpi.coll." + kind,
-            nbytes,
-            self.ctx.engine.now - t0,
+            sum(np.asarray(buf).nbytes for buf in moved),
+            engine.now - t0,
         )
 
+    def _run_coll(self, kind: str, steps, *moved) -> None:
+        self.ctx.proc.run_script(self._observed(kind, steps, *moved))
+
+    def _barrier_steps(self):
+        """:meth:`barrier` as a script, for protocols that contain one."""
+        return self._observed("barrier", coll.barrier_steps(self))
+
     def barrier(self) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.barrier(self)
-        if obs is not None:
-            self._obs_coll("barrier", 0, t0)
+        self.ctx.proc.run_script(self._barrier_steps())
 
     def bcast(self, buf, root: int = 0) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.bcast(self, buf, root)
-        if obs is not None:
-            self._obs_coll("bcast", np.asarray(buf).nbytes, t0)
+        self._run_coll("bcast", coll.bcast_steps(self, buf, root), buf)
 
     def reduce(self, sendbuf, recvbuf, op=None, root: int = 0) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.reduce(self, sendbuf, recvbuf, op, root)
-        if obs is not None:
-            self._obs_coll("reduce", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll(
+            "reduce", coll.reduce_steps(self, sendbuf, recvbuf, op, root), sendbuf
+        )
 
     def allreduce(self, sendbuf, recvbuf, op=None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.allreduce(self, sendbuf, recvbuf, op)
-        if obs is not None:
-            self._obs_coll("allreduce", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll(
+            "allreduce", coll.allreduce_steps(self, sendbuf, recvbuf, op), sendbuf
+        )
 
     def alltoall(self, sendbuf, recvbuf) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.alltoall(self, sendbuf, recvbuf)
-        if obs is not None:
-            self._obs_coll("alltoall", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll("alltoall", coll.alltoall_steps(self, sendbuf, recvbuf), sendbuf)
 
     def alltoallv(self, sendchunks, recvchunks) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.alltoallv(self, sendchunks, recvchunks)
-        if obs is not None:
-            self._obs_coll(
-                "alltoallv",
-                sum(np.asarray(c).nbytes for c in sendchunks),
-                t0,
-            )
+        self._run_coll(
+            "alltoallv", coll.alltoallv_steps(self, sendchunks, recvchunks), *sendchunks
+        )
 
     def allgather(self, sendbuf, recvbuf) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.allgather(self, sendbuf, recvbuf)
-        if obs is not None:
-            self._obs_coll("allgather", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll(
+            "allgather", coll.allgather_steps(self, sendbuf, recvbuf), sendbuf
+        )
 
     def gather(self, sendbuf, recvbuf, root: int = 0) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.gather(self, sendbuf, recvbuf, root)
-        if obs is not None:
-            self._obs_coll("gather", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll("gather", coll.gather_steps(self, sendbuf, recvbuf, root), sendbuf)
 
     def scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.scatter(self, sendbuf, recvbuf, root)
-        if obs is not None:
-            self._obs_coll("scatter", np.asarray(recvbuf).nbytes, t0)
+        self._run_coll(
+            "scatter", coll.scatter_steps(self, sendbuf, recvbuf, root), recvbuf
+        )
 
     def reduce_scatter_block(self, sendbuf, recvbuf, op=None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        coll.reduce_scatter_block(self, sendbuf, recvbuf, op)
-        if obs is not None:
-            self._obs_coll("reduce_scatter", np.asarray(sendbuf).nbytes, t0)
+        self._run_coll(
+            "reduce_scatter",
+            coll.reduce_scatter_block_steps(self, sendbuf, recvbuf, op),
+            sendbuf,
+        )
 
     # -- nonblocking collectives (MPI-3) -------------------------------------
 
-    def _submit_nbc(self, kind: str, work) -> Request:
-        """Queue a collective on this comm's progress agent (FIFO per comm,
-        so every rank's agent executes the same sequence — the MPI NBC
-        ordering requirement)."""
+    def _submit_nbc(self, kind: str, steps) -> Request:
+        """Queue a collective — ``steps(view)`` is its script — on this
+        comm's progress agent (FIFO per comm, so every rank's agent executes
+        the same sequence — the MPI NBC ordering requirement)."""
         agent, view = self.mpirank._nbc_agent(self)
         req = Request(f"i{kind}(ctx={self.state.context_id})", self.ctx.proc)
-        done = agent.submit(lambda agent_ctx: work(view))
+        done = agent.submit(lambda agent_ctx: agent_ctx.proc.run_script(steps(view)))
         done.subscribe(lambda: req._complete())
         return req
 
     def ibarrier(self) -> Request:
         """MPI_IBARRIER: request completes when all ranks have entered."""
-        return self._submit_nbc("barrier", lambda view: coll.barrier(view))
+        return self._submit_nbc("barrier", coll.barrier_steps)
 
     def ibcast(self, buf, root: int = 0) -> Request:
-        return self._submit_nbc("bcast", lambda view: coll.bcast(view, buf, root))
+        return self._submit_nbc("bcast", lambda view: coll.bcast_steps(view, buf, root))
 
     def ireduce(self, sendbuf, recvbuf, op=None, root: int = 0) -> Request:
         return self._submit_nbc(
-            "reduce", lambda view: coll.reduce(view, sendbuf, recvbuf, op, root)
+            "reduce", lambda view: coll.reduce_steps(view, sendbuf, recvbuf, op, root)
         )
 
     def iallreduce(self, sendbuf, recvbuf, op=None) -> Request:
         return self._submit_nbc(
-            "allreduce", lambda view: coll.allreduce(view, sendbuf, recvbuf, op)
+            "allreduce", lambda view: coll.allreduce_steps(view, sendbuf, recvbuf, op)
         )
 
     def ialltoall(self, sendbuf, recvbuf) -> Request:
         return self._submit_nbc(
-            "alltoall", lambda view: coll.alltoall(view, sendbuf, recvbuf)
+            "alltoall", lambda view: coll.alltoall_steps(view, sendbuf, recvbuf)
         )
 
     def iallgather(self, sendbuf, recvbuf) -> Request:
         return self._submit_nbc(
-            "allgather", lambda view: coll.allgather(view, sendbuf, recvbuf)
+            "allgather", lambda view: coll.allgather_steps(view, sendbuf, recvbuf)
         )
 
     # -- construction ---------------------------------------------------------
@@ -395,9 +400,19 @@ class Comm:
         state.split_count[self.rank] += 1
         board = state.split_boards.setdefault(seq, {"args": {}, "result": None})
         board["args"][self.rank] = (color, key)
-        # Agreement protocol: everyone contributes, then a barrier guarantees
-        # all contributions are visible; rank 0 computes the partition once.
-        self.barrier()
+        entry = self.ctx.proc.run_script(self._split_steps(board))
+        if entry is None:
+            return None
+        new_state, new_rank = entry
+        return Comm(new_state, self.mpirank, new_rank)
+
+    def _split_steps(self, board: dict[str, Any]):
+        """The agreement protocol of :meth:`split`: this rank's entry of the
+        partition, once everyone has contributed and someone has built it."""
+        state = self.state
+        # Everyone contributes, then a barrier guarantees all contributions
+        # are visible; the first rank out computes the partition once.
+        yield from self._barrier_steps()
         if board["result"] is None:
             groups: dict[int, list[tuple[int, int]]] = {}
             for r, (c, k) in board["args"].items():
@@ -415,12 +430,8 @@ class Comm:
                     result[r] = (new_state, new_rank)
             board["result"] = result
         # Second barrier: nobody proceeds before the partition exists.
-        self.barrier()
-        entry = board["result"].get(self.rank)
-        if entry is None:
-            return None
-        new_state, new_rank = entry
-        return Comm(new_state, self.mpirank, new_rank)
+        yield from self._barrier_steps()
+        return board["result"].get(self.rank)
 
     def dup(self) -> "Comm":
         """MPI_COMM_DUP: same group, fresh context."""

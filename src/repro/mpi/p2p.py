@@ -191,6 +191,11 @@ def deliver(comm: "Comm", dst: int, env: _Envelope, matching: Matching) -> None:
 
 def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request:
     """Nonblocking send. The payload is snapshotted at call time."""
+    return comm.ctx.proc.run_script(isend_steps(comm, matching, buf, dest, tag))
+
+
+def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
+    """:func:`isend` as a script (see ``Proc.run_script``)."""
     ctx = comm.ctx
     spec = ctx.spec
     comm.check_revoked()
@@ -210,7 +215,7 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
         # The copy is mandatory: an eager send returns with the user buffer
         # immediately reusable.
         data = view.copy()
-        _costs.charge(ctx, "mpi.send", nbytes)
+        yield _costs.cost(ctx, "mpi.send", nbytes)
         env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=data, rendezvous=None)
         if san is not None:
             env.clock = san.snapshot(src_world)
@@ -226,7 +231,7 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
         # Rendezvous: ship a view — the user buffer may not be reused until
         # the send request completes, which is when the payload lands, so
         # the only copy is the fill into the posted receive buffer.
-        _costs.charge(ctx, "mpi.send", nbytes)
+        yield _costs.cost(ctx, "mpi.send", nbytes)
         rv = _Rendezvous(payload=view, send_request=req, src_world=src_world)
         env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=None, rendezvous=rv)
         if san is not None:
@@ -243,6 +248,11 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
 
 def irecv(comm: "Comm", matching: Matching, buf, source: int, tag: int) -> Request:
     """Nonblocking receive into ``buf`` (a writable contiguous numpy array)."""
+    return comm.ctx.proc.run_script(irecv_steps(comm, matching, buf, source, tag))
+
+
+def irecv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
+    """:func:`irecv` as a script (see ``Proc.run_script``)."""
     ctx = comm.ctx
     comm.check_revoked()
     if source != ANY_SOURCE:
@@ -253,7 +263,7 @@ def irecv(comm: "Comm", matching: Matching, buf, source: int, tag: int) -> Reque
         src=source, tag=tag, buf=view, request=req,
         dst_world=comm.world_rank(comm.rank),
     )
-    _costs.charge(ctx, "mpi.recv", view.nbytes)
+    yield _costs.cost(ctx, "mpi.recv", view.nbytes)
     # Search the unexpected queue in arrival order.
     queue = matching.unexpected[comm.rank]
     for i, env in enumerate(queue):

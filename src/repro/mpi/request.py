@@ -48,7 +48,11 @@ class Request:
 
     def wait(self) -> Status:
         """Block until the operation completes; returns its status."""
-        self._event.wait(self._proc)
+        return self._proc.run_script(self._wait_steps())
+
+    def _wait_steps(self):
+        """:meth:`wait` as a script (see ``Proc.run_script``)."""
+        yield from self._event._wait_steps(self._proc)
         if self.error is not None:
             raise self.error
         return self.status
@@ -67,27 +71,44 @@ class Request:
 
 def wait_all(requests: Iterable[Request]) -> list[Status]:
     """MPI_WAITALL: block until every request completes."""
-    return [req.wait() for req in requests]
+    requests = list(requests)
+    if not requests:
+        return []
+    return requests[0]._proc.run_script(wait_all_steps(requests))
+
+
+def wait_all_steps(requests: Iterable[Request]):
+    """:func:`wait_all` as a script (see ``Proc.run_script``)."""
+    statuses = []
+    for req in requests:
+        statuses.append((yield from req._wait_steps()))
+    return statuses
 
 
 def wait_any(requests: list[Request]) -> tuple[int, Status]:
     """MPI_WAITANY: block until at least one request completes.
 
     Returns the index of a completed request (earliest-completing wins on
-    ties by list order, matching a deterministic MPI implementation).
+    ties by list order, matching a deterministic MPI implementation); a
+    request that completed in error raises it, as :meth:`Request.wait` does.
     """
     if not requests:
         raise ValueError("wait_any on empty request list")
-    proc = requests[0]._proc
-    while True:
-        for i, req in enumerate(requests):
-            if req.completed:
-                return i, req.status
-        # Park on a fresh merge event that fires when any request completes.
+    if not any(req.completed for req in requests):
+        # Park on one merge event that the first completion fires; requests
+        # still pending afterwards drop their subscription to it.
         any_ev = SimEvent("wait_any")
+        fire = any_ev.fire
         for req in requests:
-            req._event.subscribe(any_ev.fire)
-        any_ev.wait(proc)
+            req._event.subscribe(fire)
+        any_ev.wait(requests[0]._proc)
+        for req in requests:
+            req._event.unsubscribe(fire)
+    index = next(i for i, req in enumerate(requests) if req.completed)
+    req = requests[index]
+    if req.error is not None:
+        raise req.error
+    return index, req.status
 
 
 def test_all(requests: Iterable[Request]) -> bool:

@@ -438,9 +438,12 @@ class Window:
 
     def rput(self, data, target: int, offset: int = 0) -> Request:
         """MPI_RPUT: like PUT, returning a request for *local* completion."""
+        return self.ctx.proc.run_script(self._rput_steps(data, target, offset))
+
+    def _rput_steps(self, data, target: int, offset: int):
         arr, private = flatten(data, self._dtype())
         self._check_target(target, offset, arr.size)
-        _costs.charge(self.ctx, "mpi.rput", arr.nbytes)
+        yield _costs.cost(self.ctx, "mpi.rput", arr.nbytes)
         self._op_started(target)
         self._san_access(
             target, [(offset, offset + arr.size)], "rput", is_write=True
@@ -480,6 +483,9 @@ class Window:
 
     def rget(self, dest, target: int, offset: int = 0) -> Request:
         """MPI_RGET: request completion == local *and* remote completion."""
+        return self.ctx.proc.run_script(self._rget_steps(dest, target, offset))
+
+    def _rget_steps(self, dest, target: int, offset: int):
         dest_arr = np.asarray(dest)
         if dest_arr.dtype != self._dtype():
             raise MpiError(
@@ -488,7 +494,7 @@ class Window:
         count = dest_arr.size
         self._check_target(target, offset, count)
         nbytes = count * self._dtype().itemsize
-        _costs.charge(self.ctx, "mpi.rget", nbytes)
+        yield _costs.cost(self.ctx, "mpi.rget", nbytes)
         self._op_started(target)
         rec = self._san_access(
             target, [(offset, offset + count)], "rget", is_write=False
@@ -509,11 +515,16 @@ class Window:
         self.raccumulate(data, target, offset, op)
 
     def raccumulate(self, data, target: int, offset: int = 0, op: Op = REPLACE) -> Request:
+        return self.ctx.proc.run_script(
+            self._raccumulate_steps(data, target, offset, op)
+        )
+
+    def _raccumulate_steps(self, data, target: int, offset: int, op: Op):
         # Atomics always snapshot: the combine runs at the target later and
         # must see the call-time value regardless of completion mode.
         snap = snapshot(data, self._dtype())
         self._check_target(target, offset, snap.size)
-        _costs.charge(self.ctx, "mpi.accumulate", snap.nbytes)
+        yield _costs.cost(self.ctx, "mpi.accumulate", snap.nbytes)
         self._op_started(target)
         self._san_access(
             target,
@@ -533,33 +544,23 @@ class Window:
 
     def get_accumulate(self, data, result, target: int, offset: int = 0, op: Op = NO_OP):
         """MPI_GET_ACCUMULATE (blocking wait on the internal request)."""
-        obs = self._obs
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        out = self._fetch_op_common(data, result, target, offset, op).wait()
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.fetch_op",
-                np.asarray(result).nbytes, self.ctx.engine.now - t0,
-            )
-        return out
+        return self.ctx.proc.run_script(
+            self._fetch_op_steps(data, result, target, offset, op)
+        )
 
     def fetch_and_op(self, value, result, target: int, offset: int = 0, op: Op = NO_OP):
         """MPI_FETCH_AND_OP: single-element fast path of GET_ACCUMULATE."""
+        return self.ctx.proc.run_script(
+            self._fetch_op_steps(value, result, target, offset, op)
+        )
+
+    def _fetch_op_steps(self, data, result, target: int, offset: int, op: Op):
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
-        out = self._fetch_op_common(value, result, target, offset, op).wait()
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.fetch_op",
-                np.asarray(result).nbytes, self.ctx.engine.now - t0,
-            )
-        return out
-
-    def _fetch_op_common(self, data, result, target: int, offset: int, op: Op) -> Request:
         snap = snapshot(data, self._dtype())
         result_arr = np.asarray(result).reshape(-1)
         self._check_target(target, offset, snap.size)
-        _costs.charge(self.ctx, "mpi.atomic_origin")
+        yield _costs.cost(self.ctx, "mpi.atomic_origin")
         self._op_started(target)
         rec = self._san_access(
             target,
@@ -575,10 +576,21 @@ class Window:
             lambda: self.state.apply_target(target, offset, snap, op),
             result_arr, req,
         )
-        return req
+        out = yield from req._wait_steps()
+        if obs is not None:
+            obs.record(
+                self.ctx.rank, "mpi.fetch_op",
+                np.asarray(result).nbytes, self.ctx.engine.now - t0,
+            )
+        return out
 
     def compare_and_swap(self, compare, value, result, target: int, offset: int = 0):
         """MPI_COMPARE_AND_SWAP on a single element."""
+        return self.ctx.proc.run_script(
+            self._compare_and_swap_steps(compare, value, result, target, offset)
+        )
+
+    def _compare_and_swap_steps(self, compare, value, result, target: int, offset: int):
         dtype = self._dtype()
         cmp_val = np.asarray(compare, dtype=dtype).reshape(())
         new_val = np.asarray(value, dtype=dtype).reshape(())
@@ -586,7 +598,7 @@ class Window:
         self._check_target(target, offset, 1)
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
-        _costs.charge(self.ctx, "mpi.atomic_origin")
+        yield _costs.cost(self.ctx, "mpi.atomic_origin")
         self._op_started(target)
         rec = self._san_access(
             target, [(offset, offset + 1)], "compare_and_swap",
@@ -606,7 +618,7 @@ class Window:
             target, 2 * dtype.itemsize + _RMA_ENVELOPE_BYTES, dtype.itemsize,
             swap, result_arr[:1], req,
         )
-        req.wait()
+        yield from req._wait_steps()
         if obs is not None:
             obs.record(
                 self.ctx.rank, "mpi.cas", dtype.itemsize, self.ctx.engine.now - t0
@@ -617,22 +629,31 @@ class Window:
 
     def lock_all(self) -> None:
         """MPI_WIN_LOCK_ALL (shared): open a passive epoch to every target."""
+        self.ctx.proc.run_script(self._lock_all_steps())
+
+    def _lock_all_steps(self):
         if self.state.lock_all_held[self.rank]:
             raise MpiError("lock_all while already holding lock_all")
-        _costs.charge(self.ctx, "mpi.flush_overhead")
+        yield _costs.cost(self.ctx, "mpi.flush_overhead")
         self.state.lock_all_held[self.rank] = True
 
     def unlock_all(self) -> None:
         """MPI_WIN_UNLOCK_ALL: completes all outstanding ops, closes the epoch."""
+        self.ctx.proc.run_script(self._unlock_all_steps())
+
+    def _unlock_all_steps(self):
         if not self.state.lock_all_held[self.rank]:
             raise MpiError("unlock_all without lock_all")
-        self.flush_all()
+        yield from self._flush_all_steps()
         self.state.lock_all_held[self.rank] = False
 
     def put_runs(self, data, target: int, runs: list[tuple[int, int]]) -> None:
         """PUT with a derived datatype: scatter ``data`` into the target's
         window at the given (offset, length) runs, as one network message
         (how MPI_Type_vector + MPI_PUT moves strided sections)."""
+        self.ctx.proc.run_script(self._put_runs_steps(data, target, runs))
+
+    def _put_runs_steps(self, data, target: int, runs: list[tuple[int, int]]):
         arr, private = flatten(data, self._dtype())
         total = sum(length for _off, length in runs)
         if arr.size != total:
@@ -640,7 +661,7 @@ class Window:
         for off, length in runs:
             self._check_target(target, int(off), int(length))
         # Origin packs the section, then one wire message carries it.
-        _costs.charge(self.ctx, "mpi.put_runs", arr.nbytes)
+        yield _costs.cost(self.ctx, "mpi.put_runs", arr.nbytes)
         self._op_started(target)
         self._san_access(
             target,
@@ -663,6 +684,9 @@ class Window:
     def get_runs(self, dest, target: int, runs: list[tuple[int, int]]) -> Request:
         """GET with a derived datatype: gather the target's runs into
         ``dest`` as one response message; returns a request (like RGET)."""
+        return self.ctx.proc.run_script(self._get_runs_steps(dest, target, runs))
+
+    def _get_runs_steps(self, dest, target: int, runs: list[tuple[int, int]]):
         dest_arr = np.asarray(dest).reshape(-1)
         total = sum(length for _off, length in runs)
         if dest_arr.size != total:
@@ -670,7 +694,7 @@ class Window:
         for off, length in runs:
             self._check_target(target, int(off), int(length))
         nbytes = total * self._dtype().itemsize
-        _costs.charge(self.ctx, "mpi.get_runs", nbytes)
+        yield _costs.cost(self.ctx, "mpi.get_runs", nbytes)
         self._op_started(target)
         rec = self._san_access(
             target,
@@ -698,8 +722,11 @@ class Window:
         locks coexist with other shared holders. Blocks while conflicting
         locks are held (the blocking possibility §3.3 calls out).
         """
+        self.ctx.proc.run_script(self._lock_steps(target, exclusive))
+
+    def _lock_steps(self, target: int, exclusive: bool):
         self._check_target(target, 0, 0)
-        _costs.charge(self.ctx, "mpi.flush_overhead")
+        yield _costs.cost(self.ctx, "mpi.flush_overhead")
         lock = self.state.locks[target]
         me = (self.rank, "exclusive" if exclusive else "shared")
 
@@ -713,7 +740,7 @@ class Window:
                 lock["queue"].append(me)
             ev = SimEvent(f"lock(win={self.win_id},t={target})")
             lock.setdefault("waiters", []).append(ev)
-            ev.wait(self.ctx.proc)
+            yield from ev._wait_steps(self.ctx.proc)
         if me in lock["queue"]:
             lock["queue"].remove(me)
         lock["mode"] = "exclusive" if exclusive else "shared"
@@ -721,10 +748,13 @@ class Window:
 
     def unlock(self, target: int) -> None:
         """MPI_WIN_UNLOCK: completes outstanding ops, releases the lock."""
+        self.ctx.proc.run_script(self._unlock_steps(target))
+
+    def _unlock_steps(self, target: int):
         lock = self.state.locks[target]
         if self.rank not in lock["holders"]:
             raise MpiError(f"unlock(target={target}) without holding the lock")
-        self.flush(target)
+        yield from self._flush_steps(target)
         lock["holders"].discard(self.rank)
         if not lock["holders"]:
             lock["mode"] = None
@@ -795,11 +825,19 @@ class Window:
 
     def flush(self, target: int) -> None:
         """MPI_WIN_FLUSH: wait for remote completion of my ops at ``target``."""
+        self.ctx.proc.run_script(self._flush_steps(target))
+
+    def _flush_steps(self, target: int):
         self._check_target(target, 0, 0)
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
-        _costs.charge(self.ctx, "mpi.flush_overhead")
-        self._wait_target_quiet(target)
+        yield _costs.cost(self.ctx, "mpi.flush_overhead")
+        state = self.state
+        origin = self.rank
+        while state.pending[origin][target] > 0:
+            ev = SimEvent(f"flush(win={self.win_id},o={origin},t={target})")
+            state.flush_waiters.setdefault((origin, target), []).append(ev)
+            yield from ev._wait_steps(self.ctx.proc)
         if obs is not None:
             obs.record(self.ctx.rank, "mpi.flush", 0, self.ctx.engine.now - t0)
         san = self._san
@@ -815,16 +853,19 @@ class Window:
         group; the paper identifies this as the dominant cost of CAF-MPI's
         ``event_notify`` in RandomAccess.
         """
+        self.ctx.proc.run_script(self._flush_all_steps())
+
+    def _flush_all_steps(self):
         state = self.state
         origin = self.rank
         obs = self._obs
         t0 = self.ctx.engine.now if obs is not None else 0.0
         dirty = bool(state.dirty[origin])
         if dirty:
-            _costs.charge(self.ctx, "mpi.flush_all.walk", a=self.group_size)
+            yield _costs.cost(self.ctx, "mpi.flush_all.walk", a=self.group_size)
             state.dirty[origin] = False
         else:
-            _costs.charge(self.ctx, "mpi.flush_all.skip")
+            yield _costs.cost(self.ctx, "mpi.flush_all.skip")
         # The modeled cost above is linear in group size (MPICH behaviour);
         # the wall-clock wait is one counter check — inflight[origin] hits
         # zero exactly when the last pending op to any target completes, so
@@ -832,7 +873,7 @@ class Window:
         while state.inflight[origin] > 0:
             ev = SimEvent(f"flush_all(win={self.win_id},o={origin})")
             state.quiet_waiters.setdefault(origin, []).append(ev)
-            ev.wait(self.ctx.proc)
+            yield from ev._wait_steps(self.ctx.proc)
         if obs is not None:
             # Active epochs and the idle walk are distinct cost-table rows
             # (mpi.flush_all.walk vs .skip) — mirror the split here so the
@@ -851,12 +892,14 @@ class Window:
         private copies here — the library eats the memcpy (wall-clock only;
         the modeled cost stays the flat flush overhead)."""
         self._check_target(target, 0, 0)
-        _costs.charge(self.ctx, "mpi.flush_overhead")
-        self._buffer_unread_puts(target)
+        self.ctx.proc.run_script(self._flush_local_steps(target))
 
     def flush_local_all(self) -> None:
-        _costs.charge(self.ctx, "mpi.flush_overhead")
-        self._buffer_unread_puts(None)
+        self.ctx.proc.run_script(self._flush_local_steps(None))
+
+    def _flush_local_steps(self, target: int | None):
+        yield _costs.cost(self.ctx, "mpi.flush_overhead")
+        self._buffer_unread_puts(target)
 
     def _buffer_unread_puts(self, target: int | None) -> None:
         """Privatize still-in-flight PUT payloads viewing the user buffer.
@@ -871,14 +914,6 @@ class Window:
             pp.arr = pp.arr.copy()
             pend.discard(pp)
 
-    def _wait_target_quiet(self, target: int) -> None:
-        state = self.state
-        origin = self.rank
-        while state.pending[origin][target] > 0:
-            ev = SimEvent(f"flush(win={self.win_id},o={origin},t={target})")
-            state.flush_waiters.setdefault((origin, target), []).append(ev)
-            ev.wait(self.ctx.proc)
-
     def fence(self) -> None:
         """MPI_WIN_FENCE (active target): flush + barrier."""
         san = self._san
@@ -886,13 +921,18 @@ class Window:
             # The window is fence-synchronized from here on: accesses in
             # fence epochs are legal without passive-target locks.
             san.fence_windows.add(self.win_id)
-        self.flush_all()
-        self.comm.barrier()
+        self.ctx.proc.run_script(self._flush_all_barrier_steps())
+
+    def _flush_all_barrier_steps(self):
+        yield from self._flush_all_steps()
+        yield from self.comm._barrier_steps()
 
     def free(self) -> None:
         """MPI_WIN_FREE (collective): release the modeled window memory."""
-        self.flush_all()
-        self.comm.barrier()
+        self.ctx.proc.run_script(self._free_steps())
+
+    def _free_steps(self):
+        yield from self._flush_all_barrier_steps()
         if self.state.dynamic:
             for base in list(self.state.regions[self.rank]):
                 self.detach(base)
@@ -906,7 +946,7 @@ class Window:
             )
         if self.rank == 0:
             self.state.freed = True
-        self.comm.barrier()
+        yield from self.comm._barrier_steps()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Window id={self.win_id} rank={self.rank}/{self.group_size}>"
@@ -1019,11 +1059,16 @@ def _create_window(comm: "Comm", build) -> Window:
     seq = world._win_counter.get(counter_key, 0)
     world._win_counter[counter_key] = seq + 1
     board_key = (comm.state.context_id, seq)
-    comm.barrier()
+    return comm.ctx.proc.run_script(_create_window_steps(comm, board_key, build))
+
+
+def _create_window_steps(comm: "Comm", board_key: tuple[int, int], build):
+    world = comm.state.world
+    yield from comm._barrier_steps()
     # The first rank out of the barrier builds the shared state; everyone
     # else picks it up after the second barrier.
     if board_key not in world._win_boards:
         world._win_boards[board_key] = build(next(_win_ids))
     state = world._win_boards[board_key]
-    comm.barrier()
+    yield from comm._barrier_steps()
     return Window(state, comm)

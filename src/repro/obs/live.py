@@ -28,7 +28,7 @@ import pathlib
 import time
 from typing import Any, TextIO
 
-from repro.obs.report import SchemaError, need_fiber_placement
+from repro.obs.report import SchemaError, need_fiber_placement, need_handoffs
 from repro.util.tables import format_table
 
 SCHEMA_NAME = "repro.obs/telemetry"
@@ -254,6 +254,7 @@ class LiveTelemetry:
             "events": events,
             "events_per_s": de / dt if dt > 0 else 0.0,
             "stale_wakes": engine.stale_wakes_dropped,
+            "handoffs": engine.handoffs,
             "ranks": {
                 "total": nranks,
                 "running": running,
@@ -335,6 +336,7 @@ def validate_snapshot(record: Any, *, nranks: int | None = None) -> None:
     for fld in ("wall_s", "sim_s", "events_per_s"):
         need(isinstance(record.get(fld), (int, float)), fld)
     need(isinstance(record.get("events"), int) and record["events"] >= 0, "events")
+    need_handoffs(record, need)
     need(isinstance(record.get("rss_bytes"), int), "rss_bytes")
     need(isinstance(record.get("final"), bool), "final")
     ranks = record.get("ranks")

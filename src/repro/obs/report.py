@@ -203,6 +203,13 @@ class RunReport:
         return "\n".join(out)
 
 
+def need_handoffs(record: dict[str, Any], need: Callable[[bool, str], None]) -> None:
+    """Check ``handoffs`` (``Engine.handoffs``) in a report meta object or a
+    telemetry snapshot. Optional: older artifacts do not carry it."""
+    handoffs = record.get("handoffs", 0)
+    need(type(handoffs) is int and handoffs >= 0, "handoffs")
+
+
 def need_fiber_placement(meta: dict[str, Any], need: Callable[[bool, str], None]) -> None:
     """Check ``fiber_cpu`` / ``fiber_policy`` in a report or telemetry meta
     object. Both are optional: artifacts written before the engine placed
@@ -232,6 +239,7 @@ def validate_report(data: Any) -> None:
     if "outcome" in meta:
         need(meta["outcome"] in ("ok", "failed"), "meta.outcome")
     need_fiber_placement(meta, need)
+    need_handoffs(meta, need)
     if "telemetry" in meta:
         tel = meta["telemetry"]
         need(isinstance(tel, dict), "meta.telemetry")
@@ -317,6 +325,9 @@ def build_report(
             # processes chose the same CPU is diagnosable from the artifact.
             "fiber_cpu": cluster.engine.fiber_cpu,
             "fiber_policy": cluster.engine.fiber_policy,
+            # Resumes that cost a host context switch (the rest ran on the
+            # dispatching fiber): exact for the program, whatever the host.
+            "handoffs": cluster.engine.handoffs,
         },
         "profiler": {
             "breakdown": dict(sorted(profiler.breakdown().items())),

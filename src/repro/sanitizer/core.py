@@ -124,6 +124,13 @@ class Sanitizer:
 
     # -- access recording --------------------------------------------------
 
+    def _site(self) -> str:
+        """The application line behind the op being recorded. Inside a
+        script (``Proc.run_script``) the code may be running on another
+        rank's fiber, so the walk starts at the frame that made the call."""
+        proc = self.engine._current
+        return call_site(proc._script_caller if proc is not None else None)
+
     def record_remote(
         self,
         origin: int,
@@ -149,7 +156,7 @@ class Sanitizer:
             op=op,
             ranges=tuple(ranges),
             init_clock=self.snapshot(origin),
-            site=call_site(),
+            site=self._site(),
             time=self.engine.now,
         )
         self._check_and_add(region, rec)
@@ -175,7 +182,7 @@ class Sanitizer:
             op=op,
             ranges=tuple(ranges),
             init_clock=clock,
-            site=call_site(),
+            site=self._site(),
             time=self.engine.now,
             released=True,
             release_clock=clock,
@@ -279,7 +286,7 @@ class Sanitizer:
                 rank=rank,
                 time=self.engine.now,
                 region=("win", win_id, target),
-                site=call_site(),
+                site=self._site(),
             )
         )
 
@@ -297,7 +304,7 @@ class Sanitizer:
                 time=self.engine.now,
                 region=("win", win_id, rank),
                 ranges=tuple(ranges),
-                site=call_site(),
+                site=self._site(),
             )
         )
 

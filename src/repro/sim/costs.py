@@ -14,10 +14,12 @@ the result. It owns four things and nothing else decides a price:
   for the live run, vectorised :func:`eval_costs` for replay. They perform
   the same IEEE operations in the same order, so a replayed cost is
   bit-identical to what a live run under that spec charges.
-* :func:`charge` / :func:`charge_in` — build the expression, price it,
-  record it with the metrics handle, annotate it for the IR recorder and
-  sleep (or schedule) it. A modelled cost cannot be slept without being
-  annotated because there is no other way to sleep one.
+* :func:`cost` / :func:`charge` / :func:`charge_in` — build the expression,
+  price it, record it with the metrics handle and annotate it for the IR
+  recorder; then hand the seconds back for a script to yield (``cost``),
+  sleep them (``charge``) or schedule a callback after them
+  (``charge_in``). A modelled cost cannot be slept without being annotated
+  because there is no other way to price one.
 * :class:`NicState` — the fabric's NIC-occupancy arithmetic, stepped by
   both ``NetFabric.transfer`` and ``repro.ir.replay``.
 
@@ -300,19 +302,17 @@ def eval_costs(
 # -- charging -----------------------------------------------------------------
 
 
-def charge(
-    ctx, kind: str, nbytes: int = 0, a: int = 0, b: int = 0, *, category: str | None = None
-) -> None:
-    """Make ``ctx``'s process pay one ``kind`` op: record it (recorded
-    kinds, when metrics are on), annotate it for the IR recorder, sleep it.
-    Free when the spec's structure has no such cost.
-
-    ``category`` attributes the sleep to a profiler region (compute).
+def cost(ctx, kind: str, nbytes: int = 0, a: int = 0, b: int = 0) -> float | None:
+    """Price one ``kind`` op for ``ctx``'s process — record it (recorded
+    kinds, when metrics are on) and annotate it for the IR recorder — and
+    return the seconds the process must now sleep: ``yield`` them from a
+    script, or :func:`charge` them. ``None`` (nothing to sleep, nothing
+    annotated) when the spec's structure has no such cost.
     """
     spec = ctx.spec
     expr = expression(kind, spec, nbytes, a, b)
     if expr is None:
-        return
+        return None
     seconds = price(expr, spec, ctx.nranks)
     if kind in _RECORDED:
         obs = ctx.metrics
@@ -321,6 +321,19 @@ def charge(
     rec = _irhook.RECORDER
     if rec is not None:
         rec.pending_cost = expr
+    return seconds
+
+
+def charge(
+    ctx, kind: str, nbytes: int = 0, a: int = 0, b: int = 0, *, category: str | None = None
+) -> None:
+    """Make ``ctx``'s process pay one ``kind`` op now: :func:`cost`, slept.
+
+    ``category`` attributes the sleep to a profiler region (compute).
+    """
+    seconds = cost(ctx, kind, nbytes, a, b)
+    if seconds is None:
+        return
     if category is None:
         ctx.proc.sleep(seconds)
     else:

@@ -37,6 +37,18 @@ heap traffic). Same-time events bypass the heap through a FIFO ``_due``
 deque, merged with the heap by ``(time, seq)``, so events always execute in
 global ``(time, seq)`` order.
 
+A blocking *library* call — a barrier, a flush, a put-then-flush — is a
+sequence of modelled costs and waits with no user code in between, and is
+written once, as a *script*: a generator that yields each cost and wait
+(:meth:`Proc.run_script`). Its caller parks once. Every resume in the
+middle of the call is still an event of that process, popped at the same
+``(time, seq)`` and recorded as such, but the dispatching fiber answers it
+by advancing the generator in place (:meth:`Engine._drive`) instead of
+handing the baton over; the baton goes back to the owner only when the
+script is over. :attr:`Engine.handoffs` counts the resumes that did cost a
+switch. User code, and library code that runs user code (AM handlers,
+``progress_wait``), stays on fibers.
+
 Since only one fiber ever runs, the fibers of a run are one logical thread
 of execution and are placed like one: each confines itself to one host CPU
 and asks for a scheduling policy whose wake-ups do not preempt the waker
@@ -57,9 +69,10 @@ import hashlib
 import heapq
 import os
 import struct
+import sys
 import threading
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Generator
 from typing import Any
 
 from repro.sim import irhook as _irhook
@@ -152,6 +165,13 @@ class Proc:
         #: targeting the same generation are dropped at the call site.
         self._woken_gen = -1
         self._wake_payload: Any = None
+        #: The script :meth:`run_script` is running (dispatchers advance it
+        #: at this process's resumes), its outcome once it is over, and —
+        #: sanitized runs only — the frame that called ``run_script``.
+        self._script: Generator[Any, Any, Any] | None = None
+        self._script_value: Any = None
+        self._script_error: BaseException | None = None
+        self._script_caller: Any = None
         # Raw lock as a pre-locked baton: park = acquire, resume = release.
         # ~5x cheaper than threading.Semaphore's pure-python Condition.
         self._baton = _thread.allocate_lock()
@@ -343,11 +363,62 @@ class Proc:
         engine._schedule_resume(when, self, self._gen)
         self._park()
 
+    def run_script(self, script: Generator[Any, Any, Any]) -> Any:
+        """Run ``script`` — one blocking library call written as a generator
+        — to its end and return its value: one park however many costs and
+        waits the call is made of.
+
+        The script yields a number (sleep that long: what :meth:`sleep`
+        does), a string (block with that reason: what :meth:`block` does;
+        the wake payload is sent back in) or ``None`` (nothing: a cost the
+        machine does not charge), and composes with ``yield from``. Every
+        resume stays an event of this process with the ``(time, seq)`` it
+        would have had; only *who executes it* changes — whichever fiber is
+        dispatching advances the generator in place (:meth:`Engine._drive`)
+        instead of switching to this one. The baton comes back when the
+        script returns or raises, and the value or the exception (with its
+        traceback, whoever was driving) surfaces here.
+
+        A script segment may run on any fiber, so it must not call
+        :meth:`sleep`, :meth:`block` or :meth:`run_script` (they refuse) or
+        anything that runs user code; it yields instead.
+        """
+        self._check_running("run_script")
+        engine = self.engine
+        if engine.sanitizer is not None:
+            # Diagnostics name the *application* line that made the call,
+            # which is on this fiber's stack, not on a driving fiber's.
+            self._script_caller = sys._getframe(1)
+        self._script = script
+        try:
+            if not engine._drive(self, None):
+                self._park()
+        finally:
+            self._script_caller = None
+            if self._script is not None:
+                # Unwound mid-script (an injected crash, teardown): let the
+                # script's ``finally`` blocks run.
+                self._script = None
+                script.close()
+        error = self._script_error
+        if error is not None:
+            self._script_error = None
+            raise error
+        value, self._script_value = self._script_value, None
+        return value
+
     def _check_running(self, op: str) -> None:
         if self.engine._current is not self:
             raise SimulationError(
                 f"{op}() called from outside the running process "
                 f"(current={self.engine._current}, self={self})"
+            )
+        if self._script is not None:
+            raise SimulationError(
+                f"{op}() called from inside a script of {self.name!r}: a "
+                "script runs on whichever fiber is dispatching and must not "
+                "park it — yield it / use yield from (yield the seconds or "
+                "the block reason, `yield from` another script)"
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -395,6 +466,7 @@ class Engine:
         self.events_executed = 0
         #: Duplicate same-generation wakes dropped at the call site.
         self.stale_wakes_dropped = 0
+        self._handoffs = 0
         self._digest: Any = None
         if os.environ.get("REPRO_SIM_DIGEST"):
             self.enable_order_digest()
@@ -474,6 +546,13 @@ class Engine:
                 os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
             except (AttributeError, OSError):
                 self._fiber_batch = False
+
+    @property
+    def handoffs(self) -> int:
+        """Baton passes to a *different* fiber so far: the resumes that cost
+        a host context switch (the others ran inline, on the dispatching
+        fiber). Exact for a given program, whatever the host."""
+        return self._handoffs
 
     # -- event-order digest ---------------------------------------------
 
@@ -596,7 +675,13 @@ class Engine:
                     continue  # stale resume (re-block or died process)
                 self.events_executed += 1
                 self._make_running(proc)
-                return proc
+                if proc._script is None:
+                    return proc
+                payload, proc._wake_payload = proc._wake_payload, None
+                if self._drive(proc, payload):
+                    return proc  # its script is over: the fiber takes it from here
+                self._current = None
+                continue
             self.events_executed += 1
             if digest is not None:
                 digest.update(_pack_order(when, -1))
@@ -608,9 +693,67 @@ class Engine:
             if self._failure is not None:
                 return None
 
+    def _drive(self, proc: Proc, value: Any) -> bool:
+        """Advance ``proc``'s script — ``proc`` is current, ``value`` is what
+        its last yield evaluates to — until it parks (``False``) or is over
+        (``True``, outcome stored on ``proc`` for :meth:`Proc.run_script`).
+
+        A yielded duration is :meth:`Proc.sleep`, a yielded reason is
+        :meth:`Proc.block`, statement for statement; the caller dispatches
+        instead of parking a fiber.
+        """
+        script = proc._script
+        send = script.send
+        while True:
+            try:
+                step = send(value)
+            except StopIteration as stop:
+                proc._script = None
+                proc._script_value = stop.value
+                return True
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run_script
+                proc._script = None
+                proc._script_error = exc
+                return True
+            value = None
+            if step is None:
+                continue
+            if type(step) is str:
+                proc._gen += 1
+                proc.state = Proc.BLOCKED
+                proc._block_site = step
+                return False
+            if step < 0:
+                script.close()
+                proc._script = None
+                proc._script_error = SimulationError(
+                    f"cannot sleep for negative time {step!r}"
+                )
+                return True
+            rec = _irhook.RECORDER
+            if rec is not None:
+                rec.on_sleep(step)
+            if step == 0:
+                continue
+            when = self.now + step
+            if not self._due and (self._deadline is None or when <= self._deadline):
+                heap = self._heap
+                if not heap or heap[0][0] > when:
+                    proc._gen += 1
+                    self.now = when
+                    self.events_executed += 1
+                    self._make_running(proc)
+                    continue
+            proc._gen += 1
+            proc.state = Proc.BLOCKED
+            proc._block_site = step
+            self._schedule_resume(when, proc, proc._gen)
+            return False
+
     def _hand_off(self, nxt: Proc | None) -> None:
         """Pass the baton to ``nxt``, or tell :meth:`run` the run is over."""
         if nxt is not None:
+            self._handoffs += 1
             nxt._baton.release()
         else:
             self._end.release()

@@ -52,11 +52,20 @@ class SimEvent:
         else:
             self._callbacks.append(cb)
 
+    def unsubscribe(self, cb: Callable[[], None]) -> None:
+        """Forget a :meth:`subscribe` that has not run (no-op otherwise)."""
+        if cb in self._callbacks:
+            self._callbacks.remove(cb)
+
     def wait(self, proc: Proc) -> Any:
         """Block ``proc`` until the flag is set; returns the fired value."""
+        return proc.run_script(self._wait_steps(proc))
+
+    def _wait_steps(self, proc: Proc):
+        """:meth:`wait` as a script (see :meth:`Proc.run_script`)."""
         while not self.is_set:
             self._waiters.append(proc)
-            proc.block(f"wait({self.label})")
+            yield f"wait({self.label})"
             if proc in self._waiters:  # woken by someone else's stale wake
                 self._waiters.remove(proc)
         rec = _irhook.RECORDER

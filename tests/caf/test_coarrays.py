@@ -6,6 +6,8 @@ import pytest
 from repro.caf import run_caf
 from repro.util.errors import CafError
 
+from tests.caf.conftest import mpi_handoffs_per_call
+
 
 def test_local_view_is_writable(backend):
     def program(img):
@@ -160,3 +162,18 @@ def test_gups_style_fine_grained_writes(backend):
             expected[target][slot] = 1
     for rank, (_w, local) in enumerate(run.results):
         assert (local == expected[rank]).all()
+
+
+def test_mpi_backend_write_costs_one_handoff():
+    """``coarray_write`` is MPI_PUT + MPI_WIN_FLUSH run as one script: the
+    origin-side cost, the flush overhead and the wait for remote completion
+    park the image once, not once each (``Engine.handoffs`` is exact)."""
+
+    def program(img, n):
+        co = img.allocate_coarray(8, np.float64)
+        img.sync_all()
+        for _ in range(n):
+            co.write((img.rank + 1) % img.nranks, np.full(8, 1.0))
+        img.sync_all()
+
+    assert mpi_handoffs_per_call(program, nranks=8) <= 2

@@ -6,6 +6,8 @@ import pytest
 from repro.caf import run_caf
 from repro.util.errors import CafError, DeadlockError
 
+from tests.caf.conftest import mpi_handoffs_per_call
+
 
 def test_notify_then_wait(backend):
     def program(img):
@@ -161,3 +163,23 @@ def test_mpi_backend_notify_pays_flush_all_after_writes():
     assert min(mpi.results) > 8 * 5e-5
     assert max(gas.results) < 8 * 5e-5
     assert mpi.profiler.total("event_notify") > gas.profiler.total("event_notify") * 3
+
+
+@pytest.mark.parametrize("ncoarrays", [1, 3])
+def test_mpi_backend_notify_costs_two_handoffs(ncoarrays):
+    """CAF-MPI ``event_notify`` is a FLUSH_ALL per window plus the AM send,
+    run as one script: the image parks once however many windows it walks
+    (W + 2 parks when each cost parked the fiber); the second handoff per
+    call is ``poll`` receiving the left neighbour's notification."""
+
+    def program(img, n):
+        for _ in range(ncoarrays):
+            img.allocate_coarray(8, np.float64)
+        ev = img.allocate_events(1)
+        img.sync_all()
+        for _ in range(n):
+            ev.notify(target=(img.rank + 1) % img.nranks)
+        ev.wait(count=n)
+        img.sync_all()
+
+    assert mpi_handoffs_per_call(program, nranks=8) <= 2

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mpi import MAX, MIN, PROD, SUM
+from repro.util.errors import DeadlockError
 
 from tests.mpi.conftest import mpi_run
 
@@ -269,3 +270,61 @@ def test_bruck_and_pairwise_agree_numerically():
             _, recv = results[dst]
             expect = np.stack([sends[src][dst] for src in range(size)])
             np.testing.assert_array_equal(recv, expect)
+
+
+# ---------------------------------------------------------------------------
+# A collective is one script: its caller parks once (docs/architecture.md,
+# "Scripts")
+# ---------------------------------------------------------------------------
+
+
+def _handoffs_per_call(program, nranks, calls=10):
+    """Extra ``Engine.handoffs`` of ``calls`` more calls, per call per rank
+    (start-up and the first call are in both runs). Exact on any host."""
+    few, _ = mpi_run(program, nranks, n=1)
+    many, _ = mpi_run(program, nranks, n=1 + calls)
+    return (many.engine.handoffs - few.engine.handoffs) / (calls * nranks)
+
+
+def test_barrier_costs_one_handoff_per_rank():
+    """16 ranks: 4 dissemination rounds of recv-cost, send-cost, wait — 13
+    parks per rank per barrier when every cost parked the fiber."""
+
+    def program(mpi, ctx, n):
+        for _ in range(n):
+            mpi.COMM_WORLD.barrier()
+
+    assert _handoffs_per_call(program, 16) <= 2
+
+
+def test_alltoall_costs_one_handoff_per_rank():
+    def program(mpi, ctx, n):
+        send = np.full((ctx.nranks, 4), float(ctx.rank))
+        recv = np.empty_like(send)
+        for _ in range(n):
+            mpi.COMM_WORLD.alltoall(send, recv)
+
+    assert _handoffs_per_call(program, 8) <= 2  # 23 with a park per cost
+
+
+def test_rank_skipping_the_barrier_deadlocks_with_the_receive_named():
+    """The blocked call sites are what they were when each wait parked its
+    own fiber: the script yields the same reason strings."""
+
+    def program(mpi, ctx):
+        if ctx.rank != 3:
+            mpi.COMM_WORLD.barrier()
+
+    with pytest.raises(DeadlockError) as exc_info:
+        mpi_run(program, 4)
+    assert exc_info.value.blocked == {
+        0: "wait(req:irecv(src=3,tag=0))",
+        1: "wait(req:irecv(src=3,tag=0))",
+        2: "wait(req:irecv(src=0,tag=0))",
+    }
+    assert str(exc_info.value) == (
+        "deadlock at t=4.016e-06: all live images are blocked ("
+        "rank 0: wait(req:irecv(src=3,tag=0)) (last progress t=2e-06); "
+        "rank 1: wait(req:irecv(src=3,tag=0)) (last progress t=3.708e-06); "
+        "rank 2: wait(req:irecv(src=0,tag=0)) (last progress t=3.708e-06))"
+    )

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.mpi import wait_any
 from repro.mpi.world import MpiWorld
 from repro.sim.cluster import Cluster
 from repro.sim.faults import FaultPlan
@@ -101,6 +102,63 @@ def test_pending_recv_from_dead_rank_fails_eagerly():
     cluster, results = crash_run(program)
     assert results[0] == VICTIM
     assert cluster.elapsed < 1.5  # woke at the crash, not at a watchdog
+
+
+def test_wait_any_over_a_receive_from_a_dead_rank_raises():
+    """``wait_any`` reports a request that completed *in error* the way
+    ``wait`` and ``test`` do, not as a success with an empty status."""
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == VICTIM:
+            ctx.proc.sleep(1.0)
+            return None
+        if ctx.rank == 0:
+            reqs = [
+                comm.irecv(np.zeros(4), source=1),  # rank 1 never sends
+                comm.irecv(np.zeros(4), source=VICTIM),
+            ]
+            with pytest.raises(MpiProcFailedError) as exc_info:
+                wait_any(reqs)
+            return exc_info.value.failed_rank, ctx.now
+        return "idle"
+
+    cluster, results = crash_run(program)
+    assert results[0] == (VICTIM, pytest.approx(CRASH_AT, rel=1e-2))
+
+
+def test_crash_inside_a_scripted_barrier_unwinds_the_script():
+    """The victim dies parked inside a barrier that runs as one script: its
+    fiber unwinds, the script is closed (its ``finally`` runs, as a blocking
+    call's would), and the survivors — one of them parked in the same
+    barrier, its script driven by other fibers — see the ULFM errors."""
+    unwound = []
+
+    def guarded_barrier(comm, ctx):
+        try:
+            yield from comm._barrier_steps()
+        finally:
+            unwound.append((ctx.rank, ctx.now))
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == VICTIM:
+            ctx.proc.run_script(guarded_barrier(comm, ctx))  # nobody else has entered
+            return "unreachable"
+        ctx.proc.sleep(CRASH_AT / 2 if ctx.rank == 0 else 3 * CRASH_AT)
+        try:
+            comm.barrier()
+        except (MpiProcFailedError, MpiRevokedError) as exc:
+            comm.revoke()
+            return type(exc).__name__
+        return "passed"
+
+    cluster, results = crash_run(program)
+    assert cluster.failed_ranks == {VICTIM}
+    assert unwound == [(VICTIM, CRASH_AT)]
+    # Rank 0 entered before the crash and got past the victim's round: it is
+    # parked on rank 2, which fails on the dead rank and revokes.
+    assert results == ["MpiRevokedError", "MpiRevokedError", "MpiProcFailedError", None]
 
 
 def test_revoke_interrupts_receives_from_live_peers():

@@ -29,6 +29,30 @@ def test_wait_any_returns_earliest_completion(run):
     assert results[0] == (1.0, 2.0)
 
 
+def test_wait_any_leaves_no_callbacks_behind(run):
+    """100 wake-ups over the same still-pending request: each call merges its
+    requests into one event once and takes the subscription back, instead of
+    leaving one more callback on the pending request per wake-up."""
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            pending = comm.irecv(np.zeros(1), source=1, tag=999)
+            for i in range(100):
+                idx, status = wait_any([pending, comm.irecv(np.zeros(1), source=1, tag=i)])
+                assert idx == 1 and status.tag == i
+                assert len(pending._event._callbacks) <= 1
+            pending.wait()
+            return len(pending._event._callbacks)
+        for i in range(100):
+            ctx.compute(1.0)
+            comm.send(np.array([float(i)]), dest=0, tag=i)
+        comm.send(np.zeros(1), dest=0, tag=999)
+
+    _, results = mpi_run(program, 2)
+    assert results[0] == 0
+
+
 def test_wait_any_empty_rejected(run):
     with pytest.raises(ValueError, match="empty"):
         def program(mpi, ctx):

@@ -75,6 +75,12 @@ def test_stream_is_schema_valid(tmp_path):
     assert last["ranks"] == {"total": 4, "running": 0, "blocked": 0, "done": 4}
     assert last["rss_bytes"] > 0
     assert last["sim_s"] == run.elapsed
+    # Resumes that cost a context switch: the engine's exact count, final in
+    # the last snapshot; streams written before the key existed still load.
+    assert 0 < last["handoffs"] == engine.handoffs <= last["events"]
+    validate_snapshot({k: v for k, v in last.items() if k != "handoffs"}, nranks=4)
+    with pytest.raises(SchemaError, match="handoffs"):
+        validate_snapshot({**last, "handoffs": 1.5}, nranks=4)
 
 
 def test_interval_and_check_every_control_density(tmp_path):

@@ -41,6 +41,7 @@ def test_report_meta_and_ops(run, report):
     engine = run.cluster.engine
     assert report.meta["fiber_cpu"] == engine.fiber_cpu
     assert report.meta["fiber_policy"] == engine.fiber_policy in ("batch", "normal")
+    assert 0 < report.meta["handoffs"] == engine.handoffs < engine.events_executed
     # The ring writes are visible as op-level metrics on every rank.
     writes = report.op("caf.coarray_write")
     assert writes["calls"] == 4
@@ -82,12 +83,17 @@ def test_validate_rejects_malformed_documents(report):
         {**report.data, "fabric": {"messages": "many", "bytes": 0}},
         {**report.data, "meta": {**report.data["meta"], "fiber_cpu": 0.5}},
         {**report.data, "meta": {**report.data["meta"], "fiber_policy": "rr"}},
+        {**report.data, "meta": {**report.data["meta"], "handoffs": -1}},
     ]:
         with pytest.raises(SchemaError):
             validate_report(broken)
     validate_report(report.data)  # the real thing passes
-    # ... and so does a report written before the fiber-placement keys.
-    old_meta = {k: v for k, v in report.data["meta"].items() if not k.startswith("fiber_")}
+    # ... and so does a report written before the fiber-placement keys and
+    # the handoff count.
+    old_meta = {
+        k: v for k, v in report.data["meta"].items()
+        if not k.startswith("fiber_") and k != "handoffs"
+    }
     validate_report({**report.data, "meta": old_meta})
 
 
