@@ -45,11 +45,6 @@ class DistributedArray:
 
     # -- mapping -----------------------------------------------------------
 
-    def owner_of(self, index: int) -> int:
-        if not 0 <= index < self.total:
-            raise CafError(f"index {index} out of range [0, {self.total})")
-        return index // self.block
-
     @property
     def local(self) -> np.ndarray:
         """This image's block (direct, no communication)."""

@@ -1,6 +1,6 @@
-"""Agreement helpers shared by both backends.
+"""Agreement helpers of the CAF runtime (both backends, teams, resilience).
 
-Collective allocations (event arrays, GASNet team ids, coarray offset
+Collective allocations (event arrays, team splits, GASNet coarray offset
 tables) need all team members to agree on an identifier or a table. The
 pattern is the standard board-plus-barrier protocol: every member deposits
 its contribution keyed by a per-image collective sequence number, a
@@ -20,7 +20,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def collective_agree(
-    backend: "RuntimeBackend",
     cluster: "Cluster",
     team: "Team",
     board_space: str,
@@ -40,10 +39,10 @@ def collective_agree(
     boards = cluster.shared(board_space, dict)
     board = boards.setdefault((team.team_id, seq), {"args": {}, "result": _UNSET})
     board["args"][team.my_index] = contribution
-    backend.barrier(team)
+    team.handle.barrier()
     if board["result"] is _UNSET:
         board["result"] = combine(board["args"])
-    backend.barrier(team)
+    team.handle.barrier()
     return board["result"]
 
 
@@ -92,9 +91,16 @@ class _Unset:
 _UNSET = _Unset()
 
 
-def next_global_id(cluster: "Cluster", space: str) -> int:
-    """Draw from a cluster-wide monotone counter (call under agreement)."""
-    box = cluster.shared(space, lambda: [0])
+def next_global_id(cluster: "Cluster", space: str, first: int = 0) -> int:
+    """Draw from a cluster-wide monotone counter that starts at ``first``
+    (call under agreement)."""
+    box = cluster.shared(space, lambda: [first])
     value = box[0]
     box[0] += 1
     return value
+
+
+def next_team_id(cluster: "Cluster") -> int:
+    """A fresh team id (0 is TEAM_WORLD); call under agreement. Async twins
+    of CAF-GASNet teams draw from the same space."""
+    return next_global_id(cluster, "caf-team-ids", first=1)

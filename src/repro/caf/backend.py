@@ -1,31 +1,49 @@
-"""The runtime-backend interface CAF 2.0's language layer is written against.
+"""The CAF 2.0 runtime above the transports, and the transport interface.
 
-Everything communication-related funnels through this ABC; the CAF-MPI and
-CAF-GASNet backends implement it. A backend instance is per-image.
+The paper's design (§3) is one runtime with the substrate swapped
+underneath, so a backend here is a *transport*: how a thunk, a coarray
+access and a completion wait travel over MPI-3 or GASNet. Everything that
+merely rides on those primitives — function shipping, event posting, event
+allocation, termination-detection counters, runtime continuations — is
+written once, in :class:`RuntimeBackend`. A backend instance is per-image.
 
 Conventions:
 
 * ``team`` arguments are :class:`repro.caf.teams.Team` objects; the backend
-  stores its per-team handle in ``team.handle``.
+  stores its per-team handle in ``team.handle``. That handle *is* the
+  blocking-collective API: an MPI communicator or a GASNet
+  :class:`~repro.gasnet.collectives.TeamExchange`, both with ``barrier()``,
+  ``bcast(buf, root)``, ``reduce(send, recv, op, root)``,
+  ``allreduce(send, recv, op)``, ``alltoall(send, recv)`` and
+  ``allgather(send, recv)``.
 * Coarray storage handles are backend-specific objects stored on the
   :class:`~repro.caf.coarray.Coarray`.
 * All blocking entry points must drive the common progress engine (poll
   incoming Active Messages) while waiting, because shipped functions and
   destination-event writes complete only through AM handlers.
+* Every Active Message carries a *thunk*: the sender parks a closure on the
+  cluster-wide board (:meth:`RuntimeBackend._board`), the wire carries its
+  sequence number and a modelled size (:meth:`RuntimeBackend.send_thunk`),
+  and the target's progress engine runs it through the one handler entry
+  point, :meth:`RuntimeBackend._run_thunk`.
 """
 
 from __future__ import annotations
 
 import abc
+import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.caf.agree import collective_agree, next_global_id
 from repro.sim.sync import SimEvent
+from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
+    from repro.sim.cluster import RankCtx
 
 
 class AsyncHandle:
@@ -44,7 +62,7 @@ class AsyncHandle:
 
 
 class EventStorage:
-    """Per-image event-coarray state, shared by both backends.
+    """Per-image event-coarray state: the un-consumed notification counts.
 
     ``event_id`` is agreed collectively (same allocation order on every
     image), so a notifier can name the target's storage in an AM. Posting
@@ -62,21 +80,99 @@ class EventStorage:
         self.listener: Callable[[int], None] | None = None
 
     def post(self, slot: int) -> None:
+        """One more notification on this image's ``slot``."""
         self.counters[slot] += 1
-        self.post_hooks_only(slot)
+        self._posted(slot)
 
-    def post_hooks_only(self, slot: int) -> None:
-        """Run subscriber callbacks and wake the progress engine (for
-        storages whose counters live elsewhere, e.g. in an RMA window)."""
+    def _posted(self, slot: int) -> None:
+        """Run subscriber callbacks and wake the progress engine."""
         if self.listener is not None:
             self.listener(slot)
         self.backend.kick()
 
+    def count(self, slot: int) -> int:
+        """Current un-consumed notification count of a local slot."""
+        return self.counters[slot]
+
+    def consume(self, slot: int, n: int) -> None:
+        """Consume ``n`` notifications (caller guarantees availability)."""
+        self.counters[slot] -= n
+
 
 class RuntimeBackend(abc.ABC):
-    """Per-image communication backend."""
+    """Per-image CAF runtime; subclasses supply the transport."""
 
     name: str = "abstract"
+    #: Modelled wire bytes of a bare thunk AM, and of a shipped function.
+    AM_BYTES: int
+    SHIP_BYTES: int
+
+    def __init__(self, ctx: "RankCtx"):
+        self.ctx = ctx
+        shared = ctx.cluster.shared
+        #: world rank -> that image's backend: a thunk runs on the target
+        #: but was built by the sender, which reaches target state here.
+        self._peers: dict[int, RuntimeBackend] = shared("caf-backends", dict)
+        self._peers[ctx.rank] = self
+        # Out-of-band python payloads for AMs (the wire carries sizes only).
+        self._am_board: dict[tuple[int, int], Callable[[], None]] = shared(
+            "caf-am-board", dict
+        )
+        self._am_seq = itertools.count()
+        self._event_registry: dict[int, EventStorage] = {}
+        self._agree_seq: dict[int, int] = {}
+        self._continuations: list[Callable[[], None]] = []
+        self._shipped = 0
+        self._completed = 0
+
+    # -- transport: Active Messages and the progress engine --------------------
+
+    @abc.abstractmethod
+    def send_thunk(
+        self, target_world: int, wire_bytes: int, thunk: Callable[[], None]
+    ) -> None:
+        """Inject an AM of ``wire_bytes`` that runs ``thunk`` on image
+        ``target_world`` (under its progress engine)."""
+
+    def _board(self, thunk: Callable[[], None]) -> int:
+        """Park ``thunk`` for its target; the AM carries the returned
+        sequence number."""
+        seq = next(self._am_seq)
+        self._am_board[(self.ctx.rank, seq)] = thunk
+        return seq
+
+    def _run_thunk(self, src_world: int, seq: int) -> None:
+        """The one entry point of every AM handler of the CAF runtime: the
+        thunks built in :meth:`ship_function`, :meth:`_post_thunk`, both
+        backends' ``coarray_write_async`` (destination events) and
+        CAF-GASNet's ``_am_write`` (write + ack). Only the first runs user
+        code, which may block."""
+        self._am_board.pop((src_world, seq))()
+
+    @abc.abstractmethod
+    def poll(self) -> None:
+        """Drain and run any pending incoming Active Messages (nonblocking)."""
+
+    @abc.abstractmethod
+    def kick(self) -> None:
+        """Wake this image's progress engine so it re-evaluates predicates."""
+
+    def kick_rank(self, world_rank: int) -> None:
+        """Wake *another* image's progress engine (scheduler-safe).
+
+        Survivor-only agreement deposits into a shared board and then must
+        wake the other participants' ``progress_wait`` loops — a barrier
+        would hang on the dead images, so a direct cross-rank kick is the
+        only wake-up channel available.
+        """
+        self._peers[world_rank].kick()
+
+    @abc.abstractmethod
+    def progress_wait(
+        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
+    ) -> None:
+        """Block until ``pred()``; runs AM handlers while waiting; also wakes
+        on any of ``extras`` firing."""
 
     # -- teams -----------------------------------------------------------
 
@@ -100,11 +196,21 @@ class RuntimeBackend(abc.ABC):
         ``team`` is the already-agreed survivor team (fresh id, contiguous
         renumbering). Dead images cannot participate, so implementations
         must not run collectives over ``parent`` — only barrier-free
-        survivor agreement (see
-        :func:`repro.caf.backends.common.survivor_agree`).
+        survivor agreement (see :func:`repro.caf.agree.survivor_agree`).
         """
         raise NotImplementedError(
             f"backend {self.name} does not support team shrink"
+        )
+
+    def agree(
+        self, team: "Team", board_space: str, contribution: Any,
+        combine: Callable[[dict[int, Any]], Any],
+    ) -> Any:
+        """Collective over ``team``: one board-plus-barrier agreement round
+        (:func:`repro.caf.agree.collective_agree`) on this image's
+        collective sequence numbers."""
+        return collective_agree(
+            self.ctx.cluster, team, board_space, self._agree_seq, contribution, combine
         )
 
     # -- coarrays -----------------------------------------------------------
@@ -167,25 +273,37 @@ class RuntimeBackend(abc.ABC):
 
     # -- events ----------------------------------------------------------------
 
-    @abc.abstractmethod
-    def allocate_events(self, team: "Team", nslots: int) -> Any:
+    def allocate_events(self, team: "Team", nslots: int) -> EventStorage:
         """Collective: allocate an event coarray; returns storage handle."""
+        event_id = self.agree(
+            team,
+            "caf-event-ids",
+            None,
+            lambda args: next_global_id(self.ctx.cluster, "caf-event-id-counter"),
+        )
+        storage = self._new_event_storage(event_id, team, nslots)
+        self._event_registry[event_id] = storage
+        return storage
+
+    def _new_event_storage(self, event_id: int, team: "Team", nslots: int) -> EventStorage:
+        """Collective: where this backend keeps an event coarray's counts."""
+        return EventStorage(self, event_id, team, nslots)
+
+    def _post_at(self, target_world: int, event_id: int, slot: int) -> None:
+        """Post image ``target_world``'s event; runs there, inside a thunk."""
+        storage = self._peers[target_world]._event_registry.get(event_id)
+        if storage is None:
+            raise CafError(f"event {event_id} posted before allocation on target")
+        storage.post(slot)
+
+    def _post_thunk(self, storage: EventStorage, target_world: int, slot: int):
+        """The notification AM of :meth:`event_notify` (send/recv design)."""
+        event_id = storage.event_id
+        return lambda: self._post_at(target_world, event_id, slot)
 
     @abc.abstractmethod
     def event_notify(self, storage: Any, target: int, slot: int) -> None:
         """Post an event at ``target`` after completing all prior ops (§3.4)."""
-
-    def event_post_local(self, storage: EventStorage, slot: int) -> None:
-        """Post one of this image's own slots (local-completion events)."""
-        storage.post(slot)
-
-    def event_count(self, storage: EventStorage, slot: int) -> int:
-        """Current un-consumed notification count of a local event slot."""
-        return storage.counters[slot]
-
-    def event_consume(self, storage: EventStorage, slot: int, n: int) -> None:
-        """Consume ``n`` notifications (caller guarantees availability)."""
-        storage.counters[slot] -= n
 
     def event_wait(self, storage: EventStorage, slot: int, count: int) -> None:
         """Block until ``count`` notifications are pending, then consume them.
@@ -195,30 +313,10 @@ class RuntimeBackend(abc.ABC):
         on one-sided atomics (§3.4's other candidate).
         """
         self.progress_wait(
-            lambda: self.event_count(storage, slot) >= count,
+            lambda: storage.count(slot) >= count,
             f"event_wait(slot={slot}, count={count})",
         )
-        self.event_consume(storage, slot, count)
-
-    @abc.abstractmethod
-    def poll(self) -> None:
-        """Drain and run any pending incoming Active Messages (nonblocking)."""
-
-    @abc.abstractmethod
-    def kick(self) -> None:
-        """Wake this image's progress engine so it re-evaluates predicates."""
-
-    def kick_rank(self, world_rank: int) -> None:
-        """Wake *another* image's progress engine (scheduler-safe).
-
-        Survivor-only agreement deposits into a shared board and then must
-        wake the other participants' ``progress_wait`` loops — a barrier
-        would hang on the dead images, so a direct cross-rank kick is the
-        only wake-up channel available.
-        """
-        raise NotImplementedError(
-            f"backend {self.name} cannot kick remote progress engines"
-        )
+        storage.consume(slot, count)
 
     # -- deferred work (runtime continuations) --------------------------------
 
@@ -226,17 +324,14 @@ class RuntimeBackend(abc.ABC):
         """Queue work to run on this image's own execution context at its
         next progress poll (completion callbacks fire in scheduler context
         and may not issue communication themselves)."""
-        if not hasattr(self, "_continuations"):
-            self._continuations = []
         self._continuations.append(fn)
         self.kick()
 
     def run_continuations(self) -> None:
         """Execute deferred work; called at the top of every poll."""
-        pending = getattr(self, "_continuations", None)
+        pending = self._continuations
         while pending:
-            fn = pending.pop(0)
-            fn()
+            pending.pop(0)()
 
     # -- implicit synchronization ----------------------------------------------------
 
@@ -253,56 +348,42 @@ class RuntimeBackend(abc.ABC):
     def quiet(self) -> None:
         """Remote completion of everything this image issued (finish helper)."""
 
-    # -- collectives -------------------------------------------------------------------
-
-    @abc.abstractmethod
-    def barrier(self, team: "Team") -> None: ...
-
-    @abc.abstractmethod
-    def broadcast(self, team: "Team", buf: np.ndarray, root: int) -> None: ...
-
-    @abc.abstractmethod
-    def reduce(self, team: "Team", send: np.ndarray, recv, op, root: int) -> None: ...
-
-    @abc.abstractmethod
-    def allreduce(self, team: "Team", send: np.ndarray, recv: np.ndarray, op) -> None: ...
-
-    @abc.abstractmethod
-    def alltoall(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None: ...
-
-    @abc.abstractmethod
-    def allgather(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None: ...
-
     @abc.abstractmethod
     def collective_async(self, team: "Team", kind: str, args: tuple) -> SimEvent:
         """Start an asynchronous collective (§2.1); the event fires when the
         operation completes on this image.
 
-        ``kind`` is one of broadcast/reduce/allreduce/alltoall/allgather;
-        ``args`` are that collective's buffer/op arguments. Under CAF-MPI
-        these map to MPI-3 nonblocking collectives; under CAF-GASNet a
-        progress agent drives a hand-rolled "async twin" of the team.
+        ``kind`` names a blocking collective of ``team.handle``
+        (bcast/reduce/allreduce/alltoall/allgather); ``args`` are its
+        arguments. Under CAF-MPI these map to MPI-3 nonblocking
+        collectives; under CAF-GASNet a progress agent drives a hand-rolled
+        "async twin" of the team.
         """
 
     # -- function shipping ------------------------------------------------------------------
 
-    @abc.abstractmethod
-    def ship_function(self, team: "Team", target: int, thunk: Callable[[], None]) -> None:
-        """Run ``thunk`` on image ``target`` (under its progress engine)."""
+    def ship_function(self, team: "Team", target: int, payload) -> None:
+        """Run ``fn(img, *args)`` on image ``target`` (under its progress
+        engine); ``payload`` is ``(fn, args)``."""
+        fn, args = payload
+        target_world = team.world_rank(target)
+        self._shipped += 1
 
-    # -- progress ---------------------------------------------------------------------------
+        def run_on_target() -> None:
+            img = self.ctx.cluster.shared("caf-images", dict).get(target_world)
+            if img is None:
+                raise CafError("target image not initialized for function shipping")
+            try:
+                fn(img, *args)
+            finally:
+                self._peers[target_world]._completed += 1
 
-    @abc.abstractmethod
-    def progress_wait(
-        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
-    ) -> None:
-        """Block until ``pred()``; runs AM handlers while waiting; also wakes
-        on any of ``extras`` firing."""
+        self.send_thunk(target_world, self.SHIP_BYTES, run_on_target)
 
-    @abc.abstractmethod
     def shipped_minus_completed(self) -> int:
         """Local term of Yang's termination-detection sum (finish, §3.5)."""
+        return self._shipped - self._completed
 
     def completed_count(self) -> int:
         """How many shipped functions this image has executed so far."""
-        return self._completed  # both backends maintain this counter
+        return self._completed

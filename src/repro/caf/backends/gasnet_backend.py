@@ -20,32 +20,27 @@
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.caf.agree import next_team_id, survivor_agree
 from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
-from repro.caf.backends.common import collective_agree, next_global_id, survivor_agree
 from repro.gasnet.collectives import TEAM_SIGNAL_HANDLER_BASE, TeamExchange
 from repro.gasnet.core import GasnetWorld, Handle, Token
 from repro.gasnet.segment import SegmentAllocator
 from repro.sim.agent import WorkerAgent
 from repro.mpi.world import MpiWorld
 from repro.sim.sync import SimEvent
-from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
     from repro.sim.cluster import RankCtx
 
-#: AM handler indices used by the runtime (team signal handlers live at
+#: AM handler index used by the runtime (team signal handlers live at
 #: TEAM_SIGNAL_HANDLER_BASE and above).
-H_EVENT_POST = 1
 H_THUNK = 2
-
-_am_seq = itertools.count()
 
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
@@ -66,33 +61,25 @@ class _CoarrayStorage:
 
 class GasnetBackend(RuntimeBackend):
     name = "caf-gasnet"
+    AM_BYTES = 32  # a short AM on the wire
+    SHIP_BYTES = 240
 
     def __init__(self, ctx: "RankCtx", options: dict[str, Any] | None = None):
-        self.ctx = ctx
+        super().__init__(ctx)
         self.options = dict(options or {})
         segment_bytes = int(self.options.get("segment_bytes", DEFAULT_SEGMENT_BYTES))
         #: Figure 2 mode: writes go via AMs and need target progress.
         self.am_writes = bool(self.options.get("am_writes", False))
         self.gasnet = GasnetWorld.get(ctx.cluster).attach(ctx, segment_bytes)
         self.allocator = SegmentAllocator(segment_bytes)
-        self._event_registry: dict[int, EventStorage] = {}
-        self._agree_seq: dict[int, int] = {}
         #: Outstanding nonblocking handles (the release barrier), split by
         #: direction for §3.5's selective cofence.
         self._outstanding_puts: list[Handle] = []
         self._outstanding_gets: list[Handle] = []
-        self._shipped = 0
-        self._completed = 0
-        self._ack_counter = 0
         self._mpi = None
-        self._am_board: dict[tuple[int, int], Callable[[], None]] = ctx.cluster.shared(
-            "caf-gasnet-am-board", dict
-        )
-        self._backends: dict[int, "GasnetBackend"] = ctx.cluster.shared(
-            "caf-gasnet-backends", dict
-        )
-        self._backends[ctx.rank] = self
-        self.gasnet.register_handler(H_EVENT_POST, self._on_event_post)
+        #: team id -> (progress agent, async-twin TeamExchange), see
+        #: :meth:`_async_twin`.
+        self._twins: dict[int, tuple[WorkerAgent, TeamExchange]] = {}
         self.gasnet.register_handler(H_THUNK, self._on_thunk)
         # Runtime continuations execute on the image's own context at any
         # GASNet poll (never on a clone's agent context).
@@ -111,27 +98,18 @@ class GasnetBackend(RuntimeBackend):
             self._mpi = MpiWorld.get(self.ctx.cluster).init(self.ctx)
         return self._mpi
 
-    # -- AM handlers ------------------------------------------------------------
-
-    def _on_event_post(self, token: Token, event_id: int, slot: int) -> None:
-        storage = self._event_registry.get(event_id)
-        if storage is None:
-            raise CafError(f"event {event_id} posted before allocation on target")
-        storage.post(slot)
+    # -- Active Messages ----------------------------------------------------------
 
     def _on_thunk(self, token: Token, *rest) -> None:
         # Short form: (seq,). Medium form: (payload, seq) — the payload is
         # padding that models the wire size; the real arguments travel on
         # the out-of-band board.
-        seq = rest[-1]
-        thunk = self._am_board.pop((token.src, seq))
-        thunk()
+        self._run_thunk(token.src, rest[-1])
 
-    def _send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
-        seq = next(_am_seq)
-        self._am_board[(self.ctx.rank, seq)] = thunk
+    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
+        seq = self._board(thunk)
         if wire_bytes > 64:
-            pad = np.zeros(wire_bytes - 32, np.uint8)
+            pad = np.zeros(wire_bytes - self.AM_BYTES, np.uint8)
             self.gasnet.am_request_medium(target_world, H_THUNK, pad, seq)
         else:
             self.gasnet.am_request_short(target_world, H_THUNK, seq)
@@ -156,28 +134,11 @@ class GasnetBackend(RuntimeBackend):
                 self.gasnet, team_id, members, my_index, self.allocator
             )
             contribution = (exchange.arena_base, exchange.flags_base)
-        table = collective_agree(
-            self,
-            self.ctx.cluster,
-            parent,
-            "caf-gasnet-team-bases",
-            self._agree_seq,
-            contribution,
-            lambda args: dict(args),
-        )
+        table = self.agree(parent, "caf-gasnet-team-bases", contribution, dict)
         if exchange is None:
             return None
-        by_world = {
-            parent.members[idx]: bases
-            for idx, bases in table.items()
-            if bases is not None
-        }
-        exchange.peer_arena_bases = tuple(by_world[w][0] for w in members)
-        exchange.peer_flag_bases = tuple(by_world[w][1] for w in members)
-        exchange.peer_drain_bases = tuple(
-            b + (exchange.drain_base - exchange.flags_base)
-            for b in exchange.peer_flag_bases
-        )
+        by_world = {parent.members[idx]: bases for idx, bases in table.items()}
+        exchange.set_peer_bases([by_world[w] for w in members])
         return exchange
 
     def shrink_team_handle(self, parent: "Team", team: "Team"):
@@ -194,14 +155,9 @@ class GasnetBackend(RuntimeBackend):
             my_world,
             team.members,
             (exchange.arena_base, exchange.flags_base),
-            lambda args: dict(args),
+            dict,
         )
-        exchange.peer_arena_bases = tuple(table[w][0] for w in team.members)
-        exchange.peer_flag_bases = tuple(table[w][1] for w in team.members)
-        exchange.peer_drain_bases = tuple(
-            b + (exchange.drain_base - exchange.flags_base)
-            for b in exchange.peer_flag_bases
-        )
+        exchange.set_peer_bases([table[w] for w in team.members])
         return exchange
 
     # -- coarrays ----------------------------------------------------------------------
@@ -209,12 +165,9 @@ class GasnetBackend(RuntimeBackend):
     def allocate_coarray(self, team: "Team", nelems: int, dtype: np.dtype):
         dtype = np.dtype(dtype)
         my_offset = self.allocator.alloc(nelems * dtype.itemsize)
-        offsets = collective_agree(
-            self,
-            self.ctx.cluster,
+        offsets = self.agree(
             team,
             "caf-gasnet-coarray-offsets",
-            self._agree_seq,
             my_offset,
             lambda args: tuple(args[i] for i in range(len(args))),
         )
@@ -237,46 +190,38 @@ class GasnetBackend(RuntimeBackend):
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, data.size)
         if self.am_writes:
-            self._am_write(storage, target, target_world, start, data)
+            self._am_write(target_world, start, data)
         else:
             self.gasnet.put(target_world, start, data)
 
-    def _am_write(
-        self,
-        storage: _CoarrayStorage,
-        target: int,
-        target_world: int,
-        start: int,
-        data: np.ndarray,
-    ) -> None:
+    def _store_at(self, target_world: int, start: int, data: np.ndarray) -> None:
+        """Body of an AM-write handler: the target stores ``data`` at byte
+        ``start`` of its own segment."""
+        seg = self.gasnet.segment_of(target_world)
+        raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
+        seg[start : start + raw.nbytes] = raw
+        san = self.ctx.sanitizer
+        if san is not None:
+            # Handler runs on the target after merging the sender clock,
+            # so this write is ordered like a local store there.
+            san.record_local(
+                target_world, ("seg", target_world),
+                [(start, start + raw.nbytes)], "am-write",
+            )
+
+    def _am_write(self, target_world: int, start: int, data: np.ndarray) -> None:
         """Figure 2 mode: write needs the target to run an AM handler."""
         acks = [0]
-        me = self.ctx.rank
-        me_backend = self
+
+        def ack() -> None:
+            acks[0] += 1
+            self.kick()
 
         def on_target() -> None:
-            seg = self.gasnet.segment_of(target_world)
-            raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-            seg[start : start + raw.nbytes] = raw
-            san = self.ctx.sanitizer
-            if san is not None:
-                # Handler runs on the target after merging the sender clock,
-                # so this write is ordered like a local store there.
-                san.record_local(
-                    target_world, ("seg", target_world),
-                    [(start, start + raw.nbytes)], "am-write",
-                )
+            self._store_at(target_world, start, data)
+            self._peers[target_world].send_thunk(self.ctx.rank, self.AM_BYTES, ack)
 
-            def ack() -> None:
-                acks[0] += 1
-                me_backend.gasnet.activity.add()
-
-            target_backend = self.ctx.cluster.shared("caf-gasnet-backends", dict)[
-                target_world
-            ]
-            target_backend._send_thunk(me, 32, ack)
-
-        self._send_thunk(target_world, 32 + data.nbytes, on_target)
+        self.send_thunk(target_world, self.AM_BYTES + data.nbytes, on_target)
         self.gasnet.block_until(lambda: acks[0] > 0, "am_write ack")
 
     def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
@@ -329,20 +274,11 @@ class GasnetBackend(RuntimeBackend):
             event_id = ev_storage.event_id
 
             def on_target() -> None:
-                seg = self.gasnet.segment_of(target_world)
-                raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-                seg[start : start + raw.nbytes] = raw
-                san = self.ctx.sanitizer
-                if san is not None:
-                    san.record_local(
-                        target_world, ("seg", target_world),
-                        [(start, start + raw.nbytes)], "am-write",
-                    )
-                backends = self.ctx.cluster.shared("caf-gasnet-backends", dict)
-                backends[target_world]._event_registry[event_id].post(slot)
+                self._store_at(target_world, start, data)
+                self._post_at(target_world, event_id, slot)
                 handle.remote.fire()
 
-            self._send_thunk(target_world, 32 + data.nbytes, on_target)
+            self.send_thunk(target_world, self.AM_BYTES + data.nbytes, on_target)
             handle.local.fire()
         else:
             h = self.gasnet.put_nb(target_world, start, data)
@@ -365,25 +301,8 @@ class GasnetBackend(RuntimeBackend):
 
     # -- events --------------------------------------------------------------------------
 
-    def allocate_events(self, team: "Team", nslots: int) -> EventStorage:
-        event_id = collective_agree(
-            self,
-            self.ctx.cluster,
-            team,
-            "caf-event-ids",
-            self._agree_seq,
-            None,
-            lambda args: next_global_id(self.ctx.cluster, "caf-event-id-counter"),
-        )
-        storage = EventStorage(self, event_id, team, nslots)
-        self._event_registry[event_id] = storage
-        return storage
-
     def kick(self) -> None:
         self.gasnet.activity.add()
-
-    def kick_rank(self, world_rank: int) -> None:
-        self._backends[world_rank].gasnet.activity.add()
 
     def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
         # GASNet handles already represent remote completion, so the release
@@ -397,8 +316,8 @@ class GasnetBackend(RuntimeBackend):
         if san is not None:
             # Handles synced above: our snapshot dominates every completed op.
             san.event_notified(self.ctx.rank, (storage.event_id, target_world, slot))
-        self.gasnet.am_request_short(
-            target_world, H_EVENT_POST, storage.event_id, slot
+        self.send_thunk(
+            target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
         )
 
     # -- implicit synchronization -------------------------------------------------------------
@@ -416,25 +335,7 @@ class GasnetBackend(RuntimeBackend):
     def quiet(self) -> None:
         self.cofence()
 
-    # -- collectives -----------------------------------------------------------------------------
-
-    def barrier(self, team: "Team") -> None:
-        team.handle.barrier()
-
-    def broadcast(self, team: "Team", buf: np.ndarray, root: int) -> None:
-        team.handle.broadcast(buf, root_index=root)
-
-    def reduce(self, team: "Team", send: np.ndarray, recv, op, root: int) -> None:
-        team.handle.reduce(send, recv, op, root_index=root)
-
-    def allreduce(self, team: "Team", send: np.ndarray, recv: np.ndarray, op) -> None:
-        team.handle.allreduce(send, recv, op)
-
-    def alltoall(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None:
-        team.handle.alltoall(send, recv)
-
-    def allgather(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None:
-        team.handle.allgather(send, recv)
+    # -- asynchronous collectives ----------------------------------------------------------------
 
     def _async_twin(self, team: "Team"):
         """Per-team machinery for asynchronous collectives: a progress
@@ -442,18 +343,12 @@ class GasnetBackend(RuntimeBackend):
         arena and flags), so agent-driven collectives never race the
         application's blocking ones.
         """
-        if not hasattr(self, "_twins"):
-            self._twins: dict[int, tuple[WorkerAgent, TeamExchange]] = {}
         if team.team_id not in self._twins:
             # Collectively agree on the twin's id and exchange segment bases.
             def combine(args):
-                # Twin ids draw from the team-id space (0 = TEAM_WORLD, so
-                # it starts at 1) so their AM handler indices can never
-                # collide with real teams'.
-                ids = self.ctx.cluster.shared("caf-team-ids", lambda: [1])
-                twin_id = ids[0]
-                ids[0] += 1
-                return (twin_id, dict(args))
+                # Twin ids draw from the team-id space so their AM handler
+                # indices can never collide with real teams'.
+                return (next_team_id(self.ctx.cluster), dict(args))
 
             # Allocate before agreeing so bases can be exchanged in one round.
             agent = WorkerAgent(self.ctx, name=f"caf-async{self.ctx.rank}.t{team.team_id}")
@@ -468,12 +363,9 @@ class GasnetBackend(RuntimeBackend):
                 allocator=self.allocator,
                 defer_handler=True,
             )
-            twin_id, bases = collective_agree(
-                self,
-                self.ctx.cluster,
+            twin_id, bases = self.agree(
                 team,
                 "caf-gasnet-twin-bases",
-                self._agree_seq,
                 (provisional.arena_base, provisional.flags_base),
                 combine,
             )
@@ -483,53 +375,13 @@ class GasnetBackend(RuntimeBackend):
             gasnet_view.default_handler_filter = {
                 TEAM_SIGNAL_HANDLER_BASE + twin_id
             }
-            provisional.peer_arena_bases = tuple(
-                bases[i][0] for i in range(team.size)
-            )
-            provisional.peer_flag_bases = tuple(bases[i][1] for i in range(team.size))
-            provisional.peer_drain_bases = tuple(
-                b + (provisional.drain_base - provisional.flags_base)
-                for b in provisional.peer_flag_bases
-            )
+            provisional.set_peer_bases([bases[i] for i in range(team.size)])
             self._twins[team.team_id] = (agent, provisional)
         return self._twins[team.team_id]
 
     def collective_async(self, team: "Team", kind: str, args: tuple):
         agent, twin = self._async_twin(team)
-        method = {
-            "broadcast": lambda a: twin.broadcast(a[0], root_index=a[1]),
-            "reduce": lambda a: twin.reduce(a[0], a[1], a[2], root_index=a[3]),
-            "allreduce": lambda a: twin.allreduce(a[0], a[1], a[2]),
-            "alltoall": lambda a: twin.alltoall(a[0], a[1]),
-            "allgather": lambda a: twin.allgather(a[0], a[1]),
-        }.get(kind)
-        if method is None:
-            raise CafError(f"unknown async collective {kind!r}")
-        return agent.submit(lambda agent_ctx: method(args))
-
-    # -- function shipping ----------------------------------------------------------------------------
-
-    def ship_function(self, team: "Team", target: int, payload) -> None:
-        fn, args = payload
-        target_world = team.world_rank(target)
-        self._shipped += 1
-
-        def run_on_target() -> None:
-            backends = self.ctx.cluster.shared("caf-gasnet-backends", dict)
-            tbe = backends[target_world]
-            images = self.ctx.cluster.shared("caf-images", dict)
-            img = images.get(target_world)
-            if img is None:
-                raise CafError("target image not initialized for function shipping")
-            try:
-                fn(img, *args)
-            finally:
-                tbe._completed += 1
-
-        self._send_thunk(target_world, 240, run_on_target)
-
-    def shipped_minus_completed(self) -> int:
-        return self._shipped - self._completed
+        return agent.submit(lambda agent_ctx: getattr(twin, kind)(*args))
 
     # -- progress -----------------------------------------------------------------------------------------
 

@@ -27,14 +27,12 @@ Mapping summary:
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
-from repro.caf.backends.common import collective_agree, next_global_id
 from repro.mpi import p2p
 from repro.mpi.constants import ANY_SOURCE, SUM
 from repro.mpi.request import Request
@@ -48,10 +46,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Tag used for all CAF Active Messages on the dedicated AM communicator.
 AM_TAG = 77
-
-_am_seq = itertools.count()
-
-_AM_HEADER_BYTES = 16  # modeled (kind, seq) header on the wire
 
 
 class _CoarrayStorage:
@@ -76,12 +70,24 @@ class _AtomicEventStorage(EventStorage):
         self.win = win
         self.consumed = [0] * nslots
 
+    def post(self, slot: int) -> None:
+        self.win.local[slot] += 1
+        self._posted(slot)
+
+    def count(self, slot: int) -> int:
+        return int(self.win.local[slot]) - self.consumed[slot]
+
+    def consume(self, slot: int, n: int) -> None:
+        self.consumed[slot] += n
+
 
 class MpiBackend(RuntimeBackend):
     name = "caf-mpi"
+    AM_BYTES = 16  # modeled (kind, seq) header on the wire
+    SHIP_BYTES = AM_BYTES + 240
 
     def __init__(self, ctx: "RankCtx", options: dict[str, Any] | None = None):
-        self.ctx = ctx
+        super().__init__(ctx)
         self.options = dict(options or {})
         #: §3.4 event mechanism: "sendrecv" (the paper's choice) or
         #: "atomics" (FETCH_AND_OP notify + busy-wait; the ablation).
@@ -111,18 +117,6 @@ class MpiBackend(RuntimeBackend):
         #: FLUSH_ALL each of them — MPICH walks all ranks per window even
         #: when the epoch is idle (cheaply) and linearly when dirty (§4.1).
         self._windows: list = []
-        self._event_registry: dict[int, EventStorage] = {}
-        self._agree_seq: dict[int, int] = {}
-        self._shipped = 0
-        self._completed = 0
-        # Out-of-band python payloads for AMs (the wire carries sizes only).
-        self._am_board: dict[tuple[int, int], Callable[[], None]] = ctx.cluster.shared(
-            "caf-mpi-am-board", dict
-        )
-        self._backends: dict[int, "MpiBackend"] = ctx.cluster.shared(
-            "caf-mpi-backends", dict
-        )
-        self._backends[ctx.rank] = self
 
     # -- facade for hybrid applications -----------------------------------
 
@@ -145,14 +139,12 @@ class MpiBackend(RuntimeBackend):
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 
-    def _send_am(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
+    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
         """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
         self.ctx.proc.run_script(self._send_am_steps(target_world, wire_bytes, thunk))
 
     def _send_am_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]):
-        seq = next(_am_seq)
-        self._am_board[(self.ctx.rank, seq)] = thunk
-        header = np.array([seq], dtype=np.int64)
+        header = np.array([self._board(thunk)], dtype=np.int64)
         payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
         payload[: header.nbytes] = header.view(np.uint8)
         req = yield from p2p.isend_steps(
@@ -169,9 +161,7 @@ class MpiBackend(RuntimeBackend):
                 return
             buf = np.zeros(status.count, np.uint8)
             st = self.am_comm.recv(buf, source=status.source, tag=AM_TAG)
-            seq = int(buf[:8].view(np.int64)[0])
-            thunk = self._am_board.pop((st.source, seq))
-            thunk()
+            self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
 
     def progress_wait(
         self,
@@ -194,6 +184,14 @@ class MpiBackend(RuntimeBackend):
             if pred():
                 return
             arrivals.wait_geq(self.ctx.proc, seen + 1)
+
+    def _waitall(self, requests: list[Request], reason: str) -> None:
+        """``MPI_WAITALL`` that keeps running AM handlers meanwhile."""
+        self.progress_wait(
+            lambda: all(r.completed for r in requests),
+            reason,
+            extras=tuple(r._event for r in requests),
+        )
 
     # -- coarrays (§3.1) ---------------------------------------------------------------
 
@@ -219,8 +217,7 @@ class MpiBackend(RuntimeBackend):
         )
 
     def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
-        req = storage.win.rget(out, target, offset)
-        self.progress_wait(lambda: req.completed, "coarray_read", extras=(req._event,))
+        self._waitall([storage.win.rget(out, target, offset)], "coarray_read")
 
     def coarray_write_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
@@ -234,10 +231,7 @@ class MpiBackend(RuntimeBackend):
     def coarray_read_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
     ) -> None:
-        req = storage.win.get_runs(out, target, runs)
-        self.progress_wait(
-            lambda: req.completed, "coarray_read_runs", extras=(req._event,)
-        )
+        self._waitall([storage.win.get_runs(out, target, runs)], "coarray_read_runs")
 
     def coarray_write_async(
         self,
@@ -259,7 +253,6 @@ class MpiBackend(RuntimeBackend):
             event_id = ev_storage.event_id
 
             def deliver_on_target() -> None:
-                tbe = self._backends[target_world]
                 tb = win.state.buffers[target]
                 tb[offset : offset + data_copy.size] = data_copy
                 san = self.ctx.sanitizer
@@ -273,22 +266,17 @@ class MpiBackend(RuntimeBackend):
                         [(offset * item, (offset + data_copy.size) * item)],
                         "am-write",
                     )
-                tbe._event_registry[event_id].post(slot)
+                self._post_at(target_world, event_id, slot)
                 handle.remote.fire()
 
-            self._send_am(
-                target_world, _AM_HEADER_BYTES + data_copy.nbytes, deliver_on_target
+            self.send_thunk(
+                target_world, self.AM_BYTES + data_copy.nbytes, deliver_on_target
             )
             handle.local.fire()  # buffered by the AM layer
-        elif want_local:
-            # Case 3: local-completion event -> MPI_RPUT request.
-            req = win.rput(data, target, offset)
-            self._release_requests.append(req)
-            self._implicit_puts.append(req)
-            req._event.subscribe(handle.local.fire)
         else:
-            # Case 1: no events -> MPI_RPUT whose request feeds the
-            # implicit-PUT array for cofence; FLUSH_ALL covers the rest.
+            # Case 3, local-completion event -> MPI_RPUT request; and case 1,
+            # no events -> the same MPI_RPUT, whose request feeds the
+            # implicit-PUT array for cofence (FLUSH_ALL covers the rest).
             req = win.rput(data, target, offset)
             self._release_requests.append(req)
             self._implicit_puts.append(req)
@@ -309,47 +297,25 @@ class MpiBackend(RuntimeBackend):
 
     # -- events (§3.4) ------------------------------------------------------------------------
 
-    def allocate_events(self, team: "Team", nslots: int) -> EventStorage:
-        event_id = collective_agree(
-            self,
-            self.ctx.cluster,
-            team,
-            "caf-event-ids",
-            self._agree_seq,
-            None,
-            lambda args: next_global_id(self.ctx.cluster, "caf-event-id-counter"),
-        )
-        if self.event_impl == "atomics":
-            win = self.mpi.win_allocate(shape=nslots, dtype=np.int64, comm=team.handle)
-            win.lock_all()
-            san = self.ctx.sanitizer
-            if san is not None:
-                # Runtime-internal counter storage: the busy-poll reads and
-                # accumulate notifies are synchronization, not data accesses.
-                san.exempt_window(win.win_id)
-            storage: EventStorage = _AtomicEventStorage(
-                self, event_id, team, nslots, win
-            )
-        else:
-            storage = EventStorage(self, event_id, team, nslots)
-        self._event_registry[event_id] = storage
-        return storage
+    def _new_event_storage(self, event_id: int, team: "Team", nslots: int) -> EventStorage:
+        if self.event_impl != "atomics":
+            return super()._new_event_storage(event_id, team, nslots)
+        win = self.mpi.win_allocate(shape=nslots, dtype=np.int64, comm=team.handle)
+        win.lock_all()
+        san = self.ctx.sanitizer
+        if san is not None:
+            # Runtime-internal counter storage: the busy-poll reads and
+            # accumulate notifies are synchronization, not data accesses.
+            san.exempt_window(win.win_id)
+        return _AtomicEventStorage(self, event_id, team, nslots, win)
 
     def kick(self) -> None:
         self._am_matching.arrivals[self.ctx.rank].add()
 
-    def kick_rank(self, world_rank: int) -> None:
-        self._backends[world_rank]._am_matching.arrivals[world_rank].add()
-
     def _rflush_windows(self, reason: str) -> None:
         """The paper's §5 proposal: request-based remote completion at
         constant software cost; wait on all requests while polling AMs."""
-        reqs = [win.rflush_all() for win in self._windows]
-        self.progress_wait(
-            lambda: all(r.completed for r in reqs),
-            reason,
-            extras=tuple(r._event for r in reqs),
-        )
+        self._waitall([win.rflush_all() for win in self._windows], reason)
 
     def _flush_windows_steps(self):
         """MPI_WIN_FLUSH_ALL on every window — the linear-in-P cost of
@@ -363,11 +329,7 @@ class MpiBackend(RuntimeBackend):
         # The release barrier (§3.4): local completion of all initiated ops
         # (polling AMs meanwhile), then remote completion.
         requests, self._release_requests = self._release_requests, []
-        self.progress_wait(
-            lambda: all(r.completed for r in requests),
-            "event_notify.waitall",
-            extras=tuple(r._event for r in requests),
-        )
+        self._waitall(requests, "event_notify.waitall")
         if self.use_rflush:
             self._rflush_windows("release.rflush_all")
         self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
@@ -394,30 +356,9 @@ class MpiBackend(RuntimeBackend):
             return
         # §3.4 approach 2 (the paper's choice): a short AM via MPI_ISEND
         # (nonblocking to avoid notify/wait deadlock cycles).
-        event_id = storage.event_id
-
-        def deliver() -> None:
-            self._backends[target_world]._event_registry[event_id].post(slot)
-
-        yield from self._send_am_steps(target_world, _AM_HEADER_BYTES, deliver)
-
-    def event_count(self, storage: EventStorage, slot: int) -> int:
-        if isinstance(storage, _AtomicEventStorage):
-            return int(storage.win.local[slot]) - storage.consumed[slot]
-        return super().event_count(storage, slot)
-
-    def event_consume(self, storage: EventStorage, slot: int, n: int) -> None:
-        if isinstance(storage, _AtomicEventStorage):
-            storage.consumed[slot] += n
-            return
-        super().event_consume(storage, slot, n)
-
-    def event_post_local(self, storage: EventStorage, slot: int) -> None:
-        if isinstance(storage, _AtomicEventStorage):
-            storage.win.local[slot] += 1
-            storage.post_hooks_only(slot)
-            return
-        super().event_post_local(storage, slot)
+        yield from self._send_am_steps(
+            target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
+        )
 
     _ATOMIC_POLL_INTERVAL = 2.5e-7
     _ATOMIC_POLL_LIMIT = 200_000  # ~50 ms of virtual spinning before giving up
@@ -428,8 +369,8 @@ class MpiBackend(RuntimeBackend):
             # polling loop of §3.4), making AM progress as we spin.
             for _ in range(self._ATOMIC_POLL_LIMIT):
                 self.poll()
-                if self.event_count(storage, slot) >= count:
-                    self.event_consume(storage, slot, count)
+                if storage.count(slot) >= count:
+                    storage.consume(slot, count)
                     return
                 self.ctx.proc.sleep(self._ATOMIC_POLL_INTERVAL)
             raise CafError(
@@ -448,83 +389,19 @@ class MpiBackend(RuntimeBackend):
         if gets:
             requests += self._implicit_gets
             self._implicit_gets = []
-        self.progress_wait(
-            lambda: all(r.completed for r in requests),
-            "cofence.waitall",
-            extras=tuple(r._event for r in requests),
-        )
+        self._waitall(requests, "cofence.waitall")
 
     def quiet(self) -> None:
         self.cofence()
         # The release barrier also waits AM sends and any remaining handles.
-        remaining = list(self._release_requests)
-        self.progress_wait(
-            lambda: all(r.completed for r in remaining),
-            "quiet.waitall",
-            extras=tuple(r._event for r in remaining),
-        )
+        self._waitall(list(self._release_requests), "quiet.waitall")
         self._release_requests.clear()
         if self.use_rflush:
             self._rflush_windows("quiet.rflush_all")
         else:
             self.ctx.proc.run_script(self._flush_windows_steps())
 
-    # -- collectives --------------------------------------------------------------------------------
-
-    def barrier(self, team: "Team") -> None:
-        team.handle.barrier()
-
-    def broadcast(self, team: "Team", buf: np.ndarray, root: int) -> None:
-        team.handle.bcast(buf, root=root)
-
-    def reduce(self, team: "Team", send: np.ndarray, recv, op, root: int) -> None:
-        team.handle.reduce(send, recv, op, root=root)
-
-    def allreduce(self, team: "Team", send: np.ndarray, recv: np.ndarray, op) -> None:
-        team.handle.allreduce(send, recv, op)
-
-    def alltoall(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None:
-        team.handle.alltoall(send, recv)
-
-    def allgather(self, team: "Team", send: np.ndarray, recv: np.ndarray) -> None:
-        team.handle.allgather(send, recv)
-
-    _NBC_METHODS = {
-        "broadcast": "ibcast",
-        "reduce": "ireduce",
-        "allreduce": "iallreduce",
-        "alltoall": "ialltoall",
-        "allgather": "iallgather",
-    }
-
     def collective_async(self, team: "Team", kind: str, args: tuple):
         """CAF 2.0 asynchronous collectives map straight onto the MPI-3
         nonblocking collectives (one of the paper's interoperability wins)."""
-        method = self._NBC_METHODS.get(kind)
-        if method is None:
-            raise CafError(f"unknown async collective {kind!r}")
-        req = getattr(team.handle, method)(*args)
-        return req._event
-
-    # -- function shipping ------------------------------------------------------------------------------
-
-    def ship_function(self, team: "Team", target: int, payload) -> None:
-        fn, args = payload
-        target_world = team.world_rank(target)
-        self._shipped += 1
-
-        def run_on_target() -> None:
-            tbe = self._backends[target_world]
-            images = self.ctx.cluster.shared("caf-images", dict)
-            img = images.get(target_world)
-            if img is None:
-                raise CafError("target image not initialized for function shipping")
-            try:
-                fn(img, *args)
-            finally:
-                tbe._completed += 1
-
-        self._send_am(target_world, _AM_HEADER_BYTES + 240, run_on_target)
-
-    def shipped_minus_completed(self) -> int:
-        return self._shipped - self._completed
+        return getattr(team.handle, "i" + kind)(*args)._event

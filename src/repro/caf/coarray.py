@@ -33,8 +33,6 @@ class Coarray:
         self.dtype = np.dtype(dtype)
         self.nelems = int(np.prod(self.shape))
         self.storage = img.backend.allocate_coarray(team, self.nelems, self.dtype)
-        # Cached metrics handle (fixed at cluster construction).
-        self._obs = img.ctx.metrics
 
     # -- local access ------------------------------------------------------
 
@@ -61,15 +59,8 @@ class Coarray:
         """``A(offset:...)[target] = data`` — blocking, remotely complete."""
         arr = np.ascontiguousarray(data, dtype=self.dtype).reshape(-1)
         self._check(target, offset, arr.size)
-        obs = self._obs
-        ctx = self.img.ctx
-        t0 = ctx.engine.now if obs is not None else 0.0
-        with self.img.profile("coarray_write"):
+        with self.img.profile("coarray_write", "caf.coarray_write", arr.nbytes):
             self.img.backend.coarray_write(self.storage, target, offset, arr)
-        if obs is not None:
-            obs.record(
-                ctx.rank, "caf.coarray_write", arr.nbytes, ctx.engine.now - t0
-            )
 
     def read(self, target: int, offset: int = 0, count: int | None = None) -> np.ndarray:
         """``A(offset:offset+count)[target]`` — blocking read."""
@@ -77,13 +68,8 @@ class Coarray:
             count = self.nelems - offset
         self._check(target, offset, count)
         out = np.empty(count, self.dtype)
-        obs = self._obs
-        ctx = self.img.ctx
-        t0 = ctx.engine.now if obs is not None else 0.0
-        with self.img.profile("coarray_read"):
+        with self.img.profile("coarray_read", "caf.coarray_read", out.nbytes):
             self.img.backend.coarray_read(self.storage, target, offset, out)
-        if obs is not None:
-            obs.record(ctx.rank, "caf.coarray_read", out.nbytes, ctx.engine.now - t0)
         return out
 
     # -- strided section access (Fortran array sections) -------------------------
@@ -125,15 +111,8 @@ class Coarray:
         self.img._check_alive(self.team, target)
         if not runs:
             return
-        obs = self._obs
-        ctx = self.img.ctx
-        t0 = ctx.engine.now if obs is not None else 0.0
-        with self.img.profile("coarray_write"):
+        with self.img.profile("coarray_write", "caf.coarray_write", arr.nbytes):
             self.img.backend.coarray_write_runs(self.storage, target, runs, arr)
-        if obs is not None:
-            obs.record(
-                ctx.rank, "caf.coarray_write", arr.nbytes, ctx.engine.now - t0
-            )
 
     def read_section(self, target: int, key) -> np.ndarray:
         """``A(section)[target]``: a strided remote read, shaped like the section."""
@@ -143,15 +122,8 @@ class Coarray:
         self.img._check_alive(self.team, target)
         out = np.empty(int(np.prod(shape)) if shape else 1, self.dtype)
         if runs:
-            obs = self._obs
-            ctx = self.img.ctx
-            t0 = ctx.engine.now if obs is not None else 0.0
-            with self.img.profile("coarray_read"):
+            with self.img.profile("coarray_read", "caf.coarray_read", out.nbytes):
                 self.img.backend.coarray_read_runs(self.storage, target, runs, out)
-            if obs is not None:
-                obs.record(
-                    ctx.rank, "caf.coarray_read", out.nbytes, ctx.engine.now - t0
-                )
         return out.reshape(shape)
 
     # -- asynchronous remote access (§3.3) -----------------------------------------

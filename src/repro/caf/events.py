@@ -31,9 +31,6 @@ class EventArray:
         self.team = team
         self.nslots = nslots
         self.storage = img.backend.allocate_events(team, nslots)
-        # Cached metrics handle (fixed at cluster construction): the
-        # notify/wait guards cost one attribute load when disabled.
-        self._obs = img.ctx.metrics
         # Local-post subscribers: slot -> callbacks run on next post
         # (predicate events of asynchronous operations).
         self._subscribers: dict[int, list] = {}
@@ -51,20 +48,15 @@ class EventArray:
         if not 0 <= target < self.team.size:
             raise CafError(f"image index {target} out of range [0, {self.team.size})")
         self.img._check_alive(self.team, target)
-        obs = self._obs
-        ctx = self.img.ctx
-        t0 = ctx.engine.now if obs is not None else 0.0
-        with self.img.profile("event_notify"):
+        with self.img.profile("event_notify", "caf.event_notify"):
             self.img.backend.event_notify(self.storage, target, slot)
-        if obs is not None:
-            obs.record(ctx.rank, "caf.event_notify", 0, ctx.engine.now - t0)
 
     def _post_local(self, slot: int) -> None:
         """Post this image's own slot (used for source/local completion events).
 
         Subscribers run via the storage listener.
         """
-        self.img.backend.event_post_local(self.storage, slot)
+        self.storage.post(slot)
 
     def _run_subscribers(self, slot: int) -> None:
         for cb in self._subscribers.pop(slot, []):
@@ -88,14 +80,10 @@ class EventArray:
         :class:`CafTimeoutError` instead of hanging, consuming nothing.
         """
         self._check_slot(slot)
-        obs = self._obs
-        ctx = self.img.ctx
-        t0 = ctx.engine.now if obs is not None else 0.0
+        storage = self.storage
         if timeout is None:
-            with self.img.profile("event_wait"):
-                self.img.backend.event_wait(self.storage, slot, count)
-            if obs is not None:
-                obs.record(ctx.rank, "caf.event_wait", 0, ctx.engine.now - t0)
+            with self.img.profile("event_wait", "caf.event_wait"):
+                self.img.backend.event_wait(storage, slot, count)
             self._san_consumed(slot, count)
             return
         if timeout < 0:
@@ -108,17 +96,14 @@ class EventArray:
             backend.kick()  # wake the progress engine so the predicate reruns
 
         self.img.ctx.engine.call_in(timeout, fire)
-        with self.img.profile("event_wait"):
+        with self.img.profile("event_wait", "caf.event_wait"):
             backend.progress_wait(
-                lambda: expired[0]
-                or backend.event_count(self.storage, slot) >= count,
+                lambda: expired[0] or storage.count(slot) >= count,
                 f"event_wait(slot={slot}, timeout={timeout})",
             )
-        if obs is not None:
-            obs.record(ctx.rank, "caf.event_wait", 0, ctx.engine.now - t0)
-        have = backend.event_count(self.storage, slot)
+        have = storage.count(slot)
         if have >= count:
-            backend.event_consume(self.storage, slot, count)
+            storage.consume(slot, count)
             self._san_consumed(slot, count)
             return
         raise CafTimeoutError(
@@ -129,10 +114,9 @@ class EventArray:
     def trywait(self, slot: int = 0, count: int = 1) -> bool:
         """event_trywait: nonblocking; consumes and returns True if posted."""
         self._check_slot(slot)
-        backend = self.img.backend
-        backend.poll()
-        if backend.event_count(self.storage, slot) >= count:
-            backend.event_consume(self.storage, slot, count)
+        self.img.backend.poll()
+        if self.storage.count(slot) >= count:
+            self.storage.consume(slot, count)
             self._san_consumed(slot, count)
             return True
         return False
@@ -140,7 +124,7 @@ class EventArray:
     def count(self, slot: int = 0) -> int:
         """Un-consumed notifications currently pending on a local slot."""
         self._check_slot(slot)
-        return self.img.backend.event_count(self.storage, slot)
+        return self.storage.count(slot)
 
     def on_next_post(self, slot: int, cb) -> None:
         """Run ``cb`` when the slot next becomes posted (now, if it already is).
@@ -148,7 +132,7 @@ class EventArray:
         Used for predicate events of asynchronous operations.
         """
         self._check_slot(slot)
-        if self.img.backend.event_count(self.storage, slot) > 0:
+        if self.storage.count(slot) > 0:
             cb()
         else:
             self._subscribers.setdefault(slot, []).append(cb)

@@ -43,7 +43,7 @@ class FinishBlock:
             raise CafError("finish block entered twice")
         self._entered = True
         # A finish is collective: members line up on entry.
-        self.img.backend.barrier(self.team)
+        self.team.handle.barrier()
         self._ship_baseline = self.img.backend.shipped_minus_completed()
         return self
 
@@ -61,7 +61,7 @@ class FinishBlock:
                     dtype=np.int64,
                 )
                 total = np.zeros(1, np.int64)
-                backend.allreduce(self.team, local, total, SUM)
+                self.team.handle.allreduce(local, total, SUM)
                 use_fast = total[0] == 0
             if use_fast:
                 self._finish_fast()
@@ -70,9 +70,8 @@ class FinishBlock:
 
     def _finish_fast(self) -> None:
         """Flush everything this image issued, then a team barrier (§3.5)."""
-        backend = self.img.backend
-        backend.quiet()
-        backend.barrier(self.team)
+        self.img.backend.quiet()
+        self.team.handle.barrier()
 
     def _finish_termination_detection(self) -> None:
         """Yang's repeated-SUM-reduction termination detection (§3.5)."""
@@ -82,7 +81,7 @@ class FinishBlock:
             backend.quiet()
             local = np.array([backend.shipped_minus_completed()], dtype=np.int64)
             total = np.zeros(1, np.int64)
-            backend.allreduce(self.team, local, total, SUM)
+            self.team.handle.allreduce(local, total, SUM)
             if total[0] == 0:
                 break
-        backend.barrier(self.team)
+        self.team.handle.barrier()

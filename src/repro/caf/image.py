@@ -12,6 +12,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro.caf.agree import next_team_id
 from repro.caf.backend import AsyncHandle, RuntimeBackend
 from repro.caf.coarray import Coarray
 from repro.caf.events import EventArray
@@ -131,15 +132,9 @@ class Image:
             raise CafError(
                 f"image {self.rank} is not a member of team {team.team_id}"
             )
-
-        def fresh_id() -> int:
-            ids = self.cluster.shared("caf-team-ids", lambda: [1])
-            team_id = ids[0]
-            ids[0] += 1
-            return team_id
-
         team_id = self.cluster.shared(
-            ("caf-shrink-id", team.team_id, survivors), fresh_id
+            ("caf-shrink-id", team.team_id, survivors),
+            lambda: next_team_id(self.cluster),
         )
         new_team = Team(team_id, survivors, survivors.index(self.rank))
         new_team.handle = self.backend.shrink_team_handle(team, new_team)
@@ -224,73 +219,43 @@ class Image:
 
     # -- collectives ----------------------------------------------------------------------
 
-    def _obs_coll(self, kind: str, nbytes: int, t0: float) -> None:
-        """Charge a finished team collective to the metrics registry."""
-        obs = self.ctx.metrics
-        if obs is None:  # pragma: no cover - callers guard already
-            return
-        obs.record(
-            self.ctx.rank, "caf.coll." + kind, nbytes, self.ctx.engine.now - t0
-        )
+    # A team's handle is its blocking-collective API on either backend (an
+    # MPI communicator, a GASNet TeamExchange); the region is both the
+    # profiler category and the op's metrics record.
 
     def barrier(self, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        with self.profile("barrier"):
-            self.backend.barrier(team or self.team_world)
-        if obs is not None:
-            self._obs_coll("barrier", 0, t0)
+        with self.profile("barrier", "caf.coll.barrier"):
+            (team or self.team_world).handle.barrier()
 
     def team_broadcast(self, buf, root: int = 0, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         arr = np.asarray(buf)
-        with self.profile("broadcast"):
-            self.backend.broadcast(team or self.team_world, arr, root)
-        if obs is not None:
-            self._obs_coll("broadcast", arr.nbytes, t0)
+        with self.profile("broadcast", "caf.coll.broadcast", arr.nbytes):
+            (team or self.team_world).handle.bcast(arr, root)
 
     def team_reduce(self, send, recv, op, root: int = 0, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         arr = np.asarray(send)
-        with self.profile("reduce"):
-            self.backend.reduce(team or self.team_world, arr, recv, op, root)
-        if obs is not None:
-            self._obs_coll("reduce", arr.nbytes, t0)
+        with self.profile("reduce", "caf.coll.reduce", arr.nbytes):
+            (team or self.team_world).handle.reduce(arr, recv, op, root)
 
     def team_allreduce(self, send, recv, op, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         arr = np.asarray(send)
-        with self.profile("reduce"):
-            self.backend.allreduce(
-                team or self.team_world, arr, np.asarray(recv), op
-            )
-        if obs is not None:
-            self._obs_coll("allreduce", arr.nbytes, t0)
+        with self.profile("reduce", "caf.coll.allreduce", arr.nbytes):
+            (team or self.team_world).handle.allreduce(arr, np.asarray(recv), op)
 
     def team_alltoall(self, send, recv, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         arr = np.asarray(send)
-        with self.profile("alltoall"):
-            self.backend.alltoall(team or self.team_world, arr, np.asarray(recv))
-        if obs is not None:
-            self._obs_coll("alltoall", arr.nbytes, t0)
+        with self.profile("alltoall", "caf.coll.alltoall", arr.nbytes):
+            (team or self.team_world).handle.alltoall(arr, np.asarray(recv))
 
     def team_allgather(self, send, recv, team: Team | None = None) -> None:
-        obs = self.ctx.metrics
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         arr = np.asarray(send)
-        with self.profile("allgather"):
-            self.backend.allgather(team or self.team_world, arr, np.asarray(recv))
-        if obs is not None:
-            self._obs_coll("allgather", arr.nbytes, t0)
+        with self.profile("allgather", "caf.coll.allgather", arr.nbytes):
+            (team or self.team_world).handle.allgather(arr, np.asarray(recv))
 
     # -- asynchronous collectives (§2.1) -----------------------------------------------
 
     def _collective_async(self, kind, args, team, data_event, op_event):
+        """``kind`` names the blocking collective of a team handle."""
         done = self.backend.collective_async(team or self.team_world, kind, args)
         handle = AsyncHandle(f"coll_async.{kind}", kind="coll")
         done.subscribe(handle.local.fire)
@@ -308,7 +273,7 @@ class Image:
         """Nonblocking broadcast; ``data_event`` posts when the local buffer
         holds the data, ``op_event`` when the operation is fully complete."""
         self._collective_async(
-            "broadcast", (np.asarray(buf), root), team, data_event, op_event
+            "bcast", (np.asarray(buf), root), team, data_event, op_event
         )
 
     def team_reduce_async(
@@ -487,8 +452,10 @@ class Image:
         """Charge modeled local computation time."""
         self.ctx.compute(seconds, flops=flops)
 
-    def profile(self, category: str):
-        return self.ctx.profile(category)
+    def profile(self, category: str, kind: str | None = None, nbytes: int = 0):
+        """Span of one CAF op: ``category`` in the time breakdown and, with
+        ``kind``, one op record in the run's metrics (when armed)."""
+        return self.ctx.profile(category, kind, nbytes)
 
     @property
     def now(self) -> float:

@@ -5,15 +5,17 @@ relative index, and (c) isolates collective communication — the three
 purposes the paper lists. ``TEAM_WORLD`` exists at startup; new teams come
 from :meth:`Image.team_split`.
 
-The membership agreement protocol is backend-neutral (a shared board plus
-a barrier on the parent team); backends only build their per-team handle
-(an MPI communicator / a GASNet TeamExchange) from the agreed membership.
+The membership agreement protocol is backend-neutral (one
+:func:`~repro.caf.agree.collective_agree` round on the parent team);
+backends only build their per-team handle (an MPI communicator / a GASNet
+TeamExchange) from the agreed membership.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
+from repro.caf.agree import next_team_id
 from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -27,9 +29,9 @@ class Team:
         self.team_id = team_id
         self.members = members  # team index -> world rank
         self.my_index = my_index
-        self.handle: Any = None  # backend-specific
-        # Per-image split sequence number (collective-call agreement).
-        self._split_seq = 0
+        #: Backend-specific, and the team's blocking-collective API
+        #: (``barrier()``, ``bcast(buf, root)``, ``allreduce(...)``, ...).
+        self.handle: Any = None
 
     @property
     def size(self) -> int:
@@ -51,31 +53,24 @@ def split_team(img: "Image", parent: Team, color: int, key: int | None) -> Team 
     """
     if key is None:
         key = parent.my_index
-    seq = parent._split_seq
-    parent._split_seq += 1
-    boards = img.cluster.shared("caf-team-splits", dict)
-    board = boards.setdefault(
-        (parent.team_id, seq), {"args": {}, "result": None}
-    )
-    board["args"][parent.my_index] = (color, key)
-    img.backend.barrier(parent)
-    if board["result"] is None:
-        ids = img.cluster.shared("caf-team-ids", lambda: [1])  # 0 = TEAM_WORLD
+
+    def assign(args: dict[int, tuple[int, int]]):
         groups: dict[int, list[tuple[int, int]]] = {}
-        for idx, (c, k) in board["args"].items():
+        for idx, (c, k) in args.items():
             if c >= 0:
                 groups.setdefault(c, []).append((k, idx))
         result: dict[int, tuple[int, tuple[int, ...], int]] = {}
         for c in sorted(groups):
-            team_id = ids[0]
-            ids[0] += 1
+            team_id = next_team_id(img.cluster)
             indices = [idx for _k, idx in sorted(groups[c])]
             members = tuple(parent.members[idx] for idx in indices)
             for new_index, idx in enumerate(indices):
                 result[idx] = (team_id, members, new_index)
-        board["result"] = result
-    img.backend.barrier(parent)
-    entry = board["result"].get(parent.my_index)
+        return result
+
+    entry = img.backend.agree(parent, "caf-team-splits", (color, key), assign).get(
+        parent.my_index
+    )
     # Every parent member participates in handle construction (the MPI
     # backend's comm split is itself collective), even color<0 images.
     handle = img.backend.split_team_handle(parent, color, key, entry)

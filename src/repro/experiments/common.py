@@ -1,13 +1,11 @@
-"""Shared experiment plumbing: result records, sweeps, ideal-scale series."""
+"""Shared experiment plumbing: result records, scales, ideal-scale series."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.caf.program import CafRun, run_caf
-from repro.sim.network import MachineSpec
 from repro.util.tables import format_table
 
 #: Named problem scales. "quick" keeps every experiment in seconds for
@@ -40,31 +38,6 @@ class ExperimentResult:
         if self.notes:
             text += "\n" + self.notes
         return text
-
-
-def sweep_backends(
-    app: Callable[..., Any],
-    procs: Sequence[int],
-    spec: MachineSpec,
-    *,
-    backends: Sequence[str] = ("mpi", "gasnet"),
-    backend_options: dict[str, dict] | None = None,
-    metric: Callable[[CafRun], float],
-    app_kwargs: Callable[[int], dict] | dict | None = None,
-) -> dict[str, list[float]]:
-    """Run ``app`` for every (backend, nprocs) pair; returns metric series."""
-    series: dict[str, list[float]] = {}
-    for backend in backends:
-        options = (backend_options or {}).get(backend)
-        values = []
-        for p in procs:
-            kwargs = app_kwargs(p) if callable(app_kwargs) else dict(app_kwargs or {})
-            run = run_caf(
-                app, p, spec, backend=backend, backend_options=options, **kwargs
-            )
-            values.append(metric(run))
-        series[backend] = values
-    return series
 
 
 def ideal_scale(procs: Sequence[int], base_value: float) -> list[float]:

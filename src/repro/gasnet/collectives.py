@@ -7,9 +7,12 @@ hand-rolled all-to-all blasts puts at every peer in naive rank order
 (incast at the low ranks plus per-message NIC and signal-handling costs)
 while ``MPI_ALLTOALL`` uses a tuned pairwise schedule.
 
-A :class:`TeamExchange` is one team's collective engine on one image. Each
-member owns an **arena** (scratch landing space) and a **flag array** in
-its segment; members exchange base offsets at construction, so scratch
+A :class:`TeamExchange` is one team's collective engine on one image; its
+collectives take the names and arguments of :class:`repro.mpi.comm.Comm`'s
+(``bcast(buf, root)``, ``reduce(send, recv, op, root)``, ...), so the CAF
+layer calls either through ``team.handle``. Each member owns an **arena**
+(scratch landing space) and a **flag array** in its segment; members
+exchange base offsets at construction, so scratch
 addresses are computed as ``peer_base + delta`` with identical deltas on
 every member (robust even when other teams' allocations skewed the
 segment tops). Completion signalling is conduit-dependent
@@ -20,6 +23,7 @@ segment tops). Completion signalling is conduit-dependent
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -69,8 +73,6 @@ class TeamExchange:
         allocator: SegmentAllocator,
         *,
         arena_bytes: int | None = None,
-        peer_arena_bases: tuple[int, ...] | None = None,
-        peer_flag_bases: tuple[int, ...] | None = None,
         defer_handler: bool = False,
     ):
         self.gasnet = gasnet
@@ -87,23 +89,25 @@ class TeamExchange:
         # second array acknowledges that a landing zone has been drained.
         self.flags_base = allocator.alloc(8 * len(members))
         self.drain_base = allocator.alloc(8 * len(members))
-        n = len(members)
         # When members' segment tops are aligned (the common, symmetric
         # case) everyone's bases are equal; otherwise the runtime exchanges
-        # them and passes the tables in.
-        self.peer_arena_bases = peer_arena_bases or tuple([self.arena_base] * n)
-        self.peer_flag_bases = peer_flag_bases or tuple([self.flags_base] * n)
-        # The drain array sits at the same (alignment-dependent) delta past
-        # the flag array on every member.
-        self.peer_drain_bases = tuple(
-            b + (self.drain_base - self.flags_base) for b in self.peer_flag_bases
-        )
+        # them and calls :meth:`set_peer_bases` again.
+        self.set_peer_bases([(self.arena_base, self.flags_base)] * len(members))
         self.seq = 0
         self._arena_top = 0
         # AM-mode signal counters: (seq, round) -> count received.
         self._signals: dict[tuple[int, int], int] = {}
         if not defer_handler:
             self.register_handler()
+
+    def set_peer_bases(self, bases: Sequence[tuple[int, int]]) -> None:
+        """Install every member's ``(arena_base, flags_base)``, in member order."""
+        self.peer_arena_bases = tuple(arena for arena, _flags in bases)
+        self.peer_flag_bases = tuple(flags for _arena, flags in bases)
+        # The drain array sits at the same (alignment-dependent) delta past
+        # the flag array on every member.
+        delta = self.drain_base - self.flags_base
+        self.peer_drain_bases = tuple(b + delta for b in self.peer_flag_bases)
 
     def register_handler(self) -> None:
         """Register this team's signal handler (deferred when the team id
@@ -115,10 +119,6 @@ class TeamExchange:
     @property
     def size(self) -> int:
         return len(self.members)
-
-    @property
-    def allocator(self) -> "TeamExchange":
-        return self  # backwards-compatible alias for .allocator.used checks
 
     @property
     def used(self) -> int:
@@ -214,7 +214,7 @@ class TeamExchange:
             round_no += 1
 
     @_collective
-    def broadcast(self, buf, root_index: int = 0) -> None:
+    def bcast(self, buf, root: int = 0) -> None:
         """Binomial broadcast: puts into the arena + AM signals."""
         seq = self._next_seq()
         arr = np.asarray(buf)
@@ -224,7 +224,7 @@ class TeamExchange:
             return
         marker = self._arena_top
         land = self._arena_alloc(flat.nbytes)
-        vr = (self.my_index - root_index) % n
+        vr = (self.my_index - root) % n
         mask = 1
         while mask < n:
             if vr & mask:
@@ -236,7 +236,7 @@ class TeamExchange:
         mask >>= 1
         while mask > 0:
             if vr + mask < n:
-                child = ((vr + mask) + root_index) % n
+                child = ((vr + mask) + root) % n
                 self.gasnet.put(
                     self.members[child], self.peer_arena_bases[child] + land, flat
                 )
@@ -248,7 +248,7 @@ class TeamExchange:
         self._arena_release(marker)
 
     @_collective
-    def reduce(self, sendbuf, recvbuf, op, root_index: int = 0) -> None:
+    def reduce(self, sendbuf, recvbuf, op, root: int = 0) -> None:
         """Gather-to-root into landing slots, then combine at the root.
 
         The flat (non-tree) structure is deliberately naive — the paper
@@ -262,13 +262,13 @@ class TeamExchange:
         n = self.size
         marker = self._arena_top
         land = self._arena_alloc(nbytes * n)
-        if self.my_index == root_index:
+        if self.my_index == root:
             if n > 1:
                 self._wait_signals(seq, n - 1)
             acc = flat.copy()
             landing = self._local_arena(land, nbytes * n)
             for i in range(n):
-                if i == root_index:
+                if i == root:
                     continue
                 chunk = landing[i * nbytes : (i + 1) * nbytes].view(flat.dtype)
                 acc = op(acc, chunk)
@@ -277,23 +277,23 @@ class TeamExchange:
             recv.reshape(-1)[...] = acc
             # Ack: peers may not reuse the arena before the root combined.
             for i in range(n):
-                if i != root_index:
+                if i != root:
                     self._signal(i, seq, round_no=1)
         else:
             self.gasnet.put(
-                self.members[root_index],
-                self.peer_arena_bases[root_index] + land + self.my_index * nbytes,
+                self.members[root],
+                self.peer_arena_bases[root] + land + self.my_index * nbytes,
                 flat,
             )
-            self._signal(root_index, seq)
+            self._signal(root, seq)
             self._wait_signals(seq, 1, round_no=1)
         self._arena_release(marker)
 
     @_collective
-    def allreduce(self, sendbuf, recvbuf, op, root_index: int = 0) -> None:
+    def allreduce(self, sendbuf, recvbuf, op) -> None:
         recv = np.asarray(recvbuf)
-        self.reduce(sendbuf, recv, op, root_index)
-        self.broadcast(recv, root_index)
+        self.reduce(sendbuf, recv, op)
+        self.bcast(recv)
 
     @_collective
     def allgather(self, sendbuf, recvbuf) -> None:

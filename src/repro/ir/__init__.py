@@ -14,17 +14,13 @@ traces.
 """
 
 from repro.ir.costs import obs_formula, static_op_seconds
-from repro.ir.ops import (
-    OP_NAMES,
-    IrOp,
-)
+from repro.ir.ops import OP_NAMES
 from repro.ir.trace import TRACE_VERSION, Trace, TraceVersionError
 from repro.ir.replay import ReplayError, ReplayResult, replay, validate_trace
 from repro.ir.sweep import SweepPoint, grid_points, run_sweep
 
 __all__ = [
     "OP_NAMES",
-    "IrOp",
     "obs_formula",
     "static_op_seconds",
     "TRACE_VERSION",

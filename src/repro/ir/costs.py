@@ -21,7 +21,6 @@ from repro.sim.network import MachineSpec
 STRUCTURE_FIELDS = (
     "mpi_eager_threshold",
     "mpi_rma_over_sendrecv",
-    "mpi_async_progress",
     "gasnet_srq_threshold",
     "gasnet_am_credits",
     "gasnet_coll_signal",

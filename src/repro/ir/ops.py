@@ -11,16 +11,13 @@ Two layers live here:
 * **Dynamic IR op model** — the op kinds a recorded trace is made of
   (mirroring the instrumented call surface: local compute sleeps,
   scheduled callbacks, fabric transfers, event fire/wait, counter
-  add/wait/take, channel put/get) plus a typed dataclass view
-  (:class:`IrOp` subclasses) over the columnar trace storage. Every op
-  carries a stable id (its global record sequence number ``gseq`` — live
-  execution order), the chain (execution context) it belongs to, and its
-  dependence tokens (event / counter / channel ids, transfer peers).
+  add/wait/take, channel put/get), stored columnar (:mod:`repro.ir.trace`).
+  Every op carries a stable id (its global record sequence number ``gseq``
+  — live execution order), the chain (execution context) it belongs to,
+  and its dependence tokens (event / counter / channel ids, transfer peers).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.sim.irhook import CK_LIT, COST_FIELDS  # noqa: F401  (re-exported)
 
@@ -233,79 +230,3 @@ OP_NAMES = (
 CHAIN_PROC = 0  # a simulated process fiber (rank >= 0 for rank processes)
 CHAIN_CB = 1  # a scheduled callback (started by a CALL or XFER op)
 CHAIN_EXTERNAL = 2  # scheduled from outside any context (absolute start time)
-
-
-# -- typed dataclass view --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IrOp:
-    """Base of the typed op view; ``gseq`` is the stable op id."""
-
-    gseq: int
-    chain: int
-
-
-@dataclass(frozen=True)
-class SleepOp(IrOp):
-    cost_kind: int
-    cost_args: tuple[float, float, float]
-    recorded: float  # live duration (the CK_LIT fallback value)
-
-
-@dataclass(frozen=True)
-class CallOp(IrOp):
-    child: int
-    cost_kind: int
-    cost_args: tuple[float, float, float]
-    recorded: float  # live delay
-
-
-@dataclass(frozen=True)
-class TransferOp(IrOp):
-    src: int
-    dst: int
-    nbytes: int
-    srq_rx: bool  # recorded with SRQ delivery occupancy
-    child: int  # delivery chain
-    recorded_deliver: float  # live delivery time (validation aid)
-
-
-@dataclass(frozen=True)
-class EventFireOp(IrOp):
-    event: int
-
-
-@dataclass(frozen=True)
-class EventWaitOp(IrOp):
-    event: int
-
-
-@dataclass(frozen=True)
-class CounterAddOp(IrOp):
-    counter: int
-    amount: int
-
-
-@dataclass(frozen=True)
-class CounterWaitOp(IrOp):
-    counter: int
-    threshold: int
-
-
-@dataclass(frozen=True)
-class CounterTakeOp(IrOp):
-    counter: int
-    amount: int
-
-
-@dataclass(frozen=True)
-class ChannelPutOp(IrOp):
-    channel: int
-    seq: int
-
-
-@dataclass(frozen=True)
-class ChannelGetOp(IrOp):
-    channel: int
-    seq: int

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import pathlib
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -87,49 +87,11 @@ class Trace:
     def recorded_spec(self):
         from repro.sim.network import MachineSpec
 
-        return MachineSpec(**self.manifest["spec"])
-
-    def iter_ops(self) -> Iterator[_ops.IrOp]:
-        """Typed dataclass view over the columnar storage (analysis/CLI)."""
-        a = self.arrays
-        kind, chain = a["kind"], a["chain"]
-        ck, ai, bi, ci = a["ck"], a["a"], a["b"], a["c"]
-        c0, c1, c2, d = a["c0"], a["c1"], a["c2"], a["d"]
-        nranks = self.nranks
-        for i in range(self.nops):
-            k, ch = int(kind[i]), int(chain[i])
-            if k == _ops.OP_SLEEP:
-                yield _ops.SleepOp(
-                    i, ch, int(ck[i]), (float(c0[i]), float(c1[i]), float(c2[i])),
-                    float(d[i]),
-                )
-            elif k == _ops.OP_CALL:
-                yield _ops.CallOp(
-                    i, ch, int(ai[i]), int(ck[i]),
-                    (float(c0[i]), float(c1[i]), float(c2[i])), float(d[i]),
-                )
-            elif k == _ops.OP_XFER:
-                pair = int(ai[i])
-                yield _ops.TransferOp(
-                    i, ch, pair // nranks, pair % nranks, int(ci[i]),
-                    bool(c0[i]), int(bi[i]), float(d[i]),
-                )
-            elif k == _ops.OP_FIRE:
-                yield _ops.EventFireOp(i, ch, int(ai[i]))
-            elif k == _ops.OP_WAITEV:
-                yield _ops.EventWaitOp(i, ch, int(ai[i]))
-            elif k == _ops.OP_ADD:
-                yield _ops.CounterAddOp(i, ch, int(ai[i]), int(bi[i]))
-            elif k == _ops.OP_WAITGE:
-                yield _ops.CounterWaitOp(i, ch, int(ai[i]), int(bi[i]))
-            elif k == _ops.OP_TAKE:
-                yield _ops.CounterTakeOp(i, ch, int(ai[i]), int(bi[i]))
-            elif k == _ops.OP_PUT:
-                yield _ops.ChannelPutOp(i, ch, int(ai[i]), int(bi[i]))
-            elif k == _ops.OP_CHGET:
-                yield _ops.ChannelGetOp(i, ch, int(ai[i]), int(bi[i]))
-            else:  # pragma: no cover - format invariant
-                raise TraceError(f"unknown op kind {k} at gseq {i}")
+        spec = dict(self.manifest["spec"])
+        # A field no code ever read, dropped from MachineSpec; traces
+        # recorded before that still carry it.
+        spec.pop("mpi_async_progress", None)
+        return MachineSpec(**spec)
 
     # -- validation ------------------------------------------------------
 

@@ -175,12 +175,6 @@ class KindComparison:
     def calls_exact(self) -> bool:
         return self.static_calls == self.recorded_calls
 
-    @property
-    def bytes_rel_err(self) -> float:
-        if self.recorded_bytes == 0:
-            return 0.0 if self.static_bytes == 0 else float("inf")
-        return abs(self.static_bytes - self.recorded_bytes) / self.recorded_bytes
-
 
 @dataclass
 class TraceComparison:

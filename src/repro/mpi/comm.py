@@ -439,10 +439,5 @@ class Comm:
         assert new is not None
         return new
 
-    # -- convenience ------------------------------------------------------------
-
-    def new_like(self, template: np.ndarray) -> np.ndarray:
-        return np.empty_like(template)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Comm ctx={self.state.context_id} rank={self.rank}/{self.size}>"

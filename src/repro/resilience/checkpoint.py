@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.backends.common import collective_agree
+from repro.caf.agree import collective_agree
 from repro.util.errors import ResilienceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -222,13 +222,12 @@ class ResilienceService:
         saved = ckpt.events[img.rank]
         if index < len(saved) and len(saved[index]) == ev.nslots:
             for slot, count in enumerate(saved[index]):
-                have = ev.img.backend.event_count(ev.storage, slot)
-                delta = int(count) - have
+                delta = int(count) - ev.storage.count(slot)
                 if delta > 0:
                     for _ in range(delta):
                         ev.storage.post(slot)
                 elif delta < 0:  # pragma: no cover - defensive
-                    ev.img.backend.event_consume(ev.storage, slot, -delta)
+                    ev.storage.consume(slot, -delta)
 
     # -- snapshot ----------------------------------------------------------
 
@@ -236,9 +235,7 @@ class ResilienceService:
         coarrays = [co.local.reshape(-1).copy() for co in self._coarrays.get(rank, [])]
         events = []
         for ev in self._events.get(rank, []):
-            events.append(
-                [ev.img.backend.event_count(ev.storage, s) for s in range(ev.nslots)]
-            )
+            events.append([ev.storage.count(s) for s in range(ev.nslots)])
         return coarrays, events
 
 
@@ -332,7 +329,6 @@ class ImageResilience:
                 return ckpt
 
             return collective_agree(
-                img.backend,
                 img.cluster,
                 team,
                 "resilience-checkpoint",

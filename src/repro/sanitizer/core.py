@@ -22,7 +22,6 @@ from repro.sanitizer.report import (
     Diagnostic,
     SanitizerReport,
     call_site,
-    region_str,
 )
 from repro.sanitizer.shadow import (
     AccessRecord,
@@ -356,7 +355,3 @@ class Sanitizer:
             f"<Sanitizer ranks={self.nranks} records={self.stats['records']} "
             f"diags={len(self.report.diagnostics)}>"
         )
-
-
-def describe_region(region: tuple) -> str:
-    return region_str(region)

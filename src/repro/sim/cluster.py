@@ -65,8 +65,8 @@ class RankCtx:
             # Literal seconds are spec-independent by definition.
             self.profiler.sleep_in(self.rank, self.proc, category, seconds)
 
-    def profile(self, category: str):
-        return self.profiler.region(self.rank, category)
+    def profile(self, category: str, kind: str | None = None, nbytes: int = 0):
+        return self.profiler.region(self.rank, category, kind, nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankCtx rank={self.rank}/{self.nranks}>"
@@ -138,7 +138,7 @@ class Cluster:
         if metrics:
             from repro.obs.metrics import CommMatrix, Metrics
 
-            self.metrics = Metrics(nranks)
+            self.metrics = self.profiler.metrics = Metrics(nranks)
             self.comm_matrix = CommMatrix(nranks)
             self.fabric.comm_matrix = self.comm_matrix
         #: Live telemetry tap (None = zero-cost off state; the engine's

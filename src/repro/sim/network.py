@@ -63,7 +63,6 @@ class MachineSpec:
     mpi_eager_threshold: int = 8192  # bytes; above this, rendezvous
     mpi_rma_over_sendrecv: bool = False  # Cray MPI implements RMA over send/recv
     mpi_sendrecv_rma_extra: float = 2.0e-6  # extra per-op cost in that mode
-    mpi_async_progress: bool = True  # library progresses 2-sided without user calls
 
     # --- GASNet software costs ------------------------------------------
     gasnet_put_overhead: float = 0.5e-6

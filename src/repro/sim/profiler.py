@@ -5,6 +5,11 @@ and 8): each rank attributes its elapsed virtual time to the innermost
 active category (``computation``, ``coarray_write``, ``event_wait``,
 ``event_notify``, ``alltoall``, ...). Accounting is *exclusive*: entering a
 nested region pauses the parent region's clock.
+
+A region may also name the *op* it spans (``kind``, ``nbytes``): the same
+``engine.now`` pair then feeds the op-level metrics registry
+(:mod:`repro.obs.metrics`) with the op's inclusive time: one span times a
+CAF op for both the breakdown and its op record.
 """
 
 from __future__ import annotations
@@ -21,12 +26,16 @@ class _Region:
     costs several calls plus a frame per use.
     """
 
-    __slots__ = ("profiler", "rank", "category", "entered")
+    __slots__ = ("profiler", "rank", "category", "kind", "nbytes", "entered")
 
-    def __init__(self, profiler: Profiler, rank: int, category: str):
+    def __init__(
+        self, profiler: Profiler, rank: int, category: str, kind: str | None, nbytes: int
+    ):
         self.profiler = profiler
         self.rank = rank
         self.category = category
+        self.kind = kind
+        self.nbytes = nbytes
 
     def __enter__(self) -> None:
         prof = self.profiler
@@ -50,6 +59,12 @@ class _Region:
         tracer = prof.tracer
         if tracer is not None and tracer.enabled:
             tracer.record("region", rank, self.entered, now, category=self.category)
+        if self.kind is not None and exc[0] is None:
+            # An op that raised did not complete: its time stays in the
+            # category breakdown, but it is not a recorded op.
+            metrics = prof.metrics
+            if metrics is not None:
+                metrics.record(rank, self.kind, self.nbytes, now - self.entered)
 
 
 class Profiler:
@@ -57,6 +72,9 @@ class Profiler:
         self.engine = engine
         self.nranks = nranks
         self.tracer = tracer
+        #: The run's :class:`~repro.obs.metrics.Metrics` when armed (set by
+        #: the cluster), else None: regions that name an op record it there.
+        self.metrics = None
         self.times: list[dict[str, float]] = [{} for _ in range(nranks)]
         self.counts: list[dict[str, int]] = [{} for _ in range(nranks)]
         # Per rank: stack of [category, segment_start] with the top segment open.
@@ -71,9 +89,16 @@ class Profiler:
             times[cat] = times.get(cat, 0.0) + now - start
             stack[-1][1] = now
 
-    def region(self, rank: int, category: str) -> _Region:
-        """Attribute enclosed virtual time on ``rank`` to ``category``."""
-        return _Region(self, rank, category)
+    def region(
+        self, rank: int, category: str, kind: str | None = None, nbytes: int = 0
+    ) -> _Region:
+        """Attribute enclosed virtual time on ``rank`` to ``category``.
+
+        With ``kind``, a clean exit also records one completed op of that
+        kind (``nbytes``, inclusive virtual time) in the metrics registry,
+        when the run has one.
+        """
+        return _Region(self, rank, category, kind, nbytes)
 
     def sleep_in(self, rank: int, proc, category: str, duration: float) -> None:
         """``with region(rank, category): proc.sleep(duration)``, unrolled.

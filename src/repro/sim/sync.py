@@ -86,7 +86,6 @@ class Counter:
         self.label = label
         self.count = initial
         self._waiters: list[Proc] = []
-        self._next_callbacks: list[Callable[[], None]] = []
 
     def add(self, n: int = 1) -> None:
         rec = _irhook.RECORDER
@@ -96,13 +95,6 @@ class Counter:
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
             proc.wake()
-        callbacks, self._next_callbacks = self._next_callbacks, []
-        for cb in callbacks:
-            cb()
-
-    def subscribe_next(self, cb: Callable[[], None]) -> None:
-        """Run ``cb`` once, on the next :meth:`add` (of any amount)."""
-        self._next_callbacks.append(cb)
 
     def wait_geq(self, proc: Proc, threshold: int, reason: str | None = None) -> None:
         """Block until ``count >= threshold`` (does not consume)."""

@@ -39,7 +39,7 @@ def test_barrier_synchronizes(nranks):
 def test_broadcast(nranks, root):
     def program(team, g, ctx):
         buf = np.arange(6, dtype=np.float64) if ctx.rank == root else np.zeros(6)
-        team.broadcast(buf, root_index=root)
+        team.bcast(buf, root=root)
         return buf.tolist()
 
     _, results = with_team(program, nranks)
@@ -52,7 +52,7 @@ def test_reduce_sum(nranks):
     def program(team, g, ctx):
         send = np.full(3, float(ctx.rank + 1))
         recv = np.zeros(3)
-        team.reduce(send, recv, SUM, root_index=0)
+        team.reduce(send, recv, SUM, root=0)
         return recv.tolist() if ctx.rank == 0 else None
 
     _, results = with_team(program, nranks)
@@ -112,7 +112,7 @@ def test_consecutive_collectives_reuse_scratch():
             assert recv[:, 0].tolist() == [
                 float(s + round_i) for s in range(ctx.nranks)
             ]
-        return team.allocator.used
+        return team.used
 
     _, results = with_team(program, 4)
     assert all(u == 0 for u in results)  # scratch fully released

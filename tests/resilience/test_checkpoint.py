@@ -86,6 +86,37 @@ def test_resume_refills_allocations(backend):
     assert run_caf(probe, NR, backend=backend, resume_from=ckpt).results == [True] * NR
 
 
+@pytest.mark.parametrize("event_impl", ["sendrecv", "atomics"])
+def test_resume_restores_pending_notifications(event_impl):
+    """A notification posted but not yet consumed at the checkpoint is still
+    pending after a resume — wherever the backend keeps its count (the §3.4
+    atomics design reads it from an RMA window, not from ``counters``)."""
+    options = {"event_impl": event_impl}
+
+    def leave_one_pending(img):
+        ev = img.allocate_events(1)
+        img.sync_all()
+        ev.notify((img.rank + 1) % img.nranks)
+        img.sync_all()
+        img.resilience.checkpoint()
+
+    first = run_caf(leave_one_pending, 2, backend="mpi", backend_options=options,
+                    checkpoint_store=CheckpointStore())
+    ckpt = first.cluster.resilience.store.latest()
+    assert [ckpt.events[r][0] for r in range(2)] == [[1], [1]]
+
+    def resumed(img):
+        ev = img.allocate_events(1)
+        pending = ev.count()
+        ev.wait()  # and it can be consumed: would hang if the post was lost
+        img.sync_all()
+        return pending
+
+    run = run_caf(resumed, 2, backend="mpi", backend_options=options,
+                  resume_from=ckpt, deadline=1.0)
+    assert run.results == [1, 1]
+
+
 def test_resume_latest_string_and_completion(backend):
     store = CheckpointStore()
     run_caf(counter, NR, backend=backend, checkpoint_every=EVERY,
