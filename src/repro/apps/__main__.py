@@ -33,6 +33,8 @@ from repro.caf.program import run_caf
 from repro.platforms import PLATFORMS
 from repro.util.tables import format_table
 
+APPS = ("randomaccess", "fft", "hpl", "cgpop", "cgpop2d", "micro")
+
 
 def _print_breakdown(run) -> None:
     breakdown = run.profiler.breakdown()
@@ -47,10 +49,7 @@ def _print_breakdown(run) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.apps")
-    parser.add_argument(
-        "app",
-        choices=["randomaccess", "fft", "hpl", "cgpop", "cgpop2d", "micro"],
-    )
+    parser.add_argument("app", choices=APPS)
     parser.add_argument("--procs", type=int, default=8)
     parser.add_argument("--backend", choices=["mpi", "gasnet"], default="mpi")
     parser.add_argument(

@@ -239,7 +239,6 @@ class RuntimeBackend(abc.ABC):
         offset: int,
         data: np.ndarray,
         *,
-        want_local: bool,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         """Start an asynchronous write (the §3.3 four-case mapping).

@@ -261,7 +261,6 @@ class GasnetBackend(RuntimeBackend):
         offset: int,
         data: np.ndarray,
         *,
-        want_local: bool,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         handle = AsyncHandle("caf-gasnet.write_async")

@@ -240,7 +240,6 @@ class MpiBackend(RuntimeBackend):
         offset: int,
         data: np.ndarray,
         *,
-        want_local: bool,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         handle = AsyncHandle("caf-mpi.write_async")

@@ -156,12 +156,7 @@ class Coarray:
 
         def start() -> None:
             handle = img.backend.coarray_write_async(
-                self.storage,
-                target,
-                offset,
-                arr,
-                want_local=src_event is not None,
-                dest_event=dest,
+                self.storage, target, offset, arr, dest_event=dest
             )
             img._register_async(handle)
             if src_event is not None:

@@ -168,6 +168,11 @@ def run_caf(
     from repro.obs import capture as _capture
 
     captured = _capture.active()
+    # One index per run: its report, telemetry stream and IR trace share a
+    # run-NNNN stem, so a run one emitter skips (recording refuses faults; a
+    # failed run leaves no trace) is a gap in that emitter's numbering, not
+    # a shift of every later stem.
+    run_index = max(_capture.next_index(), _ir_record.next_index())
     if captured:
         # Process-wide capture (the experiments runner's --metrics DIR):
         # force metrics on, and tracing too when the capture asks for it.
@@ -176,7 +181,7 @@ def run_caf(
         if live is None and _capture.live_forced():
             # --live capture: stream run-NNNN.telemetry.jsonl next to the
             # run-NNNN.report.json this run will emit.
-            live = _capture.telemetry_path()
+            live = _capture.telemetry_path(run_index)
             if live_interval is None:
                 live_interval = _capture.live_interval()
     # Trace recording (--record-ir): pattern-changing faults invalidate a
@@ -252,15 +257,18 @@ def run_caf(
                 backend=backend,
                 app=getattr(program, "__name__", ""),
                 failure=exc,
+                index=run_index,
             )
         raise
     if recording:
         _ir_record.emit(
-            cluster, backend=backend, app=getattr(program, "__name__", "")
+            cluster, backend=backend, app=getattr(program, "__name__", ""),
+            index=run_index,
         )
     if captured:
         _capture.emit(
-            cluster, backend=backend, app=getattr(program, "__name__", "")
+            cluster, backend=backend, app=getattr(program, "__name__", ""),
+            index=run_index,
         )
     return CafRun(
         cluster=cluster,

@@ -377,21 +377,22 @@ class GasnetRank:
                 continue  # more AMs this caller may handle arrived mid-poll
             self.activity.wait_geq(self.ctx.proc, seen + 1, reason=reason)
 
-    # -- sanitizer plumbing ------------------------------------------------
+    # -- one-sided RDMA ---------------------------------------------------------
 
-    def _san_track(
-        self, handle: Handle, owner: int, ranges, op: str, *, is_write: bool
-    ) -> None:
-        """Record an RDMA access against ``owner``'s segment; the record
-        releases when the handle is synced (wait_syncnb[_all])."""
+    def _begin(self, op: str, owner: int, ranges, *, is_write: bool) -> Handle:
+        """Start the RDMA op ``<op>_nb`` on ``owner``'s segment: its handle,
+        with the access recorded by the sanitizer (a no-op unless the
+        cluster sanitizes); the record releases when the handle is synced
+        (wait_syncnb[_all])."""
+        handle = Handle(kind=f"{op}({'dest' if is_write else 'src'}={owner})")
         san = self.ctx.sanitizer
-        if san is None:
-            return
-        rec = san.record_remote(
-            self.rank, ("seg", owner), ranges, op, is_write=is_write
-        )
-        if rec is not None:
-            handle.records.append(rec)
+        if san is not None:
+            rec = san.record_remote(
+                self.rank, ("seg", owner), ranges, op + "_nb", is_write=is_write
+            )
+            if rec is not None:
+                handle.records.append(rec)
+        return handle
 
     def _san_release(self, handles) -> None:
         san = self.ctx.sanitizer
@@ -401,8 +402,6 @@ class GasnetRank:
             if handle.records:
                 san.release_records(handle.records)
                 handle.records = []
-
-    # -- one-sided RDMA ---------------------------------------------------------
 
     def _rdma_write(self, dest: int, runs, arr: np.ndarray, handle: Handle) -> None:
         """Ship an RDMA write as one message: ``arr`` scatters into the
@@ -473,10 +472,8 @@ class GasnetRank:
         self._check_range(dest, dest_offset, arr.nbytes)
         self._check_alive(dest)
         _costs.charge(self.ctx, "gasnet.put", arr.nbytes)
-        handle = Handle(kind=f"put(dest={dest})")
-        self._san_track(
-            handle, dest, [(dest_offset, dest_offset + arr.nbytes)],
-            "put_nb", is_write=True,
+        handle = self._begin(
+            "put", dest, [(dest_offset, dest_offset + arr.nbytes)], is_write=True
         )
         self._rdma_write(dest, [(dest_offset, arr.nbytes)], arr, handle)
         return handle
@@ -490,10 +487,8 @@ class GasnetRank:
         self._check_range(src, src_offset, nbytes)
         self._check_alive(src)
         _costs.charge(self.ctx, "gasnet.get", nbytes)
-        handle = Handle(kind=f"get(src={src})")
-        self._san_track(
-            handle, src, [(src_offset, src_offset + nbytes)],
-            "get_nb", is_write=False,
+        handle = self._begin(
+            "get", src, [(src_offset, src_offset + nbytes)], is_write=False
         )
         self._rdma_read(src, [(src_offset, nbytes)], out, handle)
         return handle
@@ -512,10 +507,9 @@ class GasnetRank:
         # Pack cost at the origin, then a single wire message. Like put_nb,
         # the source may not change until the handle syncs, so no snapshot.
         _costs.charge(self.ctx, "gasnet.put_runs", arr.nbytes)
-        handle = Handle(kind=f"put_runs(dest={dest})")
-        self._san_track(
-            handle, dest, [(int(off), int(off) + int(n)) for off, n in runs],
-            "put_runs_nb", is_write=True,
+        handle = self._begin(
+            "put_runs", dest,
+            [(int(off), int(off) + int(n)) for off, n in runs], is_write=True,
         )
         self._rdma_write(dest, runs, arr, handle)
         return handle
@@ -531,10 +525,9 @@ class GasnetRank:
             self._check_range(src, int(off), int(n))
         self._check_alive(src)
         _costs.charge(self.ctx, "gasnet.get_runs", total)
-        handle = Handle(kind=f"get_runs(src={src})")
-        self._san_track(
-            handle, src, [(int(off), int(off) + int(n)) for off, n in runs],
-            "get_runs_nb", is_write=False,
+        handle = self._begin(
+            "get_runs", src,
+            [(int(off), int(off) + int(n)) for off, n in runs], is_write=False,
         )
         self._rdma_read(src, runs, out, handle)
         return handle

@@ -321,6 +321,12 @@ def active() -> bool:
     return _state["path"] is not None
 
 
+def next_index() -> int:
+    """The lowest run index this recording has not used (0 when inactive);
+    see :func:`repro.obs.capture.next_index`."""
+    return _state["seq"]
+
+
 def last_trace() -> Trace | None:
     """The most recently finalized :class:`Trace` of this recording."""
     return _state["last"]
@@ -350,8 +356,12 @@ def abort() -> None:
     _irhook.RECORDER = None
 
 
-def emit(cluster, *, backend: str = "", app: str = "") -> Trace | None:
-    """Finalize the attached recorder and write this run's artifact."""
+def emit(
+    cluster, *, backend: str = "", app: str = "", index: int | None = None
+) -> Trace | None:
+    """Finalize the attached recorder and write this run's artifact (in a
+    directory recording: under the run's ``index``, so a run this recording
+    skipped leaves a gap in the stems instead of shifting them)."""
     rec = _irhook.RECORDER
     _irhook.RECORDER = None
     if rec is None or rec.cluster is not cluster:
@@ -363,7 +373,7 @@ def emit(cluster, *, backend: str = "", app: str = "") -> Trace | None:
         if out.suffix in (".npz", ".json"):
             stem = out
         else:
-            seq = _state["seq"]
+            seq = _state["seq"] if index is None else index
             _state["seq"] = seq + 1
             label = f"run-{seq:04d}" + (f"-{app}" if app else "")
             stem = out / label

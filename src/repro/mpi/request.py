@@ -18,10 +18,14 @@ from repro.mpi.status import Status
 class Request:
     """Completion handle for a nonblocking MPI operation."""
 
-    def __init__(self, kind: str, proc: Proc):
-        self.kind = kind
+    def __init__(self, kind: str, proc: Proc, *kind_args):
+        #: The operation's name, or a ``%`` template for it plus arguments:
+        #: only diagnostics read the name, so :attr:`kind` formats it then
+        #: and the per-op path does not.
+        self._kind = kind
+        self._kind_args = kind_args
         self._proc = proc
-        self._event = SimEvent(f"req:{kind}")
+        self._event = SimEvent("req")  # labelled by whoever parks on it
         self.status = Status()
         #: Set by :meth:`_fail`; re-raised from :meth:`wait` — the ULFM
         #: model where a pending operation involving a failed process
@@ -41,6 +45,10 @@ class Request:
         self._event.fire(None)
 
     @property
+    def kind(self) -> str:
+        return self._kind % self._kind_args if self._kind_args else self._kind
+
+    @property
     def completed(self) -> bool:
         return self._event.is_set
 
@@ -52,7 +60,10 @@ class Request:
 
     def _wait_steps(self):
         """:meth:`wait` as a script (see ``Proc.run_script``)."""
-        yield from self._event._wait_steps(self._proc)
+        event = self._event
+        if not event.is_set:
+            event.label = f"req:{self.kind}"  # the block reason reports show
+        yield from event._wait_steps(self._proc)
         if self.error is not None:
             raise self.error
         return self.status

@@ -61,7 +61,9 @@ class _PendingPut:
 
 
 class _WindowState:
-    """Shared (library-side) state of one window."""
+    """What the ranks of one window share: group, exposed memory, the
+    target-side lock table. Nothing is built per rank — an origin's
+    completion tracking lives on its own :class:`Window` handle."""
 
     def __init__(
         self,
@@ -69,6 +71,7 @@ class _WindowState:
         buffers: list[np.ndarray | None],
         win_id: int,
         *,
+        dtype=np.uint8,
         memory_model: str = "unified",
         dynamic: bool = False,
         shared: bool = False,
@@ -76,35 +79,18 @@ class _WindowState:
         self.group = group  # comm rank -> world rank
         self.buffers = buffers  # per comm rank, flat arrays of the window dtype
         self.win_id = win_id
+        self.dtype = np.dtype(dtype)  # element type of every rank's memory
         self.memory_model = memory_model  # "unified" (MPI-3) or "separate" (MPI-2)
         self.dynamic = dynamic  # MPI_WIN_CREATE_DYNAMIC: memory attached later
         self.shared = shared  # MPI_WIN_ALLOCATE_SHARED
-        n = len(group)
-        # pending[o][t]: ops from origin o not yet complete at target t.
-        self.pending = [[0] * n for _ in range(n)]
-        # inflight[o]: total pending ops from origin o across all targets.
-        # Lets FLUSH_ALL test one integer instead of scanning pending[o].
-        self.inflight = [0] * n
-        self.flush_waiters: dict[tuple[int, int], list[SimEvent]] = {}
-        # Origin-level waiters fired when inflight[o] drains to zero.
-        self.quiet_waiters: dict[int, list[SimEvent]] = {}
-        # Origins with epoch activity since their last FLUSH_ALL.
-        self.dirty: list[bool] = [False] * n
-        self.lock_all_held: list[bool] = [False] * n
-        # Per-target exclusive/shared lock state: (mode, holders, wait queue).
-        self.locks: list[dict] = [
-            {"mode": None, "holders": set(), "queue": []} for _ in range(n)
-        ]
-        # Rendezvous PUT payloads still riding as live views of the origin's
-        # user buffer (zero-copy): flush_local must buffer these before the
-        # user regains reuse rights. Cleared at delivery.
-        self.unread_puts: list[set["_PendingPut"]] = [set() for _ in range(n)]
-        # Dynamic windows: per rank, base displacement -> attached region.
-        self.regions: list[dict[int, np.ndarray]] = [{} for _ in range(n)]
-        self.next_base: list[int] = [0] * n
-        # Separate model: per rank, private copy + mask of RMA-updated slots.
-        self.private_copies: list[np.ndarray | None] = [None] * n
-        self.rma_dirty_mask: list[np.ndarray | None] = [None] * n
+        # Target-side lock table, target -> {mode, holders, wait queue}; a
+        # target gets its entry the first time someone locks it.
+        self.locks: dict[int, dict] = {}
+        # Dynamic windows: rank -> {base displacement -> attached region}.
+        self.regions: dict[int, dict[int, np.ndarray]] = {}
+        # Separate model only (win_allocate fills it in): per rank, the mask
+        # of slots RMA has updated since that rank's last sync.
+        self.rma_dirty_mask: list[np.ndarray] = []
         self.freed = False
 
     # -- target memory resolution (standard vs dynamic windows) -----------
@@ -112,7 +98,7 @@ class _WindowState:
     def resolve(self, rank: int, offset: int, count: int) -> tuple[np.ndarray, int]:
         """Locate the target array and local offset for an access."""
         if self.dynamic:
-            for base, region in self.regions[rank].items():
+            for base, region in self.regions.get(rank, {}).items():
                 if base <= offset and offset + count <= base + region.size:
                     return region, offset - base
             raise MpiError(
@@ -132,9 +118,8 @@ class _WindowState:
     def write_target(self, rank: int, offset: int, data: np.ndarray) -> None:
         buf, off = self.resolve(rank, offset, data.size)
         buf[off : off + data.size] = data
-        mask = self.rma_dirty_mask[rank]
-        if mask is not None and not self.dynamic:
-            mask[off : off + data.size] = True
+        if self.rma_dirty_mask:
+            self.rma_dirty_mask[rank][off : off + data.size] = True
 
     def read_target(self, rank: int, offset: int, count: int) -> np.ndarray:
         buf, off = self.resolve(rank, offset, count)
@@ -146,9 +131,8 @@ class _WindowState:
         sl = slice(off, off + data.size)
         old = buf[sl].copy()
         buf[sl] = op(buf[sl], data)
-        mask = self.rma_dirty_mask[rank]
-        if mask is not None and not self.dynamic:
-            mask[sl] = True
+        if self.rma_dirty_mask:
+            self.rma_dirty_mask[rank][sl] = True
         return old
 
 
@@ -165,6 +149,23 @@ class Window:
         # guards are one attribute load.
         self._san = comm.ctx.sanitizer
         self._obs = comm.ctx.metrics
+        # Remote completion is a fact about the *origin's* ops (FLUSH only
+        # speaks about the caller's own), so this handle owns it: target ->
+        # my ops not yet complete there (absent = none), and their sum, so
+        # FLUSH_ALL tests one integer.
+        self._pending: dict[int, int] = {}
+        self._inflight = 0
+        self._dirty = False  # epoch activity since my last FLUSH_ALL
+        self._lock_all_held = False
+        # Events fired when _pending[target] / _inflight drain to zero.
+        self._flush_waiters: dict[int, list[SimEvent]] = {}
+        self._quiet_waiters: list[SimEvent] = []
+        # Rendezvous PUT payloads still riding as live views of my user
+        # buffer (zero-copy): flush_local buffers these before the user
+        # regains reuse rights. Cleared at delivery.
+        self._unread_puts: set[_PendingPut] = set()
+        self._next_base = 0  # dynamic windows: next attach() displacement
+        self._private: np.ndarray | None = None  # separate model: my private copy
 
     # -- local access ------------------------------------------------------
 
@@ -182,16 +183,12 @@ class Window:
                            "use the array passed to attach()")
         san = self._san
         if self.state.memory_model == "separate":
-            private = self.state.private_copies[self.rank]
+            private = self._private
             assert private is not None
-            if san is not None:
-                mask = self.state.rma_dirty_mask[self.rank]
-                if mask is not None and mask.any():
-                    san.win_sync_violation(
-                        self._world(self.rank),
-                        self.win_id,
-                        [(0, private.nbytes)],
-                    )
+            if san is not None and self.state.rma_dirty_mask[self.rank].any():
+                san.win_sync_violation(
+                    self._world(self.rank), self.win_id, [(0, private.nbytes)]
+                )
             return private
         buf = self.state.buffers[self.rank]
         assert buf is not None
@@ -211,10 +208,9 @@ class Window:
         state = self.state
         if state.memory_model != "separate":
             return
-        public = state.buffers[self.rank]
-        private = state.private_copies[self.rank]
+        public, private = state.buffers[self.rank], self._private
         mask = state.rma_dirty_mask[self.rank]
-        assert public is not None and private is not None and mask is not None
+        assert public is not None and private is not None
         _costs.charge(self.ctx, "copy", public.nbytes)
         private[mask] = public[mask]
         mask[:] = False
@@ -245,12 +241,11 @@ class Window:
             raise MpiError("attach() on a non-dynamic window")
         if nelems <= 0:
             raise MpiError(f"attach needs a positive size, got {nelems}")
-        state = self.state
-        base = state.next_base[self.rank]
+        base = self._next_base
         # Leave a guard gap so out-of-region accesses fault.
-        state.next_base[self.rank] = base + nelems + 64
-        region = np.zeros(nelems, self._dtype())
-        state.regions[self.rank][base] = region
+        self._next_base = base + nelems + 64
+        region = np.zeros(nelems, self.state.dtype)
+        self.state.regions.setdefault(self.rank, {})[base] = region
         self.ctx.memory.alloc(
             self.ctx.rank, f"mpi/win{self.win_id}", region.nbytes
         )
@@ -260,7 +255,7 @@ class Window:
         """MPI_WIN_DETACH."""
         if not self.state.dynamic:
             raise MpiError("detach() on a non-dynamic window")
-        region = self.state.regions[self.rank].pop(base, None)
+        region = self.state.regions.get(self.rank, {}).pop(base, None)
         if region is None:
             raise MpiError(f"no region attached at displacement {base}")
         self.ctx.memory.free(
@@ -275,13 +270,6 @@ class Window:
             return self.state.regions[self.rank][base]
         except KeyError:
             raise MpiError(f"no region attached at displacement {base}") from None
-
-    def _dtype(self) -> np.dtype:
-        if self.state.dynamic:
-            return np.dtype(getattr(self.state, "dtype", np.uint8))
-        buf = self.state.buffers[self.rank]
-        assert buf is not None
-        return buf.dtype
 
     @property
     def group_size(self) -> int:
@@ -302,75 +290,84 @@ class Window:
         if count > 0:
             self.state.resolve(target, offset, count)  # bounds / region check
 
-    def _op_started(self, target: int) -> None:
-        state = self.state
-        rank = self.rank
-        state.pending[rank][target] += 1
-        state.inflight[rank] += 1
-        state.dirty[rank] = True
-
-    def _op_done_at_target(self, origin: int, target: int) -> None:
-        state = self.state
-        pending = state.pending[origin]
-        pending[target] -= 1
-        state.inflight[origin] -= 1
-        if pending[target] == 0 and state.flush_waiters:
-            for ev in state.flush_waiters.pop((origin, target), []):
-                ev.fire()
-        if state.inflight[origin] == 0 and state.quiet_waiters:
-            for ev in state.quiet_waiters.pop(origin, []):
-                ev.fire()
-
     def _world(self, comm_rank: int) -> int:
         return self.state.group[comm_rank]
 
-    # -- sanitizer plumbing (no-ops unless the cluster sanitizes) ----------
+    def _holds_lock(self, target: int) -> bool:
+        lock = self.state.locks.get(target)
+        return lock is not None and self.rank in lock["holders"]
 
-    def _san_access(
-        self,
-        target: int,
-        elem_ranges,
-        op: str,
-        *,
-        is_write: bool,
-        atomic: bool = False,
-    ):
-        """Record one RMA access with the sanitizer; returns the shadow
-        record (released later at this op's synchronization point) or None.
+    # -- the life of one op at its origin -------------------------------------
 
-        Also checks the passive-target epoch contract: an op needs
-        lock_all, a lock on the target, or an open fence on the window.
+    def _begin(
+        self, op: str, target: int, elem_ranges, *, is_write: bool,
+        atomic: bool = False, round_trip: bool = False, label: str | None = None,
+    ) -> Request:
+        """Start one RMA op: count it pending at ``target``, hand the access
+        to the sanitizer (if the cluster sanitizes) and return its request,
+        named ``label`` (default ``op``).
+
+        The sanitizer checks the passive-target epoch contract (an op needs
+        lock_all, a lock on the target, or an open fence) and keeps a shadow
+        record until the op's synchronization point: a flush, or for
+        ``round_trip`` ops request completion, which *is* remote completion.
         """
+        self._pending[target] = self._pending.get(target, 0) + 1
+        self._inflight += 1
+        self._dirty = True
+        req = Request(
+            "%s(win=%d,target=%d)", self.ctx.proc, label or op, self.win_id, target
+        )
         san = self._san
         if san is None:
-            return None
-        state = self.state
-        in_epoch = (
-            state.lock_all_held[self.rank]
-            or self.rank in state.locks[target]["holders"]
+            return req
+        me, target_world = self._world(self.rank), self._world(target)
+        if not (
+            self._lock_all_held
+            or self._holds_lock(target)
             or self.win_id in san.fence_windows
+        ):
+            san.epoch_violation(me, op, self.win_id, target_world)
+        itemsize = self.state.dtype.itemsize
+        rec = san.record_remote(
+            me, ("win", self.win_id, target_world),
+            [(lo * itemsize, hi * itemsize) for lo, hi in elem_ranges],
+            op, is_write=is_write, atomic=atomic,
         )
-        target_world = self._world(target)
-        if not in_epoch:
-            san.epoch_violation(self._world(self.rank), op, self.win_id, target_world)
-        itemsize = self._dtype().itemsize
-        ranges = [(lo * itemsize, hi * itemsize) for lo, hi in elem_ranges]
-        return san.record_remote(
-            self._world(self.rank),
-            ("win", self.win_id, target_world),
-            ranges,
-            op,
-            is_write=is_write,
-            atomic=atomic,
-        )
+        if round_trip and rec is not None:
+            req._event.subscribe(lambda: san.release_records((rec,)))
+        return req
 
-    def _san_release_on(self, req: Request, rec) -> None:
-        """Release ``rec`` when ``req`` completes (round-trip ops, whose
-        request completion *is* remote completion)."""
-        if rec is None:
-            return
-        san = self._san
-        req._event.subscribe(lambda: san.release_records((rec,)))
+    def _op_done(self, target: int) -> None:
+        """One of my ops is complete at ``target`` (its ack or response
+        landed here): wake my flushes that were waiting for exactly that."""
+        left = self._pending[target] - 1
+        self._inflight -= 1
+        if left:
+            self._pending[target] = left
+        else:
+            del self._pending[target]
+            for ev in self._flush_waiters.pop(target, ()):
+                ev.fire()
+        if self._inflight == 0 and self._quiet_waiters:
+            waiters, self._quiet_waiters = self._quiet_waiters, []
+            for ev in waiters:
+                ev.fire()
+
+    def _observed(self, kind: str, nbytes: int, steps):
+        """``steps`` (one blocking op's script) — followed, when metrics
+        are on, by its ``kind`` record of ``nbytes`` and the time it took."""
+        obs = self._obs
+        if obs is None:
+            return steps
+        return self._recorded_steps(obs, kind, nbytes, steps)
+
+    def _recorded_steps(self, obs, kind: str, nbytes: int, steps):
+        engine = self.ctx.engine
+        t0 = engine.now
+        out = yield from steps
+        obs.record(self.ctx.rank, kind, nbytes, engine.now - t0)
+        return out
 
     # -- one-sided data movement ------------------------------------------------
 
@@ -383,13 +380,12 @@ class Window:
         stops being pending and ``req`` (if any) completes.
         """
         ctx = self.ctx
-        origin = self.rank
-        src, dst = self._world(origin), self._world(target)
+        src, dst = self._world(self.rank), self._world(target)
 
         def on_delivered() -> None:
             def commit() -> None:
                 def acked() -> None:
-                    self._op_done_at_target(origin, target)
+                    self._op_done(target)
                     if req is not None:
                         req._complete()
 
@@ -414,8 +410,7 @@ class Window:
         """
         ctx = self.ctx
         fabric = ctx.fabric
-        origin = self.rank
-        src, dst = self._world(origin), self._world(target)
+        src, dst = self._world(self.rank), self._world(target)
 
         def at_target() -> None:
             def respond() -> None:
@@ -423,7 +418,7 @@ class Window:
 
                 def at_origin() -> None:
                     dest[...] = result
-                    self._op_done_at_target(origin, target)
+                    self._op_done(target)
                     req._complete()
 
                 fabric.send(dst, src, response_nbytes, at_origin, reliable=True)
@@ -441,31 +436,26 @@ class Window:
         return self.ctx.proc.run_script(self._rput_steps(data, target, offset))
 
     def _rput_steps(self, data, target: int, offset: int):
-        arr, private = flatten(data, self._dtype())
+        arr, private = flatten(data, self.state.dtype)
         self._check_target(target, offset, arr.size)
         yield _costs.cost(self.ctx, "mpi.rput", arr.nbytes)
-        self._op_started(target)
-        self._san_access(
-            target, [(offset, offset + arr.size)], "rput", is_write=True
-        )
+        req = self._begin("rput", target, [(offset, offset + arr.size)], is_write=True)
         eager = arr.nbytes <= self.ctx.spec.mpi_eager_threshold
         # Eager PUTs complete locally on return, so the library must buffer
         # the data now; rendezvous PUTs may read the user buffer at delivery
         # time because the contract forbids reuse before local completion —
         # and flush_local (which grants reuse early) buffers any still-unread
-        # payload via the unread_puts registry.
+        # payload via the _unread_puts registry.
         payload = arr.copy() if (eager and not private) else arr
-        req = Request(f"rput(win={self.win_id},target={target})", self.ctx.proc)
-        unread = self.state.unread_puts[self.rank]
         pp = None
         if not eager and not private:
             pp = _PendingPut(target, payload)
-            unread.add(pp)
+            self._unread_puts.add(pp)
 
         def commit() -> None:
             if pp is not None:
                 data = pp.arr
-                unread.discard(pp)
+                self._unread_puts.discard(pp)
             else:
                 data = payload
             self.state.write_target(target, offset, data)
@@ -487,20 +477,17 @@ class Window:
 
     def _rget_steps(self, dest, target: int, offset: int):
         dest_arr = np.asarray(dest)
-        if dest_arr.dtype != self._dtype():
+        if dest_arr.dtype != self.state.dtype:
             raise MpiError(
-                f"rget destination dtype {dest_arr.dtype} != window dtype {self._dtype()}"
+                f"rget destination dtype {dest_arr.dtype} != window dtype {self.state.dtype}"
             )
         count = dest_arr.size
         self._check_target(target, offset, count)
-        nbytes = count * self._dtype().itemsize
+        nbytes = count * self.state.dtype.itemsize
         yield _costs.cost(self.ctx, "mpi.rget", nbytes)
-        self._op_started(target)
-        rec = self._san_access(
-            target, [(offset, offset + count)], "rget", is_write=False
+        req = self._begin(
+            "rget", target, [(offset, offset + count)], is_write=False, round_trip=True
         )
-        req = Request(f"rget(win={self.win_id},target={target})", self.ctx.proc)
-        self._san_release_on(req, rec)
         self._round_trip(
             target, _RMA_ENVELOPE_BYTES, nbytes,
             lambda: self.state.read_target(target, offset, count),
@@ -522,18 +509,13 @@ class Window:
     def _raccumulate_steps(self, data, target: int, offset: int, op: Op):
         # Atomics always snapshot: the combine runs at the target later and
         # must see the call-time value regardless of completion mode.
-        snap = snapshot(data, self._dtype())
+        snap = snapshot(data, self.state.dtype)
         self._check_target(target, offset, snap.size)
         yield _costs.cost(self.ctx, "mpi.accumulate", snap.nbytes)
-        self._op_started(target)
-        self._san_access(
-            target,
-            [(offset, offset + snap.size)],
-            "raccumulate",
-            is_write=True,
-            atomic=True,
+        req = self._begin(
+            "raccumulate", target, [(offset, offset + snap.size)],
+            is_write=True, atomic=True,
         )
-        req = Request(f"raccumulate(win={self.win_id},target={target})", self.ctx.proc)
         self._one_way(
             target, snap.nbytes,
             lambda: self.state.apply_target(target, offset, snap, op), req,
@@ -545,67 +527,52 @@ class Window:
     def get_accumulate(self, data, result, target: int, offset: int = 0, op: Op = NO_OP):
         """MPI_GET_ACCUMULATE (blocking wait on the internal request)."""
         return self.ctx.proc.run_script(
-            self._fetch_op_steps(data, result, target, offset, op)
+            self._observed(
+                "mpi.fetch_op", np.asarray(result).nbytes,
+                self._fetch_op_steps(data, result, target, offset, op),
+            )
         )
 
     def fetch_and_op(self, value, result, target: int, offset: int = 0, op: Op = NO_OP):
         """MPI_FETCH_AND_OP: single-element fast path of GET_ACCUMULATE."""
-        return self.ctx.proc.run_script(
-            self._fetch_op_steps(value, result, target, offset, op)
-        )
+        return self.get_accumulate(value, result, target, offset, op)
 
     def _fetch_op_steps(self, data, result, target: int, offset: int, op: Op):
-        obs = self._obs
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        snap = snapshot(data, self._dtype())
+        snap = snapshot(data, self.state.dtype)
         result_arr = np.asarray(result).reshape(-1)
         self._check_target(target, offset, snap.size)
         yield _costs.cost(self.ctx, "mpi.atomic_origin")
-        self._op_started(target)
-        rec = self._san_access(
-            target,
-            [(offset, offset + snap.size)],
-            "fetch_and_op",
-            is_write=True,
-            atomic=True,
+        req = self._begin(
+            "fetch_and_op", target, [(offset, offset + snap.size)],
+            is_write=True, atomic=True, round_trip=True, label="fetch_op",
         )
-        req = Request(f"fetch_op(win={self.win_id},target={target})", self.ctx.proc)
-        self._san_release_on(req, rec)
         self._round_trip(
             target, snap.nbytes + _RMA_ENVELOPE_BYTES, snap.nbytes,
             lambda: self.state.apply_target(target, offset, snap, op),
             result_arr, req,
         )
-        out = yield from req._wait_steps()
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.fetch_op",
-                np.asarray(result).nbytes, self.ctx.engine.now - t0,
-            )
-        return out
+        return (yield from req._wait_steps())
 
     def compare_and_swap(self, compare, value, result, target: int, offset: int = 0):
         """MPI_COMPARE_AND_SWAP on a single element."""
         return self.ctx.proc.run_script(
-            self._compare_and_swap_steps(compare, value, result, target, offset)
+            self._observed(
+                "mpi.cas", self.state.dtype.itemsize,
+                self._compare_and_swap_steps(compare, value, result, target, offset),
+            )
         )
 
     def _compare_and_swap_steps(self, compare, value, result, target: int, offset: int):
-        dtype = self._dtype()
+        dtype = self.state.dtype
         cmp_val = np.asarray(compare, dtype=dtype).reshape(())
         new_val = np.asarray(value, dtype=dtype).reshape(())
         result_arr = np.asarray(result).reshape(-1)
         self._check_target(target, offset, 1)
-        obs = self._obs
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         yield _costs.cost(self.ctx, "mpi.atomic_origin")
-        self._op_started(target)
-        rec = self._san_access(
-            target, [(offset, offset + 1)], "compare_and_swap",
-            is_write=True, atomic=True,
+        req = self._begin(
+            "compare_and_swap", target, [(offset, offset + 1)],
+            is_write=True, atomic=True, round_trip=True, label="cas",
         )
-        req = Request(f"cas(win={self.win_id},target={target})", self.ctx.proc)
-        self._san_release_on(req, rec)
 
         def swap():
             tbuf, toff = self.state.resolve(target, offset, 1)
@@ -619,10 +586,6 @@ class Window:
             swap, result_arr[:1], req,
         )
         yield from req._wait_steps()
-        if obs is not None:
-            obs.record(
-                self.ctx.rank, "mpi.cas", dtype.itemsize, self.ctx.engine.now - t0
-            )
         return result_arr[0]
 
     # -- passive-target synchronization ------------------------------------------
@@ -632,20 +595,20 @@ class Window:
         self.ctx.proc.run_script(self._lock_all_steps())
 
     def _lock_all_steps(self):
-        if self.state.lock_all_held[self.rank]:
+        if self._lock_all_held:
             raise MpiError("lock_all while already holding lock_all")
         yield _costs.cost(self.ctx, "mpi.flush_overhead")
-        self.state.lock_all_held[self.rank] = True
+        self._lock_all_held = True
 
     def unlock_all(self) -> None:
         """MPI_WIN_UNLOCK_ALL: completes all outstanding ops, closes the epoch."""
         self.ctx.proc.run_script(self._unlock_all_steps())
 
     def _unlock_all_steps(self):
-        if not self.state.lock_all_held[self.rank]:
+        if not self._lock_all_held:
             raise MpiError("unlock_all without lock_all")
         yield from self._flush_all_steps()
-        self.state.lock_all_held[self.rank] = False
+        self._lock_all_held = False
 
     def put_runs(self, data, target: int, runs: list[tuple[int, int]]) -> None:
         """PUT with a derived datatype: scatter ``data`` into the target's
@@ -654,30 +617,19 @@ class Window:
         self.ctx.proc.run_script(self._put_runs_steps(data, target, runs))
 
     def _put_runs_steps(self, data, target: int, runs: list[tuple[int, int]]):
-        arr, private = flatten(data, self._dtype())
-        total = sum(length for _off, length in runs)
-        if arr.size != total:
-            raise MpiError(f"put_runs data has {arr.size} elements, runs cover {total}")
-        for off, length in runs:
-            self._check_target(target, int(off), int(length))
+        arr, private = flatten(data, self.state.dtype)
+        ranges = self._check_runs(target, runs, arr.size, "put_runs data")
         # Origin packs the section, then one wire message carries it.
         yield _costs.cost(self.ctx, "mpi.put_runs", arr.nbytes)
-        self._op_started(target)
-        self._san_access(
-            target,
-            [(int(off), int(off) + int(length)) for off, length in runs],
-            "put_runs",
-            is_write=True,
-        )
+        # Blocking PUT: nobody waits on the request, a flush completes it.
+        self._begin("put_runs", target, ranges, is_write=True)
         snap = arr if private else arr.copy()
 
         def commit() -> None:
             cursor = 0
-            for off, length in runs:
-                self.state.write_target(
-                    target, int(off), snap[cursor : cursor + length]
-                )
-                cursor += length
+            for lo, hi in ranges:
+                self.state.write_target(target, lo, snap[cursor : cursor + hi - lo])
+                cursor += hi - lo
 
         self._one_way(target, snap.nbytes, commit)
 
@@ -688,32 +640,27 @@ class Window:
 
     def _get_runs_steps(self, dest, target: int, runs: list[tuple[int, int]]):
         dest_arr = np.asarray(dest).reshape(-1)
-        total = sum(length for _off, length in runs)
-        if dest_arr.size != total:
-            raise MpiError(f"get_runs buffer has {dest_arr.size} elements, runs cover {total}")
-        for off, length in runs:
-            self._check_target(target, int(off), int(length))
-        nbytes = total * self._dtype().itemsize
+        ranges = self._check_runs(target, runs, dest_arr.size, "get_runs buffer")
+        nbytes = dest_arr.size * self.state.dtype.itemsize
         yield _costs.cost(self.ctx, "mpi.get_runs", nbytes)
-        self._op_started(target)
-        rec = self._san_access(
-            target,
-            [(int(off), int(off) + int(length)) for off, length in runs],
-            "get_runs",
-            is_write=False,
-        )
-        req = Request(f"get_runs(win={self.win_id},target={target})", self.ctx.proc)
-        self._san_release_on(req, rec)
+        req = self._begin("get_runs", target, ranges, is_write=False, round_trip=True)
 
         def gather() -> np.ndarray:
-            parts = [
-                self.state.read_target(target, int(off), int(length))
-                for off, length in runs
-            ]
-            return np.concatenate(parts) if parts else np.empty(0, self._dtype())
+            parts = [self.state.read_target(target, lo, hi - lo) for lo, hi in ranges]
+            return np.concatenate(parts) if parts else np.empty(0, self.state.dtype)
 
         self._round_trip(target, _RMA_ENVELOPE_BYTES, nbytes, gather, dest_arr, req)
         return req
+
+    def _check_runs(self, target: int, runs, size: int, what: str) -> list[tuple[int, int]]:
+        """Validate a derived-datatype access of ``size`` elements; returns
+        its (offset, length) runs as [lo, hi) element ranges."""
+        total = sum(length for _off, length in runs)
+        if size != total:
+            raise MpiError(f"{what} has {size} elements, runs cover {total}")
+        for off, length in runs:
+            self._check_target(target, int(off), int(length))
+        return [(int(off), int(off) + int(length)) for off, length in runs]
 
     def lock(self, target: int, *, exclusive: bool = False) -> None:
         """MPI_WIN_LOCK: open a passive epoch to one target.
@@ -727,7 +674,9 @@ class Window:
     def _lock_steps(self, target: int, exclusive: bool):
         self._check_target(target, 0, 0)
         yield _costs.cost(self.ctx, "mpi.flush_overhead")
-        lock = self.state.locks[target]
+        lock = self.state.locks.setdefault(
+            target, {"mode": None, "holders": set(), "queue": []}
+        )
         me = (self.rank, "exclusive" if exclusive else "shared")
 
         def admissible() -> bool:
@@ -751,9 +700,9 @@ class Window:
         self.ctx.proc.run_script(self._unlock_steps(target))
 
     def _unlock_steps(self, target: int):
-        lock = self.state.locks[target]
-        if self.rank not in lock["holders"]:
+        if not self._holds_lock(target):
             raise MpiError(f"unlock(target={target}) without holding the lock")
+        lock = self.state.locks[target]
         yield from self._flush_steps(target)
         lock["holders"].discard(self.rank)
         if not lock["holders"]:
@@ -771,43 +720,36 @@ class Window:
         """
         self._check_target(target, 0, 0)
         _costs.charge(self.ctx, "mpi.rflush")
-        req = Request(f"rflush(win={self.win_id},t={target})", self.ctx.proc)
-        san = self._san
-        if san is not None:
-            open_recs = san.open_window_records(
-                self.win_id, self._world(self.rank), self._world(target)
-            )
-            if open_recs:
-                req._event.subscribe(lambda: san.release_records(open_recs))
-        self._when_quiet([target], req)
+        req = Request("rflush(win=%d,t=%d)", self.ctx.proc, self.win_id, target)
+        self._when_quiet(req, target)
         return req
 
     def rflush_all(self) -> Request:
         """MPI_WIN_RFLUSH_ALL: request-based remote completion to every
         target, at constant (not linear-in-P) software cost."""
         _costs.charge(self.ctx, "mpi.rflush_all")
-        self.state.dirty[self.rank] = False
-        req = Request(f"rflush_all(win={self.win_id})", self.ctx.proc)
-        san = self._san
-        if san is not None:
-            open_recs = san.open_window_records(self.win_id, self._world(self.rank))
-            if open_recs:
-                req._event.subscribe(lambda: san.release_records(open_recs))
-        self._when_quiet(range(self.group_size), req)
+        self._dirty = False
+        req = Request("rflush_all(win=%d)", self.ctx.proc, self.win_id)
+        self._when_quiet(req)
         return req
 
-    def _when_quiet(self, targets, req: Request) -> None:
-        """Complete ``req`` once pending ops to all ``targets`` are done."""
-        state = self.state
-        origin = self.rank
-        if state.inflight[origin] == 0:
-            req._complete()
-            return
-        # Per-target tracking, not the shared inflight counter: the request
-        # must complete when the ops pending *at call time* drain, and
-        # inflight also counts ops the origin issues after rflush returns —
-        # including ops to targets that had nothing pending here.
-        remaining = [t for t in list(targets) if state.pending[origin][t] > 0]
+    def _when_quiet(self, req: Request, target: int | None = None) -> None:
+        """Complete ``req`` once my ops pending *now* — at ``target``, or at
+        every target — are done; the sanitizer records they hold open are
+        released with it."""
+        san = self._san
+        if san is not None:
+            open_recs = san.open_window_records(
+                self.win_id, self._world(self.rank),
+                None if target is None else self._world(target),
+            )
+            if open_recs:
+                req._event.subscribe(lambda: san.release_records(open_recs))
+        # Per-target tracking, not the _inflight counter: the request must
+        # complete when the ops pending *at call time* drain, and _inflight
+        # also counts ops the origin issues after rflush returns — including
+        # ops to targets that had nothing pending here.
+        remaining = [t for t in sorted(self._pending) if target is None or t == target]
         if not remaining:
             req._complete()
             return
@@ -819,8 +761,8 @@ class Window:
                 req._complete()
 
         for t in remaining:
-            ev = SimEvent(f"rflush-track(o={origin},t={t})")
-            state.flush_waiters.setdefault((origin, t), []).append(ev)
+            ev = SimEvent(f"rflush-track(o={self.rank},t={t})")
+            self._flush_waiters.setdefault(t, []).append(ev)
             ev.subscribe(one_done)
 
     def flush(self, target: int) -> None:
@@ -828,18 +770,15 @@ class Window:
         self.ctx.proc.run_script(self._flush_steps(target))
 
     def _flush_steps(self, target: int):
+        return self._observed("mpi.flush", 0, self._flush_wait(target))
+
+    def _flush_wait(self, target: int):
         self._check_target(target, 0, 0)
-        obs = self._obs
-        t0 = self.ctx.engine.now if obs is not None else 0.0
         yield _costs.cost(self.ctx, "mpi.flush_overhead")
-        state = self.state
-        origin = self.rank
-        while state.pending[origin][target] > 0:
-            ev = SimEvent(f"flush(win={self.win_id},o={origin},t={target})")
-            state.flush_waiters.setdefault((origin, target), []).append(ev)
+        while target in self._pending:
+            ev = SimEvent(f"flush(win={self.win_id},o={self.rank},t={target})")
+            self._flush_waiters.setdefault(target, []).append(ev)
             yield from ev._wait_steps(self.ctx.proc)
-        if obs is not None:
-            obs.record(self.ctx.rank, "mpi.flush", 0, self.ctx.engine.now - t0)
         san = self._san
         if san is not None:
             san.release_window(
@@ -856,31 +795,27 @@ class Window:
         self.ctx.proc.run_script(self._flush_all_steps())
 
     def _flush_all_steps(self):
-        state = self.state
-        origin = self.rank
-        obs = self._obs
-        t0 = self.ctx.engine.now if obs is not None else 0.0
-        dirty = bool(state.dirty[origin])
-        if dirty:
+        # Active epochs and the idle walk are distinct cost-table rows
+        # (mpi.flush_all.walk vs .skip) — mirror the split in the metrics so
+        # the linear-in-P active cost is not averaged away under the flat
+        # idle calls (§3.4, Fig. 4).
+        kind = "mpi.flush_all" if self._dirty else "mpi.flush_all.idle"
+        return self._observed(kind, 0, self._flush_all_wait())
+
+    def _flush_all_wait(self):
+        if self._dirty:
             yield _costs.cost(self.ctx, "mpi.flush_all.walk", a=self.group_size)
-            state.dirty[origin] = False
+            self._dirty = False
         else:
             yield _costs.cost(self.ctx, "mpi.flush_all.skip")
         # The modeled cost above is linear in group size (MPICH behaviour);
-        # the wall-clock wait is one counter check — inflight[origin] hits
-        # zero exactly when the last pending op to any target completes, so
-        # this resumes at the same virtual time the per-target loop did.
-        while state.inflight[origin] > 0:
-            ev = SimEvent(f"flush_all(win={self.win_id},o={origin})")
-            state.quiet_waiters.setdefault(origin, []).append(ev)
+        # the wall-clock wait is one counter check — _inflight hits zero
+        # exactly when the last pending op to any target completes, so this
+        # resumes at the same virtual time a per-target loop would.
+        while self._inflight > 0:
+            ev = SimEvent(f"flush_all(win={self.win_id},o={self.rank})")
+            self._quiet_waiters.append(ev)
             yield from ev._wait_steps(self.ctx.proc)
-        if obs is not None:
-            # Active epochs and the idle walk are distinct cost-table rows
-            # (mpi.flush_all.walk vs .skip) — mirror the split here so the
-            # linear-in-P active cost is not averaged away under the flat
-            # idle calls (§3.4, Fig. 4).
-            kind = "mpi.flush_all" if dirty else "mpi.flush_all.idle"
-            obs.record(self.ctx.rank, kind, 0, self.ctx.engine.now - t0)
         san = self._san
         if san is not None:
             san.release_window(self.win_id, self._world(self.rank))
@@ -899,17 +834,10 @@ class Window:
 
     def _flush_local_steps(self, target: int | None):
         yield _costs.cost(self.ctx, "mpi.flush_overhead")
-        self._buffer_unread_puts(target)
-
-    def _buffer_unread_puts(self, target: int | None) -> None:
-        """Privatize still-in-flight PUT payloads viewing the user buffer.
-
-        The user buffer cannot have changed since the put (reuse was illegal
-        until now), so copying at this instant preserves the put-time value.
-        """
-        pend = self.state.unread_puts[self.rank]
-        if not pend:
-            return
+        # Privatize still-in-flight PUT payloads viewing the user buffer: it
+        # cannot have changed since the put (reuse was illegal until now), so
+        # copying at this instant preserves the put-time value.
+        pend = self._unread_puts
         for pp in [p for p in pend if target is None or p.target == target]:
             pp.arr = pp.arr.copy()
             pend.discard(pp)
@@ -934,7 +862,7 @@ class Window:
     def _free_steps(self):
         yield from self._flush_all_barrier_steps()
         if self.state.dynamic:
-            for base in list(self.state.regions[self.rank]):
+            for base in list(self.state.regions.get(self.rank, ())):
                 self.detach(base)
         else:
             buf = self.state.buffers[self.rank]
@@ -984,19 +912,18 @@ def win_allocate(
     def build(win_id: int) -> _WindowState:
         buffers = [np.zeros(count, dt) for _ in range(comm.size)]
         state = _WindowState(
-            tuple(comm.state.group), buffers, win_id, memory_model=memory_model
+            tuple(comm.state.group), buffers, win_id,
+            dtype=dt, memory_model=memory_model,
         )
         if memory_model == "separate":
-            state.private_copies = [np.zeros(count, dt) for _ in range(comm.size)]
             state.rma_dirty_mask = [
                 np.zeros(count, bool) for _ in range(comm.size)
             ]
         return state
 
-    win = _create_window(comm, build)
-    comm.ctx.memory.alloc(
-        comm.ctx.rank, f"mpi/win{win.win_id}", count * dt.itemsize
-    )
+    win = _create_window(comm, build, count * dt.itemsize)
+    if memory_model == "separate":
+        win._private = np.zeros(count, dt)
     return win
 
 
@@ -1025,14 +952,10 @@ def win_allocate_shared(
         block = np.zeros(count * comm.size, dt)
         buffers = [block[r * count : (r + 1) * count] for r in range(comm.size)]
         return _WindowState(
-            tuple(comm.state.group), buffers, win_id, shared=True
+            tuple(comm.state.group), buffers, win_id, dtype=dt, shared=True
         )
 
-    win = _create_window(comm, build)
-    comm.ctx.memory.alloc(
-        comm.ctx.rank, f"mpi/win{win.win_id}", count * dt.itemsize
-    )
-    return win
+    return _create_window(comm, build, count * dt.itemsize)
 
 
 def win_create_dynamic(comm: "Comm", *, dtype=np.uint8) -> Window:
@@ -1041,17 +964,17 @@ def win_create_dynamic(comm: "Comm", *, dtype=np.uint8) -> Window:
     returned displacement (§2.2, §3.1's remote-reference discussion)."""
 
     def build(win_id: int) -> _WindowState:
-        state = _WindowState(
-            tuple(comm.state.group), [None] * comm.size, win_id, dynamic=True
+        return _WindowState(
+            tuple(comm.state.group), [None] * comm.size, win_id,
+            dtype=dtype, dynamic=True,
         )
-        state.dtype = np.dtype(dtype)
-        return state
 
     return _create_window(comm, build)
 
 
-def _create_window(comm: "Comm", build) -> Window:
-    """Collective window-creation skeleton (board + two barriers)."""
+def _create_window(comm: "Comm", build, segment_bytes: int | None = None) -> Window:
+    """Collective window-creation skeleton (board + two barriers); books
+    this rank's ``segment_bytes`` of window memory, if it has any yet."""
     world = comm.state.world
     # Per-rank allocation sequence number on this communicator: collectives
     # are called in the same order on every rank, so these agree.
@@ -1059,7 +982,10 @@ def _create_window(comm: "Comm", build) -> Window:
     seq = world._win_counter.get(counter_key, 0)
     world._win_counter[counter_key] = seq + 1
     board_key = (comm.state.context_id, seq)
-    return comm.ctx.proc.run_script(_create_window_steps(comm, board_key, build))
+    win = comm.ctx.proc.run_script(_create_window_steps(comm, board_key, build))
+    if segment_bytes is not None:
+        comm.ctx.memory.alloc(comm.ctx.rank, f"mpi/win{win.win_id}", segment_bytes)
+    return win
 
 
 def _create_window_steps(comm: "Comm", board_key: tuple[int, int], build):

@@ -81,16 +81,21 @@ def live_interval() -> float | None:
     return _state["live_interval"]
 
 
-def telemetry_path() -> pathlib.Path | None:
-    """Stream path for the *next* captured run (None unless live-armed).
+def next_index() -> int:
+    """The lowest run index this capture has not used (0 when inactive).
 
-    Uses the sequence number :func:`emit` will consume for the same run —
-    captured runs are sequential in-process, so the telemetry stream and
-    the report share their ``run-NNNN`` stem.
+    ``run_caf`` numbers a run once, from this and the IR recording's
+    counterpart, and hands the index to every emitter, so all artifacts of
+    one run share their ``run-NNNN`` stem.
     """
+    return _state["seq"]
+
+
+def telemetry_path(index: int) -> pathlib.Path | None:
+    """Stream path for run ``index`` (None unless live-armed)."""
     if not live_forced():
         return None
-    return _state["dir"] / f"run-{_state['seq']:04d}.telemetry.jsonl"
+    return _state["dir"] / f"run-{index:04d}.telemetry.jsonl"
 
 
 @contextlib.contextmanager
@@ -115,8 +120,10 @@ def emit(
     backend: str | None = None,
     app: str | None = None,
     failure: BaseException | None = None,
+    index: int | None = None,
 ) -> None:
-    """Write this run's artifacts if a capture is active (run_caf calls it).
+    """Write this run's artifacts if a capture is active (run_caf calls it,
+    with the run's ``index``; without one the run takes the next free).
 
     ``failure`` marks the artifact as a partial, failed-run report (see
     :func:`repro.obs.report.build_report`); run_caf passes the exception
@@ -127,7 +134,7 @@ def emit(
         return
     from repro.obs.report import build_report
 
-    seq = _state["seq"]
+    seq = _state["seq"] if index is None else index
     _state["seq"] = seq + 1
     label = f"run-{seq:04d}" + (f"-{app}" if app else "")
     report_path = out / f"run-{seq:04d}.report.json"

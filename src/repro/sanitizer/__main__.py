@@ -6,9 +6,11 @@ Usage::
     python -m repro.sanitizer cgpop --procs 4 --mode pull
     python -m repro.sanitizer fig03 --scale quick
 
-The positional target is an app name (``python -m repro.apps`` choices)
-or an experiment id from the experiment registry. Exits 1 when any run
-reports a violation, 0 when all runs are clean.
+The positional target is an app name — everything after it is handed to
+``python -m repro.apps`` unchanged, so the two CLIs share one set of flags
+and defaults — or an experiment id from the experiment registry
+(``--scale`` picks its size). Exits 1 when any run reports a violation, 0
+when all runs are clean.
 """
 
 from __future__ import annotations
@@ -17,83 +19,44 @@ import argparse
 import sys
 
 from repro import sanitizer
-from repro.apps.cgpop import run_cgpop, run_cgpop_2d
-from repro.apps.fft import run_fft
-from repro.apps.hpl import run_hpl
-from repro.apps.microbench import OPS, run_microbench
-from repro.apps.randomaccess import run_randomaccess
-from repro.caf.program import run_caf
+from repro.apps.__main__ import APPS, main as apps_main
 from repro.experiments.registry import EXPERIMENTS
-from repro.platforms import PLATFORMS
-
-APPS = ("randomaccess", "fft", "hpl", "cgpop", "cgpop2d", "micro")
-
-
-def _run_app(args) -> None:
-    spec = PLATFORMS[args.platform]
-    common = dict(backend=args.backend, sanitize=True)
-    if args.target == "randomaccess":
-        run_caf(
-            run_randomaccess, args.procs, spec, **common,
-            updates_per_image=args.updates, seed=args.seed,
-        )
-    elif args.target == "fft":
-        run_caf(run_fft, args.procs, spec, **common, m=args.m, seed=args.seed)
-    elif args.target == "hpl":
-        run_caf(run_hpl, args.procs, spec, **common, n=args.n, seed=args.seed)
-    elif args.target == "cgpop":
-        run_caf(
-            run_cgpop, args.procs, spec, **common,
-            ny=args.ny, nx=args.nx, mode=args.mode, seed=args.seed,
-        )
-    elif args.target == "cgpop2d":
-        run_caf(
-            run_cgpop_2d, args.procs, spec, **common,
-            ny=args.ny, nx=args.nx, seed=args.seed,
-        )
-    else:  # micro
-        run_caf(run_microbench, args.procs, spec, **common, op=args.op)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.sanitizer")
     parser.add_argument(
         "target",
-        help=f"app ({', '.join(APPS)}) or experiment id "
-        f"({', '.join(sorted(EXPERIMENTS))})",
+        help=f"app ({', '.join(APPS)}; further arguments as for python -m "
+        f"repro.apps) or experiment id ({', '.join(sorted(EXPERIMENTS))})",
     )
-    parser.add_argument("--procs", type=int, default=8)
-    parser.add_argument("--backend", choices=["mpi", "gasnet"], default="mpi")
-    parser.add_argument("--platform", choices=sorted(PLATFORMS), default="laptop")
-    parser.add_argument("--scale", choices=["quick", "default"], default="quick")
-    parser.add_argument("--m", type=int, default=1 << 12, help="FFT size")
-    parser.add_argument("--n", type=int, default=64, help="HPL matrix order")
-    parser.add_argument("--ny", type=int, default=16)
-    parser.add_argument("--nx", type=int, default=8)
-    parser.add_argument("--mode", choices=["push", "pull"], default="push")
-    parser.add_argument("--op", choices=list(OPS), default="write")
-    parser.add_argument("--updates", type=int, default=512)
-    parser.add_argument("--seed", type=int, default=42)
-    args = parser.parse_args(argv)
-
-    sanitizer.clear_reports()
-    if args.target in APPS:
-        print(f"== sanitizing {args.target} (CAF-{args.backend.upper()}) ==")
-        _run_app(args)
-    elif args.target in EXPERIMENTS:
-        # Experiments build their own clusters internally, so force the
-        # checker on for every cluster constructed while they run.
-        print(f"== sanitizing experiment {args.target} (scale={args.scale}) ==")
-        sanitizer.force_enable()
-        try:
-            EXPERIMENTS[args.target].load()(args.scale)
-        finally:
-            sanitizer.force_disable()
-    else:
+    parser.add_argument(
+        "--scale", choices=["quick", "default"], default="quick",
+        help="experiment scale",
+    )
+    args, app_args = parser.parse_known_args(argv)
+    is_app = args.target in APPS
+    if not is_app and args.target not in EXPERIMENTS:
         parser.error(
             f"unknown target {args.target!r}; expected an app "
             f"({', '.join(APPS)}) or experiment id"
         )
+    if not is_app and app_args:
+        parser.error(f"unrecognized arguments: {' '.join(app_args)}")
+
+    # Apps and experiments build their own clusters, so force the checker
+    # on for every cluster constructed while they run.
+    sanitizer.clear_reports()
+    sanitizer.force_enable()
+    try:
+        if is_app:
+            print(f"== sanitizing {args.target} ==")
+            apps_main([args.target, *app_args])
+        else:
+            print(f"== sanitizing experiment {args.target} (scale={args.scale}) ==")
+            EXPERIMENTS[args.target].load()(args.scale)
+    finally:
+        sanitizer.force_disable()
 
     reports = sanitizer.collected_reports()
     bad = False

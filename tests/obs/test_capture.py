@@ -101,3 +101,29 @@ def test_capture_live_emits_telemetry_stream_per_run(tmp_path):
         assert snaps[-1]["final"] is True and snaps[-1]["outcome"] == "ok"
         report = RunReport.load(str(out / f"run-{seq:04d}.report.json"))
         assert report.meta["telemetry"]["snapshots"] == len(snaps)
+
+
+def test_report_and_ir_trace_of_one_run_share_a_stem(tmp_path):
+    """One run index per run_caf: the IR recording skips a fault-injected
+    run, which must leave a gap in its stems, not shift every later one
+    against the reports."""
+    from repro.ir import record as ir_record
+    from repro.ir.trace import Trace
+    from repro.sim.faults import FaultPlan
+
+    reports, traces = tmp_path / "obs", tmp_path / "ir"
+    with capture.capture(reports), ir_record.recording(traces):
+        run_caf(program, 2, faults=FaultPlan(seed=1, drop_rate=0.2), reliable=True)
+        clean = run_caf(program, 4)
+    assert sorted(p.name for p in reports.iterdir()) == [
+        "run-0000.report.json",
+        "run-0001.report.json",
+    ]
+    assert sorted(p.name for p in traces.iterdir()) == [
+        "run-0001-program.json",
+        "run-0001-program.npz",
+    ]
+    trace = Trace.load(traces / "run-0001-program")
+    report = RunReport.load(str(reports / "run-0001.report.json"))
+    assert trace.manifest["makespan"] == report.makespan == clean.elapsed
+    assert trace.nranks == report.meta["nranks"] == 4

@@ -1,0 +1,113 @@
+"""Design guards: decisions earlier PRs made that a later edit must not
+quietly undo. Each test is one grep over the tree with the message CI used
+to print; run them locally with ``pytest tests/test_design_guards.py``."""
+
+import inspect
+import pathlib
+import re
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def grep(pattern: str, *paths: str, suffixes: tuple[str, ...] | None = (".py",)) -> list[str]:
+    """``path:line:text`` of every line under ``paths`` matching ``pattern``."""
+    regex = re.compile(pattern)
+    hits = []
+    for path in paths:
+        root = ROOT / path
+        files = [root] if root.is_file() else sorted(p for p in root.rglob("*") if p.is_file())
+        for file in files:
+            if "__pycache__" in file.parts:
+                continue
+            if suffixes is not None and file.suffix not in suffixes:
+                continue
+            try:
+                text = file.read_text()
+            except UnicodeDecodeError:  # not a text file
+                continue
+            hits += [
+                f"{file.relative_to(ROOT)}:{n}:{line}"
+                for n, line in enumerate(text.splitlines(), 1)
+                if regex.search(line)
+            ]
+    return hits
+
+
+def test_no_retired_engine_gate_reappears():
+    hits = grep(
+        r"REPRO_SIM_(FASTPATH|SHARDS|SUBSTRATE)",
+        "src", "tests", "benchmarks", "docs", suffixes=None,
+    )
+    assert not hits, (
+        "a retired REPRO_SIM_* gate is back: there is one dispatcher on one substrate",
+        hits,
+    )
+
+
+def test_one_owner_for_host_scheduling_policy():
+    hits = [
+        hit for hit in grep(r"sched_set(scheduler|affinity)", "src/repro")
+        if not re.match(r"src/repro/(sim/engine|experiments/parallel)\.py:", hit)
+    ]
+    assert not hits, (
+        "only sim/engine.py (fibers) and experiments/parallel.py (pool workers) "
+        "may place threads on CPUs or change their policy",
+        hits,
+    )
+
+
+def test_one_caf_runtime_above_the_transports():
+    hits = grep(
+        r"_am_board *=|itertools|_event_registry *=|_shipped *=|def (barrier|broadcast"
+        r"|bcast|reduce|allreduce|alltoall|allgather|ship_function|allocate_events)\b",
+        "src/repro/caf/backends",
+    )
+    assert not hits, (
+        "a CAF backend is a transport: thunk board, event registry, shipping "
+        "counters and function shipping live in caf/backend.py, blocking "
+        "collectives on team.handle",
+        hits,
+    )
+    hits = grep(
+        r"obs\.record\(",
+        "src/repro/caf/coarray.py", "src/repro/caf/events.py", "src/repro/caf/image.py",
+    )
+    assert not hits, (
+        "a CAF op is timed by one span: pass kind/nbytes to img.profile(...) "
+        "instead of a second clock",
+        hits,
+    )
+
+
+def test_one_cost_model_no_price_outside_sim_costs():
+    hits = grep(
+        r"_irhook\.annotate\(|pending_cost *=|proc\.sleep\(.*spec\.",
+        "src/repro/mpi", "src/repro/gasnet",
+    )
+    assert not hits, (
+        "a runtime layer prices or annotates a sleep itself: go through "
+        "repro.sim.costs.charge",
+        hits,
+    )
+
+
+def test_replay_carries_no_nic_arithmetic():
+    hits = grep(r"tx_free", "src/repro/ir/replay.py")
+    assert not hits, (
+        "replay carries its own NIC arithmetic again: step repro.sim.costs.NicState",
+        hits,
+    )
+
+
+def test_window_construction_builds_nothing_sized_by_the_group():
+    from repro.mpi.window import Window, _WindowState
+
+    for cls in (_WindowState, Window):
+        source = inspect.getsource(cls.__init__)
+        hits = re.findall(r"\blen\(|\brange\(|\bfor\b|\bsize\b|\* *n\b", source)
+        assert not hits, (
+            f"{cls.__name__}.__init__ builds something per rank: RMA completion "
+            "is origin-owned, shared window state is sparse (a window costs the "
+            "same at 4 and at 4096 ranks)",
+            hits,
+        )
