@@ -46,12 +46,11 @@ def barrier_steps(comm: "Comm"):
     """Dissemination barrier: ceil(log2(P)) rounds of zero-byte messages."""
     tag = yield from _enter_steps(comm)
     rank, size = comm.rank, comm.size
-    empty = np.empty(0, np.uint8)
     k = 1
     while k < size:
         dst = (rank + k) % size
         src = (rank - k) % size
-        yield from comm._coll_sendrecv_steps(empty, dst, np.empty(0, np.uint8), src, tag)
+        yield from comm._coll_sendrecv_steps(None, dst, None, src, tag)
         k <<= 1
 
 
@@ -224,19 +223,16 @@ def alltoallv_steps(comm: "Comm", sendchunks, recvchunks):
     rank, size = comm.rank, comm.size
     if len(sendchunks) != size or len(recvchunks) != size:
         raise MpiError(f"alltoallv chunk lists must have length {size}")
-    empty = np.empty(0, np.uint8)
-
-    def chunk(seq, i):
-        return empty if seq[i] is None else np.asarray(seq[i])
-
     if recvchunks[rank] is not None and sendchunks[rank] is not None:
-        np.asarray(recvchunks[rank])[...] = np.asarray(sendchunks[rank])
-        yield _costs.cost(comm.ctx, "copy", chunk(sendchunks, rank).nbytes)
+        own = np.asarray(sendchunks[rank])
+        np.asarray(recvchunks[rank])[...] = own
+        yield _costs.cost(comm.ctx, "copy", own.nbytes)
     for i in range(1, size):
         dst = (rank + i) % size
         src = (rank - i) % size
+        out = sendchunks[dst]
         yield from comm._coll_sendrecv_steps(
-            np.ascontiguousarray(chunk(sendchunks, dst)), dst, chunk(recvchunks, src), src, tag
+            None if out is None else np.ascontiguousarray(out), dst, recvchunks[src], src, tag
         )
 
 

@@ -357,7 +357,7 @@ class Comm:
         comm's progress agent (FIFO per comm, so every rank's agent executes
         the same sequence — the MPI NBC ordering requirement)."""
         agent, view = self.mpirank._nbc_agent(self)
-        req = Request(f"i{kind}(ctx={self.state.context_id})", self.ctx.proc)
+        req = Request("i%s(ctx=%s)", self.ctx.proc, kind, self.state.context_id)
         done = agent.submit(lambda agent_ctx: agent_ctx.proc.run_script(steps(view)))
         done.subscribe(lambda: req._complete())
         return req

@@ -25,8 +25,7 @@ Figure 2 warns about lives one level up, in CAF's Active-Message layer.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +41,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 _ENVELOPE_BYTES = 48  # modeled on-wire size of a match header / RTS / CTS
 
-_seq = itertools.count()
+#: The receive buffer a ``None`` buffer stands for. A zero-byte message —
+#: every round of a barrier — builds no array anywhere: its payload is
+#: ``None`` from ``isend`` to the match, and nothing is copied out of it.
+_NO_BYTES = np.empty(0, np.uint8)
+_NO_BYTES.flags.writeable = False
 
 
 def _as_bytes_view(buf) -> np.ndarray:
@@ -53,16 +56,16 @@ def _as_bytes_view(buf) -> np.ndarray:
     return arr.reshape(-1).view(np.uint8)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Envelope:
     """An arrived (or in-flight) message as seen by the matcher."""
 
     src: int  # comm rank of the sender
     tag: int
     nbytes: int
-    data: np.ndarray | None  # eager payload (byte snapshot); None for RTS
+    #: Eager payload (byte snapshot); None for an RTS or a zero-byte message.
+    data: np.ndarray | None
     rendezvous: "_Rendezvous | None"
-    seq: int = field(default_factory=lambda: next(_seq))
     #: Sender's vector-clock snapshot (sanitized runs only): a completed
     #: receive is a happens-before edge from send to receiver.
     clock: tuple | None = None
@@ -84,13 +87,12 @@ def _filters_match(src_filter: int, tag_filter: int, env: _Envelope) -> bool:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class _PostedRecv:
     src: int  # comm rank or ANY_SOURCE
     tag: int  # or ANY_TAG
     buf: np.ndarray  # flat byte view of the user buffer
     request: Request
-    seq: int = field(default_factory=lambda: next(_seq))
     #: World rank of the receiver (recorded at post time — completion may
     #: run under the *sender's* comm object, whose rank is not ours).
     dst_world: int = -1
@@ -134,21 +136,23 @@ def _complete_recv(
             f"message truncation: {env.nbytes} bytes arrived for a "
             f"{posted.buf.nbytes}-byte receive (tag {env.tag})"
         )
-    if land_now:
-        posted.buf[: env.nbytes] = data[: env.nbytes]
+    nbytes = env.nbytes  # zero: ``data`` is None and nothing lands
+    if nbytes and land_now:
+        posted.buf[:nbytes] = data[:nbytes]
 
     def finish() -> None:
-        if not land_now:
-            posted.buf[: env.nbytes] = data[: env.nbytes]
+        if nbytes and not land_now:
+            posted.buf[:nbytes] = data[:nbytes]
         san = comm.ctx.sanitizer
         if san is not None and env.clock is not None and posted.dst_world >= 0:
             san.merge(posted.dst_world, env.clock)
-        posted.request.status.source = env.src
-        posted.request.status.tag = env.tag
-        posted.request.status.count = env.nbytes
+        status = posted.request.status
+        status.source = env.src
+        status.tag = env.tag
+        status.count = nbytes
         posted.request._complete()
 
-    _costs.charge_in(comm.ctx, "mpi.match", finish, env.nbytes)
+    _costs.charge_in(comm.ctx, "mpi.match", finish, nbytes)
 
 
 def _start_rendezvous_data(comm: "Comm", posted: _PostedRecv, env: _Envelope) -> None:
@@ -181,7 +185,6 @@ def deliver(comm: "Comm", dst: int, env: _Envelope, matching: Matching) -> None:
             if env.rendezvous is not None:
                 _start_rendezvous_data(comm, posted, env)
             else:
-                assert env.data is not None
                 _complete_recv(comm, posted, env, env.data)
             matching.arrivals[dst].add()
             return
@@ -200,9 +203,13 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
     spec = ctx.spec
     comm.check_revoked()
     comm.check_peer(dest)
-    view = _as_bytes_view(buf if buf is not None else np.empty(0, np.uint8))
-    nbytes = view.nbytes
-    req = Request(f"isend(dst={dest},tag={tag})", ctx.proc)
+    if tag < 0:
+        raise MpiError(
+            f"send tag must be >= 0, got {tag}: ANY_TAG is a receive-only wildcard"
+        )
+    view = None if buf is None else _as_bytes_view(buf)
+    nbytes = 0 if view is None else view.nbytes
+    req = Request("isend(dst=%s,tag=%s)", ctx.proc, dest, tag)
     req.status.source = comm.rank
     req.status.tag = tag
     req.status.count = nbytes
@@ -214,9 +221,9 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
         # Copy into the library's eager buffer, inject, complete locally.
         # The copy is mandatory: an eager send returns with the user buffer
         # immediately reusable.
-        data = view.copy()
+        data = view.copy() if nbytes else None
         yield _costs.cost(ctx, "mpi.send", nbytes)
-        env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=data, rendezvous=None)
+        env = _Envelope(comm.rank, tag, nbytes, data, None)
         if san is not None:
             env.clock = san.snapshot(src_world)
         ctx.fabric.send(
@@ -233,7 +240,7 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
         # the only copy is the fill into the posted receive buffer.
         yield _costs.cost(ctx, "mpi.send", nbytes)
         rv = _Rendezvous(payload=view, send_request=req, src_world=src_world)
-        env = _Envelope(src=comm.rank, tag=tag, nbytes=nbytes, data=None, rendezvous=rv)
+        env = _Envelope(comm.rank, tag, nbytes, None, rv)
         if san is not None:
             env.clock = san.snapshot(src_world)
         ctx.fabric.send(
@@ -257,12 +264,13 @@ def irecv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
     comm.check_revoked()
     if source != ANY_SOURCE:
         comm.check_peer(source)
-    view = _as_bytes_view(buf if buf is not None else np.empty(0, np.uint8))
-    req = Request(f"irecv(src={source},tag={tag})", ctx.proc)
-    posted = _PostedRecv(
-        src=source, tag=tag, buf=view, request=req,
-        dst_world=comm.world_rank(comm.rank),
-    )
+    view = _NO_BYTES if buf is None else _as_bytes_view(buf)
+    if view.nbytes and not view.flags.writeable:
+        raise MpiError(
+            "receive buffer is read-only: a receive writes into it, pass a writable array"
+        )
+    req = Request("irecv(src=%s,tag=%s)", ctx.proc, source, tag)
+    posted = _PostedRecv(source, tag, view, req, comm.world_rank(comm.rank))
     yield _costs.cost(ctx, "mpi.recv", view.nbytes)
     # Search the unexpected queue in arrival order.
     queue = matching.unexpected[comm.rank]
@@ -272,7 +280,6 @@ def irecv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
             if env.rendezvous is not None:
                 _start_rendezvous_data(comm, posted, env)
             else:
-                assert env.data is not None
                 _complete_recv(comm, posted, env, env.data)
             return req
     matching.posted[comm.rank].append(posted)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.sim import irhook as _irhook
 from repro.sim.engine import Proc
 from repro.sim.sync import SimEvent
 from repro.mpi.status import Status
@@ -17,6 +18,8 @@ from repro.mpi.status import Status
 
 class Request:
     """Completion handle for a nonblocking MPI operation."""
+
+    __slots__ = ("_kind", "_kind_args", "_proc", "_event", "status", "error")
 
     def __init__(self, kind: str, proc: Proc, *kind_args):
         #: The operation's name, or a ``%`` template for it plus arguments:
@@ -61,9 +64,15 @@ class Request:
     def _wait_steps(self):
         """:meth:`wait` as a script (see ``Proc.run_script``)."""
         event = self._event
-        if not event.is_set:
+        if event.is_set:
+            # Nothing to wait for: what the event's own script would do on
+            # its way out, without opening it.
+            rec = _irhook.RECORDER
+            if rec is not None:
+                rec.on_wait_event(event)
+        else:
             event.label = f"req:{self.kind}"  # the block reason reports show
-        yield from event._wait_steps(self._proc)
+            yield from event._wait_steps(self._proc)
         if self.error is not None:
             raise self.error
         return self.status

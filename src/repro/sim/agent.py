@@ -34,6 +34,7 @@ class AgentCtx:
         self.engine = base.engine
         self.fabric = base.fabric
         self.spec = base.spec
+        self.prices = base.prices
         self.profiler = base.profiler
         self.memory = base.memory
         self.sanitizer = base.sanitizer

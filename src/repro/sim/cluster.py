@@ -35,6 +35,7 @@ class RankCtx:
         self.engine = cluster.engine
         self.fabric = cluster.fabric
         self.spec = cluster.spec
+        self.prices = cluster.prices
         self.profiler = cluster.profiler
         self.memory = cluster.memory
         # Fixed at cluster construction; cached so per-op sanitizer and
@@ -91,6 +92,8 @@ class Cluster:
             raise SimulationError(f"nranks must be positive, got {nranks}")
         self.nranks = nranks
         self.spec = spec
+        #: The cost table priced for this run (``repro.sim.costs``).
+        self.prices = _costs.PricedTable(spec, nranks)
         self.seed = seed
         self.engine = Engine()
         self.tracer = Tracer()

@@ -14,10 +14,13 @@ the result. It owns four things and nothing else decides a price:
   for the live run, vectorised :func:`eval_costs` for replay. They perform
   the same IEEE operations in the same order, so a replayed cost is
   bit-identical to what a live run under that spec charges.
-* :func:`cost` / :func:`charge` / :func:`charge_in` — build the expression,
-  price it, record it with the metrics handle and annotate it for the IR
-  recorder; then hand the seconds back for a script to yield (``cost``),
-  sleep them (``charge``) or schedule a callback after them
+* :class:`PricedTable` — the table under one run's ``(spec, nranks)``,
+  which are fixed for the run: a row with no call-site operand is priced
+  when the ``Cluster`` is built, not at every op.
+* :func:`cost` / :func:`charge` / :func:`charge_in` — look the op up in the
+  run's priced table, record it with the metrics handle and annotate it
+  for the IR recorder; then hand the seconds back for a script to yield
+  (``cost``), sleep them (``charge``) or schedule a callback after them
   (``charge_in``). A modelled cost cannot be slept without being annotated
   because there is no other way to price one.
 * :class:`NicState` — the fabric's NIC-occupancy arithmetic, stepped by
@@ -299,6 +302,69 @@ def eval_costs(
     return out
 
 
+# -- one run's prices --------------------------------------------------------
+
+#: Sizes one ``n``-reading kind remembers; a size past that is priced per call.
+_MEMO_SIZES = 1024
+_PER_CALL = object()
+
+
+class PricedTable:
+    """:data:`TABLE` under one run's ``(spec, nranks)``: kind ->
+    ``(expression, seconds)``, as :func:`expression` and :func:`price` give
+    them — this class only decides *when* they are called.
+
+    A row that reads no call-site operand has one price for the whole run
+    (its structure variant is selected here, once). A row that reads only
+    ``n`` remembers the price of each size it has seen: a run sends few
+    distinct sizes. A row that reads ``a``/``b`` (a group size, the two
+    world ranks of an ``ack``) is priced per call — its keys would number
+    P^2.
+    """
+
+    __slots__ = ("spec", "nranks", "_rows")
+
+    def __init__(self, spec: "MachineSpec", nranks: int):
+        self.spec = spec
+        self.nranks = nranks
+        #: kind -> its run-long ``(expr, seconds)`` (``None``: this structure
+        #: has no such cost) | ``{n: (expr, seconds)}`` | ``_PER_CALL``.
+        self._rows: dict = {}
+        for kind, row in TABLE.items():
+            reads = {t for _, template in row.variants for t in template[1:] if t in _OPERANDS}
+            if any(when == "mpi_eager_threshold" for when, _ in row.variants):
+                reads.add(N)
+            if reads - {N}:
+                self._rows[kind] = _PER_CALL
+            elif reads:
+                self._rows[kind] = {}
+            else:
+                self._rows[kind] = self._price(kind, 0, 0, 0)
+
+    def __len__(self) -> int:
+        """Prices held: fixed for the run plus sizes remembered so far."""
+        return sum(len(row) if type(row) is dict else 1 for row in self._rows.values())
+
+    def _price(self, kind: str, nbytes, a: int, b: int) -> tuple | None:
+        expr = expression(kind, self.spec, nbytes, a, b)
+        return None if expr is None else (expr, price(expr, self.spec, self.nranks))
+
+    def priced(self, kind: str, nbytes=0, a: int = 0, b: int = 0) -> tuple | None:
+        """``(expression, seconds)`` of one ``kind`` op, or None when the
+        spec's structure has no such cost."""
+        row = self._rows[kind]
+        if type(row) is dict:
+            hit = row.get(nbytes)
+            if hit is None:
+                hit = self._price(kind, nbytes, 0, 0)
+                if len(row) < _MEMO_SIZES:
+                    row[nbytes] = hit
+            return hit
+        if row is _PER_CALL:
+            return self._price(kind, nbytes, a, b)
+        return row
+
+
 # -- charging -----------------------------------------------------------------
 
 
@@ -309,11 +375,10 @@ def cost(ctx, kind: str, nbytes: int = 0, a: int = 0, b: int = 0) -> float | Non
     script, or :func:`charge` them. ``None`` (nothing to sleep, nothing
     annotated) when the spec's structure has no such cost.
     """
-    spec = ctx.spec
-    expr = expression(kind, spec, nbytes, a, b)
-    if expr is None:
+    priced = ctx.prices.priced(kind, nbytes, a, b)
+    if priced is None:
         return None
-    seconds = price(expr, spec, ctx.nranks)
+    expr, seconds = priced
     if kind in _RECORDED:
         obs = ctx.metrics
         if obs is not None:
@@ -343,15 +408,15 @@ def charge(
 def charge_in(ctx, kind: str, fn, nbytes: int = 0, a: int = 0, b: int = 0) -> None:
     """Run ``fn`` in scheduler context after one ``kind`` delay — at once
     when the spec's structure has no such delay."""
-    spec = ctx.spec
-    expr = expression(kind, spec, nbytes, a, b)
-    if expr is None:
+    priced = ctx.prices.priced(kind, nbytes, a, b)
+    if priced is None:
         fn()
         return
+    expr, seconds = priced
     rec = _irhook.RECORDER
     if rec is not None:
         rec.pending_cost = expr
-    ctx.engine.call_in(price(expr, spec, ctx.nranks), fn)
+    ctx.engine.call_in(seconds, fn)
 
 
 # -- the NIC step ---------------------------------------------------------------

@@ -2,11 +2,11 @@
 
 Design
 ------
-* The engine owns a priority queue of ``(time, seq, event)`` entries and a
-  virtual clock. ``seq`` is a monotone counter so ties break
-  deterministically in scheduling order. Events are either plain callbacks
-  or :class:`_Resume` tokens naming a process and the block generation they
-  target.
+* The engine owns a priority queue of ``(time, seq, target, gen)`` entries
+  and a virtual clock. ``seq`` is a monotone counter so ties break
+  deterministically in scheduling order. An event is either a plain
+  callback (``target`` is the callable, ``gen`` is ``None``) or the resume
+  of a process (``target``) valid only for its block generation ``gen``.
 * Each simulated process (:class:`Proc`) runs user code on its own fiber
   (an OS thread), but the engine guarantees **exactly one fiber runs at a
   time**. This gives plain blocking-style user code, determinism, and free
@@ -105,16 +105,6 @@ class _Killed(BaseException):
     Derives from ``BaseException`` so user ``except Exception`` blocks cannot
     swallow it.
     """
-
-
-class _Resume:
-    """A scheduled resume of ``proc``, valid only for block generation ``gen``."""
-
-    __slots__ = ("proc", "gen")
-
-    def __init__(self, proc: Proc, gen: int):
-        self.proc = proc
-        self.gen = gen
 
 
 class Proc:
@@ -429,11 +419,13 @@ class Engine:
     """Event queue, virtual clock and process registry."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
+        #: ``(when, seq, target, gen)``: ``gen`` is ``None`` for a callback,
+        #: else the block generation of process ``target`` this resume is for.
+        self._heap: list[tuple[float, int, Any, int | None]] = []
         #: Same-time events (``when == now``) bypass the heap through this
         #: FIFO; it stays sorted by ``(when, seq)`` because ``now`` never
         #: decreases, and is merged with the heap head on pop.
-        self._due: deque[tuple[float, int, Any]] = deque()
+        self._due: deque[tuple[float, int, Any, int | None]] = deque()
         self._seq = 0
         self.now = 0.0
         self.procs: list[Proc] = []
@@ -583,7 +575,7 @@ class Engine:
         rec = _irhook.RECORDER
         if rec is not None:
             fn = rec.on_call_at(when - now, fn)
-        entry = (when, self._seq, fn)
+        entry = (when, self._seq, fn, None)
         self._seq += 1
         if when == now:
             self._due.append(entry)
@@ -602,7 +594,7 @@ class Engine:
 
     def _schedule_resume(self, when: float, proc: Proc, gen: int) -> None:
         proc._woken_gen = gen
-        entry = (when, self._seq, _Resume(proc, gen))
+        entry = (when, self._seq, proc, gen)
         self._seq += 1
         if when == self.now:
             self._due.append(entry)
@@ -660,7 +652,7 @@ class Engine:
                 ev = pop(heap)
             else:
                 return None
-            when = ev[0]
+            when, _, target, gen = ev
             if deadline is not None and when > deadline:
                 blocked = self._blocked_report()
                 if blocked:
@@ -668,10 +660,9 @@ class Engine:
                     self._timeout_info = (blocked, self._progress_report())
                 return None  # daemon-only activity past the deadline ends quietly
             self.now = when
-            fn = ev[2]
-            if type(fn) is _Resume:
-                proc = fn.proc
-                if fn.gen != proc._gen or proc.state == Proc.DONE:
+            if gen is not None:
+                proc = target
+                if gen != proc._gen or proc.state == Proc.DONE:
                     continue  # stale resume (re-block or died process)
                 self.events_executed += 1
                 self._make_running(proc)
@@ -686,7 +677,7 @@ class Engine:
             if digest is not None:
                 digest.update(_pack_order(when, -1))
             try:
-                fn()
+                target()
             except BaseException as exc:  # noqa: BLE001 - surfaced from run()
                 if self._failure is None:
                     self._failure = exc

@@ -343,3 +343,96 @@ def test_mixed_protocol_ordering_preserved(run):
 
     _, results = run(program, 2)
     assert results[1] == (1.0, 2.0)
+
+
+# -- zero-byte messages: None end to end --------------------------------------
+
+
+def test_none_buffers_are_a_zero_byte_message(run):
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            comm.send(None, dest=1, tag=3)
+            return None
+        return comm.recv(None, source=0, tag=3)
+
+    _, results = run(program, 2)
+    assert (results[1].source, results[1].tag, results[1].count) == (0, 3, 0)
+
+
+def test_payload_into_a_none_receive_is_truncation(run):
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            comm.send(np.zeros(2), dest=1)
+        else:
+            comm.recv(None, source=0)
+
+    with pytest.raises(MpiError, match="truncation: 16 bytes arrived for a 0-byte receive"):
+        mpi_run(program, 2)
+
+
+def test_zero_byte_message_under_rendezvous_for_everything(run):
+    """A threshold below zero sends even an empty message by RTS/CTS: there
+    is still no payload to land."""
+    from repro.sim.network import MachineSpec
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            comm.send(None, dest=1)
+            return None
+        return comm.recv(None, source=0).count
+
+    _, results = mpi_run(program, 2, spec=MachineSpec(name="t", mpi_eager_threshold=-1))
+    assert results[1] == 0
+
+
+def test_deadlock_report_names_the_receive(run):
+    """Request names are formatted when a report reads them, and read as
+    they always did."""
+
+    def program(mpi, ctx):
+        if ctx.rank == 1:
+            mpi.COMM_WORLD.recv(np.zeros(1), source=0, tag=5)
+
+    with pytest.raises(DeadlockError) as exc_info:
+        mpi_run(program, 2)
+    assert exc_info.value.blocked == {1: "wait(req:irecv(src=0,tag=5))"}
+
+
+# -- argument errors surface at the call ---------------------------------------
+
+
+@pytest.mark.parametrize("call", ["recv", "irecv"])
+def test_read_only_receive_buffer_rejected_at_the_call(run, call):
+    """Not as a bare numpy ValueError from the delivery callback, which has
+    no rank and no call site."""
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            comm.send(np.ones(4), dest=1)
+            return None
+        buf = np.zeros(4)
+        buf.flags.writeable = False
+        try:
+            getattr(comm, call)(buf, source=0)
+        except MpiError as exc:
+            comm.recv(np.zeros(4), source=0)  # the message is still there
+            return str(exc)
+
+    _, results = run(program, 2)
+    assert "read-only" in results[1]
+
+
+@pytest.mark.parametrize("call", ["send", "isend"])
+def test_negative_send_tag_rejected_at_the_call(run, call):
+    """ANY_TAG is a receive-only wildcard; a send carrying it used to be
+    accepted and end as a deadlock report."""
+
+    def program(mpi, ctx):
+        getattr(mpi.COMM_WORLD, call)(np.zeros(1), dest=0, tag=ANY_TAG)
+
+    with pytest.raises(MpiError, match="tag must be >= 0, got -1"):
+        mpi_run(program, 1)

@@ -1,12 +1,14 @@
 """The cost model's seams: two evaluators, one NIC step, one table.
 
 ``repro.sim.costs`` prices every op once; what can still drift is (a) the
-scalar evaluator against the vectorised one, (b) the table against what
-live ops actually record, (c) the shared NIC step against the fabric that
-wraps it, and (d) the rendered table in the docs. Each gets a test.
+scalar evaluator against the vectorised one, and a run's priced table
+against both, (b) the table against what live ops actually record, (c) the
+shared NIC step against the fabric that wraps it, and (d) the rendered
+table in the docs. Each gets a test.
 """
 
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ CK_KINDS = [getattr(irhook, n) for n in dir(irhook) if n.startswith("CK_")]
 
 
 @pytest.mark.parametrize("platform", ["laptop", "fusion", "edison"])
-def test_scalar_price_equals_eval_costs_bit_for_bit(platform):
+def test_scalar_price_equals_eval_costs_bit_for_bit(platform, monkeypatch):
     spec = PLATFORMS[platform]
     rng = np.random.default_rng(20140215)
     nfields = len(irhook.COST_FIELDS)
@@ -72,6 +74,60 @@ def test_scalar_price_equals_eval_costs_bit_for_bit(platform):
         np.array([1.25e-6]), spec, 4,
     )
     assert lit.tolist() == [1.25e-6]
+
+    # Third leg: what a run pays. cost()/charge_in() look the op up in the
+    # run's priced table; the seconds and the expression handed to the IR
+    # recorder are those of expression() + price(), first call or repeat.
+    threshold = spec.mpi_eager_threshold
+    sizes = [0, 8, threshold, threshold + 1] + rng.integers(0, 1 << 24, 6).tolist()
+    rec = types.SimpleNamespace(pending_cost=None)
+    monkeypatch.setattr(irhook, "RECORDER", rec)
+    for over_sendrecv in (False, True):
+        variant = spec.with_overrides(mpi_rma_over_sendrecv=over_sendrecv)
+        for nranks in (4, 256):  # SRQ off / on
+            delays = []
+            engine = types.SimpleNamespace(call_in=lambda s, fn: delays.append(s))
+            ctx = types.SimpleNamespace(
+                prices=costs.PricedTable(variant, nranks), metrics=None, rank=0, engine=engine
+            )
+            for kind in costs.TABLE:
+                for n in sizes:
+                    a, b = rng.integers(0, nranks, 2).tolist()
+                    expr = costs.expression(kind, variant, n, a, b)
+                    for _ in range(2):
+                        rec.pending_cost = "untouched"
+                        ran = []
+                        got = costs.cost(ctx, kind, n, a, b)
+                        if expr is None:
+                            assert got is None and rec.pending_cost == "untouched"
+                            costs.charge_in(ctx, kind, lambda: ran.append(1), n, a, b)
+                            assert ran == [1] and rec.pending_cost == "untouched"
+                            continue
+                        want = costs.price(expr, variant, nranks)
+                        assert (got, rec.pending_cost) == (want, expr), (kind, n, a, b)
+                        rec.pending_cost = None
+                        costs.charge_in(ctx, kind, lambda: ran.append(1), n, a, b)
+                        assert (delays.pop(), rec.pending_cost) == (want, expr)
+                        assert not ran and not delays
+
+
+def test_priced_table_holds_nothing_per_rank_pair_or_without_bound():
+    spec = PLATFORMS["fusion"]
+    nranks = 256
+    table = costs.PricedTable(spec, nranks)
+    held = len(table)
+    pairs = [(a, b) for a in range(64) for b in range(64)]
+    for a, b in pairs:  # 4,096 distinct (a, b): priced per call, never kept
+        expr = costs.expression("ack", spec, 0, a, b)
+        assert table.priced("ack", 0, a, b) == (expr, costs.price(expr, spec, nranks))
+    for group in range(1, 300):
+        table.priced("mpi.flush_all.walk", a=group)
+    assert len(table) == held
+    # Sizes are remembered, up to a cap: a run sends few distinct ones.
+    for n in range(5000):
+        table.priced("copy", n)
+    assert held < len(table) <= held + 1024
+    assert table.priced("copy", 4999) == table.priced("copy", 4999)
 
 
 # -- (b) every recorded table kind has a live producer, at the table price ----

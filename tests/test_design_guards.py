@@ -111,3 +111,36 @@ def test_window_construction_builds_nothing_sized_by_the_group():
             "same at 4 and at 4096 ranks)",
             hits,
         )
+
+
+def test_message_path_builds_nothing_only_diagnostics_read():
+    hits = grep(r"Request\(f[\"']", "src/repro")
+    assert not hits, (
+        "a request name is formatted per op: pass a % template and its "
+        "arguments, Request(kind, proc, *args) formats it when a report reads it",
+        hits,
+    )
+    hits = grep(r"class _Resume\b", "src/repro/sim/engine.py")
+    assert not hits, (
+        "a resume is the queue entry (when, seq, proc, gen), not an object per event",
+        hits,
+    )
+    hits = grep(r"np\.empty\(0", "src/repro/mpi/p2p.py", "src/repro/mpi/collectives.py")
+    assert [hit.split(":")[0] for hit in hits] == ["src/repro/mpi/p2p.py"], (
+        "a zero-byte message is None end to end: one module-level empty "
+        "receive view in mpi/p2p.py, no array per barrier round",
+        hits,
+    )
+
+
+def test_prices_come_from_the_run_table():
+    hits = [
+        hit for hit in grep(r"\b(expression|price)\(", "src/repro")
+        if not re.match(r"src/repro/(sim|ir)/costs\.py:", hit)
+    ]
+    assert not hits, (
+        "spec and rank count are fixed for a run: ops go through "
+        "costs.cost/charge/charge_in, which look the kind up in the run's "
+        "PricedTable; only sim/costs.py and ir/costs.py evaluate expressions",
+        hits,
+    )

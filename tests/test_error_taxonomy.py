@@ -97,6 +97,13 @@ def test_mpi_misuse_raises_mpi_error():
             comm.recv(buf, source=-2)
         with pytest.raises(MpiError):
             comm.send(np.zeros((4, 4)).T, dest=(ctx.rank + 1) % ctx.nranks)
+        peer = (ctx.rank + 1) % ctx.nranks
+        with pytest.raises(MpiError, match="tag must be >= 0"):
+            comm.isend(buf, dest=peer, tag=-1)  # ANY_TAG only receives
+        frozen = np.zeros(4)
+        frozen.flags.writeable = False
+        with pytest.raises(MpiError, match="read-only"):
+            comm.irecv(frozen, source=peer)  # not a numpy ValueError at delivery
         return True
 
     # Non-contiguous send buffers are rejected eagerly, before any
