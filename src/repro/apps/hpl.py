@@ -50,7 +50,9 @@ def run_hpl(img: Image, *, n: int = 192, block: int = 16, seed: int = 5) -> HplR
     if n % block:
         raise CafError(f"block size {block} must divide N={n}")
     nblocks = n // block
-    a = make_matrix(seed, n)
+    # Generated once per run (deterministic in the seed), like the FFT
+    # input: each image copies out only its own column blocks.
+    a = img.cluster.shared(("hpl-input", seed, n), lambda: make_matrix(seed, n))
     # Block-cyclic column distribution: block j lives on image j % P.
     mine = {j: a[:, j * block : (j + 1) * block].copy() for j in range(nblocks) if j % p == img.rank}
     img.cluster.shared("hpl-factors", dict)[img.rank] = mine
