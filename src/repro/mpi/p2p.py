@@ -207,8 +207,11 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
         raise MpiError(
             f"send tag must be >= 0, got {tag}: ANY_TAG is a receive-only wildcard"
         )
-    view = None if buf is None else _as_bytes_view(buf)
-    nbytes = 0 if view is None else view.nbytes
+    if buf is None:
+        view, nbytes = None, 0
+    else:
+        view = _as_bytes_view(buf)
+        nbytes = view.nbytes
     req = Request("isend(dst=%s,tag=%s)", ctx.proc, dest, tag)
     req.status.source = comm.rank
     req.status.tag = tag

@@ -2,7 +2,7 @@
 
 The paper's results are relative costs (Fig. 4's O(P) ``FLUSH_ALL``,
 Fig. 5's send/recv-backed RMA, Fig. 3's SRQ penalty), so this module *is*
-the result. It owns four things and nothing else decides a price:
+the result. It owns five things and nothing else decides a price:
 
 * :data:`TABLE` — op kind -> cost expression, one row per runtime
   operation (``mpi.rput``, ``gasnet.am``, ...) or un-recorded helper
@@ -318,8 +318,8 @@ class PricedTable:
     (its structure variant is selected here, once). A row that reads only
     ``n`` remembers the price of each size it has seen: a run sends few
     distinct sizes. A row that reads ``a``/``b`` (a group size, the two
-    world ranks of an ``ack``) is priced per call — its keys would number
-    P^2.
+    world ranks of an ``ack``) is priced per call: remembered, ``ack``
+    alone would hold up to P^2 entries.
     """
 
     __slots__ = ("spec", "nranks", "_rows")

@@ -1,5 +1,7 @@
 """Collective correctness against NumPy references, at several sizes."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -334,8 +336,6 @@ def test_barrier_makes_no_numpy_call():
     """A barrier round is a zero-byte message: nothing to view, reshape or
     copy. Counted, so exact on any host (680 when every round built and
     copied an empty array)."""
-    import sys
-
     numpy_calls = []
 
     def profile(frame, event, arg):
