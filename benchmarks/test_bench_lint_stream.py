@@ -7,10 +7,9 @@ editor-save check.  The cold pass covers every Python file under
 ``src/`` and ``examples/`` — the trees the self-apply gate lints — and
 the results land in ``BENCH_lint_stream.json`` at the repo root:
 
-* ``full_repo`` — cold wall time for the symbolic pass alone (stream
-  tier on minus stream tier off), plus file/entry counts.
-* ``memo`` — warm re-lint wall time, demonstrating the content-hash
-  memo (PR satellite: keyed on content, not path).
+* ``full_repo`` — wall time for the symbolic pass alone (the sum of
+  ``check_stream`` over every file) and for the whole pipeline, plus
+  file/entry counts.
 
 Run explicitly (not part of tier-1)::
 
@@ -24,7 +23,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.lint.engine import _STREAM_MEMO, iter_python_files, lint_paths
+from repro.lint.engine import iter_python_files, lint_paths
 from repro.lint.model import build_model
 from repro.lint.stream.interp import entry_functions
 
@@ -75,14 +74,10 @@ def test_symbolic_pass_under_budget():
         check_stream(model, syntactic)
     symbolic = time.perf_counter() - t0
 
-    # Whole-pipeline cold vs memo-warm wall time.
-    _STREAM_MEMO.clear()
+    # Whole-pipeline wall time.
     t0 = time.perf_counter()
     report = lint_paths(TREES)
     cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    lint_paths(TREES)
-    warm = time.perf_counter() - t0
 
     nfiles = len(prepared)
     assert report.nfiles >= nfiles
@@ -97,16 +92,7 @@ def test_symbolic_pass_under_budget():
             "budget_seconds": MAX_SECONDS,
         },
     )
-    _merge(
-        "memo",
-        {
-            "warm_seconds": round(warm, 4),
-            "speedup_vs_cold": round(cold / warm, 2) if warm > 0 else None,
-        },
-    )
     assert symbolic < MAX_SECONDS, (
         f"symbolic pass took {symbolic:.2f}s over {nfiles} files "
         f"({nentries} entry points; budget {MAX_SECONDS}s)"
     )
-    # the memo must make a warm re-lint cheaper than the cold pass
-    assert warm <= cold

@@ -52,10 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("app", choices=APPS)
     parser.add_argument("--procs", type=int, default=8)
     parser.add_argument("--backend", choices=["mpi", "gasnet"], default="mpi")
-    parser.add_argument(
-        "--platform", choices=sorted(PLATFORMS), default=None,
-        help="machine spec (default: laptop; with --replay-ir: the recorded spec)",
-    )
+    parser.add_argument("--platform", choices=sorted(PLATFORMS), default="laptop")
     parser.add_argument("--m", type=int, default=1 << 14, help="FFT size")
     parser.add_argument("--n", type=int, default=96, help="HPL matrix order")
     parser.add_argument("--ny", type=int, default=32)
@@ -85,16 +82,9 @@ def main(argv: list[str] | None = None) -> int:
         "--record-ir", metavar="PATH", default=None,
         help="record the run's op-stream trace to PATH (stem for .npz + .json)",
     )
-    parser.add_argument(
-        "--replay-ir", metavar="PATH", default=None,
-        help="skip the live run: re-price the recorded trace at PATH under "
-        "--platform (default: the recorded spec)",
-    )
     args = parser.parse_args(argv)
 
-    if args.replay_ir is not None:
-        return _replay_ir(args)
-    spec = PLATFORMS[args.platform or "laptop"]
+    spec = PLATFORMS[args.platform]
     if args.record_ir is not None:
         from repro.ir import record as ir_record
 
@@ -190,16 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         for path in written:
             print(f"ir: {nops} ops -> {path}")
     return 0
-
-
-def _replay_ir(args) -> int:
-    """``--replay-ir``: re-price a recorded trace instead of running live."""
-    from repro.ir.cli import main as ir_main
-
-    ir_argv = ["replay", "--trace", args.replay_ir]
-    if args.platform:
-        ir_argv += ["--platform", args.platform]
-    return ir_main(ir_argv)
 
 
 if __name__ == "__main__":

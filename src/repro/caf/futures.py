@@ -10,7 +10,6 @@ all AM traffic, it only progresses while the peer is inside CAF calls.
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.sync import SimEvent
@@ -20,15 +19,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
     from repro.caf.teams import Team
 
-_future_ids = itertools.count()
-
 
 class CafFuture:
     """Completion handle for a shipped function's return value."""
 
     def __init__(self, img: "Image"):
         self.img = img
-        self._event = SimEvent(f"caf-future-{next(_future_ids)}")
+        self._event = SimEvent(f"caf-future-{next(img._future_ids)}")
 
     @property
     def done(self) -> bool:

@@ -7,6 +7,7 @@ language-level operations of §2.1 (coarrays, events, teams, collectives,
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
 
@@ -42,6 +43,8 @@ class Image:
         self.team_world.handle = backend.make_world_team_handle(self.team_world)
         #: Async handles registered since the last cofence (implicit model).
         self._implicit_handles: list[AsyncHandle] = []
+        #: Numbers this image's futures (``CafFuture`` labels its event).
+        self._future_ids = itertools.count()
 
     # -- identity (CAF intrinsics) ------------------------------------------
 

@@ -58,7 +58,7 @@ def _collective(fn):
 #: AM handler index space reserved for team signal handlers.
 TEAM_SIGNAL_HANDLER_BASE = 1 << 16
 
-DEFAULT_ARENA_BYTES = 8 * 1024 * 1024
+MAX_ARENA_BYTES = 8 * 1024 * 1024
 
 
 class TeamExchange:
@@ -72,18 +72,15 @@ class TeamExchange:
         my_index: int,
         allocator: SegmentAllocator,
         *,
-        arena_bytes: int | None = None,
         defer_handler: bool = False,
     ):
         self.gasnet = gasnet
         self.team_id = team_id
         self.members = members
         self.my_index = my_index
-        if arena_bytes is None:
-            # Default: a quarter of what's left in the segment, capped.
-            arena_bytes = min(DEFAULT_ARENA_BYTES, allocator.free // 4)
-        self.arena_bytes = arena_bytes
-        self.arena_base = allocator.alloc(arena_bytes)
+        # A quarter of what's left in the segment, capped.
+        self.arena_size = min(MAX_ARENA_BYTES, allocator.free // 4)
+        self.arena_base = allocator.alloc(self.arena_size)
         # Monotone per-sender completion flags (one uint64 per member);
         # written with seq+1, so no reset races across collectives. The
         # second array acknowledges that a landing zone has been drained.
@@ -120,18 +117,15 @@ class TeamExchange:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def used(self) -> int:
-        return self._arena_top
-
     # -- arena scratch (identical deltas on every member) --------------------
 
     def _arena_alloc(self, nbytes: int, align: int = 16) -> int:
         delta = (self._arena_top + align - 1) // align * align
-        if delta + nbytes > self.arena_bytes:
+        if delta + nbytes > self.arena_size:
             raise GasnetError(
                 f"team arena exhausted: need {nbytes} at {delta}, "
-                f"capacity {self.arena_bytes} (raise arena_bytes)"
+                f"capacity {self.arena_size} (a quarter of the segment left "
+                "when the team was made: raise segment_bytes)"
             )
         self._arena_top = delta + nbytes
         return delta

@@ -13,7 +13,6 @@ paper's Figure 2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from collections.abc import Callable
@@ -30,8 +29,6 @@ from repro.util.errors import GasnetError, GasnetProcFailedError
 
 AM_MAX_ARGS = 16
 AM_MAX_MEDIUM = 65536  # bytes of medium-AM payload
-
-_handle_ids = itertools.count()
 
 
 @dataclass
@@ -262,7 +259,7 @@ class GasnetRank:
             target.activity.add()
 
         self.ctx.fabric.send(
-            src, dest, wire, on_delivered, rx_extra=self.world.rx_extra, reliable=True
+            src, dest, wire, on_delivered, rx_extra=self.world.rx_extra
         )
 
     def am_request_short(self, dest: int, handler_idx: int, *args: int) -> None:
@@ -299,15 +296,14 @@ class GasnetRank:
         clone.default_handler_filter = None
         return clone
 
-    def poll(self, handler_filter: "set[int] | None" = None) -> int:
+    def poll(self) -> int:
         """gasnet_AMPoll: run queued AM handlers; returns how many ran.
 
-        ``handler_filter`` restricts which handler indices this caller may
-        execute (used by progress agents so they never run application
-        handlers on the wrong execution context); others stay queued.
+        A view with a :attr:`default_handler_filter` (a progress agent's:
+        it must never run application handlers on the wrong execution
+        context) runs only those handler indices; others stay queued.
         """
-        if handler_filter is None:
-            handler_filter = self.default_handler_filter
+        allowed = self.default_handler_filter
         _costs.charge(self.ctx, "gasnet.poll")
         for hook in self.poll_hooks:
             hook()
@@ -315,7 +311,7 @@ class GasnetRank:
         pending = []
         while self.am_queue:
             qam = self.am_queue.popleft()
-            if handler_filter is not None and qam.handler_idx not in handler_filter:
+            if allowed is not None and qam.handler_idx not in allowed:
                 pending.append(qam)
                 continue
             _costs.charge(self.ctx, "gasnet.handler")
@@ -361,7 +357,6 @@ class GasnetRank:
         self,
         pred: Callable[[], bool],
         reason: str,
-        handler_filter: "set[int] | None" = None,
     ) -> None:
         """GASNET_BLOCKUNTIL: poll-and-sleep until ``pred()`` holds.
 
@@ -369,7 +364,7 @@ class GasnetRank:
         image is blocked inside GASNet (and only then).
         """
         while True:
-            ran = self.poll(handler_filter)
+            ran = self.poll()
             if pred():
                 return
             seen = self.activity.count
@@ -429,7 +424,7 @@ class GasnetRank:
 
         ctx.fabric.send(
             src, dest, arr.nbytes + 32, on_delivered,
-            rx_extra=self.world.rx_extra, reliable=True,
+            rx_extra=self.world.rx_extra,
         )
 
     def _rdma_read(self, src: int, runs, out: np.ndarray, handle: Handle) -> None:
@@ -453,11 +448,11 @@ class GasnetRank:
 
             fabric.send(
                 src, self.rank, nbytes + 32, at_origin,
-                rx_extra=me.world.rx_extra, reliable=True,
+                rx_extra=me.world.rx_extra,
             )
 
         fabric.send(
-            self.rank, src, 32, at_source, rx_extra=self.world.rx_extra, reliable=True
+            self.rank, src, 32, at_source, rx_extra=self.world.rx_extra
         )
 
     def put_nb(self, dest: int, dest_offset: int, data) -> Handle:

@@ -1,10 +1,11 @@
-"""Symmetric bump/stack allocator for GASNet segments.
+"""Symmetric bump allocator for GASNet segments.
 
 CAF coarrays over GASNet live at segment offsets. Because every image
 performs the same (collective) allocations in the same order with the same
 sizes, offsets agree across images — the symmetric-heap property remote
-puts/gets rely on. Scratch regions for hand-rolled collectives are
-allocated with :meth:`mark` / :meth:`release` in LIFO order.
+puts/gets rely on. Nothing is ever returned to it: a hand-rolled
+collective's scratch comes out of its team's arena (one allocation here,
+then ``TeamExchange._arena_alloc`` / ``_arena_release`` in LIFO order).
 """
 
 from __future__ import annotations
@@ -34,20 +35,6 @@ class SegmentAllocator:
             )
         self._top = offset + nbytes
         return offset
-
-    def mark(self) -> int:
-        """Checkpoint for LIFO scratch allocation."""
-        return self._top
-
-    def release(self, marker: int) -> None:
-        """Pop back to a previous :meth:`mark`."""
-        if not 0 <= marker <= self._top:
-            raise GasnetError(f"bad release marker {marker} (top={self._top})")
-        self._top = marker
-
-    @property
-    def used(self) -> int:
-        return self._top
 
     @property
     def free(self) -> int:

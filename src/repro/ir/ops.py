@@ -4,14 +4,14 @@ Two layers live here:
 
 * **Protocol method vocabulary** — the CAF / MPI / GASNet method-name
   classification tables that ``repro.lint``'s static op-stream extraction
-  uses to type AST call sites. They were born in ``repro.lint.model`` and
-  moved here so the static linter and the dynamic trace recorder agree on
-  what is a collective, a put, a get, a sync point.
+  uses to type AST call sites: what is a collective, a put, a get, a sync
+  point. Only ``repro.lint`` reads them; the recorder sees the simulator's
+  own calls, not method names.
 
 * **Dynamic IR op model** — the op kinds a recorded trace is made of
   (mirroring the instrumented call surface: local compute sleeps,
   scheduled callbacks, fabric transfers, event fire/wait, counter
-  add/wait/take, channel put/get), stored columnar (:mod:`repro.ir.trace`).
+  add/wait, channel put/get), stored columnar (:mod:`repro.ir.trace`).
   Every op carries a stable id (its global record sequence number ``gseq``
   — live execution order), the chain (execution context) it belongs to,
   and its dependence tokens (event / counter / channel ids, transfer peers).
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.sim.irhook import CK_LIT, COST_FIELDS  # noqa: F401  (re-exported)
 
-# -- protocol method vocabulary (shared with repro.lint) -------------------
+# -- protocol method vocabulary (read by repro.lint) -----------------------
 
 #: Collectives: every image of the team must call them, in the same order.
 COLLECTIVE_METHODS = frozenset(
@@ -44,11 +44,7 @@ COLLECTIVE_METHODS = frozenset(
         "reduce",
         "allreduce",
         "alltoall",
-        "alltoallv",
         "allgather",
-        "gather",
-        "scatter",
-        "reduce_scatter_block",
         "ibarrier",
         "ibcast",
         "ireduce",
@@ -169,11 +165,7 @@ MPI_BLOCKING_METHODS = frozenset(
         "reduce",
         "allreduce",
         "alltoall",
-        "alltoallv",
         "allgather",
-        "gather",
-        "scatter",
-        "reduce_scatter_block",
         "recv",
         "send",
         "sendrecv",
@@ -209,24 +201,25 @@ OP_FIRE = 3  # SimEvent.fire
 OP_WAITEV = 4  # SimEvent.wait completion
 OP_ADD = 5  # Counter.add
 OP_WAITGE = 6  # Counter.wait_geq completion (non-consuming)
-OP_TAKE = 7  # Counter.take completion (check-and-consume, atomic in replay)
+# 7 is retired (OP_TAKE, a consuming counter wait nothing issued) and is
+# not reused: a trace that carries it fails replay as an unknown op kind.
 OP_PUT = 8  # Channel.put (carries the per-channel put sequence number)
-OP_CHGET = 9  # Channel receive completion (matched put sequence number)
+OP_CHGET = 9  # Channel receive completion (the put it takes: FIFO)
 
-OP_NAMES = (
-    "sleep",
-    "call",
-    "xfer",
-    "fire",
-    "wait_event",
-    "add",
-    "wait_geq",
-    "take",
-    "chan_put",
-    "chan_get",
-)
+OP_NAMES = {
+    OP_SLEEP: "sleep",
+    OP_CALL: "call",
+    OP_XFER: "xfer",
+    OP_FIRE: "fire",
+    OP_WAITEV: "wait_event",
+    OP_ADD: "add",
+    OP_WAITGE: "wait_geq",
+    OP_PUT: "chan_put",
+    OP_CHGET: "chan_get",
+}
 
 # Chain kinds (execution contexts).
 CHAIN_PROC = 0  # a simulated process fiber (rank >= 0 for rank processes)
 CHAIN_CB = 1  # a scheduled callback (started by a CALL or XFER op)
-CHAIN_EXTERNAL = 2  # scheduled from outside any context (absolute start time)
+# 2 is retired (CHAIN_EXTERNAL, a callback scheduled from outside any
+# context: only crash schedules did that, and those are never recorded).

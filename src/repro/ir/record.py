@@ -20,7 +20,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-from collections import deque
 from typing import Any
 
 import numpy as np
@@ -82,11 +81,10 @@ class Recorder:
         self._obs_nbytes: list[int] = []
         self._obs_seconds: list[float] = []
         self._obs_kind_ids: dict[str, int] = {}
-        # Sync-object ids and channel put sequencing.
+        # Sync-object ids; per (channel id, PUT or CHGET), how many were
+        # recorded so far (a channel is FIFO: its n-th get takes its n-th put).
         self._next_oid = 0
-        self._chan_seq: dict[int, int] = {}
-        # (channel id, id(item)) -> deque of (item ref pin, put seq).
-        self._chan_items: dict[tuple[int, int], deque] = {}
+        self._chan_seq: dict[tuple[int, int], int] = {}
 
     # -- context resolution ----------------------------------------------
 
@@ -159,15 +157,6 @@ class Recorder:
             delay = raw
         if isinstance(fn, _irhook.CbThunk):
             return fn  # a transfer delivery, already recorded and chained
-        proc = self.engine._current
-        if proc is None and self.current_cb is None:
-            # Scheduled from outside any simulated context (e.g. a driver
-            # priming the event queue before run): an external root chain
-            # with an absolute start time; no CALL op to record.
-            child = self._new_chain(
-                _ops.CHAIN_EXTERNAL, True, -1, self.engine.now + delay
-            )
-            return _irhook.CbThunk(self, child, fn)
         chain = self._ctx()
         child = self._new_chain(_ops.CHAIN_CB, True, -1, 0.0)
         ck, c0, c1, c2 = self._consume_cost()
@@ -207,34 +196,17 @@ class Recorder:
             0.0, 0.0, 0.0, 0.0,
         )
 
-    def on_take(self, counter, n: int) -> None:
-        self._append(
-            _ops.OP_TAKE, self._ctx(), 0, self._oid(counter), n, 0,
-            0.0, 0.0, 0.0, 0.0,
-        )
-
-    def on_chan_put(self, channel, item) -> None:
+    def _chan_op(self, kind: int, channel) -> None:
         cid = self._oid(channel)
-        seq = self._chan_seq.get(cid, 0)
-        self._chan_seq[cid] = seq + 1
-        self._chan_items.setdefault((cid, id(item)), deque()).append((item, seq))
-        self._append(
-            _ops.OP_PUT, self._ctx(), 0, cid, seq, 0, 0.0, 0.0, 0.0, 0.0
-        )
+        seq = self._chan_seq.get((cid, kind), 0)
+        self._chan_seq[cid, kind] = seq + 1
+        self._append(kind, self._ctx(), 0, cid, seq, 0, 0.0, 0.0, 0.0, 0.0)
 
-    def on_chan_get(self, channel, item) -> None:
-        cid = self._oid(channel)
-        key = (cid, id(item))
-        entry = self._chan_items.get(key)
-        if entry:
-            _, seq = entry.popleft()
-            if not entry:
-                del self._chan_items[key]
-        else:  # item predates recording; replay treats it as always ready
-            seq = -1
-        self._append(
-            _ops.OP_CHGET, self._ctx(), 0, cid, seq, 0, 0.0, 0.0, 0.0, 0.0
-        )
+    def on_chan_put(self, channel) -> None:
+        self._chan_op(_ops.OP_PUT, channel)
+
+    def on_chan_get(self, channel) -> None:
+        self._chan_op(_ops.OP_CHGET, channel)
 
     def on_obs(self, rank: int, kind: str, nbytes: int, seconds: float) -> None:
         kid = self._obs_kind_ids.get(kind)

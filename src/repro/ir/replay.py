@@ -9,13 +9,13 @@ evaluated once per target spec as vectorized numpy expressions
 sequential IEEE additions the live engine performs, which is what makes
 replayed makespans *bit-identical* to live runs at the recorded spec.
 
-Same-time races (contended ``Counter.take``, wake ordering) re-resolve
-through the heap's ``gseq`` tie-break: ``gseq`` is live execution order,
-and wait ops are recorded at completion, so at the recorded spec the
-replayed resolution *is* the live resolution. Under a different spec the
-tie-break is a deterministic stand-in and structural choices (eager vs
-rendezvous, SRQ, poll-loop iteration counts) stay frozen as recorded —
-``docs/ir.md`` spells out the validity model.
+Same-time races (wake ordering) re-resolve through the heap's ``gseq``
+tie-break: ``gseq`` is live execution order, and wait ops are recorded at
+completion, so at the recorded spec the replayed resolution *is* the live
+resolution. Under a different spec the tie-break is a deterministic
+stand-in and structural choices (eager vs rendezvous, SRQ, poll-loop
+iteration counts) stay frozen as recorded — ``docs/ir.md`` spells out the
+validity model.
 """
 
 from __future__ import annotations
@@ -252,7 +252,6 @@ def _run(
     OP_WAITEV = _ops.OP_WAITEV
     OP_ADD = _ops.OP_ADD
     OP_WAITGE = _ops.OP_WAITGE
-    OP_TAKE = _ops.OP_TAKE
     OP_PUT = _ops.OP_PUT
     OP_CHGET = _ops.OP_CHGET
 
@@ -358,15 +357,6 @@ def _run(
                     st[1].append(ch)
                     ptr[ch] = p
                     break
-            elif k == OP_TAKE:
-                st = counters.get(a_l[i])
-                if st is None:
-                    st = counters[a_l[i]] = [0, []]
-                if st[0] < b_l[i]:
-                    st[1].append(ch)
-                    ptr[ch] = p
-                    break
-                st[0] -= b_l[i]
             elif k == OP_PUT:
                 st = chans.get(a_l[i])
                 if st is None:

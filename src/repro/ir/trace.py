@@ -24,7 +24,7 @@ d          f64     recorded duration / delay / delivery time
 
 Chains table: ``chain_kind`` (u8), ``chain_daemon`` (u8), ``chain_rank``
 (i32, -1 for non-rank chains), ``chain_start`` (f64, absolute start for
-proc/external chains; CB chains start when their parent op delivers).
+proc chains; CB chains start when their parent op delivers).
 
 Obs table (per ``Metrics.record`` call, in record order): ``obs_rank``
 (i32), ``obs_kind`` (i32, index into ``manifest["obs_kinds"]``),

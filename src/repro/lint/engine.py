@@ -8,8 +8,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
-import hashlib
 import os
 from collections.abc import Iterable, Sequence
 
@@ -39,33 +37,6 @@ _MODULE_PASSES = (
     check_event_pairing,
     check_finish_usage,
 )
-
-#: Stream-tier memo.  Compiling op streams dominates lint time, and CI
-#: lints the same tree repeatedly — memoize per module.  Keyed by the
-#: *content* hash (plus path, which findings embed), never by path
-#: alone: an edited file must recompile, a moved file must not leak the
-#: old path into findings.  Values are pre-suppression findings; hits
-#: return fresh copies so callers can set ``suppressed`` freely.
-_STREAM_MEMO: dict[tuple[str, str], list[Finding]] = {}
-_STREAM_MEMO_MAX = 512
-
-
-def _stream_findings(
-    source: str, path: str, model, syntactic: list[Finding]
-) -> list[Finding]:
-    key = (hashlib.sha256(source.encode()).hexdigest(), path)
-    cached = _STREAM_MEMO.get(key)
-    if cached is None:
-        from repro.lint.stream import check_stream
-
-        try:
-            cached = check_stream(model, syntactic)
-        except RecursionError:  # pathological nesting: syntactic tier stands
-            cached = []
-        if len(_STREAM_MEMO) >= _STREAM_MEMO_MAX:
-            _STREAM_MEMO.clear()
-        _STREAM_MEMO[key] = cached
-    return [dataclasses.replace(f) for f in cached]
 
 
 def lint_source(
@@ -98,7 +69,12 @@ def lint_source(
     for mod_pass in _MODULE_PASSES:
         findings.extend(mod_pass(model))
     if stream:
-        findings.extend(_stream_findings(source, path, model, findings))
+        from repro.lint.stream import check_stream
+
+        try:
+            findings.extend(check_stream(model, findings))
+        except RecursionError:  # pathological nesting: syntactic tier stands
+            pass
 
     table = suppressions(source)
     for finding in findings:

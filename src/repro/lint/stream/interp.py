@@ -277,11 +277,7 @@ _COMM_COLLECTIVES = {
     "reduce",
     "allreduce",
     "alltoall",
-    "alltoallv",
     "allgather",
-    "gather",
-    "scatter",
-    "reduce_scatter_block",
 }
 
 #: window RMA methods: method → (kind suffix, index of target-rank arg).

@@ -37,7 +37,7 @@ from repro.mpi.constants import (
     REPLACE,
     SUM,
 )
-from repro.mpi.request import Request, test_all, wait_all, wait_any
+from repro.mpi.request import Request, wait_all
 from repro.mpi.status import Status
 from repro.mpi.world import MpiRank, MpiWorld
 
@@ -60,7 +60,5 @@ __all__ = [
     "MpiWorld",
     "Request",
     "Status",
-    "test_all",
     "wait_all",
-    "wait_any",
 ]

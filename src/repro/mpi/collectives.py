@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mpi.constants import SUM, Op
-from repro.mpi.request import wait_all_steps
 from repro.sim import costs as _costs
 from repro.util.errors import MpiError
 
@@ -213,29 +212,6 @@ def alltoall_steps(comm: "Comm", sendbuf, recvbuf):
         )
 
 
-def alltoallv_steps(comm: "Comm", sendchunks, recvchunks):
-    """Vector all-to-all: per-peer chunks of independent sizes.
-
-    ``sendchunks[i]`` is sent to rank ``i``; ``recvchunks[i]`` receives from
-    rank ``i``. Chunks may be None for empty exchanges.
-    """
-    tag = yield from _enter_steps(comm)
-    rank, size = comm.rank, comm.size
-    if len(sendchunks) != size or len(recvchunks) != size:
-        raise MpiError(f"alltoallv chunk lists must have length {size}")
-    if recvchunks[rank] is not None and sendchunks[rank] is not None:
-        own = np.asarray(sendchunks[rank])
-        np.asarray(recvchunks[rank])[...] = own
-        yield _costs.cost(comm.ctx, "copy", own.nbytes)
-    for i in range(1, size):
-        dst = (rank + i) % size
-        src = (rank - i) % size
-        out = sendchunks[dst]
-        yield from comm._coll_sendrecv_steps(
-            None if out is None else np.ascontiguousarray(out), dst, recvchunks[src], src, tag
-        )
-
-
 def allgather_steps(comm: "Comm", sendbuf, recvbuf):
     """Ring allgather (bandwidth-optimal): P-1 neighbor forwarding steps."""
     tag = yield from _enter_steps(comm)
@@ -254,58 +230,3 @@ def allgather_steps(comm: "Comm", sendbuf, recvbuf):
         yield from comm._coll_sendrecv_steps(
             np.ascontiguousarray(recv[send_block]), right, recv[recv_block], left, tag
         )
-
-
-def gather_steps(comm: "Comm", sendbuf, recvbuf, root: int = 0):
-    """Linear gather to root (fine at simulated scales)."""
-    tag = yield from _enter_steps(comm)
-    send = np.asarray(sendbuf)
-    rank, size = comm.rank, comm.size
-    if rank == root:
-        recv = np.asarray(recvbuf)
-        if recv.shape[0] != size:
-            raise MpiError(f"gather recvbuf must have leading dimension {size}")
-        reqs = []
-        for src in range(size):
-            if src == root:
-                recv[root] = send
-            else:
-                reqs.append((yield from comm._coll_irecv_steps(recv[src], src, tag)))
-        yield from wait_all_steps(reqs)
-    else:
-        yield from comm._coll_send_steps(send, root, tag)
-
-
-def scatter_steps(comm: "Comm", sendbuf, recvbuf, root: int = 0):
-    """Linear scatter from root."""
-    tag = yield from _enter_steps(comm)
-    recv = np.asarray(recvbuf)
-    rank, size = comm.rank, comm.size
-    if rank == root:
-        send = np.asarray(sendbuf)
-        if send.shape[0] != size:
-            raise MpiError(f"scatter sendbuf must have leading dimension {size}")
-        reqs = []
-        for dst in range(size):
-            if dst == root:
-                recv[...] = send[root]
-            else:
-                reqs.append(
-                    (yield from comm._coll_isend_steps(np.ascontiguousarray(send[dst]), dst, tag))
-                )
-        yield from wait_all_steps(reqs)
-    else:
-        yield from comm._coll_recv_steps(recv, root, tag)
-
-
-def reduce_scatter_block_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None):
-    """Reduce a (P, ...) buffer then scatter row i to rank i."""
-    send = np.asarray(sendbuf)
-    recv = np.asarray(recvbuf)
-    if send.shape[0] != comm.size:
-        raise MpiError(
-            f"reduce_scatter_block sendbuf must have leading dimension {comm.size}"
-        )
-    full = np.empty_like(send)
-    yield from reduce_steps(comm, send, full, op, root=0)
-    yield from scatter_steps(comm, full, recv, root=0)

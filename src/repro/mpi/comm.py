@@ -1,9 +1,10 @@
 """Communicators: groups, context ids, dup/split, and the per-rank facade.
 
 A :class:`_CommState` is the shared (library-side) state of one
-communicator: its group, its two matching contexts (user + collective),
-and coordination boards for ``split``. A :class:`Comm` is one rank's view
-of that state — the object application code holds.
+communicator: its group, its matching contexts (user, collective,
+nonblocking-collective), and the boards of its agreements (``split``,
+window creation). A :class:`Comm` is one rank's view of that state — the
+object application code holds.
 """
 
 from __future__ import annotations
@@ -40,9 +41,12 @@ class _CommState:
         # Per-rank collective sequence numbers (become internal tags).
         self.coll_seq = [0] * n
         self.nbc_seq = [0] * n
-        # Split coordination: split_seq -> {"args": {rank: (color,key)}, "result": ...}
-        self.split_boards: dict[int, dict[str, Any]] = {}
-        self.split_count = [0] * n
+        # Agreements (:meth:`Comm._agree_steps`): each rank's next sequence
+        # number — collectives are called in the same order on every rank,
+        # so these agree — and seq -> {"args": {rank: contribution}}, later
+        # {"result": ...}.
+        self.agree_seq = [0] * n
+        self.agree_boards: dict[int, dict[str, Any]] = {}
         #: ULFM revocation flag: set by :meth:`Comm.revoke`, checked on
         #: every p2p entry so the error propagates comm-wide.
         self.revoked = False
@@ -255,12 +259,6 @@ class Comm:
     def _coll_seq_list(self) -> list[int]:
         return self.state.nbc_seq if self._space == "nbc" else self.state.coll_seq
 
-    def _coll_isend_steps(self, buf, dest: int, tag: int):
-        return p2p.isend_steps(self, self._coll_matching, buf, dest, tag)
-
-    def _coll_irecv_steps(self, buf, source: int, tag: int):
-        return p2p.irecv_steps(self, self._coll_matching, buf, source, tag)
-
     def _coll_send_steps(self, buf, dest: int, tag: int):
         return self._send_steps(self._coll_matching, buf, dest, tag)
 
@@ -325,29 +323,9 @@ class Comm:
     def alltoall(self, sendbuf, recvbuf) -> None:
         self._run_coll("alltoall", coll.alltoall_steps(self, sendbuf, recvbuf), sendbuf)
 
-    def alltoallv(self, sendchunks, recvchunks) -> None:
-        self._run_coll(
-            "alltoallv", coll.alltoallv_steps(self, sendchunks, recvchunks), *sendchunks
-        )
-
     def allgather(self, sendbuf, recvbuf) -> None:
         self._run_coll(
             "allgather", coll.allgather_steps(self, sendbuf, recvbuf), sendbuf
-        )
-
-    def gather(self, sendbuf, recvbuf, root: int = 0) -> None:
-        self._run_coll("gather", coll.gather_steps(self, sendbuf, recvbuf, root), sendbuf)
-
-    def scatter(self, sendbuf, recvbuf, root: int = 0) -> None:
-        self._run_coll(
-            "scatter", coll.scatter_steps(self, sendbuf, recvbuf, root), recvbuf
-        )
-
-    def reduce_scatter_block(self, sendbuf, recvbuf, op=None) -> None:
-        self._run_coll(
-            "reduce_scatter",
-            coll.reduce_scatter_block_steps(self, sendbuf, recvbuf, op),
-            sendbuf,
         )
 
     # -- nonblocking collectives (MPI-3) -------------------------------------
@@ -391,47 +369,55 @@ class Comm:
 
     # -- construction ---------------------------------------------------------
 
+    def _agree_steps(self, contribution: Any, combine):
+        """This layer's one agreement protocol, as a script: every rank
+        deposits its contribution, a barrier makes all of them visible, the
+        first rank out builds the result once — ``combine({rank:
+        contribution})`` — and a second barrier keeps everyone else from
+        reading before it exists."""
+        state = self.state
+        seq = state.agree_seq[self.rank]
+        state.agree_seq[self.rank] += 1
+        board = state.agree_boards.setdefault(seq, {"args": {}})
+        board["args"][self.rank] = contribution
+        yield from self._barrier_steps()
+        if "result" not in board:
+            board["result"] = combine(board.pop("args"))
+        yield from self._barrier_steps()
+        return board["result"]
+
     def split(self, color: int, key: int | None = None) -> "Comm | None":
         """MPI_COMM_SPLIT. ``color < 0`` (MPI_UNDEFINED) yields None."""
         if key is None:
             key = self.rank
-        state = self.state
-        seq = state.split_count[self.rank]
-        state.split_count[self.rank] += 1
-        board = state.split_boards.setdefault(seq, {"args": {}, "result": None})
-        board["args"][self.rank] = (color, key)
-        entry = self.ctx.proc.run_script(self._split_steps(board))
+        partition = self.ctx.proc.run_script(
+            self._agree_steps((color, key), self._partition)
+        )
+        entry = partition.get(self.rank)
         if entry is None:
             return None
         new_state, new_rank = entry
         return Comm(new_state, self.mpirank, new_rank)
 
-    def _split_steps(self, board: dict[str, Any]):
-        """The agreement protocol of :meth:`split`: this rank's entry of the
-        partition, once everyone has contributed and someone has built it."""
+    def _partition(self, args: dict[int, tuple[int, int]]):
+        """``split``'s result: rank -> (its new communicator's state, its
+        rank there), for every rank that named a colour."""
         state = self.state
-        # Everyone contributes, then a barrier guarantees all contributions
-        # are visible; the first rank out computes the partition once.
-        yield from self._barrier_steps()
-        if board["result"] is None:
-            groups: dict[int, list[tuple[int, int]]] = {}
-            for r, (c, k) in board["args"].items():
-                if c >= 0:
-                    groups.setdefault(c, []).append((k, r))
-            result: dict[int, tuple[_CommState, int]] = {}
-            for c in sorted(groups):
-                members = [r for _k, r in sorted(groups[c])]
-                new_state = _CommState(
-                    state.world,
-                    tuple(state.group[r] for r in members),
-                    state.world.next_context_id(),
-                )
-                for new_rank, r in enumerate(members):
-                    result[r] = (new_state, new_rank)
-            board["result"] = result
-        # Second barrier: nobody proceeds before the partition exists.
-        yield from self._barrier_steps()
-        return board["result"].get(self.rank)
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for r, (c, k) in args.items():
+            if c >= 0:
+                groups.setdefault(c, []).append((k, r))
+        result: dict[int, tuple[_CommState, int]] = {}
+        for c in sorted(groups):
+            members = [r for _k, r in sorted(groups[c])]
+            new_state = _CommState(
+                state.world,
+                tuple(state.group[r] for r in members),
+                state.world.next_context_id(),
+            )
+            for new_rank, r in enumerate(members):
+                result[r] = (new_state, new_rank)
+        return result
 
     def dup(self) -> "Comm":
         """MPI_COMM_DUP: same group, fresh context."""

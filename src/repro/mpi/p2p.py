@@ -171,10 +171,10 @@ def _start_rendezvous_data(comm: "Comm", posted: _PostedRecv, env: _Envelope) ->
             rv.send_request._complete()
 
         fabric.send(
-            rv.src_world, dst_world, env.nbytes, on_payload_delivered, reliable=True
+            rv.src_world, dst_world, env.nbytes, on_payload_delivered
         )
 
-    fabric.send(dst_world, rv.src_world, _ENVELOPE_BYTES, on_cts_at_sender, reliable=True)
+    fabric.send(dst_world, rv.src_world, _ENVELOPE_BYTES, on_cts_at_sender)
 
 
 def deliver(comm: "Comm", dst: int, env: _Envelope, matching: Matching) -> None:
@@ -234,7 +234,6 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
             dst_world,
             nbytes + _ENVELOPE_BYTES,
             lambda: deliver(comm, dest, env, matching),
-            reliable=True,
         )
         req._complete()
     else:
@@ -251,7 +250,6 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
             dst_world,
             _ENVELOPE_BYTES,
             lambda: deliver(comm, dest, env, matching),
-            reliable=True,
         )
     return req
 

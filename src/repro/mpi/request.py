@@ -103,34 +103,3 @@ def wait_all_steps(requests: Iterable[Request]):
     for req in requests:
         statuses.append((yield from req._wait_steps()))
     return statuses
-
-
-def wait_any(requests: list[Request]) -> tuple[int, Status]:
-    """MPI_WAITANY: block until at least one request completes.
-
-    Returns the index of a completed request (earliest-completing wins on
-    ties by list order, matching a deterministic MPI implementation); a
-    request that completed in error raises it, as :meth:`Request.wait` does.
-    """
-    if not requests:
-        raise ValueError("wait_any on empty request list")
-    if not any(req.completed for req in requests):
-        # Park on one merge event that the first completion fires; requests
-        # still pending afterwards drop their subscription to it.
-        any_ev = SimEvent("wait_any")
-        fire = any_ev.fire
-        for req in requests:
-            req._event.subscribe(fire)
-        any_ev.wait(requests[0]._proc)
-        for req in requests:
-            req._event.unsubscribe(fire)
-    index = next(i for i, req in enumerate(requests) if req.completed)
-    req = requests[index]
-    if req.error is not None:
-        raise req.error
-    return index, req.status
-
-
-def test_all(requests: Iterable[Request]) -> bool:
-    """MPI_TESTALL: True iff every request has completed."""
-    return all(req.completed for req in requests)

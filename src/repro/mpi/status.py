@@ -10,7 +10,3 @@ class Status:
     source: int = -1
     tag: int = -1
     count: int = 0  # bytes received
-
-    def get_count(self, itemsize: int = 1) -> int:
-        """Number of elements received, given the element size in bytes."""
-        return self.count // itemsize

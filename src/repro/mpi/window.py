@@ -26,7 +26,6 @@ Behavioural fidelity:
 
 from __future__ import annotations
 
-import itertools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.comm import Comm
 
 _RMA_ENVELOPE_BYTES = 48
-_win_ids = itertools.count()
 
 
 class _PendingPut:
@@ -395,7 +393,7 @@ class Window:
             _costs.charge_in(ctx, "mpi.target_delay", commit)
 
         ctx.fabric.send(
-            src, dst, nbytes + _RMA_ENVELOPE_BYTES, on_delivered, reliable=True
+            src, dst, nbytes + _RMA_ENVELOPE_BYTES, on_delivered
         )
 
     def _round_trip(
@@ -421,11 +419,11 @@ class Window:
                     self._op_done(target)
                     req._complete()
 
-                fabric.send(dst, src, response_nbytes, at_origin, reliable=True)
+                fabric.send(dst, src, response_nbytes, at_origin)
 
             _costs.charge_in(ctx, "mpi.target_delay", respond)
 
-        fabric.send(src, dst, request_nbytes, at_target, reliable=True)
+        fabric.send(src, dst, request_nbytes, at_target)
 
     def put(self, data, target: int, offset: int = 0) -> None:
         """MPI_PUT: one-sided write; remote completion requires a flush."""
@@ -973,28 +971,14 @@ def win_create_dynamic(comm: "Comm", *, dtype=np.uint8) -> Window:
 
 
 def _create_window(comm: "Comm", build, segment_bytes: int | None = None) -> Window:
-    """Collective window-creation skeleton (board + two barriers); books
-    this rank's ``segment_bytes`` of window memory, if it has any yet."""
+    """Collective window creation: the ranks agree (``Comm._agree_steps``)
+    on one shared state, which the first of them builds under a fresh id;
+    books this rank's ``segment_bytes`` of window memory, if it has any yet."""
     world = comm.state.world
-    # Per-rank allocation sequence number on this communicator: collectives
-    # are called in the same order on every rank, so these agree.
-    counter_key = (comm.state.context_id, comm.rank)
-    seq = world._win_counter.get(counter_key, 0)
-    world._win_counter[counter_key] = seq + 1
-    board_key = (comm.state.context_id, seq)
-    win = comm.ctx.proc.run_script(_create_window_steps(comm, board_key, build))
+    state = comm.ctx.proc.run_script(
+        comm._agree_steps(None, lambda _args: build(world.next_win_id()))
+    )
+    win = Window(state, comm)
     if segment_bytes is not None:
         comm.ctx.memory.alloc(comm.ctx.rank, f"mpi/win{win.win_id}", segment_bytes)
     return win
-
-
-def _create_window_steps(comm: "Comm", board_key: tuple[int, int], build):
-    world = comm.state.world
-    yield from comm._barrier_steps()
-    # The first rank out of the barrier builds the shared state; everyone
-    # else picks it up after the second barrier.
-    if board_key not in world._win_boards:
-        world._win_boards[board_key] = build(next(_win_ids))
-    state = world._win_boards[board_key]
-    yield from comm._barrier_steps()
-    return Window(state, comm)

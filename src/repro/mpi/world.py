@@ -38,15 +38,18 @@ class MpiWorld:
             self, tuple(range(cluster.nranks)), self.next_context_id()
         )
         self.initialized: set[int] = set()
-        # win_allocate coordination: (context_id, alloc_seq) -> shared state,
-        # and (context_id, rank) -> that rank's allocation sequence number.
-        self._win_boards: dict[tuple[int, int], object] = {}
-        self._win_counter: dict[tuple[int, int], int] = {}
+        self._window_counter = 0
 
     def next_context_id(self) -> int:
         cid = self._context_counter
         self._context_counter += 1
         return cid
+
+    def next_win_id(self) -> int:
+        """A fresh window id; call under agreement (one builder per window)."""
+        wid = self._window_counter
+        self._window_counter += 1
+        return wid
 
     def init(self, ctx: RankCtx) -> "MpiRank":
         """MPI_Init for one rank: registers it and charges the memory model."""
@@ -88,14 +91,6 @@ class MpiRank:
             )
             self._nbc_agents[cid] = (agent, view)
         return self._nbc_agents[cid]
-
-    @property
-    def rank(self) -> int:
-        return self.ctx.rank
-
-    @property
-    def size(self) -> int:
-        return self.world.cluster.nranks
 
     def win_allocate(
         self,

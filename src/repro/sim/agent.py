@@ -41,13 +41,6 @@ class AgentCtx:
         self.metrics = base.metrics
         self.rng = base.rng
 
-    @property
-    def now(self) -> float:
-        return self.engine.now
-
-    def profile(self, category: str):
-        return self.profiler.region(self.rank, category)
-
 
 class WorkerAgent:
     """One rank's FIFO work executor (a modeled progress thread)."""
@@ -68,7 +61,7 @@ class WorkerAgent:
 
     def _loop(self, proc: Proc) -> None:
         while True:
-            work, done = self._queue.get(proc, match=None)
+            work, done = self._queue.get(proc)
             result = work(self.ctx)
             self.items_executed += 1
             done.fire(result)

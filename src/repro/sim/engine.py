@@ -154,7 +154,6 @@ class Proc:
         #: Generation for which a resume event is already scheduled; wakes
         #: targeting the same generation are dropped at the call site.
         self._woken_gen = -1
-        self._wake_payload: Any = None
         #: The script :meth:`run_script` is running (dispatchers advance it
         #: at this process's resumes), its outcome once it is over, and —
         #: sanitized runs only — the frame that called ``run_script``.
@@ -278,22 +277,19 @@ class Proc:
         if self._killed:
             raise _Killed
 
-    def block(self, reason: str) -> Any:
+    def block(self, reason: str) -> None:
         """Yield until some other party calls :meth:`wake`.
 
         The caller must have registered itself with whatever structure will
-        eventually wake it *before* blocking. Returns the payload passed to
-        ``wake``.
+        eventually wake it *before* blocking.
         """
         self._check_running("block")
         self._gen += 1
         self.state = Proc.BLOCKED
         self._block_site = reason
         self._park()
-        payload, self._wake_payload = self._wake_payload, None
-        return payload
 
-    def wake(self, payload: Any = None) -> None:
+    def wake(self) -> None:
         """Schedule this process to resume at the engine's current time.
 
         A wake targets the process's *current* block; if the process blocks
@@ -301,10 +297,7 @@ class Proc:
         (the waker must wake it again through the new wait structure).
         Waking a generation that already has a pending resume is a no-op —
         the duplicate is dropped here, at the call site, without allocating
-        an event that the dispatcher would discard later. The duplicate's
-        ``payload`` is discarded with it: the *first* wake of a generation
-        determines the payload the blocked process receives — a waker whose
-        payload matters must target a fresh block, i.e. a new generation.
+        an event that the dispatcher would discard later.
         """
         if self.state == Proc.DONE and self._killed:
             # A crashed (or torn-down) process may still sit in waiter
@@ -316,7 +309,6 @@ class Proc:
         if self._woken_gen == self._gen:
             engine.stale_wakes_dropped += 1
             return
-        self._wake_payload = payload
         engine._schedule_resume(engine.now, self, self._gen)
 
     def sleep(self, duration: float) -> None:
@@ -359,9 +351,9 @@ class Proc:
         waits the call is made of.
 
         The script yields a number (sleep that long: what :meth:`sleep`
-        does), a string (block with that reason: what :meth:`block` does;
-        the wake payload is sent back in) or ``None`` (nothing: a cost the
-        machine does not charge), and composes with ``yield from``. Every
+        does), a string (block with that reason: what :meth:`block` does)
+        or ``None`` (nothing: a cost the machine does not charge), and
+        composes with ``yield from``. Every
         resume stays an event of this process with the ``(time, seq)`` it
         would have had; only *who executes it* changes — whichever fiber is
         dispatching advances the generator in place (:meth:`Engine._drive`)
@@ -381,7 +373,7 @@ class Proc:
             self._script_caller = sys._getframe(1)
         self._script = script
         try:
-            if not engine._drive(self, None):
+            if not engine._drive(self):
                 self._park()
         finally:
             self._script_caller = None
@@ -668,8 +660,7 @@ class Engine:
                 self._make_running(proc)
                 if proc._script is None:
                     return proc
-                payload, proc._wake_payload = proc._wake_payload, None
-                if self._drive(proc, payload):
+                if self._drive(proc):
                     return proc  # its script is over: the fiber takes it from here
                 self._current = None
                 continue
@@ -684,20 +675,20 @@ class Engine:
             if self._failure is not None:
                 return None
 
-    def _drive(self, proc: Proc, value: Any) -> bool:
-        """Advance ``proc``'s script — ``proc`` is current, ``value`` is what
-        its last yield evaluates to — until it parks (``False``) or is over
-        (``True``, outcome stored on ``proc`` for :meth:`Proc.run_script`).
+    def _drive(self, proc: Proc) -> bool:
+        """Advance ``proc``'s script — ``proc`` is current — until it parks
+        (``False``) or is over (``True``, outcome stored on ``proc`` for
+        :meth:`Proc.run_script`).
 
         A yielded duration is :meth:`Proc.sleep`, a yielded reason is
         :meth:`Proc.block`, statement for statement; the caller dispatches
         instead of parking a fiber.
         """
         script = proc._script
-        send = script.send
+        send = script.send  # send(None) is next(script), and the cheaper call
         while True:
             try:
-                step = send(value)
+                step = send(None)
             except StopIteration as stop:
                 proc._script = None
                 proc._script_value = stop.value
@@ -706,7 +697,6 @@ class Engine:
                 proc._script = None
                 proc._script_error = exc
                 return True
-            value = None
             if step is None:
                 continue
             if type(step) is str:
@@ -815,6 +805,3 @@ class Engine:
             for p in self.procs
             if p.state != Proc.DONE and not p.daemon
         }
-
-    def unfinished(self) -> list[Proc]:
-        return [p for p in self.procs if p.state != Proc.DONE]

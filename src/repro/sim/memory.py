@@ -44,10 +44,3 @@ class MemoryMeter:
 
     def rank_mb(self, rank: int, prefix: str = "") -> float:
         return self.rank_bytes(rank, prefix) / MB
-
-    def max_rank_mb(self, prefix: str = "") -> float:
-        """Largest per-rank footprint — what the paper's Figure 1 plots."""
-        return max(self.rank_mb(r, prefix) for r in range(self.nranks))
-
-    def labels(self, rank: int) -> dict[str, float]:
-        return dict(self._ledgers[rank])

@@ -92,9 +92,6 @@ class MachineSpec:
     def flops_time(self, flops: float) -> float:
         return flops / self.flops_per_sec
 
-    def copy_time(self, nbytes: int) -> float:
-        return nbytes / self.mem_copy_bw
-
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
 
@@ -247,16 +244,14 @@ class NetFabric:
         on_delivered: Callable[[], None],
         *,
         rx_extra: float = 0.0,
-        reliable: bool = False,
     ) -> float:
-        """Transfer, optionally via the reliable transport.
+        """Transfer, via the reliable transport when one is installed.
 
-        Communication layers call this with ``reliable=True`` for traffic
-        that must survive injected faults; when no transport is installed
-        (the default) it degrades to a plain :meth:`transfer`, so the
-        fault-free fast path is unchanged.
+        Communication layers send everything that must survive injected
+        faults through here; with no transport installed (the default:
+        ``Cluster(reliable=False)``) this is a plain :meth:`transfer`.
         """
-        if reliable and self.reliable is not None:
+        if self.reliable is not None:
             return self.reliable.send(
                 src, dst, nbytes, on_delivered, rx_extra=rx_extra
             )

@@ -101,29 +101,9 @@ class Profiler:
         return _Region(self, rank, category, kind, nbytes)
 
     def sleep_in(self, rank: int, proc, category: str, duration: float) -> None:
-        """``with region(rank, category): proc.sleep(duration)``, unrolled.
-
-        Semantically identical to the region form (same accounting, same
-        trace record); exists because charging a modeled compute/overhead
-        sleep is the single most frequent profiler operation.
-        """
-        counts = self.counts[rank]
-        counts[category] = counts.get(category, 0) + 1
-        self._charge_top(rank)
-        entered = self.engine.now
-        stack = self._stack[rank]
-        stack.append([category, entered])
-        try:
+        """Charge a modeled compute/overhead sleep to ``category``."""
+        with self.region(rank, category):
             proc.sleep(duration)
-        finally:
-            self._charge_top(rank)
-            stack.pop()
-            now = self.engine.now
-            if stack:
-                stack[-1][1] = now
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                tracer.record("region", rank, entered, now, category=category)
 
     def total(self, category: str) -> float:
         """Sum of ``category`` time across all ranks."""

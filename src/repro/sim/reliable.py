@@ -20,9 +20,9 @@ delivery on top of it, the way every reliable link layer does:
   crash takes) instead of the run hanging in silent retries forever.
 
 The transport is installed on the fabric by ``Cluster(reliable=True)`` and
-used by layers that call ``fabric.send(..., reliable=True)``; with no
-transport installed those calls degrade to plain transfers, keeping the
-default path untouched.
+carries everything the layers hand to ``fabric.send``; with no transport
+installed those calls are plain transfers, keeping the default path
+untouched.
 """
 
 from __future__ import annotations

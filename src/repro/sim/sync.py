@@ -52,11 +52,6 @@ class SimEvent:
         else:
             self._callbacks.append(cb)
 
-    def unsubscribe(self, cb: Callable[[], None]) -> None:
-        """Forget a :meth:`subscribe` that has not run (no-op otherwise)."""
-        if cb in self._callbacks:
-            self._callbacks.remove(cb)
-
     def wait(self, proc: Proc) -> Any:
         """Block ``proc`` until the flag is set; returns the fired value."""
         return proc.run_script(self._wait_steps(proc))
@@ -107,24 +102,9 @@ class Counter:
         if rec is not None:
             rec.on_wait_geq(self, threshold)
 
-    def take(self, proc: Proc, n: int = 1) -> None:
-        """Block until ``count >= n`` then subtract ``n`` (consuming wait)."""
-        # Open-coded wait_geq so recording sees one atomic check-and-consume
-        # op (the recheck-or-repark race between contending takers must
-        # replay as a unit); block reason string is unchanged.
-        while self.count < n:
-            self._waiters.append(proc)
-            proc.block(f"wait_geq({self.label}, {n})")
-            if proc in self._waiters:
-                self._waiters.remove(proc)
-        rec = _irhook.RECORDER
-        if rec is not None:
-            rec.on_take(self, n)
-        self.count -= n
-
 
 class Channel:
-    """An unbounded FIFO mailbox with blocking, optionally filtered, receive."""
+    """An unbounded FIFO mailbox with blocking receive."""
 
     def __init__(self, label: str = "channel"):
         self.label = label
@@ -137,30 +117,28 @@ class Channel:
     def put(self, item: Any) -> None:
         rec = _irhook.RECORDER
         if rec is not None:
-            rec.on_chan_put(self, item)
+            rec.on_chan_put(self)
         self._items.append(item)
         waiters, self._waiters = self._waiters, []
         for proc in waiters:
             proc.wake()
 
-    def try_get(self, match: Callable[[Any], bool] | None = None) -> tuple[bool, Any]:
-        """Non-blocking receive of the first item satisfying ``match``."""
-        for i, item in enumerate(self._items):
-            if match is None or match(item):
-                del self._items[i]
-                rec = _irhook.RECORDER
-                if rec is not None:
-                    # Covers both try_get hits and (via the retry loop) every
-                    # successful blocking get — recorded at completion with
-                    # the matched item's put sequence number.
-                    rec.on_chan_get(self, item)
-                return True, item
-        return False, None
+    def try_get(self) -> tuple[bool, Any]:
+        """Non-blocking receive of the oldest item."""
+        if not self._items:
+            return False, None
+        rec = _irhook.RECORDER
+        if rec is not None:
+            # Covers both try_get hits and (via the retry loop) every
+            # successful blocking get — recorded at completion; FIFO, so
+            # the n-th get takes the n-th put.
+            rec.on_chan_get(self)
+        return True, self._items.popleft()
 
-    def get(self, proc: Proc, match: Callable[[Any], bool] | None = None) -> Any:
-        """Blocking receive of the first (FIFO) item satisfying ``match``."""
+    def get(self, proc: Proc) -> Any:
+        """Blocking receive of the oldest item."""
         while True:
-            ok, item = self.try_get(match)
+            ok, item = self.try_get()
             if ok:
                 return item
             self._waiters.append(proc)

@@ -10,11 +10,8 @@ were produced from.
 from __future__ import annotations
 
 import json
-from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from typing import Any
-
-from repro.util.tables import format_table
 
 
 @dataclass(frozen=True)
@@ -38,9 +35,6 @@ class Tracer:
     def enable(self) -> None:
         self.enabled = True
 
-    def disable(self) -> None:
-        self.enabled = False
-
     def record(self, kind: str, rank: int, t0: float, t1: float, **detail: Any) -> None:
         if not self.enabled:
             return
@@ -50,37 +44,6 @@ class Tracer:
 
     def of_kind(self, kind: str) -> list[TraceEvent]:
         return [e for e in self.events if e.kind == kind]
-
-    def for_rank(self, rank: int) -> list[TraceEvent]:
-        return [e for e in self.events if e.rank == rank]
-
-    def summary(self) -> dict[str, int]:
-        return dict(TallyCounter(e.kind for e in self.events))
-
-    def bytes_transferred(self) -> int:
-        return sum(e.detail.get("nbytes", 0) for e in self.of_kind("transfer"))
-
-    def to_text(self, limit: int | None = 50) -> str:
-        """A readable, time-ordered dump of (up to ``limit``) events."""
-        events = sorted(self.events, key=lambda e: (e.t0, e.rank))
-        if limit is not None:
-            events = events[:limit]
-        rows = [
-            [
-                f"{e.t0 * 1e6:.2f}",
-                f"{e.duration * 1e6:.2f}",
-                e.rank,
-                e.kind,
-                ", ".join(f"{k}={v}" for k, v in sorted(e.detail.items())),
-            ]
-            for e in events
-        ]
-        return format_table(
-            ["t (us)", "dur (us)", "rank", "kind", "detail"],
-            rows,
-            title=f"trace: {len(self.events)} events"
-            + (f" (showing {len(events)})" if limit is not None else ""),
-        )
 
     # -- export ------------------------------------------------------------
 

@@ -183,3 +183,29 @@ def test_mpi_backend_notify_costs_two_handoffs(ncoarrays):
         img.sync_all()
 
     assert mpi_handoffs_per_call(program, nranks=8) <= 2
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_rflush_release_delivers_the_same_data_as_flush_all(sanitize):
+    """``use_rflush`` (§5's nonblocking ``MPI_WIN_RFLUSH``) changes what the
+    release barrier costs, not what it guarantees: a write followed by a
+    notify is visible to the image that consumed the notification."""
+
+    def program(img):
+        co = img.allocate_coarray(4, np.float64)
+        ev = img.allocate_events(1)
+        right = (img.rank + 1) % img.nranks
+        co.write(right, np.full(4, float(img.rank)))
+        ev.notify(target=right)
+        ev.wait()
+        got = co.local.tolist()
+        img.sync_all()
+        return got
+
+    runs = [
+        run_caf(program, 4, backend="mpi", sanitize=sanitize, backend_options=options)
+        for options in ({}, {"use_rflush": True})
+    ]
+    assert runs[0].results == runs[1].results == [[float((r - 1) % 4)] * 4 for r in range(4)]
+    if sanitize:
+        assert all(run.sanitizer.report.clean for run in runs)

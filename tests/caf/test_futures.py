@@ -95,3 +95,16 @@ def test_nested_futures(backend):
     run = run_caf(program, 3, backend=backend)
     # 0 ships depth2 to 1, 1 ships depth1 to 2, 2 ships depth0 to 0 -> 0.
     assert run.results[0] == 0
+
+
+def test_future_labels_do_not_depend_on_what_ran_earlier_in_the_process(backend):
+    """Futures are numbered per image, per run — not per process."""
+
+    def program(img):
+        if img.rank == 0:
+            futures = [img.spawn_future(1, lambda target: target.rank) for _ in range(2)]
+            return [(f._event.label, f.wait()) for f in futures]
+        img.serve(2)
+
+    runs = [run_caf(program, 2, backend=backend).results[0] for _ in range(3)]
+    assert runs[0] == runs[1] == runs[2] == [("caf-future-0", 1), ("caf-future-1", 1)]

@@ -112,7 +112,7 @@ def test_consecutive_collectives_reuse_scratch():
             assert recv[:, 0].tolist() == [
                 float(s + round_i) for s in range(ctx.nranks)
             ]
-        return team.used
+        return team._arena_top
 
     _, results = with_team(program, 4)
     assert all(u == 0 for u in results)  # scratch fully released

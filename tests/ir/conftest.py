@@ -1,5 +1,6 @@
 """Shared recording helpers for the IR test suite."""
 
+import numpy as np
 import pytest
 
 from repro.apps.cgpop import run_cgpop
@@ -7,7 +8,32 @@ from repro.apps.fft import run_fft
 from repro.apps.randomaccess import run_randomaccess
 from repro.caf import run_caf
 from repro.ir import record as ir_record
+from repro.mpi.constants import SUM
 from repro.platforms import PLATFORMS
+
+
+
+def _async_collective(img):
+    """CAF 2.0 async collective + cofence: the work runs on a progress agent."""
+    recv = np.zeros(2)
+    img.team_allreduce_async(np.full(2, float(img.rank)), recv, SUM)
+    img.compute(seconds=1e-6)
+    img.cofence()
+    img.sync_all()
+    return recv.tolist()
+
+
+def _nonblocking_mpi(img):
+    """Hybrid image: MPI-3 nonblocking collectives, on MPI's own agents."""
+    comm = img.mpi().COMM_WORLD
+    recv = np.zeros(2)
+    reqs = [comm.iallreduce(np.full(2, float(img.rank)), recv), comm.ibarrier()]
+    img.compute(seconds=1e-6)
+    for req in reqs:
+        req.wait()
+    img.sync_all()
+    return recv.tolist()
+
 
 #: (label, program, program kwargs) — small enough for a sub-second run,
 #: structured enough to exercise transfers, collectives, and sync ops.
@@ -16,6 +42,8 @@ APPS = {
            dict(table_bits_per_image=8, updates_per_image=256, batches=2)),
     "fft": (run_fft, dict(m=256)),
     "cgpop": (run_cgpop, dict(ny=16, nx=8, max_iter=40)),
+    "async-coll": (_async_collective, {}),
+    "nbc": (_nonblocking_mpi, {}),
 }
 
 

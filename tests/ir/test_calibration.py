@@ -45,6 +45,19 @@ def test_replay_matches_live_bit_exactly(record, app, platform, backend):
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gasnet"])
+@pytest.mark.parametrize("app", ["async-coll", "nbc"])
+def test_progress_agent_work_replays_bit_exactly(record, app, backend):
+    """Work queued on a progress agent (the agent's ``Channel``: IR kinds
+    ``chan_put`` / ``chan_get``) records and replays like everything else."""
+    run, trace = record(app, backend, "laptop")
+    assert run.results == [[6.0, 6.0]] * 4
+    counts = trace.manifest["op_counts"]
+    assert counts["chan_put"] == counts["chan_get"] >= 4
+    assert replay(trace).makespan == run.elapsed  # exact, not approx
+    assert validate_trace(trace) == []
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
 def test_comm_matrix_matches_live(record, backend):
     run, trace = record("ra", backend, "laptop")
     result = replay(trace)

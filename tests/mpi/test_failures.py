@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.mpi import wait_any
 from repro.mpi.world import MpiWorld
 from repro.sim.cluster import Cluster
 from repro.sim.faults import FaultPlan
@@ -102,29 +101,6 @@ def test_pending_recv_from_dead_rank_fails_eagerly():
     cluster, results = crash_run(program)
     assert results[0] == VICTIM
     assert cluster.elapsed < 1.5  # woke at the crash, not at a watchdog
-
-
-def test_wait_any_over_a_receive_from_a_dead_rank_raises():
-    """``wait_any`` reports a request that completed *in error* the way
-    ``wait`` and ``test`` do, not as a success with an empty status."""
-
-    def program(mpi, ctx):
-        comm = mpi.COMM_WORLD
-        if ctx.rank == VICTIM:
-            ctx.proc.sleep(1.0)
-            return None
-        if ctx.rank == 0:
-            reqs = [
-                comm.irecv(np.zeros(4), source=1),  # rank 1 never sends
-                comm.irecv(np.zeros(4), source=VICTIM),
-            ]
-            with pytest.raises(MpiProcFailedError) as exc_info:
-                wait_any(reqs)
-            return exc_info.value.failed_rank, ctx.now
-        return "idle"
-
-    cluster, results = crash_run(program)
-    assert results[0] == (VICTIM, pytest.approx(CRASH_AT, rel=1e-2))
 
 
 def test_crash_inside_a_scripted_barrier_unwinds_the_script():

@@ -232,7 +232,7 @@ def test_probe_reports_size_without_consuming(run):
         else:
             st = comm.probe(source=0, tag=9)
             assert st.count == 20
-            buf = np.zeros(st.get_count(4), np.int32)
+            buf = np.zeros(st.count // 4, np.int32)
             comm.recv(buf, source=0, tag=9)
             return buf.tolist()
 

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.mpi import NO_OP, REPLACE, SUM
+from repro.mpi.world import MpiWorld
+from repro.sim.cluster import Cluster
 from repro.sim.network import MachineSpec
 from repro.util.errors import MpiError
 
@@ -151,6 +153,31 @@ def test_flush_local_all_buffers_rendezvous_put_payloads():
 
     _, results = mpi_run(program, 2)
     assert results[1] == (7.0, 7.0)
+
+
+@pytest.mark.parametrize("sanitize", [False, True])
+def test_fence_epochs_order_puts_and_local_reads(sanitize):
+    """MPI_WIN_FENCE (active target): a put in one fence epoch is visible,
+    at the origin's side and the target's, in the next — with no passive
+    lock anywhere, which the sanitizer accepts on a fenced window."""
+
+    def program(ctx):
+        mpi = MpiWorld.get(ctx.cluster).init(ctx)
+        win = mpi.win_allocate(shape=4, dtype=np.float64)
+        right, left = (ctx.rank + 1) % ctx.nranks, (ctx.rank - 1) % ctx.nranks
+        win.fence()
+        win.put(np.full(4, float(ctx.rank)), right)
+        win.fence()
+        mine = win.local.tolist()
+        theirs = np.zeros(4)
+        win.get(theirs, right)
+        win.fence()
+        return mine == [float(left)] * 4 and theirs.tolist() == [float(ctx.rank)] * 4
+
+    cluster = Cluster(4, MachineSpec(name="test"), seed=1, sanitize=sanitize)
+    assert cluster.run(program) == [True] * 4
+    if sanitize:
+        assert cluster.sanitizer.report.clean, cluster.sanitizer.report.to_text()
 
 
 def test_accumulate_sum_from_all_ranks():

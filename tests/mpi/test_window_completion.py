@@ -138,6 +138,46 @@ def test_timeout_report_shows_flush_lock_and_request_block_reasons_verbatim():
     }
 
 
+def test_window_ids_do_not_depend_on_what_ran_earlier_in_the_process():
+    """A run owns its id counters: the same program run three times in one
+    process gets the same window ids, so everything that embeds one — block
+    reasons, the timeout report, memory-ledger labels — reads the same."""
+    spec = MachineSpec(name="slow-wire", bandwidth=1e6, ranks_per_node=1)
+
+    def program(ctx):
+        mpi = MpiWorld.get(ctx.cluster).init(ctx)
+        win = mpi.win_allocate(shape=64 * KIB, dtype=np.float64)
+        seen["ids"].add(win.win_id)
+        if ctx.rank == 2:
+            win.lock(0, exclusive=True)
+            ctx.proc.sleep(1.0)
+        elif ctx.rank == 3:
+            ctx.proc.sleep(1e-3)
+            win.lock(0)
+        else:
+            win.lock_all()
+            if ctx.rank == 0:
+                win.put(np.ones(64 * KIB), 1)
+                win.flush(1)
+
+    runs = []
+    for _ in range(3):
+        seen = {"ids": set()}
+        cluster = Cluster(4, spec, seed=1)
+        with pytest.raises(SimTimeoutError) as exc_info:
+            cluster.run(program, deadline=0.03)
+        seen["labels"] = [sorted(ledger) for ledger in cluster.memory._ledgers]
+        seen["report"] = str(exc_info.value)
+        seen["blocked"] = exc_info.value.blocked
+        runs.append(seen)
+    assert runs[0] == runs[1] == runs[2]
+    assert runs[0]["ids"] == {0}
+    assert all("mpi/win0" in labels for labels in runs[0]["labels"])
+    assert runs[0]["blocked"][0] == "wait(flush(win=0,o=0,t=1))"
+    assert runs[0]["blocked"][3] == "wait(lock(win=0,t=0))"
+    assert "flush(win=0,o=0,t=1)" in runs[0]["report"]
+
+
 def test_request_names_read_after_completion(monkeypatch):
     requests = []
     begin = Window._begin

@@ -219,30 +219,32 @@ def test_duplicate_wake_dropped_at_call_site():
     event — it is dropped where it happens, and counted."""
     eng = Engine()
     waiter_box = []
-    payloads = []
+    resumed_at = []
 
     def waiter(p):
         waiter_box.append(p)
-        payloads.append(p.block("waiting"))
-        payloads.append(p.block("waiting again"))
+        p.block("waiting")
+        resumed_at.append(eng.now)
+        p.block("waiting again")
+        resumed_at.append(eng.now)
 
     def waker(p):
         p.sleep(1.0)
         w = waiter_box[0]
         before = len(eng._heap) + len(eng._due)
-        w.wake("first")
+        w.wake()
         after_one = len(eng._heap) + len(eng._due)
-        w.wake("duplicate")  # same generation: dropped, no event
+        w.wake()  # same generation: dropped, no event
         after_two = len(eng._heap) + len(eng._due)
         assert after_one == before + 1
         assert after_two == after_one
         p.sleep(1.0)
-        w.wake("second-block")
+        w.wake()
 
     eng.spawn(waiter, name="waiter")
     eng.spawn(waker, name="waker")
     eng.run()
-    assert payloads == ["first", "second-block"]
+    assert resumed_at == [1.0, 2.0]  # one resume per block, not per wake
     assert eng.stale_wakes_dropped == 1
 
 

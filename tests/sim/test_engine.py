@@ -85,24 +85,6 @@ def test_ties_break_in_spawn_order():
     assert trace == [0, 1, 2, 3, 4]
 
 
-def test_block_and_wake_transfers_payload():
-    eng = Engine()
-    got = []
-
-    def waiter(p):
-        got.append(p.block("waiting for pal"))
-
-    def waker(p):
-        p.sleep(3.0)
-        w.wake("hello")
-
-    w = eng.spawn(waiter)
-    eng.spawn(waker)
-    eng.run()
-    assert got == ["hello"]
-    assert eng.now == 3.0
-
-
 def test_wake_resumes_at_wakers_time():
     eng = Engine()
     times = []

@@ -30,7 +30,7 @@ def test_free_reduces_and_removes():
     m.free(0, "buf", 40.0)
     assert m.rank_bytes(0) == pytest.approx(60.0)
     m.free(0, "buf", 60.0)
-    assert m.labels(0) == {}
+    assert m._ledgers[0] == {}
 
 
 def test_overfree_rejected():
@@ -44,14 +44,6 @@ def test_negative_alloc_rejected():
     m = MemoryMeter(1)
     with pytest.raises(SimulationError):
         m.alloc(0, "buf", -1.0)
-
-
-def test_max_rank_mb():
-    m = MemoryMeter(3)
-    m.alloc(0, "x", 1 * MB)
-    m.alloc(1, "x", 3 * MB)
-    m.alloc(2, "x", 2 * MB)
-    assert m.max_rank_mb() == pytest.approx(3.0)
 
 
 def test_repeated_alloc_same_label_accumulates():

@@ -220,10 +220,9 @@ def test_spec_with_overrides_returns_modified_copy():
     assert spec2.bandwidth == spec.bandwidth
 
 
-def test_spec_flops_and_copy_time():
+def test_spec_flops_time():
     spec = make_spec()
     assert spec.flops_time(8e9) == pytest.approx(8e9 / spec.flops_per_sec)
-    assert spec.copy_time(1e10) == pytest.approx(1.0)
 
 
 def test_srq_active_threshold():

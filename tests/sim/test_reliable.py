@@ -34,7 +34,7 @@ def run_reliable(plan, n, nbytes=1000, **transport_kw):
     def body(p):
         for i in range(n):
             r = fabric.send(
-                0, 1, nbytes, lambda i=i: delivered.append(i), reliable=True
+                0, 1, nbytes, lambda i=i: delivered.append(i)
             )
             assert r == math.inf
         p.sleep(60.0)  # long enough for every backoff schedule to finish
@@ -108,7 +108,7 @@ def test_give_up_invokes_failure_hook_with_the_dead_pair():
     fabric.reliable.on_give_up = lambda src, dst: gave_up.append((src, dst))
 
     def body(p):
-        fabric.send(0, 1, 500, lambda: None, reliable=True)
+        fabric.send(0, 1, 500, lambda: None)
         p.sleep(60.0)
 
     eng.spawn(body)
@@ -131,7 +131,6 @@ def test_jittered_backoff_is_deterministic_and_bounded():
             for i in range(30):
                 fabric.send(
                     0, 1, 1000, lambda i=i: delivered.append((i, eng.now)),
-                    reliable=True,
                 )
             p.sleep(60.0)
 
@@ -155,7 +154,7 @@ def test_send_without_transport_degrades_to_plain_transfer():
     got = []
 
     def body(p):
-        t = fabric.send(0, 1, 100, lambda: got.append(eng.now), reliable=True)
+        t = fabric.send(0, 1, 100, lambda: got.append(eng.now))
         assert math.isfinite(t)  # plain transfer: delivery time is known
         p.sleep(1.0)
 

@@ -18,7 +18,7 @@ from repro.util.errors import SimTimeoutError, SimulationError
 # callback fires the neighbour's ``inbox``), sleep again, wait for its own
 # inbox, then a nested exchange (sleep + wait on an event the *left*
 # neighbour fires from its own body), then park until the right neighbour
-# wakes it with a payload.
+# wakes it (having left its name on the board).
 
 
 class _Board:
@@ -28,6 +28,7 @@ class _Board:
         self.inbox = [SimEvent(f"inbox{r}") for r in range(n)]
         self.token = [SimEvent(f"token{r}") for r in range(n)]
         self.parked = [SimEvent(f"parked{r}") for r in range(n)]
+        self.woken_by = [None] * n
         self.procs = []
 
 
@@ -44,19 +45,21 @@ def _blocking(board, rank):
         # Say we are about to park, then park: nothing runs between the
         # two, so the waker finds us blocked.
         board.parked[rank].fire()
-        seen.append((engine.now, p.block("toy.park")))
+        p.block("toy.park")
+        seen.append((engine.now, board.woken_by[rank]))
         return seen
 
     return body
 
 
 def _waker(board, rank):
-    """Wakes ``rank``'s left neighbour, with a payload, once it has parked."""
+    """Wakes ``rank``'s left neighbour, signed, once it has parked."""
     left = (rank - 1) % board.n
 
     def body(p):
         board.parked[left].wait(p)
-        board.procs[left].wake(("from", rank))
+        board.woken_by[left] = ("from", rank)
+        board.procs[left].wake()
 
     return body
 
@@ -79,7 +82,8 @@ def _script(board, rank):
         seen.append((engine.now, (yield from board.inbox[rank]._wait_steps(p))))
         seen.append((yield from _exchange_steps(board, p, rank, right)))
         board.parked[rank].fire()
-        seen.append((engine.now, (yield "toy.park")))
+        yield "toy.park"
+        seen.append((engine.now, board.woken_by[rank]))
         return seen
 
     return steps
@@ -95,13 +99,15 @@ def _exchange_steps(board, p, rank, right):
 def _interpret(p, script):
     """The definition of a script, executed with the blocking primitives: a
     yielded number is ``sleep``, a yielded string is ``block``."""
-    value = None
     while True:
         try:
-            step = script.send(value)
+            step = next(script)
         except StopIteration as stop:
             return stop.value
-        value = p.block(step) if type(step) is str else p.sleep(step)
+        if type(step) is str:
+            p.block(step)
+        else:
+            p.sleep(step)
 
 
 def _run_toy(n, style):
@@ -133,7 +139,7 @@ def test_script_runs_the_schedule_of_the_blocking_calls(n):
     script, script_handoffs = _run_toy(n, "script")
     interpreted, _ = _run_toy(n, "interpreted")
     assert script == blocking == interpreted
-    # Every rank was woken with its right neighbour's payload, last.
+    # Every rank was woken by its right neighbour, last.
     for rank, seen in enumerate(script["results"]):
         assert seen[0][1] == (rank - 1) % n
         assert seen[1][1] == ("token", (rank - 1) % n)

@@ -81,27 +81,6 @@ def test_event_never_fired_deadlocks():
         eng.run()
 
 
-def test_counter_take_blocks_until_enough():
-    eng = Engine()
-    cnt = Counter("c")
-    trace = []
-
-    def consumer(p):
-        cnt.take(p, 3)
-        trace.append(eng.now)
-
-    def producer(p):
-        for _ in range(3):
-            p.sleep(1.0)
-            cnt.add()
-
-    eng.spawn(consumer)
-    eng.spawn(producer)
-    eng.run()
-    assert trace == [3.0]
-    assert cnt.count == 0
-
-
 def test_counter_wait_geq_does_not_consume():
     eng = Engine()
     cnt = Counter("c", initial=2)
@@ -132,24 +111,6 @@ def test_channel_fifo_order():
     eng.spawn(consumer)
     eng.run()
     assert got == [0, 1, 2, 3, 4]
-
-
-def test_channel_filtered_get_skips_nonmatching():
-    eng = Engine()
-    ch = Channel("ch")
-    got = []
-
-    def body(p):
-        ch.put(("a", 1))
-        ch.put(("b", 2))
-        ch.put(("a", 3))
-        got.append(ch.get(p, match=lambda m: m[0] == "b"))
-        got.append(ch.get(p))
-        got.append(ch.get(p))
-
-    eng.spawn(body)
-    eng.run()
-    assert got == [("b", 2), ("a", 1), ("a", 3)]
 
 
 def test_channel_try_get_nonblocking():

@@ -17,7 +17,7 @@ def test_enable_disable_cycle():
     t = Tracer()
     t.enable()
     t.record("x", 0, 0.0, 1.0)
-    t.disable()
+    t.enabled = False
     t.record("x", 0, 1.0, 2.0)
     assert len(t.events) == 1
 
@@ -28,32 +28,8 @@ def test_event_duration_and_queries():
     t.record("transfer", 0, 1.0, 3.0, dst=1, nbytes=100)
     t.record("transfer", 1, 2.0, 4.0, dst=0, nbytes=50)
     t.record("region", 0, 0.0, 5.0, category="compute")
-    assert t.summary() == {"transfer": 2, "region": 1}
-    assert t.bytes_transferred() == 150
-    assert len(t.for_rank(0)) == 2
+    assert len(t.of_kind("transfer")) == 2
     assert t.of_kind("region")[0].duration == 5.0
-
-
-def test_to_text_renders_sorted_limited():
-    t = Tracer()
-    t.enable()
-    for i in range(5):
-        t.record("op", 0, float(4 - i), float(5 - i), n=i)
-    text = t.to_text(limit=3)
-    assert "5 events" in text and "showing 3" in text
-    lines = text.splitlines()
-    assert len(lines) == 3 + 3  # title + header + rule + 3 rows
-
-
-def test_to_text_limit_zero_and_none():
-    t = Tracer()
-    t.enable()
-    for i in range(3):
-        t.record("op", 0, float(i), float(i + 1))
-    # limit=0 is a real limit (historically dropped because 0 is falsy).
-    assert "showing 0" in t.to_text(limit=0)
-    # limit=None means unlimited: no "showing" qualifier at all.
-    assert "showing" not in t.to_text(limit=None)
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gasnet"])
@@ -67,7 +43,8 @@ def test_caf_run_with_tracing_captures_transfers(backend):
     run = run_caf(program, 4, backend=backend, trace=True)
     transfers = run.tracer.of_kind("transfer")
     assert transfers, "traced run must record fabric transfers"
-    assert run.tracer.bytes_transferred() > 4 * 16 * 8  # at least the payloads
+    # At least the payloads crossed the fabric.
+    assert sum(ev.detail["nbytes"] for ev in transfers) > 4 * 16 * 8
     # Every transfer's interval is well-formed and within the run.
     for ev in transfers:
         assert 0 <= ev.t0 <= ev.t1 <= run.elapsed

@@ -2,6 +2,7 @@
 quietly undo. Each test is one grep over the tree with the message CI used
 to print; run them locally with ``pytest tests/test_design_guards.py``."""
 
+import ast
 import inspect
 import pathlib
 import re
@@ -142,5 +143,45 @@ def test_prices_come_from_the_run_table():
         "spec and rank count are fixed for a run: ops go through "
         "costs.cost/charge/charge_in, which look the kind up in the run's "
         "PricedTable; only sim/costs.py and ir/costs.py evaluate expressions",
+        hits,
+    )
+
+
+def test_contracts_are_as_narrow_as_their_traffic():
+    hits = grep(
+        r"_wake_payload|def take\(|\bhandler_filter\b|arena_bytes|_STREAM_MEMO"
+        r"|split_boards|split_count|_win_boards|_win_counter",
+        "src/repro",
+    )
+    hits += [
+        hit for hit in grep(r"OP_TAKE|CHAIN_EXTERNAL", "src/repro")
+        if "retired" not in hit
+    ]
+    assert not hits, (
+        "a contract no caller used is back: a wake carries no payload, a "
+        "counter wait does not consume (IR op kind 7 and chain kind 2 stay "
+        "retired), poll/block_until read the view's default_handler_filter, "
+        "a team sizes its own arena, lint keeps no memo, and split and window "
+        "creation share Comm._agree_steps and its one board table",
+        hits,
+    )
+    hits = grep(r"^\w+ *(:[^=]+)?= *itertools\.count\(", "src/repro")
+    assert not hits, (
+        "a module-level id counter makes ids depend on what ran earlier in "
+        "the process: draw them from the run's own objects (MpiWorld, Image)",
+        hits,
+    )
+    hits = [
+        f"{file.relative_to(ROOT)}:{node.lineno}"
+        for file in sorted((ROOT / "src/repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(file.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "send"
+        and any(kw.arg == "reliable" for kw in node.keywords)
+    ]
+    assert not hits, (
+        "the reliable transport is switched by Cluster(reliable=), not per "
+        "message: fabric.send takes no reliable=",
         hits,
     )
