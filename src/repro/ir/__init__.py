@@ -8,12 +8,12 @@ switches, numpy-vectorized cost evaluation — so parameter sweeps that
 re-executed the full simulator per point become near-free
 (:mod:`repro.ir.sweep`, ``python -m repro.ir``).
 
-The op vocabulary (:mod:`repro.ir.ops`) is shared with ``repro.lint``'s
-static op streams: one typed model for both static facts and dynamic
-traces.
+The op and chain kinds a trace is made of are :mod:`repro.ir.ops`. (The
+*static* vocabulary — which runtime method is a collective, a put, a sync
+— is ``repro.lint``'s alone and lives in :mod:`repro.lint.protocol`.)
 """
 
-from repro.ir.costs import obs_formula, static_op_seconds
+from repro.ir.costs import obs_formula
 from repro.ir.ops import OP_NAMES
 from repro.ir.trace import TRACE_VERSION, Trace, TraceVersionError
 from repro.ir.replay import ReplayError, ReplayResult, replay, validate_trace
@@ -22,7 +22,6 @@ from repro.ir.sweep import SweepPoint, grid_points, run_sweep
 __all__ = [
     "OP_NAMES",
     "obs_formula",
-    "static_op_seconds",
     "TRACE_VERSION",
     "Trace",
     "TraceVersionError",

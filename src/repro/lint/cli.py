@@ -4,9 +4,8 @@ Exits 1 when any unsuppressed finding remains, 0 on a clean tree — so CI
 can gate on it. ``--no-ignore`` also counts suppressed findings (used to
 assert that ``examples/deadlock_demo.py`` carries exactly the one
 intentional Fig. 2 finding). ``--format sarif`` emits a SARIF 2.1.0 log
-for code-scanning upload; ``--no-stream`` skips the symbolic op-stream
-tier; ``--predict`` prints each entry point's pre-run communication
-prediction as JSON instead of linting.
+for code-scanning upload; ``--predict`` prints each entry point's pre-run
+communication prediction as JSON instead of linting.
 """
 
 from __future__ import annotations
@@ -51,11 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         help="output format (sarif: SARIF 2.1.0 for code-scanning upload)",
     )
     parser.add_argument(
-        "--no-stream",
-        action="store_true",
-        help="skip the symbolic op-stream tier (CAF011+); syntactic passes only",
-    )
-    parser.add_argument(
         "--predict",
         action="store_true",
         help="print each entry point's static communication prediction as "
@@ -85,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.predict:
         return _predict(args)
 
-    report = lint_paths(args.paths, select=select, stream=not args.no_stream)
+    report = lint_paths(args.paths, select=select)
     if args.format == "sarif":
         from repro.lint.sarif import to_sarif_text
 

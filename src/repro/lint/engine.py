@@ -2,7 +2,9 @@
 
 ``lint_source``/``lint_file`` return findings for one module;
 ``lint_paths`` walks files and directories and aggregates a
-:class:`~repro.lint.findings.LintReport`.
+:class:`~repro.lint.findings.LintReport`. ``syntactic_findings`` is the
+first tier alone, over an already built model: what ``check_stream``
+dedupes against.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.lint.checks_sync import (
     check_sync_discipline,
 )
 from repro.lint.findings import Finding, LintReport
-from repro.lint.model import build_model
+from repro.lint.model import ModuleModel, build_model
 from repro.lint.suppress import is_suppressed, suppressions
 
 #: Passes that run per function.
@@ -39,14 +41,19 @@ _MODULE_PASSES = (
 )
 
 
-def lint_source(
-    source: str, path: str = "<string>", *, stream: bool = True
-) -> list[Finding]:
-    """Lint one module's source text. Parse failures yield CAF000.
+def syntactic_findings(model: ModuleModel) -> list[Finding]:
+    """The per-function and per-module syntactic passes (CAF001-CAF010)."""
+    findings: list[Finding] = []
+    for fn in model.functions:
+        for fn_pass in _FUNCTION_PASSES:
+            findings.extend(fn_pass(fn, model))
+    for mod_pass in _MODULE_PASSES:
+        findings.extend(mod_pass(model))
+    return findings
 
-    ``stream=False`` runs only the per-function/per-module syntactic
-    passes, skipping the symbolic op-stream tier (CAF011+).
-    """
+
+def lint_source(source: str, path: str = "<string>") -> list[Finding]:
+    """Lint one module's source text. Parse failures yield CAF000."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -61,20 +68,14 @@ def lint_source(
             )
         ]
 
-    model = build_model(tree, path)
-    findings: list[Finding] = []
-    for fn in model.functions:
-        for fn_pass in _FUNCTION_PASSES:
-            findings.extend(fn_pass(fn, model))
-    for mod_pass in _MODULE_PASSES:
-        findings.extend(mod_pass(model))
-    if stream:
-        from repro.lint.stream import check_stream
+    from repro.lint.stream import check_stream
 
-        try:
-            findings.extend(check_stream(model, findings))
-        except RecursionError:  # pathological nesting: syntactic tier stands
-            pass
+    model = build_model(tree, path)
+    findings = syntactic_findings(model)
+    try:
+        findings.extend(check_stream(model, findings))
+    except RecursionError:  # pathological nesting: syntactic tier stands
+        pass
 
     table = suppressions(source)
     for finding in findings:
@@ -83,9 +84,9 @@ def lint_source(
     return findings
 
 
-def lint_file(path: str, *, stream: bool = True) -> list[Finding]:
+def lint_file(path: str) -> list[Finding]:
     with open(path, encoding="utf-8") as fh:
-        return lint_source(fh.read(), path, stream=stream)
+        return lint_source(fh.read(), path)
 
 
 def iter_python_files(paths: Sequence[str]) -> Iterable[str]:
@@ -107,7 +108,6 @@ def lint_paths(
     paths: Sequence[str],
     *,
     select: Iterable[str] | None = None,
-    stream: bool = True,
 ) -> LintReport:
     """Lint every .py file under ``paths``; optionally restrict to rules
     in ``select`` (IDs like ``CAF006``)."""
@@ -115,7 +115,7 @@ def lint_paths(
     report = LintReport()
     for path in iter_python_files(paths):
         report.nfiles += 1
-        for finding in lint_file(path, stream=stream):
+        for finding in lint_file(path):
             if wanted is not None and finding.rule not in wanted:
                 continue
             report.add(finding)

@@ -3,9 +3,9 @@
 No execution, no imports of the linted code: everything is derived from
 the AST. Three ingredients:
 
-* **Classification tables** mapping method names onto the repo's CAF /
-  MPI / GASNet protocol vocabulary (collectives, puts/gets, syncs,
-  blocking calls).
+* **Classification sets** of method names (collectives, puts, syncs,
+  blocking calls), derived from the protocol table
+  (:mod:`repro.lint.protocol`) and re-exported here for the passes.
 * **Handle tracking**: flow-insensitive tagging of names (and
   ``self.attr`` attributes and list containers) assigned from
   ``allocate_coarray`` / ``allocate_events`` / ``win_allocate*`` /
@@ -28,32 +28,16 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-# -- protocol vocabulary ---------------------------------------------------------------
-#
-# The classification tables live in repro.ir.ops — one shared vocabulary
-# for the static op streams extracted here and the dynamic op-stream IR
-# recorded from live runs — and are re-exported under their historical
-# names for the lint passes (and any external user of this module).
-
-from repro.ir.ops import (  # noqa: F401  (re-exported vocabulary)
+from repro.lint.protocol import (  # noqa: F401  (re-exported for the passes)
+    ALLOCATORS,
     ASYNC_METHODS,
     BLOCKING_METHODS,
     COLLECTIVE_METHODS,
-    GET_METHODS,
     MPI_BLOCKING_METHODS,
     PUT_METHODS,
     SYNC_METHODS,
     WINDOW_RMA_METHODS,
 )
-
-#: Allocator call names -> handle tag.
-_ALLOCATORS = {
-    "allocate_coarray": "coarray",
-    "allocate_events": "event",
-    "win_allocate": "window",
-    "win_allocate_shared": "window",
-    "win_create_dynamic": "window",
-}
 
 def _unparse(node: ast.AST) -> str:
     try:
@@ -177,10 +161,8 @@ def _value_facts(keys: list[str], value: ast.AST) -> _AssignFacts:
     for node in ast.walk(value):
         if isinstance(node, ast.Call):
             name = method_name(node)
-            if static_tag is None and name in _ALLOCATORS:
-                static_tag = _ALLOCATORS[name]
-            elif static_tag is None and name == "mpi":
-                static_tag = "mpi"
+            if static_tag is None and name in ALLOCATORS:
+                static_tag = ALLOCATORS[name]
             elif name == "this_image":
                 has_rank = True
         elif isinstance(node, ast.Attribute):

@@ -1,0 +1,336 @@
+"""The protocol surface, declared once: one row per runtime call the linter knows.
+
+The paper's argument is that CAF 2.0 needs a small, nameable set of runtime
+calls (§3). This module is that set as data — one :class:`Row` per
+``(receiver kind, method)`` of ``Image``, ``Coarray``, ``EventArray``,
+``MpiWorld``/``MpiRank``, ``Comm``, ``Window``, ``Request``,
+``GasnetWorld``/``GasnetRank`` and ``TeamExchange`` — and everything in
+``repro.lint`` that needs to know what a call *is* looks it up here:
+
+* the syntactic tier's ``op.method in X`` predicates (``COLLECTIVE_METHODS``
+  ... ``WINDOW_RMA_METHODS``, derived below in one line each; they are
+  name-only because that tier tags receivers separately);
+* the stream interpreter's ``protocol_call``, which emits the row's stream
+  op from the declared operands and returns what the row says;
+* ``--predict`` and ``obs scaling``, which price an emitted kind with the
+  row's static model and compare it to the kind the runtime *records*.
+
+A public method of those classes that has no row is listed in
+:data:`NOT_MODELLED`: the linter treats a call to it as an unknown call
+(arguments escape, result unknown, no finding). A design guard
+(``tests/test_design_guards.py::test_protocol_surface_is_declared_once``)
+fails when a runtime method is in neither place, or a row names a method
+its class does not have.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Any
+
+#: An operand: ``(positional index, keyword name or None[, default])``.
+Operand = tuple
+
+#: Static pricing models a row may name (``--predict``'s seconds preview;
+#: formulas in :mod:`repro.lint.stream.estimate`). ``table`` rows and the
+#: ``TABLE ...`` terms are :data:`repro.sim.costs.TABLE` rows, priced by that
+#: module's evaluator; a ``spec.`` term is read off the spec because no
+#: TABLE row prices that field the same under every structure flag.
+PRICE_MODELS = {
+    "table": "the `costs.TABLE` row of the same kind",
+    "tree": "TABLE `mpi.coll_overhead` + log2(P) x wire",
+    "put": "`spec.mpi_rma_overhead` (flag-free: TABLE's `mpi.rput` adds "
+    "`mpi_sendrecv_rma_extra` under `mpi_rma_over_sendrecv`) + nbytes / bandwidth",
+    "get": "`spec.mpi_rma_overhead` (flag-free, as `put`) + 2 x latency + nbytes / bandwidth",
+    "notify": "`spec.mpi_rma_overhead` (flag-free, as `put`) + latency",
+    "match": "`spec.mpi_match_overhead` (flag-free: TABLE's `mpi.match` adds a "
+    "bounce copy under `mpi_eager_threshold`)",
+    "flush": "TABLE `mpi.flush_overhead`",
+    "flush_all": "TABLE `mpi.flush_all.skip` + `mpi.flush_all.walk`(P) — Fig. 4's O(P) walk",
+    "coll": "TABLE `mpi.coll_overhead`",
+    "wire": "latency + nbytes / bandwidth",
+}
+
+
+@dataclass(frozen=True)
+class Row:
+    """One runtime call.
+
+    ``classes`` (space-separated) holds the syntactic tier's name classes —
+    ``collective put get async sync blocking mpi_blocking rma allocator`` —
+    and the stream tier's flags: ``caf_sync`` (completes this image's CAF
+    traffic), ``foreign_block`` (blocks inside raw MPI/GASNet, where CAF
+    makes no progress: Fig. 2), ``caf_put`` (needs target-side CAF
+    progress), ``message`` (one latency-bound message per call: CAF014),
+    ``bounded`` (cannot hang), ``scoped`` (emitted at the ``with`` block's
+    boundaries, not at the call) and ``bookkeeping`` (the runtime records
+    no op for it, so ``--predict`` does not count it).
+    """
+
+    recv: str  # receiver kind: the interpreter's HandleVal.kind
+    method: str
+    classes: Any = ""
+    emits: str | None = None  # stream kind (None: the call emits nothing)
+    price: str = "wire"  # key of PRICE_MODELS
+    records: str | None = None  # kind the runtime records, when not ``emits``
+    peer: Operand | str | None = None  # target/source rank; "self" = this image
+    buf: Operand | None = None  # payload: nbytes = its size
+    nbytes: int | str | None = 0  # without ``buf``: constant, or "result"
+    slot: Operand | None = None  # event slot (the op carries (uid, slot))
+    count: Operand | None = None  # notifications a wait consumes
+    escapes: tuple[str, ...] = ()  # keyword arguments paired by unseen code
+    warn: str | None = None  # stream warning the call raises
+    returns: str = "none"  # none | unknown | self | a named builder
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", frozenset(self.classes.split()))
+
+
+_TARGET0, _TARGET1 = (0, "target"), (1, "target")
+_BUF0 = (0, None)  # first positional argument, never passed by keyword
+_CAF_COLL = "collective sync blocking caf_sync"
+_MPI_COLL = "collective sync blocking mpi_blocking foreign_block"
+_ICOLL = "collective sync"
+_TEAM_COLL = "collective sync blocking"
+_EPOCH = dict(price="flush")
+
+
+def _caf_coll(method: str, kind: str, buf: Operand | None = None) -> Row:
+    return Row("image", method, _CAF_COLL, f"caf.coll.{kind}", "tree", buf=buf)
+
+
+def _caf_coll_async(kind: str) -> Row:
+    return Row(
+        "image", f"team_{kind}_async", _TEAM_COLL, f"caf.coll.{kind}", "tree",
+        buf=_BUF0, escapes=("data_event", "op_event"),
+    )
+
+
+def _rma(method: str, classes: str, kind: str, target: int = 1, **kw: Any) -> Row:
+    return Row(
+        "window", method, classes + " rma", kind, kw.pop("price", "flush"),
+        peer=(target, "target"), buf=_BUF0, **kw,
+    )
+
+
+_ROWS = (
+    # -- Image (repro.caf.image) ------------------------------------------
+    Row("image", "this_image", returns="rank"),
+    Row("image", "num_images", returns="nranks"),
+    Row("image", "allocate_coarray", "allocator", returns="coarray"),
+    Row("image", "allocate_events", "allocator", returns="event"),
+    Row("image", "mpi", "allocator", returns="mpi"),
+    Row("image", "team_split", _TEAM_COLL, returns="unknown"),
+    Row("image", "cofence", "sync blocking caf_sync", "caf.cofence", "coll"),
+    Row("image", "finish", "sync caf_sync scoped bookkeeping", "caf.finish", "coll",
+        nbytes=None, returns="finish"),
+    _caf_coll("sync_all", "barrier"),
+    _caf_coll("barrier", "barrier"),
+    Row("image", "sync_images", "sync blocking caf_sync", "caf.coll.sync_images", "tree"),
+    _caf_coll("team_broadcast", "broadcast", (0, "buf")),
+    _caf_coll("team_reduce", "reduce", (0, "send")),
+    _caf_coll("team_allreduce", "allreduce", (0, "send")),
+    _caf_coll("team_alltoall", "alltoall", (0, "send")),
+    _caf_coll("team_allgather", "allgather", (0, "send")),
+    _caf_coll_async("broadcast"),
+    _caf_coll_async("reduce"),
+    _caf_coll_async("allreduce"),
+    _caf_coll_async("alltoall"),
+    _caf_coll_async("allgather"),
+    Row("image", "spawn", "bookkeeping", "caf.spawn", "coll", peer=_TARGET0,
+        nbytes=None, warn="spawn", returns="spawned"),
+    Row("image", "spawn_future", "bookkeeping", "caf.spawn", "coll", peer=_TARGET0,
+        nbytes=None, warn="spawn", returns="spawned"),
+    Row("image", "serve", "blocking caf_sync bookkeeping", "caf.serve", "coll",
+        nbytes=None, warn="serve"),
+    Row("image", "copy_async", "async caf_put", "caf.async_copy", "put", "mpi.rput",
+        peer=(1, "dest_image"), buf=(2, "data")),
+    # -- Coarray (repro.caf.coarray) ---------------------------------------
+    Row("coarray", "write", "put caf_put message", "caf.coarray_write", "put",
+        peer=_TARGET0, buf=(-1, "data")),
+    Row("coarray", "write_section", "put caf_put message", "caf.coarray_write", "put",
+        peer=_TARGET0, buf=(-1, "data")),
+    Row("coarray", "read", "get caf_put", "caf.coarray_read", "get",
+        peer=_TARGET0, nbytes="result", returns="read"),
+    Row("coarray", "read_section", "get caf_put", "caf.coarray_read", "get",
+        peer=_TARGET0, nbytes="result", returns="read_section"),
+    Row("coarray", "write_async", "put async caf_put message", "caf.async_write", "put",
+        "mpi.rput", peer=_TARGET0, buf=(1, "data"), escapes=("predicate",)),
+    Row("coarray", "read_async", "get async caf_put", "caf.async_read", "get",
+        "mpi.rget", peer=_TARGET0, nbytes="result", escapes=("predicate",),
+        returns="read_async"),
+    # -- EventArray (repro.caf.events) -------------------------------------
+    Row("event", "notify", "", "caf.event_notify", "notify", peer=_TARGET0,
+        slot=(1, "slot", 0)),
+    Row("event", "wait", "sync blocking caf_sync", "caf.event_wait", "match",
+        peer="self", slot=(0, "slot", 0), count=(1, "count", 1)),
+    Row("event", "trywait", "sync bounded", "caf.event_trywait", "match",
+        peer="self", slot=(0, "slot", 0), returns="unknown"),
+    # -- MpiWorld / MpiRank (repro.mpi.world) ------------------------------
+    Row("mpi_world", "get", returns="self"),
+    Row("mpi_world", "init", returns="mpi"),
+    Row("mpi", "win_allocate", "allocator foreign_block bookkeeping",
+        "mpi.win.allocate", "flush", returns="window"),
+    Row("mpi", "win_allocate_shared", "allocator foreign_block bookkeeping",
+        "mpi.win.allocate", "flush", returns="window"),
+    Row("mpi", "win_create_dynamic", "allocator foreign_block bookkeeping",
+        "mpi.win.allocate", "flush", returns="window"),
+    # -- Comm (repro.mpi.comm) ---------------------------------------------
+    Row("comm", "barrier", _MPI_COLL, "mpi.coll.barrier", "tree"),
+    Row("comm", "bcast", _MPI_COLL, "mpi.coll.bcast", "tree", buf=_BUF0),
+    Row("comm", "reduce", _MPI_COLL, "mpi.coll.reduce", "tree", buf=_BUF0),
+    Row("comm", "allreduce", _MPI_COLL, "mpi.coll.allreduce", "tree", buf=_BUF0),
+    Row("comm", "alltoall", _MPI_COLL, "mpi.coll.alltoall", "tree", buf=_BUF0),
+    Row("comm", "allgather", _MPI_COLL, "mpi.coll.allgather", "tree", buf=_BUF0),
+    Row("comm", "ibarrier", _ICOLL, "mpi.coll.barrier", "tree", buf=_BUF0, returns="unknown"),
+    Row("comm", "ibcast", _ICOLL, "mpi.coll.bcast", "tree", buf=_BUF0, returns="unknown"),
+    Row("comm", "ireduce", _ICOLL, returns="unknown"),
+    Row("comm", "iallreduce", _ICOLL, "mpi.coll.allreduce", "tree", buf=_BUF0,
+        returns="unknown"),
+    Row("comm", "ialltoall", _ICOLL, "mpi.coll.alltoall", "tree", buf=_BUF0,
+        returns="unknown"),
+    Row("comm", "iallgather", _ICOLL, returns="unknown"),
+    Row("comm", "send", "blocking mpi_blocking foreign_block message", "mpi.send", "table",
+        peer=(1, "dest"), buf=_BUF0),
+    Row("comm", "recv", "blocking mpi_blocking foreign_block", "mpi.recv", "table",
+        peer=(1, "source"), buf=_BUF0, returns="unknown"),
+    Row("comm", "sendrecv", "blocking mpi_blocking", returns="sendrecv"),
+    Row("comm", "isend", "message", "mpi.isend", peer=(1, "dest"), buf=_BUF0,
+        returns="unknown"),
+    Row("comm", "irecv", "", "mpi.irecv", peer=(1, "source"), buf=_BUF0, returns="unknown"),
+    Row("comm", "probe", "blocking mpi_blocking foreign_block", "mpi.probe", nbytes=None,
+        returns="unknown"),
+    # -- Window (repro.mpi.window) -----------------------------------------
+    _rma("put", "put message", "mpi.win.put"),
+    _rma("rput", "put message", "mpi.rput", price="table", returns="unknown"),
+    _rma("get", "get", "mpi.win.get"),
+    _rma("rget", "get", "mpi.win.rget", returns="unknown"),
+    _rma("accumulate", "put", "mpi.win.accumulate"),
+    _rma("raccumulate", "put", "mpi.win.accumulate", returns="unknown"),
+    _rma("get_accumulate", "get", "mpi.win.get_accumulate", 2),
+    _rma("fetch_and_op", "get", "mpi.win.fetch_and_op", 2),
+    _rma("compare_and_swap", "get", "mpi.win.compare_and_swap", 3),
+    Row("window", "put_runs", "put rma"),
+    Row("window", "get_runs", "get rma", returns="unknown"),
+    Row("window", "flush", "sync blocking foreign_block", "mpi.win.flush", "flush",
+        "mpi.flush", peer=_TARGET0),
+    Row("window", "flush_local", "sync foreign_block", "mpi.win.flush_local", "flush",
+        peer=_TARGET0),
+    Row("window", "flush_all", "sync blocking foreign_block", "mpi.win.flush_all",
+        "flush_all", "mpi.flush_all"),
+    Row("window", "flush_local_all", "sync foreign_block", "mpi.win.flush_local_all",
+        "flush"),
+    Row("window", "rflush", "sync", returns="unknown"),
+    Row("window", "rflush_all", "sync", returns="unknown"),
+    Row("window", "lock", "blocking foreign_block", "mpi.win.lock", peer=_TARGET0, **_EPOCH),
+    Row("window", "unlock", "sync blocking foreign_block", "mpi.win.unlock", peer=_TARGET0,
+        **_EPOCH),
+    Row("window", "lock_all", "blocking", "mpi.win.lock_all", **_EPOCH),
+    Row("window", "unlock_all", "sync blocking", "mpi.win.unlock_all", **_EPOCH),
+    Row("window", "fence", "sync blocking foreign_block", "mpi.win.fence", **_EPOCH),
+    Row("window", "sync", "", "mpi.win.sync", **_EPOCH),
+    Row("window", "shared_query", returns="window_local"),
+    # -- Request (repro.mpi.request) ---------------------------------------
+    Row("request", "wait", "sync blocking mpi_blocking", returns="unknown"),
+    # -- GasnetWorld / GasnetRank (repro.gasnet.core) ----------------------
+    Row("gasnet_world", "get", returns="self"),
+    Row("gasnet_world", "attach", returns="gasnet"),
+    Row("gasnet", "put", "put", returns="unknown"),
+    Row("gasnet", "get", "get", returns="unknown"),
+    Row("gasnet", "put_nb", "put", returns="unknown"),
+    Row("gasnet", "get_nb", "get", returns="unknown"),
+    Row("gasnet", "put_runs_nb", "put", returns="unknown"),
+    Row("gasnet", "get_runs_nb", "get", returns="unknown"),
+    Row("gasnet", "wait_syncnb", "sync blocking", returns="unknown"),
+    Row("gasnet", "wait_syncnb_all", "sync blocking", returns="unknown"),
+    Row("gasnet", "block_until", "blocking", returns="unknown"),
+    # -- TeamExchange (repro.gasnet.collectives) ---------------------------
+    Row("team", "barrier", _TEAM_COLL),
+    Row("team", "bcast", _TEAM_COLL),
+    Row("team", "reduce", _TEAM_COLL),
+    Row("team", "allreduce", _TEAM_COLL),
+    Row("team", "allgather", _TEAM_COLL),
+    Row("team", "alltoall", _TEAM_COLL),
+    # -- Cluster (repro.sim.cluster): apps share generated inputs through it
+    Row("cluster", "shared", returns="shared"),
+    # -- names no runtime class has, kept so this commit changes no answer --
+    Row("team", "broadcast", _TEAM_COLL),
+    Row("gasnet", "quiet", "sync blocking"),
+    Row("request", "waitall", "blocking mpi_blocking"),
+    Row("gasnet", "barrier", "foreign_block", "gasnet.barrier"),
+    Row("gasnet", "wait_syncnbi", "foreign_block", "gasnet.wait_syncnbi"),
+    Row("gasnet", "put_blocking", "foreign_block", "gasnet.put_blocking"),
+    Row("gasnet", "get_blocking", "foreign_block", "gasnet.get_blocking"),
+)
+
+#: Public methods of the runtime classes the linter deliberately has no row
+#: for: a call is an unknown call (arguments escape, result unknown).
+NOT_MODELLED = (
+    ("image", "failed_images"), ("image", "shrink_team"), ("image", "compute"),
+    ("image", "profile"),
+    ("event", "count"), ("event", "on_next_post"),
+    ("mpi_world", "next_context_id"), ("mpi_world", "next_win_id"),
+    ("comm", "world_rank"), ("comm", "check_peer"), ("comm", "check_alive"),
+    ("comm", "failed_ranks"), ("comm", "check_revoked"), ("comm", "revoke"),
+    ("comm", "shrink"), ("comm", "iprobe"), ("comm", "split"), ("comm", "dup"),
+    ("window", "attach"), ("window", "detach"), ("window", "region"), ("window", "free"),
+    ("request", "test"),
+    ("gasnet", "segment_of"), ("gasnet", "register_handler"),
+    ("gasnet", "am_request_short"), ("gasnet", "am_request_medium"),
+    ("gasnet", "am_request_long"), ("gasnet", "clone_for"), ("gasnet", "poll"),
+    ("team", "set_peer_bases"), ("team", "register_handler"),
+)
+
+ROWS: dict[tuple[str, str], Row] = {(r.recv, r.method): r for r in _ROWS}
+
+
+def _named(cls: str) -> frozenset[str]:
+    return frozenset(r.method for r in _ROWS if cls in r.classes)
+
+
+def _kinds(cls: str) -> frozenset[str]:
+    return frozenset(r.emits for r in _ROWS if r.emits and cls in r.classes)
+
+
+#: Collectives: every image of the team must call them, in the same order.
+COLLECTIVE_METHODS = _named("collective")
+#: One-sided writes (data lands in a remote image's memory).
+PUT_METHODS = _named("put")
+#: Asynchronous ops whose local completion must be observed explicitly.
+ASYNC_METHODS = _named("async")
+#: Synchronization points in program order: they complete this image's
+#: outstanding one-sided traffic or establish a happens-before edge.
+SYNC_METHODS = _named("sync")
+#: Calls that can block the calling image (AM handlers must never).
+BLOCKING_METHODS = _named("blocking")
+#: Blocking calls when issued on an MPI handle (the Fig. 2 rule's "enter
+#: the other runtime and stop progressing this one" set).
+MPI_BLOCKING_METHODS = _named("mpi_blocking")
+#: Window RMA verbs (epoch rules).
+WINDOW_RMA_METHODS = _named("rma")
+#: Allocator method -> the handle tag it produces.
+ALLOCATORS = {r.method: r.returns for r in _ROWS if "allocator" in r.classes}
+#: Stream kinds that inject one latency-bound message per call (CAF014).
+MESSAGE_KINDS = _kinds("message")
+#: Stream kinds the runtime records no op for.
+BOOKKEEPING_KINDS = _kinds("bookkeeping")
+#: Stream kind -> static pricing model.
+PRICING = {r.emits: r.price for r in _ROWS if r.emits}
+#: Stream kind -> the kind the runtime records the call as, where they differ.
+RECORDED_AS = {r.emits: r.records for r in _ROWS if r.records}
+
+
+def render_table() -> str:
+    """The table as markdown (docs/architecture.md embeds it; a test compares)."""
+    lines = [
+        "| receiver | method | classes | emits | recorded as | priced | returns |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    for r in _ROWS:
+        emits = f"`{r.emits}`" if r.emits else "—"
+        recorded = "—" if not r.emits or "bookkeeping" in r.classes else f"`{r.records or r.emits}`"
+        lines.append(
+            f"| {r.recv} | `{r.method}` | {' '.join(sorted(r.classes)) or '—'} | {emits} | "
+            f"{recorded} | {r.price if r.emits else '—'} | {r.returns} |"
+        )
+    return "\n".join(lines)

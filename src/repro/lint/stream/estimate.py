@@ -3,14 +3,15 @@
 Evaluates an entry point's per-rank symbolic streams — with the entry's
 parameters bound to concrete values — into the same aggregates the obs
 layer measures at runtime: per-op-kind call counts and byte totals, a
-P×P communication matrix, and (via :func:`repro.ir.costs.static_op_seconds`
-against a :class:`MachineSpec`) an order-of-magnitude seconds preview.
-All of it before any run.
+P×P communication matrix, and (via :func:`static_op_seconds` against a
+:class:`MachineSpec`) an order-of-magnitude seconds preview. All of it
+before any run.
 
 Validation against a PR 7 recorded trace (:func:`compare_to_trace`)
-matches kinds through :data:`TRACE_KIND_MAP` — the recorder logs a CAF
-``write_async`` as the backend-level ``mpi.rput`` it lowers to — and
-compares call counts (expected exact for deterministic apps) and bytes
+matches kinds through the protocol table's *recorded as* column — the
+recorder logs a CAF ``write_async`` as the backend-level ``mpi.rput`` it
+lowers to (§3.3 case 4) — and compares call counts (expected exact for
+deterministic apps) and bytes
 (tolerance documented per app: RandomAccess's data-dependent bucket
 sizes are modeled by the mask-half expected value, everything else is
 exact).
@@ -25,22 +26,63 @@ from typing import Any
 
 import numpy as np
 
-from repro.ir.costs import static_op_seconds
+from repro.ir.costs import obs_formula
+from repro.sim.costs import TABLE, expression, price
 
+from .. import protocol
 from ..model import build_model
 from .interp import EntryStreams, StreamCompiler
 
-#: Static kinds → the kind the mpi-backend recorder logs them under.
-#: ``write_async`` has no CAF-level obs kind: the AM-path lowering posts
-#: an ``mpi.rput`` (§3.3 case 4), which is what PR 7 traces contain.
-TRACE_KIND_MAP = {
-    "caf.async_write": "mpi.rput",
-    "caf.async_read": "mpi.rget",
-    "caf.async_copy": "mpi.rput",
-}
+# -- static (pre-run) pricing ---------------------------------------------
+#
+# The stream compiler predicts op streams before any run, so there is no
+# recorded baseline to branch on: the spec being priced *is* the structure.
+# Kinds the cost table records reuse obs_formula with recorded == target;
+# every other kind is priced by the first-order model its protocol row
+# names (protocol.PRICE_MODELS says what each reads) — a log2(P) tree for
+# collectives, initiation + wire cost for one-sided traffic. These are
+# coarse by design: the estimator's validated quantities are call counts
+# and bytes, with seconds reported as an order-of-magnitude preview.
 
-#: Kinds that never appear in the obs side table (pure bookkeeping).
-_UNRECORDED = {"caf.finish", "caf.serve", "caf.spawn", "mpi.win.allocate"}
+
+def static_op_seconds(kind: str, nbytes: np.ndarray, spec: Any, nranks: int) -> np.ndarray:
+    """Predicted per-call seconds for a *statically compiled* op stream.
+
+    ``kind`` is a stream kind or a kind only the runtime names
+    (``mpi.flush_all``, as ``obs scaling`` measures it): the latter is
+    priced as the stream kind that records as it.
+    """
+    nb = np.asarray(nbytes, dtype=np.float64)
+    known = obs_formula(kind, np.asarray(nbytes), spec, spec, nranks)
+    if known is not None:
+        return known
+
+    def table(row: str, a: int = 0) -> float:
+        return price(expression(row, spec, a=a), spec, nranks)
+
+    def flat(seconds: float) -> np.ndarray:
+        return np.full(nb.shape, seconds)
+
+    wire = spec.latency + nb / spec.bandwidth
+    models = {  # one formula per protocol.PRICE_MODELS entry ("table" is above)
+        "tree": lambda: table("mpi.coll_overhead") + max(np.log2(max(nranks, 2)), 1.0) * wire,
+        "put": lambda: spec.mpi_rma_overhead + nb / spec.bandwidth,
+        "get": lambda: spec.mpi_rma_overhead + 2 * spec.latency + nb / spec.bandwidth,
+        "notify": lambda: flat(spec.mpi_rma_overhead + spec.latency),
+        "match": lambda: flat(spec.mpi_match_overhead),
+        "flush": lambda: flat(table("mpi.flush_overhead")),
+        "flush_all": lambda: flat(
+            table("mpi.flush_all.skip") + table("mpi.flush_all.walk", nranks)
+        ),
+        "coll": lambda: flat(table("mpi.coll_overhead")),
+        "wire": lambda: wire if wire.shape else np.full((), float(wire)),
+    }
+    return models[protocol.PRICING.get(_STREAM_KIND.get(kind, kind), "wire")]()
+
+
+#: Kind the runtime records -> the stream kind that records as it, for the
+#: recorded kinds no ``costs.TABLE`` row prices (span-measured flushes).
+_STREAM_KIND = {rec: kind for kind, rec in protocol.RECORDED_AS.items() if rec not in TABLE}
 
 
 @dataclass
@@ -114,7 +156,7 @@ def predict_entry(
         if rs.aborted:
             pred.aborted.append(f"rank{rs.rank}:{rs.aborted}")
         for op in rs.ops:
-            if op.kind in _UNRECORDED:
+            if op.kind in protocol.BOOKKEEPING_KINDS:
                 continue
             total = pred.by_kind.setdefault(op.kind, KindTotal())
             total.calls += 1
@@ -195,8 +237,8 @@ class TraceComparison:
 def compare_to_trace(pred: StaticPrediction, trace: Any) -> TraceComparison:
     """Compare a prediction to a recorded trace's obs side table.
 
-    Only kinds the static stream emits (after :data:`TRACE_KIND_MAP`
-    lowering) are compared — the recorder also logs backend-internal
+    Only kinds the static stream emits (renamed to what the runtime
+    records them as) are compared — the recorder also logs backend-internal
     kinds (AM handler spans, flush waits) with no static counterpart.
     """
     kinds = list(trace.manifest.get("obs_kinds", []))
@@ -209,7 +251,7 @@ def compare_to_trace(pred: StaticPrediction, trace: Any) -> TraceComparison:
 
     static: dict[str, tuple[int, int]] = {}
     for kind, total in pred.by_kind.items():
-        mapped = TRACE_KIND_MAP.get(kind, kind)
+        mapped = protocol.RECORDED_AS.get(kind, kind)
         calls, nbytes = static.get(mapped, (0, 0))
         static[mapped] = (calls + total.calls, nbytes + total.nbytes)
 

@@ -9,10 +9,13 @@ guarded sub-streams, while loop trip counts are additionally kept
 symbolic in ``P`` and the entry's parameters for the perf rule pack.
 
 The result is one :class:`RankStream` per rank: a linear sequence of
-:class:`StreamOp` in the ``repro.ir`` obs vocabulary (``caf.coarray_write``,
-``caf.event_notify``, ``mpi.coll.allreduce``, ...) annotated with peer
-rank, payload bytes, event identity, enclosing-loop trip symbols, and
-the flags the Fig. 2 matcher needs (CAF put vs. blocking into raw MPI).
+:class:`StreamOp` whose kinds (``caf.coarray_write``, ``caf.event_notify``,
+``mpi.coll.allreduce``, ...), operands and flags come from the protocol
+table (:mod:`repro.lint.protocol`): peer rank, payload bytes, event
+identity, enclosing-loop trip symbols, and what the Fig. 2 matcher needs
+(CAF put vs. blocking into raw MPI). A call the table has no row for, and
+any Python or numpy construct the corpus of apps, examples and fixtures
+does not use, evaluates to ``UNKNOWN``: the rules stay quiet on it.
 
 Documented heuristics (each adds a named warning to the stream):
 
@@ -42,10 +45,11 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from .. import protocol
 from ..model import FunctionInfo, ModuleModel
 from . import sym as symlib
 from .sym import Sym
@@ -70,7 +74,7 @@ from .values import (
 class StreamOp:
     """One communication/synchronization op emitted by one rank."""
 
-    kind: str  # repro.ir obs-style kind, e.g. "caf.coarray_write"
+    kind: str  # the protocol row's ``emits``, e.g. "caf.coarray_write"
     method: str  # source-level method name, e.g. "write_async"
     line: int
     col: int
@@ -78,7 +82,6 @@ class StreamOp:
     rank: int
     peer: int | None = None  # target (puts/notify) or source (reads/recv)
     nbytes: int | None = None
-    nelems: int | None = None
     event: tuple[int, int] | None = None  # (event-array uid, slot)
     count: int = 1  # wait consumption count
     bounded: bool = False  # timed wait / trywait — cannot hang
@@ -135,13 +138,6 @@ class EntryStreams:
     line: int
     nranks: int
     ranks: list[RankStream]
-
-    @property
-    def warnings(self) -> set[str]:
-        out: set[str] = set()
-        for rs in self.ranks:
-            out |= rs.warnings
-        return out
 
 
 @dataclass
@@ -210,28 +206,15 @@ _BUILTINS = {
     "int",
     "float",
     "bool",
-    "str",
     "len",
     "max",
     "min",
     "abs",
     "sum",
     "range",
-    "enumerate",
-    "zip",
-    "sorted",
-    "reversed",
     "list",
-    "tuple",
     "dict",
-    "set",
-    "print",
-    "isinstance",
     "round",
-    "divmod",
-    "pow",
-    "any",
-    "all",
 }
 
 _BINOP_FNS = {
@@ -259,41 +242,26 @@ _CMP_FNS = {
     ast.GtE: operator.ge,
 }
 
-#: image-handle collectives → obs kind suffix (all CAF sync points).
-_IMG_COLLECTIVES = {
-    "sync_all": "barrier",
-    "barrier": "barrier",
-    "team_broadcast": "broadcast",
-    "team_reduce": "reduce",
-    "team_allreduce": "allreduce",
-    "team_alltoall": "alltoall",
-    "team_allgather": "allgather",
-}
+#: Names that evaluate to a runtime world class -> its handle kind.
+_WORLD_CLASSES = {"MpiWorld": "mpi_world", "GasnetWorld": "gasnet_world"}
 
-#: raw-MPI comm collectives (every one blocks inside the MPI runtime).
-_COMM_COLLECTIVES = {
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "alltoall",
-    "allgather",
-}
+#: Rows the interpreter emits outside ``protocol_call``: a ``with
+#: img.finish()`` block's boundaries, the notify an async op's
+#: ``src_event``/``dest_event`` posts, and ``sendrecv``'s two halves.
+_FINISH = protocol.ROWS["image", "finish"]
+_NOTIFY = protocol.ROWS["event", "notify"]
+_SEND = protocol.ROWS["comm", "send"]
+_RECV = protocol.ROWS["comm", "recv"]
 
-#: window RMA methods: method → (kind suffix, index of target-rank arg).
-_WIN_RMA = {
-    "put": ("put", 1),
-    "rput": ("rput", 1),
-    "get": ("get", 1),
-    "rget": ("rget", 1),
-    "accumulate": ("accumulate", 1),
-    "raccumulate": ("accumulate", 1),
-    "get_accumulate": ("get_accumulate", 2),
-    "fetch_and_op": ("fetch_and_op", 2),
-    "compare_and_swap": ("compare_and_swap", 3),
-}
 
-_GASNET_BLOCKING = {"barrier", "wait_syncnbi", "put_blocking", "get_blocking"}
+class _Call(NamedTuple):
+    """One protocol call site, as the row builders see it."""
+
+    handle: HandleVal
+    args: list[Any]
+    kwargs: dict[str, Any]
+    node: ast.Call
+
 
 _MAX_CONCRETE_ELEMS = 1 << 16
 _MAX_CALL_DEPTH = 24
@@ -461,11 +429,9 @@ class _RankRun:
         self.func_stack: list[str] = []
         self.node_stack: list[ast.AST] = []
         self.sym_env: dict[str, Sym] = {}
-        self._img: HandleVal | None = None
-        self._mpi: HandleVal | None = None
-        self._comm: HandleVal | None = None
-        self._gasnet: HandleVal | None = None
-        self._cluster: HandleVal | None = None
+        #: Per-run singletons (the MPI/GASNet worlds and rank facades,
+        #: COMM_WORLD, the cluster), by handle kind.
+        self._singletons: dict[str, HandleVal] = {}
         #: Modeled Cluster.shared() singletons, keyed by the (hashable)
         #: shared key so repeated lookups alias one value.
         self._cluster_shared: dict[Any, Any] = {}
@@ -475,7 +441,6 @@ class _RankRun:
 
     def run_entry(self, fn: FunctionInfo) -> RankStream:
         img = HandleVal("image", uid=next(self.uid), meta={"rank": self.rank})
-        self._img = img
         env = self.c.module_env.child()
         args = fn.node.args
         names = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
@@ -545,26 +510,21 @@ class _RankRun:
 
     def emit(
         self,
-        *,
-        kind: str,
+        row: protocol.Row,
         method: str,
         node: ast.AST,
+        *,
         peer: Any = None,
         nbytes: Any = None,
-        nelems: Any = None,
         event: tuple[int, int] | None = None,
         count: Any = 1,
         bounded: bool = False,
-        is_sync: bool = False,
-        is_mpi_block: bool = False,
-        is_caf_put: bool = False,
         note: str | None = None,
     ) -> None:
-        if self.silent:
-            return
+        """Append ``row``'s op; its matcher flags are the row's classes."""
         self.stream.ops.append(
             StreamOp(
-                kind=kind,
+                kind=row.emits,
                 method=method,
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0),
@@ -572,14 +532,13 @@ class _RankRun:
                 rank=self.rank,
                 peer=int(peer) if is_int(peer) else None,
                 nbytes=int(nbytes) if is_int(nbytes) else None,
-                nelems=int(nelems) if is_int(nelems) else None,
                 event=event,
                 count=int(count) if is_int(count) else 1,
                 bounded=bounded,
                 tentative=self.tentative > 0,
-                is_sync=is_sync,
-                is_mpi_block=is_mpi_block,
-                is_caf_put=is_caf_put,
+                is_sync="caf_sync" in row.classes,
+                is_mpi_block="foreign_block" in row.classes,
+                is_caf_put="caf_put" in row.classes,
                 loop_trips=tuple(self.loop_syms),
                 loop_lines=tuple(self.loop_lines),
                 note=note,
@@ -600,7 +559,8 @@ class _RankRun:
         method = getattr(self, f"_stmt_{type(stmt).__name__}", None)
         if method is not None:
             method(stmt, env)
-        # Unknown statement kinds (Global, Nonlocal, Import, ...) are no-ops.
+        # Unmodelled statement kinds (Global, Import, Delete, a nested
+        # ClassDef, ...) are no-ops.
 
     def _stmt_Expr(self, stmt: ast.Expr, env: Env) -> None:
         self.eval(stmt.value, env)
@@ -616,7 +576,7 @@ class _RankRun:
             self.assign(stmt.target, value, env, value_node=stmt.value)
 
     def _stmt_AugAssign(self, stmt: ast.AugAssign, env: Env) -> None:
-        fn = _BINOP_FNS.get(type(stmt.op))
+        fn = _BINOP_FNS[type(stmt.op)]
         load = ast.copy_location(
             {
                 ast.Name: lambda t: ast.Name(id=t.id, ctx=ast.Load()),
@@ -631,18 +591,13 @@ class _RankRun:
         )
         old = self.eval(load, env)
         new = self.eval(stmt.value, env)
-        result = self.binop(fn, old, new) if fn else UNKNOWN
+        result = self.binop(fn, old, new)
         self.assign(stmt.target, result, env, value_node=stmt)
 
     def _stmt_FunctionDef(self, stmt: ast.FunctionDef, env: Env) -> None:
         env.set(stmt.name, FuncVal(stmt, stmt.name, closure=env))
 
     _stmt_AsyncFunctionDef = _stmt_FunctionDef
-
-    def _stmt_ClassDef(self, stmt: ast.ClassDef, env: Env) -> None:
-        cv = ClassVal(stmt, env)
-        self.c._class_registry.setdefault(stmt.name, cv)
-        env.set(stmt.name, cv)
 
     def _stmt_Return(self, stmt: ast.Return, env: Env) -> None:
         value = self.eval(stmt.value, env) if stmt.value is not None else None
@@ -660,11 +615,6 @@ class _RankRun:
     def _stmt_Assert(self, stmt: ast.Assert, env: Env) -> None:
         self.eval(stmt.test, env)
 
-    def _stmt_Delete(self, stmt: ast.Delete, env: Env) -> None:
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                env.vars.pop(target.id, None)
-
     def _stmt_Pass(self, stmt: ast.Pass, env: Env) -> None:
         pass
 
@@ -680,12 +630,6 @@ class _RankRun:
         # (break / continue / return / raise) is assumed not taken.
         if self._escape_only(stmt.body) and not stmt.orelse:
             self.warn("assumed-no-break")
-            return
-        if stmt.orelse and self._escape_only(stmt.orelse) and not self._escape_only(
-            stmt.body
-        ):
-            self.warn("assumed-no-break")
-            self.exec_stmts(stmt.body, env)
             return
         self._both_arms(stmt.body, stmt.orelse, env)
 
@@ -748,10 +692,6 @@ class _RankRun:
     def _same_value(a: Any, b: Any) -> bool:
         if is_num(a) and is_num(b):
             return bool(a == b)
-        if isinstance(a, str) and isinstance(b, str):
-            return a == b
-        if a is None and b is None:
-            return True
         return a is b
 
     def _stmt_While(self, stmt: ast.While, env: Env) -> None:
@@ -853,22 +793,13 @@ class _RankRun:
         for item in stmt.items:
             ctx = self.eval(item.context_expr, env)
             if isinstance(ctx, HandleVal) and ctx.kind == "finish":
-                finishes.append((ctx, item.context_expr))
-                self.emit(
-                    kind="caf.finish",
-                    method="finish_enter",
-                    node=item.context_expr,
-                    is_sync=True,
-                )
-            if item.optional_vars is not None:
-                self.assign(item.optional_vars, ctx, env)
+                finishes.append(item.context_expr)
+                self.emit(_FINISH, "finish_enter", item.context_expr)
         try:
             self.exec_stmts(stmt.body, env)
         finally:
-            for _ctx, node in reversed(finishes):
-                self.emit(
-                    kind="caf.finish", method="finish_exit", node=node, is_sync=True
-                )
+            for node in reversed(finishes):
+                self.emit(_FINISH, "finish_exit", node)
 
     # -- assignment -----------------------------------------------------
 
@@ -947,14 +878,10 @@ class _RankRun:
             return env.get(name)
         if name in _NUMPY_ALIASES:
             return ModuleVal("numpy")
-        if name == "math":
-            return ModuleVal("math")
         if name in _BUILTINS:
             return BuiltinVal(name)
-        if name in ("MpiWorld",):
-            return self._mpi_world()
-        if name in ("GasnetWorld",):
-            return self._gasnet_world()
+        if name in _WORLD_CLASSES:
+            return self.singleton(_WORLD_CLASSES[name])
         return UNKNOWN
 
     def _eval_Attribute(self, node: ast.Attribute, env: Env) -> Any:
@@ -962,33 +889,19 @@ class _RankRun:
         return self.get_attr(obj, node.attr)
 
     def _eval_BinOp(self, node: ast.BinOp, env: Env) -> Any:
-        fn = _BINOP_FNS.get(type(node.op))
-        if fn is None:
-            return UNKNOWN
         left = self.eval(node.left, env)
         right = self.eval(node.right, env)
-        return self.binop(fn, left, right)
+        return self.binop(_BINOP_FNS[type(node.op)], left, right)
 
     def _eval_UnaryOp(self, node: ast.UnaryOp, env: Env) -> Any:
         value = self.eval(node.operand, env)
         if isinstance(node.op, ast.Not):
             t = self.truthy(value)
             return UNKNOWN if t is None else (not t)
-        if is_unknown(value):
-            return UNKNOWN
-        if isinstance(node.op, ast.USub):
-            if is_num(value):
-                return -value
-            if isinstance(value, ArrayVal):
-                return value.like()
-            return UNKNOWN
-        if isinstance(node.op, ast.UAdd):
-            return value
-        if isinstance(node.op, ast.Invert):
-            if isinstance(value, ArrayVal):
-                return ArrayVal(value.shape, value.itemsize, None, mask=value.mask)
-            if is_int(value):
-                return ~int(value)
+        if isinstance(node.op, ast.USub) and is_num(value):
+            return -value
+        if isinstance(node.op, ast.Invert) and isinstance(value, ArrayVal):
+            return ArrayVal(value.shape, value.itemsize, None, mask=value.mask)
         return UNKNOWN
 
     def _eval_BoolOp(self, node: ast.BoolOp, env: Env) -> Any:
@@ -999,9 +912,7 @@ class _RankRun:
             t = self.truthy(value)
             if t is None:
                 return UNKNOWN
-            if is_and and not t:
-                return value
-            if not is_and and t:
+            if t != is_and:  # short-circuit: a false `and` / a true `or`
                 return value
             last = value
         return last
@@ -1040,34 +951,18 @@ class _RankRun:
             return ArrayVal(broadcast_shapes(shape_l, shape_r), 1, None, mask=True)
         if is_unknown(left) or is_unknown(right):
             return None
-        fn = _CMP_FNS.get(type(op))
-        if fn is None:
-            return None
         try:
-            return bool(fn(left, right))
+            return bool(_CMP_FNS[type(op)](left, right))
         except TypeError:
             return None
 
     def _eval_Call(self, node: ast.Call, env: Env) -> Any:
         func = self.eval(node.func, env)
-        args: list[Any] = []
-        for arg in node.args:
-            if isinstance(arg, ast.Starred):
-                spread = self.concrete_iter(self.eval(arg.value, env))
-                if spread is None:
-                    args.append(UNKNOWN)
-                else:
-                    args.extend(spread)
-            else:
-                args.append(self.eval(arg, env))
-        kwargs: dict[str, Any] = {}
-        for kw in node.keywords:
-            if kw.arg is None:
-                value = self.eval(kw.value, env)
-                if isinstance(value, dict):
-                    kwargs.update({k: v for k, v in value.items() if isinstance(k, str)})
-            else:
-                kwargs[kw.arg] = self.eval(kw.value, env)
+        # ``*xs`` evaluates to one UNKNOWN argument; ``**kw`` is dropped.
+        args = [self.eval(arg, env) for arg in node.args]
+        kwargs = {
+            kw.arg: self.eval(kw.value, env) for kw in node.keywords if kw.arg is not None
+        }
         return self.call(func, args, kwargs, node)
 
     def _eval_Tuple(self, node: ast.Tuple, env: Env) -> Any:
@@ -1076,26 +971,11 @@ class _RankRun:
     def _eval_List(self, node: ast.List, env: Env) -> Any:
         return [self.eval(e, env) for e in node.elts]
 
-    def _eval_Set(self, node: ast.Set, env: Env) -> Any:
-        out = set()
-        for e in node.elts:
-            v = self.eval(e, env)
-            try:
-                out.add(v)
-            except TypeError:
-                return UNKNOWN
-        return out
-
     def _eval_Dict(self, node: ast.Dict, env: Env) -> Any:
         out: dict[Any, Any] = {}
         for key_node, value_node in zip(node.keys, node.values):
-            if key_node is None:
-                spread = self.eval(value_node, env)
-                if isinstance(spread, dict):
-                    out.update(spread)
-                continue
-            key = self.eval(key_node, env)
-            if is_unknown(key):
+            key = UNKNOWN if key_node is None else self.eval(key_node, env)
+            if is_unknown(key):  # also a ``**spread`` entry
                 return UNKNOWN
             try:
                 out[key] = self.eval(value_node, env)
@@ -1138,20 +1018,8 @@ class _RankRun:
     def _eval_JoinedStr(self, node: ast.JoinedStr, env: Env) -> Any:
         return "?"
 
-    def _eval_Starred(self, node: ast.Starred, env: Env) -> Any:
-        return self.eval(node.value, env)
-
     def _eval_ListComp(self, node: ast.ListComp, env: Env) -> Any:
         return self._comprehension(node, env, kind="list")
-
-    def _eval_SetComp(self, node: ast.SetComp, env: Env) -> Any:
-        out = self._comprehension(node, env, kind="list")
-        if is_unknown(out):
-            return UNKNOWN
-        try:
-            return set(out)
-        except TypeError:
-            return UNKNOWN
 
     def _eval_GeneratorExp(self, node: ast.GeneratorExp, env: Env) -> Any:
         return self._comprehension(node, env, kind="list")
@@ -1212,16 +1080,11 @@ class _RankRun:
             return self._array_binop(fn, left, right)
         if is_unknown(left) or is_unknown(right):
             return UNKNOWN
-        if isinstance(left, (list, tuple)) and isinstance(right, (list, tuple)):
-            if fn is operator.add and type(left) is type(right):
-                return fn(left, right)
         if is_num(left) and is_num(right):
             try:
                 return fn(left, right)
             except (ZeroDivisionError, ValueError, OverflowError, TypeError):
                 return UNKNOWN
-        if isinstance(left, str) and isinstance(right, str) and fn is operator.add:
-            return left + right
         if isinstance(left, (list, tuple)) and is_int(right) and fn is operator.mul:
             return left * int(right)
         return UNKNOWN
@@ -1240,18 +1103,6 @@ class _RankRun:
                 return ArrayVal(data.shape, data.dtype.itemsize, data)
             except Exception:
                 pass
-        if la is not None and ra is None and la.data is not None and is_num(right):
-            try:
-                data = fn(la.data, right)
-                return ArrayVal(data.shape, data.dtype.itemsize, data)
-            except Exception:
-                pass
-        if ra is not None and la is None and ra.data is not None and is_num(left):
-            try:
-                data = fn(left, ra.data)
-                return ArrayVal(data.shape, data.dtype.itemsize, data)
-            except Exception:
-                pass
         shape_l = la.shape if la is not None else ()
         shape_r = ra.shape if ra is not None else ()
         shape = broadcast_shapes(shape_l, shape_r)
@@ -1264,10 +1115,6 @@ class _RankRun:
     def truthy(self, value: Any) -> bool | None:
         if is_unknown(value) or isinstance(value, ArrayVal):
             return None
-        if isinstance(
-            value, (HandleVal, InstanceVal, FuncVal, ClassVal, ModuleVal, RngVal)
-        ):
-            return True
         try:
             return bool(value)
         except Exception:
@@ -1295,13 +1142,8 @@ class _RankRun:
                         fn, f"{obj.cls_name}.{attr}", closure=cv.closure, self_val=obj
                     )
             return UNKNOWN
-        if isinstance(obj, (RngVal, dict, list, tuple, set, str)):
+        if isinstance(obj, (RngVal, dict, list, tuple, str)):
             return MethodVal(obj, attr)
-        if isinstance(obj, ClassVal):
-            fn = self._class_method(obj, attr)
-            if fn is not None:
-                return FuncVal(fn, f"{obj.node.name}.{attr}", closure=obj.closure)
-            return UNKNOWN
         return UNKNOWN
 
     @staticmethod
@@ -1318,101 +1160,44 @@ class _RankRun:
                 return ModuleVal(f"numpy.{attr}")
             if attr == "pi":
                 return math.pi
-            if attr == "e":
-                return math.e
-            if attr == "newaxis":
-                return None
-            if attr in ("inf", "nan"):
-                return math.inf if attr == "inf" else math.nan
             if attr in ("float64", "float32", "int64", "int32", "uint64", "uint32",
                         "int8", "uint8", "bool_", "complex128", "complex64", "intp"):
                 return DtypeVal(attr)
-            return ModuleFn("numpy", attr)
-        if mod.name == "math":
-            if attr == "pi":
-                return math.pi
-            if attr == "e":
-                return math.e
-            return ModuleFn("math", attr)
         return ModuleFn(mod.name, attr)
 
     def _array_attr(self, arr: ArrayVal, attr: str) -> Any:
-        if attr == "T":
-            return ArrayVal(tuple(reversed(arr.shape)), arr.itemsize,
-                            arr.data.T if arr.data is not None else None, arr.mask)
         if attr == "size":
             return arr.size
-        if attr == "nbytes":
-            return arr.nbytes
         if attr == "shape":
             return tuple(d if is_int(d) else UNKNOWN for d in arr.shape)
-        if attr == "ndim":
-            return len(arr.shape)
-        if attr == "itemsize":
-            return arr.itemsize
-        if attr in ("real", "imag"):
-            return ArrayVal(arr.shape, max(arr.itemsize // 2, 1) if arr.itemsize in (8, 16) else arr.itemsize, None)
-        if attr == "dtype":
-            return UNKNOWN
         return MethodVal(arr, attr)
 
     def _handle_attr(self, handle: HandleVal, attr: str) -> Any:
-        if handle.kind == "image":
-            if attr == "rank":
-                return self.rank
-            if attr == "nranks":
-                return self.nranks
-            if attr == "mpi":
-                return MethodVal(handle, "mpi")
-            if attr == "cluster":
-                if self._cluster is None:
-                    self._cluster = HandleVal("cluster", uid=next(self.uid))
-                return self._cluster
-            return MethodVal(handle, attr)
-        if handle.kind == "coarray":
-            if attr == "local":
-                return ArrayVal(handle.meta.get("shape", (UNKNOWN,)),
-                                handle.meta.get("itemsize", 8), None)
-            if attr == "shape":
-                return handle.meta.get("shape", (UNKNOWN,))
-            return MethodVal(handle, attr)
-        if handle.kind == "mpi":
-            if attr == "COMM_WORLD":
-                return self._comm_world()
-            if attr == "rank":
-                return self.rank
-            if attr == "size":
-                return self.nranks
-            return MethodVal(handle, attr)
-        if handle.kind == "comm":
-            if attr == "rank":
-                return self.rank
-            if attr == "size":
-                return self.nranks
-            return MethodVal(handle, attr)
-        if handle.kind == "window":
-            if attr == "local":
-                return ArrayVal((handle.meta.get("nelems", UNKNOWN),),
-                                handle.meta.get("itemsize", 8), None)
-            return MethodVal(handle, attr)
+        key = (handle.kind, attr)
+        if key in (("image", "rank"), ("comm", "rank")):
+            return self.rank
+        if key in (("image", "nranks"), ("comm", "size")):
+            return self.nranks
+        if key == ("image", "cluster"):
+            return self.singleton("cluster")
+        if key == ("mpi", "COMM_WORLD"):
+            return self.singleton("comm")
+        if attr == "local" and handle.kind in ("coarray", "window"):
+            return self._local_view(handle)
         return MethodVal(handle, attr)
 
-    # -- shared protocol handles ----------------------------------------
+    @staticmethod
+    def _local_view(handle: HandleVal) -> ArrayVal:
+        """A coarray's or window's local memory: shape + itemsize, no data."""
+        return ArrayVal(handle.meta.get("shape", (UNKNOWN,)),
+                        handle.meta.get("itemsize", 8), None)
 
-    def _mpi_world(self) -> HandleVal:
-        if self._mpi is None:
-            self._mpi = HandleVal("mpi", uid=next(self.uid))
-        return self._mpi
-
-    def _comm_world(self) -> HandleVal:
-        if self._comm is None:
-            self._comm = HandleVal("comm", uid=next(self.uid))
-        return self._comm
-
-    def _gasnet_world(self) -> HandleVal:
-        if self._gasnet is None:
-            self._gasnet = HandleVal("gasnet", uid=next(self.uid))
-        return self._gasnet
+    def singleton(self, kind: str) -> HandleVal:
+        """The run's one handle of ``kind`` (MPI/GASNet world and rank
+        facades, COMM_WORLD, the cluster), created on first use."""
+        if kind not in self._singletons:
+            self._singletons[kind] = HandleVal(kind, uid=next(self.uid))
+        return self._singletons[kind]
 
     # -- calls ----------------------------------------------------------
 
@@ -1435,11 +1220,7 @@ class _RankRun:
                     return np.dtype(func.name).type(args[0]).item()
                 except Exception:
                     return UNKNOWN
-            if args and isinstance(args[0], ArrayVal):
-                return ArrayVal(args[0].shape, itemsize_of(func.name), None)
             return UNKNOWN
-        if isinstance(func, HandleVal) and func.kind in ("mpi", "gasnet"):
-            return func  # MpiWorld.get(...)/GasnetWorld(...)-style chains
         self.escape_args(args, kwargs)
         return UNKNOWN
 
@@ -1449,7 +1230,7 @@ class _RankRun:
                 if not value.escaped:
                     value.escaped = True
                     self.warn(f"escape:event#{value.uid}")
-            elif isinstance(value, (list, tuple, set)):
+            elif isinstance(value, (list, tuple)):
                 for item in value:
                     visit(item)
             elif isinstance(value, dict):
@@ -1477,32 +1258,14 @@ class _RankRun:
         positional = [a.arg for a in fn_args.posonlyargs] + [a.arg for a in fn_args.args]
         if fv.self_val is not None:
             args = [fv.self_val] + args
-        # Bind positional parameters.
+        # A parameter the call does not pass is UNKNOWN (defaults are not
+        # evaluated), bound explicitly so it cannot read an outer variable.
         for i, name in enumerate(positional):
-            if i < len(args):
-                env.set(name, args[i])
+            env.set(name, args[i] if i < len(args) else kwargs.get(name, UNKNOWN))
         if fn_args.vararg is not None:
             env.set(fn_args.vararg.arg, tuple(args[len(positional):]))
-        # Defaults for unbound positionals.
-        defaults = list(fn_args.defaults)
-        offset = len(positional) - len(defaults)
-        for i, name in enumerate(positional):
-            if i >= len(args) and name not in env.vars:
-                if name in kwargs:
-                    env.set(name, kwargs.pop(name))
-                elif i >= offset:
-                    env.set(name, self._safe_eval_default(defaults[i - offset], fv))
-                else:
-                    env.set(name, UNKNOWN)
-        for kw, default in zip(fn_args.kwonlyargs, fn_args.kw_defaults):
-            if kw.arg in kwargs:
-                env.set(kw.arg, kwargs.pop(kw.arg))
-            elif default is not None:
-                env.set(kw.arg, self._safe_eval_default(default, fv))
-            else:
-                env.set(kw.arg, UNKNOWN)
-        if fn_args.kwarg is not None:
-            env.set(fn_args.kwarg.arg, dict(kwargs))
+        for kw in fn_args.kwonlyargs:
+            env.set(kw.arg, kwargs.get(kw.arg, UNKNOWN))
         self.func_stack.append(fv.qualname)
         self.node_stack.append(fv.node)
         try:
@@ -1513,12 +1276,6 @@ class _RankRun:
         finally:
             self.func_stack.pop()
             self.node_stack.pop()
-
-    def _safe_eval_default(self, default: ast.AST, fv: FuncVal) -> Any:
-        try:
-            return self.eval(default, fv.closure or self.c.module_env)
-        except Exception:
-            return UNKNOWN
 
     def instantiate(
         self, cv: ClassVal, args: list[Any], kwargs: dict[str, Any], node: ast.Call
@@ -1539,15 +1296,8 @@ class _RankRun:
     def builtin_call(
         self, name: str, args: list[Any], kwargs: dict[str, Any], node: ast.Call
     ) -> Any:
-        if name == "print":
-            return None
-        if name == "isinstance":
-            return UNKNOWN
         if name == "len":
-            if args and isinstance(args[0], ArrayVal):
-                d = args[0].shape[0] if args[0].shape else UNKNOWN
-                return int(d) if is_int(d) else UNKNOWN
-            if args and isinstance(args[0], (list, tuple, dict, set, str, range)):
+            if args and isinstance(args[0], (list, tuple, dict, str, range)):
                 return len(args[0])
             return UNKNOWN
         if name == "range":
@@ -1566,70 +1316,14 @@ class _RankRun:
                     return UNKNOWN
             return UNKNOWN
         if name in ("max", "min", "sum"):
-            fn = {"max": max, "min": min, "sum": sum}[name]
-            if len(args) == 1:
-                items = self.concrete_iter(args[0])
-                if items is not None and items and all(is_num(i) for i in items):
-                    return fn(items)
-                return UNKNOWN
-            if args and all(is_num(a) for a in args):
-                return fn(args)
+            if len(args) > 1 and all(is_num(a) for a in args):
+                return {"max": max, "min": min, "sum": sum}[name](args)
             return UNKNOWN
-        if name == "enumerate":
-            items = self.concrete_iter(args[0]) if args else None
-            if items is None:
-                return UNKNOWN
-            start = args[1] if len(args) > 1 and is_int(args[1]) else 0
-            return [(start + i, v) for i, v in enumerate(items)]
-        if name == "zip":
-            lists = [self.concrete_iter(a) for a in args]
-            if any(ls is None for ls in lists):
-                return UNKNOWN
-            return [tuple(t) for t in zip(*lists)]
-        if name in ("sorted", "reversed", "list", "tuple", "set"):
+        if name == "list":
             items = self.concrete_iter(args[0]) if args else []
-            if items is None:
-                return UNKNOWN
-            if name == "sorted":
-                try:
-                    return sorted(items)
-                except TypeError:
-                    return list(items)
-            if name == "reversed":
-                return list(reversed(items))
-            if name == "tuple":
-                return tuple(items)
-            if name == "set":
-                try:
-                    return set(items)
-                except TypeError:
-                    return UNKNOWN
-            return list(items)
-        if name == "dict":
-            if not args:
-                return dict(kwargs)
-            return UNKNOWN
-        if name == "str":
-            return "?"
-        if name == "divmod":
-            if len(args) == 2 and all(is_num(a) for a in args):
-                try:
-                    return divmod(args[0], args[1])
-                except ZeroDivisionError:
-                    return UNKNOWN
-            return UNKNOWN
-        if name == "pow":
-            if all(is_num(a) for a in args):
-                try:
-                    return pow(*args)
-                except (ValueError, ZeroDivisionError):
-                    return UNKNOWN
-            return UNKNOWN
-        if name in ("any", "all"):
-            items = self.concrete_iter(args[0]) if args else None
-            if items is None or any(is_unknown(i) or isinstance(i, ArrayVal) for i in items):
-                return UNKNOWN
-            return any(items) if name == "any" else all(items)
+            return UNKNOWN if items is None else items
+        if name == "dict" and not args:
+            return dict(kwargs)
         return UNKNOWN
 
     # -- iteration ------------------------------------------------------
@@ -1641,12 +1335,6 @@ class _RankRun:
             return list(value)
         if isinstance(value, (list, tuple)):
             return list(value)
-        if isinstance(value, dict):
-            return list(value.keys())
-        if isinstance(value, set):
-            return sorted(value, key=repr)
-        if isinstance(value, ArrayVal) and value.data is not None:
-            return [self._wrap_np(row) for row in value.data]
         return None
 
     @staticmethod
@@ -1665,8 +1353,6 @@ class _RankRun:
         return self.eval(node, env)
 
     def getitem(self, obj: Any, key: Any) -> Any:
-        if is_unknown(obj):
-            return UNKNOWN
         if isinstance(obj, ArrayVal):
             return self._array_getitem(obj, key)
         if isinstance(obj, dict):
@@ -1676,19 +1362,11 @@ class _RankRun:
                 return obj.get(key, UNKNOWN)
             except TypeError:
                 return UNKNOWN
-        if isinstance(obj, (list, tuple, str, range)):
-            if is_int(key):
-                try:
-                    item = obj[int(key)]
-                except IndexError:
-                    return UNKNOWN
-                return self._wrap_np(item)
-            if isinstance(key, slice):
-                try:
-                    return list(obj[key]) if not isinstance(obj, (str, tuple)) else obj[key]
-                except (TypeError, ValueError):
-                    return UNKNOWN
-            return UNKNOWN
+        if isinstance(obj, (list, tuple, str, range)) and is_int(key):
+            try:
+                return self._wrap_np(obj[int(key)])
+            except IndexError:
+                return UNKNOWN
         return UNKNOWN
 
     def _array_getitem(self, arr: ArrayVal, key: Any) -> Any:
@@ -1706,15 +1384,6 @@ class _RankRun:
         out: list[Any] = []
         pos = 0
         for part in idx:
-            if part is Ellipsis:
-                # Align remaining indices to the trailing dims.
-                explicit = sum(1 for p in idx if p is not None and p is not Ellipsis) - 1
-                while len(dims) - pos > explicit - (idx.index(part)):
-                    out.append(dims[pos])
-                    pos += 1
-                    if pos >= len(dims):
-                        break
-                continue
             if part is None:
                 out.append(1)
                 continue
@@ -1726,18 +1395,11 @@ class _RankRun:
             elif isinstance(part, slice):
                 out.append(self._slice_len(part, dim))
                 pos += 1
-            elif isinstance(part, ArrayVal):
-                if part.mask:
-                    if is_int(dim):
-                        self.warn("mask-half")
-                        out.append(max(int(dim) // 2, 1))
-                    else:
-                        out.append(UNKNOWN)
-                    pos += 1
-                else:
-                    out.extend(part.shape)
-                    pos += 1
-            else:
+            elif isinstance(part, ArrayVal) and part.mask and is_int(dim):
+                self.warn("mask-half")
+                out.append(max(int(dim) // 2, 1))
+                pos += 1
+            else:  # an Ellipsis, an index array, a mask over an unknown extent
                 out.append(UNKNOWN)
                 pos += 1
         out.extend(dims[pos:])
@@ -1758,8 +1420,6 @@ class _RankRun:
                 parts.append(part)
             elif part is None or part is Ellipsis:
                 parts.append(part)
-            elif isinstance(part, ArrayVal) and part.data is not None:
-                parts.append(part.data)
             else:
                 return None
         return tuple(parts) if len(parts) > 1 else parts[0]
@@ -1821,28 +1481,18 @@ class _RankRun:
             return self.rng_method(name, args, kwargs)
         if isinstance(obj, dict):
             return self._dict_method(obj, name, args)
-        if isinstance(obj, list):
-            return self._list_method(obj, name, args)
-        if isinstance(obj, set):
-            if name == "add" and args and not is_unknown(args[0]):
-                try:
-                    obj.add(args[0])
-                except TypeError:
-                    pass
-                return None
-            return UNKNOWN
-        if isinstance(obj, str):
-            return UNKNOWN
-        self.escape_args(args, kwargs)
+        if isinstance(obj, list) and name == "append":
+            obj.append(args[0] if args else UNKNOWN)
+            return None
+        # Not modelled (every other list method, str methods, methods of
+        # unknown objects): whatever the receiver or the arguments hold is
+        # handed to code the linter cannot see.
+        self.escape_args([obj, *args], kwargs)
         return UNKNOWN
 
     def _dict_method(self, obj: dict, name: str, args: list[Any]) -> Any:
         if name == "items":
             return [(k, v) for k, v in obj.items()]
-        if name == "keys":
-            return list(obj.keys())
-        if name == "values":
-            return list(obj.values())
         if name == "get":
             key = args[0] if args else UNKNOWN
             if is_unknown(key):
@@ -1852,14 +1502,6 @@ class _RankRun:
                 return obj.get(key, default)
             except TypeError:
                 return UNKNOWN
-        if name == "pop":
-            key = args[0] if args else UNKNOWN
-            if not is_unknown(key):
-                try:
-                    return obj.pop(key, UNKNOWN)
-                except TypeError:
-                    return UNKNOWN
-            return UNKNOWN
         if name == "setdefault":
             key = args[0] if args else UNKNOWN
             if not is_unknown(key):
@@ -1868,56 +1510,6 @@ class _RankRun:
                 except TypeError:
                     return UNKNOWN
             return UNKNOWN
-        if name == "update" and args and isinstance(args[0], dict):
-            obj.update(args[0])
-            return None
-        return UNKNOWN
-
-    def _list_method(self, obj: list, name: str, args: list[Any]) -> Any:
-        if name == "append":
-            obj.append(args[0] if args else UNKNOWN)
-            return None
-        if name == "extend":
-            items = self.concrete_iter(args[0]) if args else None
-            if items is not None:
-                obj.extend(items)
-            else:
-                obj.append(UNKNOWN)
-            return None
-        if name == "pop":
-            if obj:
-                if not args:
-                    return obj.pop()
-                if is_int(args[0]) and -len(obj) <= args[0] < len(obj):
-                    return obj.pop(int(args[0]))
-            return UNKNOWN
-        if name == "insert" and len(args) == 2 and is_int(args[0]):
-            obj.insert(int(args[0]), args[1])
-            return None
-        if name == "sort":
-            try:
-                obj.sort()
-            except TypeError:
-                pass
-            return None
-        if name == "index" and args:
-            try:
-                return obj.index(args[0])
-            except (ValueError, TypeError):
-                return UNKNOWN
-        if name == "count" and args:
-            try:
-                return obj.count(args[0])
-            except TypeError:
-                return UNKNOWN
-        if name == "copy":
-            return list(obj)
-        if name == "remove" and args:
-            try:
-                obj.remove(args[0])
-            except (ValueError, TypeError):
-                pass
-            return None
         return UNKNOWN
 
     def array_method(
@@ -1925,109 +1517,51 @@ class _RankRun:
     ) -> Any:
         if name == "reshape":
             shape = args[0] if len(args) == 1 and isinstance(args[0], (tuple, list)) else tuple(args)
-            shape = self._resolve_shape(shape, arr.size)
-            data = None
-            if arr.data is not None and all(is_int(d) for d in shape):
-                try:
-                    data = arr.data.reshape([int(d) for d in shape])
-                except ValueError:
-                    data = None
-            return ArrayVal(tuple(shape), arr.itemsize, data, arr.mask)
+            return ArrayVal(self._resolve_shape(shape, arr.size), arr.itemsize, None, arr.mask)
         if name == "astype":
             dtype = args[0] if args else kwargs.get("dtype")
-            itemsize = self._itemsize_from(dtype, arr.itemsize)
-            data = None
-            if arr.data is not None and isinstance(dtype, DtypeVal):
-                try:
-                    data = arr.data.astype(dtype.name)
-                except TypeError:
-                    data = None
-            return ArrayVal(arr.shape, itemsize, data)
+            return ArrayVal(arr.shape, self._itemsize_from(dtype, arr.itemsize), None)
         if name in ("copy", "view", "conj", "conjugate"):
             return ArrayVal(arr.shape, arr.itemsize,
                             arr.data.copy() if arr.data is not None else None, arr.mask)
-        if name in ("ravel", "flatten"):
-            return ArrayVal((arr.size if is_int(arr.size) else UNKNOWN,),
-                            arr.itemsize,
-                            arr.data.ravel() if arr.data is not None else None)
         if name == "transpose":
             return ArrayVal(tuple(reversed(arr.shape)), arr.itemsize, None, arr.mask)
-        if name in ("sum", "min", "max", "mean", "prod", "std", "var", "dot"):
-            axis = kwargs.get("axis", args[0] if args and name != "dot" else None)
-            if axis is None:
-                if arr.data is not None and name != "dot":
-                    try:
-                        return self._wrap_np(getattr(arr.data, name)())
-                    except Exception:
-                        return UNKNOWN
-                return UNKNOWN
-            if is_int(axis) and 0 <= int(axis) < len(arr.shape):
-                shape = tuple(d for i, d in enumerate(arr.shape) if i != int(axis))
-                return ArrayVal(shape, arr.itemsize, None)
-            return UNKNOWN
-        if name in ("any", "all", "argmax", "argmin", "item", "tolist"):
-            if arr.data is not None:
-                try:
-                    return self._wrap_np(getattr(arr.data, name)(*[
-                        int(a) for a in args if is_int(a)
-                    ]))
-                except Exception:
-                    return UNKNOWN
-            if name == "tolist":
-                n = arr.shape[0] if len(arr.shape) == 1 and is_int(arr.shape[0]) else None
-                if n is not None and n <= _MAX_CONCRETE_ELEMS:
-                    return [UNKNOWN] * int(n)
-            return UNKNOWN
-        if name == "fill":
-            return None
-        if name == "tobytes":
-            return UNKNOWN
-        return UNKNOWN
+        if name == "tolist":
+            n = arr.shape[0] if len(arr.shape) == 1 and is_int(arr.shape[0]) else None
+            if n is not None and n <= _MAX_CONCRETE_ELEMS:
+                return [UNKNOWN] * int(n)
+        return UNKNOWN  # reductions and every other method: data-dependent
 
-    def _resolve_shape(self, shape: Any, total: Any) -> tuple[Any, ...]:
+    @staticmethod
+    def _resolve_shape(shape: Any, total: Any) -> tuple[Any, ...]:
         dims = list(shape) if isinstance(shape, (tuple, list)) else [shape]
-        out = [int(d) if is_int(d) else (d if d == -1 else UNKNOWN) for d in dims]
-        if -1 in out and is_int(total):
-            known = 1
-            ok = True
-            for d in out:
-                if is_int(d) and d != -1:
-                    known *= int(d)
-                elif d != -1:
-                    ok = False
-            if ok and known > 0 and int(total) % known == 0:
-                out[out.index(-1)] = int(total) // known
-        return tuple(UNKNOWN if d == -1 else d for d in out)
+        if dims == [-1] and is_int(total):
+            return (int(total),)
+        return tuple(int(d) if is_int(d) and d != -1 else UNKNOWN for d in dims)
 
     @staticmethod
     def _itemsize_from(dtype: Any, default: int = 8) -> int:
         if isinstance(dtype, DtypeVal):
             return itemsize_of(dtype.name, default)
-        if isinstance(dtype, str):
-            return itemsize_of(dtype, default)
         return default
 
     def rng_method(self, name: str, args: list[Any], kwargs: dict[str, Any]) -> Any:
         size = kwargs.get("size")
         if size is None and name in ("standard_normal", "random") and args:
             size = args[0]
-        if name in ("integers", "standard_normal", "random", "uniform", "normal",
-                    "choice", "permutation", "exponential", "poisson"):
+        if size is not None and name in (
+            "integers", "standard_normal", "random", "uniform", "normal",
+            "choice", "permutation", "exponential", "poisson",
+        ):
             itemsize = 8
             if name == "integers":
                 itemsize = self._itemsize_from(kwargs.get("dtype"), 8)
-            if size is None:
-                if name == "permutation" and args and is_int(args[0]):
-                    return ArrayVal((int(args[0]),), 8, None)
-                return UNKNOWN
             if is_int(size):
                 return ArrayVal((int(size),), itemsize, None)
             if isinstance(size, (tuple, list)):
                 return ArrayVal(tuple(int(d) if is_int(d) else UNKNOWN for d in size),
                                 itemsize, None)
             return ArrayVal((UNKNOWN,), itemsize, None)
-        if name == "shuffle":
-            return None
         return UNKNOWN
 
     # -- numpy module functions -----------------------------------------
@@ -2036,14 +1570,6 @@ class _RankRun:
         self, fn: ModuleFn, args: list[Any], kwargs: dict[str, Any], node: ast.Call
     ) -> Any:
         name = fn.name
-        if fn.module == "math":
-            mathfn = getattr(math, name, None)
-            if mathfn is not None and all(is_num(a) for a in args):
-                try:
-                    return mathfn(*args)
-                except (ValueError, OverflowError, TypeError):
-                    return UNKNOWN
-            return UNKNOWN
         if fn.module == "numpy.random":
             if name == "default_rng":
                 return RngVal()
@@ -2055,12 +1581,6 @@ class _RankRun:
         if fn.module == "numpy.linalg":
             if name == "solve" and len(args) >= 2 and isinstance(args[1], ArrayVal):
                 return args[1].like()
-            if name in ("norm", "det", "cond"):
-                return UNKNOWN
-            if name == "inv" and args and isinstance(args[0], ArrayVal):
-                return args[0].like()
-            return UNKNOWN
-        if fn.module != "numpy":
             return UNKNOWN
 
         itemsize = self._itemsize_from(kwargs.get("dtype"), 8)
@@ -2077,31 +1597,25 @@ class _RankRun:
                 return args[0].like()
             return UNKNOWN
         if name in ("array", "asarray", "ascontiguousarray", "asfortranarray", "copy"):
-            if not args:
-                return UNKNOWN
-            value = args[0]
+            value = args[0] if args else UNKNOWN
             if isinstance(value, ArrayVal):
                 if "dtype" in kwargs:
                     return ArrayVal(value.shape, itemsize, None, value.mask)
                 return ArrayVal(value.shape, value.itemsize, value.data, value.mask)
-            if is_num(value):
-                return ArrayVal((), itemsize if "dtype" in kwargs else 8, None)
             if isinstance(value, (list, tuple)):
-                return self._array_from_list(value,
-                                             itemsize if "dtype" in kwargs else None)
+                # A flat list keeps its length; nested structure is not modelled.
+                nested = any(isinstance(v, (list, tuple, ArrayVal)) for v in value)
+                return ArrayVal((UNKNOWN if nested else len(value),), itemsize, None)
             return UNKNOWN
         if name == "arange":
-            nums = [a for a in args]
-            if all(is_num(a) for a in nums) and 1 <= len(nums) <= 3:
+            if all(is_num(a) for a in args) and 1 <= len(args) <= 3:
                 try:
-                    data = np.arange(*nums)
+                    data = np.arange(*args)
                 except (ValueError, TypeError):
                     return UNKNOWN
-                if data.size <= _MAX_CONCRETE_ELEMS:
-                    if "dtype" in kwargs:
-                        data = data.astype(f"i{itemsize}" if itemsize < 8 else data.dtype)
+                if data.size <= _MAX_CONCRETE_ELEMS and "dtype" not in kwargs:
                     return ArrayVal(data.shape, data.dtype.itemsize, data)
-                return ArrayVal((int(data.size),), 8, None)
+                return ArrayVal((int(data.size),), itemsize, None)
             return ArrayVal((UNKNOWN,), 8, None)
         if name == "linspace":
             if len(args) >= 3 and all(is_num(a) for a in args[:3]):
@@ -2112,115 +1626,43 @@ class _RankRun:
                 dtype = kwargs.get("dtype")
                 if isinstance(dtype, BuiltinVal) and dtype.name == "int":
                     data = data.astype(np.int64)
-                elif isinstance(dtype, DtypeVal):
-                    try:
-                        data = data.astype(dtype.name)
-                    except TypeError:
-                        pass
                 if data.size <= _MAX_CONCRETE_ELEMS:
                     return ArrayVal(data.shape, data.dtype.itemsize, data)
                 return ArrayVal((int(data.size),), 8, None)
             return ArrayVal((UNKNOWN,), 8, None)
         if name in ("concatenate", "vstack", "hstack", "stack"):
             parts = self.concrete_iter(args[0]) if args else None
-            if parts is None:
+            if parts is None or not all(isinstance(p, ArrayVal) for p in parts):
                 return ArrayVal((UNKNOWN,), 8, None)
-            arrays = [p for p in parts if isinstance(p, ArrayVal)]
-            if len(arrays) != len(parts):
-                return ArrayVal((UNKNOWN,), 8, None)
-            itemsize = max((a.itemsize for a in arrays), default=8)
-            if all(a.data is not None for a in arrays):
-                try:
-                    stackfn = {"concatenate": np.concatenate, "vstack": np.vstack,
-                               "hstack": np.hstack, "stack": np.stack}[name]
-                    data = stackfn([a.data for a in arrays])
-                    return ArrayVal(data.shape, data.dtype.itemsize, data)
-                except (ValueError, TypeError):
-                    pass
+            itemsize = max((a.itemsize for a in parts), default=8)
             if name in ("concatenate", "hstack") and all(
-                len(a.shape) == 1 for a in arrays
+                len(a.shape) == 1 for a in parts
             ):
                 total: Any = 0
-                for a in arrays:
+                for a in parts:
                     d = a.shape[0]
                     if not is_int(d):
                         total = UNKNOWN
                         break
                     total += int(d)
                 return ArrayVal((total,), itemsize, None)
-            if name in ("vstack", "stack") and arrays and all(
-                a.shape == arrays[0].shape for a in arrays
-            ):
-                return ArrayVal((len(arrays), *arrays[0].shape), itemsize, None)
             return ArrayVal((UNKNOWN,), itemsize, None)
-        if name == "reshape":
-            if args and isinstance(args[0], ArrayVal):
-                return self.array_method(args[0], "reshape", args[1:], kwargs)
-            return UNKNOWN
         if name in ("log2", "log", "log10", "sqrt", "exp", "sin", "cos", "tan",
                     "floor", "ceil", "abs", "absolute", "sign", "round", "rint"):
-            if args and is_num(args[0]):
-                mathname = {"abs": "fabs", "absolute": "fabs", "round": None,
-                            "sign": None, "rint": None}.get(name, name)
+            mathfn = getattr(math, {"abs": "fabs", "absolute": "fabs"}.get(name, name), None)
+            if args and is_num(args[0]) and mathfn is not None:
                 try:
-                    if name in ("round", "rint"):
-                        return round(args[0])
-                    if name == "sign":
-                        return (args[0] > 0) - (args[0] < 0)
-                    return getattr(math, mathname)(args[0])
+                    return mathfn(args[0])
                 except (ValueError, OverflowError):
                     return UNKNOWN
             if args and isinstance(args[0], ArrayVal):
-                a = args[0]
-                if a.data is not None:
-                    try:
-                        data = getattr(np, name)(a.data)
-                        return ArrayVal(data.shape, data.dtype.itemsize, data)
-                    except Exception:
-                        pass
-                return a.like()
+                return args[0].like()
             return UNKNOWN
         if name in ("maximum", "minimum", "add", "subtract", "multiply", "divide",
                     "mod", "power", "hypot", "arctan2"):
             if len(args) == 2:
                 npfn = getattr(np, name)
                 return self.binop(lambda x, y: npfn(x, y), args[0], args[1])
-            return UNKNOWN
-        if name == "where":
-            if len(args) == 3:
-                shapes = [a.shape for a in args if isinstance(a, ArrayVal)]
-                shape: tuple[Any, ...] = ()
-                for s in shapes:
-                    shape = broadcast_shapes(shape, s)
-                itemsize = max((a.itemsize for a in args[1:]
-                                if isinstance(a, ArrayVal)), default=8)
-                return ArrayVal(shape, itemsize, None)
-            return UNKNOWN
-        if name in ("sum", "min", "max", "mean", "prod", "cumsum", "dot", "vdot",
-                    "count_nonzero", "argmax", "argmin"):
-            if args and isinstance(args[0], ArrayVal):
-                a = args[0]
-                if name == "cumsum":
-                    return a.like()
-                if name == "dot" and len(args) == 2:
-                    return UNKNOWN
-                axis = kwargs.get("axis")
-                if axis is None:
-                    if a.data is not None:
-                        try:
-                            return self._wrap_np(getattr(np, name)(a.data))
-                        except Exception:
-                            return UNKNOWN
-                    return UNKNOWN
-                if is_int(axis) and 0 <= int(axis) < len(a.shape):
-                    return ArrayVal(tuple(d for i, d in enumerate(a.shape)
-                                          if i != int(axis)), a.itemsize, None)
-            return UNKNOWN
-        if name in ("isnan", "isfinite", "isinf", "signbit"):
-            if args and isinstance(args[0], ArrayVal):
-                return ArrayVal(args[0].shape, 1, None, mask=True)
-            return UNKNOWN
-        if name in ("allclose", "array_equal", "isclose", "may_share_memory"):
             return UNKNOWN
         if name == "eye":
             if args and is_int(args[0]):
@@ -2237,208 +1679,71 @@ class _RankRun:
             if args and isinstance(args[0], ArrayVal):
                 return args[0].like()
             return UNKNOWN
-        if name in ("bitwise_xor", "bitwise_and", "bitwise_or", "logical_and",
-                    "logical_or", "logical_not"):
-            arrays = [a for a in args if isinstance(a, ArrayVal)]
-            if arrays:
-                return arrays[0].like()
-            return UNKNOWN
-        if name in ("float64", "float32", "int64", "int32", "uint64", "uint32",
-                    "int8", "uint8", "complex128", "complex64"):
-            if args and is_num(args[0]):
-                try:
-                    return np.dtype(name).type(args[0]).item()
-                except Exception:
-                    return UNKNOWN
-            return UNKNOWN
-        if name == "dtype":
-            if args and isinstance(args[0], (str, DtypeVal)):
-                dname = args[0].name if isinstance(args[0], DtypeVal) else args[0]
-                return DtypeVal(dname)
-            return UNKNOWN
-        return UNKNOWN
-
-    def _array_from_list(self, value: Any, itemsize: int | None) -> Any:
-        # Nested python lists: shape from structure; data when all concrete.
-        def shape_of(v: Any) -> tuple[Any, ...] | None:
-            if isinstance(v, (list, tuple)):
-                if not v:
-                    return (0,)
-                sub = shape_of(v[0])
-                if sub is None:
-                    return (len(v),)
-                return (len(v), *sub)
-            return None
-
-        shape = shape_of(value)
-        if shape is None:
-            return UNKNOWN
-
-        flat: list[Any] = []
-
-        def flatten(v: Any) -> bool:
-            if isinstance(v, (list, tuple)):
-                return all(flatten(i) for i in v)
-            if is_num(v):
-                flat.append(v)
-                return True
-            if isinstance(v, ArrayVal):
-                return False
-            flat.append(None)
-            return False
-
-        all_concrete = flatten(value)
-        nested_arrays = [v for v in value if isinstance(v, ArrayVal)]
-        if nested_arrays and len(nested_arrays) == len(value):
-            first = nested_arrays[0]
-            if all(a.shape == first.shape for a in nested_arrays):
-                return ArrayVal((len(value), *first.shape),
-                                itemsize or first.itemsize, None)
-            return ArrayVal((len(value), UNKNOWN), itemsize or first.itemsize, None)
-        if all_concrete:
-            try:
-                data = np.array(value)
-                if data.size <= _MAX_CONCRETE_ELEMS:
-                    return ArrayVal(data.shape, data.dtype.itemsize, data)
-                return ArrayVal(data.shape, data.dtype.itemsize, None)
-            except (ValueError, TypeError):
-                pass
-        return ArrayVal(shape, itemsize or 8, None)
+        return UNKNOWN  # reductions, predicates, `where`, dtype constructors, ...
 
     # -- protocol op emission -------------------------------------------
+    #
+    # What a runtime call is — the op it emits, from which operands, with
+    # which flags, and what it hands back — is a row of repro.lint.protocol.
+    # The ``_ret_*`` methods below are the named builders a row's
+    # ``returns`` column points to.
 
     def protocol_call(
         self, handle: HandleVal, method: str, args: list[Any],
         kwargs: dict[str, Any], node: ast.Call,
     ) -> Any:
-        kind = handle.kind
-        if kind == "image":
-            return self._image_call(handle, method, args, kwargs, node)
-        if kind == "coarray":
-            return self._coarray_call(handle, method, args, kwargs, node)
-        if kind == "event":
-            return self._event_call(handle, method, args, kwargs, node)
-        if kind == "mpi":
-            return self._mpiworld_call(handle, method, args, kwargs, node)
-        if kind == "comm":
-            return self._comm_call(handle, method, args, kwargs, node)
-        if kind == "window":
-            return self._window_call(handle, method, args, kwargs, node)
-        if kind == "gasnet":
-            if method in _GASNET_BLOCKING:
-                self.emit(kind=f"gasnet.{method}", method=method, node=node,
-                          nbytes=0, is_mpi_block=True)
-                return None
-            return handle  # get()/attach() chains return the world
-        if kind == "cluster":
-            if method == "shared":
-                # Model Cluster.shared(key, factory) as the get-or-create
-                # singleton it is: evaluate the factory once per key so
-                # the produced value (shape, itemsize) flows through —
-                # apps share e.g. their generated input arrays this way.
-                key = self._arg(args, kwargs, 0, "key")
-                factory = self._arg(args, kwargs, 1, "factory")
-                try:
-                    hit = key in self._cluster_shared
-                except TypeError:
-                    return self.call(factory, [], {}, node)
-                if not hit:
-                    self._cluster_shared[key] = self.call(factory, [], {}, node)
-                return self._cluster_shared[key]
-            self.escape_args(args, kwargs)
+        row = protocol.ROWS.get((handle.kind, method))
+        if row is None:
+            # Not modelled: the arguments (and an event-array receiver) are
+            # paired by code the linter cannot see.
+            self.escape_args([handle, *args], kwargs)
             return UNKNOWN
-        if kind == "finish":
-            return UNKNOWN
-        return UNKNOWN
+        call = _Call(handle, args, kwargs, node)
+        result = getattr(self, f"_ret_{row.returns}")(call)
+        if row.emits is not None and "scoped" not in row.classes:
+            peer = self.emit_call(row, call, result=result)
+            if "async" in row.classes:
+                self._post_async_events(kwargs, peer, node)
+        if row.warn is not None:
+            self.warn(row.warn)
+        self.escape_args([kwargs.get(name) for name in row.escapes], {})
+        return result
 
-    def _arg(self, args: list[Any], kwargs: dict[str, Any], idx: int, name: str,
-             default: Any = None) -> Any:
-        if idx < len(args):
-            return args[idx]
-        return kwargs.get(name, default)
-
-    def _image_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
+    def emit_call(
+        self, row: protocol.Row, call: _Call, *, method: str | None = None,
+        result: Any = None,
     ) -> Any:
-        if method == "allocate_coarray":
-            shape = self._arg(args, kwargs, 0, "shape", UNKNOWN)
-            dims = shape if isinstance(shape, (tuple, list)) else (shape,)
-            itemsize = self._itemsize_from(self._arg(args, kwargs, 1, "dtype"), 8)
-            return HandleVal(
-                "coarray", uid=next(self.uid),
-                meta={"shape": tuple(int(d) if is_int(d) else UNKNOWN for d in dims),
-                      "itemsize": itemsize,
-                      "line": node.lineno},
-            )
-        if method == "allocate_events":
-            nslots = self._arg(args, kwargs, 0, "nslots", 1)
-            return HandleVal(
-                "event", uid=next(self.uid),
-                meta={"nslots": int(nslots) if is_int(nslots) else 1,
-                      "line": node.lineno},
-            )
-        if method == "mpi":
-            return self._mpi_world()
-        if method == "this_image":
-            return self.rank if not args else UNKNOWN
-        if method == "num_images":
-            return self.nranks if not args else UNKNOWN
-        if method in _IMG_COLLECTIVES:
-            suffix = _IMG_COLLECTIVES[method]
-            buf = self._arg(args, kwargs, 0, "buf" if suffix == "broadcast" else "send")
-            nbytes = 0 if suffix == "barrier" else self.nbytes_of(buf)
-            self.emit(kind=f"caf.coll.{suffix}", method=method, node=node,
-                      nbytes=nbytes, nelems=self.nelems_of(buf) if suffix != "barrier" else 0,
-                      is_sync=True)
-            return None
-        if method in ("team_broadcast_async", "team_reduce_async",
-                      "team_allreduce_async", "team_alltoall_async",
-                      "team_allgather_async"):
-            base = method[len("team_"):-len("_async")]
-            buf = args[0] if args else None
-            self.emit(kind=f"caf.coll.{base}", method=method, node=node,
-                      nbytes=self.nbytes_of(buf), is_sync=False)
-            self.escape_args([], {k: v for k, v in kwargs.items()
-                              if k in ("data_event", "op_event")})
-            return None
-        if method == "sync_images":
-            self.emit(kind="caf.coll.sync_images", method=method, node=node,
-                      nbytes=0, is_sync=True)
-            return None
-        if method == "cofence":
-            self.emit(kind="caf.cofence", method=method, node=node, nbytes=0,
-                      is_sync=True)
-            return None
-        if method == "finish":
-            return HandleVal("finish", uid=next(self.uid))
-        if method == "copy_async":
-            dest_image = self._arg(args, kwargs, 1, "dest_image")
-            data = self._arg(args, kwargs, 2, "data")
-            self.emit(kind="caf.async_copy", method=method, node=node,
-                      peer=dest_image, nbytes=self.nbytes_of(data),
-                      nelems=self.nelems_of(data), is_caf_put=True)
-            self._post_async_events(kwargs, dest_image, node)
-            return None
-        if method == "spawn" or method == "spawn_future":
-            target = self._arg(args, kwargs, 0, "target")
-            self.emit(kind="caf.spawn", method=method, node=node, peer=target)
-            self.warn("spawn")
-            self.escape_args(args[2:], kwargs)
-            return UNKNOWN
-        if method == "serve":
-            self.emit(kind="caf.serve", method=method, node=node, is_sync=True)
-            self.warn("serve")
-            return None
-        if method in ("compute", "profile"):
-            return HandleVal("finish", uid=-1) if method == "profile" else None
-        if method == "now":
-            return UNKNOWN
-        if method == "failed_images":
-            return []
-        if method in ("team_split", "shrink_team"):
-            return UNKNOWN
-        return UNKNOWN
+        """Emit ``row``'s op for one call; returns the resolved peer."""
+        meta = call.handle.meta
+        peer = self.rank if row.peer == "self" else self._operand(row.peer, call)
+        if row.buf is not None:
+            nbytes = self.nbytes_of(self._operand(row.buf, call), meta.get("itemsize"))
+        elif row.nbytes == "result":
+            nbytes = result.nbytes if isinstance(result, ArrayVal) else UNKNOWN
+        else:
+            nbytes = row.nbytes
+        event = None
+        if row.slot is not None:
+            slot = self._operand(row.slot, call)
+            event = (call.handle.uid, int(slot) if is_int(slot) else -1)
+        model = meta.get("memory_model")
+        self.emit(
+            row, method or row.method, call.node, peer=peer, nbytes=nbytes, event=event,
+            count=self._operand(row.count, call, 1),
+            bounded="bounded" in row.classes or call.kwargs.get("timeout") is not None,
+            note=model if isinstance(model, str) else None,
+        )
+        return peer
+
+    @staticmethod
+    def _operand(operand: protocol.Operand | None, call: _Call, missing: Any = None) -> Any:
+        """The value a call passes for a row's ``(index, keyword[, default])``."""
+        if operand is None:
+            return missing
+        idx, name, *default = operand
+        if idx < len(call.args):
+            return call.args[idx]
+        return call.kwargs.get(name, *default)
 
     def _post_async_events(self, kwargs: dict[str, Any], target: Any,
                            node: ast.Call) -> None:
@@ -2450,227 +1755,115 @@ class _RankRun:
                 ev, slot = pair
                 if isinstance(ev, HandleVal) and ev.kind == "event":
                     self.emit(
-                        kind="caf.event_notify", method=f"async:{key}", node=node,
-                        peer=peer, nbytes=0,
+                        _NOTIFY, f"async:{key}", node, peer=peer, nbytes=0,
                         event=(ev.uid, int(slot) if is_int(slot) else 0),
                     )
                 elif pair is not None:
                     self.escape_args([pair], {})
 
-    def _coarray_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
-    ) -> Any:
-        itemsize = handle.meta.get("itemsize", 8)
-        shape = handle.meta.get("shape", (UNKNOWN,))
-        if method in ("write", "write_section"):
-            target = self._arg(args, kwargs, 0, "target")
-            data = args[-1] if len(args) >= 2 else kwargs.get("data")
-            self.emit(kind="caf.coarray_write", method=method, node=node,
-                      peer=target, nbytes=self.nbytes_of(data, itemsize),
-                      nelems=self.nelems_of(data), is_caf_put=True)
-            return None
-        if method == "read":
-            target = self._arg(args, kwargs, 0, "target")
-            offset = self._arg(args, kwargs, 1, "offset", 0)
-            count = self._arg(args, kwargs, 2, "count")
-            if count is None:
-                total = 1
-                for d in shape:
-                    if not is_int(d):
-                        total = None
-                        break
-                    total *= int(d)
-                if total is not None and is_int(offset):
-                    count = max(total - int(offset), 0)
-                else:
-                    count = UNKNOWN
-            n = int(count) if is_int(count) else UNKNOWN
-            self.emit(kind="caf.coarray_read", method=method, node=node,
-                      peer=target,
-                      nbytes=n * itemsize if is_int(n) else UNKNOWN,
-                      nelems=n, is_caf_put=True)
-            return ArrayVal((n,), itemsize, None)
-        if method == "read_section":
-            target = self._arg(args, kwargs, 0, "target")
-            key = self._arg(args, kwargs, 1, "key")
-            result = self._array_getitem(ArrayVal(shape, itemsize, None),
-                                         key if key is not None else UNKNOWN)
-            out = result if isinstance(result, ArrayVal) else ArrayVal((UNKNOWN,), itemsize, None)
-            self.emit(kind="caf.coarray_read", method=method, node=node,
-                      peer=target, nbytes=out.nbytes, nelems=out.size,
-                      is_caf_put=True)
-            return out
-        if method in ("write_async", "read_async"):
-            target = self._arg(args, kwargs, 0, "target")
-            if method == "write_async":
-                data = self._arg(args, kwargs, 1, "data")
-                nbytes = self.nbytes_of(data, itemsize)
-                nelems = self.nelems_of(data)
-            else:
-                count = kwargs.get("count", UNKNOWN)
-                nelems = int(count) if is_int(count) else UNKNOWN
-                nbytes = nelems * itemsize if is_int(nelems) else UNKNOWN
-            kind = "caf.async_write" if method == "write_async" else "caf.async_read"
-            self.emit(kind=kind, method=method, node=node, peer=target,
-                      nbytes=nbytes, nelems=nelems, is_caf_put=True)
-            self._post_async_events(kwargs, target, node)
-            predicate = kwargs.get("predicate")
-            if predicate is not None:
-                self.escape_args([predicate], {})
-            if method == "read_async":
-                return ArrayVal((nelems,), itemsize, None)
-            return None
+    def _ret_none(self, call: _Call) -> Any:
+        return None
+
+    def _ret_unknown(self, call: _Call) -> Any:
         return UNKNOWN
 
-    def _event_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
-    ) -> Any:
-        if method == "notify":
-            target = self._arg(args, kwargs, 0, "target")
-            slot = self._arg(args, kwargs, 1, "slot", 0)
-            self.emit(kind="caf.event_notify", method=method, node=node,
-                      peer=target, nbytes=0,
-                      event=(handle.uid, int(slot) if is_int(slot) else -1))
-            return None
-        if method == "wait":
-            slot = self._arg(args, kwargs, 0, "slot", 0)
-            count = self._arg(args, kwargs, 1, "count", 1)
-            timeout = kwargs.get("timeout")
-            self.emit(kind="caf.event_wait", method=method, node=node,
-                      peer=self.rank, nbytes=0,
-                      event=(handle.uid, int(slot) if is_int(slot) else -1),
-                      count=count, bounded=timeout is not None, is_sync=True)
-            return None
-        if method == "trywait":
-            slot = self._arg(args, kwargs, 0, "slot", 0)
-            self.emit(kind="caf.event_trywait", method=method, node=node,
-                      peer=self.rank, nbytes=0,
-                      event=(handle.uid, int(slot) if is_int(slot) else -1),
-                      bounded=True)
-            return UNKNOWN
-        if method == "count":
-            return UNKNOWN
-        if method == "on_next_post":
-            handle.escaped = True
-            self.warn(f"escape:event#{handle.uid}")
-            return None
+    def _ret_self(self, call: _Call) -> Any:
+        return call.handle  # MpiWorld.get(cluster) / GasnetWorld.get(cluster) chains
+
+    def _ret_rank(self, call: _Call) -> Any:
+        return self.rank if not call.args else UNKNOWN  # a team argument: not modelled
+
+    def _ret_nranks(self, call: _Call) -> Any:
+        return self.nranks if not call.args else UNKNOWN
+
+    def _ret_mpi(self, call: _Call) -> Any:
+        return self.singleton("mpi")
+
+    def _ret_gasnet(self, call: _Call) -> Any:
+        return self.singleton("gasnet")
+
+    def _ret_coarray(self, call: _Call) -> Any:
+        shape = self._operand((0, "shape", UNKNOWN), call)
+        dims = shape if isinstance(shape, (tuple, list)) else (shape,)
+        itemsize = self._itemsize_from(self._operand((1, "dtype"), call), 8)
+        return HandleVal(
+            "coarray", uid=next(self.uid),
+            meta={"shape": tuple(int(d) if is_int(d) else UNKNOWN for d in dims),
+                  "itemsize": itemsize,
+                  "line": call.node.lineno},
+        )
+
+    def _ret_event(self, call: _Call) -> Any:
+        nslots = self._operand((0, "nslots", 1), call)
+        return HandleVal(
+            "event", uid=next(self.uid),
+            meta={"nslots": int(nslots) if is_int(nslots) else 1,
+                  "line": call.node.lineno},
+        )
+
+    def _ret_window(self, call: _Call) -> Any:
+        memory_model = call.kwargs.get("memory_model", "unified")
+        nelems = self._operand((0, "nelems"), call)
+        return HandleVal(
+            "window", uid=next(self.uid),
+            meta={"memory_model": memory_model if isinstance(memory_model, str)
+                  else UNKNOWN,
+                  "shape": (int(nelems) if is_int(nelems) else UNKNOWN,),
+                  "itemsize": self._itemsize_from(call.kwargs.get("dtype"), 8),
+                  "line": call.node.lineno},
+        )
+
+    def _ret_window_local(self, call: _Call) -> Any:
+        return self._local_view(call.handle)
+
+    def _ret_finish(self, call: _Call) -> Any:
+        return HandleVal("finish", uid=next(self.uid))
+
+    def _ret_spawned(self, call: _Call) -> Any:
+        self.escape_args(call.args[2:], call.kwargs)  # the shipped function's arguments
         return UNKNOWN
 
-    def _mpiworld_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
-    ) -> Any:
-        if method in ("win_allocate", "win_allocate_shared", "win_create_dynamic"):
-            memory_model = kwargs.get("memory_model", "unified")
-            nelems = self._arg(args, kwargs, 0, "nelems")
-            itemsize = self._itemsize_from(kwargs.get("dtype"), 8)
-            self.emit(kind="mpi.win.allocate", method=method, node=node,
-                      nbytes=0, is_mpi_block=True)
-            return HandleVal(
-                "window", uid=next(self.uid),
-                meta={"memory_model": memory_model if isinstance(memory_model, str)
-                      else UNKNOWN,
-                      "nelems": int(nelems) if is_int(nelems) else UNKNOWN,
-                      "itemsize": itemsize, "line": node.lineno},
-            )
-        if method in ("get", "init"):
-            return handle
+    def _ret_read(self, call: _Call) -> Any:
+        """``read(target, offset=0, count=None)``: count defaults to the
+        rest of the coarray past ``offset``."""
+        offset = self._operand((1, "offset", 0), call)
+        count = self._operand((2, "count"), call)
+        if count is None:
+            total = self._local_view(call.handle).size
+            count = max(total - int(offset), 0) if is_int(total) and is_int(offset) else UNKNOWN
+        n = int(count) if is_int(count) else UNKNOWN
+        return ArrayVal((n,), call.handle.meta.get("itemsize", 8), None)
+
+    def _ret_read_section(self, call: _Call) -> Any:
+        key = self._operand((1, "key", UNKNOWN), call)
+        result = self._array_getitem(self._local_view(call.handle), key)
+        if isinstance(result, ArrayVal):
+            return result
+        return ArrayVal((UNKNOWN,), call.handle.meta.get("itemsize", 8), None)
+
+    def _ret_read_async(self, call: _Call) -> Any:
+        count = call.kwargs.get("count", UNKNOWN)
+        return ArrayVal((int(count) if is_int(count) else UNKNOWN,),
+                        call.handle.meta.get("itemsize", 8), None)
+
+    def _ret_sendrecv(self, call: _Call) -> Any:
+        """``sendrecv(sendbuf, dest, recvbuf, source)`` is the send row's op
+        over the first two operands and the recv row's over the last two."""
+        for row, operands in ((_SEND, call.args[:2]), (_RECV, call.args[2:])):
+            self.emit_call(row, call._replace(args=operands), method="sendrecv")
         return UNKNOWN
 
-    def _comm_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
-    ) -> Any:
-        if method in _COMM_COLLECTIVES:
-            buf = args[0] if args else None
-            nbytes = 0 if method == "barrier" else self.nbytes_of(buf)
-            self.emit(kind=f"mpi.coll.{method}", method=method, node=node,
-                      nbytes=nbytes,
-                      nelems=0 if method == "barrier" else self.nelems_of(buf),
-                      is_mpi_block=True, is_sync=False)
-            return None
-        if method == "send":
-            dest = self._arg(args, kwargs, 1, "dest")
-            self.emit(kind="mpi.send", method=method, node=node, peer=dest,
-                      nbytes=self.nbytes_of(args[0] if args else None),
-                      nelems=self.nelems_of(args[0] if args else None),
-                      is_mpi_block=True)
-            return None
-        if method == "recv":
-            source = self._arg(args, kwargs, 1, "source")
-            self.emit(kind="mpi.recv", method=method, node=node, peer=source,
-                      nbytes=self.nbytes_of(args[0] if args else None),
-                      is_mpi_block=True)
-            return UNKNOWN
-        if method == "sendrecv":
-            dest = self._arg(args, kwargs, 1, "dest")
-            source = self._arg(args, kwargs, 3, "source")
-            self.emit(kind="mpi.send", method=method, node=node, peer=dest,
-                      nbytes=self.nbytes_of(args[0] if args else None),
-                      is_mpi_block=True)
-            self.emit(kind="mpi.recv", method=method, node=node, peer=source,
-                      nbytes=self.nbytes_of(args[2] if len(args) > 2 else None),
-                      is_mpi_block=True)
-            return UNKNOWN
-        if method == "isend":
-            dest = self._arg(args, kwargs, 1, "dest")
-            self.emit(kind="mpi.isend", method=method, node=node, peer=dest,
-                      nbytes=self.nbytes_of(args[0] if args else None))
-            return UNKNOWN
-        if method == "irecv":
-            source = self._arg(args, kwargs, 1, "source")
-            self.emit(kind="mpi.irecv", method=method, node=node, peer=source,
-                      nbytes=self.nbytes_of(args[0] if args else None))
-            return UNKNOWN
-        if method == "probe":
-            self.emit(kind="mpi.probe", method=method, node=node, is_mpi_block=True)
-            return UNKNOWN
-        if method in ("ibarrier", "iallreduce", "ibcast", "ialltoall"):
-            self.emit(kind=f"mpi.coll.{method[1:]}", method=method, node=node,
-                      nbytes=self.nbytes_of(args[0] if args else None))
-            return UNKNOWN
-        if method == "iprobe":
-            return UNKNOWN
-        return UNKNOWN
-
-    def _window_call(
-        self, handle: HandleVal, method: str, args: list[Any],
-        kwargs: dict[str, Any], node: ast.Call,
-    ) -> Any:
-        itemsize = handle.meta.get("itemsize", 8)
-        if method in _WIN_RMA:
-            suffix, target_idx = _WIN_RMA[method]
-            target = self._arg(args, kwargs, target_idx, "target")
-            data = args[0] if args else None
-            self.emit(kind=f"mpi.win.{suffix}" if suffix != "rput" else "mpi.rput",
-                      method=method, node=node, peer=target,
-                      nbytes=self.nbytes_of(data, itemsize),
-                      nelems=self.nelems_of(data))
-            if method.startswith("r"):
-                return UNKNOWN  # request
-            return None
-        if method in ("flush", "flush_local"):
-            target = self._arg(args, kwargs, 0, "target")
-            self.emit(kind=f"mpi.win.{method}", method=method, node=node,
-                      peer=target, nbytes=0, is_mpi_block=True)
-            return None
-        if method in ("flush_all", "flush_local_all"):
-            self.emit(kind=f"mpi.win.{method}", method=method, node=node,
-                      nbytes=0, is_mpi_block=True)
-            return None
-        if method in ("lock", "unlock", "lock_all", "unlock_all", "fence", "sync"):
-            target = self._arg(args, kwargs, 0, "target") if method in (
-                "lock", "unlock") else None
-            model = handle.meta.get("memory_model")
-            self.emit(kind=f"mpi.win.{method}", method=method, node=node,
-                      peer=target, nbytes=0,
-                      is_mpi_block=method in ("fence", "lock", "unlock"),
-                      note=model if isinstance(model, str) else None)
-            return None
-        if method in ("attach", "detach", "shared_query", "region"):
-            if method == "shared_query":
-                return ArrayVal((handle.meta.get("nelems", UNKNOWN),), itemsize, None)
-            return UNKNOWN
-        return UNKNOWN
+    def _ret_shared(self, call: _Call) -> Any:
+        """``Cluster.shared(key, factory)`` is a get-or-create singleton:
+        evaluate the factory once per key so the produced value (shape,
+        itemsize) flows through — apps share their generated input arrays
+        this way."""
+        key = self._operand((0, "key"), call)
+        factory = self._operand((1, "factory"), call)
+        try:
+            hit = key in self._cluster_shared
+        except TypeError:
+            return self.call(factory, [], {}, call.node)
+        if not hit:
+            self._cluster_shared[key] = self.call(factory, [], {}, call.node)
+        return self._cluster_shared[key]

@@ -17,6 +17,7 @@ count, then emits:
 
 from __future__ import annotations
 
+from .. import protocol
 from ..findings import Finding
 from ..model import ModuleModel
 from . import sym as symlib
@@ -40,15 +41,6 @@ PROBE_STEP_BUDGET = 6_000
 #: Payload sizes at or below this are "tiny" for CAF014 (a scalar flag or
 #: a couple of elements — far below any eager threshold).
 EAGER_TINY_BYTES = 64
-
-_P2P_PUT_KINDS = {
-    "caf.coarray_write",
-    "caf.async_write",
-    "mpi.send",
-    "mpi.isend",
-    "mpi.win.put",
-    "mpi.rput",
-}
 
 
 def compile_streams(model: ModuleModel) -> ModuleStreams:
@@ -158,7 +150,7 @@ def _perf_rule_for(op: StreamOp) -> str | None:
             return "CAF013"
         return None
     if (
-        op.kind in _P2P_PUT_KINDS
+        op.kind in protocol.MESSAGE_KINDS
         and op.nbytes is not None
         and 0 < op.nbytes <= EAGER_TINY_BYTES
         and trip.order_in_p() in (ORDER_LINEAR, ORDER_POLY)

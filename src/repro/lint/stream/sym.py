@@ -21,7 +21,6 @@ evaluates to ``None`` and has unknown order — rules stay quiet on it.
 from __future__ import annotations
 
 import ast
-import math
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -90,16 +89,6 @@ class Sym:
     def const_value(self) -> float | int | None:
         return self.args[0] if self.kind == "const" else None
 
-    def free_vars(self) -> set[str]:
-        if self.kind == "var":
-            return {self.args[0]}
-        if self.kind in ("op", "call"):
-            out: set[str] = set()
-            for child in self.args[1:]:
-                out |= child.free_vars()
-            return out
-        return set()
-
     def evaluate(self, env: Mapping[str, float | int]) -> float | int | None:
         """Concrete value under ``env``, or None when underdetermined."""
         if self.kind == "const":
@@ -115,16 +104,7 @@ class Sym:
                 return _BINOPS[symbol](*vals)
             except (ZeroDivisionError, ValueError, OverflowError):
                 return None
-        if self.kind == "call":
-            fn = self.args[0]
-            vals = [c.evaluate(env) for c in self.args[1:]]
-            if any(v is None for v in vals):
-                return None
-            try:
-                return _CALLS[fn](*vals)
-            except (ZeroDivisionError, ValueError, OverflowError):
-                return None
-        return None
+        return None  # a call (log2, sqrt, ...) or an unknown: underdetermined
 
     def order_in_p(self) -> int:
         """Asymptotic order of this expression in the image count ``P``."""
@@ -143,22 +123,8 @@ class Sym:
                 nontrivial = [o for o in orders if o != ORDER_CONST]
                 if not nontrivial:
                     return ORDER_CONST
-                if len(nontrivial) == 1:
-                    return nontrivial[0]
-                return ORDER_POLY
-            if symbol in ("/", "//"):
-                num, den = orders
-                if den == ORDER_CONST:
-                    return num
-                return ORDER_UNKNOWN  # P/P-style ratios: stay quiet
-            if symbol in ("%",):
-                return orders[0]
-            if symbol in ("**", "<<"):
-                base, exp = orders
-                if exp != ORDER_CONST:
-                    return ORDER_POLY  # 2**P style blowup
-                return ORDER_POLY if base != ORDER_CONST else ORDER_CONST
-            return ORDER_UNKNOWN
+                return nontrivial[0] if len(nontrivial) == 1 else ORDER_POLY
+            return ORDER_UNKNOWN  # ratios, powers, shifts: stay quiet
         if self.kind == "call":
             fn = self.args[0]
             orders = [c.order_in_p() for c in self.args[1:]]
@@ -167,17 +133,12 @@ class Sym:
             if fn in ("log2", "log"):
                 inner = orders[0]
                 return ORDER_LOG if inner != ORDER_CONST else ORDER_CONST
-            if fn in ("int", "ceil", "floor", "abs", "sqrt", "max", "min"):
-                return max(orders) if orders else ORDER_CONST
             return ORDER_UNKNOWN
         return ORDER_UNKNOWN
 
     def text(self) -> str:
         if self.kind == "const":
-            value = self.args[0]
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            return str(value)
+            return str(self.args[0])
         if self.kind == "var":
             return str(self.args[0])
         if self.kind == "op":
@@ -210,17 +171,8 @@ _BINOPS: dict[str, Callable[..., Any]] = {
     "min": lambda a, b: min(a, b),
 }
 
-_CALLS: dict[str, Callable[..., Any]] = {
-    "log2": math.log2,
-    "log": math.log,
-    "sqrt": math.sqrt,
-    "int": int,
-    "ceil": math.ceil,
-    "floor": math.floor,
-    "abs": abs,
-    "max": max,
-    "min": min,
-}
+#: Calls that translate into a ``call`` node (``max``/``min`` of two: an op).
+_CALLS = ("log2", "log", "sqrt", "int", "ceil", "floor", "abs", "max", "min")
 
 _AST_BINOPS = {
     ast.Add: "+",
@@ -272,8 +224,6 @@ def from_ast(
         if symbol is None:
             return UNKNOWN
         return Sym.op(symbol, from_ast(node.left, params), from_ast(node.right, params))
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return Sym.op("-", Sym.const(0), from_ast(node.operand, params))
     if isinstance(node, ast.Call):
         fn = _call_name(node)
         if fn in ("num_images", "this_image"):
@@ -284,8 +234,6 @@ def from_ast(
                 return Sym.op(fn, *children)
             if len(children) == 1:
                 return Sym.call(fn, children[0])
-        if fn == "len":
-            return UNKNOWN
         return UNKNOWN
     return UNKNOWN
 
@@ -307,7 +255,4 @@ def trip_from_range(call: ast.Call, params: set[str] | None = None) -> Sym:
         return from_ast(args[0], params)
     if len(args) == 2:
         return Sym.op("-", from_ast(args[1], params), from_ast(args[0], params))
-    if len(args) == 3:
-        span = Sym.op("-", from_ast(args[1], params), from_ast(args[0], params))
-        return Sym.op("//", span, from_ast(args[2], params))
-    return UNKNOWN
+    return UNKNOWN  # a stepped range

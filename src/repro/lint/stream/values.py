@@ -81,12 +81,13 @@ class ArrayVal:
 
 @dataclass
 class HandleVal:
-    """A protocol object: a coarray, event array, MPI world/comm, window,
-    GASNet world, or the image itself. ``uid`` identifies the allocation
-    site so aliased handles account together; ``meta`` carries e.g. the
-    coarray's element shape/itemsize or the event array's slot count."""
+    """A protocol object. ``kind`` is the receiver kind its calls are
+    looked up under in :mod:`repro.lint.protocol`; ``uid`` identifies the
+    allocation site so aliased handles account together; ``meta`` carries
+    e.g. a coarray's or window's shape/itemsize or the event array's slot
+    count."""
 
-    kind: str  # image|coarray|event|mpi|comm|window|gasnet|team|finish
+    kind: str  # image|coarray|event|mpi_world|mpi|comm|window|gasnet_world|gasnet|cluster|finish
     uid: int = -1
     meta: dict[str, Any] = field(default_factory=dict)
     escaped: bool = False

@@ -10,7 +10,7 @@ complexity lattice the symbolic stream tier uses
 versioned ScalingReport artifact naming each op's fitted order with
 residuals, flags regressions against a declared-expectation table, and
 cross-checks the fitted orders against the static cost model
-(:func:`repro.ir.costs.static_op_seconds`) — the dynamic half of the
+(:func:`repro.lint.stream.estimate.static_op_seconds`) — the dynamic half of the
 CAF011 flush-all-in-hot-loop analysis, so static and dynamic views
 validate each other.
 
@@ -82,13 +82,6 @@ DEFAULT_EXPECTATIONS: dict[str, dict[str, str]] = {
         "caf.event_notify": "const",
         "gasnet.am": "const",
     },
-}
-
-#: Runtime metric kind -> static cost-model kind, where the two vocabularies
-#: differ (the obs layer records the MPI window ops under short names).
-_STATIC_KIND: dict[str, str] = {
-    "mpi.flush_all": "mpi.win.flush_all",
-    "mpi.flush": "mpi.win.flush",
 }
 
 #: Kinds whose static per-call *origin* cost model is meaningful to
@@ -202,7 +195,8 @@ def static_order(
 ) -> int | None:
     """The static cost model's predicted order for ``kind``, or ``None``.
 
-    Probes :func:`repro.ir.costs.static_op_seconds` at several rank counts
+    Probes :func:`~repro.lint.stream.estimate.static_op_seconds` (which
+    takes the runtime's name for a kind) at several rank counts
     and classifies the curve with the same fitter — so the symbolic
     stream tier's prediction (CAF011's O(trip x P) analysis rides the same
     model) and the measured fit land on one lattice. Kinds outside
@@ -219,12 +213,11 @@ def static_order(
         # The idle walk is the fixed ``mpi_flush_all_idle`` cost — constant
         # in P by construction; no rank-dependent formula to probe.
         return ORDER_CONST
-    from repro.ir.costs import static_op_seconds
+    from repro.lint.stream.estimate import static_op_seconds
 
-    skind = _STATIC_KIND.get(kind, kind)
     nb = np.array([nbytes], dtype=np.float64)
     ys = [
-        float(static_op_seconds(skind, nb, spec, p)[0])
+        float(static_op_seconds(kind, nb, spec, p)[0])
         for p in _STATIC_PROBE_RANKS
     ]
     return fit_order(_STATIC_PROBE_RANKS, ys, tol=tol).order

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import lint_source
+from repro.lint.engine import syntactic_findings
 from repro.lint.model import build_model
 from repro.lint.stream import check_stream, compile_streams
 from repro.lint.stream.match import analyze_entry
@@ -27,8 +28,7 @@ LEGACY = sorted(
 def stream_findings(source: str, path: str = "test.py"):
     source = textwrap.dedent(source)
     model = build_model(ast.parse(source), path)
-    syntactic = lint_source(source, path, stream=False)
-    return check_stream(model, syntactic)
+    return check_stream(model, syntactic_findings(model))
 
 
 def problems_for(source: str):
@@ -50,7 +50,7 @@ def test_stream_tier_adds_nothing_on_legacy_fixtures(path):
     expected set, ok ones must stay clean."""
     source = path.read_text()
     model = build_model(ast.parse(source), str(path))
-    syntactic = lint_source(source, str(path), stream=False)
+    syntactic = syntactic_findings(model)
     assert stream_findings(source, str(path)) == [] or all(
         f.rule.startswith("CAF01") for f in check_stream(model, syntactic)
     )
@@ -77,7 +77,7 @@ def test_interprocedural_fig2_found_by_matcher_not_syntactic():
         _push(img, co)
         comm.barrier()
     """
-    syntactic = lint_source(textwrap.dedent(src), "t.py", stream=False)
+    syntactic = syntactic_findings(build_model(ast.parse(textwrap.dedent(src)), "t.py"))
     assert syntactic == []  # per-function scan cannot see across the call
     findings = stream_findings(src)
     assert [f.rule for f in findings] == ["CAF012"]
@@ -127,7 +127,7 @@ def test_caf006_same_function_suppresses_caf012():
         comm.barrier()
     """
     source = textwrap.dedent(src)
-    syntactic = lint_source(source, "t.py", stream=False)
+    syntactic = syntactic_findings(build_model(ast.parse(source), "t.py"))
     assert any(f.rule == "CAF006" for f in syntactic)
     full = lint_source(source, "t.py")
     assert not any(f.rule == "CAF012" for f in full)

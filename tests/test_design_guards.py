@@ -137,12 +137,14 @@ def test_message_path_builds_nothing_only_diagnostics_read():
 def test_prices_come_from_the_run_table():
     hits = [
         hit for hit in grep(r"\b(expression|price)\(", "src/repro")
-        if not re.match(r"src/repro/(sim|ir)/costs\.py:", hit)
+        if not re.match(r"src/repro/((sim|ir)/costs|lint/stream/estimate)\.py:", hit)
     ]
     assert not hits, (
         "spec and rank count are fixed for a run: ops go through "
         "costs.cost/charge/charge_in, which look the kind up in the run's "
-        "PricedTable; only sim/costs.py and ir/costs.py evaluate expressions",
+        "PricedTable; only sim/costs.py, ir/costs.py (replay) and "
+        "lint/stream/estimate.py (the pre-run estimator: no run, so no table) "
+        "evaluate expressions",
         hits,
     )
 
