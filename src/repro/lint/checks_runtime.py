@@ -22,6 +22,7 @@ import ast
 from repro.lint.findings import Finding
 from repro.lint.model import (
     BLOCKING_METHODS,
+    FUNCTIONS,
     MPI_BLOCKING_METHODS,
     PUT_METHODS,
     SYNC_METHODS,
@@ -41,7 +42,7 @@ def _is_sync(op: Op) -> bool:
 def _is_mpi_blocking(op: Op, model: ModuleModel) -> bool:
     if op.kind != "call" or op.method not in MPI_BLOCKING_METHODS:
         return False
-    if model.tag(op.recv) == "mpi":
+    if model.tag(op.recv) == "mpi" or op.method in FUNCTIONS:
         return True
     return "COMM_WORLD" in op.recv_text or "MpiWorld" in op.recv_text
 
@@ -135,7 +136,7 @@ def check_am_handlers(fn: FunctionInfo, model: ModuleModel) -> list[Finding]:
             return
         if (
             isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
+            and (isinstance(node.func, ast.Attribute) or method_name(node) in FUNCTIONS)
             and method_name(node) in BLOCKING_METHODS
         ):
             findings.append(

@@ -33,6 +33,7 @@ from repro.lint.protocol import (  # noqa: F401  (re-exported for the passes)
     ASYNC_METHODS,
     BLOCKING_METHODS,
     COLLECTIVE_METHODS,
+    FUNCTIONS,
     MPI_BLOCKING_METHODS,
     PUT_METHODS,
     SYNC_METHODS,

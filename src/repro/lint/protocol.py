@@ -67,7 +67,7 @@ class Row:
     no op for it, so ``--predict`` does not count it).
     """
 
-    recv: str  # receiver kind: the interpreter's HandleVal.kind
+    recv: str  # receiver kind: the interpreter's HandleVal.kind, or "function"
     method: str
     classes: Any = ""
     emits: str | None = None  # stream kind (None: the call emits nothing)
@@ -147,9 +147,9 @@ _ROWS = (
         peer=(1, "dest_image"), buf=(2, "data")),
     # -- Coarray (repro.caf.coarray) ---------------------------------------
     Row("coarray", "write", "put caf_put message", "caf.coarray_write", "put",
-        peer=_TARGET0, buf=(-1, "data")),
+        peer=_TARGET0, buf=(1, "data")),
     Row("coarray", "write_section", "put caf_put message", "caf.coarray_write", "put",
-        peer=_TARGET0, buf=(-1, "data")),
+        peer=_TARGET0, buf=(2, "data")),
     Row("coarray", "read", "get caf_put", "caf.coarray_read", "get",
         peer=_TARGET0, nbytes="result", returns="read"),
     Row("coarray", "read_section", "get caf_put", "caf.coarray_read", "get",
@@ -184,12 +184,13 @@ _ROWS = (
     Row("comm", "allgather", _MPI_COLL, "mpi.coll.allgather", "tree", buf=_BUF0),
     Row("comm", "ibarrier", _ICOLL, "mpi.coll.barrier", "tree", buf=_BUF0, returns="unknown"),
     Row("comm", "ibcast", _ICOLL, "mpi.coll.bcast", "tree", buf=_BUF0, returns="unknown"),
-    Row("comm", "ireduce", _ICOLL, returns="unknown"),
+    Row("comm", "ireduce", _ICOLL, "mpi.coll.reduce", "tree", buf=_BUF0, returns="unknown"),
     Row("comm", "iallreduce", _ICOLL, "mpi.coll.allreduce", "tree", buf=_BUF0,
         returns="unknown"),
     Row("comm", "ialltoall", _ICOLL, "mpi.coll.alltoall", "tree", buf=_BUF0,
         returns="unknown"),
-    Row("comm", "iallgather", _ICOLL, returns="unknown"),
+    Row("comm", "iallgather", _ICOLL, "mpi.coll.allgather", "tree", buf=_BUF0,
+        returns="unknown"),
     Row("comm", "send", "blocking mpi_blocking foreign_block message", "mpi.send", "table",
         peer=(1, "dest"), buf=_BUF0),
     Row("comm", "recv", "blocking mpi_blocking foreign_block", "mpi.recv", "table",
@@ -210,8 +211,8 @@ _ROWS = (
     _rma("get_accumulate", "get", "mpi.win.get_accumulate", 2),
     _rma("fetch_and_op", "get", "mpi.win.fetch_and_op", 2),
     _rma("compare_and_swap", "get", "mpi.win.compare_and_swap", 3),
-    Row("window", "put_runs", "put rma"),
-    Row("window", "get_runs", "get rma", returns="unknown"),
+    _rma("put_runs", "put", "mpi.put_runs", price="table"),
+    _rma("get_runs", "get", "mpi.get_runs", price="table", returns="unknown"),
     Row("window", "flush", "sync blocking foreign_block", "mpi.win.flush", "flush",
         "mpi.flush", peer=_TARGET0),
     Row("window", "flush_local", "sync foreign_block", "mpi.win.flush_local", "flush",
@@ -220,8 +221,8 @@ _ROWS = (
         "flush_all", "mpi.flush_all"),
     Row("window", "flush_local_all", "sync foreign_block", "mpi.win.flush_local_all",
         "flush"),
-    Row("window", "rflush", "sync", returns="unknown"),
-    Row("window", "rflush_all", "sync", returns="unknown"),
+    Row("window", "rflush", "sync", "mpi.rflush", "table", peer=_TARGET0, returns="unknown"),
+    Row("window", "rflush_all", "sync", "mpi.rflush_all", "table", returns="unknown"),
     Row("window", "lock", "blocking foreign_block", "mpi.win.lock", peer=_TARGET0, **_EPOCH),
     Row("window", "unlock", "sync blocking foreign_block", "mpi.win.unlock", peer=_TARGET0,
         **_EPOCH),
@@ -230,20 +231,25 @@ _ROWS = (
     Row("window", "fence", "sync blocking foreign_block", "mpi.win.fence", **_EPOCH),
     Row("window", "sync", "", "mpi.win.sync", **_EPOCH),
     Row("window", "shared_query", returns="window_local"),
-    # -- Request (repro.mpi.request) ---------------------------------------
+    # -- Request and the module function wait_all (repro.mpi.request) ------
     Row("request", "wait", "sync blocking mpi_blocking", returns="unknown"),
+    Row("function", "wait_all", "blocking mpi_blocking", returns="unknown"),
     # -- GasnetWorld / GasnetRank (repro.gasnet.core) ----------------------
     Row("gasnet_world", "get", returns="self"),
     Row("gasnet_world", "attach", returns="gasnet"),
-    Row("gasnet", "put", "put", returns="unknown"),
-    Row("gasnet", "get", "get", returns="unknown"),
+    Row("gasnet", "put", "put foreign_block", "gasnet.put", "table", peer=(0, "dest"),
+        buf=(2, "data")),
+    Row("gasnet", "get", "get foreign_block", "gasnet.get", "table", peer=(1, "src"),
+        buf=(0, "dest_buf")),
     Row("gasnet", "put_nb", "put", returns="unknown"),
     Row("gasnet", "get_nb", "get", returns="unknown"),
     Row("gasnet", "put_runs_nb", "put", returns="unknown"),
     Row("gasnet", "get_runs_nb", "get", returns="unknown"),
-    Row("gasnet", "wait_syncnb", "sync blocking", returns="unknown"),
-    Row("gasnet", "wait_syncnb_all", "sync blocking", returns="unknown"),
-    Row("gasnet", "block_until", "blocking", returns="unknown"),
+    Row("gasnet", "wait_syncnb", "sync blocking foreign_block bookkeeping",
+        "gasnet.wait_syncnb"),
+    Row("gasnet", "wait_syncnb_all", "sync blocking foreign_block bookkeeping",
+        "gasnet.wait_syncnb"),
+    Row("gasnet", "block_until", "blocking foreign_block bookkeeping", "gasnet.block_until"),
     # -- TeamExchange (repro.gasnet.collectives) ---------------------------
     Row("team", "barrier", _TEAM_COLL),
     Row("team", "bcast", _TEAM_COLL),
@@ -253,14 +259,6 @@ _ROWS = (
     Row("team", "alltoall", _TEAM_COLL),
     # -- Cluster (repro.sim.cluster): apps share generated inputs through it
     Row("cluster", "shared", returns="shared"),
-    # -- names no runtime class has, kept so this commit changes no answer --
-    Row("team", "broadcast", _TEAM_COLL),
-    Row("gasnet", "quiet", "sync blocking"),
-    Row("request", "waitall", "blocking mpi_blocking"),
-    Row("gasnet", "barrier", "foreign_block", "gasnet.barrier"),
-    Row("gasnet", "wait_syncnbi", "foreign_block", "gasnet.wait_syncnbi"),
-    Row("gasnet", "put_blocking", "foreign_block", "gasnet.put_blocking"),
-    Row("gasnet", "get_blocking", "foreign_block", "gasnet.get_blocking"),
 )
 
 #: Public methods of the runtime classes the linter deliberately has no row
@@ -308,6 +306,9 @@ BLOCKING_METHODS = _named("blocking")
 MPI_BLOCKING_METHODS = _named("mpi_blocking")
 #: Window RMA verbs (epoch rules).
 WINDOW_RMA_METHODS = _named("rma")
+#: Module-level functions (``repro.mpi.request.wait_all``): protocol calls
+#: with no receiver for the syntactic tier to tag.
+FUNCTIONS = frozenset(r.method for r in _ROWS if r.recv == "function")
 #: Allocator method -> the handle tag it produces.
 ALLOCATORS = {r.method: r.returns for r in _ROWS if "allocator" in r.classes}
 #: Stream kinds that inject one latency-bound message per call (CAF014).

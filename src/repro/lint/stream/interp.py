@@ -36,6 +36,8 @@ Documented heuristics (each adds a named warning to the stream):
 * ``mask-half`` — boolean-mask selection keeps half the extent.
 * ``steady-state`` — reassigning a known-size array from an unknown-size
   expression keeps the prior extent (RandomAccess's in-flight pool).
+* ``stale-list`` — a list method other than ``append`` was called: the
+  modelled list keeps its old contents, so event/recv accounting is off.
 """
 
 from __future__ import annotations
@@ -126,6 +128,7 @@ class RankStream:
                 "serve",
                 "escape",
                 "launch-clamped",
+                "stale-list",
             )
             for w in self.warnings
         )
@@ -1486,8 +1489,11 @@ class _RankRun:
             return None
         # Not modelled (every other list method, str methods, methods of
         # unknown objects): whatever the receiver or the arguments hold is
-        # handed to code the linter cannot see.
+        # handed to code the linter cannot see, and a list the call may
+        # have mutated keeps its old contents — so no counting on this run.
         self.escape_args([obj, *args], kwargs)
+        if isinstance(obj, list):
+            self.warn("stale-list")
         return UNKNOWN
 
     def _dict_method(self, obj: dict, name: str, args: list[Any]) -> Any:

@@ -12,5 +12,5 @@ def scatter_flags(img):
     co = img.allocate_coarray(img.nranks)
     for peer in range(img.nranks):
         # 8 bytes per message, img.nranks messages: O(P) injections.
-        co.write_section(peer, np.ones(1), start=img.rank, count=1)  # expected: CAF014
+        co.write_section(peer, slice(img.rank, img.rank + 1), np.ones(1))  # expected: CAF014
     img.sync_all()

@@ -90,3 +90,38 @@ def test_prediction_with_machine_spec_prices_ops():
     )
     assert pred.total_seconds > 0.0
     assert all(t.seconds >= 0.0 for t in pred.by_kind.values())
+
+
+#: Runtime calls the stream tier used to drop to UNKNOWN although the
+#: syntactic vocabulary listed them: each is one row of the protocol table.
+ONCE_DROPPED = {
+    "win.put_runs(np.ones(4), peer, [(0, 4)])": ("mpi.put_runs", 32),
+    "win.get_runs(np.empty(4), peer, [(0, 4)])": ("mpi.get_runs", 32),
+    "win.rflush(peer)": ("mpi.rflush", 0),
+    "win.rflush_all()": ("mpi.rflush_all", 0),
+    "comm.ireduce(np.ones(4), np.empty(4))": ("mpi.coll.reduce", 32),
+    "comm.iallgather(np.ones(4), np.empty(16))": ("mpi.coll.allgather", 32),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONCE_DROPPED))
+def test_prediction_counts_every_call_the_table_declares(call, tmp_path):
+    kind, nbytes = ONCE_DROPPED[call]
+    prog = tmp_path / "prog.py"
+    prog.write_text(
+        "import numpy as np\n"
+        "\n"
+        "def main(img, reps=3):\n"
+        "    mpi = img.mpi()\n"
+        "    comm = mpi.COMM_WORLD\n"
+        "    win = mpi.win_allocate(64)\n"
+        "    win.lock_all()\n"
+        "    peer = (img.rank + 1) % img.nranks\n"
+        "    for _ in range(reps):\n"
+        f"        {call}\n"
+        "    win.unlock_all()\n"
+    )
+    (pred,) = predict_file(prog, nranks=4, bindings={"reps": 3})
+    assert pred.aborted == []
+    assert pred.by_kind[kind].calls == 4 * 3
+    assert pred.by_kind[kind].nbytes == 4 * 3 * nbytes

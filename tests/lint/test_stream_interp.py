@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 import textwrap
 
+import pytest
+
+from repro.lint import lint_source
 from repro.lint.model import build_model
 from repro.lint.stream.interp import (
     StreamCompiler,
@@ -186,6 +189,36 @@ def test_interprocedural_ops_attributed_to_callee_site():
     assert put.func == "push"  # attributed where the call actually is
 
 
+def test_gasnet_blocking_calls_are_what_gasnet_rank_defines():
+    streams = compile_src(
+        """
+        import numpy as np
+        from repro.gasnet.core import GasnetWorld
+
+        def main(img, ctx=None):
+            gas = GasnetWorld.get(img.cluster).attach(ctx, 1 << 16)
+            peer = (img.rank + 1) % img.nranks
+            gas.put(peer, 0, np.ones(4))
+            h = gas.put_nb(peer, 64, np.ones(4))
+            gas.wait_syncnb(h)
+            gas.get(np.empty(2), peer, 0)
+            gas.block_until(lambda: True, "demo")
+        """
+    )
+    (entry,) = streams.entries
+    for rs in entry.ranks:
+        peer = (rs.rank + 1) % 4
+        assert [(op.kind, op.peer, op.nbytes) for op in rs.ops] == [
+            ("gasnet.put", peer, 32),
+            ("gasnet.wait_syncnb", None, 0),
+            ("gasnet.get", peer, 16),
+            ("gasnet.block_until", None, 0),
+        ]
+        # GasnetWorld.get(cluster) is the world accessor, not the rank's
+        # blocking get; put_nb only starts a transfer.
+        assert all(op.is_mpi_block for op in rs.ops)
+
+
 def test_dunder_main_block_is_skipped():
     streams = compile_src(
         """
@@ -231,3 +264,51 @@ def test_step_budget_aborts_instead_of_spinning():
     )
     (entry,) = streams.entries
     assert all(rs.aborted or rs.warnings for rs in entry.ranks)
+
+
+#: Python the interpreter does not model (no app, example, fixture or file
+#: of src/ uses it inside an entry point): each binds ``v`` from it.
+UNMODELLED = {
+    "zip": "v = len(list(zip(xs, xs)))",
+    "sorted": "v = sorted(xs)[0]",
+    "divmod": "v = divmod(7, 2)[0]",
+    "pow": "v = pow(2, 3)",
+    "any": "v = 4 if any(xs) else 8",
+    "all": "v = 4 if all(xs) else 8",
+    "set-literal": "v = len({1, 2, 3})",
+    "set-comprehension": "v = len({x for x in xs})",
+    "list.pop": "v = xs.pop()",
+    "list.index": "v = xs.index(2)",
+    "list.extend": "v = xs.extend([4]) or 4",
+    "list.insert": "v = xs.insert(0, 4) or 4",
+    "list.sort": "v = xs.sort() or 4",
+}
+
+
+@pytest.mark.parametrize("construct", sorted(UNMODELLED))
+def test_unmodelled_python_degrades_to_unknown(construct):
+    """What the interpreter does not model neither crashes nor accuses: the
+    value is UNKNOWN (here: a payload of unknown size), the ops around it
+    are still emitted on every rank, and lint reports nothing."""
+    source = textwrap.dedent(
+        f"""
+        import numpy as np
+
+        def main(img):
+            co = img.allocate_coarray(8)
+            xs = [3, 1, 2]
+            {UNMODELLED[construct]}
+            img.sync_all()
+            co.write((img.rank + 1) % img.nranks, np.ones(v))
+            img.sync_all()
+        """
+    )
+    (entry,) = compile_src(source, step_budget=400).entries
+    for rs in entry.ranks:
+        assert rs.aborted is None
+        assert [(op.method, op.nbytes) for op in rs.ops] == [
+            ("sync_all", 0),
+            ("write", None),
+            ("sync_all", 0),
+        ]
+    assert lint_source(source, "test.py") == []
