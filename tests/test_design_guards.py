@@ -187,3 +187,86 @@ def test_contracts_are_as_narrow_as_their_traffic():
         "message: fabric.send takes no reliable=",
         hits,
     )
+
+
+def _public_callables(owner) -> set[str]:
+    return {
+        name
+        for name, value in vars(owner).items()
+        if not name.startswith("_")
+        and inspect.isfunction(getattr(value, "__func__", value))
+    }
+
+
+def test_protocol_surface_is_declared_once():
+    import repro.mpi.request as request_module
+    from repro.caf.coarray import Coarray
+    from repro.caf.events import EventArray
+    from repro.caf.image import Image
+    from repro.gasnet.collectives import TeamExchange
+    from repro.gasnet.core import GasnetRank, GasnetWorld
+    from repro.lint import protocol
+    from repro.lint.stream import estimate, interp
+    from repro.mpi.comm import Comm
+    from repro.mpi.request import Request
+    from repro.mpi.window import Window
+    from repro.mpi.world import MpiRank, MpiWorld
+    from repro.sim.cluster import Cluster
+
+    classes = {
+        "image": Image, "coarray": Coarray, "event": EventArray, "mpi_world": MpiWorld,
+        "mpi": MpiRank, "comm": Comm, "window": Window, "request": Request,
+        "gasnet_world": GasnetWorld, "gasnet": GasnetRank, "team": TeamExchange,
+    }
+    owners = {**classes, "function": request_module, "cluster": Cluster}
+    declared = set(protocol.ROWS) | set(protocol.NOT_MODELLED)
+    assert len(declared) == len(protocol.ROWS) + len(protocol.NOT_MODELLED), (
+        "a call is either modelled or not: no (receiver, method) twice"
+    )
+    phantom = [key for key in declared if not callable(getattr(owners[key[0]], key[1], None))]
+    assert not phantom, ("rows name methods their runtime class does not have", phantom)
+    missing = [
+        (recv, name)
+        for recv, cls in classes.items()
+        for name in sorted(_public_callables(cls))
+        if (recv, name) not in declared
+    ]
+    assert not missing, (
+        "a public runtime method is neither a row of repro.lint.protocol nor in "
+        "its NOT_MODELLED tuple: declare what the linter should make of it",
+        missing,
+    )
+    for row in protocol.ROWS.values():
+        assert hasattr(interp._RankRun, f"_ret_{row.returns}"), row
+        assert not row.emits or row.price in protocol.PRICE_MODELS, row
+    for column in ("price", "records"):
+        per_kind: dict[str, set] = {}
+        for row in protocol.ROWS.values():
+            if row.emits:
+                per_kind.setdefault(row.emits, set()).add(getattr(row, column))
+        split = {kind: vals for kind, vals in per_kind.items() if len(vals) > 1}
+        assert not split, (f"rows emitting one stream kind disagree on its {column}", split)
+
+    hits = grep(r"frozenset\(|repro\.lint", "src/repro/ir")
+    hits = [hit for hit in hits if "import" in hit or "frozenset(" in hit]
+    assert not hits, (
+        "repro.ir holds the dynamic IR only: method-name vocabularies and "
+        "anything else only repro.lint reads live in repro.lint.protocol",
+        hits,
+    )
+    source = inspect.getsource(interp)
+    ladder = re.findall(r"if method (?:==|in \()", source[source.index("def protocol_call"):])
+    assert not ladder, (
+        "interp.py dispatches a runtime call by looking its row up, not by an "
+        "`if method ==` ladder",
+        ladder,
+    )
+    pricing = inspect.getsource(estimate.static_op_seconds)
+    direct = set(re.findall(r"spec\.((?:mpi|gasnet)_\w+)", pricing))
+    explained = set(re.findall(r"`spec\.(\w+)` \(flag-free", " ".join(protocol.PRICE_MODELS.values())))
+    assert direct == explained, (
+        "static pricing reads a runtime cost field off the spec only where "
+        "protocol.PRICE_MODELS says why no costs.TABLE row can price it",
+        direct ^ explained,
+    )
+    assert set(re.findall(r'"(\w+)": lambda', pricing)) | {"table"} == set(protocol.PRICE_MODELS)
