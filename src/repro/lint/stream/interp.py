@@ -769,7 +769,7 @@ class _RankRun:
                     break
                 except _ContinueSignal:
                     continue
-            if not broke and stmt.orelse:
+            if not broke:
                 self.exec_stmts(stmt.orelse, env)
         finally:
             self.loop_syms.pop()

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import ast
 import textwrap
+from pathlib import Path
 
+from repro.lint import protocol
 from repro.lint.model import build_model
 
 
@@ -90,3 +92,14 @@ def test_am_handler_registration_is_discovered():
         """
     )
     assert model.am_handlers == {"pong"}
+
+
+def test_architecture_doc_embeds_the_protocol_table():
+    doc = (Path(__file__).parents[2] / "docs" / "architecture.md").read_text()
+    assert protocol.render_table() in doc, (
+        "docs/architecture.md's protocol table is stale; regenerate it with\n"
+        "  PYTHONPATH=src python -c 'from repro.lint.protocol import render_table;"
+        " print(render_table())'"
+    )
+    for model, text in protocol.PRICE_MODELS.items():
+        assert f"* `{model}` — {text}" in doc, f"pricing model {model} is not in the doc"
