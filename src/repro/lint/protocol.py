@@ -86,13 +86,12 @@ class Row:
         object.__setattr__(self, "classes", frozenset(self.classes.split()))
 
 
-_TARGET0, _TARGET1 = (0, "target"), (1, "target")
+_TARGET0 = (0, "target")
 _BUF0 = (0, None)  # first positional argument, never passed by keyword
 _CAF_COLL = "collective sync blocking caf_sync"
 _MPI_COLL = "collective sync blocking mpi_blocking foreign_block"
 _ICOLL = "collective sync"
 _TEAM_COLL = "collective sync blocking"
-_EPOCH = dict(price="flush")
 
 
 def _caf_coll(method: str, kind: str, buf: Operand | None = None) -> Row:
@@ -106,10 +105,13 @@ def _caf_coll_async(kind: str) -> Row:
     )
 
 
-def _rma(method: str, classes: str, kind: str, target: int = 1, **kw: Any) -> Row:
+def _rma(
+    method: str, classes: str, kind: str, target: int = 1, *, price: str = "flush",
+    returns: str = "none",
+) -> Row:
     return Row(
-        "window", method, classes + " rma", kind, kw.pop("price", "flush"),
-        peer=(target, "target"), buf=_BUF0, **kw,
+        "window", method, classes + " rma", kind, price,
+        peer=(target, "target"), buf=_BUF0, returns=returns,
     )
 
 
@@ -223,13 +225,13 @@ _ROWS = (
         "flush"),
     Row("window", "rflush", "sync", "mpi.rflush", "table", peer=_TARGET0, returns="unknown"),
     Row("window", "rflush_all", "sync", "mpi.rflush_all", "table", returns="unknown"),
-    Row("window", "lock", "blocking foreign_block", "mpi.win.lock", peer=_TARGET0, **_EPOCH),
-    Row("window", "unlock", "sync blocking foreign_block", "mpi.win.unlock", peer=_TARGET0,
-        **_EPOCH),
-    Row("window", "lock_all", "blocking", "mpi.win.lock_all", **_EPOCH),
-    Row("window", "unlock_all", "sync blocking", "mpi.win.unlock_all", **_EPOCH),
-    Row("window", "fence", "sync blocking foreign_block", "mpi.win.fence", **_EPOCH),
-    Row("window", "sync", "", "mpi.win.sync", **_EPOCH),
+    Row("window", "lock", "blocking foreign_block", "mpi.win.lock", "flush", peer=_TARGET0),
+    Row("window", "unlock", "sync blocking foreign_block", "mpi.win.unlock", "flush",
+        peer=_TARGET0),
+    Row("window", "lock_all", "blocking", "mpi.win.lock_all", "flush"),
+    Row("window", "unlock_all", "sync blocking", "mpi.win.unlock_all", "flush"),
+    Row("window", "fence", "sync blocking foreign_block", "mpi.win.fence", "flush"),
+    Row("window", "sync", "", "mpi.win.sync", "flush"),
     Row("window", "shared_query", returns="window_local"),
     # -- Request and the module function wait_all (repro.mpi.request) ------
     Row("request", "wait", "sync blocking mpi_blocking", returns="unknown"),

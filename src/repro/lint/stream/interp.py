@@ -1712,7 +1712,8 @@ class _RankRun:
                 self._post_async_events(kwargs, peer, node)
         if row.warn is not None:
             self.warn(row.warn)
-        self.escape_args([kwargs.get(name) for name in row.escapes], {})
+        if row.escapes:
+            self.escape_args([kwargs.get(name) for name in row.escapes], {})
         return result
 
     def emit_call(
