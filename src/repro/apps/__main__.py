@@ -30,6 +30,7 @@ from repro.apps.verification import (
     verify_randomaccess,
 )
 from repro.caf.program import run_caf
+from repro.obs.capture import capture
 from repro.platforms import PLATFORMS
 from repro.util.tables import format_table
 
@@ -85,10 +86,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     spec = PLATFORMS[args.platform]
-    if args.record_ir is not None:
-        from repro.ir import record as ir_record
+    with capture(record_ir=args.record_ir) as session:
+        return _run_app(args, spec, session)
 
-        ir_record.start(args.record_ir)
+
+def _run_app(args: argparse.Namespace, spec, session) -> int:
     common = dict(
         backend=args.backend,
         trace=args.trace is not None,
@@ -172,12 +174,9 @@ def main(argv: list[str] | None = None) -> int:
         n = tel.snapshots_written if tel is not None else 0
         print(f"telemetry: {n} snapshot(s) -> {args.live}")
     if args.record_ir is not None:
-        from repro.ir import record as ir_record
-
-        written = ir_record.stop()
-        trace = ir_record.last_trace()
+        trace = session.last_trace
         nops = trace.nops if trace is not None else 0
-        for path in written:
+        for path in session.recorded:
             print(f"ir: {nops} ops -> {path}")
     return 0
 

@@ -140,7 +140,7 @@ def run_caf(
     bit-identical with metrics on or off.
 
     ``live`` arms the streaming telemetry tap (see :mod:`repro.obs.live`):
-    a path (or a prebuilt :class:`~repro.obs.live.LiveTelemetry`) to which
+    a path (or a prebuilt tap object from that module) to which
     the run appends JSONL progress snapshots — sim/wall time, events/s,
     blocked ranks with call sites, host RSS — every
     ``live_interval`` wall seconds (default 0.5). Like metrics, the tap
@@ -155,76 +155,31 @@ def run_caf(
     :class:`~repro.resilience.checkpoint.Checkpoint`, or ``"latest"`` to
     take the store's newest) transparently refills re-made allocations.
 
+    Whatever the process has armed for every run (``--metrics DIR``,
+    ``--record-ir``, the sanitizer CLI) arms this one too, in ``Cluster``.
+
     When the run fails — a fault-induced hang, a crash surfacing as an
     error, a program bug — the raised exception carries the half-built
     cluster as ``exc.caf_cluster`` (with ``elapsed`` set to the time of
-    death), and an active obs capture still emits a partial RunReport
-    with ``meta.outcome == "failed"`` plus the failure record.
+    death), and a process that collects RunReports still gets a partial
+    one with ``meta.outcome == "failed"`` plus the failure record.
     """
     if backend not in BACKENDS:
         raise CafError(f"unknown backend {backend!r}; choose from {sorted(BACKENDS)}")
     spec = spec or MachineSpec(name="generic")
-    from repro.ir import record as _ir_record
-    from repro.obs import capture as _capture
-
-    captured = _capture.active()
-    # One index per run: its report, telemetry stream and IR trace share a
-    # run-NNNN stem, so a run one emitter skips (recording refuses faults; a
-    # failed run leaves no trace) is a gap in that emitter's numbering, not
-    # a shift of every later stem.
-    run_index = max(_capture.next_index(), _ir_record.next_index())
-    if captured:
-        # Process-wide capture (the experiments runner's --metrics DIR):
-        # force metrics on, and tracing too when the capture asks for it.
-        metrics = True
-        trace = trace or _capture.trace_forced()
-        if live is None and _capture.live_forced():
-            # --live capture: stream run-NNNN.telemetry.jsonl next to the
-            # run-NNNN.report.json this run will emit.
-            live = _capture.telemetry_path(run_index)
-            if live_interval is None:
-                live_interval = _capture.live_interval()
-    # Trace recording (--record-ir): pattern-changing faults invalidate a
-    # trace, so fault-injected / lossy runs are skipped, not recorded.
-    recording = _ir_record.active() and faults is None and not reliable
-    if recording:
-        # The obs side table rides in the trace, so the metrics layer must
-        # be armed for the hooks to fire.
-        metrics = True
-    telemetry = None
-    if live is not None:
-        from repro.obs.live import LiveTelemetry
-
-        if isinstance(live, LiveTelemetry):
-            telemetry = live
-        else:
-            telemetry = LiveTelemetry(
-                live,
-                interval_s=live_interval,
-                backend=backend,
-                app=getattr(program, "__name__", ""),
-            )
     cluster = Cluster(
         nranks, spec, seed=sim_seed, faults=faults, reliable=reliable,
-        sanitize=sanitize, metrics=metrics, live=telemetry,
+        sanitize=sanitize, metrics=metrics, live=live, live_interval=live_interval,
     )
-    if recording:
-        _ir_record.attach(
-            cluster, backend=backend, app=getattr(program, "__name__", "")
-        )
+    cluster.backend = backend
+    cluster.app = getattr(program, "__name__", "")
     if trace:
         cluster.tracer.enable()
-    if (
-        checkpoint_every is not None
-        or checkpoint_store is not None
-        or resume_from is not None
-    ):
+    if any(arg is not None for arg in (checkpoint_every, checkpoint_store, resume_from)):
         from repro.resilience.checkpoint import CheckpointStore, ResilienceService
 
         store = checkpoint_store if checkpoint_store is not None else CheckpointStore()
-        resume = resume_from
-        if resume == "latest":
-            resume = store.latest()
+        resume = store.latest() if resume_from == "latest" else resume_from
         cluster.resilience = ResilienceService(
             cluster, every=checkpoint_every, store=store, resume=resume
         )
@@ -237,42 +192,11 @@ def run_caf(
         return program(img, **kwargs)
 
     try:
-        results = cluster.run(
-            wrapper, program_kwargs=dict(program_kwargs), deadline=deadline
-        )
+        results = cluster.run(wrapper, program_kwargs=dict(program_kwargs), deadline=deadline)
     except Exception as exc:
         # The run died (fault-induced hang, crash surfacing as an error, a
         # program bug). Stamp the cluster onto the exception so resilience
-        # drivers can read the failure log, and still emit a (partial)
-        # observability artifact for post-mortem triage.
-        cluster.elapsed = cluster.engine.now
+        # drivers can read the failure log.
         exc.caf_cluster = cluster  # type: ignore[attr-defined]
-        if recording:
-            # A failed run has no meaningful makespan; drop the recording
-            # rather than persist a trace that cannot validate.
-            _ir_record.abort()
-        if captured:
-            _capture.emit(
-                cluster,
-                backend=backend,
-                app=getattr(program, "__name__", ""),
-                failure=exc,
-                index=run_index,
-            )
         raise
-    if recording:
-        _ir_record.emit(
-            cluster, backend=backend, app=getattr(program, "__name__", ""),
-            index=run_index,
-        )
-    if captured:
-        _capture.emit(
-            cluster, backend=backend, app=getattr(program, "__name__", ""),
-            index=run_index,
-        )
-    return CafRun(
-        cluster=cluster,
-        results=results,
-        backend=backend,
-        elapsed=cluster.elapsed,
-    )
+    return CafRun(cluster=cluster, results=results, backend=backend, elapsed=cluster.elapsed)

@@ -20,6 +20,7 @@ import sys
 import time
 
 from repro.experiments.registry import EXPERIMENTS, get_experiment
+from repro.obs.capture import capture
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,40 +67,30 @@ def main(argv: list[str] | None = None) -> int:
     ids = args.ids or list(EXPERIMENTS)
     if args.out:
         args.out.mkdir(parents=True, exist_ok=True)
-    if args.metrics is not None:
-        # Process-wide capture: every run_caf inside the experiments emits a
-        # run-NNNN.report.json without the experiment code knowing about it.
-        from repro.obs import capture as obs_capture
-
-        obs_capture.start(
-            args.metrics,
-            trace=args.trace,
-            live=args.live,
-            live_interval=args.live_interval,
-        )
-    if args.record_ir is not None:
-        # Same capture pattern for trace recording: every (fault-free)
-        # run_caf inside the experiments writes a run-NNNN trace artifact.
-        from repro.ir import record as ir_record
-
-        ir_record.start(args.record_ir)
-    try:
-        for exp_id in ids:
-            spec = get_experiment(exp_id)
-            t0 = time.time()
-            result = spec.load()(args.scale)
-            text = result.render()
-            print(text)
-            print(f"({exp_id} regenerated in {time.time() - t0:.1f}s wall)\n")
-            if args.out:
-                (args.out / f"{exp_id}.txt").write_text(text + "\n")
-    finally:
-        if args.metrics is not None:
-            written = obs_capture.stop()
-            print(f"captured {len(written)} artifact(s) in {args.metrics}")
-        if args.record_ir is not None:
-            recorded = ir_record.stop()
-            print(f"recorded {len(recorded)} trace artifact(s) in {args.record_ir}")
+    # One process-wide capture: every cluster the experiments build writes
+    # its run-NNNN artifacts without the experiment code knowing about it.
+    with capture(
+        args.metrics,
+        trace=args.trace,
+        live=args.live,
+        live_interval=args.live_interval,
+        record_ir=args.record_ir,
+    ) as session:
+        try:
+            for exp_id in ids:
+                spec = get_experiment(exp_id)
+                t0 = time.time()
+                result = spec.load()(args.scale)
+                text = result.render()
+                print(text)
+                print(f"({exp_id} regenerated in {time.time() - t0:.1f}s wall)\n")
+                if args.out:
+                    (args.out / f"{exp_id}.txt").write_text(text + "\n")
+        finally:
+            if args.metrics is not None:
+                print(f"captured {len(session.written)} artifact(s) in {args.metrics}")
+            if args.record_ir is not None:
+                print(session.recorded_summary())
     return 0
 
 

@@ -17,7 +17,6 @@ import json
 import pathlib
 import sys
 
-from repro.ir import record as ir_record
 from repro.ir.replay import ReplayError, replay, validate_trace
 from repro.ir.sweep import SweepPoint, grid_points, run_sweep
 from repro.ir.trace import Trace, TraceError, TraceVersionError

@@ -1,25 +1,25 @@
-"""Record one instrumented ``run_caf`` into a replayable op-stream trace.
+"""Record one instrumented run into a replayable op-stream trace.
 
 The :class:`Recorder` receives every hook callback declared in
 :mod:`repro.sim.irhook` and appends columnar op rows in global record
 order (``gseq`` — which, because the engine is deterministic, *is* live
 execution order; that invariant is what lets replay re-resolve same-time
-races exactly). Module-level :func:`start` / :func:`stop` /
-:func:`active` mirror :mod:`repro.obs.capture`: while a recording is
-active, ``run_caf`` attaches a recorder to every cluster it builds and
-emits one trace artifact per successful run.
+races exactly). A recording is a capture: while
+``repro.obs.capture`` has an IR path armed (:func:`recording` is the short
+form), every ``Cluster`` built gets a recorder, installed for exactly the
+duration of ``Cluster.run``, and each successful run leaves one trace
+artifact.
 
 Recording refuses fault plans, reliable transport, and crash schedules:
 those change the communication *pattern* mid-run, and a trace is a frozen
 pattern (replay can re-price a drop-free delay FaultPlan, but recording
-under one would bake retransmissions into the stream).
+under one would bake retransmissions into the stream). The capture counts
+such runs as skipped instead of building a recorder for them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
-import pathlib
 from typing import Any
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 from repro.sim import irhook as _irhook
 from repro.ir import ops as _ops
 from repro.ir.trace import TRACE_VERSION, Trace
+from repro.obs import capture as _capture
 
 
 class RecordError(Exception):
@@ -36,7 +37,7 @@ class RecordError(Exception):
 class Recorder:
     """Accumulates the op stream of one cluster run."""
 
-    def __init__(self, cluster, *, backend: str = "", app: str = ""):
+    def __init__(self, cluster):
         if cluster.faults is not None:
             raise RecordError(
                 "cannot record under a FaultPlan: faults change the "
@@ -48,8 +49,6 @@ class Recorder:
         self.cluster = cluster
         self.engine = cluster.engine
         self.nranks = cluster.nranks
-        self.backend = backend
-        self.app = app
         #: Pending cost expression, set by repro.sim.costs.charge[_in] and
         #: consumed by the sleep / call_at hook that directly follows.
         self.pending_cost: tuple[float, float, float, float] | None = None
@@ -229,8 +228,8 @@ class Recorder:
             counts[name] = counts.get(name, 0) + 1
         manifest: dict[str, Any] = {
             "ir_version": TRACE_VERSION,
-            "app": self.app,
-            "backend": self.backend,
+            "app": self.cluster.app or "",
+            "backend": self.cluster.backend or "",
             "nranks": self.nranks,
             "sim_seed": self.cluster.seed,
             "spec": dataclasses.asdict(spec),
@@ -264,90 +263,15 @@ class Recorder:
         return Trace(manifest=manifest, arrays=arrays)
 
 
-# -- process-wide capture (the run_caf / CLI integration) ------------------
-
-_state: dict[str, Any] = {"path": None, "seq": 0, "written": [], "last": None}
+# -- a recording is a capture (repro.obs.capture owns the session) ---------
 
 
-def start(path: str | os.PathLike) -> None:
-    """Begin recording: subsequent ``run_caf`` calls emit trace artifacts.
-
-    ``path`` ending in ``.npz``/``.json`` names a single artifact stem
-    (one run); anything else is a directory receiving one
-    ``run-NNNN[-app]`` artifact per run.
-    """
-    _state.update(path=pathlib.Path(path), seq=0, written=[], last=None)
-
-
-def stop() -> list[pathlib.Path]:
-    """End the recording; returns the artifact paths written.
-
-    ``last_trace()`` keeps the final run's trace until the next
-    :func:`start`."""
-    written = list(_state["written"])
-    _state.update(path=None, seq=0, written=[])
-    return written
-
-
-def active() -> bool:
-    return _state["path"] is not None
-
-
-def next_index() -> int:
-    """The lowest run index this recording has not used (0 when inactive);
-    see :func:`repro.obs.capture.next_index`."""
-    return _state["seq"]
+def recording(path: str | os.PathLike):
+    """Context-managed recording window: ``capture(record_ir=path)``."""
+    return _capture.capture(record_ir=path)
 
 
 def last_trace() -> Trace | None:
-    """The most recently finalized :class:`Trace` of this recording."""
-    return _state["last"]
-
-
-@contextlib.contextmanager
-def recording(path: str | os.PathLike):
-    """Context-managed recording window; yields the output path."""
-    start(path)
-    try:
-        yield pathlib.Path(path)
-    finally:
-        stop()
-
-
-def attach(cluster, *, backend: str = "", app: str = "") -> Recorder:
-    """Install a recorder on ``cluster`` (run_caf calls this when active)."""
-    if _irhook.RECORDER is not None:
-        raise RecordError("an IR recording is already attached")
-    rec = Recorder(cluster, backend=backend, app=app)
-    _irhook.RECORDER = rec
-    return rec
-
-
-def abort() -> None:
-    """Detach without writing (run_caf's failure path)."""
-    _irhook.RECORDER = None
-
-
-def emit(
-    cluster, *, backend: str = "", app: str = "", index: int | None = None
-) -> Trace | None:
-    """Finalize the attached recorder and write this run's artifact (in a
-    directory recording: under the run's ``index``, so a run this recording
-    skipped leaves a gap in the stems instead of shifting them)."""
-    rec = _irhook.RECORDER
-    _irhook.RECORDER = None
-    if rec is None or rec.cluster is not cluster:
-        return None
-    trace = rec.finalize(makespan=cluster.elapsed)
-    _state["last"] = trace
-    out: pathlib.Path | None = _state["path"]
-    if out is not None:
-        if out.suffix in (".npz", ".json"):
-            stem = out
-        else:
-            seq = _state["seq"] if index is None else index
-            _state["seq"] = seq + 1
-            label = f"run-{seq:04d}" + (f"-{app}" if app else "")
-            stem = out / label
-        _state["written"].extend(trace.save(stem))
-    return trace
+    """The most recently finalized :class:`Trace` (kept after the recording
+    ends, until the next one starts)."""
+    return _capture._session.last_trace

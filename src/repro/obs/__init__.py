@@ -15,8 +15,9 @@ Components
 * :func:`critical_path` — backward dependency walk over trace events.
 * :class:`RunReport` / :func:`build_report` — the deterministic JSON
   artifact, with Prometheus text export and a diff for regression triage.
-* :mod:`repro.obs.capture` — process-wide capture so the experiments runner
-  emits reports without code changes.
+* :mod:`repro.obs.capture` — the one process-wide session that arms
+  observers (metrics, tracer, telemetry, IR recorder, sanitizer) on every
+  cluster built while it is open and numbers and writes their artifacts.
 * :class:`LiveTelemetry` (:mod:`repro.obs.live`) — streaming JSONL progress
   snapshots (sim/wall time, events/s, blocked ranks, RSS)
   from a read-only engine heartbeat; render with ``python -m repro.obs top``.

@@ -5,7 +5,7 @@ Usage::
 
     python -m repro.obs render RUNREPORT.json            # human tables
     python -m repro.obs render RUNREPORT.json --prom     # Prometheus text
-    python -m repro.obs validate ARTIFACT [...]          # schema check
+    python -m repro.obs validate ARTIFACT|DIR [...]      # schema check
     python -m repro.obs diff OLD.json NEW.json           # regression triage
     python -m repro.obs diff OLD.json NEW.json --threshold 5 --fail
     python -m repro.obs diff BASE.json N1.json N2.json --all  # N vs baseline
@@ -16,9 +16,13 @@ Usage::
 ``diff --fail`` exits 1 when any metric moved beyond the threshold — the
 bench-regression tripwire CI uses on archived reports. ``--all`` compares
 every NEW report against the baseline in one invocation and exits 1 (with
-``--fail``) if any comparison regresses. ``validate`` dispatches on the
-artifact's schema: run reports, telemetry streams (``*.jsonl``), and
-scaling reports all check. ``scaling --fail`` exits 1 on any expectation
+``--fail``) if any comparison regresses. ``validate`` dispatches on what
+the artifact says it is — run reports, scaling reports, telemetry streams
+(``*.jsonl``), IR trace manifests (loaded and replayed) and Chrome traces
+all check — and a directory argument stands for every file in it, i.e. for
+what one ``repro.obs.capture`` wrote: files that are not ours are named and
+skipped, a malformed one exits 2 naming the file and the failing field.
+``scaling --fail`` exits 1 on any expectation
 or static-crosscheck mismatch (the Fig. 4 tripwire: ``mpi.flush_all``
 must fit linear-in-P, GASNet ``event_notify`` must not).
 """
@@ -30,25 +34,75 @@ import json
 import pathlib
 import sys
 
-from repro.obs.report import RunReport, SchemaError, diff_reports_all
+from repro.obs.report import SCHEMA_NAME, RunReport, SchemaError, diff_reports_all
 
 
-def _validate_artifact(path: pathlib.Path) -> str:
-    """Schema-check one artifact by sniffing its kind; returns a label."""
+def _validate_artifact(path: pathlib.Path) -> str | None:
+    """Schema-check one artifact by sniffing its kind; returns a label, or
+    None for a file that is not an artifact this repo writes."""
     from repro.obs import live as live_mod
     from repro.obs import scaling as scaling_mod
 
     if path.suffix == ".jsonl":
         meta, snaps = live_mod.read_telemetry(path)
         return f"telemetry ({len(snaps)} snapshot(s))"
-    with open(path) as fh:
-        data = json.load(fh)
-    schema = data.get("schema") if isinstance(data, dict) else None
+    if path.suffix != ".json":
+        return None
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        return None
+    if "ir_version" in data:
+        return _validate_ir_trace(path)
+    if "traceEvents" in data:
+        return f"chrome trace ({len(data['traceEvents'])} event(s))"
+    schema = data.get("schema")
     if schema == scaling_mod.SCHEMA_NAME:
         scaling_mod.validate_scaling_report(data)
         return "scaling report"
-    RunReport.from_dict(data)
-    return "run report"
+    if schema == SCHEMA_NAME:
+        RunReport.from_dict(data)
+        return "run report"
+    return None
+
+
+def _validate_ir_trace(manifest: pathlib.Path) -> str:
+    """An IR trace stem, found by its manifest: load it and replay it."""
+    from repro.ir.replay import ReplayError, validate_trace
+    from repro.ir.trace import Trace, TraceError, TraceVersionError
+
+    try:
+        trace = Trace.load(manifest)
+        problems = validate_trace(trace)
+    except (TraceError, TraceVersionError, ReplayError) as exc:
+        raise SchemaError(str(exc)) from exc
+    if problems:
+        raise SchemaError("invalid IR trace: " + "; ".join(problems))
+    return f"IR trace ({trace.nops} ops, makespan reproduced)"
+
+
+def _validate(args: list[pathlib.Path]) -> int:
+    """One line per artifact; a directory stands for the files in it, where
+    files that are not ours are named and skipped."""
+    for arg in args:
+        named = not arg.is_dir()
+        paths = [arg] if named else sorted(p for p in arg.iterdir() if p.is_file())
+        for path in paths:
+            try:
+                label = _validate_artifact(path)
+            except SchemaError as exc:
+                text = str(exc)
+                raise SchemaError(text if str(path) in text else f"{path}: {text}") from exc
+            if label is not None:
+                print(f"{path}: ok ({label})")
+            elif named:
+                raise SchemaError(f"{path}: not an artifact this repo writes")
+            elif path.suffix != ".npz" or not path.with_suffix(".json").exists():
+                # (An .npz beside a manifest is that trace's array half.)
+                print(f"{path}: skipped (not an artifact this repo writes)")
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,7 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     p_validate = sub.add_parser(
-        "validate", help="schema-check run/scaling reports and telemetry streams"
+        "validate",
+        help="schema-check artifacts (reports, telemetry, IR traces) or directories of them",
     )
     p_validate.add_argument("reports", type=pathlib.Path, nargs="+")
 
@@ -148,10 +203,7 @@ def main(argv: list[str] | None = None) -> int:
                 print()
             return 0
         if args.command == "validate":
-            for path in args.reports:
-                label = _validate_artifact(path)
-                print(f"{path}: ok ({label})")
-            return 0
+            return _validate(args.reports)
         if args.command == "top":
             return _top(args)
         if args.command == "scaling":

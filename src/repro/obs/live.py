@@ -136,8 +136,9 @@ class LiveTelemetry:
                 "nranks": cluster.nranks,
                 "spec": cluster.spec.name,
                 "seed": cluster.seed,
-                "backend": self.backend,
-                "app": self.app,
+                # The tap's own labels, else the ones the cluster carries.
+                "backend": cluster.backend if self.backend is None else self.backend,
+                "app": cluster.app if self.app is None else self.app,
                 "label": self.label,
                 "interval_s": self.interval_s,
                 "check_every": self.check_every,

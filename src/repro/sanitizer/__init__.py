@@ -1,44 +1,18 @@
 """repro.sanitizer — a happens-before race & RMA-epoch checker.
 
 Opt-in via ``Cluster(..., sanitize=True)`` / ``run_caf(..., sanitize=True)``,
-or force it on process-wide (:func:`force_enable`) so unmodified apps and
-experiments run under the checker — that is how ``python -m repro.sanitizer``
-works. See ``docs/architecture.md`` ("Sanitizer: happens-before checking").
+or force it on process-wide with ``repro.obs.capture.capture(sanitize=True)``
+so unmodified apps and experiments run under the checker — that is how
+``python -m repro.sanitizer`` works. See ``docs/architecture.md``
+("Sanitizer: happens-before checking").
 """
 
 from __future__ import annotations
 
 from repro.sanitizer.core import Sanitizer
-from repro.sanitizer.report import COLLECTED, Diagnostic, SanitizerReport, call_site
+from repro.sanitizer.report import Diagnostic, SanitizerReport, call_site
 from repro.sanitizer.shadow import AccessRecord, classify, dominates
 from repro.sanitizer.view import TrackedArray, tracked_view
-
-_FORCED = False
-
-
-def force_enable() -> None:
-    """Make every subsequently-built Cluster sanitize, regardless of flags."""
-    global _FORCED
-    _FORCED = True
-
-
-def force_disable() -> None:
-    global _FORCED
-    _FORCED = False
-
-
-def is_forced() -> bool:
-    return _FORCED
-
-
-def collected_reports() -> list[SanitizerReport]:
-    """Reports from completed sanitized runs, oldest first."""
-    return list(COLLECTED)
-
-
-def clear_reports() -> None:
-    COLLECTED.clear()
-
 
 __all__ = [
     "AccessRecord",
@@ -49,10 +23,5 @@ __all__ = [
     "tracked_view",
     "call_site",
     "classify",
-    "clear_reports",
-    "collected_reports",
     "dominates",
-    "force_disable",
-    "force_enable",
-    "is_forced",
 ]

@@ -18,9 +18,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import sanitizer
 from repro.apps.__main__ import APPS, main as apps_main
 from repro.experiments.registry import EXPERIMENTS
+from repro.obs.capture import capture
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -46,19 +46,15 @@ def main(argv: list[str] | None = None) -> int:
 
     # Apps and experiments build their own clusters, so force the checker
     # on for every cluster constructed while they run.
-    sanitizer.clear_reports()
-    sanitizer.force_enable()
-    try:
+    with capture(sanitize=True) as session:
         if is_app:
             print(f"== sanitizing {args.target} ==")
             apps_main([args.target, *app_args])
         else:
             print(f"== sanitizing experiment {args.target} (scale={args.scale}) ==")
             EXPERIMENTS[args.target].load()(args.scale)
-    finally:
-        sanitizer.force_disable()
 
-    reports = sanitizer.collected_reports()
+    reports = session.sanitizer_reports
     bad = False
     for i, report in enumerate(reports):
         label = f"run {i + 1}/{len(reports)}" if len(reports) > 1 else "run"

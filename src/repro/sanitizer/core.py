@@ -18,7 +18,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from repro.sanitizer.report import (
-    COLLECTED,
     Diagnostic,
     SanitizerReport,
     call_site,
@@ -327,7 +326,7 @@ class Sanitizer:
     # -- finalization ------------------------------------------------------
 
     def finalize(self) -> SanitizerReport:
-        """End of run: file lost-notify diagnostics and publish the report."""
+        """End of run: file lost-notify diagnostics and seal the report."""
         if self.finalized:
             return self.report
         self.finalized = True
@@ -347,7 +346,6 @@ class Sanitizer:
                     )
                 )
         self.report.stats = dict(self.stats)
-        COLLECTED.append(self.report)
         return self.report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from repro.diagnostics import call_site, format_block, summary_line
 
 __all__ = [
-    "COLLECTED",
     "Diagnostic",
     "SanitizerReport",
     "call_site",
@@ -106,7 +105,3 @@ class SanitizerReport:
             return head
         return "\n".join([head] + [d.format() for d in self.diagnostics])
 
-
-#: Reports from completed sanitized runs (newest last). The CLI and the
-#: force-enable test path read results from here.
-COLLECTED: list[SanitizerReport] = []

@@ -13,6 +13,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.sim import costs as _costs
+from repro.sim import irhook as _irhook
 from repro.sim.engine import Engine, Proc
 from repro.sim.faults import FaultPlan
 from repro.sim.memory import MemoryMeter
@@ -87,6 +88,7 @@ class Cluster:
         sanitize: bool = False,
         metrics: bool = False,
         live: Any | None = None,
+        live_interval: float | None = None,
     ):
         if nranks <= 0:
             raise SimulationError(f"nranks must be positive, got {nranks}")
@@ -103,6 +105,10 @@ class Cluster:
         self.ctxs: list[RankCtx] = []
         self._shared: dict[Any, Any] = {}
         self.elapsed = 0.0  # virtual makespan after run()
+        #: Labels the run's artifacts print (``run_caf`` sets both; a bare
+        #: cluster's ``app`` defaults to its program's name in :meth:`run`).
+        self.backend: str | None = None
+        self.app: str | None = None
         #: World ranks whose image has crashed (via an injected fault) or
         #: been declared dead (transport give-up). Failure-notification
         #: layers (ULFM-style MPI errors, CAF ``failed_images``) read this.
@@ -123,11 +129,21 @@ class Cluster:
                 self.fabric, rng=rank_rng(seed, 0, "reliable")
             )
             self.fabric.reliable.on_give_up = self._on_transport_give_up
-        self.sanitizer = None
-        if not sanitize:
-            from repro import sanitizer as _san_mod
+        # The one place a process-wide capture is consulted: explicit
+        # arguments arm this cluster, and so does whatever the capture asks.
+        from repro.obs import capture as _capture
 
-            sanitize = _san_mod.is_forced()
+        self.arming = arming = _capture.arm(self)
+        if arming is not None:
+            sanitize = sanitize or arming.sanitize
+            metrics = metrics or arming.metrics
+            if live is None and arming.live is not None:
+                live = arming.live
+                if live_interval is None:
+                    live_interval = arming.live_interval
+            if arming.trace:
+                self.tracer.enable()
+        self.sanitizer = None
         if sanitize:
             from repro.sanitizer import Sanitizer
 
@@ -151,7 +167,11 @@ class Cluster:
         if live is not None:
             from repro.obs.live import LiveTelemetry
 
-            tel = live if isinstance(live, LiveTelemetry) else LiveTelemetry(live)
+            tel = (
+                live
+                if isinstance(live, LiveTelemetry)
+                else LiveTelemetry(live, interval_s=live_interval)
+            )
             self.telemetry = tel
             self.engine.telemetry = tel
             tel.attach(self)
@@ -237,6 +257,8 @@ class Cluster:
         ``deadline`` arms the engine watchdog (see :meth:`Engine.run`).
         """
         kwargs = program_kwargs or {}
+        if self.app is None:
+            self.app = getattr(program, "__name__", None)
 
         def make_target(rank: int) -> Callable[[Proc], Any]:
             def target(proc: Proc) -> Any:
@@ -245,30 +267,46 @@ class Cluster:
 
             return target
 
-        rank_procs = []
-        for rank in range(self.nranks):
-            proc = self.engine.spawn(make_target(rank), name=f"rank{rank}")
-            rank_procs.append(proc)
-            self.ctxs.append(RankCtx(self, rank, proc))
-        if self.faults is not None:
-            for rank, when in self.faults.crashes:
-                self.engine.call_at(when, lambda r=rank: self._crash_rank(r))
-        ok = False
+        arming = self.arming
+        recorder = arming.recorder if arming is not None else None
+        if recorder is not None:
+            if _irhook.RECORDER is not None:
+                raise SimulationError(
+                    "an IR recording is already attached: recorded runs do not nest"
+                )
+            # Installed for exactly this run: the finally below detaches it
+            # on every exit path, so a recorder cannot outlive its run.
+            _irhook.RECORDER = recorder
+        failure: BaseException | None = None
         try:
+            rank_procs = []
+            for rank in range(self.nranks):
+                proc = self.engine.spawn(make_target(rank), name=f"rank{rank}")
+                rank_procs.append(proc)
+                self.ctxs.append(RankCtx(self, rank, proc))
+            if self.faults is not None:
+                for rank, when in self.faults.crashes:
+                    self.engine.call_at(when, lambda r=rank: self._crash_rank(r))
             self.engine.run(deadline=deadline)
-            ok = True
-        except (DeadlockError, SimTimeoutError) as exc:
-            self._annotate_failure(exc)
+        except BaseException as exc:
+            failure = exc
+            if isinstance(exc, (DeadlockError, SimTimeoutError)):
+                self._annotate_failure(exc)
             raise
         finally:
+            if recorder is not None:
+                _irhook.RECORDER = None
+            # The makespan, or the time of death.
+            self.elapsed = self.engine.now
             if self.telemetry is not None:
                 # Final snapshot + stream close on every exit path (the
                 # failure path may already have emitted it via
                 # _annotate_failure; close() is idempotent about that).
-                self.telemetry.close(outcome="ok" if ok else "failed")
-        self.elapsed = self.engine.now
-        if self.sanitizer is not None:
-            self.sanitizer.finalize()
+                self.telemetry.close(outcome="ok" if failure is None else "failed")
+            if self.sanitizer is not None and failure is None:
+                self.sanitizer.finalize()
+            if arming is not None:
+                arming.finish(self, failure)
         # Only the rank programs' results — libraries may have spawned
         # daemon agents whose results are not the application's.
         return [p.result for p in rank_procs]

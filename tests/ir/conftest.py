@@ -51,12 +51,9 @@ def record_run(tmp_path, app, backend, platform, nranks=4):
     """Run one instrumented app with recording on; return (run, trace)."""
     program, kwargs = APPS[app]
     stem = tmp_path / f"{app}-{backend}-{platform}.npz"
-    ir_record.start(stem)
-    try:
+    with ir_record.recording(stem):
         run = run_caf(program, nranks, PLATFORMS[platform],
                       backend=backend, **kwargs)
-    finally:
-        ir_record.stop()
     trace = ir_record.last_trace()
     assert trace is not None
     return run, trace

@@ -7,6 +7,7 @@ import pytest
 from repro.ir import Trace, TraceVersionError, replay
 from repro.ir import record as ir_record
 from repro.ir.replay import ReplayError
+from repro.obs import capture
 from repro.sim.faults import FaultPlan
 
 from tests.ir.conftest import APPS, record_run
@@ -44,7 +45,7 @@ def test_fault_injected_runs_are_skipped_not_recorded(tmp_path):
     but writes no artifact (the recording stays armed for later runs)."""
     program, kwargs = APPS["fft"]
     out = tmp_path / "traces"
-    ir_record.start(out)
+    capture.start(record_ir=out)
     try:
         run_caf(program, 4, PLATFORMS["laptop"], backend="mpi",
                 faults=FaultPlan(seed=3, delay_rate=0.2, delay_jitter=1e-6),
@@ -53,7 +54,7 @@ def test_fault_injected_runs_are_skipped_not_recorded(tmp_path):
         run_caf(program, 4, PLATFORMS["laptop"], backend="mpi", **kwargs)
         assert ir_record.last_trace() is not None
     finally:
-        written = ir_record.stop()
+        written = capture.stop()
     assert len(written) == 2  # one .npz + one .json, fault run skipped
     assert len(list(out.glob("run-*"))) == 2
 

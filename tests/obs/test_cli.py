@@ -235,3 +235,68 @@ def test_top_malformed_stream_exits_2(tmp_path, capsys):
 def test_validate_sniffs_telemetry_streams(telemetry_path, capsys):
     assert main(["validate", str(telemetry_path)]) == 0
     assert "telemetry" in capsys.readouterr().out
+
+
+# -- validate takes what a capture writes ----------------------------------
+
+
+@pytest.fixture
+def captured_dir(tmp_path):
+    from repro.obs.capture import capture
+
+    out = tmp_path / "cap"
+    with capture(out, trace=True, live=True, live_interval=0.0, record_ir=out / "ir"):
+        run_caf(ring_program, 2, backend="mpi")
+    (out / "notes.txt").write_text("not ours\n")
+    (out / "other.json").write_text(json.dumps({"schema": "someone-else"}))
+    return out
+
+
+def test_validate_directory_checks_every_artifact(captured_dir, capsys):
+    assert main(["validate", str(captured_dir), str(captured_dir / "ir")]) == 0
+    verdicts = dict(
+        line.rsplit("/", 1)[1].split(": ", 1)
+        for line in capsys.readouterr().out.splitlines()
+    )
+    expected = {
+        "run-0000.report.json": "ok (run report)",
+        "run-0000.telemetry.jsonl": "ok (telemetry (",
+        "run-0000.trace.json": "ok (chrome trace (",
+        "run-0000-ring_program.json": "ok (IR trace (176 ops, makespan reproduced))",
+        "notes.txt": "skipped (not an artifact this repo writes)",
+        "other.json": "skipped (not an artifact this repo writes)",
+    }
+    assert sorted(verdicts) == sorted(expected)  # the .npz half prints no line
+    for name, verdict in expected.items():
+        assert verdicts[name].startswith(verdict), name
+
+
+def test_validate_directory_names_the_malformed_file_and_field(captured_dir, capsys):
+    report = captured_dir / "run-0000.report.json"
+    body = json.loads(report.read_text())
+    del body["meta"]["makespan"]
+    report.write_text(json.dumps(body))
+    assert main(["validate", str(captured_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(report) in err and "meta.makespan" in err
+
+
+def test_validate_directory_rejects_truncated_manifest(captured_dir, capsys):
+    manifest = captured_dir / "ir" / "run-0000-ring_program.json"
+    manifest.write_text(manifest.read_text()[:40])
+    assert main(["validate", str(captured_dir / "ir")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "not valid JSON" in err
+
+
+def test_validate_directory_rejects_trace_version_mismatch(captured_dir, capsys):
+    from repro.ir.trace import TRACE_VERSION
+
+    manifest = captured_dir / "ir" / "run-0000-ring_program.json"
+    body = json.loads(manifest.read_text())
+    body["ir_version"] = TRACE_VERSION + 1
+    manifest.write_text(json.dumps(body))
+    assert main(["validate", str(captured_dir / "ir")]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err
+    assert f"this build reads version {TRACE_VERSION}" in err

@@ -3,7 +3,6 @@ sanitizing never perturbs the simulated timeline."""
 
 import pytest
 
-from repro import sanitizer
 from repro.apps.cgpop import run_cgpop, run_cgpop_2d
 from repro.apps.fft import run_fft
 from repro.apps.hpl import run_hpl
@@ -42,20 +41,16 @@ def test_sanitizer_does_not_perturb_timeline(backend):
 
 
 def test_experiment_clean_under_forced_sanitize():
-    """Experiments build clusters internally; force_enable covers them."""
+    """Experiments build clusters internally; a sanitize capture covers them."""
     from repro.experiments.registry import EXPERIMENTS
+    from repro.obs.capture import capture
 
-    sanitizer.clear_reports()
-    sanitizer.force_enable()
-    try:
+    with capture(sanitize=True) as session:
         EXPERIMENTS["fig06"].load()("quick")
-    finally:
-        sanitizer.force_disable()
-    reports = sanitizer.collected_reports()
+    reports = session.sanitizer_reports
     assert reports, "no sanitized runs collected"
     for report in reports:
         assert report.clean, report.to_text()
-    sanitizer.clear_reports()
 
 
 def test_atomics_event_backend_clean():

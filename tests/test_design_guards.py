@@ -189,6 +189,44 @@ def test_contracts_are_as_narrow_as_their_traffic():
     )
 
 
+def test_process_wide_arming_has_one_owner():
+    # Module-level state in the three shapes every arming switch here ever
+    # had: a name a function rebinds, a module-level list/dict display, a
+    # bare None/False/[]/{} a caller is meant to overwrite or fill.
+    state = (
+        grep(r"^\s+global \w", "src/repro")
+        + grep(r"^_?[a-z]\w*(: [^=]+)? = [\[{]", "src/repro")
+        + grep(r"^\w+(: [^=]+)? = (\[\]|\{\}|set\(\)|None|False|True)$", "src/repro")
+    )
+    assert [hit.split(":", 2)[::2] for hit in state] == [
+        ["src/repro/obs/capture.py", "    global _session"],
+        ["src/repro/sim/irhook.py", "RECORDER = None"],
+    ], (
+        "which observers a process arms, and how their artifacts are numbered "
+        "and written, is repro.obs.capture's session and nothing else: arm a "
+        "part of it (capture.start / capture.capture) instead of adding a switch",
+        state,
+    )
+    assigned = {hit.split(":")[0] for hit in grep(r"\.RECORDER = ", "src/repro")}
+    assert assigned == {"src/repro/sim/cluster.py"}, (
+        "the recorder is installed and removed in one try/finally, in Cluster.run",
+        assigned,
+    )
+    hits = grep(r"capture|ir\.record|ir import record|LiveTelemetry", "src/repro/caf/program.py")
+    assert not hits, (
+        "run_caf passes its explicit kwargs straight to Cluster, which asks the "
+        "capture; it keeps no capture, recorder or telemetry logic of its own",
+        hits,
+    )
+    import repro.sanitizer
+
+    hits = [
+        name for name in dir(repro.sanitizer)
+        if re.match(r"force_|is_forced|collected_reports|clear_reports|COLLECTED", name)
+    ]
+    assert not hits, ("forced sanitizing is capture(sanitize=True)", hits)
+
+
 def _public_callables(owner) -> set[str]:
     return {
         name
