@@ -21,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.gasnet.segment import make_segment
 from repro.sim import costs as _costs
 from repro.sim.cluster import Cluster, RankCtx
 from repro.sim.memory import MB
@@ -97,7 +98,7 @@ class GasnetWorld:
             raise GasnetError(f"rank {ctx.rank} attached to GASNet twice")
         if segment_bytes <= 0:
             raise GasnetError(f"segment size must be positive, got {segment_bytes}")
-        self.segments[ctx.rank] = np.zeros(segment_bytes, np.uint8)
+        self.segments[ctx.rank] = make_segment(segment_bytes)
         g = GasnetRank(self, ctx)
         self.ranks[ctx.rank] = g
         spec = ctx.spec

@@ -1,4 +1,5 @@
-"""Symmetric bump allocator for GASNet segments.
+"""GASNet segments: the memory of one, and the symmetric bump allocator
+over it.
 
 CAF coarrays over GASNet live at segment offsets. Because every image
 performs the same (collective) allocations in the same order with the same
@@ -10,7 +11,29 @@ then ``TeamExchange._arena_alloc`` / ``_arena_release`` in LIFO order).
 
 from __future__ import annotations
 
+import mmap
+
+import numpy as np
+
 from repro.util.errors import GasnetError
+
+
+def make_segment(nbytes: int) -> np.ndarray:
+    """One rank's segment: ``nbytes`` of zero-filled, writable memory that
+    costs the host what the run touches, 4 KiB at a time.
+
+    The pages come straight from the kernel, not from numpy's allocator:
+    ``np.zeros`` advises ``MADV_HUGEPAGE`` on anything of 4 MiB or more, so
+    on a host whose transparent-hugepage mode is ``madvise`` (or ``always``)
+    the first touch of a coarray, an arena or a flag word zeroed a whole
+    2 MiB page — most of a small run's ``sys`` time and resident set
+    (docs/architecture.md, "What a segment costs the host"). The array
+    keeps the mapping alive.
+    """
+    region = mmap.mmap(-1, nbytes)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        region.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(region, np.uint8)
 
 
 def _align_up(n: int, align: int) -> int:

@@ -308,3 +308,17 @@ def test_protocol_surface_is_declared_once():
         direct ^ explained,
     )
     assert set(re.findall(r'"(\w+)": lambda', pricing)) | {"table"} == set(protocol.PRICE_MODELS)
+
+
+def test_segment_costs_the_host_what_is_touched():
+    hits = grep(r"np\.(zeros|empty)\(\s*segment_bytes", "src/repro/gasnet")
+    hits += [
+        hit for hit in grep(r"segments\[[^\]]*\] *=", "src/repro/gasnet")
+        if "make_segment(" not in hit
+    ]
+    assert not hits, (
+        "a rank's segment is made in one place, gasnet.segment.make_segment — "
+        "kernel pages faulted 4 KiB at a time; a numpy-allocated one is "
+        "hugepage-advised and zeroes 2 MiB per first touch",
+        hits,
+    )
