@@ -25,7 +25,12 @@ Conventions:
   cluster-wide board (:meth:`RuntimeBackend._board`), the wire carries its
   sequence number and a modelled size (:meth:`RuntimeBackend.send_thunk`),
   and the target's progress engine runs it through the one handler entry
-  point, :meth:`RuntimeBackend._run_thunk`.
+  point, :meth:`RuntimeBackend._run_thunk`. A thunk is handler code: it
+  does not block. One with more to do than that — run user code, send a
+  message of its own — returns those steps as a script (see
+  :meth:`repro.sim.engine.Proc.run_script`) and the progress engine takes
+  them; user code among them is yielded as a callable, so it runs on the
+  image's own fiber: the handler enqueues, the image executes.
 """
 
 from __future__ import annotations
@@ -77,7 +82,9 @@ class EventStorage:
         self.team = team
         self.nslots = nslots
         self.counters = [0] * nslots
-        self.listener: Callable[[int], None] | None = None
+        #: slot -> callbacks run at its next post (the predicate events of
+        #: asynchronous operations: user-level code that communicates).
+        self.subscribers: dict[int, list[Callable[[], None]]] = {}
 
     def post(self, slot: int) -> None:
         """One more notification on this image's ``slot``."""
@@ -86,8 +93,8 @@ class EventStorage:
 
     def _posted(self, slot: int) -> None:
         """Run subscriber callbacks and wake the progress engine."""
-        if self.listener is not None:
-            self.listener(slot)
+        for cb in self.subscribers.pop(slot, ()):
+            cb()
         self.backend.kick()
 
     def count(self, slot: int) -> int:
@@ -115,7 +122,7 @@ class RuntimeBackend(abc.ABC):
         self._peers: dict[int, RuntimeBackend] = shared("caf-backends", dict)
         self._peers[ctx.rank] = self
         # Out-of-band python payloads for AMs (the wire carries sizes only).
-        self._am_board: dict[tuple[int, int], Callable[[], None]] = shared(
+        self._am_board: dict[tuple[int, int], Callable[[], Any]] = shared(
             "caf-am-board", dict
         )
         self._am_seq = itertools.count()
@@ -129,25 +136,27 @@ class RuntimeBackend(abc.ABC):
 
     @abc.abstractmethod
     def send_thunk(
-        self, target_world: int, wire_bytes: int, thunk: Callable[[], None]
+        self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]
     ) -> None:
         """Inject an AM of ``wire_bytes`` that runs ``thunk`` on image
         ``target_world`` (under its progress engine)."""
 
-    def _board(self, thunk: Callable[[], None]) -> int:
+    def _board(self, thunk: Callable[[], Any]) -> int:
         """Park ``thunk`` for its target; the AM carries the returned
         sequence number."""
         seq = next(self._am_seq)
         self._am_board[(self.ctx.rank, seq)] = thunk
         return seq
 
-    def _run_thunk(self, src_world: int, seq: int) -> None:
+    def _run_thunk(self, src_world: int, seq: int):
         """The one entry point of every AM handler of the CAF runtime: the
         thunks built in :meth:`ship_function`, :meth:`_post_thunk`, both
         backends' ``coarray_write_async`` (destination events) and
-        CAF-GASNet's ``_am_write`` (write + ack). Only the first runs user
-        code, which may block."""
-        self._am_board.pop((src_world, seq))()
+        CAF-GASNet's ``_am_write`` (write + ack). Returns what the thunk
+        returned: ``None``, or the steps it still has to take — user code
+        for the image's own fiber (the first, and a post that releases a
+        predicate-gated operation) or a message of its own (the last)."""
+        return self._am_board.pop((src_world, seq))()
 
     @abc.abstractmethod
     def poll(self) -> None:
@@ -288,17 +297,23 @@ class RuntimeBackend(abc.ABC):
         """Collective: where this backend keeps an event coarray's counts."""
         return EventStorage(self, event_id, team, nslots)
 
-    def _post_at(self, target_world: int, event_id: int, slot: int) -> None:
-        """Post image ``target_world``'s event; runs there, inside a thunk."""
+    def _post_steps(self, target_world: int, event_id: int, slot: int):
+        """Post image ``target_world``'s event; runs there, as (part of) a
+        thunk's steps. A post runs the slot's subscribers, which start
+        predicate-gated operations — user-level code that communicates — so
+        with any waiting, the image's own fiber does the posting."""
         storage = self._peers[target_world]._event_registry.get(event_id)
         if storage is None:
             raise CafError(f"event {event_id} posted before allocation on target")
-        storage.post(slot)
+        if slot in storage.subscribers:
+            yield lambda: storage.post(slot)
+        else:
+            storage.post(slot)
 
     def _post_thunk(self, storage: EventStorage, target_world: int, slot: int):
         """The notification AM of :meth:`event_notify` (send/recv design)."""
         event_id = storage.event_id
-        return lambda: self._post_at(target_world, event_id, slot)
+        return lambda: self._post_steps(target_world, event_id, slot)
 
     @abc.abstractmethod
     def event_notify(self, storage: Any, target: int, slot: int) -> None:
@@ -368,7 +383,7 @@ class RuntimeBackend(abc.ABC):
         target_world = team.world_rank(target)
         self._shipped += 1
 
-        def run_on_target() -> None:
+        def body() -> None:
             img = self.ctx.cluster.shared("caf-images", dict).get(target_world)
             if img is None:
                 raise CafError("target image not initialized for function shipping")
@@ -376,6 +391,11 @@ class RuntimeBackend(abc.ABC):
                 fn(img, *args)
             finally:
                 self._peers[target_world]._completed += 1
+
+        def run_on_target():
+            # User code, which may block: the handler hands it to the
+            # image's own fiber.
+            yield body
 
         self.send_thunk(target_world, self.SHIP_BYTES, run_on_target)
 

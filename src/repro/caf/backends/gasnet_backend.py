@@ -16,6 +16,9 @@
 * ``am_writes=True`` switches coarray writes to the Active-Message path
   (data + ack via AMs), which *requires target-side progress*: the
   configuration that makes the paper's Figure 2 program deadlock.
+
+Every blocking entry point is one script over :mod:`repro.gasnet`'s
+(``_xxx_steps`` run by ``Proc.run_script``): the image parks once per call.
 """
 
 from __future__ import annotations
@@ -85,9 +88,12 @@ class GasnetBackend(RuntimeBackend):
         # GASNet poll (never on a clone's agent context).
         self.gasnet.poll_hooks.append(self._pump_continuations)
 
-    def _pump_continuations(self) -> None:
-        if self.ctx.engine._current is self.ctx.proc:
-            self.run_continuations()
+    def _pump_continuations(self):
+        """Poll hook: the pending continuations, as work for the image's
+        own fiber (they issue communication)."""
+        if self._continuations and self.ctx.engine._current is self.ctx.proc:
+            return self.run_continuations
+        return None
 
     # -- facade for hybrid applications ------------------------------------
 
@@ -100,19 +106,21 @@ class GasnetBackend(RuntimeBackend):
 
     # -- Active Messages ----------------------------------------------------------
 
-    def _on_thunk(self, token: Token, *rest) -> None:
+    def _on_thunk(self, token: Token, *rest):
         # Short form: (seq,). Medium form: (payload, seq) — the payload is
         # padding that models the wire size; the real arguments travel on
         # the out-of-band board.
-        self._run_thunk(token.src, rest[-1])
+        return self._run_thunk(token.src, rest[-1])
 
-    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
-        seq = self._board(thunk)
+    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
+        self.ctx.proc.run_script(self._send_thunk_steps(target_world, wire_bytes, thunk))
+
+    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
+        g = self.gasnet
+        pad = None
         if wire_bytes > 64:
-            pad = np.zeros(wire_bytes - self.AM_BYTES, np.uint8)
-            self.gasnet.am_request_medium(target_world, H_THUNK, pad, seq)
-        else:
-            self.gasnet.am_request_short(target_world, H_THUNK, seq)
+            pad = g._medium_payload(np.zeros(wire_bytes - self.AM_BYTES, np.uint8))
+        return g._am_inject_steps(target_world, H_THUNK, (self._board(thunk),), pad, None)
 
     # -- teams ----------------------------------------------------------------------
 
@@ -190,9 +198,10 @@ class GasnetBackend(RuntimeBackend):
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, data.size)
         if self.am_writes:
-            self._am_write(target_world, start, data)
+            steps = self._am_write_steps(target_world, start, data)
         else:
-            self.gasnet.put(target_world, start, data)
+            steps = self.gasnet._put_steps(target_world, start, data)
+        self.ctx.proc.run_script(steps)
 
     def _store_at(self, target_world: int, start: int, data: np.ndarray) -> None:
         """Body of an AM-write handler: the target stores ``data`` at byte
@@ -209,7 +218,7 @@ class GasnetBackend(RuntimeBackend):
                 [(start, start + raw.nbytes)], "am-write",
             )
 
-    def _am_write(self, target_world: int, start: int, data: np.ndarray) -> None:
+    def _am_write_steps(self, target_world: int, start: int, data: np.ndarray):
         """Figure 2 mode: write needs the target to run an AM handler."""
         acks = [0]
 
@@ -217,17 +226,23 @@ class GasnetBackend(RuntimeBackend):
             acks[0] += 1
             self.kick()
 
-        def on_target() -> None:
+        def on_target():
             self._store_at(target_world, start, data)
-            self._peers[target_world].send_thunk(self.ctx.rank, self.AM_BYTES, ack)
+            # The ack is a request of the target's (it takes a credit and
+            # may wait for one), not a GASNet reply: the thunk's own steps.
+            return self._peers[target_world]._send_thunk_steps(
+                self.ctx.rank, self.AM_BYTES, ack
+            )
 
-        self.send_thunk(target_world, self.AM_BYTES + data.nbytes, on_target)
-        self.gasnet.block_until(lambda: acks[0] > 0, "am_write ack")
+        yield from self._send_thunk_steps(
+            target_world, self.AM_BYTES + data.nbytes, on_target
+        )
+        yield from self.gasnet._block_until_steps(lambda: acks[0] > 0, "am_write ack")
 
     def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, out.size)
-        self.gasnet.get(out, target_world, start)
+        self.ctx.proc.run_script(self.gasnet._get_steps(out, target_world, start))
 
     def _byte_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]]
@@ -240,19 +255,24 @@ class GasnetBackend(RuntimeBackend):
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
     ) -> None:
         target_world = storage.team.world_rank(target)
-        handle = self.gasnet.put_runs_nb(
+        op = self.gasnet._put_runs_nb_steps(
             target_world, self._byte_runs(storage, target, runs), data
         )
-        self.gasnet.wait_syncnb(handle)
+        self.ctx.proc.run_script(self._synced_steps(op))
 
     def coarray_read_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
     ) -> None:
         target_world = storage.team.world_rank(target)
-        handle = self.gasnet.get_runs_nb(
+        op = self.gasnet._get_runs_nb_steps(
             out, target_world, self._byte_runs(storage, target, runs)
         )
-        self.gasnet.wait_syncnb(handle)
+        self.ctx.proc.run_script(self._synced_steps(op))
+
+    def _synced_steps(self, op_steps):
+        """One nonblocking RDMA op, then the sync of its handle, as one script."""
+        handle = yield from op_steps
+        yield from self.gasnet._wait_syncnb_steps(handle)
 
     def coarray_write_async(
         self,
@@ -272,9 +292,9 @@ class GasnetBackend(RuntimeBackend):
             ev_storage, slot = dest_event
             event_id = ev_storage.event_id
 
-            def on_target() -> None:
+            def on_target():
                 self._store_at(target_world, start, data)
-                self._post_at(target_world, event_id, slot)
+                yield from self._post_steps(target_world, event_id, slot)
                 handle.remote.fire()
 
             self.send_thunk(target_world, self.AM_BYTES + data.nbytes, on_target)
@@ -304,24 +324,27 @@ class GasnetBackend(RuntimeBackend):
         self.gasnet.activity.add()
 
     def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
+        self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
+
+    def _notify_steps(self, storage: EventStorage, target: int, slot: int):
         # GASNet handles already represent remote completion, so the release
         # barrier is a (usually instant) handle sync — no FLUSH_ALL analogue.
-        outstanding = self._outstanding_puts + self._outstanding_gets
-        self._outstanding_puts = []
-        self._outstanding_gets = []
-        self.gasnet.wait_syncnb_all(outstanding)
+        yield from self._cofence_steps()
         target_world = storage.team.world_rank(target)
         san = self.ctx.sanitizer
         if san is not None:
             # Handles synced above: our snapshot dominates every completed op.
             san.event_notified(self.ctx.rank, (storage.event_id, target_world, slot))
-        self.send_thunk(
+        yield from self._send_thunk_steps(
             target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
         )
 
     # -- implicit synchronization -------------------------------------------------------------
 
     def cofence(self, *, puts: bool = True, gets: bool = True) -> None:
+        self.ctx.proc.run_script(self._cofence_steps(puts=puts, gets=gets))
+
+    def _cofence_steps(self, *, puts: bool = True, gets: bool = True):
         handles: list[Handle] = []
         if puts:
             handles += self._outstanding_puts
@@ -329,7 +352,7 @@ class GasnetBackend(RuntimeBackend):
         if gets:
             handles += self._outstanding_gets
             self._outstanding_gets = []
-        self.gasnet.wait_syncnb_all(handles)
+        return self.gasnet._wait_syncnb_all_steps(handles)
 
     def quiet(self) -> None:
         self.cofence()
@@ -385,8 +408,12 @@ class GasnetBackend(RuntimeBackend):
     # -- progress -----------------------------------------------------------------------------------------
 
     def poll(self) -> None:
-        self.run_continuations()
-        self.gasnet.poll()
+        self.ctx.proc.run_script(self._poll_steps())
+
+    def _poll_steps(self):
+        if self._continuations:
+            yield self.run_continuations
+        yield from self.gasnet._poll_steps()
 
     def progress_wait(
         self,
@@ -395,12 +422,10 @@ class GasnetBackend(RuntimeBackend):
         extras: tuple[SimEvent, ...] = (),
     ) -> None:
         for ev in extras:
-            ev.subscribe(lambda: self.gasnet.activity.add())
-
-        def pred_with_continuations() -> bool:
-            # Runtime continuations (e.g. copy_async forwarding legs) run
-            # on this image's context as part of its progress engine.
-            self.run_continuations()
-            return pred()
-
-        self.gasnet.block_until(pred_with_continuations, reason)
+            ev.subscribe(self.kick)
+        # Runtime continuations (e.g. copy_async forwarding legs) run on
+        # this image's context as part of its progress engine: the hook is
+        # asked once more before each test of ``pred``.
+        self.ctx.proc.run_script(
+            self.gasnet._block_until_steps(pred, reason, self._pump_continuations)
+        )

@@ -139,11 +139,11 @@ class MpiBackend(RuntimeBackend):
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 
-    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]) -> None:
+    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
         """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
         self.ctx.proc.run_script(self._send_am_steps(target_world, wire_bytes, thunk))
 
-    def _send_am_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], None]):
+    def _send_am_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
         header = np.array([self._board(thunk)], dtype=np.int64)
         payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
         payload[: header.nbytes] = header.view(np.uint8)
@@ -161,7 +161,9 @@ class MpiBackend(RuntimeBackend):
                 return
             buf = np.zeros(status.count, np.uint8)
             st = self.am_comm.recv(buf, source=status.source, tag=AM_TAG)
-            self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
+            steps = self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
+            if steps is not None:
+                self.ctx.proc.run_script(steps)
 
     def progress_wait(
         self,
@@ -251,7 +253,7 @@ class MpiBackend(RuntimeBackend):
             data_copy = data.copy()
             event_id = ev_storage.event_id
 
-            def deliver_on_target() -> None:
+            def deliver_on_target():
                 tb = win.state.buffers[target]
                 tb[offset : offset + data_copy.size] = data_copy
                 san = self.ctx.sanitizer
@@ -265,7 +267,7 @@ class MpiBackend(RuntimeBackend):
                         [(offset * item, (offset + data_copy.size) * item)],
                         "am-write",
                     )
-                self._post_at(target_world, event_id, slot)
+                yield from self._post_steps(target_world, event_id, slot)
                 handle.remote.fire()
 
             self.send_thunk(

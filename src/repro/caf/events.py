@@ -31,10 +31,6 @@ class EventArray:
         self.team = team
         self.nslots = nslots
         self.storage = img.backend.allocate_events(team, nslots)
-        # Local-post subscribers: slot -> callbacks run on next post
-        # (predicate events of asynchronous operations).
-        self._subscribers: dict[int, list] = {}
-        self.storage.listener = self._run_subscribers
 
     def _check_slot(self, slot: int) -> None:
         if not 0 <= slot < self.nslots:
@@ -52,15 +48,9 @@ class EventArray:
             self.img.backend.event_notify(self.storage, target, slot)
 
     def _post_local(self, slot: int) -> None:
-        """Post this image's own slot (used for source/local completion events).
-
-        Subscribers run via the storage listener.
-        """
+        """Post this image's own slot (used for source/local completion
+        events); the slot's subscribers run."""
         self.storage.post(slot)
-
-    def _run_subscribers(self, slot: int) -> None:
-        for cb in self._subscribers.pop(slot, []):
-            cb()
 
     def _san_consumed(self, slot: int, count: int) -> None:
         """Sanitized runs: a consumed wait is the happens-before edge from
@@ -135,7 +125,7 @@ class EventArray:
         if self.storage.count(slot) > 0:
             cb()
         else:
-            self._subscribers.setdefault(slot, []).append(cb)
+            self.storage.subscribers.setdefault(slot, []).append(cb)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventArray slots={self.nslots} team={self.team.team_id}>"

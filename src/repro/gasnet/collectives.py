@@ -18,6 +18,10 @@ every member (robust even when other teams' allocations skewed the
 segment tops). Completion signalling is conduit-dependent
 (``spec.gasnet_coll_signal``): RDMA **flag puts** the receiver spins on
 (ibv/aries) or short **Active Messages** (pami).
+
+Each collective is one script (``_xxx_steps``; the public method is
+``run_script`` of it), so a member parks once per collective, not once per
+put, signal and poll.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from repro.gasnet.segment import SegmentAllocator
 from repro.util.errors import GasnetError
 
 
-def _collective(fn):
-    """Sanitizer bracket for a team collective.
+def _collective(steps):
+    """Sanitizer bracket for a team collective's script.
 
     The body's puts and flag-spins follow the collective's own internal
     protocol (arena landing zones, monotone markers, drain rounds), so
@@ -43,17 +47,20 @@ def _collective(fn):
     happened-before every exit — become one conservative clock merge.
     """
 
-    @functools.wraps(fn)
-    def wrapper(self, *args, **kwargs):
-        san = self.gasnet.ctx.sanitizer
-        if san is None:
-            return fn(self, *args, **kwargs)
+    def bracketed(self, san, body):
         with san.exempt():
-            out = fn(self, *args, **kwargs)
+            out = yield from body
         san.on_collective(self.gasnet.rank, self.members)
         return out
 
+    @functools.wraps(steps)
+    def wrapper(self, *args, **kwargs):
+        san = self.gasnet.ctx.sanitizer
+        body = steps(self, *args, **kwargs)
+        return body if san is None else bracketed(self, san, body)
+
     return wrapper
+
 
 #: AM handler index space reserved for team signal handlers.
 TEAM_SIGNAL_HANDLER_BASE = 1 << 16
@@ -143,17 +150,18 @@ class TeamExchange:
         key = (seq, round_no)
         self._signals[key] = self._signals.get(key, 0) + 1
 
-    def _signal(self, peer_index: int, seq: int, round_no: int = 0) -> None:
-        self.gasnet.am_request_short(
+    def _signal_steps(self, peer_index: int, seq: int, round_no: int = 0):
+        return self.gasnet._am_inject_steps(
             self.members[peer_index],
             TEAM_SIGNAL_HANDLER_BASE + self.team_id,
-            seq,
-            round_no,
+            (seq, round_no),
+            None,
+            None,
         )
 
-    def _wait_signals(self, seq: int, count: int, round_no: int = 0) -> None:
+    def _wait_signals_steps(self, seq: int, count: int, round_no: int = 0):
         key = (seq, round_no)
-        self.gasnet.block_until(
+        yield from self.gasnet._block_until_steps(
             lambda: self._signals.get(key, 0) >= count,
             f"team{self.team_id}.signals(seq={seq},round={round_no})",
         )
@@ -164,17 +172,17 @@ class TeamExchange:
     def _flags_view(self, base: int) -> np.ndarray:
         return self.gasnet.segment[base : base + 8 * self.size].view(np.uint64)
 
-    def _put_flag(self, peer_index: int, marker: int, peer_bases: tuple[int, ...]) -> None:
-        self.gasnet.put_nb(
+    def _put_flag_steps(self, peer_index: int, marker: int, peer_bases: tuple[int, ...]):
+        return self.gasnet._put_nb_steps(
             self.members[peer_index],
             peer_bases[peer_index] + 8 * self.my_index,
             np.array([marker], np.uint64),
         )
 
-    def _wait_flags(self, marker: int, base: int) -> None:
+    def _wait_flags_steps(self, marker: int, base: int):
         flags = self._flags_view(base)
         others = [i for i in range(self.size) if i != self.my_index]
-        self.gasnet.block_until(
+        return self.gasnet._block_until_steps(
             lambda: all(flags[i] >= marker for i in others),
             f"team{self.team_id}.flags(marker={marker})",
         )
@@ -186,7 +194,6 @@ class TeamExchange:
 
     # -- collectives ------------------------------------------------------------------
 
-    @_collective
     def barrier(self) -> None:
         """Dissemination barrier from short AMs.
 
@@ -195,6 +202,10 @@ class TeamExchange:
         (an untagged counting variant lets subgroups of early arrivers
         release each other before late ranks enter).
         """
+        self.gasnet.ctx.proc.run_script(self._barrier_steps())
+
+    @_collective
+    def _barrier_steps(self):
         seq = self._next_seq()
         n = self.size
         if n == 1:
@@ -202,14 +213,17 @@ class TeamExchange:
         k = 1
         round_no = 0
         while k < n:
-            self._signal((self.my_index + k) % n, seq, round_no)
-            self._wait_signals(seq, 1, round_no)
+            yield from self._signal_steps((self.my_index + k) % n, seq, round_no)
+            yield from self._wait_signals_steps(seq, 1, round_no)
             k <<= 1
             round_no += 1
 
-    @_collective
     def bcast(self, buf, root: int = 0) -> None:
         """Binomial broadcast: puts into the arena + AM signals."""
+        self.gasnet.ctx.proc.run_script(self._bcast_steps(buf, root))
+
+    @_collective
+    def _bcast_steps(self, buf, root: int = 0):
         seq = self._next_seq()
         arr = np.asarray(buf)
         flat = arr.reshape(-1).view(np.uint8)
@@ -222,26 +236,25 @@ class TeamExchange:
         mask = 1
         while mask < n:
             if vr & mask:
-                self._wait_signals(seq, 1)
+                yield from self._wait_signals_steps(seq, 1)
                 flat[...] = self._local_arena(land, flat.nbytes)
-                _costs.charge(self.gasnet.ctx, "copy", flat.nbytes)
+                yield _costs.cost(self.gasnet.ctx, "copy", flat.nbytes)
                 break
             mask <<= 1
         mask >>= 1
         while mask > 0:
             if vr + mask < n:
                 child = ((vr + mask) + root) % n
-                self.gasnet.put(
+                yield from self.gasnet._put_steps(
                     self.members[child], self.peer_arena_bases[child] + land, flat
                 )
-                self._signal(child, seq)
+                yield from self._signal_steps(child, seq)
             mask >>= 1
         # Trailing barrier: nobody may start a collective that reuses this
         # arena region before every subtree has received its copy.
-        self.barrier()
+        yield from self._barrier_steps()
         self._arena_release(marker)
 
-    @_collective
     def reduce(self, sendbuf, recvbuf, op, root: int = 0) -> None:
         """Gather-to-root into landing slots, then combine at the root.
 
@@ -249,6 +262,10 @@ class TeamExchange:
         notes CAF-GASNet's hand-crafted collectives are "not as performant"
         as MPI's tuned trees.
         """
+        self.gasnet.ctx.proc.run_script(self._reduce_steps(sendbuf, recvbuf, op, root))
+
+    @_collective
+    def _reduce_steps(self, sendbuf, recvbuf, op, root: int = 0):
         seq = self._next_seq()
         send = np.asarray(sendbuf)
         flat = np.ascontiguousarray(send).reshape(-1)
@@ -258,7 +275,7 @@ class TeamExchange:
         land = self._arena_alloc(nbytes * n)
         if self.my_index == root:
             if n > 1:
-                self._wait_signals(seq, n - 1)
+                yield from self._wait_signals_steps(seq, n - 1)
             acc = flat.copy()
             landing = self._local_arena(land, nbytes * n)
             for i in range(n):
@@ -266,32 +283,38 @@ class TeamExchange:
                     continue
                 chunk = landing[i * nbytes : (i + 1) * nbytes].view(flat.dtype)
                 acc = op(acc, chunk)
-                _costs.charge(self.gasnet.ctx, "flops", acc.size)
+                yield _costs.cost(self.gasnet.ctx, "flops", acc.size)
             recv = np.asarray(recvbuf)
             recv.reshape(-1)[...] = acc
             # Ack: peers may not reuse the arena before the root combined.
             for i in range(n):
                 if i != root:
-                    self._signal(i, seq, round_no=1)
+                    yield from self._signal_steps(i, seq, round_no=1)
         else:
-            self.gasnet.put(
+            yield from self.gasnet._put_steps(
                 self.members[root],
                 self.peer_arena_bases[root] + land + self.my_index * nbytes,
                 flat,
             )
-            self._signal(root, seq)
-            self._wait_signals(seq, 1, round_no=1)
+            yield from self._signal_steps(root, seq)
+            yield from self._wait_signals_steps(seq, 1, round_no=1)
         self._arena_release(marker)
 
-    @_collective
     def allreduce(self, sendbuf, recvbuf, op) -> None:
-        recv = np.asarray(recvbuf)
-        self.reduce(sendbuf, recv, op)
-        self.bcast(recv)
+        self.gasnet.ctx.proc.run_script(self._allreduce_steps(sendbuf, recvbuf, op))
 
     @_collective
+    def _allreduce_steps(self, sendbuf, recvbuf, op):
+        recv = np.asarray(recvbuf)
+        yield from self._reduce_steps(sendbuf, recv, op)
+        yield from self._bcast_steps(recv)
+
     def allgather(self, sendbuf, recvbuf) -> None:
         """Everyone puts its block into everyone's landing zone (naive)."""
+        self.gasnet.ctx.proc.run_script(self._allgather_steps(sendbuf, recvbuf))
+
+    @_collective
+    def _allgather_steps(self, sendbuf, recvbuf):
         send = np.ascontiguousarray(np.asarray(sendbuf)).reshape(-1)
         recv = np.asarray(recvbuf)
         n = self.size
@@ -300,7 +323,9 @@ class TeamExchange:
             raise GasnetError(f"allgather recvbuf needs leading dimension {n}")
         marker = self._arena_top
         land = self._arena_alloc(nbytes * n)
-        seq = self._exchange(lambda peer: (send, land + self.my_index * nbytes))
+        seq = yield from self._exchange_steps(
+            lambda peer: (send, land + self.my_index * nbytes)
+        )
         landing = self._local_arena(land, nbytes * n)
         for i in range(n):
             if i == self.my_index:
@@ -313,11 +338,10 @@ class TeamExchange:
                 )
         # Unpack cost: landing zone -> user buffer (MPI's collectives
         # receive in place and skip this — part of why they win).
-        _costs.charge(self.gasnet.ctx, "copy", nbytes * n)
-        self._finish_exchange(seq)
+        yield _costs.cost(self.gasnet.ctx, "copy", nbytes * n)
+        yield from self._finish_exchange_steps(seq)
         self._arena_release(marker)
 
-    @_collective
     def alltoall(self, sendbuf, recvbuf) -> None:
         """Naive all-to-all: put chunk j to peer j in ascending rank order.
 
@@ -326,6 +350,10 @@ class TeamExchange:
         This is the hand-rolled collective whose cost dominates
         CAF-GASNet's FFT (Figure 8).
         """
+        self.gasnet.ctx.proc.run_script(self._alltoall_steps(sendbuf, recvbuf))
+
+    @_collective
+    def _alltoall_steps(self, sendbuf, recvbuf):
         send = np.asarray(sendbuf)
         recv = np.asarray(recvbuf)
         n = self.size
@@ -335,7 +363,7 @@ class TeamExchange:
         nbytes = chunk0.nbytes
         marker = self._arena_top
         land = self._arena_alloc(nbytes * n)
-        seq = self._exchange(
+        seq = yield from self._exchange_steps(
             lambda peer: (
                 np.ascontiguousarray(send[peer]).reshape(-1).view(np.uint8),
                 land + self.my_index * nbytes,
@@ -351,14 +379,14 @@ class TeamExchange:
                     .reshape(recv[i].shape)
                 )
         # Unpack cost (see allgather): landing zone -> user buffer.
-        _costs.charge(self.gasnet.ctx, "copy", nbytes * n)
-        self._finish_exchange(seq)
+        yield _costs.cost(self.gasnet.ctx, "copy", nbytes * n)
+        yield from self._finish_exchange_steps(seq)
         self._arena_release(marker)
 
-    def _exchange(self, chunk_for_peer) -> int:
+    def _exchange_steps(self, chunk_for_peer):
         """Common body of allgather/alltoall: put + signal every peer in
         naive ascending order, then wait for every peer's signal. Returns
-        the collective's sequence number for :meth:`_finish_exchange`."""
+        the collective's sequence number for :meth:`_finish_exchange_steps`."""
         seq = self._next_seq()
         n = self.size
         mode = self.gasnet.ctx.spec.gasnet_coll_signal
@@ -368,13 +396,13 @@ class TeamExchange:
                 if j == self.my_index:
                     continue
                 data, delta = chunk_for_peer(j)
-                self.gasnet.put_nb(
+                yield from self.gasnet._put_nb_steps(
                     self.members[j], self.peer_arena_bases[j] + delta, data
                 )
                 # Pair-FIFO delivery makes the flag arrive after the data.
-                self._put_flag(j, marker_val, self.peer_flag_bases)
+                yield from self._put_flag_steps(j, marker_val, self.peer_flag_bases)
             if n > 1:
-                self._wait_flags(marker_val, self.flags_base)
+                yield from self._wait_flags_steps(marker_val, self.flags_base)
         elif mode == "am":
             handles = []
             for j in range(n):
@@ -382,21 +410,23 @@ class TeamExchange:
                     continue
                 data, delta = chunk_for_peer(j)
                 handles.append(
-                    self.gasnet.put_nb(
-                        self.members[j], self.peer_arena_bases[j] + delta, data
+                    (
+                        yield from self.gasnet._put_nb_steps(
+                            self.members[j], self.peer_arena_bases[j] + delta, data
+                        )
                     )
                 )
-            self.gasnet.wait_syncnb_all(handles)
+            yield from self.gasnet._wait_syncnb_all_steps(handles)
             for j in range(n):
                 if j != self.my_index:
-                    self._signal(j, seq)
+                    yield from self._signal_steps(j, seq)
             if n > 1:
-                self._wait_signals(seq, n - 1)
+                yield from self._wait_signals_steps(seq, n - 1)
         else:
             raise GasnetError(f"unknown gasnet_coll_signal mode {mode!r}")
         return seq
 
-    def _finish_exchange(self, seq: int) -> None:
+    def _finish_exchange_steps(self, seq: int):
         """Drain round: nobody's landing zone may be overwritten (by a
         subsequent collective reusing the arena) until everyone has copied
         theirs out."""
@@ -408,10 +438,10 @@ class TeamExchange:
             marker_val = seq + 1
             for j in range(n):
                 if j != self.my_index:
-                    self._put_flag(j, marker_val, self.peer_drain_bases)
-            self._wait_flags(marker_val, self.drain_base)
+                    yield from self._put_flag_steps(j, marker_val, self.peer_drain_bases)
+            yield from self._wait_flags_steps(marker_val, self.drain_base)
         else:
             for j in range(n):
                 if j != self.my_index:
-                    self._signal(j, seq, round_no=1)
-            self._wait_signals(seq, n - 1, round_no=1)
+                    yield from self._signal_steps(j, seq, round_no=1)
+            yield from self._wait_signals_steps(seq, n - 1, round_no=1)

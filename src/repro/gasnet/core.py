@@ -9,6 +9,16 @@ every blocking GASNet call does internally (``GASNET_BLOCKUNTIL``
 semantics). A process blocked outside GASNet (e.g. in an MPI barrier)
 never runs its AM handlers: exactly the interoperability hazard of the
 paper's Figure 2.
+
+Every blocking call is a script (``_xxx_steps`` run by
+:meth:`repro.sim.engine.Proc.run_script`): its caller parks once, however
+many costs, polls and waits the call is made of. An AM handler is what the
+GASNet specification says it is — code that may not block and may send at
+most one reply — so :meth:`GasnetRank.poll` runs it inline, on whichever
+fiber is driving the script, and injects its reply when it returns. A
+handler with more to do than that (a runtime's own request, user code for
+the rank's own fiber) returns those steps as a script and ``poll`` takes
+them.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import math
 from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import GeneratorType
 from typing import Any
 
 import numpy as np
@@ -52,12 +63,32 @@ class Token:
 
     src: int
     gasnet: "GasnetRank"
+    #: Index of the handler this token was made for, and whether the AM
+    #: that runs it is itself a reply.
+    handler_idx: int = -1
+    is_reply: bool = False
+    #: ``(handler_idx, args)`` of the reply the handler asked for;
+    #: :meth:`GasnetRank.poll` injects it when the handler returns.
+    reply: tuple[int, tuple[int, ...]] | None = None
 
     def reply_short(self, handler_idx: int, *args: int) -> None:
-        """AMReplyShort: send a short AM back to the requester."""
-        self.gasnet._am_inject(
-            self.src, handler_idx, args, payload=None, dest_offset=None, is_reply=True
-        )
+        """AMReplyShort: send a short AM back to the requester.
+
+        GASNet's handler rules (core API, "Active Message Interface"): a
+        request handler may reply at most once, to the requester; a reply
+        handler may not reply (nor request) at all.
+        """
+        if self.is_reply:
+            raise GasnetError(
+                f"handler {self.handler_idx} runs a reply and called "
+                "AMReplyShort: GASNet allows no reply from a reply handler"
+            )
+        if self.reply is not None:
+            raise GasnetError(
+                f"handler {self.handler_idx} called AMReplyShort twice: "
+                "GASNet allows at most one reply per request"
+            )
+        self.reply = (handler_idx, args)
 
 
 @dataclass
@@ -132,15 +163,14 @@ class GasnetRank:
         #: Restricts which handler indices THIS view may run (progress
         #: agents set it on their clones; None = unrestricted).
         self.default_handler_filter: set[int] | None = None
-        #: Callables run at every poll (library progress hooks, e.g. CAF
-        #: runtime continuations). Shared across clones.
-        self.poll_hooks: list[Callable[[], None]] = []
+        #: Library progress hooks (e.g. CAF runtime continuations), asked at
+        #: every poll: each returns ``None`` or work — code that may block —
+        #: for the polling process's own fiber. Shared across clones.
+        self.poll_hooks: list[Callable[[], Callable[[], None] | None]] = []
         #: Bumped on every arrival/completion; blocking calls wait on it.
         self.activity = Counter(f"gasnet.activity[{ctx.rank}]")
         #: AM request/reply flow control: available request slots per peer.
         self._credits: dict[int, int] = {}
-        self.am_requests_sent = 0
-        self.am_handled = 0
 
     # -- segment ---------------------------------------------------------
 
@@ -181,12 +211,18 @@ class GasnetRank:
     def register_handler(self, idx: int, fn: Callable[..., Any]) -> None:
         """Register AM handler ``idx``. Short handlers get ``(token, *args)``;
         medium get ``(token, payload, *args)``; long get
-        ``(token, offset, nbytes, *args)``."""
+        ``(token, offset, nbytes, *args)``.
+
+        A handler runs inside :meth:`poll`'s script, on whichever fiber is
+        driving it: it may not block (``sleep``, ``block`` and every
+        blocking call refuse) and replies through its token. What it cannot
+        do itself it returns, as a script for ``poll`` to take.
+        """
         if idx in self.handlers:
             raise GasnetError(f"handler index {idx} already registered")
         self.handlers[idx] = fn
 
-    def _acquire_credit(self, dest: int) -> None:
+    def _acquire_credit_steps(self, dest: int):
         """Block (with AM progress) until a request slot to ``dest`` frees.
 
         Models GASNet's request/reply flow control: a sender cannot run
@@ -198,7 +234,7 @@ class GasnetRank:
         if limit is None:
             return
         if self._credits.get(dest, limit) <= 0:
-            self.block_until(
+            yield from self._block_until_steps(
                 lambda: self._credits.get(dest, limit) > 0,
                 f"am credits to rank {dest}",
             )
@@ -211,7 +247,7 @@ class GasnetRank:
         self._credits[dest] = self._credits.get(dest, limit) + 1
         self.activity.add()
 
-    def _am_inject(
+    def _am_inject_steps(
         self,
         dest: int,
         handler_idx: int,
@@ -220,17 +256,18 @@ class GasnetRank:
         dest_offset: int | None,
         *,
         is_reply: bool = False,
-    ) -> None:
+    ):
+        """Inject one AM, as a script: the credit wait, the origin's
+        software cost, the message."""
         if len(args) > AM_MAX_ARGS:
             raise GasnetError(f"AM carries {len(args)} args > AMMaxArgs={AM_MAX_ARGS}")
         self._check_rank(dest)
         self._check_alive(dest)
         if not is_reply:
             # Replies have a guaranteed slot; only requests consume credits.
-            self._acquire_credit(dest)
+            yield from self._acquire_credit_steps(dest)
         nbytes = 0 if payload is None else payload.nbytes
-        _costs.charge(self.ctx, "gasnet.am", nbytes)
-        self.am_requests_sent += 1
+        yield _costs.cost(self.ctx, "gasnet.am", nbytes)
         wire = 32 + nbytes
         src = self.rank
         target = self.world.ranks.get(dest)
@@ -265,16 +302,27 @@ class GasnetRank:
 
     def am_request_short(self, dest: int, handler_idx: int, *args: int) -> None:
         """AMRequestShort: a few integer arguments, no payload."""
-        self._am_inject(dest, handler_idx, args, payload=None, dest_offset=None)
+        self.ctx.proc.run_script(
+            self._am_inject_steps(dest, handler_idx, args, None, None)
+        )
 
-    def am_request_medium(self, dest: int, handler_idx: int, payload, *args: int) -> None:
-        """AMRequestMedium: opaque payload into a target bounce buffer."""
+    @staticmethod
+    def _medium_payload(payload) -> np.ndarray:
+        """The bounce-buffer copy a medium AM carries."""
         data = np.ascontiguousarray(payload).reshape(-1).view(np.uint8).copy()
         if data.nbytes > AM_MAX_MEDIUM:
             raise GasnetError(
                 f"medium AM payload {data.nbytes} > AMMaxMedium={AM_MAX_MEDIUM}"
             )
-        self._am_inject(dest, handler_idx, args, payload=data, dest_offset=None)
+        return data
+
+    def am_request_medium(self, dest: int, handler_idx: int, payload, *args: int) -> None:
+        """AMRequestMedium: opaque payload into a target bounce buffer."""
+        self.ctx.proc.run_script(
+            self._am_inject_steps(
+                dest, handler_idx, args, self._medium_payload(payload), None
+            )
+        )
 
     def am_request_long(
         self, dest: int, handler_idx: int, payload, dest_offset: int, *args: int
@@ -282,7 +330,9 @@ class GasnetRank:
         """AMRequestLong: payload lands at a predetermined segment address."""
         data = np.ascontiguousarray(payload).reshape(-1).view(np.uint8).copy()
         self._check_range(dest, dest_offset, data.nbytes)
-        self._am_inject(dest, handler_idx, args, payload=data, dest_offset=dest_offset)
+        self.ctx.proc.run_script(
+            self._am_inject_steps(dest, handler_idx, args, data, dest_offset)
+        )
 
     def clone_for(self, ctx) -> "GasnetRank":
         """A view of this rank bound to another execution context.
@@ -304,10 +354,16 @@ class GasnetRank:
         it must never run application handlers on the wrong execution
         context) runs only those handler indices; others stay queued.
         """
+        return self.ctx.proc.run_script(self._poll_steps())
+
+    def _poll_steps(self):
         allowed = self.default_handler_filter
-        _costs.charge(self.ctx, "gasnet.poll")
+        ctx = self.ctx
+        yield _costs.cost(ctx, "gasnet.poll")
         for hook in self.poll_hooks:
-            hook()
+            work = hook()
+            if work is not None:
+                yield work
         ran = 0
         pending = []
         while self.am_queue:
@@ -315,23 +371,29 @@ class GasnetRank:
             if allowed is not None and qam.handler_idx not in allowed:
                 pending.append(qam)
                 continue
-            _costs.charge(self.ctx, "gasnet.handler")
+            yield _costs.cost(ctx, "gasnet.handler")
             handler = self.handlers.get(qam.handler_idx)
             if handler is None:
                 raise GasnetError(f"no handler registered at index {qam.handler_idx}")
-            san = self.ctx.sanitizer
+            san = ctx.sanitizer
             if san is not None:
                 # Running the handler is the synchronization edge: the
                 # sender's history happened-before this (logical) rank.
                 san.merge(self.rank, qam.clock)
-            token = Token(src=qam.src, gasnet=self)
+            token = Token(qam.src, self, qam.handler_idx, qam.is_reply)
             if qam.dest_offset is not None:
-                handler(token, qam.dest_offset, qam.nbytes, *qam.args)
+                more = handler(token, qam.dest_offset, qam.nbytes, *qam.args)
             elif qam.payload is not None:
-                handler(token, qam.payload, *qam.args)
+                more = handler(token, qam.payload, *qam.args)
             else:
-                handler(token, *qam.args)
-            self.am_handled += 1
+                more = handler(token, *qam.args)
+            if type(more) is GeneratorType:
+                yield from more
+            if token.reply is not None:
+                idx, args = token.reply
+                yield from self._am_inject_steps(
+                    qam.src, idx, args, None, None, is_reply=True
+                )
             ran += 1
             if not qam.is_reply:
                 # The implicit reply returns the sender's flow-control
@@ -339,7 +401,7 @@ class GasnetRank:
                 sender = self.world.ranks.get(qam.src)
                 if sender is not None:
                     _costs.charge_in(
-                        self.ctx, "ack",
+                        ctx, "ack",
                         lambda s=sender, d=self.rank: s._credit_returned(d),
                         a=qam.src, b=self.rank,
                     )
@@ -362,16 +424,28 @@ class GasnetRank:
         """GASNET_BLOCKUNTIL: poll-and-sleep until ``pred()`` holds.
 
         Polls AMs on every wake-up, so handlers make progress while this
-        image is blocked inside GASNet (and only then).
+        image is blocked inside GASNet (and only then). ``pred`` runs
+        inside the script, like a handler: it tests, it does not block.
         """
+        self.ctx.proc.run_script(self._block_until_steps(pred, reason))
+
+    def _block_until_steps(self, pred: Callable[[], bool], reason: str, hook=None):
+        """:meth:`block_until` as a script; ``hook`` is one more poll hook,
+        asked after each poll's handlers and before ``pred``."""
+        activity = self.activity
+        proc = self.ctx.proc
         while True:
-            ran = self.poll()
+            ran = yield from self._poll_steps()
+            if hook is not None:
+                work = hook()
+                if work is not None:
+                    yield work
             if pred():
                 return
-            seen = self.activity.count
+            seen = activity.count
             if ran and self.am_queue:
                 continue  # more AMs this caller may handle arrived mid-poll
-            self.activity.wait_geq(self.ctx.proc, seen + 1, reason=reason)
+            yield from activity._wait_geq_steps(proc, seen + 1, reason)
 
     # -- one-sided RDMA ---------------------------------------------------------
 
@@ -464,10 +538,13 @@ class GasnetRank:
         modifying the source until the handle syncs, so the only copy is
         the commit into the destination segment at delivery.
         """
+        return self.ctx.proc.run_script(self._put_nb_steps(dest, dest_offset, data))
+
+    def _put_nb_steps(self, dest: int, dest_offset: int, data):
         arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
         self._check_range(dest, dest_offset, arr.nbytes)
         self._check_alive(dest)
-        _costs.charge(self.ctx, "gasnet.put", arr.nbytes)
+        yield _costs.cost(self.ctx, "gasnet.put", arr.nbytes)
         handle = self._begin(
             "put", dest, [(dest_offset, dest_offset + arr.nbytes)], is_write=True
         )
@@ -476,13 +553,16 @@ class GasnetRank:
 
     def get_nb(self, dest_buf, src: int, src_offset: int) -> Handle:
         """gasnet_get_nb: RDMA read into ``dest_buf``."""
+        return self.ctx.proc.run_script(self._get_nb_steps(dest_buf, src, src_offset))
+
+    def _get_nb_steps(self, dest_buf, src: int, src_offset: int):
         out = np.asarray(dest_buf)
         if out.size and not out.flags["C_CONTIGUOUS"]:
             raise GasnetError("get destination must be C-contiguous")
         nbytes = out.nbytes
         self._check_range(src, src_offset, nbytes)
         self._check_alive(src)
-        _costs.charge(self.ctx, "gasnet.get", nbytes)
+        yield _costs.cost(self.ctx, "gasnet.get", nbytes)
         handle = self._begin(
             "get", src, [(src_offset, src_offset + nbytes)], is_write=False
         )
@@ -493,6 +573,9 @@ class GasnetRank:
         """Strided RDMA write (the GASNet VIS extended API): one message
         scatters ``data`` into the (byte_offset, nbytes) runs of the
         destination segment."""
+        return self.ctx.proc.run_script(self._put_runs_nb_steps(dest, runs, data))
+
+    def _put_runs_nb_steps(self, dest: int, runs: list[tuple[int, int]], data):
         arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
         total = sum(n for _off, n in runs)
         if arr.nbytes != total:
@@ -502,7 +585,7 @@ class GasnetRank:
         self._check_alive(dest)
         # Pack cost at the origin, then a single wire message. Like put_nb,
         # the source may not change until the handle syncs, so no snapshot.
-        _costs.charge(self.ctx, "gasnet.put_runs", arr.nbytes)
+        yield _costs.cost(self.ctx, "gasnet.put_runs", arr.nbytes)
         handle = self._begin(
             "put_runs", dest,
             [(int(off), int(off) + int(n)) for off, n in runs], is_write=True,
@@ -513,6 +596,9 @@ class GasnetRank:
     def get_runs_nb(self, dest_buf, src: int, runs: list[tuple[int, int]]) -> Handle:
         """Strided RDMA read: gather the source segment's byte runs into
         ``dest_buf`` with one request/response exchange."""
+        return self.ctx.proc.run_script(self._get_runs_nb_steps(dest_buf, src, runs))
+
+    def _get_runs_nb_steps(self, dest_buf, src: int, runs: list[tuple[int, int]]):
         out = np.asarray(dest_buf)
         total = sum(n for _off, n in runs)
         if out.nbytes != total:
@@ -520,7 +606,7 @@ class GasnetRank:
         for off, n in runs:
             self._check_range(src, int(off), int(n))
         self._check_alive(src)
-        _costs.charge(self.ctx, "gasnet.get_runs", total)
+        yield _costs.cost(self.ctx, "gasnet.get_runs", total)
         handle = self._begin(
             "get_runs", src,
             [(int(off), int(off) + int(n)) for off, n in runs], is_write=False,
@@ -530,19 +616,35 @@ class GasnetRank:
 
     def wait_syncnb(self, handle: Handle) -> None:
         """gasnet_wait_syncnb: block (with AM progress) until the handle fires."""
-        self.block_until(lambda: handle.done, f"wait_syncnb({handle.kind})")
+        self.ctx.proc.run_script(self._wait_syncnb_steps(handle))
+
+    def _wait_syncnb_steps(self, handle: Handle):
+        yield from self._block_until_steps(
+            lambda: handle.done, f"wait_syncnb({handle.kind})"
+        )
         self._san_release((handle,))
 
     def wait_syncnb_all(self, handles: list[Handle]) -> None:
-        self.block_until(
+        self.ctx.proc.run_script(self._wait_syncnb_all_steps(handles))
+
+    def _wait_syncnb_all_steps(self, handles: list[Handle]):
+        yield from self._block_until_steps(
             lambda: all(h.done for h in handles), "wait_syncnb_all"
         )
         self._san_release(handles)
 
     def put(self, dest: int, dest_offset: int, data) -> None:
         """gasnet_put (blocking): returns when remotely complete."""
-        self.wait_syncnb(self.put_nb(dest, dest_offset, data))
+        self.ctx.proc.run_script(self._put_steps(dest, dest_offset, data))
+
+    def _put_steps(self, dest: int, dest_offset: int, data):
+        handle = yield from self._put_nb_steps(dest, dest_offset, data)
+        yield from self._wait_syncnb_steps(handle)
 
     def get(self, dest_buf, src: int, src_offset: int) -> None:
         """gasnet_get (blocking)."""
-        self.wait_syncnb(self.get_nb(dest_buf, src, src_offset))
+        self.ctx.proc.run_script(self._get_steps(dest_buf, src, src_offset))
+
+    def _get_steps(self, dest_buf, src: int, src_offset: int):
+        handle = yield from self._get_nb_steps(dest_buf, src, src_offset)
+        yield from self._wait_syncnb_steps(handle)

@@ -46,8 +46,14 @@ middle of the call is still an event of that process, popped at the same
 by advancing the generator in place (:meth:`Engine._drive`) instead of
 handing the baton over; the baton goes back to the owner only when the
 script is over. :attr:`Engine.handoffs` counts the resumes that did cost a
-switch. User code, and library code that runs user code (AM handlers,
-``progress_wait``), stays on fibers.
+switch. What stays on a fiber is user code: the program itself, and the
+two places a library hands control back to it in the middle of a blocking
+call — a shipped function's body and a runtime continuation — which a
+script asks for by yielding the callable: :meth:`Proc.run_script` runs it on
+the script's own fiber, at the time and place in the event order it was
+asked for, and drives on when it returns (real CAF 2.0 does the same: the
+handler enqueues, the image executes). CAF-MPI's ``progress_wait`` / ``poll``
+loop is the one library path still written with ``block``.
 
 Since only one fiber ever runs, the fibers of a run are one logical thread
 of execution and are placed like one: each confines itself to one host CPU
@@ -155,9 +161,11 @@ class Proc:
         #: targeting the same generation are dropped at the call site.
         self._woken_gen = -1
         #: The script :meth:`run_script` is running (dispatchers advance it
-        #: at this process's resumes), its outcome once it is over, and —
-        #: sanitized runs only — the frame that called ``run_script``.
+        #: at this process's resumes), a callable it yielded for this fiber
+        #: to run, its outcome once it is over, and — sanitized runs only —
+        #: the frame that called ``run_script``.
         self._script: Generator[Any, Any, Any] | None = None
+        self._script_call: Callable[[], Any] | None = None
         self._script_value: Any = None
         self._script_error: BaseException | None = None
         self._script_caller: Any = None
@@ -351,9 +359,9 @@ class Proc:
         waits the call is made of.
 
         The script yields a number (sleep that long: what :meth:`sleep`
-        does), a string (block with that reason: what :meth:`block` does)
-        or ``None`` (nothing: a cost the machine does not charge), and
-        composes with ``yield from``. Every
+        does), a string (block with that reason: what :meth:`block` does),
+        ``None`` (nothing: a cost the machine does not charge) or a callable
+        (below), and composes with ``yield from``. Every
         resume stays an event of this process with the ``(time, seq)`` it
         would have had; only *who executes it* changes — whichever fiber is
         dispatching advances the generator in place (:meth:`Engine._drive`)
@@ -363,23 +371,37 @@ class Proc:
 
         A script segment may run on any fiber, so it must not call
         :meth:`sleep`, :meth:`block` or :meth:`run_script` (they refuse) or
-        anything that runs user code; it yields instead.
+        anything that runs user code; it yields instead. Code that may do
+        any of that — user code a library call has to run part-way through
+        — is yielded as a callable: the baton comes back here, the callable
+        runs on this fiber as if no script were open (no event, no virtual
+        time of its own), and the script carries on after it.
         """
         self._check_running("run_script")
         engine = self.engine
-        if engine.sanitizer is not None:
-            # Diagnostics name the *application* line that made the call,
-            # which is on this fiber's stack, not on a driving fiber's.
-            self._script_caller = sys._getframe(1)
+        # Diagnostics name the *application* line that made the call, which
+        # is on this fiber's stack, not on a driving fiber's.
+        caller = sys._getframe(1) if engine.sanitizer is not None else None
+        self._script_caller = caller
         self._script = script
         try:
-            if not engine._drive(self):
-                self._park()
+            while True:
+                if not engine._drive(self):
+                    self._park()
+                call = self._script_call
+                if call is None:
+                    break
+                self._script_call = self._script = self._script_caller = None
+                try:
+                    call()
+                finally:
+                    self._script = script
+                    self._script_caller = caller
         finally:
             self._script_caller = None
             if self._script is not None:
-                # Unwound mid-script (an injected crash, teardown): let the
-                # script's ``finally`` blocks run.
+                # Unwound mid-script (an injected crash, teardown, a failed
+                # callable): let the script's ``finally`` blocks run.
                 self._script = None
                 script.close()
         error = self._script_error
@@ -661,7 +683,7 @@ class Engine:
                 if proc._script is None:
                     return proc
                 if self._drive(proc):
-                    return proc  # its script is over: the fiber takes it from here
+                    return proc  # script over, or a callable to run: its fiber's turn
                 self._current = None
                 continue
             self.events_executed += 1
@@ -677,8 +699,9 @@ class Engine:
 
     def _drive(self, proc: Proc) -> bool:
         """Advance ``proc``'s script — ``proc`` is current — until it parks
-        (``False``) or is over (``True``, outcome stored on ``proc`` for
-        :meth:`Proc.run_script`).
+        (``False``) or its own fiber must take over (``True``): the script
+        is over, outcome stored on ``proc`` for :meth:`Proc.run_script`, or
+        it yielded a callable for that fiber to run.
 
         A yielded duration is :meth:`Proc.sleep`, a yielded reason is
         :meth:`Proc.block`, statement for statement; the caller dispatches
@@ -704,6 +727,9 @@ class Engine:
                 proc.state = Proc.BLOCKED
                 proc._block_site = step
                 return False
+            if callable(step):
+                proc._script_call = step
+                return True
             if step < 0:
                 script.close()
                 proc._script = None

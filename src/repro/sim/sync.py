@@ -93,9 +93,13 @@ class Counter:
 
     def wait_geq(self, proc: Proc, threshold: int, reason: str | None = None) -> None:
         """Block until ``count >= threshold`` (does not consume)."""
+        proc.run_script(self._wait_geq_steps(proc, threshold, reason))
+
+    def _wait_geq_steps(self, proc: Proc, threshold: int, reason: str | None = None):
+        """:meth:`wait_geq` as a script (see :meth:`Proc.run_script`)."""
         while self.count < threshold:
             self._waiters.append(proc)
-            proc.block(reason or f"wait_geq({self.label}, {threshold})")
+            yield reason or f"wait_geq({self.label}, {threshold})"
             if proc in self._waiters:
                 self._waiters.remove(proc)
         rec = _irhook.RECORDER

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.caf import run_caf
+from repro.sim.network import MachineSpec
 
 BACKENDS = ["mpi", "gasnet"]
 
@@ -12,11 +13,17 @@ def backend(request):
     return request.param
 
 
-def mpi_handoffs_per_call(program, nranks, calls=10):
+def handoffs_per_call(program, nranks, backend="mpi", spec=None, calls=10):
     """Extra ``Engine.handoffs`` of ``calls`` more calls in ``program(img,
-    n)`` on CAF-MPI, per call per rank (start-up and the first call are in
-    both runs). Exact on any host."""
-    few = run_caf(program, nranks, backend="mpi", n=1)
-    many = run_caf(program, nranks, backend="mpi", n=1 + calls)
+    n)`` on ``backend``, per call per rank (start-up and the first call are
+    in both runs). Exact on any host."""
+    few = run_caf(program, nranks, spec, backend=backend, n=1)
+    many = run_caf(program, nranks, spec, backend=backend, n=1 + calls)
     extra = many.cluster.engine.handoffs - few.cluster.engine.handoffs
     return extra / (calls * nranks)
+
+
+@pytest.fixture(params=["put", "am"])
+def gasnet_signal_spec(request):
+    """A machine per ``gasnet_coll_signal`` mode (flag puts / short AMs)."""
+    return MachineSpec("generic").with_overrides(gasnet_coll_signal=request.param)

@@ -84,7 +84,7 @@ def test_every_am_enters_at_run_thunk_once(monkeypatch, backend, options, per_im
 
     def counting_run_thunk(self, src_world, seq):
         ran.append((src_world, seq))
-        run_thunk(self, src_world, seq)
+        return run_thunk(self, src_world, seq)  # None, or the thunk's remaining steps
 
     monkeypatch.setattr(RuntimeBackend, "_board", counting_board)
     monkeypatch.setattr(RuntimeBackend, "_run_thunk", counting_run_thunk)

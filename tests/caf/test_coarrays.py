@@ -6,7 +6,7 @@ import pytest
 from repro.caf import run_caf
 from repro.util.errors import CafError
 
-from tests.caf.conftest import mpi_handoffs_per_call
+from tests.caf.conftest import handoffs_per_call
 
 
 def test_local_view_is_writable(backend):
@@ -164,16 +164,36 @@ def test_gups_style_fine_grained_writes(backend):
         assert (local == expected[rank]).all()
 
 
+def _write_n_times(img, n):
+    co = img.allocate_coarray(8, np.float64)
+    img.sync_all()
+    for _ in range(n):
+        co.write((img.rank + 1) % img.nranks, np.full(8, 1.0))
+    img.sync_all()
+
+
 def test_mpi_backend_write_costs_one_handoff():
     """``coarray_write`` is MPI_PUT + MPI_WIN_FLUSH run as one script: the
     origin-side cost, the flush overhead and the wait for remote completion
     park the image once, not once each (``Engine.handoffs`` is exact)."""
+    assert handoffs_per_call(_write_n_times, nranks=8) <= 2
+
+
+def test_gasnet_backend_write_costs_one_handoff(gasnet_signal_spec):
+    """``coarray_write`` on CAF-GASNet is gasnet_put — the origin's cost,
+    the polls and the wait for the handle — as one script (5.88 parks per
+    call per rank when each cost parked the fiber)."""
+    per_call = handoffs_per_call(_write_n_times, 8, "gasnet", gasnet_signal_spec)
+    assert per_call <= 2
+
+
+def test_gasnet_sync_all_costs_two_handoffs_at_16_images(gasnet_signal_spec):
+    """``sync_all`` = the handle sync + the team's dissemination barrier,
+    each one script: log2(P) signal/wait rounds park the image once (23.0
+    parks per call per rank at P=16 when each poll and cost did)."""
 
     def program(img, n):
-        co = img.allocate_coarray(8, np.float64)
-        img.sync_all()
         for _ in range(n):
-            co.write((img.rank + 1) % img.nranks, np.full(8, 1.0))
-        img.sync_all()
+            img.sync_all()
 
-    assert mpi_handoffs_per_call(program, nranks=8) <= 2
+    assert handoffs_per_call(program, 16, "gasnet", gasnet_signal_spec) <= 2

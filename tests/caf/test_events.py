@@ -6,7 +6,7 @@ import pytest
 from repro.caf import run_caf
 from repro.util.errors import CafError, DeadlockError
 
-from tests.caf.conftest import mpi_handoffs_per_call
+from tests.caf.conftest import handoffs_per_call
 
 
 def test_notify_then_wait(backend):
@@ -182,7 +182,24 @@ def test_mpi_backend_notify_costs_two_handoffs(ncoarrays):
         ev.wait(count=n)
         img.sync_all()
 
-    assert mpi_handoffs_per_call(program, nranks=8) <= 2
+    assert handoffs_per_call(program, nranks=8) <= 2
+
+
+def test_gasnet_backend_notify_costs_two_handoffs(gasnet_signal_spec):
+    """CAF-GASNet ``event_notify`` is the handle sync plus the notification
+    AM (credit wait, injection cost) as one script, as CAF-MPI's: one park
+    (3.0 per call per rank when each poll and cost parked the fiber)."""
+
+    def program(img, n):
+        img.allocate_coarray(8, np.float64)
+        ev = img.allocate_events(1)
+        img.sync_all()
+        for _ in range(n):
+            ev.notify(target=(img.rank + 1) % img.nranks)
+        ev.wait(count=n)
+        img.sync_all()
+
+    assert handoffs_per_call(program, 8, "gasnet", gasnet_signal_spec) <= 2
 
 
 @pytest.mark.parametrize("sanitize", [False, True])

@@ -66,6 +66,30 @@ def test_crash_surfaces_everywhere(backend):
         assert out["wait"] == "timeout"
 
 
+def test_crash_mid_script_unwinds_the_blocked_call(backend):
+    """The victim is parked inside one blocking call — on CAF-GASNet a
+    script other images' fibers have been driving (their notifications run
+    its handlers) — when the injected crash lands: its fiber unwinds, the
+    script is closed, and the survivors carry on."""
+
+    def program(img):
+        ev = img.allocate_events(2)
+        img.sync_all()
+        if img.rank == VICTIM:
+            ev.wait(slot=0)  # never posted: killed in here
+            return "unreachable"
+        ev.notify(VICTIM, slot=1)  # handled inside the victim's wait
+        img.compute(seconds=3 * CRASH_AT)
+        return img.failed_images()
+
+    result = _crash_run(program, backend)
+    assert result.results == [[VICTIM]] * 3 + [None]
+    victim = result.cluster.engine.procs[VICTIM]
+    assert victim.crashed and victim._script is None and victim._script_call is None
+    if backend == "gasnet":
+        assert victim.block_reason == "event_wait(slot=0, count=1)"
+
+
 def test_shrink_team_yields_working_survivor_team(backend):
     """ULFM-style recovery at the CAF level: survivors shrink TEAM_WORLD
     and the new team supports allocation, RMA, and collectives."""

@@ -1,5 +1,7 @@
 """finish blocks (fast + termination detection) and function shipping."""
 
+import threading
+
 import numpy as np
 
 from repro.caf import run_caf
@@ -76,6 +78,40 @@ def test_shipped_function_can_communicate(backend):
 
     run = run_caf(program, 2, backend=backend)
     assert run.results[0] == 7.5
+
+
+def _blocking_body(img, origin):
+    """Shipped: blocks three ways — a nested coarray write, a compute sleep
+    and a ``sync_images`` handshake with the image that shipped it."""
+    img.cluster.shared("ship-threads", dict)[img.rank] = threading.get_ident()
+    co = img.cluster.shared("ship-coarrays", dict)[img.rank]
+    co.write(origin, np.array([10.0 + img.rank]))
+    img.compute(1e-6)
+    img.sync_images([origin])
+
+
+def test_shipped_function_that_blocks_runs_on_its_images_fiber(backend):
+    """A handler may not block; a shipped function may do anything. The
+    handler enqueues and the image executes: the body runs on the target
+    image's own fiber, in the middle of whatever blocking call its progress
+    engine was driving (here ``serve`` — one script on CAF-GASNet)."""
+
+    def program(img):
+        co = img.allocate_coarray(1, np.float64)
+        img.cluster.shared("ship-coarrays", dict)[img.rank] = co
+        own = threading.get_ident()
+        img.sync_all()
+        if img.rank == 0:
+            img.spawn(1, _blocking_body, 0)
+            img.sync_images([1])
+        elif img.rank == 1:
+            img.serve()
+        img.sync_all()
+        return own, co.local[0]
+
+    run = run_caf(program, 3, backend=backend)
+    assert run.results[0][1] == 11.0
+    assert run.cluster.shared("ship-threads", dict) == {1: run.results[1][0]}
 
 
 def test_nested_finish_blocks(backend):

@@ -40,9 +40,9 @@ def test_figure2_deadlock_under_am_writes_backend():
 
     with pytest.raises(DeadlockError) as ei:
         run_caf(program, 2, backend="gasnet", backend_options={"am_writes": True})
-    # The diagnostic names both stuck call sites.
-    blocked = " ".join(ei.value.blocked.values())
-    assert "am_write ack" in blocked
+    # The diagnostic names both stuck call sites — the write is one script
+    # now, and parks under the reason its last wait gave.
+    assert ei.value.blocked == {0: "am_write ack", 1: "wait(req:irecv(src=0,tag=0))"}
 
 
 def test_figure2_program_completes_under_caf_mpi():

@@ -167,3 +167,26 @@ def test_naive_alltoall_slower_than_mpi_pairwise_at_scale():
     cluster = Cluster(nranks, spec, seed=1)
     mpi_times = cluster.run(mpi_prog)
     assert max(gasnet_times) > max(mpi_times) * 1.3
+
+
+@pytest.mark.parametrize("signal", ["put", "am"])
+def test_alltoall_costs_one_handoff_per_rank(signal):
+    """A hand-rolled all-to-all is one script: 2(P-1) puts, as many signals
+    and a drain round park each member once, not once per cost and poll
+    (26.6 parks per call per rank at P=8 when they did; ``Engine.handoffs``
+    is exact on any host)."""
+    spec = MachineSpec(name="t", gasnet_coll_signal=signal)
+    nranks, calls = 8, 10
+
+    def handoffs(n):
+        def program(team, g, ctx):
+            send = np.full((ctx.nranks, 4), float(ctx.rank))
+            recv = np.zeros_like(send)
+            for _ in range(n):
+                team.alltoall(send, recv)
+            assert recv[:, 0].tolist() == [float(r) for r in range(ctx.nranks)]
+
+        cluster, _ = with_team(program, nranks, spec=spec)
+        return cluster.engine.handoffs
+
+    assert (handoffs(1 + calls) - handoffs(1)) / (calls * nranks) <= 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.network import MachineSpec
-from repro.util.errors import DeadlockError, GasnetError
+from repro.util.errors import DeadlockError, GasnetError, SimulationError
 
 from tests.gasnet.conftest import gasnet_run
 
@@ -62,17 +62,133 @@ def test_put_nb_handle_completion(run):
 def test_am_short_args_and_reply(run):
     def program(g, ctx):
         log = []
-        g.register_handler(1, lambda token, a, b: token.reply_short(2, a + b))
+        served = []
+
+        def add(token, a, b):
+            served.append((a, b))
+            token.reply_short(2, a + b)
+
+        g.register_handler(1, add)
         g.register_handler(2, lambda token, s: log.append((token.src, s)))
         if ctx.rank == 0:
             g.am_request_short(1, 1, 20, 22)
             g.block_until(lambda: log, "waiting for reply")
             return log[0]
         # The target must re-enter GASNet for the request handler to run.
-        g.block_until(lambda: g.am_handled >= 1, "serving one request")
+        g.block_until(lambda: served, "serving one request")
 
     _, results = gasnet_run(program, 2)
     assert results[0] == (1, 42)
+
+
+# GASNet specification, core API, "Active Message Interface", on what a
+# handler may do: a request handler may send at most one reply, to the
+# requester; a reply handler may send nothing at all.
+
+
+def test_second_reply_from_one_request_handler_is_refused(run):
+    def program(g, ctx):
+        def eager(token, x):
+            token.reply_short(2, x)
+            token.reply_short(2, x + 1)
+
+        g.register_handler(7, eager)
+        g.register_handler(2, lambda token, x: None)
+        if ctx.rank == 0:
+            g.am_request_short(1, 7, 5)
+        else:
+            g.block_until(lambda: False, "serving")
+
+    with pytest.raises(GasnetError, match="handler 7 .*at most one reply per request"):
+        gasnet_run(program, 2)
+
+
+def test_reply_from_a_reply_handler_is_refused(run):
+    def program(g, ctx):
+        g.register_handler(1, lambda token: token.reply_short(2))
+        g.register_handler(2, lambda token: token.reply_short(3))  # runs as a reply
+        g.register_handler(3, lambda token: None)
+        if ctx.rank == 0:
+            g.am_request_short(1, 1)
+        g.block_until(lambda: False, "serving")
+
+    with pytest.raises(GasnetError, match="handler 2 .*no reply from a reply handler"):
+        gasnet_run(program, 2)
+
+
+def test_one_reply_is_sent_when_the_handler_returns(run):
+    """The reply is injected by ``poll`` after the handler returns: what the
+    handler does after asking for it still precedes it on the wire."""
+
+    def program(g, ctx):
+        order = []
+
+        def serve(token, x):
+            token.reply_short(2, x)
+            order.append("after-reply-call")
+
+        g.register_handler(1, serve)
+        g.register_handler(2, lambda token, x: order.append(("reply", token.src, x)))
+        if ctx.rank == 0:
+            g.am_request_short(1, 1, 9)
+            g.block_until(lambda: order, "waiting for reply")
+            return order
+        g.block_until(lambda: order, "serving one request")
+        return order
+
+    _, results = gasnet_run(program, 2)
+    assert results == [[("reply", 1, 9)], ["after-reply-call"]]
+
+
+@pytest.mark.parametrize("call", ["put", "poll", "sleep"])
+def test_handler_that_blocks_is_refused(call):
+    """A handler runs inside ``poll``'s script, on whichever fiber is driving
+    it: blocking there would park the wrong fiber, so the engine refuses and
+    says what to do."""
+
+    def program(g, ctx):
+        def blocking(token):
+            if call == "put":
+                g.put(0, 0, np.zeros(4, np.uint8))
+            elif call == "poll":
+                g.poll()
+            else:
+                ctx.proc.sleep(1e-6)
+
+        g.register_handler(1, blocking)
+        if ctx.rank == 0:
+            g.am_request_short(1, 1)
+        else:
+            g.block_until(lambda: False, "serving")
+
+    with pytest.raises(SimulationError, match="called from inside a script of") as exc_info:
+        gasnet_run(program, 2)
+    assert "yield it / use yield from" in str(exc_info.value)
+
+
+def test_handler_may_return_its_remaining_steps(run):
+    """What a handler may not do itself — here a request of its own — it
+    returns as a script, and ``poll`` takes the steps."""
+
+    def program(g, ctx):
+        got, forwarded = [], []
+
+        def forward(token, x):
+            forwarded.append(x)
+            return g._am_inject_steps((ctx.rank + 1) % ctx.nranks, 2, (x + 1,), None, None)
+
+        g.register_handler(1, forward)
+        g.register_handler(2, lambda token, x: got.append((token.src, x)))
+        if ctx.rank == 0:
+            g.am_request_short(1, 1, 40)
+        elif ctx.rank == 1:
+            g.block_until(lambda: forwarded, "forwarding one request")
+        else:
+            g.block_until(lambda: got, "waiting for the forwarded AM")
+            return got
+
+    _, results = gasnet_run(program, 3)
+    assert results[2] == [(1, 41)]
 
 
 def test_am_medium_payload(run):

@@ -45,8 +45,9 @@ def test_attach_builds_the_segment_and_the_world_keeps_it():
         assert (seg[4096 * rank : 4096 * rank + 16] == rank + 1).all()
 
 
+# The child reads its own high-water mark from /proc: ``ru_maxrss`` survives
+# fork + exec, so under a 300 MB pytest process it would report the parent's.
 _RSS_CHILD = """
-import resource
 import numpy as np
 from repro.apps.randomaccess import run_randomaccess
 from repro.caf import run_caf
@@ -56,11 +57,12 @@ def program(img):
 
 for _ in range(4):
     run_caf(program, 32, backend="gasnet")
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+with open("/proc/self/status") as status:
+    print(next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) // 1024)
 """
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB: Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_ra_x32_on_gasnet_stays_under_150_mb():
     """Four runs, each 32 segments of 64 MiB with a few KiB touched. With
     numpy-owned segments on a THP=``madvise`` host every first touch zeroed

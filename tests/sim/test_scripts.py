@@ -302,3 +302,95 @@ def test_unwinding_a_parked_script_closes_it():
     with pytest.raises(RuntimeError, match="boom"):
         engine.run()
     assert closed == [1.0]
+
+
+# -- user code in the middle of a library call --------------------------------
+
+
+def test_yielded_callable_runs_on_the_owners_fiber_and_may_block():
+    """A script yields a callable for code that may park — user code a
+    library call has to run part-way through. It runs on the script's own
+    fiber, whoever was driving, as if no script were open: it may sleep,
+    block and run scripts of its own; it costs no event and no virtual time
+    itself; the script carries on after it."""
+    engine = Engine()
+    threads, log = {}, []
+    gate = SimEvent("gate")
+
+    def user_code(p):
+        threads["callable"] = threading.get_ident()
+        log.append(("in", engine.now))
+        p.sleep(0.5)
+        gate.wait(p)  # a nested script, and a park
+        log.append(("out", engine.now))
+
+    def steps(p):
+        yield 2.0  # resumed by the other fiber, parked since t=1
+        threads["segment"] = threading.get_ident()
+        before = engine.events_executed
+        yield lambda: (log.append(("events", engine.events_executed - before)), user_code(p))
+        log.append(("after", engine.now))
+        yield 1.0
+        return "done"
+
+    def owner(p):
+        threads["owner"] = threading.get_ident()
+        return p.run_script(steps(p))
+
+    def other(p):
+        threads["other"] = threading.get_ident()
+        p.sleep(1.0)
+        p.sleep(2.0)  # parks at t=1: drives the owner's resume at t=2
+        gate.fire()
+        p.sleep(5.0)
+
+    proc = engine.spawn(owner)
+    engine.spawn(other)
+    engine.run()
+    assert proc.result == "done" and proc._script is None and proc._script_call is None
+    assert threads["segment"] == threads["other"] != threads["owner"]
+    assert threads["callable"] == threads["owner"]
+    # In at t=2 with no event in between; out when the gate opened (t=3);
+    # then the script's last second.
+    assert log == [("events", 0), ("in", 2.0), ("out", 3.0), ("after", 3.0)]
+    assert engine.now == 8.0
+
+
+def test_yielded_callable_on_the_owners_own_fiber_costs_no_switch():
+    engine = Engine()
+    seen = []
+
+    def steps():
+        yield 1.0
+        yield lambda: seen.append(engine.now)
+        yield 1.0
+
+    engine.spawn(lambda p: p.run_script(steps()))
+    engine.run()
+    assert seen == [1.0] and engine.now == 2.0 and engine.handoffs == 0
+
+
+def test_failing_callable_ends_the_call_and_closes_the_script():
+    engine = Engine()
+    closed = []
+
+    def boom():
+        raise ValueError("from user code")
+
+    def steps():
+        try:
+            yield 1.0
+            yield boom
+            yield 1.0
+        finally:
+            closed.append(engine.now)
+
+    def owner(p):
+        with pytest.raises(ValueError, match="from user code"):
+            p.run_script(steps())
+        p.sleep(1.0)  # the process carries on; no script is left open
+        return engine.now
+
+    proc = engine.spawn(owner)
+    engine.run()
+    assert closed == [1.0] and proc.result == 2.0 and proc._script is None

@@ -322,3 +322,19 @@ def test_segment_costs_the_host_what_is_touched():
         "hugepage-advised and zeroes 2 MiB per first touch",
         hits,
     )
+
+
+def test_gasnet_is_scripts():
+    hits = grep(
+        r"\.sleep\(|\.block\(|\bcharge\(",
+        "src/repro/gasnet/core.py",
+        "src/repro/gasnet/collectives.py",
+        "src/repro/caf/backends/gasnet_backend.py",
+    )
+    assert not hits, (
+        "the GASNet runtime and CAF-GASNet are scripts: a cost is `yield "
+        "cost(ctx, kind, ...)`, a wait is `yield from ..._steps(...)`, and the "
+        "public method is `ctx.proc.run_script(...)` of it — one body per "
+        "operation, one park per blocking call",
+        hits,
+    )
