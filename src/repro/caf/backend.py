@@ -21,6 +21,10 @@ Conventions:
 * All blocking entry points must drive the common progress engine (poll
   incoming Active Messages) while waiting, because shipped functions and
   destination-event writes complete only through AM handlers.
+* A blocking call is one script (:meth:`repro.sim.engine.Proc.run_script`):
+  a transport supplies its *steps* (``_write_steps``, ``_notify_steps``, ...,
+  composed with ``yield from``) and the entry point that parks the image on
+  them, once per call, is written here; no transport parks a fiber.
 * Every Active Message carries a *thunk*: the sender parks a closure on the
   cluster-wide board (:meth:`RuntimeBackend._board`), the wire carries its
   sequence number and a modelled size (:meth:`RuntimeBackend.send_thunk`),
@@ -134,12 +138,14 @@ class RuntimeBackend(abc.ABC):
 
     # -- transport: Active Messages and the progress engine --------------------
 
-    @abc.abstractmethod
-    def send_thunk(
-        self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]
-    ) -> None:
+    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
         """Inject an AM of ``wire_bytes`` that runs ``thunk`` on image
         ``target_world`` (under its progress engine)."""
+        self.ctx.proc.run_script(self._send_thunk_steps(target_world, wire_bytes, thunk))
+
+    @abc.abstractmethod
+    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
+        """:meth:`send_thunk` over this transport."""
 
     def _board(self, thunk: Callable[[], Any]) -> int:
         """Park ``thunk`` for its target; the AM carries the returned
@@ -158,9 +164,14 @@ class RuntimeBackend(abc.ABC):
         predicate-gated operation) or a message of its own (the last)."""
         return self._am_board.pop((src_world, seq))()
 
-    @abc.abstractmethod
     def poll(self) -> None:
         """Drain and run any pending incoming Active Messages (nonblocking)."""
+        self.ctx.proc.run_script(self._poll_steps())
+
+    @abc.abstractmethod
+    def _poll_steps(self):
+        """:meth:`poll` over this transport: continuations (yielded, for the
+        image's own fiber), then each arrived AM's thunk and what it returns."""
 
     @abc.abstractmethod
     def kick(self) -> None:
@@ -176,12 +187,20 @@ class RuntimeBackend(abc.ABC):
         """
         self._peers[world_rank].kick()
 
-    @abc.abstractmethod
     def progress_wait(
         self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
     ) -> None:
         """Block until ``pred()``; runs AM handlers while waiting; also wakes
-        on any of ``extras`` firing."""
+        on any of ``extras`` firing. ``reason`` names the wait in deadlock,
+        watchdog and telemetry reports."""
+        self.ctx.proc.run_script(self._progress_wait_steps(pred, reason, extras))
+
+    @abc.abstractmethod
+    def _progress_wait_steps(
+        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
+    ):
+        """:meth:`progress_wait` over this transport — the wait loop itself
+        (``GASNET_BLOCKUNTIL``; §3.2's ``iprobe``/``recv`` loop)."""
 
     # -- teams -----------------------------------------------------------
 
@@ -232,22 +251,25 @@ class RuntimeBackend(abc.ABC):
     def local_view(self, storage: Any) -> np.ndarray:
         """This image's segment of the coarray."""
 
-    @abc.abstractmethod
     def coarray_write(self, storage: Any, target: int, offset: int, data: np.ndarray) -> None:
         """Blocking remote write; remotely complete on return (§3.1)."""
+        self.ctx.proc.run_script(self._write_steps(storage, target, offset, data))
 
-    @abc.abstractmethod
     def coarray_read(self, storage: Any, target: int, offset: int, out: np.ndarray) -> None:
         """Blocking remote read."""
+        self.ctx.proc.run_script(self._read_steps(storage, target, offset, out))
+
+    @abc.abstractmethod
+    def _write_steps(self, storage: Any, target: int, offset: int, data: np.ndarray):
+        """:meth:`coarray_write` over this transport."""
+
+    @abc.abstractmethod
+    def _read_steps(self, storage: Any, target: int, offset: int, out: np.ndarray):
+        """:meth:`coarray_read` over this transport."""
 
     @abc.abstractmethod
     def coarray_write_async(
-        self,
-        storage: Any,
-        target: int,
-        offset: int,
-        data: np.ndarray,
-        *,
+        self, storage: Any, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         """Start an asynchronous write (the §3.3 four-case mapping).
@@ -264,7 +286,6 @@ class RuntimeBackend(abc.ABC):
     ) -> AsyncHandle:
         """Start an asynchronous read (always request-based: §3.3 case 2)."""
 
-    @abc.abstractmethod
     def coarray_write_runs(
         self, storage: Any, target: int, runs: list[tuple[int, int]], data: np.ndarray
     ) -> None:
@@ -272,12 +293,25 @@ class RuntimeBackend(abc.ABC):
         offset, length) runs of the target's coarray — Fortran array
         sections like ``A(1:n:2)[p] = ...`` (derived datatypes under MPI,
         VIS strided puts under GASNet)."""
+        self.ctx.proc.run_script(self._write_runs_steps(storage, target, runs, data))
 
-    @abc.abstractmethod
     def coarray_read_runs(
         self, storage: Any, target: int, runs: list[tuple[int, int]], out: np.ndarray
     ) -> None:
         """Blocking strided read of the target's runs into ``out``."""
+        self.ctx.proc.run_script(self._read_runs_steps(storage, target, runs, out))
+
+    @abc.abstractmethod
+    def _write_runs_steps(
+        self, storage: Any, target: int, runs: list[tuple[int, int]], data: np.ndarray
+    ):
+        """:meth:`coarray_write_runs` over this transport."""
+
+    @abc.abstractmethod
+    def _read_runs_steps(
+        self, storage: Any, target: int, runs: list[tuple[int, int]], out: np.ndarray
+    ):
+        """:meth:`coarray_read_runs` over this transport."""
 
     # -- events ----------------------------------------------------------------
 
@@ -315,18 +349,22 @@ class RuntimeBackend(abc.ABC):
         event_id = storage.event_id
         return lambda: self._post_steps(target_world, event_id, slot)
 
-    @abc.abstractmethod
     def event_notify(self, storage: Any, target: int, slot: int) -> None:
         """Post an event at ``target`` after completing all prior ops (§3.4)."""
+        self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
+
+    @abc.abstractmethod
+    def _notify_steps(self, storage: Any, target: int, slot: int):
+        """:meth:`event_notify` over this transport: release barrier, then post."""
 
     def event_wait(self, storage: EventStorage, slot: int, count: int) -> None:
-        """Block until ``count`` notifications are pending, then consume them.
+        """Block until ``count`` notifications are pending, then consume them."""
+        self.ctx.proc.run_script(self._event_wait_steps(storage, slot, count))
 
-        The default drives the progress engine (the paper's chosen
-        send/recv event design); backends may substitute e.g. a busy-wait
-        on one-sided atomics (§3.4's other candidate).
-        """
-        self.progress_wait(
+    def _event_wait_steps(self, storage: EventStorage, slot: int, count: int):
+        """By driving the progress engine (the paper's chosen send/recv
+        design); a transport may busy-wait on atomics instead (§3.4)."""
+        yield from self._progress_wait_steps(
             lambda: storage.count(slot) >= count,
             f"event_wait(slot={slot}, count={count})",
         )
@@ -349,7 +387,6 @@ class RuntimeBackend(abc.ABC):
 
     # -- implicit synchronization ----------------------------------------------------
 
-    @abc.abstractmethod
     def cofence(self, *, puts: bool = True, gets: bool = True) -> None:
         """Local completion of implicitly-synchronized async ops (§3.5).
 
@@ -357,10 +394,19 @@ class RuntimeBackend(abc.ABC):
         PUTs and another for implicit GETs; the optional arguments select
         which array (or both) to MPI_WAITALL.
         """
+        self.ctx.proc.run_script(self._cofence_steps(puts=puts, gets=gets))
 
-    @abc.abstractmethod
     def quiet(self) -> None:
         """Remote completion of everything this image issued (finish helper)."""
+        self.ctx.proc.run_script(self._quiet_steps())
+
+    @abc.abstractmethod
+    def _cofence_steps(self, *, puts: bool = True, gets: bool = True):
+        """:meth:`cofence` over this transport."""
+
+    @abc.abstractmethod
+    def _quiet_steps(self):
+        """:meth:`quiet` over this transport."""
 
     @abc.abstractmethod
     def collective_async(self, team: "Team", kind: str, args: tuple) -> SimEvent:

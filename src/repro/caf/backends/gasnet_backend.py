@@ -17,8 +17,8 @@
   (data + ack via AMs), which *requires target-side progress*: the
   configuration that makes the paper's Figure 2 program deadlock.
 
-Every blocking entry point is one script over :mod:`repro.gasnet`'s
-(``_xxx_steps`` run by ``Proc.run_script``): the image parks once per call.
+Every blocking call is one script over :mod:`repro.gasnet`'s: the steps are
+here, the entry point that parks the image on them once in ``RuntimeBackend``.
 """
 
 from __future__ import annotations
@@ -112,9 +112,6 @@ class GasnetBackend(RuntimeBackend):
         # the out-of-band board.
         return self._run_thunk(token.src, rest[-1])
 
-    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
-        self.ctx.proc.run_script(self._send_thunk_steps(target_world, wire_bytes, thunk))
-
     def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
         g = self.gasnet
         pad = None
@@ -194,14 +191,12 @@ class GasnetBackend(RuntimeBackend):
             )
         return view
 
-    def coarray_write(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray) -> None:
+    def _write_steps(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray):
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, data.size)
         if self.am_writes:
-            steps = self._am_write_steps(target_world, start, data)
-        else:
-            steps = self.gasnet._put_steps(target_world, start, data)
-        self.ctx.proc.run_script(steps)
+            return self._am_write_steps(target_world, start, data)
+        return self.gasnet._put_steps(target_world, start, data)
 
     def _store_at(self, target_world: int, start: int, data: np.ndarray) -> None:
         """Body of an AM-write handler: the target stores ``data`` at byte
@@ -239,10 +234,10 @@ class GasnetBackend(RuntimeBackend):
         )
         yield from self.gasnet._block_until_steps(lambda: acks[0] > 0, "am_write ack")
 
-    def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
+    def _read_steps(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray):
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, out.size)
-        self.ctx.proc.run_script(self.gasnet._get_steps(out, target_world, start))
+        return self.gasnet._get_steps(out, target_world, start)
 
     def _byte_runs(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]]
@@ -251,23 +246,19 @@ class GasnetBackend(RuntimeBackend):
         base = storage.offsets[target]
         return [(base + off * item, length * item) for off, length in runs]
 
-    def coarray_write_runs(
+    def _write_runs_steps(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ) -> None:
-        target_world = storage.team.world_rank(target)
-        op = self.gasnet._put_runs_nb_steps(
-            target_world, self._byte_runs(storage, target, runs), data
-        )
-        self.ctx.proc.run_script(self._synced_steps(op))
+    ):
+        byte_runs = self._byte_runs(storage, target, runs)
+        op = self.gasnet._put_runs_nb_steps(storage.team.world_rank(target), byte_runs, data)
+        return self._synced_steps(op)
 
-    def coarray_read_runs(
+    def _read_runs_steps(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ) -> None:
-        target_world = storage.team.world_rank(target)
-        op = self.gasnet._get_runs_nb_steps(
-            out, target_world, self._byte_runs(storage, target, runs)
-        )
-        self.ctx.proc.run_script(self._synced_steps(op))
+    ):
+        byte_runs = self._byte_runs(storage, target, runs)
+        op = self.gasnet._get_runs_nb_steps(out, storage.team.world_rank(target), byte_runs)
+        return self._synced_steps(op)
 
     def _synced_steps(self, op_steps):
         """One nonblocking RDMA op, then the sync of its handle, as one script."""
@@ -275,12 +266,7 @@ class GasnetBackend(RuntimeBackend):
         yield from self.gasnet._wait_syncnb_steps(handle)
 
     def coarray_write_async(
-        self,
-        storage: _CoarrayStorage,
-        target: int,
-        offset: int,
-        data: np.ndarray,
-        *,
+        self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         handle = AsyncHandle("caf-gasnet.write_async")
@@ -323,9 +309,6 @@ class GasnetBackend(RuntimeBackend):
     def kick(self) -> None:
         self.gasnet.activity.add()
 
-    def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
-        self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
-
     def _notify_steps(self, storage: EventStorage, target: int, slot: int):
         # GASNet handles already represent remote completion, so the release
         # barrier is a (usually instant) handle sync — no FLUSH_ALL analogue.
@@ -341,9 +324,6 @@ class GasnetBackend(RuntimeBackend):
 
     # -- implicit synchronization -------------------------------------------------------------
 
-    def cofence(self, *, puts: bool = True, gets: bool = True) -> None:
-        self.ctx.proc.run_script(self._cofence_steps(puts=puts, gets=gets))
-
     def _cofence_steps(self, *, puts: bool = True, gets: bool = True):
         handles: list[Handle] = []
         if puts:
@@ -354,8 +334,8 @@ class GasnetBackend(RuntimeBackend):
             self._outstanding_gets = []
         return self.gasnet._wait_syncnb_all_steps(handles)
 
-    def quiet(self) -> None:
-        self.cofence()
+    def _quiet_steps(self):
+        return self._cofence_steps()
 
     # -- asynchronous collectives ----------------------------------------------------------------
 
@@ -407,25 +387,17 @@ class GasnetBackend(RuntimeBackend):
 
     # -- progress -----------------------------------------------------------------------------------------
 
-    def poll(self) -> None:
-        self.ctx.proc.run_script(self._poll_steps())
-
     def _poll_steps(self):
         if self._continuations:
             yield self.run_continuations
         yield from self.gasnet._poll_steps()
 
-    def progress_wait(
-        self,
-        pred: Callable[[], bool],
-        reason: str,
-        extras: tuple[SimEvent, ...] = (),
-    ) -> None:
+    def _progress_wait_steps(
+        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
+    ):
         for ev in extras:
             ev.subscribe(self.kick)
         # Runtime continuations (e.g. copy_async forwarding legs) run on
         # this image's context as part of its progress engine: the hook is
         # asked once more before each test of ``pred``.
-        self.ctx.proc.run_script(
-            self.gasnet._block_until_steps(pred, reason, self._pump_continuations)
-        )
+        return self.gasnet._block_until_steps(pred, reason, self._pump_continuations)

@@ -139,11 +139,8 @@ class MpiBackend(RuntimeBackend):
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 
-    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
+    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
         """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
-        self.ctx.proc.run_script(self._send_am_steps(target_world, wire_bytes, thunk))
-
-    def _send_am_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
         header = np.array([self._board(thunk)], dtype=np.int64)
         payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
         payload[: header.nbytes] = header.view(np.uint8)
@@ -152,48 +149,40 @@ class MpiBackend(RuntimeBackend):
         )
         self._release_requests.append(req)
 
-    def poll(self) -> None:
-        """Drain arrived AMs and run their handlers (the progress engine)."""
-        self.run_continuations()
+    def _poll_steps(self):
+        """Drain arrived AMs and run their handlers (the progress engine):
+        probe, receive, run the thunk, take the steps it returns."""
+        if self._continuations:
+            yield self.run_continuations
+        comm = self.am_comm
         while True:
-            ok, status = self.am_comm.iprobe(source=ANY_SOURCE, tag=AM_TAG)
+            ok, status = comm.iprobe(source=ANY_SOURCE, tag=AM_TAG)
             if not ok:
                 return
             buf = np.zeros(status.count, np.uint8)
-            st = self.am_comm.recv(buf, source=status.source, tag=AM_TAG)
+            st = yield from comm._recv_steps(self._am_matching, buf, status.source, AM_TAG)
             steps = self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
             if steps is not None:
-                self.ctx.proc.run_script(steps)
+                yield from steps
 
-    def progress_wait(
-        self,
-        pred: Callable[[], bool],
-        reason: str,
-        extras: tuple[SimEvent, ...] = (),
-    ) -> None:
+    def _progress_wait_steps(
+        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
+    ):
         arrivals = self._am_matching.arrivals[self.ctx.rank]
-        first = True
         while True:
-            self.poll()
+            yield from self._poll_steps()
             if pred():
                 return
-            if first:
-                for ev in extras:
-                    # Spurious arrival bumps are harmless: they just rescan.
-                    ev.subscribe(lambda: arrivals.add())
-                first = False
-            seen = arrivals.count
-            if pred():
-                return
-            arrivals.wait_geq(self.ctx.proc, seen + 1)
+            for ev in extras:
+                # Spurious arrival bumps are harmless: they just rescan.
+                ev.subscribe(arrivals.add)
+            extras = ()  # subscribed, once
+            yield from arrivals._wait_geq_steps(self.ctx.proc, arrivals.count + 1, reason)
 
-    def _waitall(self, requests: list[Request], reason: str) -> None:
+    def _waitall_steps(self, requests: list[Request], reason: str):
         """``MPI_WAITALL`` that keeps running AM handlers meanwhile."""
-        self.progress_wait(
-            lambda: all(r.completed for r in requests),
-            reason,
-            extras=tuple(r._event for r in requests),
-        )
+        done = tuple(r._event for r in requests)
+        return self._progress_wait_steps(lambda: all(ev.is_set for ev in done), reason, done)
 
     # -- coarrays (§3.1) ---------------------------------------------------------------
 
@@ -212,36 +201,35 @@ class MpiBackend(RuntimeBackend):
         yield from op_steps
         yield from win._flush_steps(target)
 
-    def coarray_write(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray) -> None:
+    def _waited_steps(self, op_steps, reason: str):
+        """One request-based RMA op, then the wait for its request (polling
+        AMs meanwhile), as one script."""
+        req = yield from op_steps
+        yield from self._waitall_steps([req], reason)
+
+    def _write_steps(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray):
         win = storage.win
-        self.ctx.proc.run_script(
-            self._flushed_steps(win, win._rput_steps(data, target, offset), target)
-        )
+        return self._flushed_steps(win, win._rput_steps(data, target, offset), target)
 
-    def coarray_read(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray) -> None:
-        self._waitall([storage.win.rget(out, target, offset)], "coarray_read")
+    def _read_steps(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray):
+        return self._waited_steps(storage.win._rget_steps(out, target, offset), "coarray_read")
 
-    def coarray_write_runs(
+    def _write_runs_steps(
         self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ) -> None:
+    ):
         # A derived-datatype MPI_PUT followed by a flush (§3.1 semantics).
         win = storage.win
-        self.ctx.proc.run_script(
-            self._flushed_steps(win, win._put_runs_steps(data, target, runs), target)
+        return self._flushed_steps(win, win._put_runs_steps(data, target, runs), target)
+
+    def _read_runs_steps(
+        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
+    ):
+        return self._waited_steps(
+            storage.win._get_runs_steps(out, target, runs), "coarray_read_runs"
         )
 
-    def coarray_read_runs(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ) -> None:
-        self._waitall([storage.win.get_runs(out, target, runs)], "coarray_read_runs")
-
     def coarray_write_async(
-        self,
-        storage: _CoarrayStorage,
-        target: int,
-        offset: int,
-        data: np.ndarray,
-        *,
+        self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
     ) -> AsyncHandle:
         handle = AsyncHandle("caf-mpi.write_async")
@@ -313,33 +301,27 @@ class MpiBackend(RuntimeBackend):
     def kick(self) -> None:
         self._am_matching.arrivals[self.ctx.rank].add()
 
-    def _rflush_windows(self, reason: str) -> None:
-        """The paper's §5 proposal: request-based remote completion at
-        constant software cost; wait on all requests while polling AMs."""
-        self._waitall([win.rflush_all() for win in self._windows], reason)
-
-    def _flush_windows_steps(self):
-        """MPI_WIN_FLUSH_ALL on every window — the linear-in-P cost of
-        Figure 4 when the epoch has activity, a cheap constant-cost walk
-        when idle (which is why the paper's NOTIFY *microbenchmark* stays
-        flat in P)."""
+    def _flush_windows_steps(self, reason: str):
+        """Remote completion on every window: MPI_WIN_FLUSH_ALL — the
+        linear-in-P cost of Figure 4 when the epoch has activity, a cheap
+        constant-cost walk when idle (why the paper's NOTIFY *microbenchmark*
+        stays flat in P) — or, with ``use_rflush``, §5's proposal: requests at
+        constant software cost, waited on while polling AMs."""
+        if not self.use_rflush:
+            for win in self._windows:
+                yield from win._flush_all_steps()
+            return
+        requests = []
         for win in self._windows:
-            yield from win._flush_all_steps()
+            requests.append((yield from win._rflush_all_steps()))
+        yield from self._waitall_steps(requests, reason)
 
-    def event_notify(self, storage: EventStorage, target: int, slot: int) -> None:
+    def _notify_steps(self, storage: EventStorage, target: int, slot: int):
         # The release barrier (§3.4): local completion of all initiated ops
         # (polling AMs meanwhile), then remote completion.
         requests, self._release_requests = self._release_requests, []
-        self._waitall(requests, "event_notify.waitall")
-        if self.use_rflush:
-            self._rflush_windows("release.rflush_all")
-        self.ctx.proc.run_script(self._notify_steps(storage, target, slot))
-
-    def _notify_steps(self, storage: EventStorage, target: int, slot: int):
-        """The rest of :meth:`event_notify` — the FLUSH_ALL walk and the
-        notification itself — as one script."""
-        if not self.use_rflush:
-            yield from self._flush_windows_steps()
+        yield from self._waitall_steps(requests, "event_notify.waitall")
+        yield from self._flush_windows_steps("release.rflush_all")
         target_world = storage.team.world_rank(target)
         san = self.ctx.sanitizer
         if san is not None:
@@ -349,40 +331,36 @@ class MpiBackend(RuntimeBackend):
         if isinstance(storage, _AtomicEventStorage):
             # §3.4 approach 1: MPI_FETCH_AND_OP-style one-sided increment.
             win = storage.win
-            yield from self._flushed_steps(
-                win,
-                win._raccumulate_steps(np.ones(1, np.int64), target, slot, SUM),
-                target,
-            )
+            op = win._raccumulate_steps(np.ones(1, np.int64), target, slot, SUM)
+            yield from self._flushed_steps(win, op, target)
             return
         # §3.4 approach 2 (the paper's choice): a short AM via MPI_ISEND
         # (nonblocking to avoid notify/wait deadlock cycles).
-        yield from self._send_am_steps(
+        yield from self._send_thunk_steps(
             target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
         )
 
     _ATOMIC_POLL_INTERVAL = 2.5e-7
     _ATOMIC_POLL_LIMIT = 200_000  # ~50 ms of virtual spinning before giving up
 
-    def event_wait(self, storage: EventStorage, slot: int, count: int) -> None:
-        if isinstance(storage, _AtomicEventStorage):
-            # Busy-wait on the local counter (the MPI_COMPARE_AND_SWAP
-            # polling loop of §3.4), making AM progress as we spin.
-            for _ in range(self._ATOMIC_POLL_LIMIT):
-                self.poll()
-                if storage.count(slot) >= count:
-                    storage.consume(slot, count)
-                    return
-                self.ctx.proc.sleep(self._ATOMIC_POLL_INTERVAL)
-            raise CafError(
-                f"atomic event_wait(slot={slot}, count={count}) spun out "
-                "(event never posted?)"
-            )
-        super().event_wait(storage, slot, count)
+    def _event_wait_steps(self, storage: EventStorage, slot: int, count: int):
+        if not isinstance(storage, _AtomicEventStorage):
+            return (yield from super()._event_wait_steps(storage, slot, count))
+        # Busy-wait on the local counter (the MPI_COMPARE_AND_SWAP polling
+        # loop of §3.4), making AM progress as we spin.
+        for _ in range(self._ATOMIC_POLL_LIMIT):
+            yield from self._poll_steps()
+            if storage.count(slot) >= count:
+                storage.consume(slot, count)
+                return
+            yield self._ATOMIC_POLL_INTERVAL
+        raise CafError(
+            f"atomic event_wait(slot={slot}, count={count}) spun out (event never posted?)"
+        )
 
     # -- implicit synchronization (§3.5) ----------------------------------------------------------
 
-    def cofence(self, *, puts: bool = True, gets: bool = True) -> None:
+    def _cofence_steps(self, *, puts: bool = True, gets: bool = True):
         requests: list[Request] = []
         if puts:
             requests += self._implicit_puts
@@ -390,17 +368,14 @@ class MpiBackend(RuntimeBackend):
         if gets:
             requests += self._implicit_gets
             self._implicit_gets = []
-        self._waitall(requests, "cofence.waitall")
+        return self._waitall_steps(requests, "cofence.waitall")
 
-    def quiet(self) -> None:
-        self.cofence()
+    def _quiet_steps(self):
+        yield from self._cofence_steps()
         # The release barrier also waits AM sends and any remaining handles.
-        self._waitall(list(self._release_requests), "quiet.waitall")
+        yield from self._waitall_steps(list(self._release_requests), "quiet.waitall")
         self._release_requests.clear()
-        if self.use_rflush:
-            self._rflush_windows("quiet.rflush_all")
-        else:
-            self.ctx.proc.run_script(self._flush_windows_steps())
+        yield from self._flush_windows_steps("quiet.rflush_all")
 
     def collective_async(self, team: "Team", kind: str, args: tuple):
         """CAF 2.0 asynchronous collectives map straight onto the MPI-3

@@ -716,8 +716,11 @@ class Window:
         size, and the latency can overlap computation. Not part of MPI-3 —
         this is the extension the paper asks the Forum to standardize.
         """
+        return self.ctx.proc.run_script(self._rflush_steps(target))
+
+    def _rflush_steps(self, target: int):
         self._check_target(target, 0, 0)
-        _costs.charge(self.ctx, "mpi.rflush")
+        yield _costs.cost(self.ctx, "mpi.rflush")
         req = Request("rflush(win=%d,t=%d)", self.ctx.proc, self.win_id, target)
         self._when_quiet(req, target)
         return req
@@ -725,7 +728,10 @@ class Window:
     def rflush_all(self) -> Request:
         """MPI_WIN_RFLUSH_ALL: request-based remote completion to every
         target, at constant (not linear-in-P) software cost."""
-        _costs.charge(self.ctx, "mpi.rflush_all")
+        return self.ctx.proc.run_script(self._rflush_all_steps())
+
+    def _rflush_all_steps(self):
+        yield _costs.cost(self.ctx, "mpi.rflush_all")
         self._dirty = False
         req = Request("rflush_all(win=%d)", self.ctx.proc, self.win_id)
         self._when_quiet(req)

@@ -52,8 +52,7 @@ call — a shipped function's body and a runtime continuation — which a
 script asks for by yielding the callable: :meth:`Proc.run_script` runs it on
 the script's own fiber, at the time and place in the event order it was
 asked for, and drives on when it returns (real CAF 2.0 does the same: the
-handler enqueues, the image executes). CAF-MPI's ``progress_wait`` / ``poll``
-loop is the one library path still written with ``block``.
+handler enqueues, the image executes).
 
 Since only one fiber ever runs, the fibers of a run are one logical thread
 of execution and are placed like one: each confines itself to one host CPU

@@ -13,12 +13,13 @@ def backend(request):
     return request.param
 
 
-def handoffs_per_call(program, nranks, backend="mpi", spec=None, calls=10):
+def handoffs_per_call(program, nranks, backend="mpi", spec=None, calls=10, options=None):
     """Extra ``Engine.handoffs`` of ``calls`` more calls in ``program(img,
-    n)`` on ``backend``, per call per rank (start-up and the first call are
-    in both runs). Exact on any host."""
-    few = run_caf(program, nranks, spec, backend=backend, n=1)
-    many = run_caf(program, nranks, spec, backend=backend, n=1 + calls)
+    n)`` on ``backend`` (with backend ``options``), per call per rank
+    (start-up and the first call are in both runs). Exact on any host."""
+    kw = dict(backend=backend, backend_options=options)
+    few = run_caf(program, nranks, spec, n=1, **kw)
+    many = run_caf(program, nranks, spec, n=1 + calls, **kw)
     extra = many.cluster.engine.handoffs - few.cluster.engine.handoffs
     return extra / (calls * nranks)
 

@@ -6,6 +6,8 @@ termination counters, continuations) and every AM handler enters at one
 place, ``RuntimeBackend._run_thunk``. These tests pin that shape.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,16 +20,23 @@ from repro.sim.network import MachineSpec
 from repro.util.errors import CafError
 
 TRANSPORT = {
-    # Active Messages and the progress engine
-    "send_thunk", "poll", "kick", "progress_wait",
+    # Active Messages and the progress engine, as steps
+    "_send_thunk_steps", "_poll_steps", "kick", "_progress_wait_steps",
     # team handles (which are the blocking-collective API)
     "make_world_team_handle", "split_team_handle",
     # coarray storage
-    "allocate_coarray", "local_view", "coarray_write", "coarray_read",
-    "coarray_write_async", "coarray_read_async", "coarray_write_runs",
-    "coarray_read_runs",
+    "allocate_coarray", "local_view", "_write_steps", "_read_steps",
+    "coarray_write_async", "coarray_read_async", "_write_runs_steps",
+    "_read_runs_steps",
     # completion
-    "event_notify", "cofence", "quiet", "collective_async",
+    "_notify_steps", "_cofence_steps", "_quiet_steps", "collective_async",
+}
+#: The blocking entry points: each parks the image on the transport's steps,
+#: and ``RuntimeBackend`` is the only class that does.
+ENTRY_POINTS = {
+    "send_thunk", "poll", "progress_wait", "coarray_write", "coarray_read",
+    "coarray_write_runs", "coarray_read_runs", "event_notify", "event_wait",
+    "cofence", "quiet",
 }
 WRITTEN_ONCE = {
     "ship_function", "allocate_events", "shipped_minus_completed",
@@ -45,6 +54,8 @@ def test_interface_is_the_transport():
 @pytest.mark.parametrize("cls", [MpiBackend, GasnetBackend])
 def test_backends_define_no_runtime_above_the_transport(cls):
     assert not WRITTEN_ONCE & set(vars(cls))
+    assert not ENTRY_POINTS & set(vars(cls))
+    assert ENTRY_POINTS <= set(vars(RuntimeBackend))
     assert not cls.__abstractmethods__
 
 
@@ -95,6 +106,35 @@ def test_every_am_enters_at_run_thunk_once(monkeypatch, backend, options, per_im
     assert sorted(ran) == sorted(boarded)  # each AM ran, and ran once
     assert run.cluster.shared("caf-am-board", dict) == {}
     assert run.cluster.shared("test-touched", set) == set(range(nranks))
+
+
+def test_thunk_steps_send_a_message_and_hand_user_code_to_the_image(backend):
+    """A thunk with more to do than handler code returns steps, and either
+    transport's progress engine takes them inside the blocking call it is
+    driving: a message of the thunk's own is more steps of that script,
+    user code is yielded and runs on the image's own OS thread."""
+
+    def program(img):
+        b, own = img.backend, threading.get_ident()
+        ran_on = img.cluster.shared("test-thunk-threads", dict)
+        replies = []
+        img.sync_all()
+        if img.rank == 0:
+            def on_target():
+                peer = b._peers[1]
+                yield lambda: ran_on.setdefault(1, threading.get_ident())
+                yield from peer._send_thunk_steps(0, peer.AM_BYTES, lambda: replies.append(1))
+
+            b.send_thunk(1, b.AM_BYTES, on_target)
+            b.progress_wait(lambda: replies, "reply")
+        elif img.rank == 1:
+            b.progress_wait(lambda: ran_on, "thunk")
+        img.sync_all()
+        return own, replies
+
+    run = run_caf(program, 3, backend=backend)
+    assert run.results[0][1] == [1]
+    assert run.cluster.shared("test-thunk-threads", dict) == {1: run.results[1][0]}
 
 
 def test_post_to_unallocated_event_is_a_caf_error(backend):

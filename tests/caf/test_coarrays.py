@@ -179,6 +179,21 @@ def test_mpi_backend_write_costs_one_handoff():
     assert handoffs_per_call(_write_n_times, nranks=8) <= 2
 
 
+def test_blocking_read_costs_one_handoff(backend):
+    """Blocking ``co.read`` is one script on either backend: on CAF-MPI,
+    MPI_RGET and the wait for its request inside the progress engine (2.0
+    while ``rget`` and ``progress_wait`` each parked the image)."""
+
+    def program(img, n):
+        co = img.allocate_coarray(8, np.float64)
+        img.sync_all()
+        for _ in range(n):
+            co.read((img.rank + 1) % img.nranks)
+        img.sync_all()
+
+    assert handoffs_per_call(program, 8, backend) <= 1
+
+
 def test_gasnet_backend_write_costs_one_handoff(gasnet_signal_spec):
     """``coarray_write`` on CAF-GASNet is gasnet_put — the origin's cost,
     the polls and the wait for the handle — as one script (5.88 parks per

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.caf import run_caf
-from repro.util.errors import CafError, DeadlockError
+from repro.util.errors import CafError, DeadlockError, SimTimeoutError
 
 from tests.caf.conftest import handoffs_per_call
 
@@ -115,6 +115,46 @@ def test_event_wait_never_notified_deadlocks(backend):
         run_caf(program, 2, backend=backend)
 
 
+def test_blocked_image_reports_the_caf_wait_it_is_in(backend):
+    """Deadlock, watchdog and telemetry reports name the wait the runtime
+    was asked for on both backends: CAF-MPI's progress engine hands its
+    ``reason`` to the arrivals counter it parks on (it used to drop it and
+    report ``wait_geq(comm2.user.arrivals[0], 1)`` for all three)."""
+
+    def unnotified(img):
+        ev = img.allocate_events(1)
+        if img.rank == 0:
+            ev.wait()
+
+    def unmatched(img):
+        if img.rank == 0:
+            img.sync_images([1])
+
+    def fenced(img):
+        co = img.allocate_coarray(1 << 16, np.float64)
+        img.sync_all()
+        before = img.now
+        if img.rank == 0:
+            co.write_async(1, np.ones(1 << 16))
+            img.cofence()
+        return before, img.now
+
+    for program, site in [
+        (unnotified, "event_wait(slot=0, count=1)"),
+        (unmatched, "sync_images([1])"),
+    ]:
+        with pytest.raises(DeadlockError) as ei:
+            run_caf(program, 2, backend=backend)
+        assert ei.value.blocked == {0: site}
+    # A watchdog that fires while image 0 is inside its cofence.
+    before, after = run_caf(fenced, 2, backend=backend).results[0]
+    with pytest.raises(SimTimeoutError) as ei:
+        run_caf(fenced, 2, backend=backend, deadline=(before + after) / 2)
+    assert ei.value.blocked == {
+        0: {"mpi": "cofence.waitall", "gasnet": "wait_syncnb_all"}[backend]
+    }
+
+
 def test_bad_slot_raises(backend):
     def program(img):
         ev = img.allocate_events(2)
@@ -165,13 +205,7 @@ def test_mpi_backend_notify_pays_flush_all_after_writes():
     assert mpi.profiler.total("event_notify") > gas.profiler.total("event_notify") * 3
 
 
-@pytest.mark.parametrize("ncoarrays", [1, 3])
-def test_mpi_backend_notify_costs_two_handoffs(ncoarrays):
-    """CAF-MPI ``event_notify`` is a FLUSH_ALL per window plus the AM send,
-    run as one script: the image parks once however many windows it walks
-    (W + 2 parks when each cost parked the fiber); the second handoff per
-    call is ``poll`` receiving the left neighbour's notification."""
-
+def _notify_n_times(ncoarrays):
     def program(img, n):
         for _ in range(ncoarrays):
             img.allocate_coarray(8, np.float64)
@@ -182,24 +216,93 @@ def test_mpi_backend_notify_costs_two_handoffs(ncoarrays):
         ev.wait(count=n)
         img.sync_all()
 
-    assert handoffs_per_call(program, nranks=8) <= 2
+    return program
+
+
+@pytest.mark.parametrize("ncoarrays", [1, 3])
+def test_mpi_backend_notify_costs_one_handoff(ncoarrays):
+    """CAF-MPI ``event_notify`` is the release barrier's WAITALL (which
+    polls: the left neighbour's notification is received here), a FLUSH_ALL
+    per window and the AM send, as one script: the image parks once however
+    many windows it walks (W + 2 parks when each cost parked the fiber, 2.0
+    while the WAITALL's progress engine was a loop of its own)."""
+    assert handoffs_per_call(_notify_n_times(ncoarrays), nranks=8) <= 1
+
+
+def test_mpi_backend_rflush_notify_costs_one_handoff():
+    """``use_rflush=True``: an RFLUSH_ALL per window and the wait for their
+    requests are part of the same script (W + 2 = 4.0 while ``rflush_all``
+    paid through ``costs.charge`` and the wait was a call of its own)."""
+    per_call = handoffs_per_call(_notify_n_times(2), 8, options={"use_rflush": True})
+    assert per_call <= 1
+
+
+def _ping_pong(img, n):
+    ev = img.allocate_events(1)
+    img.sync_all()
+    partner = img.rank ^ 1
+    for _ in range(n):
+        if img.rank % 2 == 0:
+            ev.notify(partner)
+            ev.wait()
+        else:
+            ev.wait()
+            ev.notify(partner)
+    img.sync_all()
+
+
+def test_notify_wait_ping_pong_costs_two_handoffs(backend):
+    """One round between a pair is a notify and a wait per image: one park
+    each on either backend (3.0 on CAF-MPI while ``event_wait`` parked once
+    per round of its ``iprobe``/``recv`` loop)."""
+    assert handoffs_per_call(_ping_pong, 8, backend) <= 2
+
+
+def test_mpi_backend_atomics_wait_spins_without_handoffs():
+    """``event_impl="atomics"``: the busy-wait yields its poll interval, so
+    the 40 spins an image makes while its partner computes are 40 events and
+    one park; per round an even image parks twice (compute, notify), an odd
+    one once (25.4 per image while each spin was a ``Proc.sleep``)."""
+
+    def program(img, n):
+        ev = img.allocate_events(1)
+        img.sync_all()
+        for _ in range(n):
+            if img.rank % 2 == 0:
+                img.compute(1e-5)
+                ev.notify(img.rank ^ 1)
+            else:
+                ev.wait()
+        img.sync_all()
+
+    assert handoffs_per_call(program, 8, options={"event_impl": "atomics"}) <= 1.5
+
+
+@pytest.mark.parametrize("use_rflush", [False, True])
+def test_mpi_backend_quiet_costs_one_handoff(use_rflush):
+    """``quiet`` with three rendezvous ``write_async`` s outstanding: each
+    ``rput`` is a park of its own, and the cofence WAITALL, the release
+    WAITALL and the remote-completion walk are one more (7.0 in all while
+    each wait and the walk parked separately)."""
+
+    def program(img, n):
+        co = img.allocate_coarray(1 << 13, np.float64)
+        img.sync_all()
+        for _ in range(n):
+            for k in range(3):
+                co.write_async((img.rank + 1 + k) % img.nranks, np.ones(1 << 13))
+            img.backend.quiet()
+        img.sync_all()
+
+    options = {"use_rflush": use_rflush}
+    assert handoffs_per_call(program, 8, options=options) <= 3 + 1
 
 
 def test_gasnet_backend_notify_costs_two_handoffs(gasnet_signal_spec):
     """CAF-GASNet ``event_notify`` is the handle sync plus the notification
     AM (credit wait, injection cost) as one script, as CAF-MPI's: one park
     (3.0 per call per rank when each poll and cost parked the fiber)."""
-
-    def program(img, n):
-        img.allocate_coarray(8, np.float64)
-        ev = img.allocate_events(1)
-        img.sync_all()
-        for _ in range(n):
-            ev.notify(target=(img.rank + 1) % img.nranks)
-        ev.wait(count=n)
-        img.sync_all()
-
-    assert handoffs_per_call(program, 8, "gasnet", gasnet_signal_spec) <= 2
+    assert handoffs_per_call(_notify_n_times(1), 8, "gasnet", gasnet_signal_spec) <= 2
 
 
 @pytest.mark.parametrize("sanitize", [False, True])

@@ -94,7 +94,7 @@ def test_shipped_function_that_blocks_runs_on_its_images_fiber(backend):
     """A handler may not block; a shipped function may do anything. The
     handler enqueues and the image executes: the body runs on the target
     image's own fiber, in the middle of whatever blocking call its progress
-    engine was driving (here ``serve`` — one script on CAF-GASNet)."""
+    engine was driving (here ``serve`` — one script on either backend)."""
 
     def program(img):
         co = img.allocate_coarray(1, np.float64)

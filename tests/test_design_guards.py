@@ -324,17 +324,22 @@ def test_segment_costs_the_host_what_is_touched():
     )
 
 
-def test_gasnet_is_scripts():
+def test_library_blocking_code_is_scripts():
     hits = grep(
         r"\.sleep\(|\.block\(|\bcharge\(",
         "src/repro/gasnet/core.py",
         "src/repro/gasnet/collectives.py",
-        "src/repro/caf/backends/gasnet_backend.py",
-    )
+    ) + grep(r"\.sleep\(|\.block\(|run_script\(", "src/repro/caf/backends")
     assert not hits, (
-        "the GASNet runtime and CAF-GASNet are scripts: a cost is `yield "
-        "cost(ctx, kind, ...)`, a wait is `yield from ..._steps(...)`, and the "
-        "public method is `ctx.proc.run_script(...)` of it — one body per "
-        "operation, one park per blocking call",
+        "the GASNet runtime and both CAF transports are scripts: a cost is "
+        "`yield cost(ctx, kind, ...)`, a wait is `yield from ..._steps(...)`, "
+        "one body per operation, one park per blocking call — and the CAF "
+        "runtime parks a fiber in one place, `RuntimeBackend._run` "
+        "(caf/backend.py), on the steps a transport supplies",
         hits,
+    )
+    paid = [hit.split(":")[0] for hit in grep(r"costs\.charge\(", "src/repro")]
+    assert paid == ["src/repro/mpi/window.py", "src/repro/sim/cluster.py"], (
+        "costs.charge parks a fiber: only Window.sync and RankCtx.compute pay that way",
+        paid,
     )
