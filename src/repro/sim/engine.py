@@ -59,7 +59,9 @@ of execution and are placed like one: each confines itself to one host CPU
 and asks for a scheduling policy whose wake-ups do not preempt the waker
 (:meth:`Engine._colocate_fiber`), which makes a handoff cost the one
 context switch it needs. The thread that calls :meth:`Engine.run` is left
-as it was.
+as it was. CPython's cyclic collector is paused while the fibers run: it
+finds nothing to free there and rescans state that grows with the number of
+processes (docs/architecture.md, "The collector").
 
 Invariant: wall-clock optimizations here change *how fast* the host
 executes the schedule, never *which* schedule is executed. Virtual times,
@@ -70,6 +72,7 @@ outputs are pinned by the golden table in ``tests/sim/test_dispatchers.py``.
 from __future__ import annotations
 
 import _thread
+import gc
 import hashlib
 import heapq
 import os
@@ -775,6 +778,10 @@ class Engine:
         (say) an unbounded retransmission schedule. Daemon-only activity
         past the deadline is not a hang; the run ends quietly.
 
+        The cyclic garbage collector is off from fiber start-up until
+        teardown has joined the fibers, and on every exit it is left as the
+        caller had it.
+
         Raises
         ------
         DeadlockError
@@ -794,6 +801,8 @@ class Engine:
         self._deadline = deadline
         self._fiber_cpu = _caller_cpu()
         self._fiber_batch = self._fiber_cpu is not None
+        collector_was_on = gc.isenabled()
+        gc.disable()
         try:
             for proc in self.procs:
                 proc._start()
@@ -815,6 +824,8 @@ class Engine:
             self._finished = True
             for proc in self.procs:
                 proc._kill()
+            if collector_was_on:
+                gc.enable()
 
     def _blocked_report(self) -> dict[int, str]:
         """Per-rank call-site of every unfinished, non-daemon process."""

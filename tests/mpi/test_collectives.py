@@ -1,6 +1,8 @@
 """Collective correctness against NumPy references, at several sizes."""
 
+import gc
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -244,6 +246,32 @@ def test_barrier_costs_one_handoff_per_rank():
             mpi.COMM_WORLD.barrier()
 
     assert _handoffs_per_call(program, 16) <= 2
+
+
+def test_barrier_loop_triggers_no_cyclic_collection():
+    """64 ranks, 10 barriers: every rank's parked barrier script, requests
+    and envelopes are alive at once, so the collector's allocation count
+    crosses its threshold again and again — 31 collections on the fiber
+    threads (29 of generation 0, 2 of generation 1, counted from a fresh
+    ``gc.collect()``) while ``Engine.run`` still left the collector on.
+    It is paused while the fibers run now. A count, so exact on any host."""
+    collections = []
+
+    def count(phase, info):
+        if phase == "start" and threading.current_thread().name.startswith("sim-"):
+            collections.append(info["generation"])
+
+    def program(mpi, ctx):
+        for _ in range(10):
+            mpi.COMM_WORLD.barrier()
+
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        mpi_run(program, 64)
+    finally:
+        gc.callbacks.remove(count)
+    assert collections == []
 
 
 def test_alltoall_costs_one_handoff_per_rank():

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import contextlib
+import gc
 import os
 import resource
 import threading
@@ -7,7 +9,7 @@ import threading
 import pytest
 
 from repro.sim.engine import Engine
-from repro.util.errors import DeadlockError, SimulationError
+from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 
 
 def test_single_proc_runs_and_returns_result():
@@ -233,10 +235,8 @@ def test_scheduler_callbacks_run_in_time_order():
     assert order == ["a", "b", "c"]
 
 
-def test_thread_start_failure_names_started_fibers(monkeypatch):
-    """Thread exhaustion part-way through start-up (``ulimit -u`` at 4096
-    ranks) must surface as a SimulationError saying how far start-up got,
-    not as teardown's ``cannot join thread before it is started``."""
+def _refuse_third_fiber_thread(monkeypatch, at_refusal=lambda: None):
+    """Make the host refuse the third fiber thread ``run()`` starts."""
     real_start = threading.Thread.start
     seen = []
 
@@ -244,10 +244,18 @@ def test_thread_start_failure_names_started_fibers(monkeypatch):
         if self.name.startswith("sim-"):
             seen.append(self.name)
             if len(seen) == 3:
+                at_refusal()
                 raise RuntimeError("can't start new thread")
         real_start(self)
 
     monkeypatch.setattr(threading.Thread, "start", flaky_start)
+
+
+def test_thread_start_failure_names_started_fibers(monkeypatch):
+    """Thread exhaustion part-way through start-up (``ulimit -u`` at 4096
+    ranks) must surface as a SimulationError saying how far start-up got,
+    not as teardown's ``cannot join thread before it is started``."""
+    _refuse_third_fiber_thread(monkeypatch)
     eng = Engine()
     procs = [eng.spawn(lambda p: p.sleep(1.0)) for _ in range(5)]
     with pytest.raises(SimulationError, match=r"2 of 5 process fibers") as exc_info:
@@ -257,6 +265,60 @@ def test_thread_start_failure_names_started_fibers(monkeypatch):
     # Teardown unwound the two started fibers and skipped the other three.
     assert all(p.state == "done" for p in procs)
     assert not any(t.name.startswith("sim-") for t in threading.enumerate())
+
+
+# -- the cyclic collector -------------------------------------------------------
+
+
+def _boom(p):
+    raise ValueError("boom")
+
+
+#: Exit path -> (what each fiber does after its first sleep, run() keywords,
+#: what run() raises).
+RUN_EXITS = {
+    "normal end": (lambda p: None, {}, None),
+    "exception in a fiber": (_boom, {}, ValueError),
+    "deadlock": (lambda p: p.block("never woken"), {}, DeadlockError),
+    "deadline": (lambda p: p.sleep(10.0), {"deadline": 2.0}, SimTimeoutError),
+    "thread start refused": (lambda p: None, {}, SimulationError),
+}
+
+
+@pytest.fixture
+def collector_state():
+    """Give the process back the collector state it had before the test."""
+    was_on = gc.isenabled()
+    yield
+    (gc.enable if was_on else gc.disable)()
+
+
+@pytest.mark.parametrize("caller_on", [True, False], ids=["caller-on", "caller-off"])
+@pytest.mark.parametrize("exit_path", list(RUN_EXITS))
+def test_run_pauses_the_collector_and_restores_the_callers_state(
+    exit_path, caller_on, collector_state, monkeypatch
+):
+    """The cyclic collector is off while the fibers run (and while they
+    start); whichever way ``run()`` ends, the caller reads the state it had
+    on entry — a caller that had disabled it still sees it disabled."""
+    then, kwargs, raises = RUN_EXITS[exit_path]
+    inside = []  # gc.isenabled() as seen from inside the run
+
+    def body(p):
+        inside.append(gc.isenabled())
+        p.sleep(1.0)
+        then(p)
+
+    if exit_path == "thread start refused":
+        _refuse_third_fiber_thread(monkeypatch, lambda: inside.append(gc.isenabled()))
+    (gc.enable if caller_on else gc.disable)()
+    eng = Engine()
+    for _ in range(5):
+        eng.spawn(body)
+    with pytest.raises(raises) if raises else contextlib.nullcontext():
+        eng.run(**kwargs)
+    assert inside and not any(inside)
+    assert gc.isenabled() is caller_on
 
 
 # -- host placement of the fibers ---------------------------------------------

@@ -57,6 +57,18 @@ def test_one_owner_for_host_scheduling_policy():
     )
 
 
+def test_one_owner_for_the_cyclic_collector():
+    hits = [
+        hit for hit in grep(r"gc\.(disable|enable|freeze|unfreeze|set_threshold)\(", "src/repro")
+        if not hit.startswith("src/repro/sim/engine.py:")
+    ]
+    assert not hits, (
+        "only sim/engine.py may pause or tune the cyclic collector (Engine.run "
+        "pauses it while the fibers run and restores the caller's state)",
+        hits,
+    )
+
+
 def test_one_caf_runtime_above_the_transports():
     hits = grep(
         r"_am_board *=|itertools|_event_registry *=|_shipped *=|def (barrier|broadcast"
