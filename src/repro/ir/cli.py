@@ -2,7 +2,7 @@
 
 Usage::
 
-    python -m repro.ir record --out traces/ra randomaccess --procs 8
+    python -m repro.ir record --out traces/ra.npz randomaccess --procs 8
     python -m repro.ir replay --trace traces/ra --platform edison
     python -m repro.ir replay --trace traces/ra --set latency=5e-6 --out ra.json
     python -m repro.ir sweep --trace traces/ra --vary latency=1e-6,2e-6,4e-6 \\
@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import pathlib
 import sys
 
-from repro.ir.replay import ReplayError, replay, validate_trace
+from repro.ir.replay import check_trace, replay
 from repro.ir.sweep import SweepPoint, grid_points, run_sweep
-from repro.ir.trace import Trace, TraceError, TraceVersionError
+from repro.ir.trace import Trace
+from repro.obs.artifact import SchemaError, write
 from repro.platforms import PLATFORMS
 
 
@@ -70,9 +70,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     for warning in result.warnings:
         print(f"  warning: {warning}")
     if args.out:
-        pathlib.Path(args.out).write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        write(args.out, result.to_dict())
         print(f"  report -> {args.out}")
     return 0
 
@@ -103,15 +101,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     failed = 0
     for path in args.traces:
         try:
-            trace = Trace.load(path)
-        except (TraceError, TraceVersionError) as exc:
+            trace, problems = check_trace(path)
+        except SchemaError as exc:
             print(f"{path}: FAIL ({exc})")
             failed += 1
             continue
-        try:
-            problems = validate_trace(trace)
-        except ReplayError as exc:
-            problems = [str(exc)]
         if problems:
             failed += 1
             print(f"{path}: FAIL")
@@ -167,7 +161,11 @@ def main(argv: list[str] | None = None) -> int:
     p_validate.set_defaults(func=_cmd_validate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SchemaError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -34,6 +34,9 @@ from repro.sim.costs import NicState, eval_costs, srq_penalty
 from repro.sim.network import MachineSpec
 
 
+SCHEMA_NAME = "repro.ir.replay/1"
+
+
 class ReplayError(Exception):
     """The trace cannot be replayed under the requested conditions."""
 
@@ -60,7 +63,7 @@ class ReplayResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "schema": "repro.ir.replay/1",
+            "schema": SCHEMA_NAME,
             "app": self.app,
             "backend": self.backend,
             "nranks": self.nranks,
@@ -496,3 +499,10 @@ def validate_trace(trace: Trace) -> list[str]:
             "with the recorded fabric schedule"
         )
     return problems
+
+
+def check_trace(path) -> tuple[Trace, list[str]]:
+    """Load the trace at ``path`` and list what :func:`validate_trace` finds:
+    the check both ``ir validate`` and ``obs validate`` run."""
+    trace = Trace.load(path)
+    return trace, validate_trace(trace)

@@ -9,14 +9,16 @@ and emits RunReport-style JSON artifacts (one per point plus a summary).
 from __future__ import annotations
 
 import itertools
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.ir.replay import CompiledTrace, ReplayResult, replay
 from repro.ir.trace import Trace
+from repro.obs.artifact import write
 from repro.sim.network import MachineSpec
+
+SCHEMA_NAME = "repro.ir.sweep/1"
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def run_sweep(
         )
     manifest = compiled.trace.manifest
     summary = {
-        "schema": "repro.ir.sweep/1",
+        "schema": SCHEMA_NAME,
         "app": manifest.get("app", ""),
         "backend": manifest.get("backend", ""),
         "nranks": compiled.nranks,
@@ -96,11 +98,9 @@ def run_sweep(
         out.mkdir(parents=True, exist_ok=True)
         for idx, (point, res) in enumerate(results):
             path = out / f"point-{idx:02d}.replay.json"
-            path.write_text(
-                json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
-            )
+            write(path, res.to_dict())
             outcome.written.append(path)
         summary_path = out / "sweep-summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write(summary_path, summary)
         outcome.written.append(summary_path)
     return outcome

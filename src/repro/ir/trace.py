@@ -33,7 +33,6 @@ Obs table (per ``Metrics.record`` call, in record order): ``obs_rank``
 
 from __future__ import annotations
 
-import json
 import pathlib
 from dataclasses import dataclass, field
 from typing import Any
@@ -41,15 +40,16 @@ from typing import Any
 import numpy as np
 
 from repro.ir import ops as _ops
+from repro.obs.artifact import SchemaError, read_json, write
 
 TRACE_VERSION = 1
 
 
-class TraceVersionError(Exception):
+class TraceVersionError(SchemaError):
     """The artifact was written by an incompatible trace-format version."""
 
 
-class TraceError(Exception):
+class TraceError(SchemaError):
     """Malformed or unloadable trace artifact."""
 
 
@@ -114,7 +114,7 @@ class Trace:
             if child.size and (child.min() < 0 or child.max() >= nchains):
                 raise TraceError("op references out-of-range child chain")
         if self.manifest.get("nops") != n:
-            raise TraceError("manifest op count disagrees with arrays")
+            raise TraceError(f"manifest nops disagrees with the arrays' {n} ops")
 
     # -- persistence -----------------------------------------------------
 
@@ -125,9 +125,7 @@ class Trace:
         npz_path = stem.with_suffix(".npz")
         json_path = stem.with_suffix(".json")
         np.savez_compressed(npz_path, **self.arrays)
-        json_path.write_text(
-            json.dumps(self.manifest, indent=2, sort_keys=True) + "\n"
-        )
+        write(json_path, self.manifest)
         return npz_path, json_path
 
     @classmethod
@@ -139,10 +137,7 @@ class Trace:
             raise TraceError(f"missing manifest {json_path}")
         if not npz_path.exists():
             raise TraceError(f"missing array file {npz_path}")
-        try:
-            manifest = json.loads(json_path.read_text())
-        except ValueError as exc:
-            raise TraceError(f"unreadable manifest {json_path}: {exc}") from exc
+        manifest = read_json(json_path)
         version = manifest.get("ir_version")
         if version != TRACE_VERSION:
             raise TraceVersionError(

@@ -1,4 +1,4 @@
-"""CLI: render, validate, and diff RunReport artifacts; live-telemetry
+"""CLI: render RunReports, validate and diff artifacts; live-telemetry
 ``top`` view; scaling-law fitting.
 
 Usage::
@@ -16,10 +16,12 @@ Usage::
 ``diff --fail`` exits 1 when any metric moved beyond the threshold — the
 bench-regression tripwire CI uses on archived reports. ``--all`` compares
 every NEW report against the baseline in one invocation and exits 1 (with
-``--fail``) if any comparison regresses. ``validate`` dispatches on what
-the artifact says it is — run reports, scaling reports, telemetry streams
-(``*.jsonl``), IR trace manifests (loaded and replayed) and Chrome traces
-all check — and a directory argument stands for every file in it, i.e. for
+``--fail``) if any comparison regresses; it reads run reports and IR
+replay results (``point-NN.replay.json``), which flatten to the same row
+names. ``validate`` checks every kind :func:`repro.obs.artifact.kinds`
+names — run reports, scaling reports, telemetry streams, IR traces (loaded
+and replayed), replay results, sweep summaries, the chaos ledger and Chrome
+traces — and a directory argument stands for every file in it, e.g. for
 what one ``repro.obs.capture`` wrote: files that are not ours are named and
 skipped, a malformed one exits 2 naming the file and the failing field.
 ``scaling --fail`` exits 1 on any expectation
@@ -30,57 +32,12 @@ must fit linear-in-P, GASNet ``event_notify`` must not).
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
 
-from repro.obs.report import SCHEMA_NAME, RunReport, SchemaError, diff_reports_all
-
-
-def _validate_artifact(path: pathlib.Path) -> str | None:
-    """Schema-check one artifact by sniffing its kind; returns a label, or
-    None for a file that is not an artifact this repo writes."""
-    from repro.obs import live as live_mod
-    from repro.obs import scaling as scaling_mod
-
-    if path.suffix == ".jsonl":
-        meta, snaps = live_mod.read_telemetry(path)
-        return f"telemetry ({len(snaps)} snapshot(s))"
-    if path.suffix != ".json":
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except ValueError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        return None
-    if "ir_version" in data:
-        return _validate_ir_trace(path)
-    if "traceEvents" in data:
-        return f"chrome trace ({len(data['traceEvents'])} event(s))"
-    schema = data.get("schema")
-    if schema == scaling_mod.SCHEMA_NAME:
-        scaling_mod.validate_scaling_report(data)
-        return "scaling report"
-    if schema == SCHEMA_NAME:
-        RunReport.from_dict(data)
-        return "run report"
-    return None
-
-
-def _validate_ir_trace(manifest: pathlib.Path) -> str:
-    """An IR trace stem, found by its manifest: load it and replay it."""
-    from repro.ir.replay import ReplayError, validate_trace
-    from repro.ir.trace import Trace, TraceError, TraceVersionError
-
-    try:
-        trace = Trace.load(manifest)
-        problems = validate_trace(trace)
-    except (TraceError, TraceVersionError, ReplayError) as exc:
-        raise SchemaError(str(exc)) from exc
-    if problems:
-        raise SchemaError("invalid IR trace: " + "; ".join(problems))
-    return f"IR trace ({trace.nops} ops, makespan reproduced)"
+from repro.obs import artifact
+from repro.obs.artifact import SchemaError
+from repro.obs.report import RunReport, diff_reports_all
 
 
 def _validate(args: list[pathlib.Path]) -> int:
@@ -90,13 +47,9 @@ def _validate(args: list[pathlib.Path]) -> int:
         named = not arg.is_dir()
         paths = [arg] if named else sorted(p for p in arg.iterdir() if p.is_file())
         for path in paths:
-            try:
-                label = _validate_artifact(path)
-            except SchemaError as exc:
-                text = str(exc)
-                raise SchemaError(text if str(path) in text else f"{path}: {text}") from exc
-            if label is not None:
-                print(f"{path}: ok ({label})")
+            found = artifact.check(path)
+            if found is not None:
+                print(f"{path}: ok ({found.label})")
             elif named:
                 raise SchemaError(f"{path}: not an artifact this repo writes")
             elif path.suffix != ".npz" or not path.with_suffix(".json").exists():
@@ -120,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_validate = sub.add_parser(
         "validate",
-        help="schema-check artifacts (reports, telemetry, IR traces) or directories of them",
+        help="schema-check artifacts (reports, telemetry, IR traces, ...) or directories of them",
     )
     p_validate.add_argument("reports", type=pathlib.Path, nargs="+")
 
@@ -211,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
         # diff
         if len(args.new) > 1 and not args.all:
             parser.error("multiple NEW reports require --all")
-        old = RunReport.load(str(args.old))
-        news = [RunReport.load(str(p)) for p in args.new]
+        old = artifact.flatten(args.old)
+        news = [artifact.flatten(p) for p in args.new]
         diffs = diff_reports_all(
             old,
             news,
@@ -237,10 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.fail and failed:
             return 1
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
+    except (FileNotFoundError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,8 @@ import pathlib
 import time
 from typing import Any, TextIO
 
-from repro.obs.report import SchemaError, need_fiber_placement, need_handoffs
+from repro.obs.artifact import SchemaError, checker, dumps, require
+from repro.obs.report import need_fiber_placement, need_handoffs
 from repro.util.tables import format_table
 
 SCHEMA_NAME = "repro.obs/telemetry"
@@ -294,7 +295,7 @@ class LiveTelemetry:
         fh = self._fh
         if fh is None:  # pragma: no cover - defensive (closed stream)
             return
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(dumps(record, line=True))
         fh.flush()
 
 
@@ -303,63 +304,42 @@ class LiveTelemetry:
 
 def validate_meta(record: Any) -> None:
     """Schema-check a telemetry stream's meta header line."""
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise SchemaError(f"invalid telemetry meta: {msg}")
-
+    need = checker("telemetry meta")
     need(isinstance(record, dict), "not a JSON object")
     need(record.get("schema") == SCHEMA_NAME, f"schema != {SCHEMA_NAME!r}")
     need(record.get("version") == SCHEMA_VERSION, f"version != {SCHEMA_VERSION}")
     need(record.get("type") == "meta", "type != 'meta'")
-    need(
-        isinstance(record.get("nranks"), int) and record["nranks"] > 0,
-        "nranks",
-    )
-    need(
-        isinstance(record.get("interval_s"), (int, float))
-        and record["interval_s"] >= 0,
-        "interval_s",
-    )
+    require(record, "telemetry meta", {"nranks": int, "interval_s": (int, float)})
+    need(record["nranks"] > 0, "nranks")
+    need(record["interval_s"] >= 0, "interval_s")
     need_fiber_placement(record, need)
 
 
 def validate_snapshot(record: Any, *, nranks: int | None = None) -> None:
     """Schema-check one telemetry snapshot line."""
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise SchemaError(f"invalid telemetry snapshot: {msg}")
-
+    need = checker("telemetry snapshot")
     need(isinstance(record, dict), "not a JSON object")
     need(record.get("type") == "snapshot", "type != 'snapshot'")
-    need(isinstance(record.get("seq"), int) and record["seq"] >= 0, "seq")
-    for fld in ("wall_s", "sim_s", "events_per_s"):
-        need(isinstance(record.get(fld), (int, float)), fld)
-    need(isinstance(record.get("events"), int) and record["events"] >= 0, "events")
+    require(record, "telemetry snapshot", {
+        "seq": int, "wall_s": (int, float), "sim_s": (int, float), "events_per_s": (int, float),
+        "events": int, "rss_bytes": int, "final": bool, "ranks.total": int, "ranks.running": int,
+        "ranks.blocked": int, "ranks.done": int, "blocked": list, "failed_images": list,
+    })
+    need(record["seq"] >= 0, "seq")
+    need(record["events"] >= 0, "events")
     need_handoffs(record, need)
-    need(isinstance(record.get("rss_bytes"), int), "rss_bytes")
-    need(isinstance(record.get("final"), bool), "final")
-    ranks = record.get("ranks")
-    need(isinstance(ranks, dict), "ranks")
+    ranks = record["ranks"]
     for fld in ("total", "running", "blocked", "done"):
-        need(isinstance(ranks.get(fld), int) and ranks[fld] >= 0, f"ranks.{fld}")
+        need(ranks[fld] >= 0, f"ranks.{fld}")
     need(
         ranks["running"] + ranks["blocked"] + ranks["done"] == ranks["total"],
         "ranks states do not sum to total",
     )
     if nranks is not None:
         need(ranks["total"] == nranks, "ranks.total != meta.nranks")
-    need(isinstance(record.get("blocked"), list), "blocked")
     for row in record["blocked"]:
-        need(isinstance(row, dict), "blocked[] row")
-        need(isinstance(row.get("rank"), int), "blocked[].rank")
-        need(isinstance(row.get("site"), str), "blocked[].site")
-        need(
-            isinstance(row.get("last_progress"), (int, float)),
-            "blocked[].last_progress",
-        )
-    need(isinstance(record.get("failed_images"), list), "failed_images")
+        fields = {"rank": int, "site": str, "last_progress": (int, float)}
+        require(row, "telemetry snapshot", fields, at="blocked[]")
     if record.get("final"):
         need(record.get("outcome") in ("ok", "failed"), "final without outcome")
 

@@ -17,11 +17,12 @@ report files (bench-regression triage).
 
 from __future__ import annotations
 
-import json
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.artifact import Document, checker, flatten_report, require
+from repro.obs.artifact import SchemaError as SchemaError  # re-exported
 from repro.obs.critical import critical_path
 from repro.util.tables import format_table
 
@@ -33,22 +34,18 @@ SCHEMA_VERSION = 1
 _DENSE_MATRIX_LIMIT = 256
 
 
-class SchemaError(ValueError):
-    """A document does not conform to the RunReport schema."""
-
-
 @dataclass
-class RunReport:
+class RunReport(Document):
     """One run's observability artifact (a thin typed wrapper over the
     canonical dict form, which is what serializes/validates/diffs)."""
 
     data: dict[str, Any] = field(default_factory=dict)
 
-    # -- accessors -------------------------------------------------------
+    @staticmethod
+    def validate(data: Any) -> None:
+        validate_report(data)
 
-    @property
-    def meta(self) -> dict[str, Any]:
-        return self.data["meta"]
+    # -- accessors -------------------------------------------------------
 
     @property
     def ops(self) -> dict[str, Any]:
@@ -63,28 +60,6 @@ class RunReport:
         return self.data["ops"]["kinds"].get(
             kind, {"calls": 0, "bytes": 0, "time": 0.0}
         )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self, path: str | None = None, *, indent: int = 2) -> str:
-        """Canonical JSON text (sorted keys); optionally written to ``path``."""
-        text = json.dumps(self.data, indent=indent, sort_keys=True) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def load(cls, path: str) -> "RunReport":
-        with open(path) as fh:
-            data = json.load(fh)
-        validate_report(data)
-        return cls(data)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunReport":
-        validate_report(data)
-        return cls(data)
 
     # -- exporters -------------------------------------------------------
 
@@ -224,63 +199,38 @@ def need_fiber_placement(meta: dict[str, Any], need: Callable[[bool, str], None]
 
 def validate_report(data: Any) -> None:
     """Structural schema check; raises :class:`SchemaError` on violation."""
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise SchemaError(f"invalid run report: {msg}")
-
+    need = checker("run report")
     need(isinstance(data, dict), "not a JSON object")
     need(data.get("schema") == SCHEMA_NAME, f"schema != {SCHEMA_NAME!r}")
     need(data.get("version") == SCHEMA_VERSION, f"version != {SCHEMA_VERSION}")
-    meta = data.get("meta")
-    need(isinstance(meta, dict), "missing meta object")
-    need(isinstance(meta.get("nranks"), int) and meta["nranks"] > 0, "meta.nranks")
-    need(isinstance(meta.get("makespan"), (int, float)), "meta.makespan")
+    fields: dict[str, Any] = {
+        "meta.nranks": int, "meta.makespan": (int, float), "profiler.breakdown": dict,
+        "profiler.counts": dict, "ops.kinds": dict, "fabric.messages": int, "fabric.bytes": int,
+    }
+    meta, fail = data.get("meta"), data.get("failure")
+    if isinstance(meta, dict) and "telemetry" in meta:
+        fields.update({"meta.telemetry.path": str, "meta.telemetry.snapshots": int})
+    if fail is not None:
+        fields.update({"failure.error": str, "failure.message": str, "failure.failed_images": list})
+    if data.get("comm_matrix") is not None:
+        fields["comm_matrix.total_messages"] = int
+    if data.get("critical_path") is not None:
+        fields.update({"critical_path.steps": list, "critical_path.by_category": dict})
+    require(data, "run report", fields)
+    need(meta["nranks"] > 0, "meta.nranks")
     if "outcome" in meta:
         need(meta["outcome"] in ("ok", "failed"), "meta.outcome")
     need_fiber_placement(meta, need)
     need_handoffs(meta, need)
     if "telemetry" in meta:
-        tel = meta["telemetry"]
-        need(isinstance(tel, dict), "meta.telemetry")
-        need(isinstance(tel.get("path"), str), "meta.telemetry.path")
-        need(
-            isinstance(tel.get("snapshots"), int) and tel["snapshots"] >= 0,
-            "meta.telemetry.snapshots",
-        )
-    fail = data.get("failure")
+        need(meta["telemetry"]["snapshots"] >= 0, "meta.telemetry.snapshots")
     if fail is not None:
-        need(isinstance(fail, dict), "failure")
-        need(isinstance(fail.get("error"), str), "failure.error")
-        need(isinstance(fail.get("message"), str), "failure.message")
-        need(isinstance(fail.get("failed_images"), list), "failure.failed_images")
         need(meta.get("outcome") == "failed", "failure present but outcome != failed")
         if "last_telemetry" in fail:
             need(isinstance(fail["last_telemetry"], dict), "failure.last_telemetry")
-    prof = data.get("profiler")
-    need(isinstance(prof, dict), "missing profiler object")
-    need(isinstance(prof.get("breakdown"), dict), "profiler.breakdown")
-    need(isinstance(prof.get("counts"), dict), "profiler.counts")
-    ops = data.get("ops")
-    need(isinstance(ops, dict) and isinstance(ops.get("kinds"), dict), "ops.kinds")
-    for kind, s in ops["kinds"].items():
-        need(isinstance(s, dict), f"ops.kinds[{kind!r}]")
-        for fld in ("calls", "bytes"):
-            need(isinstance(s.get(fld), int), f"ops.kinds[{kind!r}].{fld}")
-        need(isinstance(s.get("time"), (int, float)), f"ops.kinds[{kind!r}].time")
-    fabric = data.get("fabric")
-    need(isinstance(fabric, dict), "missing fabric object")
-    for fld in ("messages", "bytes"):
-        need(isinstance(fabric.get(fld), int), f"fabric.{fld}")
-    cm = data.get("comm_matrix")
-    if cm is not None:
-        need(isinstance(cm, dict), "comm_matrix")
-        need(isinstance(cm.get("total_messages"), int), "comm_matrix.total_messages")
-    cp = data.get("critical_path")
-    if cp is not None:
-        need(isinstance(cp, dict), "critical_path")
-        need(isinstance(cp.get("steps"), list), "critical_path.steps")
-        need(isinstance(cp.get("by_category"), dict), "critical_path.by_category")
+    for kind, s in data["ops"]["kinds"].items():
+        stats = {"calls": int, "bytes": int, "time": (int, float)}
+        require(s, "run report", stats, at=f"ops.kinds[{kind!r}]")
 
 
 def build_report(
@@ -449,32 +399,13 @@ class ReportDiff:
 
 
 def diff_reports(
-    a: RunReport, b: RunReport, *, a_label: str = "a", b_label: str = "b"
+    a: RunReport | dict[str, float], b: RunReport | dict[str, float], *,
+    a_label: str = "a", b_label: str = "b",
 ) -> ReportDiff:
-    """Flatten both reports to scalar metrics and compare them pairwise."""
-
-    def flatten(r: RunReport) -> dict[str, float]:
-        out: dict[str, float] = {"meta.makespan": r.data["meta"]["makespan"]}
-        for cat, v in r.data["profiler"]["breakdown"].items():
-            out[f"profiler.{cat}.mean_s"] = v
-        for cat, v in r.data["profiler"]["counts"].items():
-            out[f"profiler.{cat}.count"] = v
-        for kind, s in r.data["ops"]["kinds"].items():
-            out[f"ops.{kind}.calls"] = s["calls"]
-            out[f"ops.{kind}.bytes"] = s["bytes"]
-            out[f"ops.{kind}.time_s"] = s["time"]
-        for name, v in r.data.get("counters", {}).items():
-            out[f"counters.{name}"] = v
-        fabric = r.data["fabric"]
-        out["fabric.messages"] = fabric["messages"]
-        out["fabric.bytes"] = fabric["bytes"]
-        cp = r.data.get("critical_path")
-        if cp:
-            for cat, v in cp["by_category"].items():
-                out[f"critical_path.{cat}.s"] = v
-        return out
-
-    fa, fb = flatten(a), flatten(b)
+    """Flatten both reports to scalar metrics and compare them pairwise. Either
+    side may instead be an artifact already flattened to its scalar rows
+    (:func:`repro.obs.artifact.flatten`: run reports and replay results)."""
+    fa, fb = (flatten_report(r.data) if isinstance(r, RunReport) else r for r in (a, b))
     rows = [
         (metric, fa.get(metric, 0.0), fb.get(metric, 0.0),
          _rel(fa.get(metric, 0.0), fb.get(metric, 0.0)))
@@ -484,8 +415,8 @@ def diff_reports(
 
 
 def diff_reports_all(
-    baseline: RunReport,
-    candidates: list[RunReport],
+    baseline: RunReport | dict[str, float],
+    candidates: Sequence[RunReport | dict[str, float]],
     *,
     baseline_label: str = "baseline",
     labels: list[str] | None = None,

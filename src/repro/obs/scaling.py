@@ -19,14 +19,13 @@ CLI::
     python -m repro.obs scaling ra-4.json ra-8.json ra-16.json \
         --out scaling.json --fail
 
-ROADMAP item 3 (the scalable-RMA what-if pack) consumes this harness: a
+ROADMAP item 8(i) (the scalable-RMA what-if pack) consumes this harness: a
 tree-structured flush-all or put-with-notification variant is proven by
 its fitted order dropping from ``linear`` to ``log``/``const``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -39,7 +38,8 @@ from repro.lint.stream.sym import (
     ORDER_POLY,
     order_text,
 )
-from repro.obs.report import RunReport, SchemaError
+from repro.obs.artifact import Document, SchemaError, checker, require
+from repro.obs.report import RunReport
 from repro.util.tables import format_table
 
 SCHEMA_NAME = "repro.obs/scaling-report"
@@ -236,14 +236,12 @@ def _resolve_spec(name: str | None) -> Any:
 
 
 @dataclass
-class ScalingReport:
+class ScalingReport(Document):
     """Fitted per-op scaling across a rank sweep (canonical dict form)."""
 
-    data: dict[str, Any]
-
-    @property
-    def meta(self) -> dict[str, Any]:
-        return self.data["meta"]
+    @staticmethod
+    def validate(data: Any) -> None:
+        validate_scaling_report(data)
 
     @property
     def kinds(self) -> dict[str, Any]:
@@ -263,27 +261,6 @@ class ScalingReport:
             for kind, entry in self.data["kinds"].items()
             if entry["static_agrees"] is False
         )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self, path: str | None = None, *, indent: int = 2) -> str:
-        text = json.dumps(self.data, indent=indent, sort_keys=True) + "\n"
-        if path is not None:
-            with open(path, "w") as fh:
-                fh.write(text)
-        return text
-
-    @classmethod
-    def load(cls, path: str) -> "ScalingReport":
-        with open(path) as fh:
-            data = json.load(fh)
-        validate_scaling_report(data)
-        return cls(data)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ScalingReport":
-        validate_scaling_report(data)
-        return cls(data)
 
     # -- rendering -------------------------------------------------------
 
@@ -346,57 +323,29 @@ class ScalingReport:
 
 def validate_scaling_report(data: Any) -> None:
     """Structural schema check; raises :class:`SchemaError` on violation."""
-
-    def need(cond: bool, msg: str) -> None:
-        if not cond:
-            raise SchemaError(f"invalid scaling report: {msg}")
-
+    need = checker("scaling report")
     need(isinstance(data, dict), "not a JSON object")
     need(data.get("schema") == SCHEMA_NAME, f"schema != {SCHEMA_NAME!r}")
     need(data.get("version") == SCHEMA_VERSION, f"version != {SCHEMA_VERSION}")
-    meta = data.get("meta")
-    need(isinstance(meta, dict), "missing meta object")
-    need(
-        isinstance(meta.get("nranks"), list) and len(meta["nranks"]) >= 3,
-        "meta.nranks (need >= 3 rank counts)",
-    )
-    need(isinstance(meta.get("tol"), (int, float)), "meta.tol")
-    kinds = data.get("kinds")
-    need(isinstance(kinds, dict), "missing kinds object")
-    for kind, entry in kinds.items():
-        need(isinstance(entry, dict), f"kinds[{kind!r}]")
-        need(entry.get("order") in NAME_ORDERS, f"kinds[{kind!r}].order")
-        need(isinstance(entry.get("nrmse"), (int, float)), f"kinds[{kind!r}].nrmse")
-        need(
-            isinstance(entry.get("points"), list)
-            and len(entry["points"]) == len(meta["nranks"]),
-            f"kinds[{kind!r}].points",
-        )
-        need(
-            isinstance(entry.get("coeffs"), list) and len(entry["coeffs"]) == 2,
-            f"kinds[{kind!r}].coeffs",
-        )
-        need(isinstance(entry.get("candidates"), dict), f"kinds[{kind!r}].candidates")
-        static = entry.get("static_order")
-        need(
-            static is None or static in NAME_ORDERS,
-            f"kinds[{kind!r}].static_order",
-        )
-        need(
-            entry.get("static_agrees") in (True, False, None),
-            f"kinds[{kind!r}].static_agrees",
-        )
-    expectations = data.get("expectations")
-    need(isinstance(expectations, list), "missing expectations list")
-    for e in expectations:
-        need(isinstance(e, dict), "expectations[]")
-        need(isinstance(e.get("kind"), str), "expectations[].kind")
-        need(e.get("expected") in NAME_ORDERS, "expectations[].expected")
-        need(isinstance(e.get("ok"), bool), "expectations[].ok")
-    summary = data.get("summary")
-    need(isinstance(summary, dict), "missing summary object")
-    for fld in ("kinds", "expectation_mismatches", "crosscheck_mismatches"):
-        need(isinstance(summary.get(fld), int), f"summary.{fld}")
+    require(data, "scaling report", {
+        "meta.nranks": list, "meta.tol": (int, float), "kinds": dict, "expectations": list,
+        "summary.kinds": int, "summary.expectation_mismatches": int,
+        "summary.crosscheck_mismatches": int,
+    })
+    meta = data["meta"]
+    need(len(meta["nranks"]) >= 3, "meta.nranks (need >= 3 rank counts)")
+    for kind, entry in data["kinds"].items():
+        at = f"kinds[{kind!r}]"
+        fields = {"nrmse": (int, float), "points": list, "coeffs": list, "candidates": dict}
+        require(entry, "scaling report", fields, at=at)
+        need(entry.get("order") in ORDER_NAMES.values(), f"{at}.order")
+        need(len(entry["points"]) == len(meta["nranks"]), f"{at}.points")
+        need(len(entry["coeffs"]) == 2, f"{at}.coeffs")
+        need(entry.get("static_order") in (None, *ORDER_NAMES.values()), f"{at}.static_order")
+        need(entry.get("static_agrees") in (True, False, None), f"{at}.static_agrees")
+    for e in data["expectations"]:
+        require(e, "scaling report", {"kind": str, "ok": bool}, at="expectations[]")
+        need(e.get("expected") in ORDER_NAMES.values(), "expectations[].expected")
 
 
 def parse_expectations(pairs: Sequence[str]) -> dict[str, str]:

@@ -30,16 +30,16 @@ the exit code is nonzero iff any unexplained violation survived.
 from __future__ import annotations
 
 import argparse
-import json
 import pathlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.caf.program import run_caf
 from repro.obs import capture as obs_capture
+from repro.obs.artifact import write
 from repro.resilience.apps import (
     cg_true_residual,
     ra_reference,
@@ -50,6 +50,10 @@ from repro.resilience.minimize import minimize_plan
 from repro.resilience.recovery import run_resilient
 from repro.sim.faults import FaultPlan
 from repro.util.errors import DeadlockError, ReproError, SimTimeoutError
+
+#: ``campaign.json``, the ledger's artifact kind.
+SCHEMA_NAME = "repro.resilience/chaos-ledger"
+SCHEMA_VERSION = 1
 
 # -- outcome taxonomy -----------------------------------------------------
 
@@ -374,6 +378,8 @@ class CampaignRunner:
             counts[r["outcome"]] = counts.get(r["outcome"], 0) + 1
         unexplained = [r for r in records if r["outcome"] in VIOLATIONS]
         summary = {
+            "schema": SCHEMA_NAME,
+            "version": SCHEMA_VERSION,
             "config": {
                 "runs": cfg.runs,
                 "seed": cfg.seed,
@@ -388,9 +394,7 @@ class CampaignRunner:
         }
         if cfg.out is not None:
             cfg.out.mkdir(parents=True, exist_ok=True)
-            (cfg.out / "campaign.json").write_text(
-                json.dumps(summary, indent=1, sort_keys=True)
-            )
+            write(cfg.out / "campaign.json", summary)
         return summary
 
 

@@ -109,3 +109,16 @@ def test_module_entrypoint_runs(trace_stem):
     )
     assert proc.returncode == 0, proc.stderr
     assert ": OK (" in proc.stdout
+
+
+def test_replay_and_sweep_of_a_recording_directory_exit_2(tmp_path, capsys):
+    # A suffix-less --out records a directory of run-NNNN stems, not a trace.
+    traces = tmp_path / "ra"
+    assert main(["record", "--out", str(traces), "randomaccess", "--procs", "2",
+                 "--updates", "128"]) == 0
+    capsys.readouterr()
+    for argv in (["replay", "--trace", str(traces)],
+                 ["sweep", "--trace", str(traces), "--vary", "latency=1e-6,2e-6"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"missing manifest {traces}.json" in err

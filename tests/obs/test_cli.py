@@ -300,3 +300,93 @@ def test_validate_directory_rejects_trace_version_mismatch(captured_dir, capsys)
     err = capsys.readouterr().err
     assert str(manifest) in err
     assert f"this build reads version {TRACE_VERSION}" in err
+
+
+# -- every kind of artifact, as the code that writes it in production does --
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One file of every kind ``validate`` recognises, keyed by kind."""
+    from repro.ir.cli import main as ir_main
+    from repro.obs.capture import capture
+    from repro.resilience import chaos
+
+    out = tmp_path_factory.mktemp("kinds")
+    with capture(out, trace=True, live=True, live_interval=0.0, record_ir=out / "ir"):
+        for nranks in (2, 3, 4):
+            run_caf(ring_program, nranks, backend="mpi")
+    reports = [str(out / f"run-000{i}.report.json") for i in range(3)]
+    assert main(["scaling", *reports, "--out", str(out / "scaling.json")]) == 0
+    trace = out / "ir" / "run-0000-ring_program"
+    assert ir_main(["replay", "--trace", str(trace), "--out", str(out / "replay.json")]) == 0
+    assert ir_main(
+        ["sweep", "--trace", str(trace), "--vary", "mpi_p2p_overhead=6e-7,1.2e-6",
+         "--out", str(out / "sw")]
+    ) == 0
+    assert chaos.main(
+        ["--runs", "1", "--seed", "77", "--apps", "ra", "--backends", "mpi", "--modes",
+         "faults", "--quiet", "--no-minimize", "--determinism-every", "0",
+         "--out", str(out / "camp")]
+    ) == 0
+    return {
+        "run report": out / "run-0000.report.json",
+        "scaling report": out / "scaling.json",
+        "telemetry": out / "run-0000.telemetry.jsonl",
+        "IR trace": trace.with_suffix(".json"),
+        "replay result": out / "replay.json",
+        "sweep summary": out / "sw" / "sweep-summary.json",
+        "chaos ledger": out / "camp" / "campaign.json",
+        "chrome trace": out / "run-0000.trace.json",
+    }
+
+
+#: kind -> (a required field, what the error then says about it).
+REQUIRED = {
+    "run report": (("meta", "makespan"), "meta.makespan"),
+    "scaling report": (("summary",), "summary"),
+    "telemetry": (("nranks",), "nranks"),
+    "IR trace": (("makespan",), "makespan"),
+    "replay result": (("makespan",), "makespan"),
+    "sweep summary": (("points",), "points"),
+    "chaos ledger": (("records",), "records"),
+    # The key that marks a Chrome trace: without it the file is nobody's.
+    "chrome trace": (("traceEvents",), "not an artifact this repo writes"),
+}
+
+
+def test_every_kind_of_the_table_has_a_case():
+    from repro.obs.artifact import kinds
+
+    assert [kind.name for kind in kinds()] == list(REQUIRED)
+
+
+@pytest.mark.parametrize("kind", list(REQUIRED))
+def test_validate_checks_every_kind(artifacts, kind, tmp_path, capsys):
+    path = artifacts[kind]
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"{path}: ok ({kind}")
+
+    # A copy with one required field deleted exits 2 naming file and field.
+    broken = tmp_path / path.name
+    text = path.read_text()
+    head, sep, tail = text.partition("\n") if path.suffix == ".jsonl" else (text, "", "")
+    top = node = json.loads(head)
+    (*parents, field), says = REQUIRED[kind]
+    for key in parents:
+        node = node[key]
+    del node[field]
+    broken.write_text(json.dumps(top) + sep + tail)
+    if kind == "IR trace":
+        broken.with_suffix(".npz").write_bytes(path.with_suffix(".npz").read_bytes())
+    assert main(["validate", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert str(broken) in err and says in err, err
+
+
+def test_diff_compares_sweep_replay_results(artifacts, capsys):
+    sweep = artifacts["sweep summary"].parent
+    points = [str(sweep / f"point-0{i}.replay.json") for i in range(2)]
+    assert main(["diff", "--all", *points]) == 0
+    out = capsys.readouterr().out
+    assert "meta.makespan" in out and "ops.mpi.send.time_s" in out

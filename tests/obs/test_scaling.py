@@ -263,6 +263,11 @@ def test_validate_rejects_malformed_reports(ra_reports):
     bad["kinds"]["mpi.flush_all"]["order"] = "quadratic"
     with pytest.raises(SchemaError):
         validate_scaling_report(bad)
+    for where in ("order", "static_order"):  # unhashable: a SchemaError, not a TypeError
+        bad = copy.deepcopy(good)
+        bad["kinds"]["mpi.flush_all"][where] = []
+        with pytest.raises(SchemaError, match=where):
+            validate_scaling_report(bad)
     bad = copy.deepcopy(good)
     bad["meta"]["nranks"] = [4, 8]
     with pytest.raises(SchemaError):

@@ -355,3 +355,21 @@ def test_library_blocking_code_is_scripts():
         "costs.charge parks a fiber: only Window.sync and RankCtx.compute pay that way",
         paid,
     )
+
+
+def test_one_owner_for_artifact_format():
+    hits = [
+        hit
+        for hit in grep(
+            r"json\.dumps\(|def need\(",
+            "src/repro/obs", "src/repro/ir", "src/repro/resilience/chaos.py",
+        )
+        if not hit.startswith("src/repro/obs/artifact.py:")
+    ]
+    assert not hits, (
+        "the artifact format has one owner, repro.obs.artifact: write with "
+        "artifact.write / dumps_line, check fields with artifact.checker / "
+        "require, and recognise, validate and diff a kind through its row of "
+        "artifact.kinds()",
+        hits,
+    )
