@@ -1,179 +1,120 @@
-"""Shared builders for the application performance figures (3, 5-7, 9-12).
+"""The two builders behind the paper's performance figures (Figs. 3-12 and
+the Mira/Edison microbenchmarks).
 
-Each builder sweeps process counts on one platform, runs the application
-under both runtimes (plus variants), and produces the same series the
-paper plots: CAF-MPI, CAF-GASNet, (CAF-GASNet-NOSRQ where relevant) and
-IDEAL-SCALE.
+A figure module declares what to run — process counts per scale, its
+:class:`Series`, notes and the paper's constants — and hands it to
+:func:`sweep` (one figure of merit per series x P) or :func:`breakdown`
+(profiler categories per runtime at one P). Both run cells in declaration
+order, series-major then P, so ``--metrics`` numbers ``run-NNNN`` stems the
+same way on every regeneration.
+
+The applications the figures run are re-exported here, so a declaration
+imports everything it names from this one module.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any
 
 from repro.apps.cgpop import run_cgpop
 from repro.apps.fft import run_fft
 from repro.apps.hpl import run_hpl
+from repro.apps.microbench import run_microbench
 from repro.apps.randomaccess import run_randomaccess
 from repro.caf.program import run_caf
 from repro.experiments.common import ExperimentResult, ideal_scale
 from repro.sim.network import MachineSpec
 
+__all__ = [
+    "RUNTIMES", "Series", "breakdown", "sweep",
+    "run_cgpop", "run_fft", "run_hpl", "run_microbench", "run_randomaccess",
+]
 
-def ra_figure(
-    exp_id: str,
-    spec: MachineSpec,
-    procs: Sequence[int],
-    *,
-    include_nosrq: bool,
-    table_bits: int = 9,
-    updates_per_image: int = 1024,
-    batches: int = 8,
-) -> ExperimentResult:
-    """RandomAccess GUPS vs process count (Figures 3 and 5)."""
-    variants: list[tuple[str, MachineSpec, str]] = [
-        ("CAF-MPI", spec, "mpi"),
-        ("CAF-GASNet", spec, "gasnet"),
-    ]
-    if include_nosrq:
-        variants.append(
-            ("CAF-GASNet-NOSRQ", spec.with_overrides(gasnet_srq_threshold=None), "gasnet")
-        )
-    series: dict[str, list[float]] = {}
-    for label, variant_spec, backend in variants:
-        series[label] = [
-            run_caf(
-                run_randomaccess,
-                p,
-                variant_spec,
-                backend=backend,
-                table_bits_per_image=table_bits,
-                updates_per_image=updates_per_image,
-                batches=batches,
-            ).results[0].gups
-            for p in procs
-        ]
-    series["IDEAL-SCALE"] = ideal_scale(procs, series["CAF-MPI"][0])
-    headers = ["procs", *series.keys()]
-    rows = [
-        [p, *[series[label][i] for label in series]] for i, p in enumerate(procs)
-    ]
-    findings = {label: vals for label, vals in series.items()}
-    findings["procs"] = list(procs)
-    return ExperimentResult(
-        exp_id=exp_id,
-        title=f"RandomAccess GUPS on {spec.name} (higher is better)",
-        headers=headers,
-        rows=rows,
-        findings=findings,
-    )
+#: The two runtimes every figure compares: (legend label, ``run_caf`` backend).
+RUNTIMES = (("CAF-MPI", "mpi"), ("CAF-GASNet", "gasnet"))
 
 
-def fft_figure(
-    exp_id: str,
-    spec: MachineSpec,
-    procs: Sequence[int],
-    *,
-    m_for_procs,
-) -> ExperimentResult:
-    """FFT GFlops vs process count (Figures 6 and 7)."""
-    series: dict[str, list[float]] = {}
-    for label, backend in (("CAF-MPI", "mpi"), ("CAF-GASNet", "gasnet")):
-        series[label] = [
-            run_caf(run_fft, p, spec, backend=backend, m=m_for_procs(p))
-            .results[0]
-            .gflops
-            for p in procs
-        ]
-    series["IDEAL-SCALE"] = ideal_scale(procs, series["CAF-MPI"][0])
-    headers = ["procs", *series.keys()]
-    rows = [[p, *[series[s][i] for s in series]] for i, p in enumerate(procs)]
-    findings = dict(series)
-    findings["procs"] = list(procs)
-    return ExperimentResult(
-        exp_id=exp_id,
-        title=f"FFT GFlop/s on {spec.name} (higher is better)",
-        headers=headers,
-        rows=rows,
-        findings=findings,
-    )
+@dataclass(frozen=True)
+class Series:
+    """One plotted line: ``app`` under ``backend`` on ``spec`` at each P,
+    read as attribute ``metric`` of rank 0's result (``gups``, ``gflops``,
+    ``tflops``, ``elapsed``, ``ops_per_second``).
 
-
-def hpl_figure(
-    exp_id: str,
-    spec: MachineSpec,
-    procs: Sequence[int],
-    *,
-    n_for_procs,
-    block: int = 16,
-) -> ExperimentResult:
-    """HPL TFlops vs process count (Figures 9 and 10).
-
-    The paper's N is O(100k); at simulation scale we recreate the
-    compute-bound regime with a slowed model flop rate.
+    ``kwargs`` are the app's keyword arguments; a callable value is called
+    with P (problem sizes that grow with the sweep).
     """
-    hpl_spec = spec.with_overrides(flops_per_sec=spec.flops_per_sec / 40.0)
-    series: dict[str, list[float]] = {}
-    for label, backend in (("CAF-MPI", "mpi"), ("CAF-GASNet", "gasnet")):
-        series[label] = [
-            run_caf(
-                run_hpl, p, hpl_spec, backend=backend, n=n_for_procs(p), block=block
-            ).results[0].tflops
-            for p in procs
-        ]
-    series["IDEAL-SCALE"] = ideal_scale(procs, series["CAF-MPI"][0])
-    headers = ["procs", *series.keys()]
-    rows = [[p, *[series[s][i] for s in series]] for i, p in enumerate(procs)]
-    findings = dict(series)
+
+    label: str
+    spec: MachineSpec
+    backend: str
+    app: Callable[..., Any]
+    metric: str
+    kwargs: Mapping[str, Any]
+
+    def measure(self, nprocs: int) -> float:
+        kwargs = {k: v(nprocs) if callable(v) else v for k, v in self.kwargs.items()}
+        run = run_caf(self.app, nprocs, self.spec, backend=self.backend, **kwargs)
+        return getattr(run.results[0], self.metric)
+
+
+def sweep(
+    exp_id: str,
+    title: str,
+    procs: Sequence[int],
+    series: Sequence[Series],
+    *,
+    ideal: bool = False,
+    notes: str = "",
+) -> ExperimentResult:
+    """Each series at every P in ``procs``; with ``ideal``, an IDEAL-SCALE
+    column scaled linearly from the first series' first point."""
+    columns = {s.label: [s.measure(p) for p in procs] for s in series}
+    if ideal:
+        columns["IDEAL-SCALE"] = ideal_scale(procs, columns[series[0].label][0])
+    rows = [[p, *[col[i] for col in columns.values()]] for i, p in enumerate(procs)]
+    findings: dict[str, Any] = dict(columns)
     findings["procs"] = list(procs)
     return ExperimentResult(
         exp_id=exp_id,
-        title=f"HPL TFlop/s on {spec.name} (higher is better)",
-        headers=headers,
+        title=title,
+        headers=["procs", *columns],
         rows=rows,
+        notes=notes,
         findings=findings,
     )
 
 
-def cgpop_figure(
+def breakdown(
     exp_id: str,
+    title: str,
     spec: MachineSpec,
-    procs: Sequence[int],
+    nprocs: int,
+    app: Callable[..., Any],
+    kwargs: Mapping[str, Any],
+    categories: Sequence[str],
     *,
-    ny: int,
-    nx: int,
-    max_iter: int = 120,
+    paper: Mapping[str, Mapping[str, float]],
+    paper_procs: int,
+    notes: str,
 ) -> ExperimentResult:
-    """CGPOP execution time vs process count (Figures 11 and 12)."""
-    series: dict[str, list[float]] = {}
-    for label, backend, mode in (
-        ("CAF-MPI (PUSH)", "mpi", "push"),
-        ("CAF-MPI (PULL)", "mpi", "pull"),
-        ("CAF-GASNet (PUSH)", "gasnet", "push"),
-        ("CAF-GASNet (PULL)", "gasnet", "pull"),
-    ):
-        series[label] = [
-            run_caf(
-                run_cgpop,
-                p,
-                spec,
-                backend=backend,
-                ny=ny,
-                nx=nx,
-                mode=mode,
-                max_iter=max_iter,
-                tol=0.0,  # fixed-iteration run: equal work at every P
-            ).results[0].elapsed
-            for p in procs
-        ]
-    headers = ["procs", *series.keys()]
-    rows = [[p, *[series[s][i] for s in series]] for i, p in enumerate(procs)]
-    findings = dict(series)
-    findings["procs"] = list(procs)
+    """Mean profiler seconds per image in each of ``categories`` for
+    CAF-GASNet then CAF-MPI at ``nprocs``, followed by the paper's rows
+    (``paper[label][category]``, measured at ``paper_procs`` cores)."""
+    rows: list[list[Any]] = []
+    findings: dict[str, dict[str, float]] = {}
+    for label, backend in reversed(RUNTIMES):
+        spent = run_caf(app, nprocs, spec, backend=backend, **kwargs).profiler.breakdown()
+        findings[label] = {c: spent.get(c, 0.0) for c in categories}
+        rows.append([label, *findings[label].values()])
+    for label, values in paper.items():
+        rows.append([f"paper {label} ({paper_procs}c)", *[values[c] for c in categories]])
     return ExperimentResult(
         exp_id=exp_id,
-        title=f"CGPOP execution time (s) on {spec.name} (lower is better)",
-        headers=headers,
+        title=title,
+        headers=["variant", *categories],
         rows=rows,
-        notes="All four variants should be near-indistinguishable (paper §4.4).",
+        notes=notes,
         findings=findings,
     )

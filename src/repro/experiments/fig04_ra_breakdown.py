@@ -8,8 +8,7 @@ coarray_write are smaller and comparable.
 
 from __future__ import annotations
 
-from repro.apps.randomaccess import run_randomaccess
-from repro.caf.program import run_caf
+from repro.experiments._perf import breakdown, run_randomaccess
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.platforms import FUSION
 
@@ -26,37 +25,19 @@ PAPER_2048 = {  # seconds, paper Figure 4
 
 def run(scale: str = "default") -> ExperimentResult:
     check_scale(scale)
-    nprocs = 16 if scale == "quick" else 32
-    spec = FUSION.with_overrides(gasnet_srq_threshold=None)
-    rows = []
-    findings: dict[str, dict[str, float]] = {}
-    for label, backend in (("CAF-GASNet", "gasnet"), ("CAF-MPI", "mpi")):
-        run_result = run_caf(
-            run_randomaccess,
-            nprocs,
-            spec,
-            backend=backend,
-            table_bits_per_image=9,
-            updates_per_image=2048,
-            batches=16,
-        )
-        breakdown = run_result.profiler.breakdown()
-        values = {c: breakdown.get(c, 0.0) for c in CATEGORIES}
-        findings[label] = values
-        rows.append([label, *[values[c] for c in CATEGORIES]])
-    for label, paper in PAPER_2048.items():
-        rows.append(
-            [f"paper {label} (2048c)", *[paper[c] for c in CATEGORIES]]
-        )
-    return ExperimentResult(
-        exp_id=EXP_ID,
-        title=TITLE,
-        headers=["variant", *CATEGORIES],
-        rows=rows,
+    return breakdown(
+        EXP_ID,
+        TITLE,
+        FUSION.with_overrides(gasnet_srq_threshold=None),
+        16 if scale == "quick" else 32,
+        run_randomaccess,
+        dict(table_bits_per_image=9, updates_per_image=2048, batches=16),
+        CATEGORIES,
+        paper=PAPER_2048,
+        paper_procs=2048,
         notes=(
             "Expected shape: CAF-MPI's event_notify share is large (linear "
             "FLUSH_ALL); CAF-GASNet's notify is negligible with the waiting "
             "shifted into event_wait."
         ),
-        findings=findings,
     )

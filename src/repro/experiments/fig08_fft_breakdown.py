@@ -7,8 +7,7 @@ the collective.
 
 from __future__ import annotations
 
-from repro.apps.fft import run_fft
-from repro.caf.program import run_caf
+from repro.experiments._perf import breakdown, run_fft
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.platforms import FUSION
 
@@ -24,27 +23,18 @@ PAPER_256 = {
 def run(scale: str = "default") -> ExperimentResult:
     check_scale(scale)
     nprocs = 16 if scale == "quick" else 32
-    m = 1 << 18 if scale == "quick" else 1 << 20
-    spec = FUSION.with_overrides(gasnet_srq_threshold=nprocs)
-    rows = []
-    findings: dict[str, dict[str, float]] = {}
-    for label, backend in (("CAF-GASNet", "gasnet"), ("CAF-MPI", "mpi")):
-        run_result = run_caf(run_fft, nprocs, spec, backend=backend, m=m)
-        breakdown = run_result.profiler.breakdown()
-        alltoall = breakdown.get("alltoall", 0.0)
-        comp = breakdown.get("computation", 0.0)
-        findings[label] = {"alltoall": alltoall, "computation": comp}
-        rows.append([label, alltoall, comp])
-    for label, paper in PAPER_256.items():
-        rows.append([f"paper {label} (256c)", paper["alltoall"], paper["computation"]])
-    return ExperimentResult(
-        exp_id=EXP_ID,
-        title=TITLE,
-        headers=["variant", "alltoall", "computation"],
-        rows=rows,
+    return breakdown(
+        EXP_ID,
+        TITLE,
+        FUSION.with_overrides(gasnet_srq_threshold=nprocs),
+        nprocs,
+        run_fft,
+        {"m": 1 << 18 if scale == "quick" else 1 << 20},
+        ("alltoall", "computation"),
+        paper=PAPER_256,
+        paper_procs=256,
         notes=(
             "Expected shape: equal computation; CAF-GASNet's all-to-all "
             "several times costlier than MPI_ALLTOALL."
         ),
-        findings=findings,
     )

@@ -8,7 +8,7 @@ larger scales.
 
 from __future__ import annotations
 
-from repro.experiments._micro import micro_figure
+from repro.experiments._perf import RUNTIMES, Series, run_microbench, sweep
 from repro.experiments.common import ExperimentResult, check_scale
 from repro.platforms import EDISON
 
@@ -29,10 +29,20 @@ PAPER = {
 def run(scale: str = "default") -> ExperimentResult:
     check_scale(scale)
     procs = [4, 16] if scale == "quick" else [4, 8, 16, 32, 64]
-    return micro_figure(
+    iterations = 300 if scale == "quick" else 500
+    # An all-to-all iteration costs ~P point-to-point ones: run a tenth.
+    iters = {"read": iterations, "write": iterations, "notify": iterations,
+             "alltoall": max(iterations // 10, 10)}
+    return sweep(
         EXP_ID,
-        EDISON,
+        f"Microbenchmark op rates on {EDISON.name} (ops/second)",
         procs,
-        iterations=300 if scale == "quick" else 500,
-        paper_rates=PAPER,
+        [
+            Series(f"{label} {op.upper()}", EDISON, be, run_microbench, "ops_per_second",
+                   dict(op=op, iterations=n))
+            for label, be in reversed(RUNTIMES)
+            for op, n in iters.items()
+        ],
+        notes="paper rates (ops/s, small scale): "
+        + ", ".join(f"{k}={v:.3g}" for k, v in PAPER.items()),
     )

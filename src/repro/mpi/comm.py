@@ -17,7 +17,7 @@ from repro.mpi import collectives as coll
 from repro.mpi import p2p
 from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.p2p import Matching
-from repro.mpi.request import Request
+from repro.mpi.request import Request, recorded_steps
 from repro.mpi.status import Status
 from repro.util.errors import MpiError, MpiProcFailedError, MpiRevokedError
 
@@ -284,17 +284,9 @@ class Comm:
         obs = self.ctx.metrics
         if obs is None:
             return steps
-        return self._recorded_steps(obs, kind, steps, moved)
-
-    def _recorded_steps(self, obs, kind: str, steps, moved):
-        engine = self.ctx.engine
-        t0 = engine.now
-        yield from steps
-        obs.record(
-            self.state.group[self.rank],
-            "mpi.coll." + kind,
-            sum(np.asarray(buf).nbytes for buf in moved),
-            engine.now - t0,
+        return recorded_steps(
+            obs, self.ctx.engine, self.state.group[self.rank], "mpi.coll." + kind,
+            sum(np.asarray(buf).nbytes for buf in moved), steps,
         )
 
     def _run_coll(self, kind: str, steps, *moved) -> None:

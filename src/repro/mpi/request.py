@@ -103,3 +103,13 @@ def wait_all_steps(requests: Iterable[Request]):
     for req in requests:
         statuses.append((yield from req._wait_steps()))
     return statuses
+
+
+def recorded_steps(obs, engine, rank: int, kind: str, nbytes: int, steps):
+    """``steps`` (one blocking call's script), then its ``kind`` record of
+    ``nbytes`` and the virtual time it took in ``obs`` (the run's metrics).
+    Callers skip the wrapper altogether when metrics are off."""
+    t0 = engine.now
+    out = yield from steps
+    obs.record(rank, kind, nbytes, engine.now - t0)
+    return out

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.mpi.constants import NO_OP, REPLACE, Op
-from repro.mpi.request import Request
+from repro.mpi.request import Request, recorded_steps
 from repro.sim import costs as _costs
 from repro.sim.sync import SimEvent
 from repro.util.buffers import flatten, snapshot
@@ -358,14 +358,7 @@ class Window:
         obs = self._obs
         if obs is None:
             return steps
-        return self._recorded_steps(obs, kind, nbytes, steps)
-
-    def _recorded_steps(self, obs, kind: str, nbytes: int, steps):
-        engine = self.ctx.engine
-        t0 = engine.now
-        out = yield from steps
-        obs.record(self.ctx.rank, kind, nbytes, engine.now - t0)
-        return out
+        return recorded_steps(obs, self.ctx.engine, self.ctx.rank, kind, nbytes, steps)
 
     # -- one-sided data movement ------------------------------------------------
 

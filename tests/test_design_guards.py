@@ -373,3 +373,20 @@ def test_one_owner_for_artifact_format():
         "artifact.kinds()",
         hits,
     )
+
+
+def test_figures_are_declarations():
+    experiments = ROOT / "src/repro/experiments"
+    figures = sorted(
+        str(path.relative_to(ROOT))
+        for pattern in ("fig0[3-9]*.py", "fig1*.py", "micro_*.py")
+        for path in experiments.glob(pattern)
+    )
+    assert len(figures) == 12, figures
+    hits = grep(r"run_caf\(", *figures)
+    assert not hits, (
+        "Figs. 3-12 and the micro figures declare their series and hand them "
+        "to experiments/_perf.py (sweep, or breakdown for Figs. 4 and 8); "
+        "only those two builders run the cells",
+        hits,
+    )
