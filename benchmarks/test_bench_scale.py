@@ -3,8 +3,9 @@
 Writes ``BENCH_scale.json`` at the repo root:
 
 * ``ra_scale`` — RandomAccess at 512/1024/2048/4096 ranks: wall time,
-  events/s, the wall-vs-budget margin, and the run's fingerprints (order
-  digest, makespan, event count, GUPS).
+  events/s, the wall-vs-budget margin, the child's peak RSS
+  (``peak_rss_mb``), and the run's fingerprints (order digest, makespan,
+  event count, GUPS).
 * ``fft_scale`` — the paper's largest FFT configuration (4096 ranks,
   m = 2^24) on the MPI backend. Only feasible because MPI's alltoall
   switches to Bruck's log-round algorithm at this scale; CAF-GASNet keeps
@@ -144,6 +145,7 @@ def _timed_row(app, nranks, figure, **kw) -> dict:
         "budget_margin_s": round(SCALE_BUDGET_S - wall, 2),
         "events": out["events"],
         "events_per_s": round(out["events"] / wall),
+        "peak_rss_mb": round(out["peak_rss_mb"], 1),
         "virtual_elapsed_s": out["makespan"],
         "order_digest": out["digest"],
         figure: out["figures"][figure],

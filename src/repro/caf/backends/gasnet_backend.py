@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.caf.agree import next_team_id, survivor_agree
 from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
-from repro.gasnet.collectives import TEAM_SIGNAL_HANDLER_BASE, TeamExchange
+from repro.gasnet.collectives import TEAM_SIGNAL_HANDLER_BASE, PeerBases, TeamExchange
 from repro.gasnet.core import GasnetWorld, Handle, Token
 from repro.gasnet.segment import SegmentAllocator
 from repro.sim.agent import WorkerAgent
@@ -130,7 +130,8 @@ class GasnetBackend(RuntimeBackend):
 
     def split_team_handle(self, parent: "Team", color: int, key: int, entry):
         # Sibling teams of different sizes skew segment tops, so members
-        # exchange their arena/flag base offsets over the parent team.
+        # exchange their arena/flag/drain base offsets over the parent
+        # team; the combine builds each new team's table once.
         exchange = None
         contribution = None
         if entry is not None:
@@ -138,12 +139,23 @@ class GasnetBackend(RuntimeBackend):
             exchange = TeamExchange(
                 self.gasnet, team_id, members, my_index, self.allocator
             )
-            contribution = (exchange.arena_base, exchange.flags_base)
-        table = self.agree(parent, "caf-gasnet-team-bases", contribution, dict)
+            contribution = (team_id, my_index, exchange.bases)
+
+        def combine(args):
+            rows: dict[int, dict[int, tuple[int, int, int]]] = {}
+            for c in args.values():
+                if c is not None:
+                    tid, index, bases = c
+                    rows.setdefault(tid, {})[index] = bases
+            return {
+                tid: PeerBases.of(bases for _index, bases in sorted(by_index.items()))
+                for tid, by_index in rows.items()
+            }
+
+        tables = self.agree(parent, "caf-gasnet-team-bases", contribution, combine)
         if exchange is None:
             return None
-        by_world = {parent.members[idx]: bases for idx, bases in table.items()}
-        exchange.set_peer_bases([by_world[w] for w in members])
+        exchange.set_peer_bases(tables[exchange.team_id])
         return exchange
 
     def shrink_team_handle(self, parent: "Team", team: "Team"):
@@ -153,16 +165,16 @@ class GasnetBackend(RuntimeBackend):
             self.gasnet, team.team_id, team.members, team.my_index, self.allocator
         )
         my_world = team.members[team.my_index]
-        table = survivor_agree(
+        peers = survivor_agree(
             self,
             self.ctx.cluster,
             ("caf-gasnet-shrink-bases", team.team_id),
             my_world,
             team.members,
-            (exchange.arena_base, exchange.flags_base),
-            dict,
+            exchange.bases,
+            lambda table: PeerBases.of(table[w] for w in team.members),
         )
-        exchange.set_peer_bases([table[w] for w in team.members])
+        exchange.set_peer_bases(peers)
         return exchange
 
     # -- coarrays ----------------------------------------------------------------------
@@ -350,7 +362,10 @@ class GasnetBackend(RuntimeBackend):
             def combine(args):
                 # Twin ids draw from the team-id space so their AM handler
                 # indices can never collide with real teams'.
-                return (next_team_id(self.ctx.cluster), dict(args))
+                return (
+                    next_team_id(self.ctx.cluster),
+                    PeerBases.of(args[i] for i in range(len(args))),
+                )
 
             # Allocate before agreeing so bases can be exchanged in one round.
             agent = WorkerAgent(self.ctx, name=f"caf-async{self.ctx.rank}.t{team.team_id}")
@@ -365,11 +380,8 @@ class GasnetBackend(RuntimeBackend):
                 allocator=self.allocator,
                 defer_handler=True,
             )
-            twin_id, bases = self.agree(
-                team,
-                "caf-gasnet-twin-bases",
-                (provisional.arena_base, provisional.flags_base),
-                combine,
+            twin_id, peers = self.agree(
+                team, "caf-gasnet-twin-bases", provisional.bases, combine
             )
             provisional.team_id = twin_id
             provisional.register_handler()
@@ -377,7 +389,7 @@ class GasnetBackend(RuntimeBackend):
             gasnet_view.default_handler_filter = {
                 TEAM_SIGNAL_HANDLER_BASE + twin_id
             }
-            provisional.set_peer_bases([bases[i] for i in range(team.size)])
+            provisional.set_peer_bases(peers)
             self._twins[team.team_id] = (agent, provisional)
         return self._twins[team.team_id]
 

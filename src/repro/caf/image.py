@@ -18,7 +18,7 @@ from repro.caf.backend import AsyncHandle, RuntimeBackend
 from repro.caf.coarray import Coarray
 from repro.caf.events import EventArray
 from repro.caf.finish import FinishBlock
-from repro.caf.teams import Team, split_team
+from repro.caf.teams import Team, split_team, world_members
 from repro.util.errors import CafError, ImageFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -39,7 +39,7 @@ class Image:
         self.ctx = ctx
         self.backend = backend
         self.cluster = ctx.cluster
-        self.team_world = Team(0, tuple(range(ctx.nranks)), ctx.rank)
+        self.team_world = Team(0, world_members(self.cluster), ctx.rank)
         self.team_world.handle = backend.make_world_team_handle(self.team_world)
         #: Async handles registered since the last cofence (implicit model).
         self._implicit_handles: list[AsyncHandle] = []
@@ -135,9 +135,11 @@ class Image:
             raise CafError(
                 f"image {self.rank} is not a member of team {team.team_id}"
             )
-        team_id = self.cluster.shared(
+        # The first survivor's tuple becomes the team's: the others drop
+        # theirs once they have used it as the agreement key.
+        team_id, survivors = self.cluster.shared(
             ("caf-shrink-id", team.team_id, survivors),
-            lambda: next_team_id(self.cluster),
+            lambda: (next_team_id(self.cluster), survivors),
         )
         new_team = Team(team_id, survivors, survivors.index(self.rank))
         new_team.handle = self.backend.shrink_team_handle(team, new_team)

@@ -20,6 +20,7 @@ from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
+    from repro.sim.cluster import Cluster
 
 
 class Team:
@@ -46,6 +47,12 @@ class Team:
         return f"<Team {self.team_id} image {self.my_index}/{self.size}>"
 
 
+def world_members(cluster: "Cluster") -> tuple[int, ...]:
+    """TEAM_WORLD's membership: one tuple per run, shared by every image
+    (a tuple per image would be O(P^2) host memory across the job)."""
+    return cluster.shared("caf-team-world", lambda: tuple(range(cluster.nranks)))
+
+
 def split_team(img: "Image", parent: Team, color: int, key: int | None) -> Team | None:
     """Collective team split over ``parent`` (CAF 2.0 team_split).
 
@@ -60,6 +67,7 @@ def split_team(img: "Image", parent: Team, color: int, key: int | None) -> Team 
             if c >= 0:
                 groups.setdefault(c, []).append((k, idx))
         result: dict[int, tuple[int, tuple[int, ...], int]] = {}
+        # Built here, once per new team: every member's Team shares it.
         for c in sorted(groups):
             team_id = next_team_id(img.cluster)
             indices = [idx for _k, idx in sorted(groups[c])]

@@ -19,6 +19,7 @@ import dataclasses
 import importlib
 import multiprocessing
 import os
+import resource
 import time
 
 from repro.caf.program import run_caf
@@ -56,6 +57,8 @@ def run_app_config(config: dict) -> dict:
     ``pid`` with ``fiber_cpu`` (the host CPU the engine confined the
     run's fibers to, ``None`` if it could not — two processes reporting one
     CPU for overlapping runs shared it, and each ran at about half speed).
+    ``peak_rss_mb`` is the process's peak resident set so far
+    (``ru_maxrss``): the run's own peak when the worker ran nothing before.
     """
     for key, value in config.get("env", {}).items():
         os.environ[key] = value
@@ -91,6 +94,7 @@ def run_app_config(config: dict) -> dict:
         "events": engine.events_executed,
         "pid": os.getpid(),
         "fiber_cpu": engine.fiber_cpu,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "profiler_totals": {
             cat: run.profiler.total(cat) for cat in run.profiler.categories()
         },

@@ -15,7 +15,9 @@ layer calls either through ``team.handle``. Each member owns an **arena**
 exchange base offsets at construction, so scratch
 addresses are computed as ``peer_base + delta`` with identical deltas on
 every member (robust even when other teams' allocations skewed the
-segment tops). Completion signalling is conduit-dependent
+segment tops). Those peer tables are built once per team and shared by its
+members' exchanges (:class:`PeerBases`): one image holds nothing sized by
+the team but its flag arrays. Completion signalling is conduit-dependent
 (``spec.gasnet_coll_signal``): RDMA **flag puts** the receiver spins on
 (ibv/aries) or short **Active Messages** (pami).
 
@@ -27,7 +29,8 @@ put, signal and poll.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Iterable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +71,30 @@ TEAM_SIGNAL_HANDLER_BASE = 1 << 16
 MAX_ARENA_BYTES = 8 * 1024 * 1024
 
 
+class PeerBases(NamedTuple):
+    """Every member's arena, flag and drain base offsets, in member order.
+
+    Built once per team — in the agreement's combine, or once per run for
+    the symmetric case — and shared by all the team's exchanges, so the
+    tables cost O(P) per team rather than per image.
+    """
+
+    arena: tuple[int, ...]
+    flags: tuple[int, ...]
+    drain: tuple[int, ...]
+
+    @classmethod
+    def of(cls, bases: Iterable[tuple[int, int, int]]) -> "PeerBases":
+        """From each member's :attr:`TeamExchange.bases`, in member order."""
+        arena, flags, drain = zip(*bases)
+        return cls(arena, flags, drain)
+
+    @classmethod
+    def symmetric(cls, n: int, bases: tuple[int, int, int]) -> "PeerBases":
+        arena, flags, drain = bases
+        return cls((arena,) * n, (flags,) * n, (drain,) * n)
+
+
 class TeamExchange:
     """Collectives for one team over GASNet."""
 
@@ -94,9 +121,15 @@ class TeamExchange:
         self.flags_base = allocator.alloc(8 * len(members))
         self.drain_base = allocator.alloc(8 * len(members))
         # When members' segment tops are aligned (the common, symmetric
-        # case) everyone's bases are equal; otherwise the runtime exchanges
-        # them and calls :meth:`set_peer_bases` again.
-        self.set_peer_bases([(self.arena_base, self.flags_base)] * len(members))
+        # case) everyone's bases are equal, and one table per run serves
+        # every such team; otherwise the runtime exchanges :attr:`bases`
+        # and calls :meth:`set_peer_bases` again.
+        self.set_peer_bases(
+            gasnet.ctx.cluster.shared(
+                ("gasnet-symmetric-bases", len(members), self.bases),
+                lambda: PeerBases.symmetric(len(members), self.bases),
+            )
+        )
         self.seq = 0
         self._arena_top = 0
         # AM-mode signal counters: (seq, round) -> count received.
@@ -104,14 +137,17 @@ class TeamExchange:
         if not defer_handler:
             self.register_handler()
 
-    def set_peer_bases(self, bases: Sequence[tuple[int, int]]) -> None:
-        """Install every member's ``(arena_base, flags_base)``, in member order."""
-        self.peer_arena_bases = tuple(arena for arena, _flags in bases)
-        self.peer_flag_bases = tuple(flags for _arena, flags in bases)
-        # The drain array sits at the same (alignment-dependent) delta past
-        # the flag array on every member.
-        delta = self.drain_base - self.flags_base
-        self.peer_drain_bases = tuple(b + delta for b in self.peer_flag_bases)
+    @property
+    def bases(self) -> tuple[int, int, int]:
+        """This member's ``(arena, flags, drain)`` base offsets: its row of
+        the team's :class:`PeerBases`."""
+        return (self.arena_base, self.flags_base, self.drain_base)
+
+    def set_peer_bases(self, peers: PeerBases) -> None:
+        """Install the team's shared table of every member's bases."""
+        self.peer_arena_bases = peers.arena
+        self.peer_flag_bases = peers.flags
+        self.peer_drain_bases = peers.drain
 
     def register_handler(self) -> None:
         """Register this team's signal handler (deferred when the team id
@@ -181,10 +217,16 @@ class TeamExchange:
 
     def _wait_flags_steps(self, marker: int, base: int):
         flags = self._flags_view(base)
-        others = [i for i in range(self.size) if i != self.my_index]
+        me, others = self.my_index, self.size - 1
+
+        def every_peer_flagged() -> bool:
+            # One vector compare per wake; this member's own slot is no
+            # peer's flag, so it is taken back out of the count.
+            ge = flags >= marker
+            return int(np.count_nonzero(ge)) - int(ge[me]) == others
+
         return self.gasnet._block_until_steps(
-            lambda: all(flags[i] >= marker for i in others),
-            f"team{self.team_id}.flags(marker={marker})",
+            every_peer_flagged, f"team{self.team_id}.flags(marker={marker})"
         )
 
     def _next_seq(self) -> int:

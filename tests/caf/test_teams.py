@@ -27,6 +27,24 @@ def test_split_by_parity(backend):
         assert members == tuple(range(rank % 2, 6, 2))
 
 
+def test_team_tables_are_built_once_per_team(backend):
+    """Every image's TEAM_WORLD holds the same membership tuple, and so do
+    the members of one split team: a table per image is O(P^2) host memory
+    across the job (433 MB for an empty CAF-GASNet run at P = 2048)."""
+
+    def program(img):
+        team = img.team_split(img.team_world, color=img.rank % 2)
+        return img.team_world.members, team.members
+
+    run = run_caf(program, 6, backend=backend)
+    world = run.results[0][0]
+    assert world == tuple(range(6))
+    assert all(members is world for members, _ in run.results)
+    for color in (0, 1):
+        split = [sub for rank, (_, sub) in enumerate(run.results) if rank % 2 == color]
+        assert all(members is split[0] for members in split)
+
+
 def test_split_with_key_reorders(backend):
     def program(img):
         team = img.team_split(img.team_world, color=0, key=-img.rank)

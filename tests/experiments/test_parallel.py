@@ -42,6 +42,7 @@ def test_run_app_config_in_process(monkeypatch, app):
     assert out["app"] == app and out["nranks"] == CONFIGS[app]["nranks"]
     assert out["digest"] is not None and out["events"] > 0
     assert out["makespan"] > 0 and out["wall_s"] > 0
+    assert 0 < out["peak_rss_mb"] <= again["peak_rss_mb"]
     assert out["figures"]["nranks"] == out["nranks"]
     if out["fiber_cpu"] is not None:
         assert out["fiber_cpu"] in os.sched_getaffinity(0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.caf import run_caf
 from repro.gasnet.collectives import TeamExchange
 from repro.gasnet.segment import SegmentAllocator
 from repro.mpi.constants import SUM
@@ -190,3 +191,21 @@ def test_alltoall_costs_one_handoff_per_rank(signal):
         return cluster.engine.handoffs
 
     assert (handoffs(1 + calls) - handoffs(1)) / (calls * nranks) <= 2
+
+
+def test_a_teams_exchanges_share_their_peer_tables():
+    """The peer-base tables are built once per team, for the symmetric
+    world team and for a split team's agreed bases alike: no image keeps
+    its own P-long copy."""
+
+    def program(img):
+        team = img.team_split(img.team_world, color=img.rank % 2)
+        return img.team_world.handle, team.handle
+
+    run = run_caf(program, 6, backend="gasnet")
+    world = [w for w, _ in run.results]
+    split = [[s for rank, (_, s) in enumerate(run.results) if rank % 2 == color] for color in (0, 1)]
+    for team in (world, *split):
+        for table in ("peer_arena_bases", "peer_flag_bases", "peer_drain_bases"):
+            assert all(getattr(x, table) is getattr(team[0], table) for x in team), table
+        assert len(team[0].peer_flag_bases) == team[0].size

@@ -126,6 +126,21 @@ def test_window_construction_builds_nothing_sized_by_the_group():
         )
 
 
+def test_team_construction_builds_nothing_sized_by_the_team():
+    from repro.caf.image import Image
+    from repro.gasnet.collectives import TeamExchange
+
+    for fn in (Image.__init__, TeamExchange.__init__, TeamExchange.set_peer_bases):
+        source = re.sub(r"#.*", "", inspect.getsource(fn))
+        hits = re.findall(r"\brange\(|\bfor\b|\btuple\(|\blist\(|\] *\*", source)
+        assert not hits, (
+            f"{fn.__qualname__} builds a table per image: a team's membership "
+            "and peer-base tuples are built once per team (a cluster.shared "
+            "entry or the agreement's combine) and shared by its members",
+            hits,
+        )
+
+
 def test_message_path_builds_nothing_only_diagnostics_read():
     hits = grep(r"Request\(f[\"']", "src/repro")
     assert not hits, (
