@@ -24,8 +24,6 @@ OP_FIRE = 3  # SimEvent.fire
 OP_WAITEV = 4  # SimEvent.wait completion
 OP_ADD = 5  # Counter.add
 OP_WAITGE = 6  # Counter.wait_geq completion (non-consuming)
-# 7 is retired (OP_TAKE, a consuming counter wait nothing issued) and is
-# not reused: a trace that carries it fails replay as an unknown op kind.
 OP_PUT = 8  # Channel.put (carries the per-channel put sequence number)
 OP_CHGET = 9  # Channel receive completion (the put it takes: FIFO)
 
@@ -44,5 +42,11 @@ OP_NAMES = {
 # Chain kinds (execution contexts).
 CHAIN_PROC = 0  # a simulated process fiber (rank >= 0 for rank processes)
 CHAIN_CB = 1  # a scheduled callback (started by a CALL or XFER op)
-# 2 is retired (CHAIN_EXTERNAL, a callback scheduled from outside any
-# context: only crash schedules did that, and those are never recorded).
+
+# Retired kinds are not reused; a trace that carries one is refused by
+# ``Trace.check_structure``, which names it.
+RETIRED_OP_KINDS = {7: "TAKE, a consuming counter wait nothing issued"}
+RETIRED_CHAIN_KINDS = {
+    2: "EXTERNAL, a callback scheduled from outside any context: only crash "
+    "schedules did that, and those are never recorded",
+}

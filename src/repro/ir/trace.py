@@ -96,7 +96,8 @@ class Trace:
     # -- validation ------------------------------------------------------
 
     def check_structure(self) -> None:
-        """Cheap structural invariants (CLI ``validate`` runs this)."""
+        """Cheap structural invariants (CLI ``validate`` and :meth:`load` run
+        this), every op and chain kind one this build replays included."""
         a = self.arrays
         for col in OP_COLUMNS + CHAIN_COLUMNS + OBS_COLUMNS:
             if col not in a:
@@ -115,6 +116,25 @@ class Trace:
                 raise TraceError("op references out-of-range child chain")
         if self.manifest.get("nops") != n:
             raise TraceError(f"manifest nops disagrees with the arrays' {n} ops")
+        for what, col, index, known, retired in (
+            ("op", "kind", "gseq", set(_ops.OP_NAMES), _ops.RETIRED_OP_KINDS),
+            (
+                "chain", "chain_kind", "chain",
+                {_ops.CHAIN_PROC, _ops.CHAIN_CB}, _ops.RETIRED_CHAIN_KINDS,
+            ),
+        ):
+            for k in np.unique(a[col]).tolist():
+                if k in known:
+                    continue
+                kind = (
+                    f"retired {what} kind {k} ({retired[k]})" if k in retired
+                    else f"unknown {what} kind {k}"
+                )
+                first = int(np.argmax(a[col] == k))
+                raise TraceError(
+                    f"{kind} at {index} {first}: this build cannot replay it; "
+                    "re-record the trace"
+                )
 
     # -- persistence -----------------------------------------------------
 

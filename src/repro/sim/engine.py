@@ -61,7 +61,11 @@ and asks for a scheduling policy whose wake-ups do not preempt the waker
 context switch it needs. The thread that calls :meth:`Engine.run` is left
 as it was. CPython's cyclic collector is paused while the fibers run: it
 finds nothing to free there and rescans state that grows with the number of
-processes (docs/architecture.md, "The collector").
+processes (docs/architecture.md, "The collector"). And the fibers allocate
+like one thread: the first run of a process caps glibc's malloc arenas at
+one, since per-thread arenas buy one-at-a-time fibers no concurrency, only
+free lists and slack that fragment their numpy blocks (:func:`_one_malloc_arena`;
+docs/architecture.md, "Host memory per rank").
 
 Invariant: wall-clock optimizations here change *how fast* the host
 executes the schedule, never *which* schedule is executed. Virtual times,
@@ -72,6 +76,8 @@ outputs are pinned by the golden table in ``tests/sim/test_dispatchers.py``.
 from __future__ import annotations
 
 import _thread
+import ctypes
+import functools
 import gc
 import hashlib
 import heapq
@@ -105,6 +111,40 @@ def _caller_cpu() -> int | None:
     except (AttributeError, OSError, ValueError, IndexError):
         return None
     return cpu if cpu in allowed else None
+
+
+#: ``M_ARENA_MAX`` of glibc's ``<malloc.h>``.
+_M_ARENA_MAX = -8
+
+
+def _libc() -> Any:
+    """The C library's symbols, or ``None`` where ctypes cannot open them."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):
+        return None
+
+
+@functools.cache
+def _one_malloc_arena() -> int | None:
+    """Cap glibc's malloc arenas at one, once per process: ``1`` if the cap
+    holds, ``None`` if the allocator was left as it was (no ``mallopt``, or
+    it refused).
+
+    Fibers are OS threads, and glibc gives each new thread its own arena
+    up to eight per CPU. Only one fiber ever runs, so those arenas buy no
+    concurrency; each keeps its own free lists and slack, and a run's numpy
+    blocks fragment across them. glibc fixes its arena limit the first time
+    the process would create a ninth arena and never reads the setting
+    again: a cap set after that is ignored. Hence :meth:`Engine.run` asks
+    before its first fiber starts. The cap is process-wide and stays after
+    the run; ``MALLOC_ARENA_MAX`` in the environment is glibc's own and
+    nothing here reads it.
+    """
+    mallopt = getattr(_libc(), "mallopt", None)
+    if mallopt is None or mallopt(_M_ARENA_MAX, 1) != 1:
+        return None
+    return 1
 
 
 class _Killed(BaseException):
@@ -464,6 +504,7 @@ class Engine:
         #: and withdrawn by :meth:`_colocate_fiber` if the host refuses.
         self._fiber_cpu: int | None = None
         self._fiber_batch = False
+        self._malloc_arenas: int | None = None
         self._failure: BaseException | None = None
         self._ran = False
         self._finished = False
@@ -518,6 +559,13 @@ class Engine:
         """``"batch"`` if the fibers run under ``SCHED_BATCH``, else
         ``"normal"`` (the caller's policy, inherited)."""
         return "batch" if self._fiber_batch else "normal"
+
+    @property
+    def malloc_arenas(self) -> int | None:
+        """``1`` if this run's fibers allocate from one glibc malloc arena,
+        or ``None`` if the C allocator was left as it was (before
+        :meth:`run`, off glibc, or when ``mallopt`` refused)."""
+        return self._malloc_arenas
 
     def _colocate_fiber(self) -> None:
         """Called by every fiber thread on *itself* before it first parks.
@@ -780,7 +828,11 @@ class Engine:
 
         The cyclic garbage collector is off from fiber start-up until
         teardown has joined the fibers, and on every exit it is left as the
-        caller had it.
+        caller had it. The C allocator is set up once per process, before
+        the first fiber starts: glibc's malloc arenas are capped at one
+        (:func:`_one_malloc_arena`; :attr:`malloc_arenas` says whether it
+        held). Unlike the collector the cap stays: glibc would ignore a
+        later one.
 
         Raises
         ------
@@ -801,6 +853,7 @@ class Engine:
         self._deadline = deadline
         self._fiber_cpu = _caller_cpu()
         self._fiber_batch = self._fiber_cpu is not None
+        self._malloc_arenas = _one_malloc_arena()
         collector_was_on = gc.isenabled()
         gc.disable()
         try:

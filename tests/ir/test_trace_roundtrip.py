@@ -7,6 +7,7 @@ import pytest
 from repro.ir import Trace, TraceVersionError, replay
 from repro.ir import record as ir_record
 from repro.ir.replay import ReplayError
+from repro.ir.trace import TraceError
 from repro.obs import capture
 from repro.sim.faults import FaultPlan
 
@@ -38,6 +39,30 @@ def test_version_mismatch_is_rejected(tmp_path):
     (tmp_path / "old.json").write_text(json.dumps(manifest))
     with pytest.raises(TraceVersionError, match="version 999"):
         Trace.load(tmp_path / "old")
+
+
+def _resave_with(tmp_path, column, value, where):
+    """A recorded trace saved again with ``column[where]`` set to ``value``."""
+    _, trace = record_run(tmp_path, "fft", "mpi", "laptop")
+    trace.arrays[column] = trace.arrays[column].copy()
+    trace.arrays[column][where] = value
+    trace.save(tmp_path / "retired")
+    return tmp_path / "retired"
+
+
+def test_retired_op_kind_is_refused_on_load(tmp_path):
+    """Op kind 7 (TAKE) used to fail only once replay's walk reached it."""
+    path = _resave_with(tmp_path, "kind", 7, -1)
+    with pytest.raises(TraceError, match=r"retired op kind 7 \(TAKE.*re-record"):
+        Trace.load(path)
+
+
+def test_retired_chain_kind_is_refused_on_load(tmp_path):
+    """Chain kind 2 (EXTERNAL) used to replay silently as a process chain
+    starting at its ``chain_start``."""
+    path = _resave_with(tmp_path, "chain_kind", 2, -1)
+    with pytest.raises(TraceError, match=r"retired chain kind 2 \(EXTERNAL.*re-record"):
+        Trace.load(path)
 
 
 def test_fault_injected_runs_are_skipped_not_recorded(tmp_path):

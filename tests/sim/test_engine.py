@@ -4,10 +4,14 @@ import contextlib
 import gc
 import os
 import resource
+import subprocess
+import sys
 import threading
+import types
 
 import pytest
 
+from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine
 from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 
@@ -391,3 +395,93 @@ def test_handoff_costs_one_context_switch():
     switches = (after.ru_nvcsw - before.ru_nvcsw) + (after.ru_nivcsw - before.ru_nivcsw)
     assert eng.events_executed == 2 * n + 2
     assert switches / (2 * n) <= 1.3
+
+
+# -- the C allocator -------------------------------------------------------------
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# The child asks glibc itself: ``malloc_info`` prints one ``<heap nr=...>``
+# element per malloc arena the process has made.
+_HEAPS_CHILD = """
+import ctypes, sys, tempfile
+from repro.apps.fft import run_fft
+from repro.caf import run_caf
+
+run = run_caf(run_fft, 64, backend="mpi", m=1 << 16)
+assert run.cluster.engine.malloc_arenas == 1
+libc = ctypes.CDLL(None)
+libc.fopen.restype = ctypes.c_void_p
+libc.malloc_info.argtypes = (ctypes.c_int, ctypes.c_void_p)
+libc.fclose.argtypes = (ctypes.c_void_p,)
+with tempfile.NamedTemporaryFile("rb") as out:
+    stream = libc.fopen(out.name.encode(), b"w")
+    libc.malloc_info(0, stream)
+    libc.fclose(stream)
+    print(out.read().count(b"<heap nr="))
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc's malloc_info only")
+def test_fft_x64_allocates_from_one_malloc_arena():
+    """A run's fibers are 64 threads, one running at a time. Left to glibc
+    they spread their numpy blocks over up to 8 arenas per CPU (16 read
+    here on 2 CPUs); the first run caps the process at one."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("MALLOC_ARENA_MAX", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _HEAPS_CHILD], env=env, check=True, capture_output=True, text=True
+    )
+    assert int(out.stdout.split()[-1]) <= 2
+
+
+@pytest.fixture
+def fresh_allocator_setup():
+    """Let one test see the process's first run again, and forget what it saw."""
+    engine_mod._one_malloc_arena.cache_clear()
+    yield
+    engine_mod._one_malloc_arena.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "libc",
+    [None, types.SimpleNamespace(), types.SimpleNamespace(mallopt=lambda param, value: 0)],
+    ids=["no-libc", "no-mallopt", "mallopt-refuses"],
+)
+def test_run_without_the_arena_cap_leaves_the_allocator_alone(
+    libc, fresh_allocator_setup, monkeypatch
+):
+    monkeypatch.setattr(engine_mod, "_libc", lambda: libc)
+    eng = Engine()
+    eng.spawn(lambda p: p.sleep(1.0))
+    eng.spawn(lambda p: p.sleep(2.0))
+    eng.run()
+    assert eng.now == 2.0 and eng.malloc_arenas is None
+
+
+def test_the_arena_cap_is_asked_for_once_before_the_first_fiber(
+    fresh_allocator_setup, monkeypatch
+):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value, [t.name for t in threading.enumerate()]))
+        return 1
+
+    monkeypatch.setattr(engine_mod, "_libc", lambda: types.SimpleNamespace(mallopt=mallopt))
+    for _ in range(2):
+        eng = Engine()
+        assert eng.malloc_arenas is None  # not run yet
+        eng.spawn(lambda p: p.sleep(1.0))
+        eng.run()
+        assert eng.malloc_arenas == 1
+    assert len(calls) == 1
+    param, value, threads = calls[0]
+    assert (param, value) == (engine_mod._M_ARENA_MAX, 1)
+    assert not any(name.startswith("sim-") for name in threads)

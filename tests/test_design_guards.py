@@ -69,6 +69,18 @@ def test_one_owner_for_the_cyclic_collector():
     )
 
 
+def test_one_owner_for_the_allocator():
+    hits = [
+        hit for hit in grep(r"mallopt|M_ARENA_MAX", "src/repro")
+        if not hit.startswith("src/repro/sim/engine.py:")
+    ]
+    assert not hits, (
+        "only sim/engine.py may tune the C allocator (the first Engine.run caps "
+        "glibc's malloc arenas at one before any fiber starts)",
+        hits,
+    )
+
+
 def test_one_caf_runtime_above_the_transports():
     hits = grep(
         r"_am_board *=|itertools|_event_registry *=|_shipped *=|def (barrier|broadcast"
