@@ -13,23 +13,6 @@
 
 Each module exposes ``run_<app>`` returning a result record with the
 paper's figure of merit, plus a pure-NumPy reference used for validation.
+The package re-exports nothing: import the app's module, so a run loads the
+one app it runs.
 """
-
-from repro.apps.cgpop import CgpopResult, run_cgpop
-from repro.apps.fft import FftResult, run_fft
-from repro.apps.hpl import HplResult, run_hpl
-from repro.apps.microbench import MicrobenchResult, run_microbench
-from repro.apps.randomaccess import RandomAccessResult, run_randomaccess
-
-__all__ = [
-    "CgpopResult",
-    "FftResult",
-    "HplResult",
-    "MicrobenchResult",
-    "RandomAccessResult",
-    "run_cgpop",
-    "run_fft",
-    "run_hpl",
-    "run_microbench",
-    "run_randomaccess",
-]

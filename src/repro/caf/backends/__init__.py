@@ -1,6 +1,6 @@
-"""Runtime backends: CAF-MPI (the paper's contribution) and CAF-GASNet."""
+"""Runtime backends: CAF-MPI (the paper's contribution) and CAF-GASNet.
 
-from repro.caf.backends.gasnet_backend import GasnetBackend
-from repro.caf.backends.mpi_backend import MpiBackend
-
-__all__ = ["GasnetBackend", "MpiBackend"]
+The package re-exports nothing: import the submodule you use
+(``repro.caf.backends.mpi_backend`` / ``gasnet_backend``), so a CAF-MPI run
+never loads the GASNet stack.
+"""

@@ -21,23 +21,26 @@ Example::
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.caf.backends.gasnet_backend import GasnetBackend
-from repro.caf.backends.mpi_backend import MpiBackend
 from repro.caf.image import Image
 from repro.sim.cluster import Cluster
-from repro.sim.faults import FaultPlan
 from repro.sim.memory import MemoryMeter
 from repro.sim.network import MachineSpec, NetFabric
 from repro.sim.profiler import Profiler
 from repro.util.errors import CafError
 
+if TYPE_CHECKING:
+    from repro.sim.faults import FaultPlan
+
+#: Backend name -> the module and class that implement it. A run imports
+#: only the one it asks for, so a CAF-MPI run never loads ``repro.gasnet``.
 BACKENDS = {
-    "mpi": MpiBackend,
-    "gasnet": GasnetBackend,
+    "mpi": ("repro.caf.backends.mpi_backend", "MpiBackend"),
+    "gasnet": ("repro.caf.backends.gasnet_backend", "GasnetBackend"),
 }
 
 
@@ -183,7 +186,8 @@ def run_caf(
         cluster.resilience = ResilienceService(
             cluster, every=checkpoint_every, store=store, resume=resume
         )
-    backend_cls = BACKENDS[backend]
+    module, clsname = BACKENDS[backend]
+    backend_cls = getattr(importlib.import_module(module), clsname)
 
     def wrapper(ctx, **kwargs):
         be = backend_cls(ctx, backend_options)

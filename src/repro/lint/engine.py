@@ -23,6 +23,7 @@ from repro.lint.checks_sync import (
 )
 from repro.lint.findings import Finding, LintReport
 from repro.lint.model import ModuleModel, build_model
+from repro.lint.stream import check_stream
 from repro.lint.suppress import is_suppressed, suppressions
 
 #: Passes that run per function.
@@ -67,8 +68,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
                 message=f"could not parse: {exc.msg}",
             )
         ]
-
-    from repro.lint.stream import check_stream
 
     model = build_model(tree, path)
     findings = syntactic_findings(model)

@@ -10,19 +10,20 @@ through :meth:`Cluster.shared`.
 from __future__ import annotations
 
 from collections.abc import Callable
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.sim import costs as _costs
 from repro.sim import irhook as _irhook
 from repro.sim.engine import Engine, Proc
-from repro.sim.faults import FaultPlan
 from repro.sim.memory import MemoryMeter
 from repro.sim.network import MachineSpec, NetFabric
 from repro.sim.profiler import Profiler
-from repro.sim.reliable import ReliableTransport
 from repro.sim.trace import Tracer
 from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 from repro.util.rng import rank_rng
+
+if TYPE_CHECKING:
+    from repro.sim.faults import FaultPlan
 
 
 class RankCtx:
@@ -125,6 +126,8 @@ class Cluster:
             faults.check_ranks(nranks)
             self.fabric.faults = faults
         if reliable:
+            from repro.sim.reliable import ReliableTransport
+
             self.fabric.reliable = ReliableTransport(
                 self.fabric, rng=rank_rng(seed, 0, "reliable")
             )

@@ -13,7 +13,8 @@ import pytest
 
 from repro.caf import run_caf
 from repro.caf.backend import EventStorage, RuntimeBackend
-from repro.caf.backends import GasnetBackend, MpiBackend
+from repro.caf.backends.gasnet_backend import GasnetBackend
+from repro.caf.backends.mpi_backend import MpiBackend
 from repro.caf.image import Image
 from repro.sim.cluster import Cluster
 from repro.sim.network import MachineSpec

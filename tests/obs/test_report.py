@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.caf import run_caf
-from repro.obs import (
+from repro.obs.report import (
     RunReport,
     SchemaError,
     build_report,

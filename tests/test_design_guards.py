@@ -4,8 +4,11 @@ to print; run them locally with ``pytest tests/test_design_guards.py``."""
 
 import ast
 import inspect
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -415,5 +418,34 @@ def test_figures_are_declarations():
         "Figs. 3-12 and the micro figures declare their series and hand them "
         "to experiments/_perf.py (sweep, or breakdown for Figs. 4 and 8); "
         "only those two builders run the cells",
+        hits,
+    )
+
+
+def test_a_plain_run_loads_the_simulator_only():
+    # A fresh interpreter: in this one, other tests have loaded everything.
+    script = (
+        "import sys\n"
+        "from repro.apps.randomaccess import run_randomaccess\n"
+        "from repro.caf.program import run_caf\n"
+        "run_caf(run_randomaccess, 4, backend='mpi')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.split()
+    layers = r"repro\.(lint|ir|sanitizer|resilience|experiments|gasnet)\b"
+    hits = [
+        name for name in loaded
+        if re.match(layers, name)
+        or (name.startswith("repro.obs.") and name != "repro.obs.capture")
+    ]
+    assert "repro.caf.backends.mpi_backend" in loaded, loaded
+    assert not hits, (
+        "a CAF-MPI run loads the simulator, MPI and CAF-MPI: a layer it does "
+        "not call is imported where it is armed, and a package __init__ "
+        "re-exports nothing that would load it",
         hits,
     )
