@@ -80,10 +80,8 @@ class Recorder:
         self._obs_nbytes: list[int] = []
         self._obs_seconds: list[float] = []
         self._obs_kind_ids: dict[str, int] = {}
-        # Sync-object ids; per (channel id, PUT or CHGET), how many were
-        # recorded so far (a channel is FIFO: its n-th get takes its n-th put).
+        # Ids of the waitables (events and counters share one id space).
         self._next_oid = 0
-        self._chan_seq: dict[tuple[int, int], int] = {}
 
     # -- context resolution ----------------------------------------------
 
@@ -174,38 +172,18 @@ class Recorder:
         )
         return _irhook.CbThunk(self, child, fn)
 
-    def on_fire(self, event) -> None:
+    # Every waitable records as a counter: a fired SimEvent is ADD 1 and a
+    # finished wait on it WAITGE 1; a Channel is a Counter of its arrivals.
+    def on_add(self, waitable, n: int) -> None:
         self._append(
-            _ops.OP_FIRE, self._ctx(), 0, self._oid(event), 0, 0, 0.0, 0.0, 0.0, 0.0
+            _ops.OP_ADD, self._ctx(), 0, self._oid(waitable), n, 0, 0.0, 0.0, 0.0, 0.0
         )
 
-    def on_wait_event(self, event) -> None:
+    def on_wait_geq(self, waitable, threshold: int) -> None:
         self._append(
-            _ops.OP_WAITEV, self._ctx(), 0, self._oid(event), 0, 0, 0.0, 0.0, 0.0, 0.0
-        )
-
-    def on_add(self, counter, n: int) -> None:
-        self._append(
-            _ops.OP_ADD, self._ctx(), 0, self._oid(counter), n, 0, 0.0, 0.0, 0.0, 0.0
-        )
-
-    def on_wait_geq(self, counter, threshold: int) -> None:
-        self._append(
-            _ops.OP_WAITGE, self._ctx(), 0, self._oid(counter), threshold, 0,
+            _ops.OP_WAITGE, self._ctx(), 0, self._oid(waitable), threshold, 0,
             0.0, 0.0, 0.0, 0.0,
         )
-
-    def _chan_op(self, kind: int, channel) -> None:
-        cid = self._oid(channel)
-        seq = self._chan_seq.get((cid, kind), 0)
-        self._chan_seq[cid, kind] = seq + 1
-        self._append(kind, self._ctx(), 0, cid, seq, 0, 0.0, 0.0, 0.0, 0.0)
-
-    def on_chan_put(self, channel) -> None:
-        self._chan_op(_ops.OP_PUT, channel)
-
-    def on_chan_get(self, channel) -> None:
-        self._chan_op(_ops.OP_CHGET, channel)
 
     def on_obs(self, rank: int, kind: str, nbytes: int, seconds: float) -> None:
         kid = self._obs_kind_ids.get(kind)

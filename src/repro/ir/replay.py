@@ -2,9 +2,9 @@
 
 The replay engine is a lean event merge over *compiled chains*: each
 execution context's ops are walked in program order with a chain-local
-clock, and only scheduling points (transfers, event/counter/channel ops,
-scheduled callbacks) enter a single ``(time, gseq)`` heap. Costs are
-evaluated once per target spec as vectorized numpy expressions
+clock, and only scheduling points (transfers, counter ops, scheduled
+callbacks) enter a single ``(time, gseq)`` heap. Costs are evaluated
+once per target spec as vectorized numpy expressions
 (:mod:`repro.ir.costs`); the walk then applies them with the same
 sequential IEEE additions the live engine performs, which is what makes
 replayed makespans *bit-identical* to live runs at the recorded spec.
@@ -233,9 +233,7 @@ def _run(
     heap: list[tuple[float, int, int]] = []
     push = heapq.heappush
     pop = heapq.heappop
-    events: dict[int, list] = {}  # id -> [fired, waiter chains]
-    counters: dict[int, list] = {}  # id -> [count, waiter chains]
-    chans: dict[int, list] = {}  # id -> [available put seqs, waiter chains]
+    counters: dict[int, list] = {}  # waitable id -> [count, waiter chains]
     last = 0.0
     deliver_miss = 0
     faults_active = faults is not None and getattr(faults, "active", False)
@@ -251,12 +249,8 @@ def _run(
     OP_SLEEP = _ops.OP_SLEEP
     OP_CALL = _ops.OP_CALL
     OP_XFER = _ops.OP_XFER
-    OP_FIRE = _ops.OP_FIRE
-    OP_WAITEV = _ops.OP_WAITEV
     OP_ADD = _ops.OP_ADD
     OP_WAITGE = _ops.OP_WAITGE
-    OP_PUT = _ops.OP_PUT
-    OP_CHGET = _ops.OP_CHGET
 
     for cid in range(nchains):
         if compiled.chain_kind[cid] != _ops.CHAIN_CB:
@@ -322,25 +316,6 @@ def _run(
                     push(heap, (start, child_ops[0], child))
                 elif start > last:
                     last = start
-            elif k == OP_FIRE:
-                st = events.get(a_l[i])
-                if st is None:
-                    events[a_l[i]] = [True, []]
-                else:
-                    st[0] = True
-                    w = st[1]
-                    if w:
-                        st[1] = []
-                        for wch in w:
-                            push(heap, (t, chain_ops[wch][ptr[wch]], wch))
-            elif k == OP_WAITEV:
-                st = events.get(a_l[i])
-                if st is None:
-                    st = events[a_l[i]] = [False, []]
-                if not st[0]:
-                    st[1].append(ch)
-                    ptr[ch] = p
-                    break
             elif k == OP_ADD:
                 st = counters.get(a_l[i])
                 if st is None:
@@ -360,28 +335,6 @@ def _run(
                     st[1].append(ch)
                     ptr[ch] = p
                     break
-            elif k == OP_PUT:
-                st = chans.get(a_l[i])
-                if st is None:
-                    chans[a_l[i]] = [{b_l[i]}, []]
-                else:
-                    st[0].add(b_l[i])
-                    w = st[1]
-                    if w:
-                        st[1] = []
-                        for wch in w:
-                            push(heap, (t, chain_ops[wch][ptr[wch]], wch))
-            elif k == OP_CHGET:
-                seq = b_l[i]
-                st = chans.get(a_l[i])
-                if st is None:
-                    st = chans[a_l[i]] = [set(), []]
-                if seq >= 0:
-                    if seq not in st[0]:
-                        st[1].append(ch)
-                        ptr[ch] = p
-                        break
-                    st[0].discard(seq)
             else:  # pragma: no cover - format invariant
                 raise ReplayError(f"unknown op kind {k} at gseq {i}")
             p += 1

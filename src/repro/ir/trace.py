@@ -14,9 +14,9 @@ column     dtype   meaning (per op kind; see :mod:`repro.ir.ops`)
 kind       u8      op kind
 chain      u32     owning chain id
 ck         u8      cost kind (SLEEP/CALL; 0 elsewhere)
-a          i64     event/counter/channel id; XFER ``src*nranks+dst``;
+a          i64     waitable id (ADD/WAITGE); XFER ``src*nranks+dst``;
                    CALL child chain
-b          i64     threshold / amount / put seq; XFER child chain
+b          i64     ADD amount / WAITGE threshold; XFER child chain
 c          i64     XFER nbytes
 c0,c1,c2   f64     cost args (SLEEP/CALL); XFER: c0 = SRQ-rx flag
 d          f64     recorded duration / delay / delivery time
@@ -42,7 +42,9 @@ import numpy as np
 from repro.ir import ops as _ops
 from repro.obs.artifact import SchemaError, read_json, write
 
-TRACE_VERSION = 1
+#: 2: events and channels record as counter ADD / WAITGE (kinds 3, 4, 8
+#: and 9 retired); a version-1 trace must be re-recorded.
+TRACE_VERSION = 2
 
 
 class TraceVersionError(SchemaError):
@@ -162,7 +164,7 @@ class Trace:
         if version != TRACE_VERSION:
             raise TraceVersionError(
                 f"{json_path}: trace format version {version!r}, "
-                f"this build reads version {TRACE_VERSION}"
+                f"this build reads version {TRACE_VERSION}; re-record the trace"
             )
         with np.load(npz_path) as data:
             arrays = {name: data[name] for name in data.files}

@@ -69,7 +69,7 @@ class Request:
             # its way out, without opening it.
             rec = _irhook.RECORDER
             if rec is not None:
-                rec.on_wait_event(event)
+                rec.on_wait_geq(event, 1)
         else:
             event.label = f"req:{self.kind}"  # the block reason reports show
             yield from event._wait_steps(self._proc)

@@ -10,6 +10,7 @@ Work items run strictly FIFO, one at a time, on the agent's process.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from typing import Any
 
@@ -18,41 +19,20 @@ from repro.sim.engine import Proc
 from repro.sim.sync import Channel, SimEvent
 
 
-class AgentCtx:
-    """A rank context whose ``proc`` is the agent's process.
-
-    Communication layers charge their software overheads to ``ctx.proc``;
-    handing them this context makes the agent pay instead of the user
-    thread.
-    """
-
-    def __init__(self, base: RankCtx, proc: Proc):
-        self.cluster = base.cluster
-        self.rank = base.rank
-        self.nranks = base.nranks
-        self.proc = proc
-        self.engine = base.engine
-        self.fabric = base.fabric
-        self.spec = base.spec
-        self.prices = base.prices
-        self.profiler = base.profiler
-        self.memory = base.memory
-        self.sanitizer = base.sanitizer
-        self.metrics = base.metrics
-        self.rng = base.rng
-
-
 class WorkerAgent:
     """One rank's FIFO work executor (a modeled progress thread)."""
 
     def __init__(self, base_ctx: RankCtx, name: str):
-        self.base_ctx = base_ctx
         self._queue: Channel = Channel(f"{name}.queue")
         self._proc = base_ctx.engine.spawn(self._loop, name=name, daemon=True)
-        self.ctx = AgentCtx(base_ctx, self._proc)
+        # The rank's context with the agent's process: communication layers
+        # charge their software overheads to ``ctx.proc``, so the agent pays
+        # instead of the user thread.
+        self.ctx = copy.copy(base_ctx)
+        self.ctx.proc = self._proc
         self.items_executed = 0
 
-    def submit(self, work: Callable[[AgentCtx], Any]) -> SimEvent:
+    def submit(self, work: Callable[[RankCtx], Any]) -> SimEvent:
         """Queue ``work(agent_ctx)``; the returned event fires with its
         result when the agent completes it."""
         done = SimEvent("agent-work")

@@ -5,10 +5,12 @@ recorder: hot paths (``Proc.sleep``, ``Engine.call_at``,
 ``NetFabric.transfer``, the sync primitives, ``Metrics.record``) guard on
 the module global ``RECORDER`` — one attribute load plus one ``is None``
 test when recording is off, mirroring the sanitizer/metrics cost
-discipline. Priced sleeps and callbacks are annotated with *why* they cost
-what they cost by :func:`repro.sim.costs.charge` (it sets the recorder's
-``pending_cost``, consumed by the next sleep / ``call_at`` hook), so replay
-can re-price them under a different :class:`~repro.sim.network.MachineSpec`.
+discipline. The sync primitives all record as counters, through
+``on_add`` / ``on_wait_geq``. Priced sleeps and callbacks are annotated
+with *why* they cost what they cost by :func:`repro.sim.costs.charge` (it
+sets the recorder's ``pending_cost``, consumed by the next sleep /
+``call_at`` hook), so replay can re-price them under a different
+:class:`~repro.sim.network.MachineSpec`.
 
 Cost symbols
 ------------

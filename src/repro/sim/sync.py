@@ -35,7 +35,9 @@ class SimEvent:
             return
         rec = _irhook.RECORDER
         if rec is not None:
-            rec.on_fire(self)
+            # The IR has one dependence primitive: a fired event is a
+            # counter that reached 1.
+            rec.on_add(self, 1)
         self.is_set = True
         self.value = value
         waiters, self._waiters = self._waiters, []
@@ -67,7 +69,7 @@ class SimEvent:
         if rec is not None:
             # Recorded at wait *exit*: the op's id order is live completion
             # order, which is how replay re-resolves same-time wake races.
-            rec.on_wait_event(self)
+            rec.on_wait_geq(self, 1)
         return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -108,44 +110,26 @@ class Counter:
 
 
 class Channel:
-    """An unbounded FIFO mailbox with blocking receive."""
+    """An unbounded FIFO mailbox with blocking receive: a deque whose
+    arrivals a :class:`Counter` counts, so the n-th ``get`` waits for the
+    count to reach n."""
 
     def __init__(self, label: str = "channel"):
         self.label = label
         self._items: deque[Any] = deque()
-        self._waiters: list[Proc] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
+        self._puts = Counter(label)
+        self._gets = 0
 
     def put(self, item: Any) -> None:
-        rec = _irhook.RECORDER
-        if rec is not None:
-            rec.on_chan_put(self)
         self._items.append(item)
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc.wake()
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking receive of the oldest item."""
-        if not self._items:
-            return False, None
-        rec = _irhook.RECORDER
-        if rec is not None:
-            # Covers both try_get hits and (via the retry loop) every
-            # successful blocking get — recorded at completion; FIFO, so
-            # the n-th get takes the n-th put.
-            rec.on_chan_get(self)
-        return True, self._items.popleft()
+        self._puts.add(1)
 
     def get(self, proc: Proc) -> Any:
         """Blocking receive of the oldest item."""
-        while True:
-            ok, item = self.try_get()
-            if ok:
-                return item
-            self._waiters.append(proc)
-            proc.block(f"get({self.label})")
-            if proc in self._waiters:
-                self._waiters.remove(proc)
+        return proc.run_script(self._get_steps(proc))
+
+    def _get_steps(self, proc: Proc):
+        """:meth:`get` as a script (see :meth:`Proc.run_script`)."""
+        self._gets += 1
+        yield from self._puts._wait_geq_steps(proc, self._gets, f"get({self.label})")
+        return self._items.popleft()

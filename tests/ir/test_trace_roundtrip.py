@@ -35,9 +35,9 @@ def test_version_mismatch_is_rejected(tmp_path):
     _, trace = record_run(tmp_path, "fft", "mpi", "laptop")
     trace.save(tmp_path / "old")
     manifest = json.loads((tmp_path / "old.json").read_text())
-    manifest["ir_version"] = 999
+    manifest["ir_version"] = 1  # events and channels had their own op kinds
     (tmp_path / "old.json").write_text(json.dumps(manifest))
-    with pytest.raises(TraceVersionError, match="version 999"):
+    with pytest.raises(TraceVersionError, match=r"version 1, .*re-record"):
         Trace.load(tmp_path / "old")
 
 
@@ -50,10 +50,15 @@ def _resave_with(tmp_path, column, value, where):
     return tmp_path / "retired"
 
 
-def test_retired_op_kind_is_refused_on_load(tmp_path):
-    """Op kind 7 (TAKE) used to fail only once replay's walk reached it."""
-    path = _resave_with(tmp_path, "kind", 7, -1)
-    with pytest.raises(TraceError, match=r"retired op kind 7 \(TAKE.*re-record"):
+@pytest.mark.parametrize(
+    "kind, name",
+    [(3, "FIRE"), (4, "WAITEV"), (7, "TAKE"), (8, "PUT"), (9, "CHGET")],
+)
+def test_retired_op_kind_is_refused_on_load(tmp_path, kind, name):
+    """A retired op kind is refused by name when the trace loads: kind 7
+    (TAKE) used to fail only once replay's walk reached it."""
+    path = _resave_with(tmp_path, "kind", kind, -1)
+    with pytest.raises(TraceError, match=rf"retired op kind {kind} \({name}\b.*re-record"):
         Trace.load(path)
 
 

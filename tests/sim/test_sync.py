@@ -113,21 +113,6 @@ def test_channel_fifo_order():
     assert got == [0, 1, 2, 3, 4]
 
 
-def test_channel_try_get_nonblocking():
-    eng = Engine()
-    ch = Channel("ch")
-
-    def body(p):
-        ok, item = ch.try_get()
-        assert not ok and item is None
-        ch.put("x")
-        ok, item = ch.try_get()
-        assert ok and item == "x"
-
-    eng.spawn(body)
-    eng.run()
-
-
 def test_two_consumers_each_get_one_item():
     eng = Engine()
     ch = Channel("ch")

@@ -385,6 +385,31 @@ def test_library_blocking_code_is_scripts():
         "costs.charge parks a fiber: only Window.sync and RankCtx.compute pay that way",
         paid,
     )
+    parked = [
+        hit for hit in grep(r"\.block\(", "src/repro")
+        if not hit.startswith("src/repro/sim/engine.py:")
+    ]
+    assert not parked, (
+        "one place parks a fiber on a wait: library waits are scripts that "
+        "`yield` their reason (a Channel's get is a counter wait), and "
+        "nothing outside sim/engine.py calls Proc.block",
+        parked,
+    )
+
+
+def test_every_wait_records_as_a_counter():
+    hooks = {
+        match.group(1)
+        for hit in grep(r"rec\.on_\w+\(", "src/repro")
+        if not hit.startswith("src/repro/ir/")
+        for match in re.finditer(r"rec\.(on_\w+)\(", hit)
+    }
+    assert hooks <= {"on_sleep", "on_call_at", "on_transfer", "on_add", "on_wait_geq", "on_obs"}, (
+        "a dependence the IR records is a counter: a new waitable primitive "
+        "composes sim.sync.Counter (as Channel does) and records through "
+        "on_add / on_wait_geq, instead of growing the IR's op kinds",
+        sorted(hooks),
+    )
 
 
 def test_one_owner_for_artifact_format():
