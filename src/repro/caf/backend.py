@@ -48,26 +48,11 @@ import numpy as np
 
 from repro.caf.agree import collective_agree, next_global_id
 from repro.sim.sync import SimEvent
-from repro.util.errors import CafError
+from repro.util.errors import CafError, CafTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
     from repro.sim.cluster import RankCtx
-
-
-class AsyncHandle:
-    """Completion events of one asynchronous operation.
-
-    ``local`` fires when the source/local buffer is reusable;
-    ``remote`` fires when the data is visible at the destination.
-    ``kind`` ("put" / "get" / "coll") supports the selective ``cofence``
-    of §3.5, which may wait on only the PUT or only the GET array.
-    """
-
-    def __init__(self, label: str, kind: str = "put"):
-        self.kind = kind
-        self.local = SimEvent(f"{label}.local")
-        self.remote = SimEvent(f"{label}.remote")
 
 
 class EventStorage:
@@ -271,20 +256,23 @@ class RuntimeBackend(abc.ABC):
     def coarray_write_async(
         self, storage: Any, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
-    ) -> AsyncHandle:
-        """Start an asynchronous write (the §3.3 four-case mapping).
+    ) -> SimEvent | None:
+        """Start an asynchronous write (the §3.3 four-case mapping); returns
+        the transport's event that fires when ``data`` is reusable, or None
+        when the transport has already copied it.
 
         ``dest_event`` is ``(event_storage, slot)``: when given, the backend
         must post that event *at the target image* once the data is visible
         there (case 4: the Active-Message path under CAF-MPI, a long AM
-        under CAF-GASNet).
+        under CAF-GASNet; both copy ``data`` before sending).
         """
 
     @abc.abstractmethod
     def coarray_read_async(
         self, storage: Any, target: int, offset: int, out: np.ndarray
-    ) -> AsyncHandle:
-        """Start an asynchronous read (always request-based: §3.3 case 2)."""
+    ) -> SimEvent:
+        """Start an asynchronous read (always request-based: §3.3 case 2);
+        returns the transport's event that fires when ``out`` holds the data."""
 
     def coarray_write_runs(
         self, storage: Any, target: int, runs: list[tuple[int, int]], data: np.ndarray
@@ -357,18 +345,45 @@ class RuntimeBackend(abc.ABC):
     def _notify_steps(self, storage: Any, target: int, slot: int):
         """:meth:`event_notify` over this transport: release barrier, then post."""
 
-    def event_wait(self, storage: EventStorage, slot: int, count: int) -> None:
-        """Block until ``count`` notifications are pending, then consume them."""
-        self.ctx.proc.run_script(self._event_wait_steps(storage, slot, count))
+    def event_wait(
+        self, storage: EventStorage, slot: int, count: int, timeout: float | None = None
+    ) -> None:
+        """Block until ``count`` notifications are pending, then consume them;
+        raise :class:`CafTimeoutError`, consuming nothing, if they are not
+        all there ``timeout`` virtual seconds after the call."""
+        self.ctx.proc.run_script(self._event_wait_steps(storage, slot, count, timeout))
 
-    def _event_wait_steps(self, storage: EventStorage, slot: int, count: int):
-        """By driving the progress engine (the paper's chosen send/recv
-        design); a transport may busy-wait on atomics instead (§3.4)."""
-        yield from self._progress_wait_steps(
-            lambda: storage.count(slot) >= count,
-            f"event_wait(slot={slot}, count={count})",
+    def _event_wait_steps(
+        self, storage: EventStorage, slot: int, count: int, timeout: float | None = None
+    ):
+        """:meth:`event_wait`: the timer, if any, is armed here and kicks the
+        progress engine when it fires, so the wait's predicate reruns."""
+        reason = f"event_wait(slot={slot}, count={count})"
+        expired = [False]
+        if timeout is not None:
+            reason = f"event_wait(slot={slot}, timeout={timeout})"
+
+            def fire() -> None:
+                expired[0] = True
+                self.kick()
+
+            self.ctx.engine.call_in(timeout, fire)
+        yield from self._await_event_steps(
+            storage, lambda: expired[0] or storage.count(slot) >= count, reason
         )
+        have = storage.count(slot)
+        if have < count:
+            raise CafTimeoutError(
+                f"event_wait(slot={slot}) timed out after {timeout}s "
+                f"with {have}/{count} notifications"
+            )
         storage.consume(slot, count)
+
+    def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):
+        """The wait of :meth:`event_wait` until ``ready()``: by driving the
+        progress engine (the paper's chosen send/recv design); a transport
+        may busy-wait on atomics instead (§3.4)."""
+        return self._progress_wait_steps(ready, reason)
 
     # -- deferred work (runtime continuations) --------------------------------
 

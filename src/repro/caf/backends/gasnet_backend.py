@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.caf.agree import next_team_id, survivor_agree
-from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
+from repro.caf.backend import EventStorage, RuntimeBackend
 from repro.gasnet.collectives import TEAM_SIGNAL_HANDLER_BASE, PeerBases, TeamExchange
 from repro.gasnet.core import GasnetWorld, Handle, Token
 from repro.gasnet.segment import SegmentAllocator
@@ -280,41 +280,36 @@ class GasnetBackend(RuntimeBackend):
     def coarray_write_async(
         self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
-    ) -> AsyncHandle:
-        handle = AsyncHandle("caf-gasnet.write_async")
+    ) -> SimEvent | None:
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, data.size)
         if dest_event is not None:
             # Long-AM style: data lands in the target coarray, then the
-            # handler posts the destination event there.
+            # handler posts the destination event there. The payload is
+            # copied now, as a long AM's source buffer is, so the caller may
+            # reuse ``data`` at once.
             ev_storage, slot = dest_event
             event_id = ev_storage.event_id
+            data_copy = data.copy()
 
             def on_target():
-                self._store_at(target_world, start, data)
+                self._store_at(target_world, start, data_copy)
                 yield from self._post_steps(target_world, event_id, slot)
-                handle.remote.fire()
 
-            self.send_thunk(target_world, self.AM_BYTES + data.nbytes, on_target)
-            handle.local.fire()
-        else:
-            h = self.gasnet.put_nb(target_world, start, data)
-            self._outstanding_puts.append(h)
-            h.event.subscribe(handle.local.fire)
-            h.event.subscribe(handle.remote.fire)
-        return handle
+            self.send_thunk(target_world, self.AM_BYTES + data_copy.nbytes, on_target)
+            return None
+        h = self.gasnet.put_nb(target_world, start, data)
+        self._outstanding_puts.append(h)
+        return h.event
 
     def coarray_read_async(
         self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray
-    ) -> AsyncHandle:
-        handle = AsyncHandle("caf-gasnet.read_async", kind="get")
+    ) -> SimEvent:
         target_world = storage.team.world_rank(target)
         start, _ = storage.byte_range(target, offset, out.size)
         h = self.gasnet.get_nb(out, target_world, start)
         self._outstanding_gets.append(h)
-        h.event.subscribe(handle.local.fire)
-        h.event.subscribe(handle.remote.fire)
-        return handle
+        return h.event
 
     # -- events --------------------------------------------------------------------------
 

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.backend import AsyncHandle, EventStorage, RuntimeBackend
+from repro.caf.backend import EventStorage, RuntimeBackend
 from repro.mpi import p2p
 from repro.mpi.constants import ANY_SOURCE, SUM
 from repro.mpi.request import Request
@@ -105,14 +105,14 @@ class MpiBackend(RuntimeBackend):
         self._team_world_comm = self.mpi.COMM_WORLD.dup()
         self.am_comm = self.mpi.COMM_WORLD.dup()
         self._am_matching = self.am_comm.state.user
-        # Release barrier (§3.4): request handles of every async op
-        # initiated locally since the last notify/quiet.
-        self._release_requests: list[Request] = []
         # §3.5: the runtime "internally maintains an array of request
         # handles of implicitly synchronized PUT operations and another
         # array ... of GET operations"; cofence WAITALLs them selectively.
+        # With the AM sends they are the release barrier of §3.4: every op
+        # initiated locally since the last notify/quiet, each held once.
         self._implicit_puts: list[Request] = []
         self._implicit_gets: list[Request] = []
+        self._am_sends: list[Request] = []
         #: Every coarray window this image allocated. event_notify/quiet
         #: FLUSH_ALL each of them — MPICH walks all ranks per window even
         #: when the epoch is idle (cheaply) and linearly when dirty (§4.1).
@@ -147,7 +147,7 @@ class MpiBackend(RuntimeBackend):
         req = yield from p2p.isend_steps(
             self.am_comm, self._am_matching, payload, target_world, AM_TAG
         )
-        self._release_requests.append(req)
+        self._am_sends.append(req)
 
     def _poll_steps(self):
         """Drain arrived AMs and run their handlers (the progress engine):
@@ -231,8 +231,7 @@ class MpiBackend(RuntimeBackend):
     def coarray_write_async(
         self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
-    ) -> AsyncHandle:
-        handle = AsyncHandle("caf-mpi.write_async")
+    ) -> SimEvent | None:
         win = storage.win
         if dest_event is not None:
             # Case 4: remote-completion event -> Active Message path (§3.3).
@@ -256,33 +255,25 @@ class MpiBackend(RuntimeBackend):
                         "am-write",
                     )
                 yield from self._post_steps(target_world, event_id, slot)
-                handle.remote.fire()
 
             self.send_thunk(
                 target_world, self.AM_BYTES + data_copy.nbytes, deliver_on_target
             )
-            handle.local.fire()  # buffered by the AM layer
-        else:
-            # Case 3, local-completion event -> MPI_RPUT request; and case 1,
-            # no events -> the same MPI_RPUT, whose request feeds the
-            # implicit-PUT array for cofence (FLUSH_ALL covers the rest).
-            req = win.rput(data, target, offset)
-            self._release_requests.append(req)
-            self._implicit_puts.append(req)
-            req._event.subscribe(handle.local.fire)
-        return handle
+            return None  # buffered by the AM layer
+        # Case 3, local-completion event -> MPI_RPUT request; and case 1,
+        # no events -> the same MPI_RPUT, whose request feeds the
+        # implicit-PUT array for cofence (FLUSH_ALL covers the rest).
+        req = win.rput(data, target, offset)
+        self._implicit_puts.append(req)
+        return req._event
 
     def coarray_read_async(
         self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray
-    ) -> AsyncHandle:
+    ) -> SimEvent:
         # Case 2: MPI_RGET — request completion is local *and* remote.
-        handle = AsyncHandle("caf-mpi.read_async", kind="get")
         req = storage.win.rget(out, target, offset)
-        self._release_requests.append(req)
         self._implicit_gets.append(req)
-        req._event.subscribe(handle.local.fire)
-        req._event.subscribe(handle.remote.fire)
-        return handle
+        return req._event
 
     # -- events (§3.4) ------------------------------------------------------------------------
 
@@ -319,7 +310,8 @@ class MpiBackend(RuntimeBackend):
     def _notify_steps(self, storage: EventStorage, target: int, slot: int):
         # The release barrier (§3.4): local completion of all initiated ops
         # (polling AMs meanwhile), then remote completion.
-        requests, self._release_requests = self._release_requests, []
+        requests = self._am_sends + self._implicit_puts + self._implicit_gets
+        self._am_sends, self._implicit_puts, self._implicit_gets = [], [], []
         yield from self._waitall_steps(requests, "event_notify.waitall")
         yield from self._flush_windows_steps("release.rflush_all")
         target_world = storage.team.world_rank(target)
@@ -343,20 +335,18 @@ class MpiBackend(RuntimeBackend):
     _ATOMIC_POLL_INTERVAL = 2.5e-7
     _ATOMIC_POLL_LIMIT = 200_000  # ~50 ms of virtual spinning before giving up
 
-    def _event_wait_steps(self, storage: EventStorage, slot: int, count: int):
+    def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):
         if not isinstance(storage, _AtomicEventStorage):
-            return (yield from super()._event_wait_steps(storage, slot, count))
+            return (yield from super()._await_event_steps(storage, ready, reason))
         # Busy-wait on the local counter (the MPI_COMPARE_AND_SWAP polling
-        # loop of §3.4), making AM progress as we spin.
+        # loop of §3.4), making AM progress as we spin; a timed wait's timer
+        # makes ``ready`` true when it expires.
         for _ in range(self._ATOMIC_POLL_LIMIT):
             yield from self._poll_steps()
-            if storage.count(slot) >= count:
-                storage.consume(slot, count)
+            if ready():
                 return
             yield self._ATOMIC_POLL_INTERVAL
-        raise CafError(
-            f"atomic event_wait(slot={slot}, count={count}) spun out (event never posted?)"
-        )
+        raise CafError(f"atomic {reason} spun out (event never posted?)")
 
     # -- implicit synchronization (§3.5) ----------------------------------------------------------
 
@@ -372,9 +362,9 @@ class MpiBackend(RuntimeBackend):
 
     def _quiet_steps(self):
         yield from self._cofence_steps()
-        # The release barrier also waits AM sends and any remaining handles.
-        yield from self._waitall_steps(list(self._release_requests), "quiet.waitall")
-        self._release_requests.clear()
+        # The release barrier also waits the AM sends.
+        yield from self._waitall_steps(self._am_sends, "quiet.waitall")
+        self._am_sends = []
         yield from self._flush_windows_steps("quiet.rflush_all")
 
     def collective_async(self, team: "Team", kind: str, args: tuple):

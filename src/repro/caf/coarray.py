@@ -155,18 +155,21 @@ class Coarray:
             dest = (ev.storage, slot)
 
         def start() -> None:
-            handle = img.backend.coarray_write_async(
+            reusable = img.backend.coarray_write_async(
                 self.storage, target, offset, arr, dest_event=dest
             )
-            img._register_async(handle)
             if src_event is not None:
                 sev, sslot = src_event
-                handle.local.subscribe(lambda: sev._post_local(sslot))
+                if reusable is None:  # the transport already copied ``arr``
+                    sev._post_local(sslot)
+                else:
+                    reusable.subscribe(lambda: sev._post_local(sslot))
 
         if predicate is None:
             start()
         else:
-            img._defer_on_event(predicate, start)
+            pev, pslot = predicate
+            pev.on_next_post(pslot, start)
 
     def read_async(
         self,
@@ -187,18 +190,18 @@ class Coarray:
         img = self.img
 
         def start() -> None:
-            handle = img.backend.coarray_read_async(
+            landed = img.backend.coarray_read_async(
                 self.storage, target, offset, out_arr
             )
-            img._register_async(handle)
             if dest_event is not None:
                 ev, slot = dest_event
-                handle.remote.subscribe(lambda: ev._post_local(slot))
+                landed.subscribe(lambda: ev._post_local(slot))
 
         if predicate is None:
             start()
         else:
-            img._defer_on_event(predicate, start)
+            pev, pslot = predicate
+            pev.on_next_post(pslot, start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

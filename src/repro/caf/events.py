@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.util.errors import CafError, CafTimeoutError
+from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
@@ -70,36 +70,11 @@ class EventArray:
         :class:`CafTimeoutError` instead of hanging, consuming nothing.
         """
         self._check_slot(slot)
-        storage = self.storage
-        if timeout is None:
-            with self.img.profile("event_wait", "caf.event_wait"):
-                self.img.backend.event_wait(storage, slot, count)
-            self._san_consumed(slot, count)
-            return
-        if timeout < 0:
+        if timeout is not None and timeout < 0:
             raise CafError(f"event_wait timeout must be >= 0, got {timeout!r}")
-        backend = self.img.backend
-        expired = [False]
-
-        def fire() -> None:
-            expired[0] = True
-            backend.kick()  # wake the progress engine so the predicate reruns
-
-        self.img.ctx.engine.call_in(timeout, fire)
         with self.img.profile("event_wait", "caf.event_wait"):
-            backend.progress_wait(
-                lambda: expired[0] or storage.count(slot) >= count,
-                f"event_wait(slot={slot}, timeout={timeout})",
-            )
-        have = storage.count(slot)
-        if have >= count:
-            storage.consume(slot, count)
-            self._san_consumed(slot, count)
-            return
-        raise CafTimeoutError(
-            f"event_wait(slot={slot}) timed out after {timeout}s "
-            f"with {have}/{count} notifications"
-        )
+            self.img.backend.event_wait(self.storage, slot, count, timeout)
+        self._san_consumed(slot, count)
 
     def trywait(self, slot: int = 0, count: int = 1) -> bool:
         """event_trywait: nonblocking; consumes and returns True if posted."""

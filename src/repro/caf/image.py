@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.caf.agree import next_team_id
-from repro.caf.backend import AsyncHandle, RuntimeBackend
+from repro.caf.backend import RuntimeBackend
 from repro.caf.coarray import Coarray
 from repro.caf.events import EventArray
 from repro.caf.finish import FinishBlock
@@ -23,6 +23,7 @@ from repro.util.errors import CafError, ImageFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.cluster import RankCtx
+    from repro.sim.sync import SimEvent
 
 
 def _sync_images_mark(img: "Image", from_rank: int) -> None:
@@ -41,8 +42,10 @@ class Image:
         self.cluster = ctx.cluster
         self.team_world = Team(0, world_members(self.cluster), ctx.rank)
         self.team_world.handle = backend.make_world_team_handle(self.team_world)
-        #: Async handles registered since the last cofence (implicit model).
-        self._implicit_handles: list[AsyncHandle] = []
+        #: Done events of this image's asynchronous collectives still
+        #: running: ``cofence`` completes them. (Asynchronous puts and gets
+        #: are held once, in the transport's §3.5 arrays.)
+        self._async_colls: list[SimEvent] = []
         #: Numbers this image's futures (``CafFuture`` labels its event).
         self._future_ids = itertools.count()
 
@@ -156,21 +159,11 @@ class Image:
         request local completion notification of PUT or GET operations").
         Asynchronous collectives always complete here.
         """
-        def selected(handle) -> bool:
-            if handle.kind == "coll":
-                return True
-            return (puts and handle.kind == "put") or (gets and handle.kind == "get")
-
         with self.profile("cofence"):
             self.backend.cofence(puts=puts, gets=gets)
-            waiting = [h for h in self._implicit_handles if selected(h)]
-            self._implicit_handles = [
-                h for h in self._implicit_handles if not selected(h)
-            ]
+            waiting, self._async_colls = tuple(self._async_colls), []
             self.backend.progress_wait(
-                lambda: all(h.local.is_set for h in waiting),
-                "cofence",
-                extras=tuple(h.local for h in waiting),
+                lambda: all(done.is_set for done in waiting), "cofence", extras=waiting
             )
 
     def finish(self, team: Team | None = None, *, fast: bool | None = None) -> FinishBlock:
@@ -262,10 +255,8 @@ class Image:
     def _collective_async(self, kind, args, team, data_event, op_event):
         """``kind`` names the blocking collective of a team handle."""
         done = self.backend.collective_async(team or self.team_world, kind, args)
-        handle = AsyncHandle(f"coll_async.{kind}", kind="coll")
-        done.subscribe(handle.local.fire)
-        done.subscribe(handle.remote.fire)
-        self._register_async(handle)
+        self._async_colls = [ev for ev in self._async_colls if not ev.is_set]
+        self._async_colls.append(done)
         for spec_ in (data_event, op_event):
             if spec_ is not None:
                 ev, slot = spec_
@@ -396,13 +387,12 @@ class Image:
                 # buffer is never ours, so src_event (buffer reuse) can
                 # post as soon as the fetched copy exists.
                 staging = np.empty(count, src.dtype)
-                handle = self.backend.coarray_read_async(
+                landed = self.backend.coarray_read_async(
                     src.storage, src_image, src_offset, staging
                 )
-                self._register_async(handle)
                 if src_event is not None:
                     ev, slot = src_event
-                    handle.local.subscribe(lambda: ev._post_local(slot))
+                    landed.subscribe(lambda: ev._post_local(slot))
 
                 def forward() -> None:
                     self._copy_deliver(
@@ -412,7 +402,7 @@ class Image:
                 # Completion fires in scheduler context; the forwarding leg
                 # issues communication, so it runs as a runtime
                 # continuation on this image's next progress poll.
-                handle.remote.subscribe(lambda: self.backend.defer(forward))
+                landed.subscribe(lambda: self.backend.defer(forward))
 
         if predicate is None:
             start()
@@ -465,13 +455,6 @@ class Image:
     @property
     def now(self) -> float:
         return self.ctx.now
-
-    def _register_async(self, handle: AsyncHandle) -> None:
-        self._implicit_handles.append(handle)
-
-    def _defer_on_event(self, predicate, start: Callable[[], None]) -> None:
-        ev, slot = predicate
-        ev.on_next_post(slot, start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Image {self.rank}/{self.nranks} backend={self.backend.name}>"

@@ -127,3 +127,50 @@ def test_cofence_allows_buffer_reuse_semantics(backend):
 
     run = run_caf(program, 2, backend=backend)
     assert run.results[1] == 1.0
+
+
+def test_source_reused_after_src_event_still_delivers_its_value(backend):
+    """Local completion means the buffer may be reused (Schuchart & Gracia):
+    a case-4 ``write_async`` whose source is overwritten once ``src_event``
+    posts still delivers the value it was called with."""
+
+    def program(img):
+        co = img.allocate_coarray(4, np.float64)
+        ev = img.allocate_events(2)
+        if img.rank == 0:
+            buf = np.full(4, 7.0)
+            co.write_async(1, buf, src_event=(ev, 0), dest_event=(ev, 1))
+            ev.wait(0)  # the source buffer is reusable...
+            buf[:] = -1.0  # ...so reuse it
+        else:
+            ev.wait(1)
+        img.sync_all()
+        return co.local.tolist()
+
+    run = run_caf(program, 2, backend=backend)
+    assert run.results[1] == [7.0] * 4
+
+
+def test_sync_all_leaves_no_completed_op_registered(backend):
+    """An async op is tracked once, in the transport's §3.5 arrays, and a
+    ``sync_all`` completes and drops it: after many, neither the image nor
+    its transport holds one."""
+
+    def program(img):
+        co = img.allocate_coarray(64, np.float64)
+        out = np.empty(1)
+        peer = (img.rank + 1) % img.nranks
+        for k in range(64):
+            co.write_async(peer, np.array([float(k)]), offset=k)
+            co.read_async(peer, out, offset=k)
+        img.sync_all()
+        return {
+            f"{type(obj).__name__}.{name}": len(value)
+            for obj in (img, img.backend)
+            for name, value in vars(obj).items()
+            if isinstance(value, list) and name not in ("_windows", "_continuations")
+        }
+
+    run = run_caf(program, 4, backend=backend)
+    for held in run.results:
+        assert held and not any(held.values()), held

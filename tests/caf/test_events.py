@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.caf import run_caf
-from repro.util.errors import CafError, DeadlockError, SimTimeoutError
+from repro.util.errors import CafError, CafTimeoutError, DeadlockError, SimTimeoutError
 
 from tests.caf.conftest import handoffs_per_call
 
@@ -329,3 +329,45 @@ def test_rflush_release_delivers_the_same_data_as_flush_all(sanitize):
     assert runs[0].results == runs[1].results == [[float((r - 1) % 4)] * 4 for r in range(4)]
     if sanitize:
         assert all(run.sanitizer.report.clean for run in runs)
+
+
+@pytest.mark.parametrize("event_impl", ["sendrecv", "atomics"])
+def test_timed_wait_returns_at_the_post(event_impl):
+    """A timed ``event_wait`` is the transport's wait: under either §3.4
+    design it returns when the post lands, not when the timer expires."""
+
+    def program(img):
+        ev = img.allocate_events(1)
+        img.sync_all()
+        start = img.now
+        if img.rank == 0:
+            img.compute(1e-4)
+            ev.notify(1)
+        else:
+            ev.wait(timeout=1e-2)
+        return img.now - start
+
+    run = run_caf(program, 2, backend="mpi", backend_options={"event_impl": event_impl})
+    assert run.results[1] < 1e-3
+
+
+def test_timed_out_wait_is_not_a_recorded_op(backend):
+    """A wait that times out raised inside its region: its time stays in
+    the ``event_wait`` category, but it is not a ``caf.event_wait`` op."""
+
+    def program(img):
+        ev = img.allocate_events(1)
+        img.sync_all()
+        if img.rank == 1:
+            with pytest.raises(CafTimeoutError):
+                ev.wait(timeout=1e-4)
+            ev.wait()  # posted by rank 0's notify below
+        else:
+            img.compute(1e-3)
+            ev.notify(1)
+        img.sync_all()
+
+    run = run_caf(program, 2, backend=backend, metrics=True)
+    assert run.metrics.op(1, "caf.event_wait").calls == 1
+    assert run.profiler.counts[1]["event_wait"] == 2
+    assert run.profiler.rank_total(1, "event_wait") >= 1e-4

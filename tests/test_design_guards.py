@@ -412,6 +412,23 @@ def test_every_wait_records_as_a_counter():
     )
 
 
+def test_an_async_op_is_tracked_once():
+    relays = grep(
+        r"class AsyncHandle|_implicit_handles|_register_async|_defer_on_event"
+        r"|_release_requests|\.(local|remote)\.fire\(",
+        "src/repro",
+    )
+    second_waits = grep(r"call_in\(|progress_wait\(", "src/repro/caf/events.py")
+    assert not relays and not second_waits, (
+        "an asynchronous op's completion is its transport's event, registered "
+        "once in the transport's §3.5 arrays (MpiBackend._implicit_puts / "
+        "_implicit_gets / _am_sends, GasnetBackend._outstanding_*); the image "
+        "holds only its async collectives, and a timed event_wait is "
+        "RuntimeBackend.event_wait (its timer is armed in _event_wait_steps)",
+        relays + second_waits,
+    )
+
+
 def test_one_owner_for_artifact_format():
     hits = [
         hit
