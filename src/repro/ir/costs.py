@@ -27,18 +27,22 @@ STRUCTURE_FIELDS = (
 
 
 def structure_warnings(recorded: MachineSpec, target: MachineSpec, nranks: int) -> list[str]:
+    exact = (
+        "so its costs are approximate; for exact costs, record the program live "
+        f"under the target spec ({target.name!r})"
+    )
     out = []
     for f in STRUCTURE_FIELDS:
         rv, tv = getattr(recorded, f), getattr(target, f)
         if rv != tv:
             out.append(
                 f"structure parameter {f} differs (recorded {rv!r}, target "
-                f"{tv!r}): the recorded communication pattern is kept"
+                f"{tv!r}): replay keeps the recorded communication pattern, {exact}"
             )
     if recorded.srq_active(nranks) != target.srq_active(nranks):
         out.append(
             "SRQ active/inactive differs between recorded and target spec: "
-            "recorded delivery-path structure is kept"
+            f"replay keeps the recorded delivery path, {exact}"
         )
     return out
 

@@ -12,8 +12,12 @@ calls (§3). This module is that set as data — one :class:`Row` per
   name-only because that tier tags receivers separately);
 * the stream interpreter's ``protocol_call``, which emits the row's stream
   op from the declared operands and returns what the row says;
-* ``--predict`` and ``obs scaling``, which price an emitted kind with the
-  row's static model and compare it to the kind the runtime *records*.
+* ``--predict`` and ``obs scaling``, which count and price the emitted ops.
+
+A row's stream kind is the op kind the runtime records for the call, one of
+:data:`repro.sim.costs.KINDS`, so a prediction compares to a recorded trace
+kind for kind. A call the runtime records no op for is ``bookkeeping``: its
+kind is a name of its own, never a declared one.
 
 A public method of those classes that has no row is listed in
 :data:`NOT_MODELLED`: the linter treats a call to it as an unknown call
@@ -28,17 +32,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+from repro.sim.costs import KINDS
+
 #: An operand: ``(positional index, keyword name or None[, default])``.
 Operand = tuple
 
-#: Static pricing models a row may name (``--predict``'s seconds preview;
-#: formulas in :mod:`repro.lint.stream.estimate`). ``table`` rows and the
-#: ``TABLE ...`` terms are :data:`repro.sim.costs.TABLE` rows, priced by that
-#: module's evaluator; a ``spec.`` term is read off the spec because no
-#: TABLE row prices that field the same under every structure flag.
+#: Static pricing models a kind may name (``--predict``'s seconds preview;
+#: formulas in :mod:`repro.lint.stream.estimate`): ``repro.sim.costs.KINDS``
+#: says which one prices each kind. ``table`` and the ``TABLE ...`` terms are
+#: :data:`repro.sim.costs.TABLE` rows, priced by that module's evaluator; a
+#: ``spec.`` term is read off the spec because no TABLE row prices that field
+#: the same under every structure flag.
 PRICE_MODELS = {
     "table": "the `costs.TABLE` row of the same kind",
-    "tree": "TABLE `mpi.coll_overhead` + log2(P) x wire",
+    "tree": "TABLE `mpi.coll_overhead` + log2(P) x (latency + nbytes / bandwidth)",
     "put": "`spec.mpi_rma_overhead` (flag-free: TABLE's `mpi.rput` adds "
     "`mpi_sendrecv_rma_extra` under `mpi_rma_over_sendrecv`) + nbytes / bandwidth",
     "get": "`spec.mpi_rma_overhead` (flag-free, as `put`) + 2 x latency + nbytes / bandwidth",
@@ -47,8 +54,7 @@ PRICE_MODELS = {
     "bounce copy under `mpi_eager_threshold`)",
     "flush": "TABLE `mpi.flush_overhead`",
     "flush_all": "TABLE `mpi.flush_all.skip` + `mpi.flush_all.walk`(P) — Fig. 4's O(P) walk",
-    "coll": "TABLE `mpi.coll_overhead`",
-    "wire": "latency + nbytes / bandwidth",
+    "idle": "TABLE `mpi.flush_all.skip` — the walk an idle flush_all skips",
 }
 
 
@@ -64,15 +70,16 @@ class Row:
     progress), ``message`` (one latency-bound message per call: CAF014),
     ``bounded`` (cannot hang), ``scoped`` (emitted at the ``with`` block's
     boundaries, not at the call) and ``bookkeeping`` (the runtime records
-    no op for it, so ``--predict`` does not count it).
+    no op of its own for it, so ``--predict`` does not count it;
+    ``unlock_all`` and ``fence`` are bookkeeping because their inner flush
+    records as ``mpi.flush_all`` or ``mpi.flush_all.idle`` by the epoch's
+    traffic).
     """
 
     recv: str  # receiver kind: the interpreter's HandleVal.kind, or "function"
     method: str
     classes: Any = ""
-    emits: str | None = None  # stream kind (None: the call emits nothing)
-    price: str = "wire"  # key of PRICE_MODELS
-    records: str | None = None  # kind the runtime records, when not ``emits``
+    emits: str | None = None  # the recorded kind, or a bookkeeping name (None: nothing)
     peer: Operand | str | None = None  # target/source rank; "self" = this image
     buf: Operand | None = None  # payload: nbytes = its size
     nbytes: int | str | None = 0  # without ``buf``: constant, or "result"
@@ -95,23 +102,20 @@ _TEAM_COLL = "collective sync blocking"
 
 
 def _caf_coll(method: str, kind: str, buf: Operand | None = None) -> Row:
-    return Row("image", method, _CAF_COLL, f"caf.coll.{kind}", "tree", buf=buf)
+    return Row("image", method, _CAF_COLL, f"caf.coll.{kind}", buf=buf)
 
 
 def _caf_coll_async(kind: str) -> Row:
     return Row(
-        "image", f"team_{kind}_async", _TEAM_COLL, f"caf.coll.{kind}", "tree",
+        "image", f"team_{kind}_async", _TEAM_COLL, f"caf.coll.{kind}",
         buf=_BUF0, escapes=("data_event", "op_event"),
     )
 
 
-def _rma(
-    method: str, classes: str, kind: str, target: int = 1, *, price: str = "flush",
-    returns: str = "none",
-) -> Row:
+def _rma(method: str, classes: str, kind: str, target: int = 1, returns: str = "none") -> Row:
     return Row(
-        "window", method, classes + " rma", kind, price,
-        peer=(target, "target"), buf=_BUF0, returns=returns,
+        "window", method, classes + " rma", kind, peer=(target, "target"), buf=_BUF0,
+        returns=returns,
     )
 
 
@@ -123,12 +127,12 @@ _ROWS = (
     Row("image", "allocate_events", "allocator", returns="event"),
     Row("image", "mpi", "allocator", returns="mpi"),
     Row("image", "team_split", _TEAM_COLL, returns="unknown"),
-    Row("image", "cofence", "sync blocking caf_sync", "caf.cofence", "coll"),
-    Row("image", "finish", "sync caf_sync scoped bookkeeping", "caf.finish", "coll",
-        nbytes=None, returns="finish"),
+    Row("image", "cofence", "sync blocking caf_sync bookkeeping", "caf.cofence"),
+    Row("image", "finish", "sync caf_sync scoped bookkeeping", "caf.finish", nbytes=None,
+        returns="finish"),
     _caf_coll("sync_all", "barrier"),
     _caf_coll("barrier", "barrier"),
-    Row("image", "sync_images", "sync blocking caf_sync", "caf.coll.sync_images", "tree"),
+    Row("image", "sync_images", "sync blocking caf_sync bookkeeping", "caf.sync_images"),
     _caf_coll("team_broadcast", "broadcast", (0, "buf")),
     _caf_coll("team_reduce", "reduce", (0, "send")),
     _caf_coll("team_allreduce", "allreduce", (0, "send")),
@@ -139,99 +143,91 @@ _ROWS = (
     _caf_coll_async("allreduce"),
     _caf_coll_async("alltoall"),
     _caf_coll_async("allgather"),
-    Row("image", "spawn", "bookkeeping", "caf.spawn", "coll", peer=_TARGET0,
-        nbytes=None, warn="spawn", returns="spawned"),
-    Row("image", "spawn_future", "bookkeeping", "caf.spawn", "coll", peer=_TARGET0,
-        nbytes=None, warn="spawn", returns="spawned"),
-    Row("image", "serve", "blocking caf_sync bookkeeping", "caf.serve", "coll",
-        nbytes=None, warn="serve"),
-    Row("image", "copy_async", "async caf_put", "caf.async_copy", "put", "mpi.rput",
-        peer=(1, "dest_image"), buf=(2, "data")),
+    Row("image", "spawn", "bookkeeping", "caf.spawn", peer=_TARGET0, nbytes=None,
+        warn="spawn", returns="spawned"),
+    Row("image", "spawn_future", "bookkeeping", "caf.spawn", peer=_TARGET0, nbytes=None,
+        warn="spawn", returns="spawned"),
+    Row("image", "serve", "blocking caf_sync bookkeeping", "caf.serve", nbytes=None,
+        warn="serve"),
+    # Asynchronous ops emit their CAF-MPI lowering (§3.3).
+    Row("image", "copy_async", "async caf_put", "mpi.rput", peer=(1, "dest_image"),
+        buf=(2, "data")),
     # -- Coarray (repro.caf.coarray) ---------------------------------------
-    Row("coarray", "write", "put caf_put message", "caf.coarray_write", "put",
-        peer=_TARGET0, buf=(1, "data")),
-    Row("coarray", "write_section", "put caf_put message", "caf.coarray_write", "put",
+    Row("coarray", "write", "put caf_put message", "caf.coarray_write", peer=_TARGET0,
+        buf=(1, "data")),
+    Row("coarray", "write_section", "put caf_put message", "caf.coarray_write",
         peer=_TARGET0, buf=(2, "data")),
-    Row("coarray", "read", "get caf_put", "caf.coarray_read", "get",
-        peer=_TARGET0, nbytes="result", returns="read"),
-    Row("coarray", "read_section", "get caf_put", "caf.coarray_read", "get",
-        peer=_TARGET0, nbytes="result", returns="read_section"),
-    Row("coarray", "write_async", "put async caf_put message", "caf.async_write", "put",
-        "mpi.rput", peer=_TARGET0, buf=(1, "data"), escapes=("predicate",)),
-    Row("coarray", "read_async", "get async caf_put", "caf.async_read", "get",
-        "mpi.rget", peer=_TARGET0, nbytes="result", escapes=("predicate",),
-        returns="read_async"),
+    Row("coarray", "read", "get caf_put", "caf.coarray_read", peer=_TARGET0,
+        nbytes="result", returns="read"),
+    Row("coarray", "read_section", "get caf_put", "caf.coarray_read", peer=_TARGET0,
+        nbytes="result", returns="read_section"),
+    Row("coarray", "write_async", "put async caf_put message", "mpi.rput", peer=_TARGET0,
+        buf=(1, "data"), escapes=("predicate",)),
+    Row("coarray", "read_async", "get async caf_put", "mpi.rget", peer=_TARGET0,
+        nbytes="result", escapes=("predicate",), returns="read_async"),
     # -- EventArray (repro.caf.events) -------------------------------------
-    Row("event", "notify", "", "caf.event_notify", "notify", peer=_TARGET0,
-        slot=(1, "slot", 0)),
-    Row("event", "wait", "sync blocking caf_sync", "caf.event_wait", "match",
-        peer="self", slot=(0, "slot", 0), count=(1, "count", 1)),
-    Row("event", "trywait", "sync bounded", "caf.event_trywait", "match",
-        peer="self", slot=(0, "slot", 0), returns="unknown"),
+    Row("event", "notify", "", "caf.event_notify", peer=_TARGET0, slot=(1, "slot", 0)),
+    Row("event", "wait", "sync blocking caf_sync", "caf.event_wait", peer="self",
+        slot=(0, "slot", 0), count=(1, "count", 1)),
+    Row("event", "trywait", "sync bounded bookkeeping", "caf.event_trywait", peer="self",
+        slot=(0, "slot", 0), returns="unknown"),
     # -- MpiWorld / MpiRank (repro.mpi.world) ------------------------------
     Row("mpi_world", "get", returns="self"),
     Row("mpi_world", "init", returns="mpi"),
-    Row("mpi", "win_allocate", "allocator foreign_block bookkeeping",
-        "mpi.win.allocate", "flush", returns="window"),
+    Row("mpi", "win_allocate", "allocator foreign_block bookkeeping", "mpi.win_allocate",
+        returns="window"),
     Row("mpi", "win_allocate_shared", "allocator foreign_block bookkeeping",
-        "mpi.win.allocate", "flush", returns="window"),
+        "mpi.win_allocate", returns="window"),
     Row("mpi", "win_create_dynamic", "allocator foreign_block bookkeeping",
-        "mpi.win.allocate", "flush", returns="window"),
+        "mpi.win_allocate", returns="window"),
     # -- Comm (repro.mpi.comm) ---------------------------------------------
-    Row("comm", "barrier", _MPI_COLL, "mpi.coll.barrier", "tree"),
-    Row("comm", "bcast", _MPI_COLL, "mpi.coll.bcast", "tree", buf=_BUF0),
-    Row("comm", "reduce", _MPI_COLL, "mpi.coll.reduce", "tree", buf=_BUF0),
-    Row("comm", "allreduce", _MPI_COLL, "mpi.coll.allreduce", "tree", buf=_BUF0),
-    Row("comm", "alltoall", _MPI_COLL, "mpi.coll.alltoall", "tree", buf=_BUF0),
-    Row("comm", "allgather", _MPI_COLL, "mpi.coll.allgather", "tree", buf=_BUF0),
-    Row("comm", "ibarrier", _ICOLL, "mpi.coll.barrier", "tree", buf=_BUF0, returns="unknown"),
-    Row("comm", "ibcast", _ICOLL, "mpi.coll.bcast", "tree", buf=_BUF0, returns="unknown"),
-    Row("comm", "ireduce", _ICOLL, "mpi.coll.reduce", "tree", buf=_BUF0, returns="unknown"),
-    Row("comm", "iallreduce", _ICOLL, "mpi.coll.allreduce", "tree", buf=_BUF0,
-        returns="unknown"),
-    Row("comm", "ialltoall", _ICOLL, "mpi.coll.alltoall", "tree", buf=_BUF0,
-        returns="unknown"),
-    Row("comm", "iallgather", _ICOLL, "mpi.coll.allgather", "tree", buf=_BUF0,
-        returns="unknown"),
-    Row("comm", "send", "blocking mpi_blocking foreign_block message", "mpi.send", "table",
+    Row("comm", "barrier", _MPI_COLL, "mpi.coll.barrier"),
+    Row("comm", "bcast", _MPI_COLL, "mpi.coll.bcast", buf=_BUF0),
+    Row("comm", "reduce", _MPI_COLL, "mpi.coll.reduce", buf=_BUF0),
+    Row("comm", "allreduce", _MPI_COLL, "mpi.coll.allreduce", buf=_BUF0),
+    Row("comm", "alltoall", _MPI_COLL, "mpi.coll.alltoall", buf=_BUF0),
+    Row("comm", "allgather", _MPI_COLL, "mpi.coll.allgather", buf=_BUF0),
+    Row("comm", "ibarrier", _ICOLL, "mpi.coll.barrier", buf=_BUF0, returns="unknown"),
+    Row("comm", "ibcast", _ICOLL, "mpi.coll.bcast", buf=_BUF0, returns="unknown"),
+    Row("comm", "ireduce", _ICOLL, "mpi.coll.reduce", buf=_BUF0, returns="unknown"),
+    Row("comm", "iallreduce", _ICOLL, "mpi.coll.allreduce", buf=_BUF0, returns="unknown"),
+    Row("comm", "ialltoall", _ICOLL, "mpi.coll.alltoall", buf=_BUF0, returns="unknown"),
+    Row("comm", "iallgather", _ICOLL, "mpi.coll.allgather", buf=_BUF0, returns="unknown"),
+    Row("comm", "send", "blocking mpi_blocking foreign_block message", "mpi.send",
         peer=(1, "dest"), buf=_BUF0),
-    Row("comm", "recv", "blocking mpi_blocking foreign_block", "mpi.recv", "table",
+    Row("comm", "recv", "blocking mpi_blocking foreign_block", "mpi.recv",
         peer=(1, "source"), buf=_BUF0, returns="unknown"),
     Row("comm", "sendrecv", "blocking mpi_blocking", returns="sendrecv"),
-    Row("comm", "isend", "message", "mpi.isend", peer=(1, "dest"), buf=_BUF0,
+    Row("comm", "isend", "message", "mpi.send", peer=(1, "dest"), buf=_BUF0,
         returns="unknown"),
-    Row("comm", "irecv", "", "mpi.irecv", peer=(1, "source"), buf=_BUF0, returns="unknown"),
-    Row("comm", "probe", "blocking mpi_blocking foreign_block", "mpi.probe", nbytes=None,
-        returns="unknown"),
+    Row("comm", "irecv", "", "mpi.recv", peer=(1, "source"), buf=_BUF0, returns="unknown"),
+    Row("comm", "probe", "blocking mpi_blocking foreign_block bookkeeping", "mpi.probe",
+        nbytes=None, returns="unknown"),
     # -- Window (repro.mpi.window) -----------------------------------------
-    _rma("put", "put message", "mpi.win.put"),
-    _rma("rput", "put message", "mpi.rput", price="table", returns="unknown"),
-    _rma("get", "get", "mpi.win.get"),
-    _rma("rget", "get", "mpi.win.rget", returns="unknown"),
-    _rma("accumulate", "put", "mpi.win.accumulate"),
-    _rma("raccumulate", "put", "mpi.win.accumulate", returns="unknown"),
-    _rma("get_accumulate", "get", "mpi.win.get_accumulate", 2),
-    _rma("fetch_and_op", "get", "mpi.win.fetch_and_op", 2),
-    _rma("compare_and_swap", "get", "mpi.win.compare_and_swap", 3),
-    _rma("put_runs", "put", "mpi.put_runs", price="table"),
-    _rma("get_runs", "get", "mpi.get_runs", price="table", returns="unknown"),
-    Row("window", "flush", "sync blocking foreign_block", "mpi.win.flush", "flush",
-        "mpi.flush", peer=_TARGET0),
-    Row("window", "flush_local", "sync foreign_block", "mpi.win.flush_local", "flush",
+    _rma("put", "put message", "mpi.rput"),
+    _rma("rput", "put message", "mpi.rput", returns="unknown"),
+    _rma("get", "get", "mpi.rget"),
+    _rma("rget", "get", "mpi.rget", returns="unknown"),
+    _rma("accumulate", "put", "mpi.accumulate"),
+    _rma("raccumulate", "put", "mpi.accumulate", returns="unknown"),
+    _rma("get_accumulate", "get", "mpi.fetch_op", 2),
+    _rma("fetch_and_op", "get", "mpi.fetch_op", 2),
+    _rma("compare_and_swap", "get", "mpi.cas", 3),
+    _rma("put_runs", "put", "mpi.put_runs"),
+    _rma("get_runs", "get", "mpi.get_runs", returns="unknown"),
+    Row("window", "flush", "sync blocking foreign_block", "mpi.flush", peer=_TARGET0),
+    Row("window", "flush_local", "sync foreign_block bookkeeping", "mpi.flush_local",
         peer=_TARGET0),
-    Row("window", "flush_all", "sync blocking foreign_block", "mpi.win.flush_all",
-        "flush_all", "mpi.flush_all"),
-    Row("window", "flush_local_all", "sync foreign_block", "mpi.win.flush_local_all",
-        "flush"),
-    Row("window", "rflush", "sync", "mpi.rflush", "table", peer=_TARGET0, returns="unknown"),
-    Row("window", "rflush_all", "sync", "mpi.rflush_all", "table", returns="unknown"),
-    Row("window", "lock", "blocking foreign_block", "mpi.win.lock", "flush", peer=_TARGET0),
-    Row("window", "unlock", "sync blocking foreign_block", "mpi.win.unlock", "flush",
-        peer=_TARGET0),
-    Row("window", "lock_all", "blocking", "mpi.win.lock_all", "flush"),
-    Row("window", "unlock_all", "sync blocking", "mpi.win.unlock_all", "flush"),
-    Row("window", "fence", "sync blocking foreign_block", "mpi.win.fence", "flush"),
-    Row("window", "sync", "", "mpi.win.sync", "flush"),
+    Row("window", "flush_all", "sync blocking foreign_block", "mpi.flush_all"),
+    Row("window", "flush_local_all", "sync foreign_block bookkeeping", "mpi.flush_local_all"),
+    Row("window", "rflush", "sync", "mpi.rflush", peer=_TARGET0, returns="unknown"),
+    Row("window", "rflush_all", "sync", "mpi.rflush_all", returns="unknown"),
+    Row("window", "lock", "blocking foreign_block bookkeeping", "mpi.lock", peer=_TARGET0),
+    Row("window", "unlock", "sync blocking foreign_block", "mpi.flush", peer=_TARGET0),
+    Row("window", "lock_all", "blocking bookkeeping", "mpi.lock_all"),
+    Row("window", "unlock_all", "sync blocking bookkeeping", "mpi.unlock_all"),
+    Row("window", "fence", "sync blocking foreign_block bookkeeping", "mpi.fence"),
+    Row("window", "sync", "bookkeeping", "mpi.win_sync"),
     Row("window", "shared_query", returns="window_local"),
     # -- Request and the module function wait_all (repro.mpi.request) ------
     Row("request", "wait", "sync blocking mpi_blocking", returns="unknown"),
@@ -239,9 +235,8 @@ _ROWS = (
     # -- GasnetWorld / GasnetRank (repro.gasnet.core) ----------------------
     Row("gasnet_world", "get", returns="self"),
     Row("gasnet_world", "attach", returns="gasnet"),
-    Row("gasnet", "put", "put foreign_block", "gasnet.put", "table", peer=(0, "dest"),
-        buf=(2, "data")),
-    Row("gasnet", "get", "get foreign_block", "gasnet.get", "table", peer=(1, "src"),
+    Row("gasnet", "put", "put foreign_block", "gasnet.put", peer=(0, "dest"), buf=(2, "data")),
+    Row("gasnet", "get", "get foreign_block", "gasnet.get", peer=(1, "src"),
         buf=(0, "dest_buf")),
     Row("gasnet", "put_nb", "put", returns="unknown"),
     Row("gasnet", "get_nb", "get", returns="unknown"),
@@ -288,10 +283,6 @@ def _named(cls: str) -> frozenset[str]:
     return frozenset(r.method for r in _ROWS if cls in r.classes)
 
 
-def _kinds(cls: str) -> frozenset[str]:
-    return frozenset(r.emits for r in _ROWS if r.emits and cls in r.classes)
-
-
 #: Collectives: every image of the team must call them, in the same order.
 COLLECTIVE_METHODS = _named("collective")
 #: One-sided writes (data lands in a remote image's memory).
@@ -313,27 +304,18 @@ WINDOW_RMA_METHODS = _named("rma")
 FUNCTIONS = frozenset(r.method for r in _ROWS if r.recv == "function")
 #: Allocator method -> the handle tag it produces.
 ALLOCATORS = {r.method: r.returns for r in _ROWS if "allocator" in r.classes}
-#: Stream kinds that inject one latency-bound message per call (CAF014).
-MESSAGE_KINDS = _kinds("message")
-#: Stream kinds the runtime records no op for.
-BOOKKEEPING_KINDS = _kinds("bookkeeping")
-#: Stream kind -> static pricing model.
-PRICING = {r.emits: r.price for r in _ROWS if r.emits}
-#: Stream kind -> the kind the runtime records the call as, where they differ.
-RECORDED_AS = {r.emits: r.records for r in _ROWS if r.records}
 
 
 def render_table() -> str:
     """The table as markdown (docs/architecture.md embeds it; a test compares)."""
     lines = [
-        "| receiver | method | classes | emits | recorded as | priced | returns |",
-        "|---|---|---|---|---|---|---|",
+        "| receiver | method | classes | emits | priced | returns |",
+        "|---|---|---|---|---|---|",
     ]
     for r in _ROWS:
         emits = f"`{r.emits}`" if r.emits else "—"
-        recorded = "—" if not r.emits or "bookkeeping" in r.classes else f"`{r.records or r.emits}`"
         lines.append(
             f"| {r.recv} | `{r.method}` | {' '.join(sorted(r.classes)) or '—'} | {emits} | "
-            f"{recorded} | {r.price if r.emits else '—'} | {r.returns} |"
+            f"{KINDS.get(r.emits, '—')} | {r.returns} |"
         )
     return "\n".join(lines)

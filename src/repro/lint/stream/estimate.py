@@ -7,11 +7,10 @@ P×P communication matrix, and (via :func:`static_op_seconds` against a
 :class:`MachineSpec`) an order-of-magnitude seconds preview. All of it
 before any run.
 
-Validation against a PR 7 recorded trace (:func:`compare_to_trace`)
-matches kinds through the protocol table's *recorded as* column — the
-recorder logs a CAF ``write_async`` as the backend-level ``mpi.rput`` it
-lowers to (§3.3 case 4) — and compares call counts (expected exact for
-deterministic apps) and bytes
+Validation against a recorded trace (:func:`compare_to_trace`) matches
+kinds as they are: a stream op's kind is the kind the runtime records (a
+CAF ``write_async`` is the ``mpi.rput`` it lowers to, §3.3) — and compares
+call counts (expected exact for deterministic apps) and bytes
 (tolerance documented per app: RandomAccess's data-dependent bucket
 sizes are modeled by the mask-half expected value, everything else is
 exact).
@@ -27,9 +26,8 @@ from typing import Any
 import numpy as np
 
 from repro.ir.costs import obs_formula
-from repro.sim.costs import TABLE, expression, price
+from repro.sim.costs import KINDS, expression, price
 
-from .. import protocol
 from ..model import build_model
 from .interp import EntryStreams, StreamCompiler
 
@@ -38,20 +36,22 @@ from .interp import EntryStreams, StreamCompiler
 # The stream compiler predicts op streams before any run, so there is no
 # recorded baseline to branch on: the spec being priced *is* the structure.
 # Kinds the cost table records reuse obs_formula with recorded == target;
-# every other kind is priced by the first-order model its protocol row
-# names (protocol.PRICE_MODELS says what each reads) — a log2(P) tree for
+# a span-measured kind is priced by the first-order model costs.KINDS names
+# for it (protocol.PRICE_MODELS says what each reads) — a log2(P) tree for
 # collectives, initiation + wire cost for one-sided traffic. These are
 # coarse by design: the estimator's validated quantities are call counts
 # and bytes, with seconds reported as an order-of-magnitude preview.
 
 
 def static_op_seconds(kind: str, nbytes: np.ndarray, spec: Any, nranks: int) -> np.ndarray:
-    """Predicted per-call seconds for a *statically compiled* op stream.
-
-    ``kind`` is a stream kind or a kind only the runtime names
-    (``mpi.flush_all``, as ``obs scaling`` measures it): the latter is
-    priced as the stream kind that records as it.
+    """Predicted per-call seconds of ``kind`` ops, one of the recorded
+    kinds :data:`repro.sim.costs.KINDS` declares (``ValueError`` otherwise).
     """
+    if kind not in KINDS:
+        raise ValueError(
+            f"{kind!r} is not an op kind a run records (repro.sim.costs.KINDS): "
+            "it has no static price"
+        )
     nb = np.asarray(nbytes, dtype=np.float64)
     known = obs_formula(kind, np.asarray(nbytes), spec, spec, nranks)
     if known is not None:
@@ -63,9 +63,9 @@ def static_op_seconds(kind: str, nbytes: np.ndarray, spec: Any, nranks: int) -> 
     def flat(seconds: float) -> np.ndarray:
         return np.full(nb.shape, seconds)
 
-    wire = spec.latency + nb / spec.bandwidth
     models = {  # one formula per protocol.PRICE_MODELS entry ("table" is above)
-        "tree": lambda: table("mpi.coll_overhead") + max(np.log2(max(nranks, 2)), 1.0) * wire,
+        "tree": lambda: table("mpi.coll_overhead")
+        + max(np.log2(max(nranks, 2)), 1.0) * (spec.latency + nb / spec.bandwidth),
         "put": lambda: spec.mpi_rma_overhead + nb / spec.bandwidth,
         "get": lambda: spec.mpi_rma_overhead + 2 * spec.latency + nb / spec.bandwidth,
         "notify": lambda: flat(spec.mpi_rma_overhead + spec.latency),
@@ -74,15 +74,9 @@ def static_op_seconds(kind: str, nbytes: np.ndarray, spec: Any, nranks: int) -> 
         "flush_all": lambda: flat(
             table("mpi.flush_all.skip") + table("mpi.flush_all.walk", nranks)
         ),
-        "coll": lambda: flat(table("mpi.coll_overhead")),
-        "wire": lambda: wire if wire.shape else np.full((), float(wire)),
+        "idle": lambda: flat(table("mpi.flush_all.skip")),
     }
-    return models[protocol.PRICING.get(_STREAM_KIND.get(kind, kind), "wire")]()
-
-
-#: Kind the runtime records -> the stream kind that records as it, for the
-#: recorded kinds no ``costs.TABLE`` row prices (span-measured flushes).
-_STREAM_KIND = {rec: kind for kind, rec in protocol.RECORDED_AS.items() if rec not in TABLE}
+    return models[KINDS[kind]]()
 
 
 @dataclass
@@ -156,7 +150,7 @@ def predict_entry(
         if rs.aborted:
             pred.aborted.append(f"rank{rs.rank}:{rs.aborted}")
         for op in rs.ops:
-            if op.kind in protocol.BOOKKEEPING_KINDS:
+            if op.kind not in KINDS:  # bookkeeping: the run records no op
                 continue
             total = pred.by_kind.setdefault(op.kind, KindTotal())
             total.calls += 1
@@ -207,7 +201,7 @@ def predict_file(
 
 @dataclass
 class KindComparison:
-    kind: str  # recorded-side kind name
+    kind: str
     static_calls: int
     recorded_calls: int
     static_bytes: int
@@ -237,9 +231,9 @@ class TraceComparison:
 def compare_to_trace(pred: StaticPrediction, trace: Any) -> TraceComparison:
     """Compare a prediction to a recorded trace's obs side table.
 
-    Only kinds the static stream emits (renamed to what the runtime
-    records them as) are compared — the recorder also logs backend-internal
-    kinds (AM handler spans, flush waits) with no static counterpart.
+    Only kinds the static stream emits are compared — the recorder also
+    logs backend-internal kinds (AM handler spans, flush waits) with no
+    static counterpart.
     """
     kinds = list(trace.manifest.get("obs_kinds", []))
     obs_kind = trace.arrays["obs_kind"]
@@ -249,28 +243,21 @@ def compare_to_trace(pred: StaticPrediction, trace: Any) -> TraceComparison:
         sel = obs_kind == idx
         recorded[kind] = (int(np.sum(sel)), int(np.sum(obs_nbytes[sel])))
 
-    static: dict[str, tuple[int, int]] = {}
-    for kind, total in pred.by_kind.items():
-        mapped = protocol.RECORDED_AS.get(kind, kind)
-        calls, nbytes = static.get(mapped, (0, 0))
-        static[mapped] = (calls + total.calls, nbytes + total.nbytes)
-
     per_kind = []
     static_total = 0
     recorded_total = 0
-    for kind in sorted(static):
-        s_calls, s_bytes = static[kind]
+    for kind, total in sorted(pred.by_kind.items()):
         r_calls, r_bytes = recorded.get(kind, (0, 0))
         per_kind.append(
             KindComparison(
                 kind=kind,
-                static_calls=s_calls,
+                static_calls=total.calls,
                 recorded_calls=r_calls,
-                static_bytes=s_bytes,
+                static_bytes=total.nbytes,
                 recorded_bytes=r_bytes,
             )
         )
-        static_total += s_bytes
+        static_total += total.nbytes
         recorded_total += r_bytes
     return TraceComparison(
         per_kind=per_kind,

@@ -91,6 +91,7 @@ class StreamOp:
     is_sync: bool = False  # CAF synchronization point (completes CAF traffic)
     is_mpi_block: bool = False  # blocks inside a non-CAF runtime (raw MPI/GASNet)
     is_caf_put: bool = False  # CAF traffic needing target-side AM progress
+    is_message: bool = False  # one latency-bound message per call (CAF014)
     loop_trips: tuple[Sym, ...] = ()  # symbolic trips of enclosing loops
     loop_lines: tuple[int, ...] = ()
     note: str | None = None  # op-specific detail (e.g. window memory model)
@@ -542,6 +543,7 @@ class _RankRun:
                 is_sync="caf_sync" in row.classes,
                 is_mpi_block="foreign_block" in row.classes,
                 is_caf_put="caf_put" in row.classes,
+                is_message="message" in row.classes,
                 loop_trips=tuple(self.loop_syms),
                 loop_lines=tuple(self.loop_lines),
                 note=note,

@@ -193,7 +193,7 @@ def _event_accounting(entry: EntryStreams):
 
 def _recv_accounting(entry: EntryStreams):
     has_nonblocking_recv = any(
-        op.kind == "mpi.irecv" for rs in entry.ranks for op in rs.ops
+        op.method == "irecv" for rs in entry.ranks for op in rs.ops
     )
     if has_nonblocking_recv:
         return  # request-completion pairing is out of scope
@@ -203,10 +203,10 @@ def _recv_accounting(entry: EntryStreams):
     for rs in entry.ranks:
         for op in rs.ops:
             if op.tentative:
-                if op.kind in ("mpi.send", "mpi.isend", "mpi.recv"):
+                if op.kind in ("mpi.send", "mpi.recv"):
                     return  # guarded p2p: counting would be unsound
                 continue
-            if op.kind in ("mpi.send", "mpi.isend"):
+            if op.kind == "mpi.send":
                 if op.peer is None:
                     unknown_peer = True
                     continue

@@ -17,7 +17,6 @@ count, then emits:
 
 from __future__ import annotations
 
-from .. import protocol
 from ..findings import Finding
 from ..model import ModuleModel
 from . import sym as symlib
@@ -145,12 +144,12 @@ def _perf_rule_for(op: StreamOp) -> str | None:
         if _repeats(trip):
             return "CAF011"
         return None
-    if op.method == "sync" and op.kind == "mpi.win.sync":
+    if op.method == "sync":
         if op.note == "separate" and _repeats(trip):
             return "CAF013"
         return None
     if (
-        op.kind in protocol.MESSAGE_KINDS
+        op.is_message
         and op.nbytes is not None
         and 0 < op.nbytes <= EAGER_TINY_BYTES
         and trip.order_in_p() in (ORDER_LINEAR, ORDER_POLY)

@@ -94,9 +94,7 @@ CROSSCHECK_KINDS: frozenset[str] = frozenset(
         "mpi.flush_all",
         "mpi.flush_all.idle",
         "mpi.flush",
-        "mpi.put",
         "mpi.rput",
-        "mpi.get",
         "mpi.rget",
         "caf.event_notify",
         "gasnet.am",
@@ -195,9 +193,8 @@ def static_order(
 ) -> int | None:
     """The static cost model's predicted order for ``kind``, or ``None``.
 
-    Probes :func:`~repro.lint.stream.estimate.static_op_seconds` (which
-    takes the runtime's name for a kind) at several rank counts
-    and classifies the curve with the same fitter — so the symbolic
+    Probes :func:`~repro.lint.stream.estimate.static_op_seconds` at several
+    rank counts and classifies the curve with the same fitter — so the symbolic
     stream tier's prediction (CAF011's O(trip x P) analysis rides the same
     model) and the measured fit land on one lattice. Kinds outside
     :data:`CROSSCHECK_KINDS` return ``None`` (no meaningful per-call
@@ -209,10 +206,6 @@ def static_order(
         return None
     if backend == "mpi" and kind == "caf.event_notify":
         return None
-    if kind == "mpi.flush_all.idle":
-        # The idle walk is the fixed ``mpi_flush_all_idle`` cost — constant
-        # in P by construction; no rank-dependent formula to probe.
-        return ORDER_CONST
     from repro.lint.stream.estimate import static_op_seconds
 
     nb = np.array([nbytes], dtype=np.float64)

@@ -2,7 +2,7 @@
 
 The paper's results are relative costs (Fig. 4's O(P) ``FLUSH_ALL``,
 Fig. 5's send/recv-backed RMA, Fig. 3's SRQ penalty), so this module *is*
-the result. It owns five things and nothing else decides a price:
+the result. It owns six things and nothing else decides a price:
 
 * :data:`TABLE` — op kind -> cost expression, one row per runtime
   operation (``mpi.rput``, ``gasnet.am``, ...) or un-recorded helper
@@ -10,6 +10,10 @@ the result. It owns five things and nothing else decides a price:
   flops). A row's variants are selected by the spec's *structure* flags
   (``mpi_rma_over_sendrecv``, ``mpi_eager_threshold``); SRQ is folded into
   ``CK_HANDLER`` itself.
+* :data:`KINDS` — the op kinds a run records, declared once: TABLE's
+  recorded rows plus :data:`SPANS`, the kinds recorded by timing a call.
+  Every recording site and every ``repro.lint.protocol`` row that is not
+  bookkeeping names one of them.
 * two evaluators over the same ``CK_*`` expressions: scalar :func:`price`
   for the live run, vectorised :func:`eval_costs` for replay. They perform
   the same IEEE operations in the same order, so a replayed cost is
@@ -160,6 +164,56 @@ TABLE: dict[str, Row] = {
     "ack": Row(_flat(CK_ACK, A, B), False, "§2.2"),
     "copy": Row(_flat(CK_COPY, N), False, "§3.5"),
     "flops": Row(_flat(CK_FLOPS, N), False, "§4"),
+}
+
+
+class Span(NamedTuple):
+    """One op kind a run records by timing the call: its seconds are the
+    virtual time the call took, so no TABLE row prices it."""
+
+    measured: str  # what the span covers
+    static: str  # the model ``--predict`` prices it with (lint.protocol.PRICE_MODELS)
+    paper: str
+
+
+_MPI_COLLS = ("barrier", "bcast", "reduce", "allreduce", "alltoall", "allgather")
+_CAF_COLLS = ("barrier", "broadcast", "reduce", "allreduce", "alltoall", "allgather")
+
+#: Span-measured op kinds: ``recorded_steps`` in repro.mpi, ``profile``
+#: regions in repro.caf.
+SPANS: dict[str, Span] = {
+    "mpi.flush": Span("Window.flush: overhead, then the wait for the target's acks", "flush", "§2.2"),
+    "mpi.flush_all": Span(
+        "Window.flush_all after RMA: the O(P) walk, then the wait for every ack",
+        "flush_all", "§3.4, Fig. 4",
+    ),
+    "mpi.flush_all.idle": Span(
+        "Window.flush_all with no RMA since the last one: the walk skipped",
+        "idle", "§3.4, Fig. 4",
+    ),
+    "mpi.fetch_op": Span("Window.get_accumulate / fetch_and_op: origin cost and round trip", "flush", "§2.2"),
+    "mpi.cas": Span("Window.compare_and_swap: origin cost and round trip", "flush", "§2.2"),
+    **{
+        f"mpi.coll.{c}": Span(f"Comm.{c}: the whole collective, its messages included", "tree", "§3.5")
+        for c in _MPI_COLLS
+    },
+    "caf.coarray_write": Span("Coarray.write / write_section: the blocking put", "put", "§3.3"),
+    "caf.coarray_read": Span("Coarray.read / read_section: the blocking get", "get", "§3.3"),
+    "caf.event_notify": Span(
+        "EventArray.notify: the backend's notify (CAF-MPI flushes first)", "notify", "§3.4, Fig. 4"
+    ),
+    "caf.event_wait": Span("EventArray.wait: until the notifications are posted", "match", "§3.4"),
+    **{
+        f"caf.coll.{c}": Span(f"Image's blocking {c}: the team's collective", "tree", "§2.1")
+        for c in _CAF_COLLS
+    },
+}
+
+#: Every op kind a run records -> the model ``--predict`` prices it with: a
+#: recorded TABLE row by itself (``table``), a span by its ``static`` model.
+KINDS: dict[str, str] = {
+    **{kind: "table" for kind, row in TABLE.items() if row.recorded},
+    **{kind: span.static for kind, span in SPANS.items()},
 }
 
 
@@ -494,7 +548,8 @@ class NicState:
 
 
 def render_table() -> str:
-    """The cost table as markdown: kind, expression, selecting flag, paper."""
+    """The cost table as markdown: kind, expression, selecting flag, paper;
+    then the span-measured kinds, each with what its span covers."""
     lines = [
         "| op kind | recorded | expression | selected by | paper |",
         "|---|---|---|---|---|",
@@ -518,4 +573,6 @@ def render_table() -> str:
             f"{'<br>'.join(exprs)} | "
             f"{', '.join(f'`{f}`' for f in flags) or '—'} | {row.paper} |"
         )
+    for kind, span in SPANS.items():
+        lines.append(f"| `{kind}` | span | {span.measured} | — | {span.paper} |")
     return "\n".join(lines)

@@ -80,6 +80,22 @@ def test_cross_spec_replay_warns_and_stays_sane(record):
     assert any("structure parameter" in w for w in result.warnings)
 
 
+def test_structure_warnings_say_to_record_live_under_the_target():
+    """A frozen structure parameter and a flipped SRQ path each warn, and
+    each warning tells the user how to get exact costs."""
+    from repro.ir.costs import structure_warnings
+    from repro.platforms import PLATFORMS
+
+    recorded = PLATFORMS["laptop"]
+    target = recorded.with_overrides(name="laptop-srq", gasnet_srq_threshold=4)
+    warnings = structure_warnings(recorded, target, nranks=8)
+    assert [w.split(" ", 1)[0] for w in warnings] == ["structure", "SRQ"]
+    for w in warnings:
+        assert w.endswith(
+            "for exact costs, record the program live under the target spec ('laptop-srq')"
+        ), w
+
+
 def _scaled_by_two(spec):
     """Every seconds-valued field x2, every rate /2: a run under the result
     takes exactly twice as long (powers of two scale IEEE floats exactly)."""

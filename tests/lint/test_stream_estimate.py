@@ -17,13 +17,20 @@ the run actually recorded.  Contract:
 
 from __future__ import annotations
 
+import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.caf import run_caf
+from repro.ir import record as ir_record
+from repro.lint import cli
 from repro.lint.stream import compare_to_trace, predict_file
+from repro.lint.stream.estimate import static_op_seconds
 from repro.platforms import PLATFORMS
+from repro.sim.costs import KINDS
 from tests.ir.conftest import APPS, record_run
 
 REPO = Path(__file__).parents[2]
@@ -125,3 +132,65 @@ def test_prediction_counts_every_call_the_table_declares(call, tmp_path):
     assert pred.aborted == []
     assert pred.by_kind[kind].calls == 4 * 3
     assert pred.by_kind[kind].nbytes == 4 * 3 * nbytes
+
+
+#: A hybrid image driving an MPI-3 window directly: every RMA verb, one
+#: flush per target and one flush_all per iteration, inside one lock_all epoch.
+WINDOW_PROGRAM = """\
+import numpy as np
+
+
+def main(img, reps=3):
+    win = img.mpi().win_allocate(shape=16)
+    win.lock_all()
+    peer = (img.rank + 1) % img.nranks
+    one, got = np.ones(1), np.empty(1)
+    for _ in range(reps):
+        win.put(np.ones(2), peer)
+        win.get(np.empty(2), peer, 2)
+        win.accumulate(np.ones(2), peer, 4)
+        win.fetch_and_op(one, got, peer, 6)
+        win.compare_and_swap(one, one, got, peer, 7)
+        win.put_runs(np.ones(2), peer, [(8, 1), (10, 1)])
+        win.flush(peer)
+        win.flush_all()
+    win.unlock_all()
+"""
+WINDOW_KINDS = (
+    "mpi.rput", "mpi.rget", "mpi.accumulate", "mpi.fetch_op", "mpi.cas", "mpi.put_runs",
+    "mpi.flush", "mpi.flush_all",
+)
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
+def test_hybrid_window_program_matches_recorded_trace(backend, tmp_path):
+    path = tmp_path / "window.py"
+    path.write_text(WINDOW_PROGRAM)
+    spec = importlib.util.spec_from_file_location("window_program", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with ir_record.recording(tmp_path / "window.npz"):
+        run_caf(module.main, 4, PLATFORMS["laptop"], backend=backend, reps=3)
+    trace = ir_record.last_trace()
+
+    (pred,) = predict_file(path, nranks=4, bindings={"reps": 3})
+    cmp = compare_to_trace(pred, trace)
+    assert sorted(k.kind for k in cmp.per_kind) == sorted(WINDOW_KINDS)
+    for k in cmp.per_kind:
+        assert (k.static_calls, k.static_bytes) == (k.recorded_calls, k.recorded_bytes), k
+        assert k.static_calls == 4 * 3, k
+
+
+def test_predict_prints_recorded_kinds_and_skips_bookkeeping(tmp_path, capsys):
+    path = tmp_path / "window.py"
+    path.write_text(WINDOW_PROGRAM)
+    assert cli.main(["--predict", str(path)]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)
+    # lock_all / unlock_all / win_allocate record no op of their own.
+    assert sorted(entry["by_kind"]) == sorted(WINDOW_KINDS)
+    assert set(entry["by_kind"]) <= set(KINDS)
+
+
+def test_static_pricing_refuses_a_kind_no_run_records():
+    with pytest.raises(ValueError, match="'mpi.lock_all' is not an op kind a run records"):
+        static_op_seconds("mpi.lock_all", np.zeros(1), PLATFORMS["laptop"], 4)

@@ -291,6 +291,7 @@ def test_protocol_surface_is_declared_once():
     from repro.mpi.request import Request
     from repro.mpi.window import Window
     from repro.mpi.world import MpiRank, MpiWorld
+    from repro.sim import costs
     from repro.sim.cluster import Cluster
 
     classes = {
@@ -318,14 +319,6 @@ def test_protocol_surface_is_declared_once():
     )
     for row in protocol.ROWS.values():
         assert hasattr(interp._RankRun, f"_ret_{row.returns}"), row
-        assert not row.emits or row.price in protocol.PRICE_MODELS, row
-    for column in ("price", "records"):
-        per_kind: dict[str, set] = {}
-        for row in protocol.ROWS.values():
-            if row.emits:
-                per_kind.setdefault(row.emits, set()).add(getattr(row, column))
-        split = {kind: vals for kind, vals in per_kind.items() if len(vals) > 1}
-        assert not split, (f"rows emitting one stream kind disagree on its {column}", split)
 
     hits = grep(r"frozenset\(|repro\.lint", "src/repro/ir")
     hits = [hit for hit in hits if "import" in hit or "frozenset(" in hit]
@@ -350,6 +343,91 @@ def test_protocol_surface_is_declared_once():
         direct ^ explained,
     )
     assert set(re.findall(r'"(\w+)": lambda', pricing)) | {"table"} == set(protocol.PRICE_MODELS)
+    assert set(costs.KINDS.values()) == set(protocol.PRICE_MODELS), (
+        "every recorded kind is priced by a declared static model, and every model prices one"
+    )
+
+
+def _literals(node, assigned: dict) -> list[str]:
+    """The strings an argument can be: a literal, either branch of a
+    conditional, or what the enclosing function assigned to that name."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _literals(node.body, assigned) + _literals(node.orelse, assigned)
+    if isinstance(node, ast.Name):
+        return [s for value in assigned.get(node.id, ()) for s in _literals(value, assigned)]
+    return []
+
+
+def test_one_op_vocabulary():
+    from repro.lint import protocol
+    from repro.mpi.comm import Comm
+    from repro.obs import scaling
+    from repro.sim import costs
+
+    # Recording site -> position of its kind argument. A cost site names a
+    # TABLE row; a span site names a SPANS entry.
+    cost_sites = {"cost": 1, "charge": 1, "charge_in": 1}
+    span_sites = {"_observed": 0, "profile": 1, "_run_coll": 0}
+    undeclared, spans = [], set()
+    for path in sorted((ROOT / "src/repro").rglob("*.py")):
+        where = path.relative_to(ROOT)
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            assigned: dict = {}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                    assigned.setdefault(node.targets[0].id, []).append(node.value)
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call) or not isinstance(call.func, ast.Attribute):
+                    continue
+                name, owner = call.func.attr, getattr(call.func.value, "id", None)
+                if name in cost_sites and owner == "_costs":
+                    index, declared = cost_sites[name], costs.TABLE
+                elif name in span_sites:
+                    index, declared = span_sites[name], costs.SPANS
+                else:
+                    continue
+                if index >= len(call.args):
+                    continue  # a profile region that records no op
+                for kind in _literals(call.args[index], assigned):
+                    if where == pathlib.Path("src/repro/mpi/comm.py") and name != "profile":
+                        kind = "mpi.coll." + kind  # Comm._observed records the prefix
+                    if kind not in declared:
+                        undeclared.append(f"{where}:{call.lineno}: {kind}")
+                    if declared is costs.SPANS:
+                        spans.add(kind)
+    assert '"mpi.coll." + kind' in inspect.getsource(Comm._observed), (
+        "Comm._observed records mpi.coll.<kind>: the guard above reads its call sites so"
+    )
+    assert not undeclared, (
+        "a recording site names a kind repro.sim.costs does not declare: add the "
+        "TABLE row or the SPANS entry, once",
+        undeclared,
+    )
+    assert spans == set(costs.SPANS), (
+        "a declared span kind no site records: delete the SPANS entry",
+        spans ^ set(costs.SPANS),
+    )
+    rows = [
+        (row.recv, row.method, row.emits)
+        for row in protocol.ROWS.values()
+        if row.emits is not None
+        and (
+            row.emits in costs.KINDS or row.emits in costs.TABLE
+            if "bookkeeping" in row.classes
+            else row.emits not in costs.KINDS
+        )
+    ]
+    assert not rows, (
+        "a protocol row's kind is what the runtime records for the call (a key of "
+        "costs.KINDS) or, for a call that records no op, a bookkeeping name of its own",
+        rows,
+    )
+    named = set(scaling.CROSSCHECK_KINDS).union(*scaling.DEFAULT_EXPECTATIONS.values())
+    assert named <= set(costs.KINDS), ("obs scaling names an undeclared kind", named - set(costs.KINDS))
 
 
 def test_segment_costs_the_host_what_is_touched():
