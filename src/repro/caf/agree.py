@@ -1,11 +1,11 @@
-"""Agreement helpers of the CAF runtime (both backends, teams, resilience).
+"""Agreement helpers of the CAF runtime beside the team handle's round.
 
 Collective allocations (event arrays, team splits, GASNet coarray offset
-tables) need all team members to agree on an identifier or a table. The
-pattern is the standard board-plus-barrier protocol: every member deposits
-its contribution keyed by a per-image collective sequence number, a
-barrier makes all deposits visible, the first image out of the barrier
-computes the result, and a second barrier publishes it.
+tables, checkpoints) agree through ``RuntimeBackend.agree``: one round of
+the team handle's ``_agree_steps``, a wrapper of
+:func:`repro.sim.sync.agree_steps`. What is left here is the barrier-free
+round of a post-failure shrink, which dead images cannot barrier in, and
+the cluster-wide id counters a combine draws from.
 """
 
 from __future__ import annotations
@@ -15,35 +15,7 @@ from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.backend import RuntimeBackend
-    from repro.caf.teams import Team
     from repro.sim.cluster import Cluster
-
-
-def collective_agree(
-    cluster: "Cluster",
-    team: "Team",
-    board_space: str,
-    seq_space: dict[int, int],
-    contribution: Any,
-    combine: Callable[[dict[int, Any]], Any],
-) -> Any:
-    """Run one board-plus-barrier agreement round over ``team``.
-
-    ``seq_space`` maps team_id -> this image's next sequence number for
-    ``board_space`` (each image keeps its own copy, advanced identically
-    because the call is collective). ``combine`` maps the full
-    {my_index: contribution} dict to the agreed value.
-    """
-    seq = seq_space.get(team.team_id, 0)
-    seq_space[team.team_id] = seq + 1
-    boards = cluster.shared(board_space, dict)
-    board = boards.setdefault((team.team_id, seq), {"args": {}, "result": _UNSET})
-    board["args"][team.my_index] = contribution
-    team.handle.barrier()
-    if board["result"] is _UNSET:
-        board["result"] = combine(board["args"])
-    team.handle.barrier()
-    return board["result"]
 
 
 def survivor_agree(
@@ -67,7 +39,7 @@ def survivor_agree(
     both from the agreed survivor set).
     """
     boards = cluster.shared("caf-survivor-agree", dict)
-    board = boards.setdefault(key, {"args": {}, "result": _UNSET})
+    board = boards.setdefault(key, {"args": {}})
     board["args"][my_world] = contribution
     for w in participants:
         if w != my_world:
@@ -79,16 +51,9 @@ def survivor_agree(
         lambda: len(board["args"]) >= len(participants),
         f"survivor_agree({key!r})",
     )
-    if board["result"] is _UNSET:
+    if "result" not in board:
         board["result"] = combine(board["args"])
     return board["result"]
-
-
-class _Unset:
-    __slots__ = ()
-
-
-_UNSET = _Unset()
 
 
 def next_global_id(cluster: "Cluster", space: str, first: int = 0) -> int:

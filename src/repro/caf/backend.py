@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.agree import collective_agree, next_global_id
+from repro.caf.agree import next_global_id
 from repro.sim.sync import SimEvent
 from repro.util.errors import CafError, CafTimeoutError
 
@@ -116,7 +116,6 @@ class RuntimeBackend(abc.ABC):
         )
         self._am_seq = itertools.count()
         self._event_registry: dict[int, EventStorage] = {}
-        self._agree_seq: dict[int, int] = {}
         self._continuations: list[Callable[[], None]] = []
         self._shipped = 0
         self._completed = 0
@@ -216,15 +215,12 @@ class RuntimeBackend(abc.ABC):
         )
 
     def agree(
-        self, team: "Team", board_space: str, contribution: Any,
-        combine: Callable[[dict[int, Any]], Any],
+        self, team: "Team", contribution: Any, combine: Callable[[dict[int, Any]], Any]
     ) -> Any:
-        """Collective over ``team``: one board-plus-barrier agreement round
-        (:func:`repro.caf.agree.collective_agree`) on this image's
-        collective sequence numbers."""
-        return collective_agree(
-            self.ctx.cluster, team, board_space, self._agree_seq, contribution, combine
-        )
+        """Collective over ``team``: one agreement round, its handle's
+        ``_agree_steps`` — ``combine({team index: contribution})``, built
+        once and returned on every member."""
+        return self.ctx.proc.run_script(team.handle._agree_steps(contribution, combine))
 
     # -- coarrays -----------------------------------------------------------
 
@@ -306,10 +302,7 @@ class RuntimeBackend(abc.ABC):
     def allocate_events(self, team: "Team", nslots: int) -> EventStorage:
         """Collective: allocate an event coarray; returns storage handle."""
         event_id = self.agree(
-            team,
-            "caf-event-ids",
-            None,
-            lambda args: next_global_id(self.ctx.cluster, "caf-event-id-counter"),
+            team, None, lambda args: next_global_id(self.ctx.cluster, "caf-event-id-counter")
         )
         storage = self._new_event_storage(event_id, team, nslots)
         self._event_registry[event_id] = storage

@@ -152,7 +152,7 @@ class GasnetBackend(RuntimeBackend):
                 for tid, by_index in rows.items()
             }
 
-        tables = self.agree(parent, "caf-gasnet-team-bases", contribution, combine)
+        tables = self.agree(parent, contribution, combine)
         if exchange is None:
             return None
         exchange.set_peer_bases(tables[exchange.team_id])
@@ -183,10 +183,7 @@ class GasnetBackend(RuntimeBackend):
         dtype = np.dtype(dtype)
         my_offset = self.allocator.alloc(nelems * dtype.itemsize)
         offsets = self.agree(
-            team,
-            "caf-gasnet-coarray-offsets",
-            my_offset,
-            lambda args: tuple(args[i] for i in range(len(args))),
+            team, my_offset, lambda args: tuple(args[i] for i in range(len(args)))
         )
         return _CoarrayStorage(team, offsets, nelems, dtype)
 
@@ -375,9 +372,7 @@ class GasnetBackend(RuntimeBackend):
                 allocator=self.allocator,
                 defer_handler=True,
             )
-            twin_id, peers = self.agree(
-                team, "caf-gasnet-twin-bases", provisional.bases, combine
-            )
+            twin_id, peers = self.agree(team, provisional.bases, combine)
             provisional.team_id = twin_id
             provisional.register_handler()
             # The agent may only ever run this twin's signal handler.

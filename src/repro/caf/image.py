@@ -48,6 +48,8 @@ class Image:
         self._async_colls: list[SimEvent] = []
         #: Numbers this image's futures (``CafFuture`` labels its event).
         self._future_ids = itertools.count()
+        #: partner image -> ``sync_images`` tokens consumed from it so far.
+        self._sync_consumed: dict[int, int] = {}
 
     # -- identity (CAF intrinsics) ------------------------------------------
 
@@ -196,8 +198,6 @@ class Image:
             self._check_alive(self.team_world, p)
         self.backend.quiet()
         board = self.cluster.shared("caf-sync-images", dict)
-        if not hasattr(self, "_sync_consumed"):
-            self._sync_consumed = {}
         # Each matching call consumes exactly one token per partner,
         # regardless of how early the partner's token arrived.
         needed = {

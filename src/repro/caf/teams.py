@@ -5,10 +5,12 @@ relative index, and (c) isolates collective communication — the three
 purposes the paper lists. ``TEAM_WORLD`` exists at startup; new teams come
 from :meth:`Image.team_split`.
 
-The membership agreement protocol is backend-neutral (one
-:func:`~repro.caf.agree.collective_agree` round on the parent team);
-backends only build their per-team handle (an MPI communicator / a GASNet
-TeamExchange) from the agreed membership.
+The membership agreement is one round on the parent team's handle
+(:meth:`~repro.caf.backend.RuntimeBackend.agree`), grouped by the same
+colour/key partition as ``MPI_COMM_SPLIT``
+(:func:`~repro.sim.sync.split_groups`); backends only build their per-team
+handle (an MPI communicator / a GASNet TeamExchange) from the agreed
+membership.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.caf.agree import next_team_id
+from repro.sim.sync import split_groups
 from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -62,23 +65,16 @@ def split_team(img: "Image", parent: Team, color: int, key: int | None) -> Team 
         key = parent.my_index
 
     def assign(args: dict[int, tuple[int, int]]):
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for idx, (c, k) in args.items():
-            if c >= 0:
-                groups.setdefault(c, []).append((k, idx))
         result: dict[int, tuple[int, tuple[int, ...], int]] = {}
         # Built here, once per new team: every member's Team shares it.
-        for c in sorted(groups):
+        for indices in split_groups(args):
             team_id = next_team_id(img.cluster)
-            indices = [idx for _k, idx in sorted(groups[c])]
             members = tuple(parent.members[idx] for idx in indices)
             for new_index, idx in enumerate(indices):
                 result[idx] = (team_id, members, new_index)
         return result
 
-    entry = img.backend.agree(parent, "caf-team-splits", (color, key), assign).get(
-        parent.my_index
-    )
+    entry = img.backend.agree(parent, (color, key), assign).get(parent.my_index)
     # Every parent member participates in handle construction (the MPI
     # backend's comm split is itself collective), even color<0 images.
     handle = img.backend.split_team_handle(parent, color, key, entry)

@@ -37,6 +37,7 @@ import numpy as np
 from repro.gasnet.core import GasnetRank
 from repro.sim import costs as _costs
 from repro.gasnet.segment import SegmentAllocator
+from repro.sim.sync import agree_steps
 from repro.util.errors import GasnetError
 
 
@@ -131,6 +132,8 @@ class TeamExchange:
             )
         )
         self.seq = 0
+        # This member's next agreement number (:meth:`_agree_steps`).
+        self.agree_seq = 0
         self._arena_top = 0
         # AM-mode signal counters: (seq, round) -> count received.
         self._signals: dict[tuple[int, int], int] = {}
@@ -259,6 +262,18 @@ class TeamExchange:
             yield from self._wait_signals_steps(seq, 1, round_no)
             k <<= 1
             round_no += 1
+
+    def _agree_steps(self, contribution, combine):
+        """One agreement round over this team, as a script
+        (:func:`repro.sim.sync.agree_steps` on the run's board table of
+        team agreements)."""
+        seq = self.agree_seq
+        self.agree_seq += 1
+        boards = self.gasnet.ctx.cluster.shared("gasnet-team-agreements", dict)
+        return agree_steps(
+            boards, (self.team_id, seq), self.my_index, contribution, combine,
+            self._barrier_steps,
+        )
 
     def bcast(self, buf, root: int = 0) -> None:
         """Binomial broadcast: puts into the arena + AM signals."""

@@ -25,18 +25,13 @@ from repro.lint.model import (
     FUNCTIONS,
     MPI_BLOCKING_METHODS,
     PUT_METHODS,
-    SYNC_METHODS,
     FunctionInfo,
     ModuleModel,
     Op,
+    is_sync,
     method_name,
+    snippet,
 )
-
-
-def _is_sync(op: Op) -> bool:
-    if op.kind in ("finish_enter", "finish_exit"):
-        return True
-    return op.kind == "call" and op.method in SYNC_METHODS
 
 
 def _is_mpi_blocking(op: Op, model: ModuleModel) -> bool:
@@ -64,7 +59,7 @@ def check_dual_runtime(fn: FunctionInfo, model: ModuleModel) -> list[Finding]:
         # other runtime*, not a CAF synchronization — test it first.
         if pending_put is not None and _is_mpi_blocking(op, model):
             pass  # fall through to the report below
-        elif _is_sync(op):
+        elif is_sync(op):
             pending_put = None
             continue
         elif op.kind == "call" and model.tag(op.recv) == "coarray" and op.method in PUT_METHODS:
@@ -87,7 +82,7 @@ def check_dual_runtime(fn: FunctionInfo, model: ModuleModel) -> list[Finding]:
                         f"image blocks in a runtime that does not progress the "
                         f"other (paper Fig. 2)"
                     ),
-                    related=[("put", pending_put.node.lineno, _snippet(pending_put.node))],
+                    related=[("put", pending_put.node.lineno, snippet(pending_put.node))],
                 )
             )
             pending_put = None  # one report per put
@@ -119,7 +114,7 @@ def check_dual_runtime(fn: FunctionInfo, model: ModuleModel) -> list[Finding]:
                     f"neither GASNet nor MPI progresses the other while blocked "
                     f"(paper Fig. 2)"
                 ),
-                related=[("first", earlier.node.lineno, _snippet(earlier.node))],
+                related=[("first", earlier.node.lineno, snippet(earlier.node))],
             )
         )
 
@@ -160,11 +155,3 @@ def check_am_handlers(fn: FunctionInfo, model: ModuleModel) -> list[Finding]:
     for stmt in fn.node.body:
         visit(stmt)
     return findings
-
-
-def _snippet(node: ast.AST, limit: int = 48) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - defensive
-        return ""
-    return text if len(text) <= limit else text[: limit - 3] + "..."

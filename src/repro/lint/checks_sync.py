@@ -18,27 +18,14 @@ from repro.lint.findings import Finding
 from repro.lint.model import (
     ASYNC_METHODS,
     PUT_METHODS,
-    SYNC_METHODS,
     FunctionInfo,
     ModuleModel,
     Op,
+    is_sync,
     method_name,
+    snippet,
     target_key,
 )
-
-
-def _snippet(node: ast.AST, limit: int = 48) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - defensive
-        return ""
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _is_sync(op: Op) -> bool:
-    if op.kind in ("finish_enter", "finish_exit"):
-        return True
-    return op.kind == "call" and op.method in SYNC_METHODS
 
 
 def _has_completion_event(call: ast.Call | None) -> bool:
@@ -55,7 +42,7 @@ def check_sync_discipline(fn: FunctionInfo, model: ModuleModel) -> list[Finding]
     pending_async: list[Op] = []
 
     for op in ops:
-        if _is_sync(op):
+        if is_sync(op):
             pending_puts.clear()
             pending_async.clear()
             continue
@@ -80,7 +67,7 @@ def check_sync_discipline(fn: FunctionInfo, model: ModuleModel) -> list[Finding]
                         f"between: under SPMD symmetry the target image's local "
                         f"access races the origin's put"
                     ),
-                    related=[("put", put.node.lineno, _snippet(put.node))],
+                    related=[("put", put.node.lineno, snippet(put.node))],
                 )
             )
             # one report per put site; further reads of the same stale

@@ -47,6 +47,13 @@ def _unparse(node: ast.AST) -> str:
         return ""
 
 
+def snippet(node: ast.AST, limit: int = 48) -> str:
+    """``node``'s source, cut to ``limit`` characters: a finding's related
+    location."""
+    text = _unparse(node)
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
 def target_key(node: ast.AST) -> str | None:
     """Canonical key for an assignment target / receiver root.
 
@@ -316,6 +323,14 @@ class Op:
     recv_text: str = ""
     rank_dep: bool = False
     call: ast.Call | None = None
+
+
+def is_sync(op: Op) -> bool:
+    """Whether ``op`` is a synchronization point: a ``finish`` boundary or
+    a call in :data:`SYNC_METHODS`."""
+    if op.kind in ("finish_enter", "finish_exit"):
+        return True
+    return op.kind == "call" and op.method in SYNC_METHODS
 
 
 def _expr_ops(expr: ast.AST, model: ModuleModel, rank_dep: bool, out: list[Op]) -> None:

@@ -19,6 +19,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.p2p import Matching
 from repro.mpi.request import Request, recorded_steps
 from repro.mpi.status import Status
+from repro.sim.sync import agree_steps, split_groups
 from repro.util.errors import MpiError, MpiProcFailedError, MpiRevokedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -362,21 +363,14 @@ class Comm:
     # -- construction ---------------------------------------------------------
 
     def _agree_steps(self, contribution: Any, combine):
-        """This layer's one agreement protocol, as a script: every rank
-        deposits its contribution, a barrier makes all of them visible, the
-        first rank out builds the result once — ``combine({rank:
-        contribution})`` — and a second barrier keeps everyone else from
-        reading before it exists."""
+        """One agreement round over this communicator, as a script
+        (:func:`repro.sim.sync.agree_steps` on this comm's board table)."""
         state = self.state
         seq = state.agree_seq[self.rank]
         state.agree_seq[self.rank] += 1
-        board = state.agree_boards.setdefault(seq, {"args": {}})
-        board["args"][self.rank] = contribution
-        yield from self._barrier_steps()
-        if "result" not in board:
-            board["result"] = combine(board.pop("args"))
-        yield from self._barrier_steps()
-        return board["result"]
+        return agree_steps(
+            state.agree_boards, seq, self.rank, contribution, combine, self._barrier_steps
+        )
 
     def split(self, color: int, key: int | None = None) -> "Comm | None":
         """MPI_COMM_SPLIT. ``color < 0`` (MPI_UNDEFINED) yields None."""
@@ -395,13 +389,8 @@ class Comm:
         """``split``'s result: rank -> (its new communicator's state, its
         rank there), for every rank that named a colour."""
         state = self.state
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for r, (c, k) in args.items():
-            if c >= 0:
-                groups.setdefault(c, []).append((k, r))
         result: dict[int, tuple[_CommState, int]] = {}
-        for c in sorted(groups):
-            members = [r for _k, r in sorted(groups[c])]
+        for members in split_groups(args):
             new_state = _CommState(
                 state.world,
                 tuple(state.group[r] for r in members),

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.apps.cgpop import apply_laplacian, make_rhs
 from repro.mpi.constants import SUM
 from repro.util.errors import (
     CafError,
@@ -305,25 +306,10 @@ def run_resilient_randomaccess(
 # =========================================================================
 
 
-def cg_rhs(seed: int, ny: int, nx: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((ny, nx))
-
-
 def _strip_bounds(ny: int, nparts: int) -> list[tuple[int, int]]:
     """Contiguous near-equal row ranges (the strip re-partition)."""
     splits = np.array_split(np.arange(ny), nparts)
     return [(int(s[0]), int(s[-1]) + 1) for s in splits]
-
-
-def _laplacian(local: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    padded = np.vstack([top[None, :], local, bottom[None, :]])
-    out = 4.0 * local
-    out -= padded[:-2, :]
-    out -= padded[2:, :]
-    out[:, 1:] -= local[:, :-1]
-    out[:, :-1] -= local[:, 1:]
-    return out
 
 
 class _CgEpoch:
@@ -426,7 +412,7 @@ def run_resilient_cgpop(
     team = img.team_world
     mpi = img.mpi()
     comm = mpi.COMM_WORLD
-    b_global = cg_rhs(seed, ny, nx)
+    b_global = make_rhs(seed, ny, nx)
 
     def gsum(comm, *values: float) -> list[float]:
         send = np.array(values)
@@ -455,7 +441,7 @@ def run_resilient_cgpop(
             top = np.zeros(nx)  # Dirichlet boundary
         if epoch.team.my_index == epoch.team.size - 1:
             bottom = np.zeros(nx)
-        out = _laplacian(v, top, bottom)
+        out = apply_laplacian(v, top, bottom)
         img.compute(flops=10.0 * v.size)
         return out
 
@@ -551,12 +537,6 @@ def cg_true_residual(solution: dict[int, tuple[int, int, np.ndarray]],
     x = np.zeros((ny, nx))
     for _rank, (r0, r1, strip) in solution.items():
         x[r0:r1] = strip
-    b = cg_rhs(seed, ny, nx)
-    top = np.zeros((1, nx))
-    padded = np.vstack([top, x, top])
-    ax = 4.0 * x
-    ax -= padded[:-2, :]
-    ax -= padded[2:, :]
-    ax[:, 1:] -= x[:, :-1]
-    ax[:, :-1] -= x[:, 1:]
+    b = make_rhs(seed, ny, nx)
+    ax = apply_laplacian(x, np.zeros(nx), np.zeros(nx))
     return float(np.linalg.norm(b - ax) / np.linalg.norm(b))

@@ -30,7 +30,6 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.agree import collective_agree
 from repro.util.errors import ResilienceError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -248,7 +247,6 @@ class ImageResilience:
         # A restarted run resumes the global iteration count, so the
         # checkpoint cadence stays aligned across restarts.
         self._step = 0 if service.resume is None else service.resume.step
-        self._agree_seq: dict[int, int] = {}
 
     # -- resume-side queries ----------------------------------------------
 
@@ -328,14 +326,7 @@ class ImageResilience:
                 service.taken += 1
                 return ckpt
 
-            return collective_agree(
-                img.cluster,
-                team,
-                "resilience-checkpoint",
-                self._agree_seq,
-                (coarrays, events, state),
-                commit,
-            )
+            return img.backend.agree(team, (coarrays, events, state), commit)
 
     # -- recovery-side ----------------------------------------------------
 

@@ -2,7 +2,9 @@
 
 Because scheduling is cooperative (nothing runs between a check and the
 subsequent block), these primitives need no locks; they only need to keep
-their waiter lists consistent.
+their waiter lists consistent. Also here, for every layer's groups: the
+one agreement round (:func:`agree_steps`) and the colour/key partition of
+a split (:func:`split_groups`).
 """
 
 from __future__ import annotations
@@ -133,3 +135,39 @@ class Channel:
         self._gets += 1
         yield from self._puts._wait_geq_steps(proc, self._gets, f"get({self.label})")
         return self._items.popleft()
+
+
+def agree_steps(
+    boards: dict[Any, dict[str, Any]],
+    key: Any,
+    me: int,
+    contribution: Any,
+    combine: Callable[[dict[int, Any]], Any],
+    barrier_steps: Callable[[], Any],
+):
+    """One agreement round of a group, as a script: every member deposits
+    its contribution on ``boards[key]``, a barrier makes all of them
+    visible, the first member out builds the result once — ``combine({me:
+    contribution})`` — and a second barrier keeps everyone else from reading
+    before it exists. ``barrier_steps()`` is the group's barrier script;
+    every member must pass the same ``key`` (a per-group sequence number
+    advanced identically, because the call is collective)."""
+    board = boards.setdefault(key, {"args": {}})
+    board["args"][me] = contribution
+    yield from barrier_steps()
+    if "result" not in board:
+        board["result"] = combine(board.pop("args"))
+    yield from barrier_steps()
+    return board["result"]
+
+
+def split_groups(args: dict[int, tuple[int, int]]) -> list[list[int]]:
+    """The groups of a colour/key split (``MPI_COMM_SPLIT``, CAF 2.0
+    ``team_split``): ``args`` maps each member to its ``(colour, key)``;
+    the result lists, by ascending colour, each group's members ordered by
+    key, ties by member. A negative colour joins no group."""
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for member, (color, key) in args.items():
+        if color >= 0:
+            groups.setdefault(color, []).append((key, member))
+    return [[member for _key, member in sorted(groups[c])] for c in sorted(groups)]

@@ -371,3 +371,15 @@ def test_timed_out_wait_is_not_a_recorded_op(backend):
     assert run.metrics.op(1, "caf.event_wait").calls == 1
     assert run.profiler.counts[1]["event_wait"] == 2
     assert run.profiler.rank_total(1, "event_wait") >= 1e-4
+
+
+def test_allocate_events_costs_one_handoff(backend):
+    """Event allocation agrees on the event id in one round of the team
+    handle's ``_agree_steps``: both barriers run in one script (1.75 parks
+    per call per image when the CAF layer parked once per barrier)."""
+
+    def program(img, n):
+        for _ in range(n):
+            img.allocate_events(1)
+
+    assert handoffs_per_call(program, 8, backend) <= 1

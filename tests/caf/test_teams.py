@@ -6,6 +6,8 @@ import pytest
 from repro.caf import run_caf
 from repro.mpi.constants import MAX, SUM
 
+from tests.caf.conftest import handoffs_per_call
+
 
 def test_team_world_identity(backend):
     def program(img):
@@ -139,3 +141,17 @@ def test_barrier_on_subteam_does_not_block_others(backend):
 
     run = run_caf(program, 4, backend=backend)
     assert run.results[0] < 5.0 and run.results[2] < 5.0
+
+
+def test_team_split_costs_two_handoffs(backend):
+    """A split is one agreement round on the parent's handle (two barriers,
+    one script) plus, on CAF-GASNet, the new team's base exchange, another
+    round (CAF-MPI runs Comm.split's round instead): one park per round.
+    2.75 on CAF-MPI and 3.5 on CAF-GASNet per call per image when the CAF
+    layer parked once per barrier."""
+
+    def program(img, n):
+        for i in range(n):
+            img.team_split(img.team_world, color=(img.rank + i) % 2)
+
+    assert handoffs_per_call(program, 8, backend) <= 2

@@ -507,6 +507,88 @@ def test_an_async_op_is_tracked_once():
     )
 
 
+def _functions(root: str):
+    """``(path, class name or None, FunctionDef)`` of every function under
+    ``root``."""
+    for file in sorted((ROOT / root).rglob("*.py")):
+        tree = ast.parse(file.read_text())
+        owner = {
+            id(fn): cls.name
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield str(file.relative_to(ROOT)), owner.get(id(node)), node
+
+
+def test_one_agreement_protocol():
+    def barriers_on_a_result_board(fn) -> bool:
+        nodes = list(ast.walk(fn))
+        board = any(isinstance(n, ast.Constant) and n.value == "result" for n in nodes)
+        barrier = any(
+            isinstance(n, ast.Call) and "barrier" in ast.unparse(n.func) for n in nodes
+        )
+        return board and barrier
+
+    agreements = [
+        f"{path}:{fn.name}"
+        for path, _cls, fn in _functions("src/repro")
+        if barriers_on_a_result_board(fn)
+    ]
+    assert agreements == ["src/repro/sim/sync.py:agree_steps"], (
+        "the board-plus-two-barriers round is written once, as the script "
+        "repro.sim.sync.agree_steps that takes the group's barrier script",
+        agreements,
+    )
+    wrappers = {
+        (path, cls): fn
+        for path, cls, fn in _functions("src/repro")
+        if fn.name == "_agree_steps"
+    }
+    assert set(wrappers) == {
+        ("src/repro/mpi/comm.py", "Comm"),
+        ("src/repro/gasnet/collectives.py", "TeamExchange"),
+    }, (
+        "an agreement is its team handle's _agree_steps: Comm's and "
+        "TeamExchange's, and no other",
+        sorted(wrappers),
+    )
+    for where, fn in wrappers.items():
+        nodes = list(ast.walk(fn))
+        delegates = any(
+            isinstance(n, ast.Call) and ast.unparse(n.func) == "agree_steps" for n in nodes
+        )
+        own_steps = any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in nodes)
+        assert delegates and not own_steps, (
+            "a handle's _agree_steps wraps repro.sim.sync.agree_steps with its "
+            "board table and sequence number, and takes no steps of its own",
+            where,
+        )
+    hits = grep(r"collective_agree|_UNSET|_Unset|board_space|_agree_seq\b", "src/repro")
+    assert not hits, (
+        "the CAF layer agrees through RuntimeBackend.agree(team, contribution, "
+        "combine), one run_script of team.handle._agree_steps: no fiber-level "
+        "copy, no board-space names, no sequence registry of its own",
+        hits,
+    )
+    from repro.caf.backend import RuntimeBackend
+    from repro.caf.teams import split_team
+    from repro.mpi.comm import Comm
+
+    assert list(inspect.signature(RuntimeBackend.agree).parameters) == [
+        "self", "team", "contribution", "combine",
+    ]
+    groupings = grep(r"\.setdefault\((c|color)\b", "src/repro")
+    users = [fn.__qualname__ for fn in (Comm._partition, split_team)
+             if "split_groups(" not in inspect.getsource(fn)]
+    assert [hit.split(":")[0] for hit in groupings] == ["src/repro/sim/sync.py"] and not users, (
+        "MPI_COMM_SPLIT and team_split group by colour and order by key "
+        "through one helper, repro.sim.sync.split_groups",
+        groupings, users,
+    )
+
+
 def test_one_owner_for_artifact_format():
     hits = [
         hit
