@@ -29,7 +29,8 @@ Conventions:
   cluster-wide board (:meth:`RuntimeBackend._board`), the wire carries its
   sequence number and a modelled size (:meth:`RuntimeBackend.send_thunk`),
   and the target's progress engine runs it through the one handler entry
-  point, :meth:`RuntimeBackend._run_thunk`. A thunk is handler code: it
+  point, :meth:`RuntimeBackend._run_thunk`, which hands it the backend of
+  the image it runs on: ``thunk(here)``. A thunk is handler code: it
   does not block. One with more to do than that — run user code, send a
   message of its own — returns those steps as a script (see
   :meth:`repro.sim.engine.Proc.run_script`) and the progress engine takes
@@ -105,14 +106,9 @@ class RuntimeBackend(abc.ABC):
 
     def __init__(self, ctx: "RankCtx"):
         self.ctx = ctx
-        shared = ctx.cluster.shared
-        #: world rank -> that image's backend: a thunk runs on the target
-        #: but was built by the sender, which reaches target state here.
-        self._peers: dict[int, RuntimeBackend] = shared("caf-backends", dict)
-        self._peers[ctx.rank] = self
         # Out-of-band python payloads for AMs (the wire carries sizes only).
-        self._am_board: dict[tuple[int, int], Callable[[], Any]] = shared(
-            "caf-am-board", dict
+        self._am_board: dict[tuple[int, int], Callable[[RuntimeBackend], Any]] = (
+            ctx.cluster.shared("caf-am-board", dict)
         )
         self._am_seq = itertools.count()
         self._event_registry: dict[int, EventStorage] = {}
@@ -120,18 +116,33 @@ class RuntimeBackend(abc.ABC):
         self._shipped = 0
         self._completed = 0
 
+    def _end_run(self) -> None:
+        """The run is over (:func:`~repro.caf.program.run_caf` calls this on
+        every image, however the run ended): drop the links that close this
+        image's cycles — the event registry (each storage points back
+        here) and thunks parked for a receive that never came — so the
+        finished run is freed by reference counting. A transport extends
+        it with its own."""
+        self._event_registry.clear()
+        self._am_board.clear()
+
     # -- transport: Active Messages and the progress engine --------------------
 
-    def send_thunk(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]) -> None:
-        """Inject an AM of ``wire_bytes`` that runs ``thunk`` on image
-        ``target_world`` (under its progress engine)."""
+    def send_thunk(
+        self, target_world: int, wire_bytes: int, thunk: Callable[[RuntimeBackend], Any]
+    ) -> None:
+        """Inject an AM of ``wire_bytes`` that runs ``thunk(here)`` on image
+        ``target_world`` (under its progress engine; ``here`` is that
+        image's backend)."""
         self.ctx.proc.run_script(self._send_thunk_steps(target_world, wire_bytes, thunk))
 
     @abc.abstractmethod
-    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
+    def _send_thunk_steps(
+        self, target_world: int, wire_bytes: int, thunk: Callable[[RuntimeBackend], Any]
+    ):
         """:meth:`send_thunk` over this transport."""
 
-    def _board(self, thunk: Callable[[], Any]) -> int:
+    def _board(self, thunk: Callable[[RuntimeBackend], Any]) -> int:
         """Park ``thunk`` for its target; the AM carries the returned
         sequence number."""
         seq = next(self._am_seq)
@@ -146,7 +157,7 @@ class RuntimeBackend(abc.ABC):
         returned: ``None``, or the steps it still has to take — user code
         for the image's own fiber (the first, and a post that releases a
         predicate-gated operation) or a message of its own (the last)."""
-        return self._am_board.pop((src_world, seq))()
+        return self._am_board.pop((src_world, seq))(self)
 
     def poll(self) -> None:
         """Drain and run any pending incoming Active Messages (nonblocking)."""
@@ -169,7 +180,7 @@ class RuntimeBackend(abc.ABC):
         would hang on the dead images, so a direct cross-rank kick is the
         only wake-up channel available.
         """
-        self._peers[world_rank].kick()
+        self.ctx.cluster.shared("caf-images", dict)[world_rank].backend.kick()
 
     def progress_wait(
         self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
@@ -312,12 +323,12 @@ class RuntimeBackend(abc.ABC):
         """Collective: where this backend keeps an event coarray's counts."""
         return EventStorage(self, event_id, team, nslots)
 
-    def _post_steps(self, target_world: int, event_id: int, slot: int):
-        """Post image ``target_world``'s event; runs there, as (part of) a
-        thunk's steps. A post runs the slot's subscribers, which start
+    def _post_steps(self, event_id: int, slot: int):
+        """Post this image's event; runs here, as (part of) a thunk's
+        steps. A post runs the slot's subscribers, which start
         predicate-gated operations — user-level code that communicates — so
         with any waiting, the image's own fiber does the posting."""
-        storage = self._peers[target_world]._event_registry.get(event_id)
+        storage = self._event_registry.get(event_id)
         if storage is None:
             raise CafError(f"event {event_id} posted before allocation on target")
         if slot in storage.subscribers:
@@ -325,10 +336,10 @@ class RuntimeBackend(abc.ABC):
         else:
             storage.post(slot)
 
-    def _post_thunk(self, storage: EventStorage, target_world: int, slot: int):
+    @staticmethod
+    def _post_thunk(event_id: int, slot: int):
         """The notification AM of :meth:`event_notify` (send/recv design)."""
-        event_id = storage.event_id
-        return lambda: self._post_steps(target_world, event_id, slot)
+        return lambda here: here._post_steps(event_id, slot)
 
     def event_notify(self, storage: Any, target: int, slot: int) -> None:
         """Post an event at ``target`` after completing all prior ops (§3.4)."""
@@ -353,6 +364,7 @@ class RuntimeBackend(abc.ABC):
         progress engine when it fires, so the wait's predicate reruns."""
         reason = f"event_wait(slot={slot}, count={count})"
         expired = [False]
+        timer = None
         if timeout is not None:
             reason = f"event_wait(slot={slot}, timeout={timeout})"
 
@@ -360,10 +372,14 @@ class RuntimeBackend(abc.ABC):
                 expired[0] = True
                 self.kick()
 
-            self.ctx.engine.call_in(timeout, fire)
+            timer = self.ctx.engine.call_in(timeout, fire)
         yield from self._await_event_steps(
             storage, lambda: expired[0] or storage.count(slot) >= count, reason
         )
+        if timer is not None:
+            # Satisfied first: a timer left armed would still hold the
+            # clock (the run would end at the timeout) and count an event.
+            self.ctx.engine.cancel(timer)
         have = storage.count(slot)
         if have < count:
             raise CafTimeoutError(
@@ -437,16 +453,16 @@ class RuntimeBackend(abc.ABC):
         target_world = team.world_rank(target)
         self._shipped += 1
 
-        def body() -> None:
-            img = self.ctx.cluster.shared("caf-images", dict).get(target_world)
-            if img is None:
-                raise CafError("target image not initialized for function shipping")
-            try:
-                fn(img, *args)
-            finally:
-                self._peers[target_world]._completed += 1
+        def run_on_target(here: RuntimeBackend):
+            def body() -> None:
+                img = here.ctx.cluster.shared("caf-images", dict).get(target_world)
+                if img is None:
+                    raise CafError("target image not initialized for function shipping")
+                try:
+                    fn(img, *args)
+                finally:
+                    here._completed += 1
 
-        def run_on_target():
             # User code, which may block: the handler hands it to the
             # image's own fiber.
             yield body

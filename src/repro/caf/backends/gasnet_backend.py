@@ -112,7 +112,7 @@ class GasnetBackend(RuntimeBackend):
         # the out-of-band board.
         return self._run_thunk(token.src, rest[-1])
 
-    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
+    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[..., Any]):
         g = self.gasnet
         pad = None
         if wire_bytes > 64:
@@ -226,17 +226,15 @@ class GasnetBackend(RuntimeBackend):
         """Figure 2 mode: write needs the target to run an AM handler."""
         acks = [0]
 
-        def ack() -> None:
+        def ack(here) -> None:
             acks[0] += 1
-            self.kick()
+            here.kick()
 
-        def on_target():
+        def on_target(here):
             self._store_at(target_world, start, data)
             # The ack is a request of the target's (it takes a credit and
             # may wait for one), not a GASNet reply: the thunk's own steps.
-            return self._peers[target_world]._send_thunk_steps(
-                self.ctx.rank, self.AM_BYTES, ack
-            )
+            return here._send_thunk_steps(self.ctx.rank, self.AM_BYTES, ack)
 
         yield from self._send_thunk_steps(
             target_world, self.AM_BYTES + data.nbytes, on_target
@@ -289,9 +287,9 @@ class GasnetBackend(RuntimeBackend):
             event_id = ev_storage.event_id
             data_copy = data.copy()
 
-            def on_target():
+            def on_target(here):
                 self._store_at(target_world, start, data_copy)
-                yield from self._post_steps(target_world, event_id, slot)
+                yield from here._post_steps(event_id, slot)
 
             self.send_thunk(target_world, self.AM_BYTES + data_copy.nbytes, on_target)
             return None
@@ -323,7 +321,7 @@ class GasnetBackend(RuntimeBackend):
             # Handles synced above: our snapshot dominates every completed op.
             san.event_notified(self.ctx.rank, (storage.event_id, target_world, slot))
         yield from self._send_thunk_steps(
-            target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
+            target_world, self.AM_BYTES, self._post_thunk(storage.event_id, slot)
         )
 
     # -- implicit synchronization -------------------------------------------------------------

@@ -139,7 +139,7 @@ class MpiBackend(RuntimeBackend):
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 
-    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[[], Any]):
+    def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[..., Any]):
         """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
         header = np.array([self._board(thunk)], dtype=np.int64)
         payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
@@ -240,7 +240,7 @@ class MpiBackend(RuntimeBackend):
             data_copy = data.copy()
             event_id = ev_storage.event_id
 
-            def deliver_on_target():
+            def deliver_on_target(here):
                 tb = win.state.buffers[target]
                 tb[offset : offset + data_copy.size] = data_copy
                 san = self.ctx.sanitizer
@@ -254,7 +254,7 @@ class MpiBackend(RuntimeBackend):
                         [(offset * item, (offset + data_copy.size) * item)],
                         "am-write",
                     )
-                yield from self._post_steps(target_world, event_id, slot)
+                yield from here._post_steps(event_id, slot)
 
             self.send_thunk(
                 target_world, self.AM_BYTES + data_copy.nbytes, deliver_on_target
@@ -329,7 +329,7 @@ class MpiBackend(RuntimeBackend):
         # §3.4 approach 2 (the paper's choice): a short AM via MPI_ISEND
         # (nonblocking to avoid notify/wait deadlock cycles).
         yield from self._send_thunk_steps(
-            target_world, self.AM_BYTES, self._post_thunk(storage, target_world, slot)
+            target_world, self.AM_BYTES, self._post_thunk(storage.event_id, slot)
         )
 
     _ATOMIC_POLL_INTERVAL = 2.5e-7

@@ -39,8 +39,10 @@ class Image:
     def __init__(self, ctx: "RankCtx", backend: RuntimeBackend):
         self.ctx = ctx
         self.backend = backend
-        self.cluster = ctx.cluster
-        self.team_world = Team(0, world_members(self.cluster), ctx.rank)
+        #: The cluster's set of failed world ranks (the same object), read
+        #: by every operation's liveness check.
+        self._failed_ranks = ctx.cluster.failed_ranks
+        self.team_world = Team(0, world_members(ctx.cluster), ctx.rank)
         self.team_world.handle = backend.make_world_team_handle(self.team_world)
         #: Done events of this image's asynchronous collectives still
         #: running: ``cofence`` completes them. (Asynchronous puts and gets
@@ -61,6 +63,12 @@ class Image:
         return (team or self.team_world).size
 
     @property
+    def cluster(self):
+        """The run's :class:`~repro.sim.cluster.Cluster`, through the
+        context, which lets go of it when the run ends (``None`` after)."""
+        return self.ctx.cluster
+
+    @property
     def rank(self) -> int:
         return self.ctx.rank
 
@@ -74,7 +82,7 @@ class Image:
         """Team indices of images known to have crashed (CAF analogue of
         ULFM's failure query; fed by injected :class:`FaultPlan` crashes)."""
         team = team or self.team_world
-        failed = self.cluster.failed_ranks
+        failed = self._failed_ranks
         return [i for i in range(team.size) if team.world_rank(i) in failed]
 
     def _check_alive(self, team: Team, index: int) -> None:
@@ -84,7 +92,7 @@ class Image:
         which must tolerate a peer dying with traffic in flight.
         """
         w = team.world_rank(index)
-        if w in self.cluster.failed_ranks:
+        if w in self._failed_ranks:
             raise ImageFailedError(
                 w, f"image {index} of team {team.team_id} (world rank {w}) has failed"
             )
@@ -132,7 +140,7 @@ class Image:
         and are renumbered contiguously.
         """
         team = team or self.team_world
-        failed = self.cluster.failed_ranks
+        failed = self._failed_ranks
         if self.rank in failed:  # pragma: no cover - defensive
             raise CafError("shrink_team() called by a failed image")
         survivors = tuple(w for w in team.members if w not in failed)

@@ -184,7 +184,7 @@ def run_caf(
         store = checkpoint_store if checkpoint_store is not None else CheckpointStore()
         resume = store.latest() if resume_from == "latest" else resume_from
         cluster.resilience = ResilienceService(
-            cluster, every=checkpoint_every, store=store, resume=resume
+            every=checkpoint_every, store=store, resume=resume
         )
     module, clsname = BACKENDS[backend]
     backend_cls = getattr(importlib.import_module(module), clsname)
@@ -203,4 +203,7 @@ def run_caf(
         # drivers can read the failure log.
         exc.caf_cluster = cluster  # type: ignore[attr-defined]
         raise
+    finally:
+        for img in cluster.shared("caf-images", dict).values():
+            img.backend._end_run()
     return CafRun(cluster=cluster, results=results, backend=backend, elapsed=cluster.elapsed)

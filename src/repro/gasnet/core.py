@@ -113,7 +113,6 @@ class GasnetWorld:
         return cluster.shared("gasnet-world", lambda: cls(cluster))
 
     def __init__(self, cluster: Cluster):
-        self.cluster = cluster
         self.nranks = cluster.nranks
         self.segments: list[np.ndarray | None] = [None] * cluster.nranks
         self.ranks: dict[int, GasnetRank] = {}
@@ -121,6 +120,16 @@ class GasnetWorld:
         #: Per-message destination-NIC occupancy the SRQ adds (Fig. 3).
         self.rx_extra = _costs.srq_penalty(cluster.spec, cluster.nranks)
         self._attached = Counter("gasnet.attached")
+
+    def _end_run(self) -> None:
+        """gasnet_exit for every rank once the run is over (the cluster ends
+        its shared state): the handler tables and poll hooks, bound to the
+        layers above that hold the ranks, are emptied and the world forgets
+        its ranks, so the finished run is acyclic. Segments stay."""
+        for g in self.ranks.values():
+            g.handlers.clear()
+            g.poll_hooks.clear()
+        self.ranks.clear()
 
     def attach(self, ctx: RankCtx, segment_bytes: int) -> "GasnetRank":
         """gasnet_init + gasnet_attach for one rank (collective: returns only

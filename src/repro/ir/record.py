@@ -160,6 +160,20 @@ class Recorder:
         self._append(_ops.OP_CALL, chain, ck, child, 0, 0, c0, c1, c2, delay)
         return _irhook.CbThunk(self, child, fn)
 
+    def void_call(self, fn) -> None:
+        """A callback ``on_call_at`` recorded was cancelled before it ran
+        (``Engine.cancel``): its CALL row goes, so replay schedules nothing
+        the live run did not run. Its chain stays, empty and never started."""
+        kind, a = self._kind, self._a
+        for i in range(len(kind) - 1, -1, -1):
+            if kind[i] == _ops.OP_CALL and a[i] == fn.chain:
+                for column in (
+                    kind, self._chain, self._ck, a, self._b, self._c,
+                    self._c0, self._c1, self._c2, self._d,
+                ):
+                    del column[i]
+                return
+
     def on_transfer(
         self, src: int, dst: int, nbytes: int, rx_extra: float,
         deliver: float, fn,

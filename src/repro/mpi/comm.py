@@ -23,7 +23,8 @@ from repro.sim.sync import agree_steps, split_groups
 from repro.util.errors import MpiError, MpiProcFailedError, MpiRevokedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.mpi.world import MpiRank, MpiWorld
+    from repro.mpi.world import MpiWorld
+    from repro.sim.cluster import RankCtx
 
 
 class _CommState:
@@ -54,7 +55,7 @@ class _CommState:
         # ULFM eager failure: when a group member dies, pending receives
         # from it (and rendezvous sends parked at it) complete in error
         # instead of hanging forever.
-        world.cluster.failure_listeners.append(self._on_rank_failure)
+        world.failure_listeners.append(self._on_rank_failure)
 
     def _on_rank_failure(self, world_rank: int) -> None:
         """Scheduler-context: a world rank died; fail pending ops on it."""
@@ -117,13 +118,15 @@ class Comm:
     that execute nonblocking collectives.
     """
 
-    def __init__(self, state: _CommState, mpirank: "MpiRank", rank: int, space: str = "coll"):
+    def __init__(self, state: _CommState, ctx: "RankCtx", rank: int, space: str = "coll"):
         self.state = state
-        self.mpirank = mpirank
-        self.ctx = mpirank.ctx
+        self.ctx = ctx
         self.rank = rank
         self.size = len(state.group)
         self._space = space
+        #: This rank's nonblocking-collective progress agent for this
+        #: communicator and its agent-side view, made at the first NBC.
+        self._nbc: tuple[Any, Comm] | None = None
 
     # -- identity ---------------------------------------------------------
 
@@ -193,7 +196,7 @@ class Comm:
 
         new_state = self.ctx.cluster.shared(key, build)
         my_world = self.state.group[self.rank]
-        return Comm(new_state, self.mpirank, survivors.index(my_world))
+        return Comm(new_state, self.ctx, survivors.index(my_world))
 
     # -- point-to-point (user context) -------------------------------------
 
@@ -327,7 +330,14 @@ class Comm:
         """Queue a collective — ``steps(view)`` is its script — on this
         comm's progress agent (FIFO per comm, so every rank's agent executes
         the same sequence — the MPI NBC ordering requirement)."""
-        agent, view = self.mpirank._nbc_agent(self)
+        if self._nbc is None:
+            from repro.sim.agent import WorkerAgent
+
+            agent = WorkerAgent(
+                self.ctx, name=f"nbc{self.ctx.rank}.c{self.state.context_id}"
+            )
+            self._nbc = (agent, Comm(self.state, agent.ctx, self.rank, space="nbc"))
+        agent, view = self._nbc
         req = Request("i%s(ctx=%s)", self.ctx.proc, kind, self.state.context_id)
         done = agent.submit(lambda agent_ctx: agent_ctx.proc.run_script(steps(view)))
         done.subscribe(lambda: req._complete())
@@ -383,7 +393,7 @@ class Comm:
         if entry is None:
             return None
         new_state, new_rank = entry
-        return Comm(new_state, self.mpirank, new_rank)
+        return Comm(new_state, self.ctx, new_rank)
 
     def _partition(self, args: dict[int, tuple[int, int]]):
         """``split``'s result: rank -> (its new communicator's state, its

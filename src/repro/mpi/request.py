@@ -74,16 +74,25 @@ class Request:
             event.label = f"req:{self.kind}"  # the block reason reports show
             yield from event._wait_steps(self._proc)
         if self.error is not None:
-            raise self.error
+            raise self._raised_error()
         return self.status
 
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check."""
         if self._event.is_set:
             if self.error is not None:
-                raise self.error
+                raise self._raised_error()
             return True, self.status
         return False, None
+
+    def _raised_error(self) -> Exception:
+        """A copy of :attr:`error` to raise. The stored one never carries a
+        traceback: its frames hold this request (and whatever holds it), so
+        the pair would be a reference cycle outliving the run."""
+        error = self.error
+        raised = type(error).__new__(type(error), *error.args)
+        raised.__dict__.update(error.__dict__)
+        return raised
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request {self.kind} {'done' if self.completed else 'pending'}>"

@@ -32,11 +32,13 @@ class MpiWorld:
         return cluster.shared("mpi-world", lambda: cls(cluster))
 
     def __init__(self, cluster: Cluster):
-        self.cluster = cluster
+        # No edge back to the cluster or to the communicators: they reach
+        # this world, so holding them would make the run's state cyclic.
+        self.nranks = cluster.nranks
+        #: The cluster's own list: each communicator registers its ULFM
+        #: handler there (the cluster drops them when the run ends).
+        self.failure_listeners = cluster.failure_listeners
         self._context_counter = 0
-        self.world_state = _CommState(
-            self, tuple(range(cluster.nranks)), self.next_context_id()
-        )
         self.initialized: set[int] = set()
         self._window_counter = 0
 
@@ -61,36 +63,22 @@ class MpiWorld:
         ctx.memory.alloc(
             ctx.rank,
             "mpi/peers",
-            spec.mpi_mem_per_rank_mb * MB * self.cluster.nranks,
+            spec.mpi_mem_per_rank_mb * MB * self.nranks,
         )
-        return MpiRank(self, ctx)
+        state = ctx.cluster.shared(
+            "mpi-comm-world",
+            lambda: _CommState(self, tuple(range(self.nranks)), self.next_context_id()),
+        )
+        return MpiRank(self, ctx, state)
 
 
 class MpiRank:
     """Per-rank MPI facade (what MPI_Init hands back)."""
 
-    def __init__(self, world: MpiWorld, ctx: RankCtx):
+    def __init__(self, world: MpiWorld, ctx: RankCtx, world_state: _CommState):
         self.world = world
         self.ctx = ctx
-        self.COMM_WORLD = Comm(world.world_state, self, ctx.rank)
-        # Nonblocking-collective progress agents: one per communicator this
-        # rank has used NBCs on (keyed by context id).
-        self._nbc_agents: dict[int, tuple] = {}
-
-    def _nbc_agent(self, comm: Comm):
-        """The (agent, agent-side comm view) pair for ``comm``."""
-        from types import SimpleNamespace
-
-        from repro.sim.agent import WorkerAgent
-
-        cid = comm.state.context_id
-        if cid not in self._nbc_agents:
-            agent = WorkerAgent(self.ctx, name=f"nbc{self.ctx.rank}.c{cid}")
-            view = Comm(
-                comm.state, SimpleNamespace(ctx=agent.ctx), comm.rank, space="nbc"
-            )
-            self._nbc_agents[cid] = (agent, view)
-        return self._nbc_agents[cid]
+        self.COMM_WORLD = Comm(world_state, ctx, ctx.rank)
 
     def win_allocate(
         self,

@@ -138,6 +138,8 @@ class Arming:
             wrote = True
         if wrote:
             s.seq = index + 1
+        # The recorder holds the cluster, which holds this arming.
+        self.recorder = None
 
 
 _session = Session()

@@ -117,7 +117,7 @@ class LiveTelemetry:
         resume of the run — because it records where the host put the run's
         fibers, which the engine only decides in ``run()``.
         """
-        if self._cluster is not None:
+        if self._cluster is not None or self._finalized:
             raise SchemaError("LiveTelemetry is single-run; already attached")
         self._cluster = cluster
         now = time.monotonic()
@@ -195,7 +195,8 @@ class LiveTelemetry:
             self._emit(time.monotonic(), final=True, outcome=outcome)
             self._finalized = True
         self._fh.close()
-        self._fh = None
+        # The cluster holds this tap: the run is over, so let go of it.
+        self._fh = self._cluster = None
 
     @property
     def snapshots_written(self) -> int:

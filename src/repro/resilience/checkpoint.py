@@ -37,7 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.events import EventArray
     from repro.caf.image import Image
     from repro.caf.teams import Team
-    from repro.sim.cluster import Cluster
 
 CHECKPOINT_VERSION = 1
 
@@ -172,7 +171,6 @@ class ResilienceService:
 
     def __init__(
         self,
-        cluster: "Cluster",
         *,
         every: int | None = None,
         store: CheckpointStore | None = None,
@@ -180,7 +178,6 @@ class ResilienceService:
     ):
         if every is not None and every <= 0:
             raise ResilienceError(f"checkpoint_every must be positive, got {every}")
-        self.cluster = cluster
         self.every = every
         self.store = store if store is not None else CheckpointStore()
         self.resume = resume
@@ -242,11 +239,16 @@ class ImageResilience:
     """Per-image facade of the :class:`ResilienceService`."""
 
     def __init__(self, service: ResilienceService, img: "Image"):
-        self.service = service
         self.img = img
         # A restarted run resumes the global iteration count, so the
         # checkpoint cadence stays aligned across restarts.
         self._step = 0 if service.resume is None else service.resume.step
+
+    @property
+    def service(self) -> ResilienceService:
+        """The run's service, reached through the image: the service holds
+        this handle, so an edge of its own back would be a cycle."""
+        return self.img.cluster.resilience
 
     # -- resume-side queries ----------------------------------------------
 

@@ -30,6 +30,8 @@ class WorkerAgent:
         # instead of the user thread.
         self.ctx = copy.copy(base_ctx)
         self.ctx.proc = self._proc
+        # One of the run's contexts: the cluster cuts it with the ranks' own.
+        base_ctx.cluster.ctxs.append(self.ctx)
         self.items_executed = 0
 
     def submit(self, work: Callable[[RankCtx], Any]) -> SimEvent:

@@ -103,6 +103,8 @@ class Cluster:
         self.fabric = NetFabric(self.engine, nranks, spec, tracer=self.tracer)
         self.profiler = Profiler(self.engine, nranks, tracer=self.tracer)
         self.memory = MemoryMeter(nranks)
+        #: The run's contexts: rank ``r``'s at index ``r``, then those of
+        #: progress agents (:class:`~repro.sim.agent.WorkerAgent`).
         self.ctxs: list[RankCtx] = []
         self._shared: dict[Any, Any] = {}
         self.elapsed = 0.0  # virtual makespan after run()
@@ -180,7 +182,8 @@ class Cluster:
             tel.attach(self)
 
     def shared(self, key: Any, factory: Callable[[], Any]) -> Any:
-        """Get-or-create a cross-rank singleton (e.g. the MPI world)."""
+        """Get-or-create a cross-rank singleton (e.g. the MPI world). One
+        with an ``_end_run()`` method is ended with the run (:meth:`_end_run`)."""
         if key not in self._shared:
             self._shared[key] = factory()
         return self._shared[key]
@@ -248,6 +251,26 @@ class Cluster:
                     f"{exc.args[0]}; telemetry: {tel.describe_last()}",
                 ) + exc.args[1:]
 
+    def _end_run(self) -> None:
+        """Cut the back-edges through the cluster when a run ends, so a
+        finished run is acyclic and reference counting frees it. The
+        contexts let go of the cluster (the layers' state in :meth:`shared`
+        reaches them), the failure listeners and the reliable transport's
+        hooks go, and each shared singleton with an ``_end_run`` ends its
+        own links.
+        What a caller reads after a run stays: results, meters,
+        ``failure_log``, ``failed_ranks``, :meth:`shared` outputs."""
+        for ctx in self.ctxs:
+            ctx.cluster = None
+        self.failure_listeners.clear()
+        reliable = self.fabric.reliable
+        if reliable is not None:
+            reliable.fabric = reliable.on_give_up = None
+        for state in self._shared.values():
+            end = getattr(state, "_end_run", None)
+            if end is not None:
+                end()
+
     def run(
         self,
         program: Callable[..., Any],
@@ -310,9 +333,19 @@ class Cluster:
                 self.sanitizer.finalize()
             if arming is not None:
                 arming.finish(self, failure)
+            self._end_run()
+            # This frame rides on the failure's traceback: holding the
+            # failure here too would make the pair a cycle.
+            failure = None
         # Only the rank programs' results — libraries may have spawned
-        # daemon agents whose results are not the application's.
-        return [p.result for p in rank_procs]
+        # daemon agents whose results are not the application's. They pass
+        # to the caller: one that reaches its context would otherwise close
+        # a cycle through the engine's process table.
+        results = []
+        for proc in rank_procs:
+            results.append(proc.result)
+            proc.result = None
+        return results
 
 
 def run_program(

@@ -117,8 +117,11 @@ def _caller_cpu() -> int | None:
 _M_ARENA_MAX = -8
 
 
+@functools.cache
 def _libc() -> Any:
-    """The C library's symbols, or ``None`` where ctypes cannot open them."""
+    """The C library's symbols, or ``None`` where ctypes cannot open them.
+    Kept for the process: a ``CDLL`` is a reference cycle (it defines its
+    own function-pointer class), which only a collection would free."""
     try:
         return ctypes.CDLL(None)
     except (OSError, TypeError):
@@ -449,7 +452,11 @@ class Proc:
         error = self._script_error
         if error is not None:
             self._script_error = None
-            raise error
+            try:
+                raise error
+            finally:
+                # This frame rides on the error's traceback.
+                error = None
         value, self._script_value = self._script_value, None
         return value
 
@@ -629,8 +636,9 @@ class Engine:
 
     # -- event queue -----------------------------------------------------
 
-    def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Schedule ``fn()`` to run in dispatcher context at virtual time ``when``."""
+    def call_at(self, when: float, fn: Callable[[], None]) -> int:
+        """Schedule ``fn()`` to run in dispatcher context at virtual time
+        ``when``; returns the entry's ticket for :meth:`cancel`."""
         now = self.now
         if when < now:
             raise SimulationError(
@@ -639,14 +647,16 @@ class Engine:
         rec = _irhook.RECORDER
         if rec is not None:
             fn = rec.on_call_at(when - now, fn)
-        entry = (when, self._seq, fn, None)
-        self._seq += 1
+        seq = self._seq
+        entry = (when, seq, fn, None)
+        self._seq = seq + 1
         if when == now:
             self._due.append(entry)
         else:
             heapq.heappush(self._heap, entry)
+        return seq
 
-    def call_in(self, delay: float, fn: Callable[[], None]) -> None:
+    def call_in(self, delay: float, fn: Callable[[], None]) -> int:
         rec = _irhook.RECORDER
         if rec is not None:
             # Hand the recorder the caller's delay verbatim: call_at only
@@ -654,7 +664,24 @@ class Engine:
             # bit-identical to ``delay``. Replay re-adds the raw delay,
             # reproducing the live ``now + delay`` arithmetic exactly.
             rec.pending_delay = delay
-        self.call_at(self.now + delay, fn)
+        return self.call_at(self.now + delay, fn)
+
+    def cancel(self, ticket: int) -> None:
+        """Withdraw the callback :meth:`call_at` / :meth:`call_in` returned
+        ``ticket`` for, if it has not run: it will not run, count as an event
+        or hold the clock. The ticket is the entry's sequence number, so a
+        callback may keep its own (a retry timer) without a reference cycle.
+        The entry leaves the queue here: the dispatch loop checks nothing."""
+        for queue in (self._due, self._heap):
+            for i, entry in enumerate(queue):
+                if entry[1] == ticket:
+                    del queue[i]
+                    if queue is self._heap:
+                        heapq.heapify(queue)
+                    rec = _irhook.RECORDER
+                    if rec is not None:
+                        rec.void_call(entry[2])
+                    return
 
     def _schedule_resume(self, when: float, proc: Proc, gen: int) -> None:
         proc._woken_gen = gen
@@ -877,8 +904,22 @@ class Engine:
             self._finished = True
             for proc in self.procs:
                 proc._kill()
+            self._end_run()
             if collector_was_on:
                 gc.enable()
+
+    def _end_run(self) -> None:
+        """Cut the run's back-edges through the engine once every fiber is
+        joined, so a finished run is acyclic and reference counting frees
+        it: each process drops its target, engine and thread, the queue its
+        callbacks that never ran, the engine its sanitizer and its failure
+        (which travels on as the raised exception). Counters, the order
+        digest and each process's ``state`` / ``crashed`` stay readable."""
+        self._heap.clear()
+        self._due.clear()
+        self._failure = self.sanitizer = None
+        for proc in self.procs:
+            proc.engine = proc._target = proc._thread = None
 
     def _blocked_report(self) -> dict[int, str]:
         """Per-rank call-site of every unfinished, non-daemon process."""

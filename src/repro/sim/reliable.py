@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -92,7 +93,6 @@ class ReliableTransport:
         is unknowable at send time.
         """
         fabric = self.fabric
-        engine = fabric.engine
         pair = (src, dst)
         seq = self._next_seq.get(pair, 0)
         self._next_seq[pair] = seq + 1
@@ -102,44 +102,73 @@ class ReliableTransport:
         # large payloads are not declared lost while still on the wire.
         ser = (wire + fabric.spec.header_bytes) / fabric.spec.bandwidth
         timeout0 = self.base_timeout + 4.0 * ser
-        state = {"acked": False, "attempts": 0}
-
-        def on_ack() -> None:
-            state["acked"] = True
-
-        def deliver() -> None:
-            seen = self._delivered.setdefault(pair, [-1, set()])
-            pending = seen[1]
-            if seq <= seen[0] or seq in pending:
-                self.duplicates_filtered += 1
-            else:
-                pending.add(seq)
-                while seen[0] + 1 in pending:
-                    seen[0] += 1
-                    pending.remove(seen[0])
-                on_delivered()
-            # Ack every arrival, duplicates included: the ack for an
-            # earlier copy may itself have been lost.
-            self.acks_sent += 1
-            fabric.transfer(dst, src, self.ACK_BYTES, on_ack)
-
-        def attempt() -> None:
-            if state["acked"] or fabric.engine._finished:
-                return
-            n = state["attempts"]
-            if n > self.max_retries:
-                self.gave_up += 1
-                if self.on_give_up is not None:
-                    self.on_give_up(src, dst)
-                return
-            state["attempts"] = n + 1
-            if n:
-                self.retransmits += 1
-            fabric.transfer(src, dst, wire, deliver, rx_extra=rx_extra)
-            interval = timeout0 * (self.backoff**n)
-            if self._rng is not None and self.jitter:
-                interval *= 1.0 + self.jitter * (2.0 * self._rng.random() - 1.0)
-            engine.call_in(interval, attempt)
-
-        attempt()
+        _Send(self, pair, seq, wire, timeout0, on_delivered, rx_extra).attempt()
         return math.inf
+
+
+@dataclass(slots=True, eq=False)
+class _Send:
+    """One message on a :class:`ReliableTransport`: its attempts, its retry
+    timer and its ack. Methods rather than closures, so a retry that
+    reschedules itself is no reference cycle."""
+
+    transport: ReliableTransport
+    pair: tuple[int, int]
+    seq: int
+    wire: int
+    timeout0: float
+    on_delivered: Callable[[], None]
+    rx_extra: float
+    acked: bool = False
+    attempts: int = 0
+    #: Ticket of the pending retry timer (``Engine.call_in``), if any.
+    timer: int | None = None
+
+    def on_ack(self) -> None:
+        self.acked = True
+        if self.timer is not None:
+            # Acked: the retry timer guards nothing now, so it must not hold
+            # the clock or count as an event.
+            self.transport.fabric.engine.cancel(self.timer)
+            self.timer = None
+
+    def deliver(self) -> None:
+        t = self.transport
+        seq = self.seq
+        seen = t._delivered.setdefault(self.pair, [-1, set()])
+        pending = seen[1]
+        if seq <= seen[0] or seq in pending:
+            t.duplicates_filtered += 1
+        else:
+            pending.add(seq)
+            while seen[0] + 1 in pending:
+                seen[0] += 1
+                pending.remove(seen[0])
+            self.on_delivered()
+        # Ack every arrival, duplicates included: the ack for an
+        # earlier copy may itself have been lost.
+        t.acks_sent += 1
+        src, dst = self.pair
+        t.fabric.transfer(dst, src, t.ACK_BYTES, self.on_ack)
+
+    def attempt(self) -> None:
+        self.timer = None
+        t = self.transport
+        fabric = t.fabric
+        if self.acked or fabric.engine._finished:
+            return
+        src, dst = self.pair
+        n = self.attempts
+        if n > t.max_retries:
+            t.gave_up += 1
+            if t.on_give_up is not None:
+                t.on_give_up(src, dst)
+            return
+        self.attempts = n + 1
+        if n:
+            t.retransmits += 1
+        fabric.transfer(src, dst, self.wire, self.deliver, rx_extra=self.rx_extra)
+        interval = self.timeout0 * (t.backoff**n)
+        if t._rng is not None and t.jitter:
+            interval *= 1.0 + t.jitter * (2.0 * t._rng.random() - 1.0)
+        self.timer = fabric.engine.call_in(interval, self.attempt)

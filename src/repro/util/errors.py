@@ -74,7 +74,16 @@ class SimTimeoutError(SimulationError):
     (dropped messages, crashed images) stall the program but
     retransmission timers keep the event heap non-empty, so plain
     deadlock detection never fires.
+
+    The message ends with :attr:`HINT`, whatever the cluster appends to it
+    (failed images, the telemetry trail): what to do about the refusal.
     """
+
+    #: The last words of every watchdog refusal.
+    HINT = (
+        "if the run is only slow, raise deadline=; otherwise the blocked "
+        "call sites listed are where it hangs"
+    )
 
     def __init__(
         self,
@@ -92,6 +101,9 @@ class SimTimeoutError(SimulationError):
             f"virtual-time deadline {deadline:.9g}s exceeded; "
             f"unfinished: {detail or 'none (daemon events only)'}"
         )
+
+    def __str__(self) -> str:
+        return f"{super().__str__()}; {self.HINT}"
 
 
 class MpiError(ReproError):

@@ -121,10 +121,11 @@ def test_thunk_steps_send_a_message_and_hand_user_code_to_the_image(backend):
         replies = []
         img.sync_all()
         if img.rank == 0:
-            def on_target():
-                peer = b._peers[1]
+            def on_target(here):
                 yield lambda: ran_on.setdefault(1, threading.get_ident())
-                yield from peer._send_thunk_steps(0, peer.AM_BYTES, lambda: replies.append(1))
+                yield from here._send_thunk_steps(
+                    0, here.AM_BYTES, lambda here: replies.append(here.ctx.rank)
+                )
 
             b.send_thunk(1, b.AM_BYTES, on_target)
             b.progress_wait(lambda: replies, "reply")
@@ -134,7 +135,7 @@ def test_thunk_steps_send_a_message_and_hand_user_code_to_the_image(backend):
         return own, replies
 
     run = run_caf(program, 3, backend=backend)
-    assert run.results[0][1] == [1]
+    assert run.results[0][1] == [0]
     assert run.cluster.shared("test-thunk-threads", dict) == {1: run.results[1][0]}
 
 

@@ -143,7 +143,7 @@ def test_size_mismatch_skips_restore(backend):
 
 def test_service_validation():
     with pytest.raises(ResilienceError):
-        ResilienceService(object(), every=0)
+        ResilienceService(every=0)
     ck = Checkpoint(step=1, time=0.0, nranks=2, members=(0, 1))
     with pytest.raises(ResilienceError):
         ck.coarray_partition(0, 0)

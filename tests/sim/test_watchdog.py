@@ -10,6 +10,13 @@ from repro.sim.sync import SimEvent
 from repro.util.errors import SimTimeoutError, SimulationError
 
 
+#: How every watchdog refusal ends: what to do about it.
+HINT = (
+    "if the run is only slow, raise deadline=; otherwise the blocked call "
+    "sites listed are where it hangs"
+)
+
+
 def make_spec():
     return MachineSpec(
         name="test",
@@ -60,6 +67,7 @@ def test_watchdog_fires_with_per_rank_diagnostics():
     assert "never-fired" in exc.blocked[0]
     assert exc.last_progress[1] == 3.0  # woke from sleep at t=3, then blocked
     assert "deadline" in str(exc) and "never-fired" in str(exc)
+    assert str(exc).endswith(HINT), str(exc)
 
 
 def test_sleep_fastpath_respects_deadline():
@@ -148,6 +156,8 @@ def test_crash_plus_retransmits_become_sim_timeout():
     assert 1 not in exc.blocked  # the crashed rank is not "blocked"
     assert "wait" in exc.blocked[0]
     assert "failed images: [1]" in str(exc)
+    # The cluster's annotations go before the hint, which stays last.
+    assert str(exc).endswith(HINT), str(exc)
     assert exc.last_progress[0] <= exc.deadline
 
 

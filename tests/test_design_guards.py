@@ -70,6 +70,13 @@ def test_one_owner_for_the_cyclic_collector():
         "pauses it while the fibers run and restores the caller's state)",
         hits,
     )
+    collects = grep(r"\bgc\.collect\b|from gc import", "src/repro")
+    assert not collects, (
+        "nothing under src/repro runs the cyclic collector, sim/engine.py "
+        "included: a finished run is acyclic and reference counting frees it "
+        "(tests/sim/test_run_lifetime.py)",
+        collects,
+    )
 
 
 def test_one_owner_for_the_allocator():
