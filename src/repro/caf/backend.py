@@ -4,8 +4,9 @@ The paper's design (§3) is one runtime with the substrate swapped
 underneath, so a backend here is a *transport*: how a thunk, a coarray
 access and a completion wait travel over MPI-3 or GASNet. Everything that
 merely rides on those primitives — function shipping, event posting, event
-allocation, termination-detection counters, runtime continuations — is
-written once, in :class:`RuntimeBackend`. A backend instance is per-image.
+allocation, termination-detection counters, the progress engine and its
+queue of released work — is written once, in :class:`RuntimeBackend`. A
+backend instance is per-image.
 
 Conventions:
 
@@ -18,9 +19,10 @@ Conventions:
   ``allgather(send, recv)``.
 * Coarray storage handles are backend-specific objects stored on the
   :class:`~repro.caf.coarray.Coarray`.
-* All blocking entry points must drive the common progress engine (poll
-  incoming Active Messages) while waiting, because shipped functions and
-  destination-event writes complete only through AM handlers.
+* All blocking entry points drive the one progress engine (the
+  transport's AM drain, then the queued work a completion released) while
+  waiting, because shipped functions, destination-event writes and gated
+  starts complete only there.
 * A blocking call is one script (:meth:`repro.sim.engine.Proc.run_script`):
   a transport supplies its *steps* (``_write_steps``, ``_notify_steps``, ...,
   composed with ``yield from``) and the entry point that parks the image on
@@ -48,7 +50,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.caf.agree import next_global_id
-from repro.sim.sync import SimEvent
+from repro.sim.sync import Counter, SimEvent
 from repro.util.errors import CafError, CafTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -60,10 +62,11 @@ class EventStorage:
     """Per-image event-coarray state: the un-consumed notification counts.
 
     ``event_id`` is agreed collectively (same allocation order on every
-    image), so a notifier can name the target's storage in an AM. Posting
-    kicks the owning backend's progress engine, so an ``event_wait`` wakes
-    even when the post arrives through a non-AM path (e.g. an RGET
-    completion firing a local event).
+    image), so a notifier can name the target's storage in an AM. A post
+    counts and kicks the owning backend's progress engine, so an
+    ``event_wait`` wakes (and a gated operation starts) even when the post
+    arrives through a non-AM path (e.g. an RGET completion firing a local
+    event).
     """
 
     def __init__(self, backend: "RuntimeBackend", event_id: int, team: "Team", nslots: int):
@@ -72,19 +75,10 @@ class EventStorage:
         self.team = team
         self.nslots = nslots
         self.counters = [0] * nslots
-        #: slot -> callbacks run at its next post (the predicate events of
-        #: asynchronous operations: user-level code that communicates).
-        self.subscribers: dict[int, list[Callable[[], None]]] = {}
 
     def post(self, slot: int) -> None:
         """One more notification on this image's ``slot``."""
         self.counters[slot] += 1
-        self._posted(slot)
-
-    def _posted(self, slot: int) -> None:
-        """Run subscriber callbacks and wake the progress engine."""
-        for cb in self.subscribers.pop(slot, ()):
-            cb()
         self.backend.kick()
 
     def count(self, slot: int) -> int:
@@ -103,6 +97,9 @@ class RuntimeBackend(abc.ABC):
     #: Modelled wire bytes of a bare thunk AM, and of a shipped function.
     AM_BYTES: int
     SHIP_BYTES: int
+    #: Bumped on every AM arrival and :meth:`kick`; the progress engine
+    #: sleeps on it between turns (the transport sets it).
+    _activity: Counter
 
     def __init__(self, ctx: "RankCtx"):
         self.ctx = ctx
@@ -112,7 +109,8 @@ class RuntimeBackend(abc.ABC):
         )
         self._am_seq = itertools.count()
         self._event_registry: dict[int, EventStorage] = {}
-        self._continuations: list[Callable[[], None]] = []
+        #: ``(ready, fn)`` work for this image's own fiber (:meth:`defer`).
+        self._continuations: list[tuple[Callable[[], bool] | None, Callable[[], None]]] = []
         self._shipped = 0
         self._completed = 0
 
@@ -120,11 +118,12 @@ class RuntimeBackend(abc.ABC):
         """The run is over (:func:`~repro.caf.program.run_caf` calls this on
         every image, however the run ended): drop the links that close this
         image's cycles — the event registry (each storage points back
-        here) and thunks parked for a receive that never came — so the
-        finished run is freed by reference counting. A transport extends
-        it with its own."""
+        here), thunks parked for a receive that never came, work queued for
+        a release that never came — so the finished run is freed by
+        reference counting. A transport extends it with its own."""
         self._event_registry.clear()
         self._am_board.clear()
+        self._continuations.clear()
 
     # -- transport: Active Messages and the progress engine --------------------
 
@@ -155,22 +154,23 @@ class RuntimeBackend(abc.ABC):
         backends' ``coarray_write_async`` (destination events) and
         CAF-GASNet's ``_am_write`` (write + ack). Returns what the thunk
         returned: ``None``, or the steps it still has to take — user code
-        for the image's own fiber (the first, and a post that releases a
-        predicate-gated operation) or a message of its own (the last)."""
+        for the image's own fiber (the first) or a message of its own (the
+        last)."""
         return self._am_board.pop((src_world, seq))(self)
 
     def poll(self) -> None:
-        """Drain and run any pending incoming Active Messages (nonblocking)."""
-        self.ctx.proc.run_script(self._poll_steps())
+        """One turn of the progress engine (nonblocking): run the pending
+        incoming Active Messages, then the queued work they left ready."""
+        self.ctx.proc.run_script(self._progress_steps())
 
     @abc.abstractmethod
     def _poll_steps(self):
-        """:meth:`poll` over this transport: continuations (yielded, for the
-        image's own fiber), then each arrived AM's thunk and what it returns."""
+        """Drain this transport's arrived AMs: run each one's thunk and take
+        the steps it returns. Returns whether more may be queued."""
 
-    @abc.abstractmethod
     def kick(self) -> None:
         """Wake this image's progress engine so it re-evaluates predicates."""
+        self._activity.add()
 
     def kick_rank(self, world_rank: int) -> None:
         """Wake *another* image's progress engine (scheduler-safe).
@@ -190,12 +190,35 @@ class RuntimeBackend(abc.ABC):
         watchdog and telemetry reports."""
         self.ctx.proc.run_script(self._progress_wait_steps(pred, reason, extras))
 
-    @abc.abstractmethod
+    def _progress_steps(self):
+        """One turn of the progress engine: the transport's AM drain, then
+        the queued work that is ready (yielded: it runs on the image's own
+        fiber). Returns whether to turn again before sleeping: AMs may be
+        queued, or work ran, which communicates, so time passed."""
+        more = yield from self._poll_steps()
+        queue = self._continuations
+        if queue and any(ready is None or ready() for ready, _fn in queue):
+            yield self.run_continuations
+            return True
+        return more
+
     def _progress_wait_steps(
         self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
     ):
-        """:meth:`progress_wait` over this transport — the wait loop itself
-        (``GASNET_BLOCKUNTIL``; §3.2's ``iprobe``/``recv`` loop)."""
+        """:meth:`progress_wait` as a script (``GASNET_BLOCKUNTIL``; §3.2's
+        ``iprobe``/``recv`` loop): turn the engine until ``pred()``,
+        sleeping on the activity counter between turns."""
+        activity = self._activity
+        while True:
+            more = yield from self._progress_steps()
+            if pred():
+                return
+            for ev in extras:
+                # Spurious activity bumps are harmless: they just rescan.
+                ev.subscribe(activity.add)
+            extras = ()  # subscribed, once
+            if not more:
+                yield from activity._wait_geq_steps(self.ctx.proc, activity.count + 1, reason)
 
     # -- teams -----------------------------------------------------------
 
@@ -323,23 +346,17 @@ class RuntimeBackend(abc.ABC):
         """Collective: where this backend keeps an event coarray's counts."""
         return EventStorage(self, event_id, team, nslots)
 
-    def _post_steps(self, event_id: int, slot: int):
-        """Post this image's event; runs here, as (part of) a thunk's
-        steps. A post runs the slot's subscribers, which start
-        predicate-gated operations — user-level code that communicates — so
-        with any waiting, the image's own fiber does the posting."""
+    def _post(self, event_id: int, slot: int) -> None:
+        """Post this image's event, in a thunk: count + kick."""
         storage = self._event_registry.get(event_id)
         if storage is None:
             raise CafError(f"event {event_id} posted before allocation on target")
-        if slot in storage.subscribers:
-            yield lambda: storage.post(slot)
-        else:
-            storage.post(slot)
+        storage.post(slot)
 
     @staticmethod
     def _post_thunk(event_id: int, slot: int):
         """The notification AM of :meth:`event_notify` (send/recv design)."""
-        return lambda here: here._post_steps(event_id, slot)
+        return lambda here: here._post(event_id, slot)
 
     def event_notify(self, storage: Any, target: int, slot: int) -> None:
         """Post an event at ``target`` after completing all prior ops (§3.4)."""
@@ -394,20 +411,33 @@ class RuntimeBackend(abc.ABC):
         may busy-wait on atomics instead (§3.4)."""
         return self._progress_wait_steps(ready, reason)
 
-    # -- deferred work (runtime continuations) --------------------------------
+    # -- released work (runtime continuations) --------------------------------
 
-    def defer(self, fn: Callable[[], None]) -> None:
-        """Queue work to run on this image's own execution context at its
-        next progress poll (completion callbacks fire in scheduler context
-        and may not issue communication themselves)."""
-        self._continuations.append(fn)
-        self.kick()
+    def defer(self, fn: Callable[[], None], ready: Callable[[], bool] | None = None) -> None:
+        """Queue ``fn`` — work that communicates: a gated start,
+        ``copy_async``'s forwarding leg — for this image's own fiber, to run
+        once ``ready()`` holds (None: at once). Queued by that fiber outside
+        a script, it runs now if ready; else at a turn of the progress
+        engine, after that turn's handlers."""
+        self._continuations.append((ready, fn))
+        if not self.run_continuations():
+            self.kick()
 
-    def run_continuations(self) -> None:
-        """Execute deferred work; called at the top of every poll."""
-        pending = self._continuations
-        while pending:
-            pending.pop(0)()
+    def run_continuations(self) -> bool:
+        """On this image's own fiber outside a script, run queued work while
+        any is ready (it may queue more) and return True; elsewhere False."""
+        proc = self.ctx.proc
+        if self.ctx.engine._current is not proc or proc._script is not None:
+            return False
+        queue = self._continuations
+        while True:
+            for i, (ready, fn) in enumerate(queue):
+                if ready is None or ready():
+                    del queue[i]
+                    break
+            else:
+                return True
+            fn()
 
     # -- implicit synchronization ----------------------------------------------------
 

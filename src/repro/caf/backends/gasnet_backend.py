@@ -74,6 +74,7 @@ class GasnetBackend(RuntimeBackend):
         #: Figure 2 mode: writes go via AMs and need target progress.
         self.am_writes = bool(self.options.get("am_writes", False))
         self.gasnet = GasnetWorld.get(ctx.cluster).attach(ctx, segment_bytes)
+        self._activity = self.gasnet.activity
         self.allocator = SegmentAllocator(segment_bytes)
         #: Outstanding nonblocking handles (the release barrier), split by
         #: direction for §3.5's selective cofence.
@@ -84,16 +85,6 @@ class GasnetBackend(RuntimeBackend):
         #: :meth:`_async_twin`.
         self._twins: dict[int, tuple[WorkerAgent, TeamExchange]] = {}
         self.gasnet.register_handler(H_THUNK, self._on_thunk)
-        # Runtime continuations execute on the image's own context at any
-        # GASNet poll (never on a clone's agent context).
-        self.gasnet.poll_hooks.append(self._pump_continuations)
-
-    def _pump_continuations(self):
-        """Poll hook: the pending continuations, as work for the image's
-        own fiber (they issue communication)."""
-        if self._continuations and self.ctx.engine._current is self.ctx.proc:
-            return self.run_continuations
-        return None
 
     # -- facade for hybrid applications ------------------------------------
 
@@ -287,9 +278,9 @@ class GasnetBackend(RuntimeBackend):
             event_id = ev_storage.event_id
             data_copy = data.copy()
 
-            def on_target(here):
+            def on_target(here) -> None:
                 self._store_at(target_world, start, data_copy)
-                yield from here._post_steps(event_id, slot)
+                here._post(event_id, slot)
 
             self.send_thunk(target_world, self.AM_BYTES + data_copy.nbytes, on_target)
             return None
@@ -307,9 +298,6 @@ class GasnetBackend(RuntimeBackend):
         return h.event
 
     # -- events --------------------------------------------------------------------------
-
-    def kick(self) -> None:
-        self.gasnet.activity.add()
 
     def _notify_steps(self, storage: EventStorage, target: int, slot: int):
         # GASNet handles already represent remote completion, so the release
@@ -334,7 +322,11 @@ class GasnetBackend(RuntimeBackend):
         if gets:
             handles += self._outstanding_gets
             self._outstanding_gets = []
-        return self.gasnet._wait_syncnb_all_steps(handles)
+        # wait_syncnb_all, turning the CAF progress engine meanwhile.
+        yield from self._progress_wait_steps(
+            lambda: all(h.done for h in handles), "wait_syncnb_all"
+        )
+        self.gasnet._san_release(handles)
 
     def _quiet_steps(self):
         return self._cofence_steps()
@@ -388,16 +380,7 @@ class GasnetBackend(RuntimeBackend):
     # -- progress -----------------------------------------------------------------------------------------
 
     def _poll_steps(self):
-        if self._continuations:
-            yield self.run_continuations
-        yield from self.gasnet._poll_steps()
-
-    def _progress_wait_steps(
-        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
-    ):
-        for ev in extras:
-            ev.subscribe(self.kick)
-        # Runtime continuations (e.g. copy_async forwarding legs) run on
-        # this image's context as part of its progress engine: the hook is
-        # asked once more before each test of ``pred``.
-        return self.gasnet._block_until_steps(pred, reason, self._pump_continuations)
+        g = self.gasnet
+        ran = yield from g._poll_steps()
+        # More AMs this caller may handle arrived mid-poll.
+        return bool(ran and g.am_queue)

@@ -72,7 +72,7 @@ class _AtomicEventStorage(EventStorage):
 
     def post(self, slot: int) -> None:
         self.win.local[slot] += 1
-        self._posted(slot)
+        self.backend.kick()
 
     def count(self, slot: int) -> int:
         return int(self.win.local[slot]) - self.consumed[slot]
@@ -105,6 +105,7 @@ class MpiBackend(RuntimeBackend):
         self._team_world_comm = self.mpi.COMM_WORLD.dup()
         self.am_comm = self.mpi.COMM_WORLD.dup()
         self._am_matching = self.am_comm.state.user
+        self._activity = self._am_matching.arrivals[ctx.rank]
         # §3.5: the runtime "internally maintains an array of request
         # handles of implicitly synchronized PUT operations and another
         # array ... of GET operations"; cofence WAITALLs them selectively.
@@ -150,34 +151,18 @@ class MpiBackend(RuntimeBackend):
         self._am_sends.append(req)
 
     def _poll_steps(self):
-        """Drain arrived AMs and run their handlers (the progress engine):
-        probe, receive, run the thunk, take the steps it returns."""
-        if self._continuations:
-            yield self.run_continuations
+        """Drain arrived AMs (§3.2): probe, receive, run the thunk, take the
+        steps it returns, until the probe finds none."""
         comm = self.am_comm
         while True:
             ok, status = comm.iprobe(source=ANY_SOURCE, tag=AM_TAG)
             if not ok:
-                return
+                return False
             buf = np.zeros(status.count, np.uint8)
             st = yield from comm._recv_steps(self._am_matching, buf, status.source, AM_TAG)
             steps = self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
             if steps is not None:
                 yield from steps
-
-    def _progress_wait_steps(
-        self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
-    ):
-        arrivals = self._am_matching.arrivals[self.ctx.rank]
-        while True:
-            yield from self._poll_steps()
-            if pred():
-                return
-            for ev in extras:
-                # Spurious arrival bumps are harmless: they just rescan.
-                ev.subscribe(arrivals.add)
-            extras = ()  # subscribed, once
-            yield from arrivals._wait_geq_steps(self.ctx.proc, arrivals.count + 1, reason)
 
     def _waitall_steps(self, requests: list[Request], reason: str):
         """``MPI_WAITALL`` that keeps running AM handlers meanwhile."""
@@ -240,7 +225,7 @@ class MpiBackend(RuntimeBackend):
             data_copy = data.copy()
             event_id = ev_storage.event_id
 
-            def deliver_on_target(here):
+            def deliver_on_target(here) -> None:
                 tb = win.state.buffers[target]
                 tb[offset : offset + data_copy.size] = data_copy
                 san = self.ctx.sanitizer
@@ -254,7 +239,7 @@ class MpiBackend(RuntimeBackend):
                         [(offset * item, (offset + data_copy.size) * item)],
                         "am-write",
                     )
-                yield from here._post_steps(event_id, slot)
+                here._post(event_id, slot)
 
             self.send_thunk(
                 target_world, self.AM_BYTES + data_copy.nbytes, deliver_on_target
@@ -288,9 +273,6 @@ class MpiBackend(RuntimeBackend):
             # accumulate notifies are synchronization, not data accesses.
             san.exempt_window(win.win_id)
         return _AtomicEventStorage(self, event_id, team, nslots, win)
-
-    def kick(self) -> None:
-        self._am_matching.arrivals[self.ctx.rank].add()
 
     def _flush_windows_steps(self, reason: str):
         """Remote completion on every window: MPI_WIN_FLUSH_ALL — the
@@ -339,14 +321,17 @@ class MpiBackend(RuntimeBackend):
         if not isinstance(storage, _AtomicEventStorage):
             return (yield from super()._await_event_steps(storage, ready, reason))
         # Busy-wait on the local counter (the MPI_COMPARE_AND_SWAP polling
-        # loop of §3.4), making AM progress as we spin; a timed wait's timer
-        # makes ``ready`` true when it expires.
+        # loop of §3.4), turning the progress engine as we spin; a timed
+        # wait's timer makes ``ready`` true when it expires.
         for _ in range(self._ATOMIC_POLL_LIMIT):
-            yield from self._poll_steps()
+            yield from self._progress_steps()
             if ready():
                 return
             yield self._ATOMIC_POLL_INTERVAL
-        raise CafError(f"atomic {reason} spun out (event never posted?)")
+        raise CafError(
+            f"atomic {reason} spun out: pass timeout= to bound the wait, or "
+            "check that a notify targets this image and slot"
+        )
 
     # -- implicit synchronization (§3.5) ----------------------------------------------------------
 

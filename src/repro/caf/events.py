@@ -49,8 +49,9 @@ class EventArray:
 
     def _post_local(self, slot: int) -> None:
         """Post this image's own slot (used for source/local completion
-        events); the slot's subscribers run."""
+        events); on the image's own fiber, what it releases runs now."""
         self.storage.post(slot)
+        self.img.backend.run_continuations()
 
     def _san_consumed(self, slot: int, count: int) -> None:
         """Sanitized runs: a consumed wait is the happens-before edge from
@@ -92,15 +93,13 @@ class EventArray:
         return self.storage.count(slot)
 
     def on_next_post(self, slot: int, cb) -> None:
-        """Run ``cb`` when the slot next becomes posted (now, if it already is).
-
-        Used for predicate events of asynchronous operations.
+        """Run ``cb`` on this image's fiber once the slot is posted (now, if
+        it already is): the start of an operation gated on a predicate
+        event, ready while the count is positive, however the post came.
         """
         self._check_slot(slot)
-        if self.storage.count(slot) > 0:
-            cb()
-        else:
-            self.storage.subscribers.setdefault(slot, []).append(cb)
+        storage = self.storage
+        self.img.backend.defer(cb, lambda: storage.count(slot) > 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<EventArray slots={self.nslots} team={self.team.team_id}>"

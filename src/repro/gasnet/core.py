@@ -123,12 +123,11 @@ class GasnetWorld:
 
     def _end_run(self) -> None:
         """gasnet_exit for every rank once the run is over (the cluster ends
-        its shared state): the handler tables and poll hooks, bound to the
-        layers above that hold the ranks, are emptied and the world forgets
-        its ranks, so the finished run is acyclic. Segments stay."""
+        its shared state): the handler tables, bound to the layers above
+        that hold the ranks, are emptied and the world forgets its ranks, so
+        the finished run is acyclic. Segments stay."""
         for g in self.ranks.values():
             g.handlers.clear()
-            g.poll_hooks.clear()
         self.ranks.clear()
 
     def attach(self, ctx: RankCtx, segment_bytes: int) -> "GasnetRank":
@@ -172,10 +171,6 @@ class GasnetRank:
         #: Restricts which handler indices THIS view may run (progress
         #: agents set it on their clones; None = unrestricted).
         self.default_handler_filter: set[int] | None = None
-        #: Library progress hooks (e.g. CAF runtime continuations), asked at
-        #: every poll: each returns ``None`` or work — code that may block —
-        #: for the polling process's own fiber. Shared across clones.
-        self.poll_hooks: list[Callable[[], Callable[[], None] | None]] = []
         #: Bumped on every arrival/completion; blocking calls wait on it.
         self.activity = Counter(f"gasnet.activity[{ctx.rank}]")
         #: AM request/reply flow control: available request slots per peer.
@@ -369,10 +364,6 @@ class GasnetRank:
         allowed = self.default_handler_filter
         ctx = self.ctx
         yield _costs.cost(ctx, "gasnet.poll")
-        for hook in self.poll_hooks:
-            work = hook()
-            if work is not None:
-                yield work
         ran = 0
         pending = []
         while self.am_queue:
@@ -438,17 +429,12 @@ class GasnetRank:
         """
         self.ctx.proc.run_script(self._block_until_steps(pred, reason))
 
-    def _block_until_steps(self, pred: Callable[[], bool], reason: str, hook=None):
-        """:meth:`block_until` as a script; ``hook`` is one more poll hook,
-        asked after each poll's handlers and before ``pred``."""
+    def _block_until_steps(self, pred: Callable[[], bool], reason: str):
+        """:meth:`block_until` as a script."""
         activity = self.activity
         proc = self.ctx.proc
         while True:
             ran = yield from self._poll_steps()
-            if hook is not None:
-                work = hook()
-                if work is not None:
-                    yield work
             if pred():
                 return
             seen = activity.count

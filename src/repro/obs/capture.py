@@ -4,7 +4,8 @@ run carries and where their artifacts go.
 The experiments runner (and anything else that builds clusters internally)
 cannot thread ``metrics=True`` through every call site. While a capture is
 active, every :class:`~repro.sim.cluster.Cluster` built is armed from it —
-``Cluster.__init__`` asks :func:`arm` once, ``Cluster.run`` calls
+``Cluster.__init__`` asks :func:`arm` once, ``Cluster.run`` builds the
+run's recorder (:meth:`Arming.recorder`) when the run starts and calls
 :meth:`Arming.finish` once, on every exit path — and the session below is
 the only process-wide arming state in ``src/repro``::
 
@@ -97,11 +98,22 @@ class Arming:
     trace: bool
     live: pathlib.Path | None
     live_interval: float | None
-    recorder: Any
+    #: Whether the run is recorded: the decision only, since a recorder
+    #: holds its cluster (a cycle, were the run never to start).
+    record: bool
 
-    def finish(self, cluster, failure: BaseException | None = None) -> None:
+    def recorder(self, cluster):
+        """The IR recorder of ``cluster``'s run, or None when the run is not
+        recorded (``Cluster.run`` calls this when the run starts)."""
+        if not self.record:
+            return None
+        from repro.ir.record import Recorder
+
+        return Recorder(cluster)
+
+    def finish(self, cluster, recorder, failure: BaseException | None = None) -> None:
         """Write an armed run's artifacts (``Cluster.run`` calls this once, on
-        every exit path, after the recorder is detached). ``failure`` marks the
+        every exit path, after ``recorder`` is detached). ``failure`` marks the
         report as the partial one of a run that died; such a run has no
         meaningful makespan, so its recording is dropped."""
         s = self.session
@@ -109,8 +121,8 @@ class Arming:
         label = f"run-{index:04d}" + (f"-{cluster.app}" if cluster.app else "")
         wrote = False
         if failure is None:
-            if self.recorder is not None and s.ir is not None:
-                s.last_trace = trace = self.recorder.finalize(makespan=cluster.elapsed)
+            if recorder is not None and s.ir is not None:
+                s.last_trace = trace = recorder.finalize(makespan=cluster.elapsed)
                 if s.ir.suffix in (".npz", ".json"):
                     stem = s.ir
                 else:
@@ -138,8 +150,6 @@ class Arming:
             wrote = True
         if wrote:
             s.seq = index + 1
-        # The recorder holds the cluster, which holds this arming.
-        self.recorder = None
 
 
 _session = Session()
@@ -213,16 +223,14 @@ def arm(cluster) -> Arming | None:
     s = _session
     if not s.active:
         return None
-    recorder = None
+    record = False
     if s.ir is not None:
         if cluster.faults is not None:
             s.skipped["fault-injected"] += 1
         elif cluster.fabric.reliable is not None:
             s.skipped["reliable-transport"] += 1
         else:
-            from repro.ir.record import Recorder
-
-            recorder = Recorder(cluster)
+            record = True
     out = s.dir
     return Arming(
         session=s,
@@ -230,9 +238,9 @@ def arm(cluster) -> Arming | None:
         sanitize=s.sanitize,
         # The obs side table rides in the IR trace, so a recorded run needs
         # the metrics layer armed for its hooks to fire.
-        metrics=out is not None or recorder is not None,
+        metrics=out is not None or record,
         trace=out is not None and s.trace,
         live=out / f"run-{s.seq:04d}.telemetry.jsonl" if out is not None and s.live else None,
         live_interval=s.live_interval,
-        recorder=recorder,
+        record=record,
     )

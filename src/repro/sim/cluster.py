@@ -294,7 +294,7 @@ class Cluster:
             return target
 
         arming = self.arming
-        recorder = arming.recorder if arming is not None else None
+        recorder = arming.recorder(self) if arming is not None else None
         if recorder is not None:
             if _irhook.RECORDER is not None:
                 raise SimulationError(
@@ -332,7 +332,7 @@ class Cluster:
             if self.sanitizer is not None and failure is None:
                 self.sanitizer.finalize()
             if arming is not None:
-                arming.finish(self, failure)
+                arming.finish(self, recorder, failure)
             self._end_run()
             # This frame rides on the failure's traceback: holding the
             # failure here too would make the pair a cycle.

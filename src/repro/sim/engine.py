@@ -464,7 +464,9 @@ class Proc:
         if self.engine._current is not self:
             raise SimulationError(
                 f"{op}() called from outside the running process "
-                f"(current={self.engine._current}, self={self})"
+                f"(current={self.engine._current}, self={self}): work a "
+                "callback releases must be queued for the process's own "
+                "fiber, which the CAF runtime's defer does"
             )
         if self._script is not None:
             raise SimulationError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.caf import run_caf
+from repro.caf.backends.mpi_backend import MpiBackend
 from repro.util.errors import CafError, CafTimeoutError, DeadlockError, SimTimeoutError
 
 from tests.caf.conftest import handoffs_per_call
@@ -276,6 +277,27 @@ def test_mpi_backend_atomics_wait_spins_without_handoffs():
         img.sync_all()
 
     assert handoffs_per_call(program, 8, options={"event_impl": "atomics"}) <= 1.5
+
+
+#: How an atomics wait that spins out ends: what to do about it.
+SPUN_OUT_HINT = (
+    "pass timeout= to bound the wait, or check that a notify targets this "
+    "image and slot"
+)
+
+
+def test_mpi_backend_atomics_wait_that_spins_out_says_what_to_do(monkeypatch):
+    monkeypatch.setattr(MpiBackend, "_ATOMIC_POLL_LIMIT", 100)
+
+    def program(img):
+        ev = img.allocate_events(1)
+        img.sync_all()
+        if img.rank == 0:
+            ev.wait()  # nobody notifies
+
+    with pytest.raises(CafError, match="atomic event_wait") as err:
+        run_caf(program, 2, backend="mpi", backend_options={"event_impl": "atomics"})
+    assert str(err.value).endswith(SPUN_OUT_HINT)
 
 
 @pytest.mark.parametrize("use_rflush", [False, True])

@@ -205,6 +205,22 @@ def test_sleep_from_foreign_thread_rejected():
         eng.run()
 
 
+#: How a refusal to park a process from outside its fiber ends.
+OUTSIDE_HINT = (
+    "work a callback releases must be queued for the process's own fiber, "
+    "which the CAF runtime's defer does"
+)
+
+
+def test_a_callback_that_parks_a_process_is_refused_with_what_to_do():
+    eng = Engine()
+    proc = eng.spawn(lambda p: p.sleep(1.0))
+    eng.call_in(0.5, lambda: proc.run_script(iter([1e-6])))  # scheduler context
+    with pytest.raises(SimulationError, match="outside the running process") as err:
+        eng.run()
+    assert str(err.value).endswith(OUTSIDE_HINT)
+
+
 def test_many_procs_deterministic_order():
     def run_once():
         eng = Engine()

@@ -31,6 +31,7 @@ from repro.gasnet.collectives import TeamExchange
 from repro.gasnet.core import GasnetWorld
 from repro.gasnet.segment import SegmentAllocator
 from repro.mpi import MpiWorld
+from repro.obs.capture import capture
 from repro.sim.cluster import Cluster, run_program
 from repro.sim.faults import FaultPlan
 from repro.sim.network import MachineSpec
@@ -255,6 +256,31 @@ def test_a_raw_gasnet_run_frees_itself():
         return weakref.ref(cluster)
 
     _assert_frees_itself(run_and_drop)
+
+
+def _gated_write_never_released(img):
+    co = img.allocate_coarray(4)
+    gate = img.allocate_events(1)
+    # Queued for a post that never comes: the run ends holding the start.
+    co.write_async((img.rank + 1) % img.nranks, np.ones(4), predicate=(gate, 0))
+    img.sync_all()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_run_left_holding_gated_work_frees_itself(backend):
+    _assert_frees_itself(_caf(_gated_write_never_released, 2, backend))
+
+
+def test_a_cluster_built_but_never_run_frees_itself(tmp_path):
+    """Under a recording capture, too: the capture's decision is all the
+    cluster holds until it runs."""
+
+    def build_and_drop():
+        with capture(record_ir=tmp_path):
+            cluster = Cluster(4, MachineSpec(name="generic"))
+        return weakref.ref(cluster)
+
+    _assert_frees_itself(build_and_drop)
 
 
 def _deadlock(img):

@@ -514,6 +514,38 @@ def test_an_async_op_is_tracked_once():
     )
 
 
+def test_one_progress_engine():
+    engine = sorted(
+        f"{path}:{cls}.{fn.name}"
+        for path, cls, fn in _functions("src/repro")
+        if fn.name in ("kick", "_progress_steps", "_progress_wait_steps", "run_continuations")
+    )
+    assert engine == [
+        "src/repro/caf/backend.py:RuntimeBackend._progress_steps",
+        "src/repro/caf/backend.py:RuntimeBackend._progress_wait_steps",
+        "src/repro/caf/backend.py:RuntimeBackend.kick",
+        "src/repro/caf/backend.py:RuntimeBackend.run_continuations",
+    ], (
+        "an image's progress engine is written once, in RuntimeBackend: a "
+        "transport supplies its AM drain (_poll_steps) and its activity "
+        "counter (_activity), nothing more",
+        engine,
+    )
+    hooks = grep(r"poll_hooks|_pump_continuations|subscribers|_post_steps", "src/repro")
+    assert not hooks, (
+        "work a completion releases is one (ready, fn) entry of "
+        "RuntimeBackend.defer's queue, run by the progress engine after its "
+        "handlers: no poll hooks, no per-slot subscribers, and a post only "
+        "counts and kicks",
+        hooks,
+    )
+    from repro.gasnet.core import GasnetRank
+
+    assert list(inspect.signature(GasnetRank._block_until_steps).parameters) == [
+        "self", "pred", "reason",
+    ], "GASNET_BLOCKUNTIL takes no hook: the CAF queue runs in the CAF progress engine"
+
+
 def _functions(root: str):
     """``(path, class name or None, FunctionDef)`` of every function under
     ``root``."""
