@@ -6,7 +6,7 @@ Usage::
     python -m repro.apps fft --procs 16 --platform edison --m 1048576
     python -m repro.apps hpl --procs 4 --n 128
     python -m repro.apps cgpop --procs 8 --mode pull
-    python -m repro.apps cgpop2d --procs 4 --ny 16 --nx 16
+    python -m repro.apps cgpop --procs 4 --px 2 --ny 16 --nx 16
     python -m repro.apps micro --procs 4 --op write
 
 Every run prints the figure of merit, the per-category time breakdown,
@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.apps.cgpop import run_cgpop, run_cgpop_2d
+from repro.apps.cgpop import run_cgpop
 from repro.apps.fft import make_input, run_fft
 from repro.apps.hpl import run_hpl
 from repro.apps.microbench import OPS, run_microbench
@@ -34,7 +34,7 @@ from repro.obs.capture import capture
 from repro.platforms import PLATFORMS
 from repro.util.tables import format_table
 
-APPS = ("randomaccess", "fft", "hpl", "cgpop", "cgpop2d", "micro")
+APPS = ("randomaccess", "fft", "hpl", "cgpop", "micro")
 
 
 def _print_breakdown(run) -> None:
@@ -59,6 +59,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--ny", type=int, default=32)
     parser.add_argument("--nx", type=int, default=16)
     parser.add_argument("--mode", choices=["push", "pull"], default="push")
+    parser.add_argument(
+        "--px", type=int, default=1,
+        help="CGPOP image-grid columns (1 = row strips)",
+    )
     parser.add_argument("--op", choices=list(OPS), default="write")
     parser.add_argument("--updates", type=int, default=1024)
     parser.add_argument("--seed", type=int, default=42)
@@ -135,7 +139,7 @@ def _run_app(args: argparse.Namespace, spec, session) -> int:
     elif args.app == "cgpop":
         run = run_caf(
             run_cgpop, args.procs, spec, **common,
-            ny=args.ny, nx=args.nx, mode=args.mode, seed=args.seed,
+            ny=args.ny, nx=args.nx, px=args.px, mode=args.mode, seed=args.seed,
         )
         res = run.results[0]
         print(
@@ -146,16 +150,6 @@ def _run_app(args: argparse.Namespace, spec, session) -> int:
             verify_cgpop(
                 run.cluster._shared["cgpop-solution"], ny=args.ny, nx=args.nx, seed=args.seed
             )
-        )
-    elif args.app == "cgpop2d":
-        run = run_caf(
-            run_cgpop_2d, args.procs, spec, **common,
-            ny=args.ny, nx=args.nx, seed=args.seed,
-        )
-        res = run.results[0]
-        print(
-            f"iterations: {res.iterations}, residual {res.residual:.2e}, "
-            f"converged={res.converged}, time {res.elapsed * 1e3:.3f} ms"
         )
     else:  # micro
         run = run_caf(run_microbench, args.procs, spec, **common, op=args.op)

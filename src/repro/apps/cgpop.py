@@ -7,15 +7,16 @@ primitives (PUSH or PULL variants), while the global sums use
 ``MPI_Allreduce`` directly.
 
 Problem: the 2-D 5-point Laplacian (Dirichlet) on an ``ny x nx`` grid,
-rows distributed in contiguous strips. Each CG iteration performs one
-halo exchange (the ``UpdateHalo`` of the miniapp) and one fused 3-word
+distributed in blocks over a ``px x (P/px)`` image grid; the default
+``px=1`` is contiguous row strips. Each CG iteration performs one halo
+exchange (the ``UpdateHalo`` of the miniapp) and one fused 3-word
 reduction (the ``GlobalSum``).
 
-* **PUSH**: every image *writes* its boundary rows into its neighbors'
-  halo coarray, then posts an event; the neighbor waits.
-* **PULL**: every image publishes its boundary rows into its own export
-  coarray, posts "ready", and neighbors *read* (coarray get) after the
-  event arrives, then acknowledge.
+* **PUSH**: every image *writes* its edges into its neighbors' halo
+  coarray, then posts an event; the neighbor waits.
+* **PULL**: every image publishes its edges into its own export coarray,
+  posts "ready", and neighbors *read* (coarray get) after the event
+  arrives, then acknowledge.
 """
 
 from __future__ import annotations
@@ -45,154 +46,83 @@ def make_rhs(seed: int, ny: int, nx: int) -> np.ndarray:
     return rng.standard_normal((ny, nx))
 
 
-def apply_laplacian(local: np.ndarray, top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
-    """5-point stencil on this strip, given halo rows from the neighbors."""
-    padded = np.vstack([top[None, :], local, bottom[None, :]])
+def apply_laplacian(
+    local: np.ndarray,
+    north: np.ndarray,
+    south: np.ndarray,
+    west: np.ndarray,
+    east: np.ndarray,
+) -> np.ndarray:
+    """5-point stencil on this block, given the four halo vectors."""
     out = 4.0 * local
-    out -= padded[:-2, :]  # north
-    out -= padded[2:, :]  # south
-    out[:, 1:] -= local[:, :-1]  # west
-    out[:, :-1] -= local[:, 1:]  # east
+    out[1:, :] -= local[:-1, :]
+    out[0, :] -= north
+    out[:-1, :] -= local[1:, :]
+    out[-1, :] -= south
+    out[:, 1:] -= local[:, :-1]
+    out[:, 0] -= west
+    out[:, :-1] -= local[:, 1:]
+    out[:, -1] -= east
     return out
 
 
 class _HaloExchanger:
-    """PUSH/PULL halo exchange over coarrays + events."""
+    """PUSH/PULL halo exchange over coarrays + events on a px x py image grid.
 
-    def __init__(self, img: Image, nx: int, mode: str):
-        if mode not in ("push", "pull"):
-            raise CafError(f"halo mode must be 'push' or 'pull', got {mode!r}")
-        self.img = img
-        self.nx = nx
-        self.mode = mode
-        self.up = img.rank - 1 if img.rank > 0 else None
-        self.down = img.rank + 1 if img.rank < img.nranks - 1 else None
-        # halo coarray rows: [0] = from-above, [1] = from-below (PUSH) /
-        # export rows: [0] = my top row, [1] = my bottom row (PULL).
-        self.buf = img.allocate_coarray((2, nx), np.float64)
-        self.arrive = img.allocate_events(2)
-        self.drained = img.allocate_events(2)
-        self._round = 0
-
-    def exchange(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Returns (top_halo, bottom_halo) for this strip."""
-        if self.mode == "push":
-            return self._exchange_push(local)
-        return self._exchange_pull(local)
-
-    def _wait_drained(self) -> None:
-        if self._round > 0:
-            if self.up is not None:
-                self.drained.wait(slot=0)
-            if self.down is not None:
-                self.drained.wait(slot=1)
-
-    def _exchange_push(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nx = self.nx
-        self._wait_drained()
-        # Write my boundary rows into the neighbors' halo slots.
-        if self.up is not None:
-            self.buf.write_async(self.up, local[0], offset=nx)  # their slot 1
-        if self.down is not None:
-            self.buf.write_async(self.down, local[-1], offset=0)  # their slot 0
-        if self.up is not None:
-            self.arrive.notify(self.up, slot=1)
-        if self.down is not None:
-            self.arrive.notify(self.down, slot=0)
-        top = np.zeros(nx)
-        bottom = np.zeros(nx)
-        if self.up is not None:
-            self.arrive.wait(slot=0)
-            top = self.buf.local[0].copy()
-            self.drained.notify(self.up, slot=1)
-        if self.down is not None:
-            self.arrive.wait(slot=1)
-            bottom = self.buf.local[1].copy()
-            self.drained.notify(self.down, slot=0)
-        self._round += 1
-        return top, bottom
-
-    def _exchange_pull(self, local: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        nx = self.nx
-        self._wait_drained()
-        # Publish my boundary rows locally, then tell neighbors they're ready.
-        self.buf.local[0] = local[0]
-        self.buf.local[1] = local[-1]
-        if self.up is not None:
-            self.arrive.notify(self.up, slot=1)
-        if self.down is not None:
-            self.arrive.notify(self.down, slot=0)
-        top = np.zeros(nx)
-        bottom = np.zeros(nx)
-        if self.up is not None:
-            self.arrive.wait(slot=0)
-            top = self.buf.read(self.up, offset=nx, count=nx)  # their bottom row
-            self.drained.notify(self.up, slot=1)
-        if self.down is not None:
-            self.arrive.wait(slot=1)
-            bottom = self.buf.read(self.down, offset=0, count=nx)  # their top row
-            self.drained.notify(self.down, slot=0)
-        self._round += 1
-        return top, bottom
-
-
-class _HaloExchanger2D:
-    """4-neighbor halo exchange on a px x py image grid.
-
-    North/south rows are contiguous coarray writes; east/west columns use
-    strided section writes (derived-datatype/VIS transfers) — the real
-    POP boundary exchange shape. PUSH only (the 2-D PULL variant adds
-    nothing the 1-D comparison doesn't already show).
+    One link per existing neighbor, in the order north, south, west, east:
+    ``(neighbor, my edge facing it, its slot facing me, my slot facing it)``.
+    Slot ``s`` is direction ``s`` in the coarray and in both event arrays.
+    Under PUSH my slot ``s`` receives the halo from direction ``s``; under
+    PULL it exports my edge facing direction ``s``.
     """
 
-    def __init__(self, img: Image, px: int, py: int, ry: int, rx: int):
-        self.img = img
-        self.px, self.py = px, py
-        self.ry, self.rx = ry, rx
-        ix, iy = img.rank % px, img.rank // px
-        self.ix, self.iy = ix, iy
-        self.north = img.rank - px if iy > 0 else None
-        self.south = img.rank + px if iy < py - 1 else None
-        self.west = img.rank - 1 if ix > 0 else None
-        self.east = img.rank + 1 if ix < px - 1 else None
-        # Halo landing zones: rows [0]=from north, [1]=from south;
-        # columns [2]=from west, [3]=from east (padded to a common width).
-        width = max(rx, ry)
-        self.buf = img.allocate_coarray((4, width), np.float64)
-        self.arrive = img.allocate_events(4)
-        self.drained = img.allocate_events(4)
+    def __init__(self, img: Image, px: int, py: int, ry: int, rx: int, mode: str):
+        if mode not in ("push", "pull"):
+            raise CafError(f"halo mode must be 'push' or 'pull', got {mode!r}")
+        self.mode = mode
+        rank = img.rank
+        ix, iy = rank % px, rank // px
+        self.lengths = (rx, rx, ry, ry)
+        self.links = []
+        if iy > 0:
+            self.links.append((rank - px, lambda v: v[0, :], 1, 0))
+        if iy < py - 1:
+            self.links.append((rank + px, lambda v: v[-1, :], 0, 1))
+        if ix > 0:
+            self.links.append((rank - 1, lambda v: v[:, 0], 3, 2))
+        if ix < px - 1:
+            self.links.append((rank + 1, lambda v: v[:, -1], 2, 3))
+        # Strips need only the north/south slots, rows of nx.
+        nslots, self.width = (2, rx) if px == 1 else (4, max(rx, ry))
+        self.buf = img.allocate_coarray((nslots, self.width), np.float64)
+        self.arrive = img.allocate_events(nslots)
+        self.drained = img.allocate_events(nslots)
         self._round = 0
-        #: (neighbor, my_send_slice_fn, their_slot, my_wait_slot)
-        self._links = [
-            (self.north, lambda v: v[0, :], 1, 0),
-            (self.south, lambda v: v[-1, :], 0, 1),
-            (self.west, lambda v: v[:, 0], 3, 2),
-            (self.east, lambda v: v[:, -1], 2, 3),
-        ]
 
-    def exchange(self, local: np.ndarray):
+    def exchange(self, local: np.ndarray) -> list[np.ndarray]:
+        """Returns the (north, south, west, east) halos of this block; a side
+        without a neighbor is the zero Dirichlet boundary."""
         if self._round > 0:
-            for nbr, _send, _their, mine in self._links:
-                if nbr is not None:
-                    self.drained.wait(slot=mine)
-        for nbr, send, their_slot, _mine in self._links:
-            if nbr is not None:
-                row = np.ascontiguousarray(send(local))
-                self.buf.write_section(
-                    nbr, (their_slot, slice(0, row.size)), row
-                )
-                self.arrive.notify(nbr, slot=their_slot)
-        halos = {}
-        for nbr, _send, _their, mine in self._links:
-            length = self.rx if mine in (0, 1) else self.ry
-            if nbr is None:
-                halos[mine] = np.zeros(length)
+            for _nbr, _edge, _theirs, mine in self.links:
+                self.drained.wait(slot=mine)
+        for nbr, edge, theirs, mine in self.links:
+            if self.mode == "pull":
+                self.buf.local[mine, : self.lengths[mine]] = edge(local)
             else:
-                self.arrive.wait(slot=mine)
-                halos[mine] = self.buf.local[mine, :length].copy()
-                self.drained.notify(nbr, slot=5 - mine if mine in (2, 3) else 1 - mine)
+                self.buf.write_async(nbr, edge(local), offset=theirs * self.width)
+        for nbr, _edge, theirs, _mine in self.links:
+            self.arrive.notify(nbr, slot=theirs)
+        halos = [np.zeros(n) for n in self.lengths]
+        for nbr, _edge, theirs, mine in self.links:
+            n = self.lengths[mine]
+            self.arrive.wait(slot=mine)
+            if self.mode == "pull":
+                halos[mine] = self.buf.read(nbr, offset=theirs * self.width, count=n)
+            else:
+                halos[mine] = self.buf.local[mine, :n].copy()
+            self.drained.notify(nbr, slot=theirs)
         self._round += 1
-        return halos[0], halos[1], halos[2], halos[3]  # north, south, west, east
+        return halos
 
 
 def run_cgpop(
@@ -200,6 +130,7 @@ def run_cgpop(
     *,
     ny: int = 64,
     nx: int = 32,
+    px: int = 1,
     mode: str = "push",
     tol: float = 1e-8,
     max_iter: int = 500,
@@ -207,25 +138,28 @@ def run_cgpop(
 ) -> CgpopResult:
     """One image's SPMD body: CG on the 5-point Laplacian, hybrid MPI+CAF.
 
-    This image's solution strip lands in
-    ``img.cluster.shared('cgpop-solution', dict)[rank]``.
+    The images form a ``px x (P/px)`` grid, image ``r`` at column
+    ``r % px`` and row ``r // px``; ``px=1`` is row strips. This image's solution block lands in
+    ``img.cluster.shared('cgpop-solution', dict)[rank] = (row0, col0, x)``.
     """
     p = img.nranks
-    if ny % p:
-        raise CafError(f"P={p} must divide ny={ny}")
-    rows = ny // p
-    r0 = img.rank * rows
-    b = make_rhs(seed, ny, nx)[r0 : r0 + rows].copy()
+    if px < 1 or p % px:
+        raise CafError(f"px must divide P={p}, got px={px}: choose px dividing P")
+    py = p // px
+    if ny % py or nx % px:
+        raise CafError(
+            f"grid {ny}x{nx} not divisible by {py}x{px} images, which must "
+            "divide it: ny must be a multiple of P/px, nx of px"
+        )
+    ry, rx = ny // py, nx // px
+    row0, col0 = img.rank // px * ry, img.rank % px * rx
+    b = make_rhs(seed, ny, nx)[row0 : row0 + ry, col0 : col0 + rx].copy()
     mpi = img.mpi()  # the hybrid part: global sums via MPI
-    halo = _HaloExchanger(img, nx, mode)
+    halo = _HaloExchanger(img, px, py, ry, rx, mode)
 
     def matvec(v: np.ndarray) -> np.ndarray:
-        top, bottom = halo.exchange(v)
-        if img.rank == 0:
-            top = np.zeros(nx)  # Dirichlet boundary
-        if img.rank == p - 1:
-            bottom = np.zeros(nx)
-        out = apply_laplacian(v, top, bottom)
+        north, south, west, east = halo.exchange(v)
+        out = apply_laplacian(v, north, south, west, east)
         img.compute(flops=10.0 * v.size)
         return out
 
@@ -264,7 +198,7 @@ def run_cgpop(
 
     img.sync_all()
     elapsed = img.now - t0
-    img.cluster.shared("cgpop-solution", dict)[img.rank] = x
+    img.cluster.shared("cgpop-solution", dict)[img.rank] = (row0, col0, x)
     return CgpopResult(
         nranks=p,
         ny=ny,
@@ -276,111 +210,12 @@ def run_cgpop(
     )
 
 
-def apply_laplacian_2d(
-    local: np.ndarray,
-    north: np.ndarray,
-    south: np.ndarray,
-    west: np.ndarray,
-    east: np.ndarray,
+def assemble_solution(
+    blocks: dict[int, tuple[int, int, np.ndarray]], ny: int, nx: int
 ) -> np.ndarray:
-    """5-point stencil on a 2-D block, given all four halo vectors."""
-    out = 4.0 * local
-    out[1:, :] -= local[:-1, :]
-    out[0, :] -= north
-    out[:-1, :] -= local[1:, :]
-    out[-1, :] -= south
-    out[:, 1:] -= local[:, :-1]
-    out[:, 0] -= west
-    out[:, :-1] -= local[:, 1:]
-    out[:, -1] -= east
-    return out
-
-
-def run_cgpop_2d(
-    img: Image,
-    *,
-    ny: int = 32,
-    nx: int = 32,
-    px: int | None = None,
-    py: int | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 500,
-    seed: int = 11,
-) -> CgpopResult:
-    """CGPOP with a 2-D px x py domain decomposition (the full miniapp's
-    sub-domain layout): 4-neighbor halo exchange, strided east/west
-    sections, MPI_Allreduce global sums. Solution blocks land in
-    ``img.cluster.shared('cgpop2d-solution', dict)[rank]``."""
-    p = img.nranks
-    if px is None or py is None:
-        px = int(np.sqrt(p))
-        while p % px:
-            px -= 1
-        py = p // px
-    if px * py != p:
-        raise CafError(f"px*py = {px}*{py} != {p} images")
-    if ny % py or nx % px:
-        raise CafError(f"grid {ny}x{nx} not divisible by {py}x{px} blocks")
-    ry, rx = ny // py, nx // px
-    ix, iy = img.rank % px, img.rank // px
-    b = make_rhs(seed, ny, nx)[iy * ry : (iy + 1) * ry, ix * rx : (ix + 1) * rx].copy()
-    mpi = img.mpi()
-    halo = _HaloExchanger2D(img, px, py, ry, rx)
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        north, south, west, east = halo.exchange(v)
-        out = apply_laplacian_2d(v, north, south, west, east)
-        img.compute(flops=10.0 * v.size)
-        return out
-
-    def gsum(value: float) -> float:
-        send = np.array([value])
-        recv = np.zeros(1)
-        mpi.COMM_WORLD.allreduce(send, recv, SUM)
-        return float(recv[0])
-
-    img.sync_all()
-    t0 = img.now
-    x = np.zeros_like(b)
-    r = b - matvec(x)
-    pvec = r.copy()
-    rr = gsum(float((r * r).sum()))
-    bnorm2 = gsum(float((b * b).sum()))
-    iterations = 0
-    converged = False
-    for it in range(1, max_iter + 1):
-        ap = matvec(pvec)
-        pap = gsum(float((pvec * ap).sum()))
-        alpha = rr / pap
-        x += alpha * pvec
-        r -= alpha * ap
-        rr_new = gsum(float((r * r).sum()))
-        iterations = it
-        if rr_new <= tol * tol * bnorm2:
-            rr = rr_new
-            converged = True
-            break
-        pvec = r + (rr_new / rr) * pvec
-        img.compute(flops=6.0 * x.size)
-        rr = rr_new
-    img.sync_all()
-    elapsed = img.now - t0
-    img.cluster.shared("cgpop2d-solution", dict)[img.rank] = (iy, ix, x)
-    return CgpopResult(
-        nranks=p,
-        ny=ny,
-        nx=nx,
-        iterations=iterations,
-        residual=float(np.sqrt(max(rr, 0.0))),
-        elapsed=elapsed,
-        converged=converged,
-    )
-
-
-def assemble_2d_solution(blocks: dict[int, tuple[int, int, np.ndarray]], ny: int, nx: int) -> np.ndarray:
-    """Reassemble the global grid from per-image (iy, ix, block) entries."""
+    """The global grid from per-image ``(row0, col0, block)`` records."""
     out = np.zeros((ny, nx))
-    for _rank, (iy, ix, block) in blocks.items():
+    for row0, col0, block in blocks.values():
         ry, rx = block.shape
-        out[iy * ry : (iy + 1) * ry, ix * rx : (ix + 1) * rx] = block
+        out[row0 : row0 + ry, col0 : col0 + rx] = block
     return out

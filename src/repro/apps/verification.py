@@ -131,21 +131,21 @@ def verify_hpl(
 
 
 def verify_cgpop(
-    solution_strips: dict[int, np.ndarray],
+    solution_blocks: dict[int, tuple[int, int, np.ndarray]],
     *,
     ny: int,
     nx: int,
     seed: int,
     threshold: float = 1e-6,
 ) -> VerificationReport:
-    """CGPOP verification: residual of the assembled solution against the
-    5-point system (relative to ||b||)."""
-    from repro.apps.cgpop import apply_laplacian, make_rhs
+    """CGPOP verification: residual of the solution assembled from its
+    ``(row0, col0, block)`` records against the 5-point system (relative
+    to ||b||)."""
+    from repro.apps.cgpop import apply_laplacian, assemble_solution, make_rhs
 
-    nranks = len(solution_strips)
-    x = np.vstack([solution_strips[r] for r in range(nranks)])
+    x = assemble_solution(solution_blocks, ny, nx)
     b = make_rhs(seed, ny, nx)
-    ax = apply_laplacian(x, np.zeros(nx), np.zeros(nx))
+    ax = apply_laplacian(x, np.zeros(nx), np.zeros(nx), np.zeros(ny), np.zeros(ny))
     rel = float(np.linalg.norm(ax - b) / np.linalg.norm(b))
     return VerificationReport(
         benchmark="CGPOP",

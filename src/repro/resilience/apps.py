@@ -405,8 +405,8 @@ def run_resilient_cgpop(
     last checkpoint or by shrinking: survivors revoke the communicator
     (freeing peers parked in MPI), ``MPIX_COMM_SHRINK`` a clean one,
     shrink the CAF team, re-partition the strips, and reload state from
-    the checkpoint. The converged strip lands in
-    ``img.cluster.shared('cgpop-res-solution', dict)[rank] = (r0, r1, x)``.
+    the checkpoint. The converged strip lands in ``run_cgpop``'s record,
+    ``img.cluster.shared('cgpop-solution', dict)[rank] = (r0, 0, x)``.
     """
     r = img.resilience
     team = img.team_world
@@ -441,7 +441,8 @@ def run_resilient_cgpop(
             top = np.zeros(nx)  # Dirichlet boundary
         if epoch.team.my_index == epoch.team.size - 1:
             bottom = np.zeros(nx)
-        out = apply_laplacian(v, top, bottom)
+        side = np.zeros(v.shape[0])
+        out = apply_laplacian(v, top, bottom, side, side)
         img.compute(flops=10.0 * v.size)
         return out
 
@@ -517,8 +518,8 @@ def run_resilient_cgpop(
 
     img.backend.quiet()
     img.barrier(team)
-    img.cluster.shared("cgpop-res-solution", dict)[img.rank] = (
-        epoch.r0, epoch.r1, epoch.view(0).copy(),
+    img.cluster.shared("cgpop-solution", dict)[img.rank] = (
+        epoch.r0, 0, epoch.view(0).copy(),
     )
     return {
         "rank": img.rank,
@@ -530,13 +531,3 @@ def run_resilient_cgpop(
         "rows": [epoch.r0, epoch.r1],
     }
 
-
-def cg_true_residual(solution: dict[int, tuple[int, int, np.ndarray]],
-                     ny: int, nx: int, seed: int) -> float:
-    """Relative residual ||b - Ax|| / ||b|| of the assembled solution."""
-    x = np.zeros((ny, nx))
-    for _rank, (r0, r1, strip) in solution.items():
-        x[r0:r1] = strip
-    b = make_rhs(seed, ny, nx)
-    ax = apply_laplacian(x, np.zeros(nx), np.zeros(nx))
-    return float(np.linalg.norm(b - ax) / np.linalg.norm(b))

@@ -37,11 +37,11 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.apps.verification import verify_cgpop
 from repro.caf.program import run_caf
 from repro.obs import capture as obs_capture
 from repro.obs.artifact import write
 from repro.resilience.apps import (
-    cg_true_residual,
     ra_reference,
     run_resilient_cgpop,
     run_resilient_randomaccess,
@@ -92,11 +92,10 @@ def _verify_ra(cluster, kwargs: dict) -> bool:
 
 
 def _verify_cg(cluster, kwargs: dict) -> bool:
-    sol = cluster.shared("cgpop-res-solution", dict)
-    rel = cg_true_residual(
-        sol, kwargs["ny"], kwargs["nx"], kwargs.get("seed", 11)
-    )
-    return rel < 1e-6
+    return verify_cgpop(
+        cluster.shared("cgpop-solution", dict),
+        ny=kwargs["ny"], nx=kwargs["nx"], seed=kwargs.get("seed", 11),
+    ).passed
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps.cgpop import apply_laplacian, make_rhs, run_cgpop
+from repro.apps.cgpop import apply_laplacian, assemble_solution, make_rhs, run_cgpop
 from repro.caf import run_caf
 from repro.util.errors import CafError
 
@@ -21,9 +21,9 @@ def laplacian_matrix(ny, nx):
     )
 
 
-def gathered_solution(run, nranks):
-    sol = run.cluster._shared["cgpop-solution"]
-    return np.vstack([sol[r] for r in range(nranks)])
+def gathered_solution(run):
+    res = run.results[0]
+    return assemble_solution(run.cluster._shared["cgpop-solution"], res.ny, res.nx)
 
 
 @pytest.mark.parametrize("mode", ["push", "pull"])
@@ -32,7 +32,7 @@ def test_converges_to_true_solution(backend, mode, nranks):
     ny, nx = 16, 8
     run = run_caf(run_cgpop, nranks, backend=backend, ny=ny, nx=nx, mode=mode, seed=4)
     assert all(r.converged for r in run.results)
-    x = gathered_solution(run, nranks).reshape(-1)
+    x = gathered_solution(run).reshape(-1)
     a = laplacian_matrix(ny, nx)
     b = make_rhs(4, ny, nx).reshape(-1)
     assert np.linalg.norm(a @ x - b) < 1e-5 * np.linalg.norm(b)
@@ -42,8 +42,8 @@ def test_push_and_pull_agree(backend):
     ny, nx = 16, 8
     push = run_caf(run_cgpop, 4, backend=backend, ny=ny, nx=nx, mode="push")
     pull = run_caf(run_cgpop, 4, backend=backend, ny=ny, nx=nx, mode="pull")
-    xp = gathered_solution(push, 4)
-    xq = gathered_solution(pull, 4)
+    xp = gathered_solution(push)
+    xq = gathered_solution(pull)
     assert np.allclose(xp, xq, atol=1e-8)
     assert push.results[0].iterations == pull.results[0].iterations
 
@@ -52,7 +52,7 @@ def test_apply_laplacian_matches_matrix():
     ny, nx = 6, 5
     rng = np.random.default_rng(0)
     v = rng.standard_normal((ny, nx))
-    out = apply_laplacian(v, np.zeros(nx), np.zeros(nx))
+    out = apply_laplacian(v, np.zeros(nx), np.zeros(nx), np.zeros(ny), np.zeros(ny))
     a = laplacian_matrix(ny, nx)
     assert np.allclose(out.reshape(-1), a @ v.reshape(-1))
 

@@ -1,40 +1,50 @@
-"""CGPOP 2-D decomposition: 4-neighbor halos with strided sections."""
+"""CGPOP on a 2-D px x py image grid: 4-neighbor halos, same CG as strips."""
 
 import numpy as np
 import pytest
 
-from repro.apps.cgpop import (
-    apply_laplacian_2d,
-    assemble_2d_solution,
-    make_rhs,
-    run_cgpop,
-    run_cgpop_2d,
-)
+from repro.apps.cgpop import apply_laplacian, assemble_solution, make_rhs, run_cgpop
 from repro.caf import run_caf
 from repro.util.errors import CafError
 
 from tests.apps.test_cgpop import gathered_solution, laplacian_matrix
 
+GRID_HINT = "ny must be a multiple of P/px, nx of px"
+
 
 def test_apply_laplacian_2d_matches_matrix():
+    """An interior block with its four halos gives the global operator's
+    rows for that block."""
     ny, nx = 6, 5
     rng = np.random.default_rng(0)
     v = rng.standard_normal((ny, nx))
-    out = apply_laplacian_2d(
-        v, np.zeros(nx), np.zeros(nx), np.zeros(ny), np.zeros(ny)
+    full = (laplacian_matrix(ny, nx) @ v.reshape(-1)).reshape(ny, nx)
+    r0, r1, c0, c1 = 2, 4, 1, 3
+    out = apply_laplacian(
+        v[r0:r1, c0:c1],
+        v[r0 - 1, c0:c1], v[r1, c0:c1], v[r0:r1, c0 - 1], v[r0:r1, c1],
     )
-    a = laplacian_matrix(ny, nx)
-    assert np.allclose(out.reshape(-1), a @ v.reshape(-1))
+    assert np.allclose(out, full[r0:r1, c0:c1])
 
 
-@pytest.mark.parametrize("nranks,px,py", [(4, 2, 2), (6, 3, 2), (8, 4, 2)])
-def test_2d_converges_to_true_solution(backend, nranks, px, py):
+@pytest.mark.parametrize(
+    "nranks,px,mode",
+    [
+        pytest.param(
+            n, px, mode, id=f"{n}-{px}-{n // px}" + ("-pull" if mode == "pull" else "")
+        )
+        for n, px in ((4, 2), (6, 3), (8, 4))
+        for mode in ("push", "pull")
+    ],
+)
+def test_2d_converges_to_true_solution(backend, nranks, px, mode):
+    py = nranks // px
     ny, nx = 8 * py, 4 * px
     run = run_caf(
-        run_cgpop_2d, nranks, backend=backend, ny=ny, nx=nx, px=px, py=py, seed=2
+        run_cgpop, nranks, backend=backend, ny=ny, nx=nx, px=px, mode=mode, seed=2
     )
     assert all(r.converged for r in run.results)
-    x = assemble_2d_solution(run.cluster._shared["cgpop2d-solution"], ny, nx)
+    x = assemble_solution(run.cluster._shared["cgpop-solution"], ny, nx)
     a = laplacian_matrix(ny, nx)
     b = make_rhs(2, ny, nx)
     assert (
@@ -46,37 +56,43 @@ def test_2d_converges_to_true_solution(backend, nranks, px, py):
 def test_2d_matches_1d_solution(backend):
     ny, nx = 16, 8
     run1 = run_caf(run_cgpop, 4, backend=backend, ny=ny, nx=nx, seed=7)
-    run2 = run_caf(run_cgpop_2d, 4, backend=backend, ny=ny, nx=nx, px=2, py=2, seed=7)
-    x1 = gathered_solution(run1, 4)
-    x2 = assemble_2d_solution(run2.cluster._shared["cgpop2d-solution"], ny, nx)
-    assert np.allclose(x1, x2, atol=1e-7)
+    run2 = run_caf(run_cgpop, 4, backend=backend, ny=ny, nx=nx, px=2, seed=7)
+    assert np.allclose(gathered_solution(run1), gathered_solution(run2), atol=1e-7)
 
 
 def test_auto_factorization():
-    run = run_caf(run_cgpop_2d, 6, backend="mpi", ny=12, nx=12, seed=1)
+    run = run_caf(run_cgpop, 6, backend="mpi", ny=12, nx=12, px=2, seed=1)
     assert all(r.converged for r in run.results)
 
 
 def test_bad_grid_divisibility_rejected(backend):
     with pytest.raises(CafError, match="not divisible"):
-        run_caf(run_cgpop_2d, 4, backend=backend, ny=9, nx=10, px=2, py=2)
+        run_caf(run_cgpop, 4, backend=backend, ny=9, nx=10, px=2)
 
 
 def test_bad_factorization_rejected(backend):
-    with pytest.raises(CafError, match="!="):
-        run_caf(run_cgpop_2d, 4, backend=backend, ny=8, nx=8, px=3, py=2)
+    with pytest.raises(CafError, match="px must divide P") as info:
+        run_caf(run_cgpop, 4, backend=backend, ny=8, nx=8, px=3)
+    assert str(info.value).endswith("choose px dividing P"), str(info.value)
+
+
+@pytest.mark.parametrize("nranks,ny,nx,px", [(3, 16, 4, 1), (4, 9, 10, 2), (4, 8, 6, 4)])
+def test_grid_refusal_names_the_fix(nranks, ny, nx, px):
+    with pytest.raises(CafError) as info:
+        run_caf(run_cgpop, nranks, backend="mpi", ny=ny, nx=nx, px=px)
+    assert str(info.value).endswith(GRID_HINT), str(info.value)
 
 
 def test_east_west_halos_use_single_messages():
-    """Column halos must travel as one strided message, not per-element."""
+    """Column halos must travel as one message each, not per-element."""
     run = run_caf(
-        run_cgpop_2d, 4, backend="mpi", ny=16, nx=16, px=2, py=2,
+        run_cgpop, 4, backend="mpi", ny=16, nx=16, px=2,
         max_iter=2, tol=0.0, trace=True,
     )
     transfers = run.tracer.of_kind("transfer")
-    # Column payloads are 8 doubles = 64 bytes; count messages of that size
-    # (plus the RMA envelope) — there should be few, not 8x-per-element.
-    col_sized = [e for e in transfers if 64 <= e.detail["nbytes"] <= 200]
+    # Every edge here, row or column, is 8 doubles = 64 bytes; one put of
+    # an edge carries them plus a 48-byte RMA envelope.
+    col_sized = [e for e in transfers if e.detail["nbytes"] == 64 + 48]
     per_exchange_links = 4 * 2  # 4 images x (east+west averages 1 each)
     exchanges = 1 + 2  # initial residual + 2 iterations
     assert len(col_sized) <= 4 * per_exchange_links * exchanges

@@ -12,7 +12,7 @@ from repro.apps.__main__ import main
         (["fft", "--procs", "4", "--m", "4096"], "GFlop/s"),
         (["hpl", "--procs", "2", "--n", "64"], "TFlop/s"),
         (["cgpop", "--procs", "2", "--ny", "8", "--nx", "4"], "converged=True"),
-        (["cgpop2d", "--procs", "4", "--ny", "8", "--nx", "8"], "converged=True"),
+        (["cgpop", "--procs", "4", "--px", "2", "--ny", "8", "--nx", "8"], "converged=True"),
         (["micro", "--procs", "2", "--op", "notify"], "ops/s"),
     ],
 )

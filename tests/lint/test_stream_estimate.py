@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.apps.cgpop import run_cgpop
 from repro.caf import run_caf
 from repro.ir import record as ir_record
 from repro.lint import cli
@@ -63,6 +64,35 @@ def test_static_prediction_matches_recorded_trace(app, tmp_path):
         f"{cmp.recorded_total_bytes} B "
         f"({cmp.total_bytes_rel_err:.2%} > {tol:.0%} tolerance)"
     )
+
+
+@pytest.mark.parametrize("mode", ["push", "pull"])
+def test_static_prediction_matches_cgpop_on_a_block_grid(mode, tmp_path):
+    """The same entry point on a 2 x 3 image grid: four-neighbor links,
+    column edges included, predicted call for call and byte for byte."""
+    path, entry, _ = VALIDATION["cgpop"]
+    kwargs = dict(ny=12, nx=8, px=2, mode=mode, max_iter=6)
+    with ir_record.recording(tmp_path / f"cgpop-{mode}.npz"):
+        run_caf(run_cgpop, 6, PLATFORMS["laptop"], backend="mpi", **kwargs)
+    trace = ir_record.last_trace()
+
+    (pred,) = predict_file(path, entry=entry, nranks=6, bindings=kwargs)
+    assert pred.aborted == [], pred.aborted
+    cmp = compare_to_trace(pred, trace)
+    for k in cmp.per_kind:
+        assert (k.static_calls, k.static_bytes) == (k.recorded_calls, k.recorded_bytes), k
+
+
+def test_predict_file_entry_picks_one_of_several(tmp_path):
+    path = tmp_path / "two.py"
+    path.write_text(
+        "def first(img):\n    img.sync_all()\n\n"
+        "def second(img):\n    img.sync_all()\n    img.sync_all()\n"
+    )
+    assert [p.qualname for p in predict_file(path, nranks=2)] == ["first", "second"]
+    (pred,) = predict_file(path, entry="second", nranks=2)
+    assert pred.qualname == "second"
+    assert pred.by_kind["caf.coll.barrier"].calls == 2 * 2
 
 
 def test_prediction_comm_matrix_tracks_p2p_volume(tmp_path):

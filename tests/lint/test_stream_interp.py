@@ -312,3 +312,58 @@ def test_unmodelled_python_degrades_to_unknown(construct):
             ("sync_all", 0),
         ]
     assert lint_source(source, "test.py") == []
+
+
+#: Python the interpreter models exactly, none of it in an app's entry
+#: point any more: each binds ``data``, whose bytes it predicts.
+MODELLED = {
+    "while-exits-on-its-test": ("n = 1\nwhile n < 4:\n    n = n * 2\ndata = np.ones(n)", 32),
+    "or-short-circuits": ("n = None\ndata = np.ones(n or 4)", 32),
+    "newaxis-on-a-local-view": ("data = co.local[None, :]", 64),
+}
+
+#: Extents the interpreter cannot know: the payload is of unknown size.
+UNKNOWN_EXTENTS = {
+    "bounded-slice": "data = np.ones(sorted(xs)[0])[1:]",
+    "unbounded-slice": "data = np.ones(sorted(xs)[0])[:]",
+    "index-past-a-lost-rank": "data = np.vstack([co.local, co.local])[1:, 0]",
+}
+
+
+def _payload_program(binding: str) -> str:
+    return (
+        "import numpy as np\n\n"
+        "def main(img):\n"
+        "    co = img.allocate_coarray(8)\n"
+        "    xs = [3, 1, 2]\n"
+        + textwrap.indent(binding, "    ") + "\n"
+        "    co.write((img.rank + 1) % img.nranks, data)\n"
+        "    img.sync_all()\n"
+    )
+
+
+@pytest.mark.parametrize("construct", sorted(MODELLED))
+def test_modelled_python_sizes_the_payload_exactly(construct):
+    binding, nbytes = MODELLED[construct]
+    source = _payload_program(binding)
+    (entry,) = compile_src(source, step_budget=400).entries
+    for rs in entry.ranks:
+        assert rs.aborted is None and not rs.warnings
+        assert [(op.method, op.nbytes) for op in rs.ops] == [
+            ("write", nbytes),
+            ("sync_all", 0),
+        ]
+    assert lint_source(source, "test.py") == []
+
+
+@pytest.mark.parametrize("construct", sorted(UNKNOWN_EXTENTS))
+def test_unknown_extent_leaves_the_payload_unknown(construct):
+    source = _payload_program(UNKNOWN_EXTENTS[construct])
+    (entry,) = compile_src(source, step_budget=400).entries
+    for rs in entry.ranks:
+        assert rs.aborted is None
+        assert [(op.method, op.nbytes) for op in rs.ops] == [
+            ("write", None),
+            ("sync_all", 0),
+        ]
+    assert lint_source(source, "test.py") == []

@@ -11,10 +11,10 @@ whichever fraction works keeps working.
 import numpy as np
 import pytest
 
+from repro.apps.verification import verify_cgpop
 from repro.caf.program import run_caf
 from repro.resilience import run_resilient
 from repro.resilience.apps import (
-    cg_true_residual,
     ra_reference,
     run_resilient_cgpop,
     run_resilient_randomaccess,
@@ -36,8 +36,8 @@ def _ra_verified(cluster):
 
 
 def _cg_verified(cluster):
-    sol = cluster.shared("cgpop-res-solution", dict)
-    return cg_true_residual(sol, CG_KW["ny"], CG_KW["nx"], 11) < 1e-6
+    sol = cluster.shared("cgpop-solution", dict)
+    return verify_cgpop(sol, ny=CG_KW["ny"], nx=CG_KW["nx"], seed=11).passed
 
 
 def _work_elapsed(program, backend, **kw):

@@ -3,7 +3,7 @@ sanitizing never perturbs the simulated timeline."""
 
 import pytest
 
-from repro.apps.cgpop import run_cgpop, run_cgpop_2d
+from repro.apps.cgpop import run_cgpop
 from repro.apps.fft import run_fft
 from repro.apps.hpl import run_hpl
 from repro.apps.randomaccess import run_randomaccess
@@ -15,7 +15,8 @@ APPS = {
     "hpl": (run_hpl, dict(n=32, seed=3)),
     "cgpop-push": (run_cgpop, dict(ny=8, nx=4, mode="push", seed=3)),
     "cgpop-pull": (run_cgpop, dict(ny=8, nx=4, mode="pull", seed=3)),
-    "cgpop2d": (run_cgpop_2d, dict(ny=8, nx=4, seed=3)),
+    "cgpop2d": (run_cgpop, dict(ny=8, nx=4, px=2, seed=3)),
+    "cgpop2d-pull": (run_cgpop, dict(ny=8, nx=4, px=2, mode="pull", seed=3)),
 }
 
 
