@@ -266,20 +266,24 @@ class RuntimeBackend(abc.ABC):
     def local_view(self, storage: Any) -> np.ndarray:
         """This image's segment of the coarray."""
 
-    def coarray_write(self, storage: Any, target: int, offset: int, data: np.ndarray) -> None:
-        """Blocking remote write; remotely complete on return (§3.1)."""
-        self.ctx.proc.run_script(self._write_steps(storage, target, offset, data))
+    def coarray_write(self, storage: Any, target: int, runs: list, data: np.ndarray) -> None:
+        """Blocking remote write: scatter ``data`` over the (element offset,
+        length) runs of the target's coarray; remotely complete on return
+        (§3.1). A contiguous write is one run; a Fortran array section like
+        ``A(1:n:2)[p] = ...`` is several, moved as one derived-datatype PUT
+        under MPI or one VIS put under GASNet."""
+        self.ctx.proc.run_script(self._write_steps(storage, target, runs, data))
 
-    def coarray_read(self, storage: Any, target: int, offset: int, out: np.ndarray) -> None:
-        """Blocking remote read."""
-        self.ctx.proc.run_script(self._read_steps(storage, target, offset, out))
+    def coarray_read(self, storage: Any, target: int, runs: list, out: np.ndarray) -> None:
+        """Blocking remote read of the target's runs into ``out``."""
+        self.ctx.proc.run_script(self._read_steps(storage, target, runs, out))
 
     @abc.abstractmethod
-    def _write_steps(self, storage: Any, target: int, offset: int, data: np.ndarray):
+    def _write_steps(self, storage: Any, target: int, runs: list, data: np.ndarray):
         """:meth:`coarray_write` over this transport."""
 
     @abc.abstractmethod
-    def _read_steps(self, storage: Any, target: int, offset: int, out: np.ndarray):
+    def _read_steps(self, storage: Any, target: int, runs: list, out: np.ndarray):
         """:meth:`coarray_read` over this transport."""
 
     @abc.abstractmethod
@@ -303,33 +307,6 @@ class RuntimeBackend(abc.ABC):
     ) -> SimEvent:
         """Start an asynchronous read (always request-based: §3.3 case 2);
         returns the transport's event that fires when ``out`` holds the data."""
-
-    def coarray_write_runs(
-        self, storage: Any, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ) -> None:
-        """Blocking strided write: scatter ``data`` over the (element
-        offset, length) runs of the target's coarray — Fortran array
-        sections like ``A(1:n:2)[p] = ...`` (derived datatypes under MPI,
-        VIS strided puts under GASNet)."""
-        self.ctx.proc.run_script(self._write_runs_steps(storage, target, runs, data))
-
-    def coarray_read_runs(
-        self, storage: Any, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ) -> None:
-        """Blocking strided read of the target's runs into ``out``."""
-        self.ctx.proc.run_script(self._read_runs_steps(storage, target, runs, out))
-
-    @abc.abstractmethod
-    def _write_runs_steps(
-        self, storage: Any, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ):
-        """:meth:`coarray_write_runs` over this transport."""
-
-    @abc.abstractmethod
-    def _read_runs_steps(
-        self, storage: Any, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ):
-        """:meth:`coarray_read_runs` over this transport."""
 
     # -- events ----------------------------------------------------------------
 

@@ -57,9 +57,11 @@ class _CoarrayStorage:
         self.nelems = nelems
         self.dtype = np.dtype(dtype)
 
-    def byte_range(self, index: int, offset_elems: int, count: int) -> tuple[int, int]:
-        start = self.offsets[index] + offset_elems * self.dtype.itemsize
-        return start, count * self.dtype.itemsize
+    def byte_runs(self, index: int, runs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        """(element offset, length) runs of member ``index``'s coarray as
+        (byte offset, nbytes) runs of its segment."""
+        base, item = self.offsets[index], self.dtype.itemsize
+        return [(base + off * item, length * item) for off, length in runs]
 
 
 class GasnetBackend(RuntimeBackend):
@@ -179,9 +181,9 @@ class GasnetBackend(RuntimeBackend):
         return _CoarrayStorage(team, offsets, nelems, dtype)
 
     def local_view(self, storage: _CoarrayStorage) -> np.ndarray:
-        start, nbytes = storage.byte_range(storage.team.my_index, 0, storage.nelems)
+        start = storage.offsets[storage.team.my_index]
         seg = self.gasnet.segment
-        view = seg[start : start + nbytes].view(storage.dtype)
+        view = seg[start : start + storage.nelems * storage.dtype.itemsize].view(storage.dtype)
         san = self.ctx.sanitizer
         if san is not None:
             from repro.sanitizer.view import tracked_view
@@ -191,29 +193,32 @@ class GasnetBackend(RuntimeBackend):
             )
         return view
 
-    def _write_steps(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray):
+    def _write_steps(self, storage: _CoarrayStorage, target: int, runs: list, data: np.ndarray):
         target_world = storage.team.world_rank(target)
-        start, _ = storage.byte_range(target, offset, data.size)
+        byte_runs = storage.byte_runs(target, runs)
         if self.am_writes:
-            return self._am_write_steps(target_world, start, data)
-        return self.gasnet._put_steps(target_world, start, data)
+            return self._am_write_steps(target_world, byte_runs, data)
+        return self.gasnet._put_steps(target_world, byte_runs, data)
 
-    def _store_at(self, target_world: int, start: int, data: np.ndarray) -> None:
-        """Body of an AM-write handler: the target stores ``data`` at byte
-        ``start`` of its own segment."""
+    def _store_at(self, target_world: int, byte_runs: list, data: np.ndarray) -> None:
+        """Body of an AM-write handler: the target stores ``data`` over the
+        (byte offset, nbytes) runs of its own segment."""
         seg = self.gasnet.segment_of(target_world)
         raw = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        seg[start : start + raw.nbytes] = raw
+        cursor = 0
+        for start, n in byte_runs:
+            seg[start : start + n] = raw[cursor : cursor + n]
+            cursor += n
         san = self.ctx.sanitizer
         if san is not None:
             # Handler runs on the target after merging the sender clock,
             # so this write is ordered like a local store there.
             san.record_local(
                 target_world, ("seg", target_world),
-                [(start, start + raw.nbytes)], "am-write",
+                [(start, start + n) for start, n in byte_runs], "am-write",
             )
 
-    def _am_write_steps(self, target_world: int, start: int, data: np.ndarray):
+    def _am_write_steps(self, target_world: int, byte_runs: list, data: np.ndarray):
         """Figure 2 mode: write needs the target to run an AM handler."""
         acks = [0]
 
@@ -222,7 +227,7 @@ class GasnetBackend(RuntimeBackend):
             here.kick()
 
         def on_target(here):
-            self._store_at(target_world, start, data)
+            self._store_at(target_world, byte_runs, data)
             # The ack is a request of the target's (it takes a credit and
             # may wait for one), not a GASNet reply: the thunk's own steps.
             return here._send_thunk_steps(self.ctx.rank, self.AM_BYTES, ack)
@@ -232,43 +237,17 @@ class GasnetBackend(RuntimeBackend):
         )
         yield from self.gasnet._block_until_steps(lambda: acks[0] > 0, "am_write ack")
 
-    def _read_steps(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray):
-        target_world = storage.team.world_rank(target)
-        start, _ = storage.byte_range(target, offset, out.size)
-        return self.gasnet._get_steps(out, target_world, start)
-
-    def _byte_runs(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]]
-    ) -> list[tuple[int, int]]:
-        item = storage.dtype.itemsize
-        base = storage.offsets[target]
-        return [(base + off * item, length * item) for off, length in runs]
-
-    def _write_runs_steps(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ):
-        byte_runs = self._byte_runs(storage, target, runs)
-        op = self.gasnet._put_runs_nb_steps(storage.team.world_rank(target), byte_runs, data)
-        return self._synced_steps(op)
-
-    def _read_runs_steps(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ):
-        byte_runs = self._byte_runs(storage, target, runs)
-        op = self.gasnet._get_runs_nb_steps(out, storage.team.world_rank(target), byte_runs)
-        return self._synced_steps(op)
-
-    def _synced_steps(self, op_steps):
-        """One nonblocking RDMA op, then the sync of its handle, as one script."""
-        handle = yield from op_steps
-        yield from self.gasnet._wait_syncnb_steps(handle)
+    def _read_steps(self, storage: _CoarrayStorage, target: int, runs: list, out: np.ndarray):
+        return self.gasnet._get_steps(
+            out, storage.team.world_rank(target), storage.byte_runs(target, runs)
+        )
 
     def coarray_write_async(
         self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,
         dest_event: tuple[Any, int] | None,
     ) -> SimEvent | None:
         target_world = storage.team.world_rank(target)
-        start, _ = storage.byte_range(target, offset, data.size)
+        byte_runs = storage.byte_runs(target, [(offset, data.size)])
         if dest_event is not None:
             # Long-AM style: data lands in the target coarray, then the
             # handler posts the destination event there. The payload is
@@ -279,21 +258,20 @@ class GasnetBackend(RuntimeBackend):
             data_copy = data.copy()
 
             def on_target(here) -> None:
-                self._store_at(target_world, start, data_copy)
+                self._store_at(target_world, byte_runs, data_copy)
                 here._post(event_id, slot)
 
             self.send_thunk(target_world, self.AM_BYTES + data_copy.nbytes, on_target)
             return None
-        h = self.gasnet.put_nb(target_world, start, data)
+        h = self.gasnet.put_nb(target_world, byte_runs[0][0], data)
         self._outstanding_puts.append(h)
         return h.event
 
     def coarray_read_async(
         self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray
     ) -> SimEvent:
-        target_world = storage.team.world_rank(target)
-        start, _ = storage.byte_range(target, offset, out.size)
-        h = self.gasnet.get_nb(out, target_world, start)
+        start = storage.byte_runs(target, [(offset, out.size)])[0][0]
+        h = self.gasnet.get_nb(out, storage.team.world_rank(target), start)
         self._outstanding_gets.append(h)
         return h.event
 

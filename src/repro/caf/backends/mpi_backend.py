@@ -192,26 +192,12 @@ class MpiBackend(RuntimeBackend):
         req = yield from op_steps
         yield from self._waitall_steps([req], reason)
 
-    def _write_steps(self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray):
+    def _write_steps(self, storage: _CoarrayStorage, target: int, runs: list, data: np.ndarray):
         win = storage.win
-        return self._flushed_steps(win, win._rput_steps(data, target, offset), target)
+        return self._flushed_steps(win, win._put_steps(data, target, runs), target)
 
-    def _read_steps(self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray):
-        return self._waited_steps(storage.win._rget_steps(out, target, offset), "coarray_read")
-
-    def _write_runs_steps(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], data: np.ndarray
-    ):
-        # A derived-datatype MPI_PUT followed by a flush (§3.1 semantics).
-        win = storage.win
-        return self._flushed_steps(win, win._put_runs_steps(data, target, runs), target)
-
-    def _read_runs_steps(
-        self, storage: _CoarrayStorage, target: int, runs: list[tuple[int, int]], out: np.ndarray
-    ):
-        return self._waited_steps(
-            storage.win._get_runs_steps(out, target, runs), "coarray_read_runs"
-        )
+    def _read_steps(self, storage: _CoarrayStorage, target: int, runs: list, out: np.ndarray):
+        return self._waited_steps(storage.win._get_steps(out, target, runs), "coarray_read")
 
     def coarray_write_async(
         self, storage: _CoarrayStorage, target: int, offset: int, data: np.ndarray, *,

@@ -41,35 +41,47 @@ class Coarray:
         """This image's segment, shaped as allocated."""
         return self.img.backend.local_view(self.storage).reshape(self.shape)
 
-    def _check(self, target: int, offset: int, count: int) -> None:
+    def _check(self, target: int, runs: list[tuple[int, int]]) -> None:
         if not 0 <= target < self.team.size:
             raise CafError(
                 f"image index {target} out of range [0, {self.team.size})"
             )
         self.img._check_alive(self.team, target)
-        if offset < 0 or offset + count > self.nelems:
-            raise CafError(
-                f"coarray access [{offset}, {offset + count}) outside "
-                f"{self.nelems}-element coarray"
-            )
+        for offset, count in runs:
+            if offset < 0 or offset + count > self.nelems:
+                raise CafError(
+                    f"coarray access [{offset}, {offset + count}) outside "
+                    f"{self.nelems}-element coarray"
+                )
 
     # -- blocking remote access ------------------------------------------------
 
     def write(self, target: int, data, offset: int = 0) -> None:
         """``A(offset:...)[target] = data`` — blocking, remotely complete."""
         arr = np.ascontiguousarray(data, dtype=self.dtype).reshape(-1)
-        self._check(target, offset, arr.size)
-        with self.img.profile("coarray_write", "caf.coarray_write", arr.nbytes):
-            self.img.backend.coarray_write(self.storage, target, offset, arr)
+        self._put(target, [(offset, arr.size)], arr)
 
     def read(self, target: int, offset: int = 0, count: int | None = None) -> np.ndarray:
         """``A(offset:offset+count)[target]`` — blocking read."""
         if count is None:
             count = self.nelems - offset
-        self._check(target, offset, count)
-        out = np.empty(count, self.dtype)
-        with self.img.profile("coarray_read", "caf.coarray_read", out.nbytes):
-            self.img.backend.coarray_read(self.storage, target, offset, out)
+        return self._get(target, [(offset, count)], (count,))
+
+    def _put(self, target: int, runs: list[tuple[int, int]], arr: np.ndarray) -> None:
+        """The one blocking write: flat ``arr`` over the (element offset,
+        length) ``runs`` of image ``target``'s coarray."""
+        self._check(target, runs)
+        if runs:
+            with self.img.profile("coarray_write", "caf.coarray_write", arr.nbytes):
+                self.img.backend.coarray_write(self.storage, target, runs, arr)
+
+    def _get(self, target: int, runs: list[tuple[int, int]], shape) -> np.ndarray:
+        """The one blocking read: image ``target``'s ``runs``, shaped ``shape``."""
+        self._check(target, runs)
+        out = np.empty(shape, self.dtype)
+        if runs:
+            with self.img.profile("coarray_read", "caf.coarray_read", out.nbytes):
+                self.img.backend.coarray_read(self.storage, target, runs, out.reshape(-1))
         return out
 
     # -- strided section access (Fortran array sections) -------------------------
@@ -106,25 +118,12 @@ class Coarray:
         arr = np.ascontiguousarray(
             np.broadcast_to(np.asarray(data, dtype=self.dtype), shape)
         ).reshape(-1)
-        if not 0 <= target < self.team.size:
-            raise CafError(f"image index {target} out of range [0, {self.team.size})")
-        self.img._check_alive(self.team, target)
-        if not runs:
-            return
-        with self.img.profile("coarray_write", "caf.coarray_write", arr.nbytes):
-            self.img.backend.coarray_write_runs(self.storage, target, runs, arr)
+        self._put(target, runs, arr)
 
     def read_section(self, target: int, key) -> np.ndarray:
         """``A(section)[target]``: a strided remote read, shaped like the section."""
         runs, shape = self._section_runs(key)
-        if not 0 <= target < self.team.size:
-            raise CafError(f"image index {target} out of range [0, {self.team.size})")
-        self.img._check_alive(self.team, target)
-        out = np.empty(int(np.prod(shape)) if shape else 1, self.dtype)
-        if runs:
-            with self.img.profile("coarray_read", "caf.coarray_read", out.nbytes):
-                self.img.backend.coarray_read_runs(self.storage, target, runs, out)
-        return out.reshape(shape)
+        return self._get(target, runs, shape)
 
     # -- asynchronous remote access (§3.3) -----------------------------------------
 
@@ -146,7 +145,7 @@ class Coarray:
         arrived (the §3.3 case-4 AM path under CAF-MPI).
         """
         arr = np.ascontiguousarray(data, dtype=self.dtype).reshape(-1)
-        self._check(target, offset, arr.size)
+        self._check(target, [(offset, arr.size)])
         img = self.img
 
         dest = None
@@ -186,7 +185,7 @@ class Coarray:
             raise CafError(
                 f"read_async buffer dtype {out_arr.dtype} != coarray dtype {self.dtype}"
             )
-        self._check(target, offset, out_arr.size)
+        self._check(target, [(offset, out_arr.size)])
         img = self.img
 
         def start() -> None:

@@ -214,7 +214,7 @@ class TeamExchange:
     def _put_flag_steps(self, peer_index: int, marker: int, peer_bases: tuple[int, ...]):
         return self.gasnet._put_nb_steps(
             self.members[peer_index],
-            peer_bases[peer_index] + 8 * self.my_index,
+            [(peer_bases[peer_index] + 8 * self.my_index, 8)],
             np.array([marker], np.uint64),
         )
 
@@ -303,7 +303,8 @@ class TeamExchange:
             if vr + mask < n:
                 child = ((vr + mask) + root) % n
                 yield from self.gasnet._put_steps(
-                    self.members[child], self.peer_arena_bases[child] + land, flat
+                    self.members[child],
+                    [(self.peer_arena_bases[child] + land, flat.nbytes)], flat,
                 )
                 yield from self._signal_steps(child, seq)
             mask >>= 1
@@ -350,7 +351,7 @@ class TeamExchange:
         else:
             yield from self.gasnet._put_steps(
                 self.members[root],
-                self.peer_arena_bases[root] + land + self.my_index * nbytes,
+                [(self.peer_arena_bases[root] + land + self.my_index * nbytes, flat.nbytes)],
                 flat,
             )
             yield from self._signal_steps(root, seq)
@@ -454,7 +455,7 @@ class TeamExchange:
                     continue
                 data, delta = chunk_for_peer(j)
                 yield from self.gasnet._put_nb_steps(
-                    self.members[j], self.peer_arena_bases[j] + delta, data
+                    self.members[j], [(self.peer_arena_bases[j] + delta, data.nbytes)], data
                 )
                 # Pair-FIFO delivery makes the flag arrive after the data.
                 yield from self._put_flag_steps(j, marker_val, self.peer_flag_bases)
@@ -469,7 +470,8 @@ class TeamExchange:
                 handles.append(
                     (
                         yield from self.gasnet._put_nb_steps(
-                            self.members[j], self.peer_arena_bases[j] + delta, data
+                            self.members[j],
+                            [(self.peer_arena_bases[j] + delta, data.nbytes)], data,
                         )
                     )
                 )

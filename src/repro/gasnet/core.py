@@ -533,81 +533,72 @@ class GasnetRank:
         modifying the source until the handle syncs, so the only copy is
         the commit into the destination segment at delivery.
         """
-        return self.ctx.proc.run_script(self._put_nb_steps(dest, dest_offset, data))
-
-    def _put_nb_steps(self, dest: int, dest_offset: int, data):
-        arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        self._check_range(dest, dest_offset, arr.nbytes)
-        self._check_alive(dest)
-        yield _costs.cost(self.ctx, "gasnet.put", arr.nbytes)
-        handle = self._begin(
-            "put", dest, [(dest_offset, dest_offset + arr.nbytes)], is_write=True
+        arr = np.asarray(data)
+        return self.ctx.proc.run_script(
+            self._put_nb_steps(dest, [(dest_offset, arr.nbytes)], arr)
         )
-        self._rdma_write(dest, [(dest_offset, arr.nbytes)], arr, handle)
-        return handle
-
-    def get_nb(self, dest_buf, src: int, src_offset: int) -> Handle:
-        """gasnet_get_nb: RDMA read into ``dest_buf``."""
-        return self.ctx.proc.run_script(self._get_nb_steps(dest_buf, src, src_offset))
-
-    def _get_nb_steps(self, dest_buf, src: int, src_offset: int):
-        out = np.asarray(dest_buf)
-        if out.size and not out.flags["C_CONTIGUOUS"]:
-            raise GasnetError("get destination must be C-contiguous")
-        nbytes = out.nbytes
-        self._check_range(src, src_offset, nbytes)
-        self._check_alive(src)
-        yield _costs.cost(self.ctx, "gasnet.get", nbytes)
-        handle = self._begin(
-            "get", src, [(src_offset, src_offset + nbytes)], is_write=False
-        )
-        self._rdma_read(src, [(src_offset, nbytes)], out, handle)
-        return handle
 
     def put_runs_nb(self, dest: int, runs: list[tuple[int, int]], data) -> Handle:
         """Strided RDMA write (the GASNet VIS extended API): one message
         scatters ``data`` into the (byte_offset, nbytes) runs of the
-        destination segment."""
-        return self.ctx.proc.run_script(self._put_runs_nb_steps(dest, runs, data))
+        destination segment. One run is a contiguous put_nb and is priced
+        and named as one."""
+        return self.ctx.proc.run_script(self._put_nb_steps(dest, runs, data))
 
-    def _put_runs_nb_steps(self, dest: int, runs: list[tuple[int, int]], data):
+    def _put_nb_steps(self, dest: int, runs: list[tuple[int, int]], data):
+        """The one RDMA write script: ``data`` over the (byte_offset, nbytes)
+        ``runs`` of ``dest``'s segment. More than one run pays the pack."""
         arr = np.ascontiguousarray(data).reshape(-1).view(np.uint8)
-        total = sum(n for _off, n in runs)
-        if arr.nbytes != total:
-            raise GasnetError(f"put_runs data is {arr.nbytes} bytes, runs cover {total}")
-        for off, n in runs:
-            self._check_range(dest, int(off), int(n))
-        self._check_alive(dest)
-        # Pack cost at the origin, then a single wire message. Like put_nb,
-        # the source may not change until the handle syncs, so no snapshot.
-        yield _costs.cost(self.ctx, "gasnet.put_runs", arr.nbytes)
-        handle = self._begin(
-            "put_runs", dest,
-            [(int(off), int(off) + int(n)) for off, n in runs], is_write=True,
-        )
+        op = "put" if len(runs) == 1 else "put_runs"
+        ranges = self._check_runs(dest, runs, arr.nbytes, "put data")
+        yield _costs.cost(self.ctx, "gasnet.put" if op == "put" else "gasnet.put_runs", arr.nbytes)
+        handle = self._begin(op, dest, ranges, is_write=True)
         self._rdma_write(dest, runs, arr, handle)
         return handle
 
+    def get_nb(self, dest_buf, src: int, src_offset: int) -> Handle:
+        """gasnet_get_nb: RDMA read into ``dest_buf``."""
+        out = np.asarray(dest_buf)
+        return self.ctx.proc.run_script(
+            self._get_nb_steps(out, src, [(src_offset, out.nbytes)])
+        )
+
     def get_runs_nb(self, dest_buf, src: int, runs: list[tuple[int, int]]) -> Handle:
         """Strided RDMA read: gather the source segment's byte runs into
-        ``dest_buf`` with one request/response exchange."""
-        return self.ctx.proc.run_script(self._get_runs_nb_steps(dest_buf, src, runs))
+        ``dest_buf`` with one request/response exchange. One run is a
+        contiguous get_nb and is priced and named as one."""
+        return self.ctx.proc.run_script(self._get_nb_steps(dest_buf, src, runs))
 
-    def _get_runs_nb_steps(self, dest_buf, src: int, runs: list[tuple[int, int]]):
+    def _get_nb_steps(self, dest_buf, src: int, runs: list[tuple[int, int]]):
+        """The one RDMA read script: the (byte_offset, nbytes) ``runs`` of
+        ``src``'s segment into ``dest_buf``, one request/response exchange."""
         out = np.asarray(dest_buf)
-        total = sum(n for _off, n in runs)
-        if out.nbytes != total:
-            raise GasnetError(f"get_runs buffer is {out.nbytes} bytes, runs cover {total}")
-        for off, n in runs:
-            self._check_range(src, int(off), int(n))
-        self._check_alive(src)
-        yield _costs.cost(self.ctx, "gasnet.get_runs", total)
-        handle = self._begin(
-            "get_runs", src,
-            [(int(off), int(off) + int(n)) for off, n in runs], is_write=False,
-        )
+        if out.size and not out.flags["C_CONTIGUOUS"]:
+            raise GasnetError(
+                "get destination must be C-contiguous: pass np.ascontiguousarray(buf) "
+                "and copy back, or read into a fresh array"
+            )
+        op = "get" if len(runs) == 1 else "get_runs"
+        ranges = self._check_runs(src, runs, out.nbytes, "get buffer")
+        yield _costs.cost(self.ctx, "gasnet.get" if op == "get" else "gasnet.get_runs", out.nbytes)
+        handle = self._begin(op, src, ranges, is_write=False)
         self._rdma_read(src, runs, out, handle)
         return handle
+
+    def _check_runs(self, rank: int, runs, nbytes: int, what: str) -> list[tuple[int, int]]:
+        """Validate an access of ``nbytes`` over (byte_offset, nbytes) runs
+        of ``rank``'s segment; returns them as [lo, hi) byte ranges."""
+        ranges = []
+        total = 0
+        for off, n in runs:
+            off, n = int(off), int(n)
+            self._check_range(rank, off, n)
+            ranges.append((off, off + n))
+            total += n
+        if nbytes != total:
+            raise GasnetError(f"{what} is {nbytes} bytes, runs cover {total}")
+        self._check_alive(rank)
+        return ranges
 
     def wait_syncnb(self, handle: Handle) -> None:
         """gasnet_wait_syncnb: block (with AM progress) until the handle fires."""
@@ -630,16 +621,18 @@ class GasnetRank:
 
     def put(self, dest: int, dest_offset: int, data) -> None:
         """gasnet_put (blocking): returns when remotely complete."""
-        self.ctx.proc.run_script(self._put_steps(dest, dest_offset, data))
+        arr = np.asarray(data)
+        self.ctx.proc.run_script(self._put_steps(dest, [(dest_offset, arr.nbytes)], arr))
 
-    def _put_steps(self, dest: int, dest_offset: int, data):
-        handle = yield from self._put_nb_steps(dest, dest_offset, data)
+    def _put_steps(self, dest: int, runs: list[tuple[int, int]], data):
+        handle = yield from self._put_nb_steps(dest, runs, data)
         yield from self._wait_syncnb_steps(handle)
 
     def get(self, dest_buf, src: int, src_offset: int) -> None:
         """gasnet_get (blocking)."""
-        self.ctx.proc.run_script(self._get_steps(dest_buf, src, src_offset))
+        out = np.asarray(dest_buf)
+        self.ctx.proc.run_script(self._get_steps(out, src, [(src_offset, out.nbytes)]))
 
-    def _get_steps(self, dest_buf, src: int, src_offset: int):
-        handle = yield from self._get_nb_steps(dest_buf, src, src_offset)
+    def _get_steps(self, dest_buf, src: int, runs: list[tuple[int, int]]):
+        handle = yield from self._get_nb_steps(dest_buf, src, runs)
         yield from self._wait_syncnb_steps(handle)

@@ -86,6 +86,7 @@ class Row:
     slot: Operand | None = None  # event slot (the op carries (uid, slot))
     count: Operand | None = None  # notifications a wait consumes
     escapes: tuple[str, ...] = ()  # keyword arguments paired by unseen code
+    runs: Operand | None = None  # (offset, length) runs: one run emits ONE_RUN[emits]
     warn: str | None = None  # stream warning the call raises
     returns: str = "none"  # none | unknown | self | a named builder
 
@@ -112,11 +113,19 @@ def _caf_coll_async(kind: str) -> Row:
     )
 
 
-def _rma(method: str, classes: str, kind: str, target: int = 1, returns: str = "none") -> Row:
+def _rma(
+    method: str, classes: str, kind: str, target: int = 1, returns: str = "none",
+    runs: Operand | None = None,
+) -> Row:
     return Row(
         "window", method, classes + " rma", kind, peer=(target, "target"), buf=_BUF0,
-        returns=returns,
+        returns=returns, runs=runs,
     )
+
+
+#: A transfer over one (offset, length) run is a contiguous one: the runtime
+#: records the contiguous kind for it, whichever entry point was called.
+ONE_RUN = {"mpi.put_runs": "mpi.rput", "mpi.get_runs": "mpi.rget"}
 
 
 _ROWS = (
@@ -164,7 +173,7 @@ _ROWS = (
     Row("coarray", "write_async", "put async caf_put message", "mpi.rput", peer=_TARGET0,
         buf=(1, "data"), escapes=("predicate",)),
     Row("coarray", "read_async", "get async caf_put", "mpi.rget", peer=_TARGET0,
-        nbytes="result", escapes=("predicate",), returns="read_async"),
+        buf=(1, "out"), escapes=("predicate",)),
     # -- EventArray (repro.caf.events) -------------------------------------
     Row("event", "notify", "", "caf.event_notify", peer=_TARGET0, slot=(1, "slot", 0)),
     Row("event", "wait", "sync blocking caf_sync", "caf.event_wait", peer="self",
@@ -213,8 +222,8 @@ _ROWS = (
     _rma("get_accumulate", "get", "mpi.fetch_op", 2),
     _rma("fetch_and_op", "get", "mpi.fetch_op", 2),
     _rma("compare_and_swap", "get", "mpi.cas", 3),
-    _rma("put_runs", "put", "mpi.put_runs"),
-    _rma("get_runs", "get", "mpi.get_runs", returns="unknown"),
+    _rma("put_runs", "put", "mpi.put_runs", runs=(2, "runs")),
+    _rma("get_runs", "get", "mpi.get_runs", returns="unknown", runs=(2, "runs")),
     Row("window", "flush", "sync blocking foreign_block", "mpi.flush", peer=_TARGET0),
     Row("window", "flush_local", "sync foreign_block bookkeeping", "mpi.flush_local",
         peer=_TARGET0),
@@ -314,6 +323,8 @@ def render_table() -> str:
     ]
     for r in _ROWS:
         emits = f"`{r.emits}`" if r.emits else "—"
+        if r.runs is not None:
+            emits += f" (one run: `{ONE_RUN[r.emits]}`)"
         lines.append(
             f"| {r.recv} | `{r.method}` | {' '.join(sorted(r.classes)) or '—'} | {emits} | "
             f"{KINDS.get(r.emits, '—')} | {r.returns} |"

@@ -524,11 +524,13 @@ class _RankRun:
         count: Any = 1,
         bounded: bool = False,
         note: str | None = None,
+        kind: str | None = None,
     ) -> None:
-        """Append ``row``'s op; its matcher flags are the row's classes."""
+        """Append ``row``'s op (of ``kind`` when the call records another
+        kind than the row's); its matcher flags are the row's classes."""
         self.stream.ops.append(
             StreamOp(
-                kind=row.emits,
+                kind=kind or row.emits,
                 method=method,
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0),
@@ -1736,8 +1738,11 @@ class _RankRun:
             slot = self._operand(row.slot, call)
             event = (call.handle.uid, int(slot) if is_int(slot) else -1)
         model = meta.get("memory_model")
+        runs = self._operand(row.runs, call)
+        one_run = isinstance(runs, (list, tuple)) and len(runs) == 1
         self.emit(
             row, method or row.method, call.node, peer=peer, nbytes=nbytes, event=event,
+            kind=protocol.ONE_RUN[row.emits] if one_run else None,
             count=self._operand(row.count, call, 1),
             bounded="bounded" in row.classes or call.kwargs.get("timeout") is not None,
             note=model if isinstance(model, str) else None,
@@ -1849,11 +1854,6 @@ class _RankRun:
         if isinstance(result, ArrayVal):
             return result
         return ArrayVal((UNKNOWN,), call.handle.meta.get("itemsize", 8), None)
-
-    def _ret_read_async(self, call: _Call) -> Any:
-        count = call.kwargs.get("count", UNKNOWN)
-        return ArrayVal((int(count) if is_int(count) else UNKNOWN,),
-                        call.handle.meta.get("itemsize", 8), None)
 
     def _ret_sendrecv(self, call: _Call) -> Any:
         """``sendrecv(sendbuf, dest, recvbuf, source)`` is the send row's op

@@ -424,13 +424,25 @@ class Window:
 
     def rput(self, data, target: int, offset: int = 0) -> Request:
         """MPI_RPUT: like PUT, returning a request for *local* completion."""
-        return self.ctx.proc.run_script(self._rput_steps(data, target, offset))
+        return self.ctx.proc.run_script(
+            self._put_steps(data, target, [(offset, np.size(data))])
+        )
 
-    def _rput_steps(self, data, target: int, offset: int):
+    def put_runs(self, data, target: int, runs: list[tuple[int, int]]) -> None:
+        """PUT with a derived datatype: scatter ``data`` into the target's
+        window at the given (offset, length) runs, as one network message
+        (how MPI_Type_vector + MPI_PUT moves strided sections). One run is
+        a contiguous PUT and is priced and named as one."""
+        self.ctx.proc.run_script(self._put_steps(data, target, runs))
+
+    def _put_steps(self, data, target: int, runs: list[tuple[int, int]]):
+        """The one PUT script: ``data`` over the (offset, length) ``runs``
+        of ``target``'s window. More than one run pays the origin's pack."""
         arr, private = flatten(data, self.state.dtype)
-        self._check_target(target, offset, arr.size)
-        yield _costs.cost(self.ctx, "mpi.rput", arr.nbytes)
-        req = self._begin("rput", target, [(offset, offset + arr.size)], is_write=True)
+        op = "rput" if len(runs) == 1 else "put_runs"
+        ranges = self._check_runs(target, runs, arr.size, "put data")
+        yield _costs.cost(self.ctx, "mpi.rput" if op == "rput" else "mpi.put_runs", arr.nbytes)
+        req = self._begin(op, target, ranges, is_write=True)
         eager = arr.nbytes <= self.ctx.spec.mpi_eager_threshold
         # Eager PUTs complete locally on return, so the library must buffer
         # the data now; rendezvous PUTs may read the user buffer at delivery
@@ -449,7 +461,10 @@ class Window:
                 self._unread_puts.discard(pp)
             else:
                 data = payload
-            self.state.write_target(target, offset, data)
+            cursor = 0
+            for lo, hi in ranges:
+                self.state.write_target(target, lo, data[cursor : cursor + hi - lo])
+                cursor += hi - lo
 
         self._one_way(target, payload.nbytes, commit, req)
         if eager:
@@ -464,27 +479,51 @@ class Window:
 
     def rget(self, dest, target: int, offset: int = 0) -> Request:
         """MPI_RGET: request completion == local *and* remote completion."""
-        return self.ctx.proc.run_script(self._rget_steps(dest, target, offset))
-
-    def _rget_steps(self, dest, target: int, offset: int):
-        dest_arr = np.asarray(dest)
-        if dest_arr.dtype != self.state.dtype:
-            raise MpiError(
-                f"rget destination dtype {dest_arr.dtype} != window dtype {self.state.dtype}"
-            )
-        count = dest_arr.size
-        self._check_target(target, offset, count)
-        nbytes = count * self.state.dtype.itemsize
-        yield _costs.cost(self.ctx, "mpi.rget", nbytes)
-        req = self._begin(
-            "rget", target, [(offset, offset + count)], is_write=False, round_trip=True
+        return self.ctx.proc.run_script(
+            self._get_steps(dest, target, [(offset, np.size(dest))])
         )
+
+    def get_runs(self, dest, target: int, runs: list[tuple[int, int]]) -> Request:
+        """GET with a derived datatype: gather the target's runs into
+        ``dest`` as one response message; returns a request (like RGET).
+        One run is a contiguous RGET and is priced and named as one."""
+        return self.ctx.proc.run_script(self._get_steps(dest, target, runs))
+
+    def _get_steps(self, dest, target: int, runs: list[tuple[int, int]]):
+        """The one GET script: the (offset, length) ``runs`` of ``target``'s
+        window into ``dest``, one response message."""
+        dest_arr = np.asarray(dest)
+        dtype = self.state.dtype
+        op = "rget" if len(runs) == 1 else "get_runs"
+        if dest_arr.dtype != dtype:
+            raise MpiError(f"{op} destination dtype {dest_arr.dtype} != window dtype {dtype}")
+        ranges = self._check_runs(target, runs, dest_arr.size, "get buffer")
+        nbytes = dest_arr.size * dtype.itemsize
+        yield _costs.cost(self.ctx, "mpi.rget" if op == "rget" else "mpi.get_runs", nbytes)
+        req = self._begin(op, target, ranges, is_write=False, round_trip=True)
+
+        def gather() -> np.ndarray:
+            parts = [self.state.read_target(target, lo, hi - lo) for lo, hi in ranges]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts or [np.empty(0, dtype)])
+
         self._round_trip(
-            target, _RMA_ENVELOPE_BYTES, nbytes,
-            lambda: self.state.read_target(target, offset, count),
-            dest_arr.reshape(-1), req,
+            target, _RMA_ENVELOPE_BYTES, nbytes, gather, dest_arr.reshape(-1), req
         )
         return req
+
+    def _check_runs(self, target: int, runs, size: int, what: str) -> list[tuple[int, int]]:
+        """Validate an access of ``size`` elements over (offset, length)
+        runs; returns them as [lo, hi) element ranges."""
+        ranges = []
+        total = 0
+        for off, length in runs:
+            off, length = int(off), int(length)
+            self._check_target(target, off, length)
+            ranges.append((off, off + length))
+            total += length
+        if size != total:
+            raise MpiError(f"{what} has {size} elements, runs cover {total}")
+        return ranges
 
     # -- one-sided atomics ---------------------------------------------------------
 
@@ -600,58 +639,6 @@ class Window:
             raise MpiError("unlock_all without lock_all")
         yield from self._flush_all_steps()
         self._lock_all_held = False
-
-    def put_runs(self, data, target: int, runs: list[tuple[int, int]]) -> None:
-        """PUT with a derived datatype: scatter ``data`` into the target's
-        window at the given (offset, length) runs, as one network message
-        (how MPI_Type_vector + MPI_PUT moves strided sections)."""
-        self.ctx.proc.run_script(self._put_runs_steps(data, target, runs))
-
-    def _put_runs_steps(self, data, target: int, runs: list[tuple[int, int]]):
-        arr, private = flatten(data, self.state.dtype)
-        ranges = self._check_runs(target, runs, arr.size, "put_runs data")
-        # Origin packs the section, then one wire message carries it.
-        yield _costs.cost(self.ctx, "mpi.put_runs", arr.nbytes)
-        # Blocking PUT: nobody waits on the request, a flush completes it.
-        self._begin("put_runs", target, ranges, is_write=True)
-        snap = arr if private else arr.copy()
-
-        def commit() -> None:
-            cursor = 0
-            for lo, hi in ranges:
-                self.state.write_target(target, lo, snap[cursor : cursor + hi - lo])
-                cursor += hi - lo
-
-        self._one_way(target, snap.nbytes, commit)
-
-    def get_runs(self, dest, target: int, runs: list[tuple[int, int]]) -> Request:
-        """GET with a derived datatype: gather the target's runs into
-        ``dest`` as one response message; returns a request (like RGET)."""
-        return self.ctx.proc.run_script(self._get_runs_steps(dest, target, runs))
-
-    def _get_runs_steps(self, dest, target: int, runs: list[tuple[int, int]]):
-        dest_arr = np.asarray(dest).reshape(-1)
-        ranges = self._check_runs(target, runs, dest_arr.size, "get_runs buffer")
-        nbytes = dest_arr.size * self.state.dtype.itemsize
-        yield _costs.cost(self.ctx, "mpi.get_runs", nbytes)
-        req = self._begin("get_runs", target, ranges, is_write=False, round_trip=True)
-
-        def gather() -> np.ndarray:
-            parts = [self.state.read_target(target, lo, hi - lo) for lo, hi in ranges]
-            return np.concatenate(parts) if parts else np.empty(0, self.state.dtype)
-
-        self._round_trip(target, _RMA_ENVELOPE_BYTES, nbytes, gather, dest_arr, req)
-        return req
-
-    def _check_runs(self, target: int, runs, size: int, what: str) -> list[tuple[int, int]]:
-        """Validate a derived-datatype access of ``size`` elements; returns
-        its (offset, length) runs as [lo, hi) element ranges."""
-        total = sum(length for _off, length in runs)
-        if size != total:
-            raise MpiError(f"{what} has {size} elements, runs cover {total}")
-        for off, length in runs:
-            self._check_target(target, int(off), int(length))
-        return [(int(off), int(off) + int(length)) for off, length in runs]
 
     def lock(self, target: int, *, exclusive: bool = False) -> None:
         """MPI_WIN_LOCK: open a passive epoch to one target.

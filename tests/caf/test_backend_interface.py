@@ -28,8 +28,7 @@ TRANSPORT = {
     "make_world_team_handle", "split_team_handle",
     # coarray storage
     "allocate_coarray", "local_view", "_write_steps", "_read_steps",
-    "coarray_write_async", "coarray_read_async", "_write_runs_steps",
-    "_read_runs_steps",
+    "coarray_write_async", "coarray_read_async",
     # completion
     "_notify_steps", "_cofence_steps", "_quiet_steps", "collective_async",
 }
@@ -37,8 +36,7 @@ TRANSPORT = {
 #: and ``RuntimeBackend`` is the only class that does.
 ENTRY_POINTS = {
     "send_thunk", "poll", "progress_wait", "coarray_write", "coarray_read",
-    "coarray_write_runs", "coarray_read_runs", "event_notify", "event_wait",
-    "cofence", "quiet",
+    "event_notify", "event_wait", "cofence", "quiet",
 }
 WRITTEN_ONCE = {
     "ship_function", "allocate_events", "shipped_minus_completed",
@@ -51,7 +49,7 @@ WRITTEN_ONCE = {
 
 def test_interface_is_the_transport():
     assert RuntimeBackend.__abstractmethods__ == TRANSPORT
-    assert len(TRANSPORT) == 16
+    assert len(TRANSPORT) == 14
 
 
 @pytest.mark.parametrize("cls", [MpiBackend, GasnetBackend])
@@ -67,7 +65,7 @@ def _touch(img):
     img.cluster.shared("test-touched", set).add(img.rank)
 
 
-def _every_thunk_kind(img, *, am_write):
+def _every_thunk_kind(img, *, am_write, section=False):
     ev = img.allocate_events(1)
     co = img.allocate_coarray(4)
     img.sync_all()
@@ -80,14 +78,21 @@ def _every_thunk_kind(img, *, am_write):
         img.spawn(right, _touch)  # shipped function
     if am_write:
         co.write(right, np.zeros(4))  # AM write + its ack
+    if section:
+        co.write_section(right, slice(0, 4, 2), np.ones(2))  # two runs: AM write + ack
     img.sync_all()
+    return co.local.tolist()
 
 
 @pytest.mark.parametrize(
-    "backend, options, per_image",
-    [("mpi", None, 3), ("gasnet", None, 3), ("gasnet", {"am_writes": True}, 5)],
+    "backend, options, section, per_image",
+    [
+        ("mpi", None, False, 3), ("gasnet", None, False, 3),
+        ("gasnet", {"am_writes": True}, False, 5), ("gasnet", {"am_writes": True}, True, 7),
+    ],
+    ids=["mpi-None-3", "gasnet-None-3", "gasnet-options2-5", "gasnet-options2-section-7"],
 )
-def test_every_am_enters_at_run_thunk_once(monkeypatch, backend, options, per_image):
+def test_every_am_enters_at_run_thunk_once(monkeypatch, backend, options, section, per_image):
     boarded, ran = [], []
     board, run_thunk = RuntimeBackend._board, RuntimeBackend._run_thunk
 
@@ -104,11 +109,13 @@ def test_every_am_enters_at_run_thunk_once(monkeypatch, backend, options, per_im
     monkeypatch.setattr(RuntimeBackend, "_run_thunk", counting_run_thunk)
     nranks = 3
     run = run_caf(_every_thunk_kind, nranks, backend=backend,
-                  backend_options=options, am_write=bool(options))
+                  backend_options=options, am_write=bool(options), section=section)
     assert len(boarded) == per_image * nranks
     assert sorted(ran) == sorted(boarded)  # each AM ran, and ran once
     assert run.cluster.shared("caf-am-board", dict) == {}
     assert run.cluster.shared("test-touched", set) == set(range(nranks))
+    if section:  # the handler stored each run, and only those
+        assert run.results == [[1.0, 0.0, 1.0, 0.0]] * nranks
 
 
 def test_thunk_steps_send_a_message_and_hand_user_code_to_the_image(backend):

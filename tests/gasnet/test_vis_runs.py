@@ -88,3 +88,15 @@ def test_interleaved_runs_from_two_origins(run):
 
     _, results = gasnet_run(program, 3)
     assert results[2] == [1, 1, 2, 2, 1, 1, 2, 2]
+
+
+def test_get_runs_nb_refuses_a_non_contiguous_buffer_at_the_call(run):
+    def program(g, ctx):
+        out = np.zeros((2, 4))[:, :2]  # 32 bytes, strided
+        try:
+            g.get_runs_nb(out, 0, [(0, 16), (64, 16)])
+        except GasnetError as exc:
+            return str(exc)
+
+    _, results = gasnet_run(program, 1)
+    assert "C-contiguous" in results[0] and "np.ascontiguousarray" in results[0]

@@ -132,8 +132,11 @@ def test_prediction_with_machine_spec_prices_ops():
 #: Runtime calls the stream tier used to drop to UNKNOWN although the
 #: syntactic vocabulary listed them: each is one row of the protocol table.
 ONCE_DROPPED = {
-    "win.put_runs(np.ones(4), peer, [(0, 4)])": ("mpi.put_runs", 32),
-    "win.get_runs(np.empty(4), peer, [(0, 4)])": ("mpi.get_runs", 32),
+    # One run is a contiguous transfer and records the contiguous kind.
+    "win.put_runs(np.ones(4), peer, [(0, 4)])": ("mpi.rput", 32),
+    "win.get_runs(np.empty(4), peer, [(0, 4)])": ("mpi.rget", 32),
+    "win.put_runs(np.ones(4), peer, [(0, 2), (4, 2)])": ("mpi.put_runs", 32),
+    "win.get_runs(np.empty(4), peer, [(0, 2), (4, 2)])": ("mpi.get_runs", 32),
     "win.rflush(peer)": ("mpi.rflush", 0),
     "win.rflush_all()": ("mpi.rflush_all", 0),
     "comm.ireduce(np.ones(4), np.empty(4))": ("mpi.coll.reduce", 32),
@@ -192,23 +195,78 @@ WINDOW_KINDS = (
 )
 
 
-@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
-def test_hybrid_window_program_matches_recorded_trace(backend, tmp_path):
-    path = tmp_path / "window.py"
-    path.write_text(WINDOW_PROGRAM)
-    spec = importlib.util.spec_from_file_location("window_program", path)
+def _record_and_predict(source: str, backend: str, tmp_path):
+    """Run ``source``'s ``main`` at P=4, reps=3 on ``backend`` under the IR
+    recorder, predict it statically, and compare the two."""
+    path = tmp_path / "prog.py"
+    path.write_text(source)
+    spec = importlib.util.spec_from_file_location("prog", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    with ir_record.recording(tmp_path / "window.npz"):
+    with ir_record.recording(tmp_path / "prog.npz"):
         run_caf(module.main, 4, PLATFORMS["laptop"], backend=backend, reps=3)
-    trace = ir_record.last_trace()
-
     (pred,) = predict_file(path, nranks=4, bindings={"reps": 3})
-    cmp = compare_to_trace(pred, trace)
+    return compare_to_trace(pred, ir_record.last_trace())
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
+def test_hybrid_window_program_matches_recorded_trace(backend, tmp_path):
+    cmp = _record_and_predict(WINDOW_PROGRAM, backend, tmp_path)
     assert sorted(k.kind for k in cmp.per_kind) == sorted(WINDOW_KINDS)
     for k in cmp.per_kind:
         assert (k.static_calls, k.static_bytes) == (k.recorded_calls, k.recorded_bytes), k
         assert k.static_calls == 4 * 3, k
+
+
+#: Strided window transfers over one run and over two: the one-run calls
+#: record the contiguous kinds, so static and recorded counts agree.
+RUNS_PROGRAM = """\
+import numpy as np
+
+
+def main(img, reps=3):
+    win = img.mpi().win_allocate(shape=16)
+    win.lock_all()
+    peer = (img.rank + 1) % img.nranks
+    for _ in range(reps):
+        win.put_runs(np.ones(2), peer, [(0, 2)])
+        win.get_runs(np.empty(2), peer, [(4, 2)]).wait()
+        win.get_runs(np.empty(2), peer, [(8, 1), (10, 1)]).wait()
+        win.flush(peer)
+    win.unlock_all()
+"""
+
+
+@pytest.mark.parametrize("backend", ["mpi", "gasnet"])
+def test_one_run_transfers_predict_the_contiguous_kind(backend, tmp_path):
+    cmp = _record_and_predict(RUNS_PROGRAM, backend, tmp_path)
+    got = {k.kind: (k.static_calls, k.static_bytes) for k in cmp.per_kind}
+    assert got == {
+        "mpi.rput": (12, 192), "mpi.rget": (12, 192), "mpi.get_runs": (12, 192),
+        "mpi.flush": (12, 0),
+    }
+    for k in cmp.per_kind:
+        assert (k.static_calls, k.static_bytes) == (k.recorded_calls, k.recorded_bytes), k
+
+
+def test_read_async_is_priced_by_its_buffer(tmp_path):
+    """``read_async`` fills the caller's buffer and returns nothing: its
+    bytes are that buffer's, as CAF-MPI's RGET records them."""
+    source = (
+        "import numpy as np\n"
+        "\n"
+        "def main(img, reps=3):\n"
+        "    co = img.allocate_coarray(4)\n"
+        "    out = np.empty(4)\n"
+        "    peer = (img.rank + 1) % img.nranks\n"
+        "    for _ in range(reps):\n"
+        "        co.read_async(peer, out)\n"
+        "    img.sync_all()\n"
+    )
+    cmp = _record_and_predict(source, "mpi", tmp_path)
+    (rget,) = [k for k in cmp.per_kind if k.kind == "mpi.rget"]
+    assert (rget.static_calls, rget.static_bytes) == (12, 384)
+    assert (rget.recorded_calls, rget.recorded_bytes) == (12, 384)
 
 
 def test_predict_prints_recorded_kinds_and_skips_bookkeeping(tmp_path, capsys):

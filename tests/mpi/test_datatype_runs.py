@@ -160,3 +160,13 @@ def test_interleaved_runs_from_two_origins(run):
 
     _, results = mpi_run(program, 3)
     assert results[2] == [1.0, 1.0, 2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
+
+
+def test_get_runs_refuses_a_buffer_of_another_dtype(run):
+    def program(mpi, ctx):
+        win = mpi.win_allocate(shape=8, dtype=np.float64)
+        win.lock_all()
+        win.get_runs(np.zeros(4, np.float32), 0, [(0, 2), (4, 2)])
+
+    with pytest.raises(MpiError, match="dtype float32 != window dtype float64"):
+        mpi_run(program, 1)

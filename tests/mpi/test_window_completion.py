@@ -178,15 +178,21 @@ def test_window_ids_do_not_depend_on_what_ran_earlier_in_the_process():
     assert "flush(win=0,o=0,t=1)" in runs[0]["report"]
 
 
-def test_request_names_read_after_completion(monkeypatch):
-    requests = []
+@pytest.fixture
+def requests(monkeypatch):
+    """Every request ``Window._begin`` builds, in issue order."""
+    made = []
     begin = Window._begin
 
     def recording_begin(self, *args, **kwargs):
-        requests.append(begin(self, *args, **kwargs))
-        return requests[-1]
+        made.append(begin(self, *args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(Window, "_begin", recording_begin)
+    return made
+
+
+def test_request_names_read_after_completion(requests):
     runs = [(0, 2), (4, 2)]
 
     def program(mpi, ctx):
@@ -209,8 +215,9 @@ def test_request_names_read_after_completion(monkeypatch):
 
     _, results = mpi_run(program, 2)
     w = results[0]
-    # put_runs is a blocking PUT: a flush completes it, nobody holds its request.
-    assert [req.completed for req in requests] == [True] * 5 + [False] + [True] * 3
+    # put_runs buffers like rput: an eager-sized payload is locally complete
+    # on return, whether or not anyone holds its request.
+    assert [req.completed for req in requests] == [True] * 9
     assert [req.kind for req in requests] == [
         f"rput(win={w},target=1)",
         f"rget(win={w},target=1)",
@@ -222,3 +229,26 @@ def test_request_names_read_after_completion(monkeypatch):
         f"rflush(win={w},t=1)",
         f"rflush_all(win={w})",
     ]
+
+
+@pytest.mark.parametrize("nbytes, eager", [(256, True), (64 * 1024, False)])
+def test_put_runs_buffers_like_rput(requests, nbytes, eager):
+    """A strided PUT takes rput's buffering: an eager-sized payload is copied
+    and locally complete on return; a rendezvous-sized one rides as a view
+    of the user buffer, in the flush_local registry, until delivery."""
+    n = nbytes // 8
+
+    def program(mpi, ctx):
+        win = mpi.win_allocate(shape=2 * n, dtype=np.float64)
+        win.lock_all()
+        seen = None
+        if ctx.rank == 0:
+            win.put_runs(np.ones(n), 1, [(0, n // 2), (n, n - n // 2)])
+            seen = (requests[-1].completed, len(win._unread_puts))
+            win.flush(1)
+            seen += (requests[-1].completed, len(win._unread_puts))
+        win.unlock_all()
+        return seen
+
+    _, results = mpi_run(program, 2)
+    assert results[0] == ((True, 0) if eager else (False, 1)) + (True, 0)

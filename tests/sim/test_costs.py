@@ -133,9 +133,9 @@ def test_priced_table_holds_nothing_per_rank_pair_or_without_bound():
 # -- (b) every recorded table kind has a live producer, at the table price ----
 
 
-def _drive_every_recorded_entry_point(spec):
-    """Run each Window / p2p / GasnetRank entry point once at P=2, small and
-    large payloads; returns every ``Metrics.record`` row in call order."""
+def _spied_cluster(spec):
+    """A P=2 cluster whose metrics also append every ``record`` row, in call
+    order, to the list returned with it."""
     rows = []
 
     class Spy(Metrics):
@@ -143,10 +143,17 @@ def _drive_every_recorded_entry_point(spec):
             rows.append((kind, nbytes, seconds))
             super().record(rank, kind, nbytes, seconds)
 
-    small = spec.mpi_eager_threshold // 8 // 4  # elements: well under eager
-    large = spec.mpi_eager_threshold // 8 * 2  # elements: twice the threshold
     cluster = Cluster(2, spec, metrics=True)
     cluster.metrics = Spy(2)
+    return cluster, rows
+
+
+def _drive_every_recorded_entry_point(spec):
+    """Run each Window / p2p / GasnetRank entry point once at P=2, small and
+    large payloads; returns every ``Metrics.record`` row in call order."""
+    small = spec.mpi_eager_threshold // 8 // 4  # elements: well under eager
+    large = spec.mpi_eager_threshold // 8 * 2  # elements: twice the threshold
+    cluster, rows = _spied_cluster(spec)
 
     def program(ctx):
         mpi = MpiWorld.get(ctx.cluster).init(ctx)
@@ -160,16 +167,17 @@ def _drive_every_recorded_entry_point(spec):
                 win.rput(data, 1).wait()
                 win.rget(np.empty(n), 1).wait()
                 win.raccumulate(data, 1, op=SUM).wait()
-                win.put_runs(data, 1, [(0, n // 2), (n // 2, n - n // 2)])
-                win.get_runs(np.empty(n), 1, [(0, n)]).wait()
+                halves = [(0, n // 2), (n // 2, n - n // 2)]
+                win.put_runs(data, 1, halves)
+                win.get_runs(np.empty(n), 1, halves).wait()
                 win.rflush(1).wait()
                 win.rflush_all().wait()
                 comm.send(data, 1)
                 handles = [
                     g.put_nb(1, 0, data),
                     g.get_nb(np.empty(n), 1, 0),
-                    g.put_runs_nb(1, [(0, 8 * n)], data),
-                    g.get_runs_nb(np.empty(n), 1, [(0, 8 * n)]),
+                    g.put_runs_nb(1, [(0, 4 * n), (4 * n, 4 * n)], data),
+                    g.get_runs_nb(np.empty(n), 1, [(0, 4 * n), (4 * n, 4 * n)]),
                 ]
                 g.wait_syncnb_all(handles)
             else:
@@ -212,6 +220,37 @@ def test_every_recorded_kind_is_emitted_live_at_the_table_price(over_sendrecv):
     # ...and the structure flag changed the RMA rows, not just their price.
     rput = costs.expression("mpi.rput", spec, small)
     assert rput[0] == (irhook.CK_PARAM2 if over_sendrecv else irhook.CK_PARAM)
+
+
+def test_one_run_records_the_contiguous_kind():
+    """A runs call over one run is a contiguous transfer: it records the
+    contiguous kind (no pack term), whichever entry point was called."""
+    cluster, rows = _spied_cluster(MachineSpec(name="t"))
+
+    def program(ctx):
+        mpi = MpiWorld.get(ctx.cluster).init(ctx)
+        g = GasnetWorld.get(ctx.cluster).attach(ctx, 1 << 20)
+        win = mpi.win_allocate(shape=8, dtype=np.float64)
+        win.lock_all()
+        if ctx.rank == 0:
+            win.put_runs(np.ones(4), 1, [(2, 4)])
+            win.get_runs(np.empty(4), 1, [(2, 4)]).wait()
+            g.wait_syncnb_all([
+                g.put_runs_nb(1, [(16, 32)], np.ones(4)),
+                g.get_runs_nb(np.empty(4), 1, [(16, 32)]),
+            ])
+        win.unlock_all()
+        mpi.COMM_WORLD.barrier()
+
+    cluster.run(program)
+    one_sided = {
+        f"{lib}.{op}" for lib, ops in (("mpi", ("rput", "rget")), ("gasnet", ("put", "get")))
+        for op in (*ops, "put_runs", "get_runs")
+    }
+    transfers = [(kind, nbytes) for kind, nbytes, _ in rows if kind in one_sided]
+    assert transfers == [
+        ("mpi.rput", 32), ("mpi.rget", 32), ("gasnet.put", 32), ("gasnet.get", 32),
+    ]
 
 
 def test_span_measured_kinds_are_not_table_kinds():

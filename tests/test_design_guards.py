@@ -561,6 +561,21 @@ def _functions(root: str):
                 yield str(file.relative_to(ROOT)), owner.get(id(node)), node
 
 
+def test_one_transfer_per_direction():
+    copies = sorted(
+        f"{path}:{cls}.{fn.name}"
+        for path, cls, fn in _functions("src/repro")
+        if re.fullmatch(r"_\w+_runs(_nb)?_steps|coarray_\w+_runs", fn.name)
+    )
+    assert not copies, (
+        "a one-sided transfer is runs, and one run is the contiguous case: each "
+        "layer has one write script and one read script over runs (Window._put_steps "
+        "/ _get_steps, GasnetRank._put_nb_steps / _get_nb_steps, the backends' "
+        "_write_steps / _read_steps); a contiguous entry point builds [(offset, n)]",
+        copies,
+    )
+
+
 def test_one_agreement_protocol():
     def barriers_on_a_result_board(fn) -> bool:
         nodes = list(ast.walk(fn))
