@@ -477,7 +477,10 @@ class _RankRun:
             self.warn(f"internal:{type(exc).__name__}")
         return self.stream
 
-    def _default_for(self, node: ast.FunctionDef, name: str) -> Any:
+    def _default_for(self, node: ast.FunctionDef, name: str, env: Env | None = None) -> Any:
+        """``name``'s default in ``node``'s signature, evaluated in ``env``
+        (the module's by default); UNKNOWN if it has none or it fails."""
+        env = env if env is not None else self.c.module_env
         args = node.args
         positional = [a.arg for a in args.posonlyargs] + [a.arg for a in args.args]
         defaults = list(args.defaults)
@@ -486,13 +489,13 @@ class _RankRun:
             idx = positional.index(name)
             if idx >= offset:
                 try:
-                    return self.eval(defaults[idx - offset], self.c.module_env)
+                    return self.eval(defaults[idx - offset], env)
                 except Exception:
                     return UNKNOWN
         for kw, default in zip(args.kwonlyargs, args.kw_defaults):
             if kw.arg == name and default is not None:
                 try:
-                    return self.eval(default, self.c.module_env)
+                    return self.eval(default, env)
                 except Exception:
                     return UNKNOWN
         return UNKNOWN
@@ -1181,10 +1184,12 @@ class _RankRun:
 
     def _handle_attr(self, handle: HandleVal, attr: str) -> Any:
         key = (handle.kind, attr)
-        if key in (("image", "rank"), ("comm", "rank")):
+        if key in (("image", "rank"), ("comm", "rank"), ("caf_team", "my_index")):
             return self.rank
-        if key in (("image", "nranks"), ("comm", "size")):
+        if key in (("image", "nranks"), ("comm", "size"), ("caf_team", "size")):
             return self.nranks
+        if key == ("image", "team_world"):
+            return self.singleton("caf_team")
         if key == ("image", "cluster"):
             return self.singleton("cluster")
         if key == ("mpi", "COMM_WORLD"):
@@ -1265,14 +1270,21 @@ class _RankRun:
         positional = [a.arg for a in fn_args.posonlyargs] + [a.arg for a in fn_args.args]
         if fv.self_val is not None:
             args = [fv.self_val] + args
-        # A parameter the call does not pass is UNKNOWN (defaults are not
-        # evaluated), bound explicitly so it cannot read an outer variable.
+        # A parameter the call does not pass is bound to its default, which
+        # is evaluated where the function was defined (UNKNOWN if it has none
+        # or it does not evaluate): bound explicitly, it cannot read an outer
+        # variable.
+        def passed_or_default(name: str) -> Any:
+            if name in kwargs:
+                return kwargs[name]
+            return self._default_for(fv.node, name, fv.closure)
+
         for i, name in enumerate(positional):
-            env.set(name, args[i] if i < len(args) else kwargs.get(name, UNKNOWN))
+            env.set(name, args[i] if i < len(args) else passed_or_default(name))
         if fn_args.vararg is not None:
             env.set(fn_args.vararg.arg, tuple(args[len(positional):]))
         for kw in fn_args.kwonlyargs:
-            env.set(kw.arg, kwargs.get(kw.arg, UNKNOWN))
+            env.set(kw.arg, passed_or_default(kw.arg))
         self.func_stack.append(fv.qualname)
         self.node_stack.append(fv.node)
         try:

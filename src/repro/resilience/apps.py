@@ -1,13 +1,15 @@
 """Resilience-aware application ports: RandomAccess and CGPOP.
 
-Both apps are restructured around **logical partitions** (over-decomposition):
-global state is carved into P logical partitions where P is the *initial*
-image count, and an owner map — partition to world rank — is the only thing
-recovery has to update. Under ``mode="restart"`` the map stays the
-identity and the whole job reruns from the last checkpoint; under
-``mode="shrink"`` survivors adopt the dead image's partitions, rebuild
-fresh communication state on the shrunken team, reload partition data from
-the last checkpoint, and keep going.
+RandomAccess is restructured around **logical partitions**
+(over-decomposition): its table is carved into P logical partitions where P
+is the *initial* image count, and an owner map — partition to world rank —
+is the only thing recovery has to update. CGPOP is the paper's solver,
+:class:`~repro.apps.cgpop.CgSolver`, on row strips of the current team,
+under a recovery loop. Under ``mode="restart"`` the whole job reruns from
+the last checkpoint; under ``mode="shrink"`` survivors rebuild fresh
+communication state on the shrunken team (RA adopts the dead image's
+partitions, CGPOP re-cuts near-equal strips), reload their data from the
+last checkpoint, and keep going.
 
 Every blocking wait in the steady-state loop carries a timeout, so a crash
 anywhere surfaces as :class:`~repro.util.errors.CafTimeoutError` /
@@ -26,8 +28,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.apps.cgpop import apply_laplacian, make_rhs
-from repro.mpi.constants import SUM
+from repro.apps.cgpop import CgSolver, assemble_solution, block_bounds
+from repro.resilience.recovery import check_recovery_mode
 from repro.util.errors import (
     CafError,
     CafTimeoutError,
@@ -216,9 +218,13 @@ def run_resilient_randomaccess(
     ``img.cluster.shared('ra-res-tables', dict)[partition]`` for
     verification against :func:`ra_reference`.
     """
+    check_recovery_mode(recovery)
     P = img.nranks
     if P & (P - 1):
-        raise CafError("logical partition count must be a power of two")
+        raise CafError(
+            f"logical partition count P={P} must be a power of two: "
+            "run on a power-of-two number of images"
+        )
     r = img.resilience
     team = img.team_world
     owners = list(range(P))
@@ -261,7 +267,8 @@ def run_resilient_randomaccess(
             recoveries += 1
             if recoveries > max_recoveries:
                 raise ResilienceError(
-                    f"recovery budget exhausted after {max_recoveries} shrinks"
+                    f"recovery budget exhausted after {max_recoveries} shrinks: "
+                    "raise max_recoveries"
                 ) from exc
             team, ckpt = r.recover_shrink(team, require_checkpoint=False)
             if ckpt is None:
@@ -302,89 +309,38 @@ def run_resilient_randomaccess(
 
 
 # =========================================================================
-# CGPOP (hybrid MPI+CAF CG solver), strip re-partitioned on shrink
+# CGPOP: apps.cgpop.CgSolver under a recovery loop
 # =========================================================================
 
 
-def _strip_bounds(ny: int, nparts: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal row ranges (the strip re-partition)."""
-    splits = np.array_split(np.arange(ny), nparts)
-    return [(int(s[0]), int(s[-1]) + 1) for s in splits]
+def _cg_solver(
+    img: "Image", team: "Team", comm, ny: int, nx: int, seed: int, timeout: float | None,
+    *, armed: bool,
+) -> tuple[CgSolver, int]:
+    """A strip solver on ``team`` whose x / r / p live in a checkpointable
+    ``(3, ceil(ny/size), nx)`` coarray, and that coarray's checkpoint index.
+    Allocation order is state, then the solver's halo, arrive and drained,
+    so a restarted run's allocations refill the same checkpoint slots."""
+    state = img.allocate_coarray((3, -(-ny // team.size), nx), np.float64, team=team)
+    row0, row1 = block_bounds(team.my_index, ny, team.size)
+    solver = CgSolver(
+        img, team, comm, ny=ny, nx=nx, seed=seed, timeout=timeout,
+        state=state.local[:, : row1 - row0], armed=armed,
+    )
+    r = img.resilience
+    return solver, r.coarray_index(state) if r is not None else 0
 
 
-class _CgEpoch:
-    """Per-team-incarnation CG state: halo machinery plus the checkpointable
-    state coarray (rows of x / r / p, padded to the symmetric max strip)."""
-
-    def __init__(self, img: "Image", team: "Team", ny: int, nx: int, *, armed: bool):
-        self.team = team
-        self.nx = nx
-        self.bounds = _strip_bounds(ny, team.size)
-        self.rows_max = max(e - s for s, e in self.bounds)
-        me = team.my_index
-        self.r0, self.r1 = self.bounds[me]
-        self.rows = self.r1 - self.r0
-        self.state = img.allocate_coarray(
-            (3, self.rows_max * nx), np.float64, team=team
-        )
-        r = img.resilience
-        self.state_index = r.coarray_index(self.state) if r is not None else 0
-        self.halo = img.allocate_coarray((2, nx), np.float64, team=team)
-        self.arrive = img.allocate_events(2, team=team)
-        self.drained = img.allocate_events(2, team=team)
-        self.up = me - 1 if me > 0 else None
-        self.down = me + 1 if me < team.size - 1 else None
-        self._sent = [1 if armed else 0, 1 if armed else 0]
-
-    def view(self, which: int) -> np.ndarray:
-        """x (0), r (1), or p (2) as this strip's (rows, nx) view."""
-        return self.state.local[which, : self.rows * self.nx].reshape(
-            self.rows, self.nx
-        )
-
-    def exchange(self, v: np.ndarray, timeout: float) -> tuple[np.ndarray, np.ndarray]:
-        """PUSH halo exchange with bounded waits."""
-        nx = self.nx
-        if self.up is not None and self._sent[0] > 0:
-            self.drained.wait(slot=0, timeout=timeout)
-        if self.down is not None and self._sent[1] > 0:
-            self.drained.wait(slot=1, timeout=timeout)
-        if self.up is not None:
-            self.halo.write(self.up, v[0], offset=nx)  # their slot 1
-            self.arrive.notify(self.up, slot=1)
-            self._sent[0] += 1
-        if self.down is not None:
-            self.halo.write(self.down, v[-1], offset=0)  # their slot 0
-            self.arrive.notify(self.down, slot=0)
-            self._sent[1] += 1
-        top = np.zeros(nx)
-        bottom = np.zeros(nx)
-        if self.up is not None:
-            self.arrive.wait(slot=0, timeout=timeout)
-            top = self.halo.local[0].copy()
-            self.drained.notify(self.up, slot=1)
-        if self.down is not None:
-            self.arrive.wait(slot=1, timeout=timeout)
-            bottom = self.halo.local[1].copy()
-            self.drained.notify(self.down, slot=0)
-        return top, bottom
-
-
-def _assemble_from_checkpoint(
-    ckpt, my_state: dict, ny: int, nx: int
-) -> np.ndarray:
-    """Rebuild the global (3, ny, nx) CG state from a checkpoint."""
-    bounds = [tuple(b) for b in my_state["bounds"]]
-    members = list(my_state["members"])
-    state_index = int(my_state["state_index"])
-    rows_max = max(e - s for s, e in bounds)
-    out = np.zeros((3, ny, nx))
-    for idx, w in enumerate(members):
-        s, e = bounds[idx]
-        saved = ckpt.coarray_partition(w, state_index).reshape(3, rows_max * nx)
-        for which in range(3):
-            out[which, s:e] = saved[which, : (e - s) * nx].reshape(e - s, nx)
-    return out
+def _reload(solver: CgSolver, ckpt, index: int, ny: int, nx: int) -> None:
+    """Fill ``solver``'s x / r / p from the strips ``ckpt``'s members saved."""
+    parts = len(ckpt.members)
+    strips = [ckpt.coarray_partition(w, index).reshape(3, -1, nx) for w in ckpt.members]
+    for which, field in enumerate((solver.x, solver.r, solver.p)):
+        blocks = {}
+        for k, strip in enumerate(strips):
+            row0, row1 = block_bounds(k, ny, parts)
+            blocks[k] = (row0, 0, strip[which, : row1 - row0])
+        field[:] = assemble_solution(blocks, ny, nx)[solver.row0 : solver.row1]
 
 
 def run_resilient_cgpop(
@@ -399,91 +355,43 @@ def run_resilient_cgpop(
     wait_timeout: float = 0.25,
     max_recoveries: int = 3,
 ) -> dict:
-    """Resilient hybrid CG: halo over CAF, global sums over MPI.
+    """Resilient hybrid CG: :class:`~repro.apps.cgpop.CgSolver`, the solver
+    ``run_cgpop`` runs, on row strips of the current team.
 
     The solver survives a mid-run crash either by full restart from the
     last checkpoint or by shrinking: survivors revoke the communicator
     (freeing peers parked in MPI), ``MPIX_COMM_SHRINK`` a clean one,
-    shrink the CAF team, re-partition the strips, and reload state from
-    the checkpoint. The converged strip lands in ``run_cgpop``'s record,
-    ``img.cluster.shared('cgpop-solution', dict)[rank] = (r0, 0, x)``.
+    shrink the CAF team, build a new solver on it (near-equal strips of
+    the survivors) and reload x / r / p from the checkpoint. The converged
+    strip lands in ``run_cgpop``'s record,
+    ``img.cluster.shared('cgpop-solution', dict)[rank] = (row0, 0, x)``.
     """
+    check_recovery_mode(recovery)
     r = img.resilience
     team = img.team_world
-    mpi = img.mpi()
-    comm = mpi.COMM_WORLD
-    b_global = make_rhs(seed, ny, nx)
-
-    def gsum(comm, *values: float) -> list[float]:
-        send = np.array(values)
-        recv = np.zeros(len(values))
-        comm.allreduce(send, recv, SUM)
-        return [float(v) for v in recv]
-
-    armed = False
-    it = 0
-    rr = bnorm2 = None
-    if r is not None and r.resumed is not None:
-        state = r.resume_state(default={})
-        it = int(state.get("it", 0))
-        rr = state.get("rr")
-        bnorm2 = state.get("bnorm2")
-        armed = it > 0
-    epoch = _CgEpoch(img, team, ny, nx, armed=armed)
+    comm = img.mpi().COMM_WORLD
+    # A restarted run's state coarray and drained credits refill from the
+    # checkpoint as they are allocated; rr and bnorm2 are its app state.
+    saved = r.resume_state(default={}) if r is not None else {}
+    solver, index = _cg_solver(img, team, comm, ny, nx, seed, wait_timeout, armed=bool(saved))
+    cold, it = not saved, 0  # cold: x / r / p still to initialize
+    if saved:
+        it, solver.rr, solver.bnorm2 = saved["it"], saved["rr"], saved["bnorm2"]
     img.sync_all()
-
-    def b_strip() -> np.ndarray:
-        return b_global[epoch.r0 : epoch.r1]
-
-    def matvec(v: np.ndarray) -> np.ndarray:
-        top, bottom = epoch.exchange(v, wait_timeout)
-        if epoch.team.my_index == 0:
-            top = np.zeros(nx)  # Dirichlet boundary
-        if epoch.team.my_index == epoch.team.size - 1:
-            bottom = np.zeros(nx)
-        side = np.zeros(v.shape[0])
-        out = apply_laplacian(v, top, bottom, side, side)
-        img.compute(flops=10.0 * v.size)
-        return out
 
     recoveries = 0
     converged = False
-    while it < max_iter and not converged:
+    while cold or (it < max_iter and not converged):
         try:
-            if rr is None:
-                # Cold start (or post-crash cold restart): r = b - A*0 = b.
-                epoch.view(0)[:] = 0.0
-                epoch.view(1)[:] = b_strip()
-                epoch.view(2)[:] = b_strip()
-                (rr,) = gsum(comm, float((b_strip() ** 2).sum()))
-                bnorm2 = rr
-            x, res, p = epoch.view(0), epoch.view(1), epoch.view(2)
-            ap = matvec(p)
-            (pap,) = gsum(comm, float((p * ap).sum()))
-            alpha = rr / pap
-            x += alpha * p
-            res -= alpha * ap
-            (rr_new,) = gsum(comm, float((res * res).sum()))
+            if cold:
+                solver.start()
+                cold = False
+                continue
+            converged = solver.step(tol)
             it += 1
-            if rr_new <= tol * tol * bnorm2:
-                converged = True
-            else:
-                p *= rr_new / rr
-                p += res
-            img.compute(flops=8.0 * x.size)
-            rr = rr_new
             if r is not None and not converged:
-                r.step(
-                    state={
-                        "it": it,
-                        "rr": rr,
-                        "bnorm2": bnorm2,
-                        "bounds": [list(b) for b in epoch.bounds],
-                        "members": list(epoch.team.members),
-                        "state_index": epoch.state_index,
-                    },
-                    team=team,
-                )
+                state = {"it": it, "rr": solver.rr, "bnorm2": solver.bnorm2, "index": index}
+                r.step(state=state, team=team)
         except _ALL_FAILURES as exc:
             if recovery != "shrink" or r is None:
                 raise
@@ -492,7 +400,8 @@ def run_resilient_cgpop(
             recoveries += 1
             if recoveries > max_recoveries:
                 raise ResilienceError(
-                    f"recovery budget exhausted after {max_recoveries} shrinks"
+                    f"recovery budget exhausted after {max_recoveries} shrinks: "
+                    "raise max_recoveries"
                 ) from exc
             # Free peers parked inside MPI, then rebuild both runtimes'
             # survivor-side objects.
@@ -502,32 +411,24 @@ def run_resilient_cgpop(
                 pass
             team, ckpt = r.recover_shrink(team, require_checkpoint=False)
             comm = comm.shrink()
-            epoch = _CgEpoch(img, team, ny, nx, armed=False)
-            if ckpt is None:
-                # Crash before the first checkpoint: cold-restart CG on the
-                # shrunken team (the rr=None branch below re-initializes).
-                it, rr, bnorm2 = 0, None, None
-            else:
-                my_state = ckpt.app_state.get(img.rank) or {}
-                glob = _assemble_from_checkpoint(ckpt, my_state, ny, nx)
-                it = int(my_state["it"])
-                rr = float(my_state["rr"])
-                bnorm2 = float(my_state["bnorm2"])
-                for which in range(3):
-                    epoch.view(which)[:] = glob[which, epoch.r0 : epoch.r1]
+            solver, index = _cg_solver(img, team, comm, ny, nx, seed, wait_timeout, armed=False)
+            # Without a checkpoint (the crash came before the first one), CG
+            # cold-restarts on the shrunken team.
+            cold, it = ckpt is None, 0
+            if not cold:
+                saved = ckpt.app_state[img.rank]
+                _reload(solver, ckpt, saved["index"], ny, nx)
+                it, solver.rr, solver.bnorm2 = saved["it"], saved["rr"], saved["bnorm2"]
 
     img.backend.quiet()
     img.barrier(team)
-    img.cluster.shared("cgpop-solution", dict)[img.rank] = (
-        epoch.r0, 0, epoch.view(0).copy(),
-    )
+    img.cluster.shared("cgpop-solution", dict)[img.rank] = (solver.row0, 0, solver.x.copy())
     return {
         "rank": img.rank,
         "iterations": it,
         "converged": converged,
-        "residual": float(np.sqrt(max(rr, 0.0))),
+        "residual": float(np.sqrt(max(solver.rr, 0.0))),
         "recoveries": recoveries,
         "team_size": team.size,
-        "rows": [epoch.r0, epoch.r1],
+        "rows": [solver.row0, solver.row1],
     }
-

@@ -81,7 +81,7 @@ VIOLATIONS = frozenset(
 
 def _verify_ra(cluster, kwargs: dict) -> bool:
     tables = cluster.shared("ra-res-tables", dict)
-    nparts = 4
+    nparts = cluster.nranks
     ref = ra_reference(
         kwargs.get("seed", 42), nparts, kwargs["table_bits"],
         kwargs["updates_per_batch"], kwargs["batches"],

@@ -348,7 +348,8 @@ class ImageResilience:
         ckpt = self.latest()
         if ckpt is None and require_checkpoint:
             raise ResilienceError(
-                "shrink recovery needs a committed checkpoint to restore from"
+                "shrink recovery needs a committed checkpoint to restore from: "
+                "set checkpoint_every, or pass require_checkpoint=False"
             )
         small = img.shrink_team(team)
         return small, ckpt

@@ -71,6 +71,14 @@ def _strip_fired_crashes(plan: "FaultPlan", cluster) -> "FaultPlan":
     return fresh
 
 
+def check_recovery_mode(mode: str) -> None:
+    """Refuse a recovery discipline other than ``restart`` or ``shrink``."""
+    if mode not in ("restart", "shrink"):
+        raise ResilienceError(
+            f"unknown recovery mode {mode!r}: use 'restart' or 'shrink'"
+        )
+
+
 def run_resilient(
     program,
     nranks: int,
@@ -97,8 +105,7 @@ def run_resilient(
     successful :class:`~repro.caf.program.CafRun`, the checkpoint store,
     and one record per failed attempt.
     """
-    if mode not in ("restart", "shrink"):
-        raise ResilienceError(f"unknown recovery mode {mode!r}")
+    check_recovery_mode(mode)
     store = store if store is not None else CheckpointStore()
     attempts: list[dict[str, Any]] = []
     plan = faults

@@ -320,6 +320,20 @@ MODELLED = {
     "while-exits-on-its-test": ("n = 1\nwhile n < 4:\n    n = n * 2\ndata = np.ones(n)", 32),
     "or-short-circuits": ("n = None\ndata = np.ones(n or 4)", 32),
     "newaxis-on-a-local-view": ("data = co.local[None, :]", 64),
+    # TEAM_WORLD is modelled: image i is its index i, and its size is P.
+    "world-team-attributes": (
+        "team = img.team_world\n"
+        "data = np.ones(team.size if team.my_index == img.rank else 1)",
+        32,
+    ),
+    # An omitted parameter is its default, evaluated where the function is
+    # defined (here it picks the payload's extent).
+    "omitted-default-decides": (
+        "def extent(n, halved=False, *, scale=2):\n"
+        "    return n // 2 if halved else scale * n\n"
+        "data = np.ones(extent(2))",
+        32,
+    ),
 }
 
 #: Extents the interpreter cannot know: the payload is of unknown size.

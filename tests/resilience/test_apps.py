@@ -11,6 +11,7 @@ whichever fraction works keeps working.
 import numpy as np
 import pytest
 
+from repro.apps.cgpop import assemble_solution, make_rhs, run_cgpop
 from repro.apps.verification import verify_cgpop
 from repro.caf.program import run_caf
 from repro.resilience import run_resilient
@@ -20,11 +21,13 @@ from repro.resilience.apps import (
     run_resilient_randomaccess,
 )
 from repro.sim.faults import FaultPlan
+from repro.util.errors import ResilienceError
 
 NR = 4
 RA_KW = dict(table_bits=6, updates_per_batch=64, batches=4)
 CG_KW = dict(ny=32, nx=16, tol=1e-8)
 SHRINK_FRACS = (0.55, 0.7, 0.85, 0.95)
+RESILIENT_APPS = [(run_resilient_randomaccess, RA_KW), (run_resilient_cgpop, CG_KW)]
 
 
 def _ra_verified(cluster):
@@ -131,8 +134,54 @@ def test_cgpop_shrink_recovers_from_crash(backend):
     assert recovered, "no crash fraction produced a successful shrink recovery"
 
 
+def test_cgpop_uneven_strips_faultfree(backend):
+    """Three images, 32 rows: near-equal strips from the start."""
+    run = run_caf(run_resilient_cgpop, 3, backend=backend, **CG_KW)
+    assert all(r["converged"] for r in run.results)
+    assert [r["rows"] for r in run.results] == [[0, 10], [10, 21], [21, 32]]
+    assert _cg_verified(run.cluster)
+
+
+def test_cgpop_zero_iterations_reports_the_initial_residual(backend):
+    run = run_caf(run_resilient_cgpop, NR, backend=backend, max_iter=0, **CG_KW)
+    bnorm = float(np.linalg.norm(make_rhs(11, CG_KW["ny"], CG_KW["nx"])))
+    for r in run.results:
+        assert (r["iterations"], r["converged"]) == (0, False)
+        assert r["residual"] == pytest.approx(bnorm, rel=1e-12)
+
+
+def test_cgpop_is_the_paper_solver(backend):
+    """Fault-free and unarmed, the resilient port runs run_cgpop's solve:
+    same iterations, same answer."""
+    res = run_caf(run_resilient_cgpop, NR, backend=backend, **CG_KW)
+    ref = run_caf(run_cgpop, NR, backend=backend, max_iter=400, seed=11, **CG_KW)
+    assert {r["iterations"] for r in res.results} == {ref.results[0].iterations}
+    got = assemble_solution(res.cluster.shared("cgpop-solution", dict), 32, 16)
+    want = assemble_solution(ref.cluster.shared("cgpop-solution", dict), 32, 16)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("app,kw", RESILIENT_APPS, ids=["ra", "cgpop"])
+def test_unknown_recovery_rejected(app, kw):
+    with pytest.raises(ResilienceError, match="unknown recovery mode") as info:
+        run_caf(app, NR, backend="mpi", recovery="shrnk", **kw)
+    assert str(info.value).endswith("use 'restart' or 'shrink'"), str(info.value)
+
+
+@pytest.mark.parametrize("app,kw", RESILIENT_APPS, ids=["ra", "cgpop"])
+def test_shrink_budget_names_the_keyword(app, kw):
+    t = _work_elapsed(app, "mpi", **kw) * 0.5
+    plan = FaultPlan(seed=3, crashes=[(1, t)])
+    with pytest.raises(ResilienceError, match="recovery budget exhausted") as info:
+        run_resilient(app, NR, mode="shrink", backend="mpi", checkpoint_every=2,
+                      faults=plan, deadline=10.0, recovery="shrink",
+                      max_recoveries=0, **kw)
+    assert str(info.value).endswith("raise max_recoveries"), str(info.value)
+
+
 def test_ra_rejects_non_power_of_two():
     from repro.util.errors import CafError
 
-    with pytest.raises(CafError, match="power of two"):
+    with pytest.raises(CafError, match="power of two") as info:
         run_caf(run_resilient_randomaccess, 3, backend="mpi", **RA_KW)
+    assert str(info.value).endswith("run on a power-of-two number of images"), str(info.value)

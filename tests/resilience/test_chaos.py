@@ -65,6 +65,12 @@ def test_rates_stay_feasible():
 # -- campaigns ------------------------------------------------------------
 
 
+def test_ra_verifies_on_eight_images():
+    """The RA reference has one partition per image, however many run."""
+    summary = run_campaign(_cfg(runs=1, nranks=8))
+    assert summary["counts"] == {VERIFIED: 1}
+
+
 def test_fault_campaign_all_verified(tmp_path):
     cfg = _cfg(runs=4, out=tmp_path / "camp")
     summary = run_campaign(cfg)

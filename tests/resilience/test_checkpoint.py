@@ -159,3 +159,14 @@ def test_load_rejects_wrong_version(tmp_path):
         f'"version": {CHECKPOINT_VERSION}', '"version": 999'))
     with pytest.raises(ResilienceError):
         CheckpointStore.load(tmp_path)
+
+
+def test_shrink_without_a_checkpoint_names_the_fix():
+    def shrink_first(img):
+        img.resilience.recover_shrink()
+
+    with pytest.raises(ResilienceError, match="needs a committed checkpoint") as info:
+        run_caf(shrink_first, 2, backend="mpi", checkpoint_every=EVERY)
+    assert str(info.value).endswith(
+        "set checkpoint_every, or pass require_checkpoint=False"
+    ), str(info.value)

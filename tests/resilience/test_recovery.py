@@ -75,8 +75,9 @@ def test_non_failure_errors_pass_through(backend):
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ResilienceError, match="unknown recovery mode"):
+    with pytest.raises(ResilienceError, match="unknown recovery mode") as info:
         run_resilient(stepper, NR, mode="rollback")
+    assert str(info.value).endswith("use 'restart' or 'shrink'"), str(info.value)
 
 
 def test_strip_fired_crashes_rewinds_plan():

@@ -17,14 +17,18 @@ APPS = {
     "cgpop-pull": (run_cgpop, dict(ny=8, nx=4, mode="pull", seed=3)),
     "cgpop2d": (run_cgpop, dict(ny=8, nx=4, px=2, seed=3)),
     "cgpop2d-pull": (run_cgpop, dict(ny=8, nx=4, px=2, mode="pull", seed=3)),
+    "cgpop-uneven": (run_cgpop, dict(ny=13, nx=7, px=2, seed=3)),
 }
+#: Image count per app where it is not 4: the uneven grid needs a 2 x 3
+#: image grid that 13 x 7 does not divide.
+NRANKS = {"cgpop-uneven": 6}
 
 
 @pytest.mark.parametrize("backend", ["mpi", "gasnet"])
 @pytest.mark.parametrize("app", sorted(APPS))
 def test_app_runs_clean(app, backend):
     program, kwargs = APPS[app]
-    run = run_caf(program, 4, backend=backend, sanitize=True, **kwargs)
+    run = run_caf(program, NRANKS.get(app, 4), backend=backend, sanitize=True, **kwargs)
     report = run.sanitizer.report
     assert report.clean, f"{app}/{backend}:\n{report.to_text()}"
     # The checker was live (FFT on MPI is pure collectives — it may

@@ -576,6 +576,21 @@ def test_one_transfer_per_direction():
     )
 
 
+def test_one_cgpop():
+    stencils = sorted({hit.split(":")[0] for hit in grep(r"apply_laplacian\(", "src/repro")})
+    assert stencils == ["src/repro/apps/cgpop.py", "src/repro/apps/verification.py"], (
+        "CGPOP is one solver, apps.cgpop.CgSolver: only it applies the stencil "
+        "(verification checks its answer with it)",
+        stencils,
+    )
+    copies = grep(r"allreduce|exchange", "src/repro/resilience/apps.py")
+    assert not copies, (
+        "the resilient CGPOP is CgSolver under a recovery loop: it has no halo "
+        "exchange or GlobalSum of its own",
+        copies,
+    )
+
+
 def test_one_agreement_protocol():
     def barriers_on_a_result_board(fn) -> bool:
         nodes = list(ast.walk(fn))
