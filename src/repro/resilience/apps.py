@@ -1,15 +1,17 @@
 """Resilience-aware application ports: RandomAccess and CGPOP.
 
-RandomAccess is restructured around **logical partitions**
-(over-decomposition): its table is carved into P logical partitions where P
-is the *initial* image count, and an owner map — partition to world rank —
-is the only thing recovery has to update. CGPOP is the paper's solver,
-:class:`~repro.apps.cgpop.CgSolver`, on row strips of the current team,
-under a recovery loop. Under ``mode="restart"`` the whole job reruns from
-the last checkpoint; under ``mode="shrink"`` survivors rebuild fresh
-communication state on the shrunken team (RA adopts the dead image's
-partitions, CGPOP re-cuts near-equal strips), reload their data from the
-last checkpoint, and keep going.
+Each is the paper's own per-image object under a recovery loop, and both
+loops share one admission check for a failure. RandomAccess is the
+hypercube router, :class:`~repro.apps.randomaccess.RaRouter`, over
+**logical partitions** (over-decomposition): the table is P partitions, P
+the *initial* image count, and an owner map (partition to world rank) is
+the only thing recovery has to update. CGPOP is the solver,
+:class:`~repro.apps.cgpop.CgSolver`, on row strips of the current team.
+Under ``mode="restart"`` the whole job reruns from the last checkpoint;
+under ``mode="shrink"`` survivors rebuild fresh communication state on the
+shrunken team (RA adopts the dead image's partitions, CGPOP re-cuts
+near-equal strips), reload their data from the last checkpoint, and keep
+going.
 
 Every blocking wait in the steady-state loop carries a timeout, so a crash
 anywhere surfaces as :class:`~repro.util.errors.CafTimeoutError` /
@@ -29,9 +31,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.apps.cgpop import CgSolver, assemble_solution, block_bounds
+from repro.apps.randomaccess import RaRouter
 from repro.resilience.recovery import check_recovery_mode
 from repro.util.errors import (
-    CafError,
     CafTimeoutError,
     GasnetProcFailedError,
     ImageFailedError,
@@ -58,138 +60,47 @@ _ALL_FAILURES = (
 )
 
 
+def _admit(
+    img: "Image", recovery: str, recoveries: int, max_recoveries: int, exc: Exception
+) -> int:
+    """Admit ``exc`` as one more shrink recovery, or re-raise it: only under
+    ``recovery="shrink"`` with the resilience service on, only once a crash
+    is confirmed (a timeout with nobody dead is a real bug, not a crash),
+    and only within ``max_recoveries``. Returns the new recovery count."""
+    if recovery != "shrink" or img.resilience is None or not img.cluster.failed_ranks:
+        raise exc
+    if recoveries >= max_recoveries:
+        raise ResilienceError(
+            f"recovery budget exhausted after {max_recoveries} shrinks: "
+            "raise max_recoveries"
+        ) from exc
+    return recoveries + 1
+
+
 # =========================================================================
-# RandomAccess (GUPS), bucket-routed over logical partitions
+# RandomAccess: apps.randomaccess.RaRouter under a recovery loop
 # =========================================================================
 
 
-def ra_stream_batch(
-    seed: int, stream: int, batch: int, count: int, total_bits: int
-) -> np.ndarray:
-    """Deterministic update stream: partition ``stream``'s batch ``batch``.
-
-    Keyed by the *logical* stream, not the image, so whichever image owns
-    the stream after a recovery regenerates exactly the same updates.
-    """
-    rng = np.random.default_rng((seed, stream, batch))
-    return rng.integers(0, 1 << total_bits, size=count, dtype=np.uint64)
-
-
-def ra_reference(
-    seed: int, nparts: int, table_bits: int, updates_per_batch: int, batches: int
-) -> list[np.ndarray]:
-    """Serial reference: the final content of every logical partition."""
-    local_size = 1 << table_bits
-    total = nparts * local_size
-    total_bits = table_bits + max(int(np.log2(nparts)), 0) + 8
-    tables = [np.zeros(local_size, np.uint64) for _ in range(nparts)]
-    for s in range(nparts):
-        for b in range(batches):
-            u = ra_stream_batch(seed, s, b, updates_per_batch, total_bits)
-            idx = (u % np.uint64(total)).astype(np.int64)
-            dest = idx // local_size
-            for d in range(nparts):
-                sel = dest == d
-                np.bitwise_xor.at(tables[d], (idx % local_size)[sel], u[sel])
-    return tables
-
-
-class _RaEpoch:
-    """Communication state for one team incarnation of resilient RA.
-
-    Rebuilt from scratch after every shrink so no stale event post from the
-    aborted epoch can satisfy a post-recovery wait. ``armed`` marks a
-    restart-resume epoch whose drained-credit counters were refilled from
-    the checkpoint (writers must consume them from the first batch on).
-    """
-
-    def __init__(
-        self, img: "Image", team: "Team", nparts: int, table_bits: int,
-        cap: int, *, armed: bool,
-    ):
-        self.team = team
-        self.nparts = nparts
-        self.cap = cap
-        self.row = cap + 1  # one length prefix per landing row
-        self.tables = img.allocate_coarray(
-            (nparts, 1 << table_bits), np.uint64, team=team
-        )
-        self.land = img.allocate_coarray(
-            (nparts * nparts, self.row), np.uint64, team=team
-        )
-        self.arrive = img.allocate_events(nparts * nparts, team=team)
-        self.drained = img.allocate_events(nparts * nparts, team=team)
-        self.sent = [1 if armed else 0] * (nparts * nparts)
-        r = img.resilience
-        self.tables_index = r.coarray_index(self.tables) if r is not None else 0
-
-
-def _ra_batch(
-    img: "Image",
-    epoch: _RaEpoch,
-    owners: list[int],
-    batch: int,
-    *,
-    seed: int,
-    updates_per_batch: int,
-    table_bits: int,
-    timeout: float,
-) -> None:
-    """One routing round: every owned stream sends one bucket per partition."""
-    P = epoch.nparts
-    local_size = 1 << table_bits
-    total = P * local_size
-    total_bits = table_bits + max(int(np.log2(P)), 0) + 8
-    team = epoch.team
-    me = img.rank
-    t_index = {w: i for i, w in enumerate(team.members)}
-    my_streams = [s for s in range(P) if owners[s] == me]
-    my_parts = my_streams  # one owner map for both roles
-
-    # -- writer side ------------------------------------------------------
-    for s in my_streams:
-        u = ra_stream_batch(seed, s, batch, updates_per_batch, total_bits)
-        idx = (u % np.uint64(total)).astype(np.int64)
-        dest = idx // local_size
-        for d in range(P):
-            bucket = u[dest == d]
-            if owners[d] == me:
-                # Self-channel: apply directly, no landing zone involved.
-                np.bitwise_xor.at(
-                    epoch.tables.local[d],
-                    (idx[dest == d] % local_size),
-                    bucket,
-                )
-                continue
-            slot = s * P + d
-            if epoch.sent[slot] > 0:
-                epoch.drained.wait(slot=slot, timeout=timeout)
-            payload = np.empty(bucket.size + 1, np.uint64)
-            payload[0] = bucket.size
-            payload[1:] = bucket
-            target = t_index[owners[d]]
-            epoch.land.write(target, payload, offset=slot * epoch.row)
-            epoch.arrive.notify(target, slot=slot)
-            epoch.sent[slot] += 1
-
-    # -- reader side ------------------------------------------------------
-    for d in my_parts:
-        row_table = epoch.tables.local[d]
-        for s in range(P):
-            if owners[s] == me:
-                continue  # self-channel applied above
-            slot = s * P + d
-            epoch.arrive.wait(slot=slot, timeout=timeout)
-            row = epoch.land.local[slot]
-            n = int(row[0])
-            incoming = row[1 : 1 + n]
-            np.bitwise_xor.at(
-                row_table,
-                (incoming % np.uint64(total)).astype(np.int64) % local_size,
-                incoming,
-            )
-            epoch.drained.notify(t_index[owners[s]], slot=slot)
-    img.compute(flops=float(max(updates_per_batch, 1)))
+def _ra_router(
+    img: "Image", team: "Team", owners: list[int], timeout: float | None, armed: bool,
+    **kw,
+) -> tuple[RaRouter, int]:
+    """A router on ``team`` hosting partition ``p`` on world rank
+    ``owners[p]``, its tables in a checkpointable ``(P, 2**bits)`` coarray,
+    and that coarray's checkpoint index. Allocation order is tables, then
+    the router's landing, arrive and drained, so a restarted run's
+    allocations refill the same checkpoint slots."""
+    tables = img.allocate_coarray(
+        (len(owners), 1 << kw["table_bits_per_image"]), np.uint64, team=team
+    )
+    index_of = {w: i for i, w in enumerate(team.members)}
+    router = RaRouter(
+        img, team, owners=[index_of[w] for w in owners], tables=tables.local,
+        timeout=timeout, armed=armed, **kw,
+    )
+    r = img.resilience
+    return router, r.coarray_index(tables) if r is not None else 0
 
 
 def _reassign(owners: list[int], survivors: tuple[int, ...]) -> list[int]:
@@ -201,107 +112,84 @@ def _reassign(owners: list[int], survivors: tuple[int, ...]) -> list[int]:
     return new
 
 
+def _reload_tables(router: RaRouter, ckpt, saved: dict) -> None:
+    """Fill every partition ``router`` hosts from the tables coarray its
+    checkpoint-time owner saved (the dead image's, for adopted ones)."""
+    old = saved["owners"]
+    for i, p in enumerate(router.parts):
+        # p's row on its old host: how many lower partitions that host held.
+        segment = ckpt.coarray_partition(old[p], saved["table_index"])
+        router.tables[i] = segment.reshape(len(old), -1)[old[:p].count(old[p])]
+
+
 def run_resilient_randomaccess(
     img: "Image",
     *,
-    table_bits: int = 7,
-    updates_per_batch: int = 128,
+    table_bits_per_image: int = 7,
+    updates_per_image: int = 1024,
     batches: int = 8,
     seed: int = 42,
     recovery: str = "restart",
     wait_timeout: float = 0.25,
     max_recoveries: int = 3,
 ) -> dict:
-    """Resilient GUPS: survives image crashes under either recovery mode.
+    """Resilient GUPS: :class:`~repro.apps.randomaccess.RaRouter`, the router
+    ``run_randomaccess`` runs, under a recovery loop.
 
-    Final partition contents land in
+    The table is P logical partitions, P the initial image count, and the
+    owner map (partition to world rank) is the only thing recovery
+    changes: survivors shrink the team, adopt the dead image's partitions,
+    build a new router on the shrunken team and reload every partition
+    they host from the checkpoint. Final partitions land in
     ``img.cluster.shared('ra-res-tables', dict)[partition]`` for
-    verification against :func:`ra_reference`.
+    verification against :func:`~repro.apps.randomaccess.reference_tables`.
     """
     check_recovery_mode(recovery)
-    P = img.nranks
-    if P & (P - 1):
-        raise CafError(
-            f"logical partition count P={P} must be a power of two: "
-            "run on a power-of-two number of images"
-        )
+    kw = dict(
+        table_bits_per_image=table_bits_per_image, updates_per_image=updates_per_image,
+        batches=batches, seed=seed,
+    )
     r = img.resilience
     team = img.team_world
-    owners = list(range(P))
-    start_batch = 0
-    armed = False
-    if r is not None and r.resumed is not None:
-        start_batch = r.resume_step()
-        state = r.resume_state(default={})
-        owners = list(state.get("owners", owners))
-        armed = start_batch > 0
-    epoch = _RaEpoch(
-        img, team, P, table_bits, updates_per_batch, armed=armed
-    )
-    img.sync_all()
+    # A restarted run's tables and drained credits refill from the
+    # checkpoint as they are allocated; batch and owners are its app state.
+    saved = r.resume_state(default={}) if r is not None else {}
+    b = saved.get("batch", 0)
+    owners = saved.get("owners", list(team.members))
+    armed, ckpt, router = b > 0, None, None
 
-    b = start_batch
     recoveries = 0
-    while b < batches:
+    while router is None or b < batches:
         try:
-            _ra_batch(
-                img, epoch, owners, b,
-                seed=seed, updates_per_batch=updates_per_batch,
-                table_bits=table_bits, timeout=wait_timeout,
-            )
+            if router is None:
+                # Allocations are collective, so building synchronizes.
+                router, index = _ra_router(img, team, owners, wait_timeout, armed, **kw)
+                if ckpt is not None:
+                    _reload_tables(router, ckpt, saved)
+                continue
+            router.batch(b)
             b += 1
             if r is not None:
-                r.step(
-                    state={
-                        "batch": b,
-                        "owners": owners,
-                        "table_index": epoch.tables_index,
-                    },
-                    team=team,
-                )
+                state = {"batch": b, "owners": owners, "table_index": index}
+                r.step(state=state, team=team)
         except _ALL_FAILURES as exc:
-            if recovery != "shrink" or r is None:
-                raise
-            if not img.cluster.failed_ranks:
-                raise  # a timeout with nobody dead is a real bug, not a crash
-            recoveries += 1
-            if recoveries > max_recoveries:
-                raise ResilienceError(
-                    f"recovery budget exhausted after {max_recoveries} shrinks: "
-                    "raise max_recoveries"
-                ) from exc
+            recoveries = _admit(img, recovery, recoveries, max_recoveries, exc)
             team, ckpt = r.recover_shrink(team, require_checkpoint=False)
-            if ckpt is None:
-                # The crash predates the first checkpoint: cold-restart the
-                # whole computation on the shrunken team.
-                my_state = {}
-            else:
-                my_state = ckpt.app_state.get(img.rank) or {}
-            b = int(my_state.get("batch", 0))
-            old_owners = list(my_state.get("owners", range(P)))
-            table_index = int(my_state.get("table_index", 0))
-            owners = _reassign(old_owners, team.members)
-            epoch = _RaEpoch(
-                img, team, P, table_bits, updates_per_batch, armed=False
-            )
-            # Reload every partition I now own from its checkpoint-time
-            # owner's snapshot (possibly the dead image's).
-            local_size = 1 << table_bits
-            for d in range(P):
-                if owners[d] != img.rank or ckpt is None:
-                    continue
-                saved = ckpt.coarray_partition(old_owners[d], table_index)
-                epoch.tables.local[d] = saved.reshape(P, local_size)[d]
+            # Without a checkpoint (the crash came before the first one), RA
+            # cold-restarts on the shrunken team.
+            saved = ckpt.app_state[img.rank] if ckpt is not None else {}
+            b = saved.get("batch", 0)
+            owners = _reassign(saved.get("owners", owners), team.members)
+            armed, router = False, None
 
     img.backend.quiet()
     img.barrier(team)
     out = img.cluster.shared("ra-res-tables", dict)
-    for d in range(P):
-        if owners[d] == img.rank:
-            out[d] = epoch.tables.local[d].copy()
+    for i, p in enumerate(router.parts):
+        out[p] = router.tables[i].copy()
     return {
         "rank": img.rank,
-        "parts": [d for d in range(P) if owners[d] == img.rank],
+        "parts": router.parts,
         "batches": batches,
         "recoveries": recoveries,
         "team_size": team.size,
@@ -393,16 +281,7 @@ def run_resilient_cgpop(
                 state = {"it": it, "rr": solver.rr, "bnorm2": solver.bnorm2, "index": index}
                 r.step(state=state, team=team)
         except _ALL_FAILURES as exc:
-            if recovery != "shrink" or r is None:
-                raise
-            if not img.cluster.failed_ranks:
-                raise  # a timeout with nobody dead is a real bug, not a crash
-            recoveries += 1
-            if recoveries > max_recoveries:
-                raise ResilienceError(
-                    f"recovery budget exhausted after {max_recoveries} shrinks: "
-                    "raise max_recoveries"
-                ) from exc
+            recoveries = _admit(img, recovery, recoveries, max_recoveries, exc)
             # Free peers parked inside MPI, then rebuild both runtimes'
             # survivor-side objects.
             try:

@@ -37,15 +37,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.apps.randomaccess import reference_tables
 from repro.apps.verification import verify_cgpop
 from repro.caf.program import run_caf
 from repro.obs import capture as obs_capture
 from repro.obs.artifact import write
-from repro.resilience.apps import (
-    ra_reference,
-    run_resilient_cgpop,
-    run_resilient_randomaccess,
-)
+from repro.resilience.apps import run_resilient_cgpop, run_resilient_randomaccess
 from repro.resilience.minimize import minimize_plan
 from repro.resilience.recovery import run_resilient
 from repro.sim.faults import FaultPlan
@@ -82,9 +79,9 @@ VIOLATIONS = frozenset(
 def _verify_ra(cluster, kwargs: dict) -> bool:
     tables = cluster.shared("ra-res-tables", dict)
     nparts = cluster.nranks
-    ref = ra_reference(
-        kwargs.get("seed", 42), nparts, kwargs["table_bits"],
-        kwargs["updates_per_batch"], kwargs["batches"],
+    ref = reference_tables(
+        kwargs.get("seed", 42), nparts, kwargs["table_bits_per_image"],
+        kwargs["updates_per_image"],
     )
     return sorted(tables) == list(range(nparts)) and all(
         np.array_equal(tables[d], ref[d]) for d in range(nparts)
@@ -111,7 +108,7 @@ APPS: dict[str, AppSpec] = {
     "ra": AppSpec(
         name="ra",
         program=run_resilient_randomaccess,
-        kwargs=dict(table_bits=6, updates_per_batch=64, batches=4),
+        kwargs=dict(table_bits_per_image=6, updates_per_image=256, batches=4),
         verify=_verify_ra,
         checkpoint_every=2,
     ),

@@ -342,7 +342,10 @@ class ImageResilience:
         timeout, ...). Returns the shrunken team plus the last committed
         checkpoint to repartition from. With ``require_checkpoint=False``
         a crash that predates the first checkpoint yields ``(team, None)``
-        and the caller cold-restarts on the shrunken team instead.
+        and the caller cold-restarts on the shrunken team instead. Either
+        way the iteration counter rewinds to the checkpoint's step (0 for a
+        cold restart): survivors that saw the failure in different
+        iterations must agree on the next :meth:`step` that checkpoints.
         """
         img = self.img
         ckpt = self.latest()
@@ -352,4 +355,5 @@ class ImageResilience:
                 "set checkpoint_every, or pass require_checkpoint=False"
             )
         small = img.shrink_team(team)
+        self._step = 0 if ckpt is None else ckpt.step
         return small, ckpt

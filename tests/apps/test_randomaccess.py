@@ -37,8 +37,9 @@ def test_gups_metric_positive(backend):
 
 
 def test_non_power_of_two_rejected(backend):
-    with pytest.raises(CafError, match="power-of-two"):
+    with pytest.raises(CafError, match="power-of-two") as info:
         run_caf(run_randomaccess, 3, backend=backend, updates_per_image=16)
+    assert str(info.value).endswith("run on a power-of-two number of images"), str(info.value)
 
 
 def test_updates_deterministic():

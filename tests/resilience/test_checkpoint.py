@@ -6,6 +6,7 @@ import pytest
 from repro.caf.program import run_caf
 from repro.resilience import CheckpointStore
 from repro.resilience.checkpoint import CHECKPOINT_VERSION, Checkpoint, ResilienceService
+from repro.sim.faults import FaultPlan
 from repro.util.errors import ResilienceError
 
 NR = 4
@@ -170,3 +171,27 @@ def test_shrink_without_a_checkpoint_names_the_fix():
     assert str(info.value).endswith(
         "set checkpoint_every, or pass require_checkpoint=False"
     ), str(info.value)
+
+
+def test_shrink_rewinds_the_checkpoint_cadence(backend):
+    """Survivors that saw the failure in different iterations still agree
+    on the next checkpoint: recover_shrink rewinds every image's counter to
+    the checkpoint's step."""
+
+    def uneven(img):
+        r = img.resilience
+        r.step()
+        r.step()  # step 2 checkpoints on every image
+        if img.rank == 0:
+            r.step()  # image 0 got one iteration further before the crash
+        img.compute(seconds=1e-3)  # image 1 dies meanwhile
+        team, ckpt = r.recover_shrink()
+        for _ in range(3):
+            r.step(team=team)  # steps 3, 4, 5: step 4 checkpoints on both
+        return ckpt.step
+
+    run = run_caf(uneven, 3, backend=backend, checkpoint_every=2,
+                  faults=FaultPlan(seed=1, crashes=[(1, 5e-4)]))
+    assert run.results[0] == run.results[2] == 2
+    assert [c.step for c in run.cluster.resilience.store.checkpoints] == [2, 4]
+    assert run.cluster.resilience.store.latest().members == (0, 2)

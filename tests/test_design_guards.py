@@ -591,6 +591,23 @@ def test_one_cgpop():
     )
 
 
+def test_one_randomaccess():
+    streams = sorted(
+        {hit.split(":")[0] for hit in grep(r"generate_updates\(|apply_updates\(", "src/repro")}
+    )
+    assert streams == ["src/repro/apps/randomaccess.py"], (
+        "RandomAccess is one router, apps.randomaccess.RaRouter: only it "
+        "generates and applies update streams (the serial reference too)",
+        streams,
+    )
+    copies = grep(r"\.write\(|allocate_events\(", "src/repro/resilience/apps.py")
+    assert not copies, (
+        "the resilient RandomAccess is RaRouter under a recovery loop: it "
+        "routes no updates and owns no landing zone or events of its own",
+        copies,
+    )
+
+
 def test_one_agreement_protocol():
     def barriers_on_a_result_board(fn) -> bool:
         nodes = list(ast.walk(fn))
