@@ -141,8 +141,12 @@ class Image:
         """
         team = team or self.team_world
         failed = self._failed_ranks
-        if self.rank in failed:  # pragma: no cover - defensive
-            raise CafError("shrink_team() called by a failed image")
+        if self.rank in failed:
+            raise CafError(
+                f"image {self.rank} called shrink_team() but the run has declared "
+                "it failed (a crash or a transport give-up): only survivors "
+                "shrink, so end this image's program instead of recovering it"
+            )
         survivors = tuple(w for w in team.members if w not in failed)
         if self.rank not in survivors:
             raise CafError(

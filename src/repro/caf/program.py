@@ -116,6 +116,7 @@ def run_caf(
     checkpoint_every: int | None = None,
     checkpoint_store: Any | None = None,
     resume_from: Any | None = None,
+    max_recoveries: int = 0,
     **program_kwargs: Any,
 ) -> CafRun:
     """Run ``program(img, **program_kwargs)`` on ``nranks`` images.
@@ -157,6 +158,9 @@ def run_caf(
     ``img.resilience.step()``, and ``resume_from`` (a
     :class:`~repro.resilience.checkpoint.Checkpoint`, or ``"latest"`` to
     take the store's newest) transparently refills re-made allocations.
+    ``max_recoveries=N`` (also attaching the service) lets a resilient
+    program's survivors shrink and recover in place up to N times; with 0 a
+    failure ends the run, for ``run_resilient`` to restart it.
 
     Whatever the process has armed for every run (``--metrics DIR``,
     ``--record-ir``, the sanitizer CLI) arms this one too, in ``Cluster``.
@@ -178,13 +182,16 @@ def run_caf(
     cluster.app = getattr(program, "__name__", "")
     if trace:
         cluster.tracer.enable()
-    if any(arg is not None for arg in (checkpoint_every, checkpoint_store, resume_from)):
+    if max_recoveries or any(
+        arg is not None for arg in (checkpoint_every, checkpoint_store, resume_from)
+    ):
         from repro.resilience.checkpoint import CheckpointStore, ResilienceService
 
         store = checkpoint_store if checkpoint_store is not None else CheckpointStore()
         resume = store.latest() if resume_from == "latest" else resume_from
         cluster.resilience = ResilienceService(
-            every=checkpoint_every, store=store, resume=resume
+            every=checkpoint_every, store=store, resume=resume,
+            max_recoveries=max_recoveries,
         )
     module, clsname = BACKENDS[backend]
     backend_cls = getattr(importlib.import_module(module), clsname)

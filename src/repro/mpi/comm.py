@@ -183,8 +183,12 @@ class Comm:
         board (the simulation-level stand-in for ULFM's fault-tolerant
         agreement protocol) rather than a barrier.
         """
-        if self.rank in self.failed_ranks():  # pragma: no cover - defensive
-            raise MpiError("shrink() called by a failed rank")
+        if self.rank in self.failed_ranks():
+            raise MpiError(
+                f"rank {self.rank} called shrink() but the run has declared it "
+                "failed (a crash or a transport give-up): only survivors "
+                "shrink, so end this rank's program instead of recovering it"
+            )
         failed = self.ctx.cluster.failed_ranks
         survivors = tuple(w for w in self.state.group if w not in failed)
         key = ("mpi-shrink", self.state.context_id, survivors)

@@ -8,14 +8,15 @@ rebuilds a survivor team without barriers. This package adds:
 * :mod:`repro.resilience.checkpoint` — the coordinated quiesce-then-snapshot
   protocol, the versioned :class:`Checkpoint` artifact, and the in-memory /
   on-disk :class:`CheckpointStore`.
-* :mod:`repro.resilience.recovery` — the :func:`run_resilient` driver with
-  its two recovery modes (full restart from the last checkpoint, and in-run
-  shrink-and-redistribute over the survivors).
+* :mod:`repro.resilience.recovery` — :func:`run_resilient`, full restart
+  from the last checkpoint; ``run_caf(max_recoveries=N)`` is the other
+  discipline, in-run shrink-and-redistribute over the survivors.
 * :mod:`repro.resilience.apps` — resilience-aware RandomAccess and CGPOP
-  ports that survive mid-run image crashes under both modes.
+  ports that survive mid-run image crashes under both disciplines.
 * :mod:`repro.resilience.chaos` — the seeded fault-campaign harness
   (``python -m repro.resilience.chaos``) with invariant checking and
-  failing-seed minimization (:mod:`repro.resilience.minimize`).
+  failing-seed minimization (:mod:`repro.resilience.minimize`), and the
+  one fault-free makespan and crash-fraction sweep.
 """
 
 from repro.resilience.checkpoint import (

@@ -7,14 +7,17 @@ hypercube router, :class:`~repro.apps.randomaccess.RaRouter`, over
 the *initial* image count, and an owner map (partition to world rank) is
 the only thing recovery has to update. CGPOP is the solver,
 :class:`~repro.apps.cgpop.CgSolver`, on row strips of the current team.
-Under ``mode="restart"`` the whole job reruns from the last checkpoint;
-under ``mode="shrink"`` survivors rebuild fresh communication state on the
+The run's budget, ``run_caf(..., max_recoveries=N)``, is the discipline:
+with 0 a failure ends the run and
+:func:`~repro.resilience.recovery.run_resilient` reruns it from the last
+checkpoint; with N > 0 survivors rebuild fresh communication state on the
 shrunken team (RA adopts the dead image's partitions, CGPOP re-cuts
 near-equal strips), reload their data from the last checkpoint, and keep
-going.
+going, up to N times.
 
-Every blocking wait in the steady-state loop carries a timeout, so a crash
-anywhere surfaces as :class:`~repro.util.errors.CafTimeoutError` /
+Every blocking wait in the steady-state loop carries a timeout,
+:data:`WAIT_TIMEOUT`, so a crash anywhere surfaces as
+:class:`~repro.util.errors.CafTimeoutError` /
 :class:`~repro.util.errors.ImageFailedError` (CAF side) or
 :class:`~repro.util.errors.MpiProcFailedError` /
 :class:`~repro.util.errors.MpiRevokedError` (MPI side) on every survivor in
@@ -32,7 +35,6 @@ import numpy as np
 
 from repro.apps.cgpop import CgSolver, assemble_solution, block_bounds
 from repro.apps.randomaccess import RaRouter
-from repro.resilience.recovery import check_recovery_mode
 from repro.util.errors import (
     CafTimeoutError,
     GasnetProcFailedError,
@@ -59,15 +61,19 @@ _ALL_FAILURES = (
     GasnetProcFailedError,
 )
 
+#: Virtual seconds a steady-state wait allows; a satisfied wait cancels its
+#: timer, so the bound never moves a fault-free schedule.
+WAIT_TIMEOUT = 0.25
 
-def _admit(
-    img: "Image", recovery: str, recoveries: int, max_recoveries: int, exc: Exception
-) -> int:
-    """Admit ``exc`` as one more shrink recovery, or re-raise it: only under
-    ``recovery="shrink"`` with the resilience service on, only once a crash
+
+def _admit(img: "Image", recoveries: int, exc: Exception) -> int:
+    """Admit ``exc`` as one more shrink recovery, or re-raise it: only with
+    a nonzero budget (``run_caf(..., max_recoveries=N)``), only once a crash
     is confirmed (a timeout with nobody dead is a real bug, not a crash),
-    and only within ``max_recoveries``. Returns the new recovery count."""
-    if recovery != "shrink" or img.resilience is None or not img.cluster.failed_ranks:
+    and only within the budget. Returns the new recovery count."""
+    r = img.resilience
+    max_recoveries = r.service.max_recoveries if r is not None else 0
+    if not max_recoveries or not img.cluster.failed_ranks:
         raise exc
     if recoveries >= max_recoveries:
         raise ResilienceError(
@@ -83,8 +89,7 @@ def _admit(
 
 
 def _ra_router(
-    img: "Image", team: "Team", owners: list[int], timeout: float | None, armed: bool,
-    **kw,
+    img: "Image", team: "Team", owners: list[int], armed: bool, **kw
 ) -> tuple[RaRouter, int]:
     """A router on ``team`` hosting partition ``p`` on world rank
     ``owners[p]``, its tables in a checkpointable ``(P, 2**bits)`` coarray,
@@ -97,7 +102,7 @@ def _ra_router(
     index_of = {w: i for i, w in enumerate(team.members)}
     router = RaRouter(
         img, team, owners=[index_of[w] for w in owners], tables=tables.local,
-        timeout=timeout, armed=armed, **kw,
+        timeout=WAIT_TIMEOUT, armed=armed, **kw,
     )
     r = img.resilience
     return router, r.coarray_index(tables) if r is not None else 0
@@ -129,9 +134,6 @@ def run_resilient_randomaccess(
     updates_per_image: int = 1024,
     batches: int = 8,
     seed: int = 42,
-    recovery: str = "restart",
-    wait_timeout: float = 0.25,
-    max_recoveries: int = 3,
 ) -> dict:
     """Resilient GUPS: :class:`~repro.apps.randomaccess.RaRouter`, the router
     ``run_randomaccess`` runs, under a recovery loop.
@@ -141,10 +143,10 @@ def run_resilient_randomaccess(
     changes: survivors shrink the team, adopt the dead image's partitions,
     build a new router on the shrunken team and reload every partition
     they host from the checkpoint. Final partitions land in
-    ``img.cluster.shared('ra-res-tables', dict)[partition]`` for
-    verification against :func:`~repro.apps.randomaccess.reference_tables`.
+    ``run_randomaccess``'s record,
+    ``img.cluster.shared('ra-tables', dict)[partition]``, which
+    :func:`~repro.apps.verification.verify_randomaccess` checks.
     """
-    check_recovery_mode(recovery)
     kw = dict(
         table_bits_per_image=table_bits_per_image, updates_per_image=updates_per_image,
         batches=batches, seed=seed,
@@ -163,7 +165,7 @@ def run_resilient_randomaccess(
         try:
             if router is None:
                 # Allocations are collective, so building synchronizes.
-                router, index = _ra_router(img, team, owners, wait_timeout, armed, **kw)
+                router, index = _ra_router(img, team, owners, armed, **kw)
                 if ckpt is not None:
                     _reload_tables(router, ckpt, saved)
                 continue
@@ -173,7 +175,7 @@ def run_resilient_randomaccess(
                 state = {"batch": b, "owners": owners, "table_index": index}
                 r.step(state=state, team=team)
         except _ALL_FAILURES as exc:
-            recoveries = _admit(img, recovery, recoveries, max_recoveries, exc)
+            recoveries = _admit(img, recoveries, exc)
             team, ckpt = r.recover_shrink(team, require_checkpoint=False)
             # Without a checkpoint (the crash came before the first one), RA
             # cold-restarts on the shrunken team.
@@ -184,7 +186,7 @@ def run_resilient_randomaccess(
 
     img.backend.quiet()
     img.barrier(team)
-    out = img.cluster.shared("ra-res-tables", dict)
+    out = img.cluster.shared("ra-tables", dict)
     for i, p in enumerate(router.parts):
         out[p] = router.tables[i].copy()
     return {
@@ -202,8 +204,7 @@ def run_resilient_randomaccess(
 
 
 def _cg_solver(
-    img: "Image", team: "Team", comm, ny: int, nx: int, seed: int, timeout: float | None,
-    *, armed: bool,
+    img: "Image", team: "Team", comm, ny: int, nx: int, seed: int, *, armed: bool
 ) -> tuple[CgSolver, int]:
     """A strip solver on ``team`` whose x / r / p live in a checkpointable
     ``(3, ceil(ny/size), nx)`` coarray, and that coarray's checkpoint index.
@@ -212,7 +213,7 @@ def _cg_solver(
     state = img.allocate_coarray((3, -(-ny // team.size), nx), np.float64, team=team)
     row0, row1 = block_bounds(team.my_index, ny, team.size)
     solver = CgSolver(
-        img, team, comm, ny=ny, nx=nx, seed=seed, timeout=timeout,
+        img, team, comm, ny=ny, nx=nx, seed=seed, timeout=WAIT_TIMEOUT,
         state=state.local[:, : row1 - row0], armed=armed,
     )
     r = img.resilience
@@ -239,9 +240,6 @@ def run_resilient_cgpop(
     tol: float = 1e-8,
     max_iter: int = 400,
     seed: int = 11,
-    recovery: str = "restart",
-    wait_timeout: float = 0.25,
-    max_recoveries: int = 3,
 ) -> dict:
     """Resilient hybrid CG: :class:`~repro.apps.cgpop.CgSolver`, the solver
     ``run_cgpop`` runs, on row strips of the current team.
@@ -254,14 +252,13 @@ def run_resilient_cgpop(
     strip lands in ``run_cgpop``'s record,
     ``img.cluster.shared('cgpop-solution', dict)[rank] = (row0, 0, x)``.
     """
-    check_recovery_mode(recovery)
     r = img.resilience
     team = img.team_world
     comm = img.mpi().COMM_WORLD
     # A restarted run's state coarray and drained credits refill from the
     # checkpoint as they are allocated; rr and bnorm2 are its app state.
     saved = r.resume_state(default={}) if r is not None else {}
-    solver, index = _cg_solver(img, team, comm, ny, nx, seed, wait_timeout, armed=bool(saved))
+    solver, index = _cg_solver(img, team, comm, ny, nx, seed, armed=bool(saved))
     cold, it = not saved, 0  # cold: x / r / p still to initialize
     if saved:
         it, solver.rr, solver.bnorm2 = saved["it"], saved["rr"], saved["bnorm2"]
@@ -281,16 +278,13 @@ def run_resilient_cgpop(
                 state = {"it": it, "rr": solver.rr, "bnorm2": solver.bnorm2, "index": index}
                 r.step(state=state, team=team)
         except _ALL_FAILURES as exc:
-            recoveries = _admit(img, recovery, recoveries, max_recoveries, exc)
+            recoveries = _admit(img, recoveries, exc)
             # Free peers parked inside MPI, then rebuild both runtimes'
             # survivor-side objects.
-            try:
-                comm.revoke()
-            except MpiRevokedError:  # pragma: no cover - defensive
-                pass
+            comm.revoke()
             team, ckpt = r.recover_shrink(team, require_checkpoint=False)
             comm = comm.shrink()
-            solver, index = _cg_solver(img, team, comm, ny, nx, seed, wait_timeout, armed=False)
+            solver, index = _cg_solver(img, team, comm, ny, nx, seed, armed=False)
             # Without a checkpoint (the crash came before the first one), CG
             # cold-restarts on the shrunken team.
             cold, it = ckpt is None, 0

@@ -37,8 +37,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.apps.randomaccess import reference_tables
-from repro.apps.verification import verify_cgpop
+from repro.apps.verification import verify_cgpop, verify_randomaccess
 from repro.caf.program import run_caf
 from repro.obs import capture as obs_capture
 from repro.obs.artifact import write
@@ -77,15 +76,11 @@ VIOLATIONS = frozenset(
 
 
 def _verify_ra(cluster, kwargs: dict) -> bool:
-    tables = cluster.shared("ra-res-tables", dict)
-    nparts = cluster.nranks
-    ref = reference_tables(
-        kwargs.get("seed", 42), nparts, kwargs["table_bits_per_image"],
-        kwargs["updates_per_image"],
-    )
-    return sorted(tables) == list(range(nparts)) and all(
-        np.array_equal(tables[d], ref[d]) for d in range(nparts)
-    )
+    return verify_randomaccess(
+        cluster.shared("ra-tables", dict), seed=kwargs.get("seed", 42),
+        nranks=cluster.nranks, table_bits_per_image=kwargs["table_bits_per_image"],
+        updates_per_image=kwargs["updates_per_image"], tolerated_error_fraction=0.0,
+    ).passed
 
 
 def _verify_cg(cluster, kwargs: dict) -> bool:
@@ -122,6 +117,48 @@ APPS: dict[str, AppSpec] = {
 }
 
 MODES = ("faults", "restart", "shrink")
+
+#: The in-run budget a shrink run gets (``run_caf(..., max_recoveries=)``).
+SHRINK_BUDGET = 3
+
+
+def fault_free_elapsed(app: str, nranks: int, backend: str, kwargs: dict | None = None) -> float:
+    """Fault-free virtual makespan of ``app`` (``kwargs`` replaces its
+    keywords): crash times are placed as fractions of it."""
+    spec = APPS[app]
+    kw = spec.kwargs if kwargs is None else kwargs
+    return run_caf(spec.program, nranks, backend=backend, **kw).elapsed
+
+
+def crash_sweep(
+    app: str, nranks: int, victim: int, fracs, backend: str, kwargs: dict | None = None
+) -> list[tuple]:
+    """``(frac, outcome, detail, run)`` per shrink run with ``victim``
+    crashing at ``frac`` of the fault-free makespan: ``outcome`` is
+    ``recovered``, ``unverified`` or ``no-crash`` (the run ended before the
+    crash) with the finished run, or an error's class name with its first
+    line as ``detail`` and no run."""
+    spec = APPS[app]
+    kw = spec.kwargs if kwargs is None else kwargs
+    elapsed = fault_free_elapsed(app, nranks, backend, kw)
+    rows = []
+    for frac in fracs:
+        plan = FaultPlan(seed=3, crashes=[(victim, elapsed * frac)])
+        try:
+            run = run_caf(
+                spec.program, nranks, backend=backend, faults=plan, deadline=10.0,
+                checkpoint_every=spec.checkpoint_every, max_recoveries=SHRINK_BUDGET,
+                **kw,
+            )
+        except Exception as exc:  # the table reports every ending
+            rows.append((frac, type(exc).__name__, str(exc).splitlines()[0], None))
+            continue
+        if victim not in run.cluster.failed_ranks:
+            outcome = "no-crash"
+        else:
+            outcome = "recovered" if spec.verify(run.cluster, kw) else "unverified"
+        rows.append((frac, outcome, "", run))
+    return rows
 
 
 # -- campaign configuration ----------------------------------------------
@@ -195,38 +232,31 @@ class CampaignRunner:
 
     # -- helpers ----------------------------------------------------------
 
-    def baseline_elapsed(self, app: str, backend: str) -> float:
-        """Fault-free virtual makespan of (app, backend): crash times are
-        placed as fractions of it, so campaigns self-calibrate."""
-        key = (app, backend)
+    def crash_time(self, case: dict) -> float | None:
+        """The case's fraction of (app, backend)'s fault-free makespan,
+        measured once per campaign, so campaigns self-calibrate."""
+        if case["victim"] is None:
+            return None
+        app, backend = key = (case["app"], case["backend"])
         if key not in self._baselines:
-            spec = APPS[app]
-            run = run_caf(
-                spec.program, self.cfg.nranks, backend=backend,
-                wait_timeout=None, **spec.kwargs,
-            )
-            self._baselines[key] = run.elapsed
-        return self._baselines[key]
+            self._baselines[key] = fault_free_elapsed(app, self.cfg.nranks, backend)
+        return self._baselines[key] * case["crash_frac"]
 
     def _execute(self, case: dict, plan: FaultPlan, *, sanitize: bool):
         """One run of the case under ``plan``; returns the final cluster."""
         cfg = self.cfg
         spec = APPS[case["app"]]
-        kwargs = dict(spec.kwargs)
-        if case["mode"] == "faults":
-            run = run_caf(
-                spec.program, cfg.nranks, backend=case["backend"],
-                faults=plan, reliable=True, deadline=cfg.deadline,
-                sanitize=sanitize, **kwargs,
-            )
-            return run.cluster, None
-        kwargs["recovery"] = "shrink" if case["mode"] == "shrink" else "restart"
-        out = run_resilient(
-            spec.program, cfg.nranks, mode=case["mode"],
-            backend=case["backend"], checkpoint_every=spec.checkpoint_every,
-            faults=plan, reliable=True, deadline=cfg.deadline,
-            sanitize=sanitize, **kwargs,
+        kw = dict(
+            backend=case["backend"], faults=plan, reliable=True,
+            deadline=cfg.deadline, sanitize=sanitize, **spec.kwargs,
         )
+        if case["mode"] == "faults":
+            return run_caf(spec.program, cfg.nranks, **kw).cluster, None
+        kw["checkpoint_every"] = spec.checkpoint_every
+        if case["mode"] == "shrink":
+            run = run_caf(spec.program, cfg.nranks, max_recoveries=SHRINK_BUDGET, **kw)
+            return run.cluster, None
+        out = run_resilient(spec.program, cfg.nranks, **kw)
         return out.cluster, out
 
     def _classify_failure(self, case: dict, exc: ReproError) -> str:
@@ -245,12 +275,7 @@ class CampaignRunner:
         """Replay the case twice with the order digest armed; True = match."""
         import os
 
-        crash_time = None
-        if case["victim"] is not None:
-            crash_time = (
-                self.baseline_elapsed(case["app"], case["backend"])
-                * case["crash_frac"]
-            )
+        crash_time = self.crash_time(case)
         digests = []
         prev = os.environ.get("REPRO_SIM_DIGEST")
         os.environ["REPRO_SIM_DIGEST"] = "1"
@@ -300,12 +325,7 @@ class CampaignRunner:
     def run_case(self, case: dict) -> dict:
         cfg = self.cfg
         spec = APPS[case["app"]]
-        crash_time = None
-        if case["victim"] is not None:
-            crash_time = (
-                self.baseline_elapsed(case["app"], case["backend"])
-                * case["crash_frac"]
-            )
+        crash_time = self.crash_time(case)
         plan = _plan_for(case, crash_time)
         sanitize = cfg.sanitize and case["mode"] == "faults"
         record = dict(case)

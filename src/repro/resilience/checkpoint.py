@@ -161,7 +161,8 @@ class ResilienceService:
     """Cluster-attached checkpoint/restore coordinator.
 
     Installed by ``run_caf(checkpoint_every=..., checkpoint_store=...,
-    resume_from=...)``; images reach it through ``img.resilience``. It
+    resume_from=..., max_recoveries=...)``, whose in-run shrink budget it
+    stores; images reach it through ``img.resilience``. It
     tracks every coarray/event allocation per image (allocation order is
     the restore key) and, when a resume checkpoint is set, transparently
     refills matching allocations as they are re-made — so a restarted
@@ -175,12 +176,14 @@ class ResilienceService:
         every: int | None = None,
         store: CheckpointStore | None = None,
         resume: Checkpoint | None = None,
+        max_recoveries: int = 0,
     ):
         if every is not None and every <= 0:
             raise ResilienceError(f"checkpoint_every must be positive, got {every}")
         self.every = every
         self.store = store if store is not None else CheckpointStore()
         self.resume = resume
+        self.max_recoveries = max_recoveries
         self._handles: dict[int, ImageResilience] = {}
         self._coarrays: dict[int, list["Coarray"]] = {}
         self._events: dict[int, list["EventArray"]] = {}

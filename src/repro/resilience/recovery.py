@@ -1,21 +1,23 @@
 """Recovery drivers: restart-from-checkpoint and shrink-and-recover.
 
-Two recovery disciplines over the same checkpoint artifact:
+Two recovery disciplines over the same checkpoint artifact, chosen by
+``run_caf``'s in-run budget ``max_recoveries``:
 
-* **restart** — the classic coordinated checkpoint/restart loop. The run
-  executes until a failure surfaces (an eager ULFM-style error, a watchdog
-  timeout on a fault-induced hang, a deadlock); the driver strips the
-  crashes that already fired from the fault plan, rewinds to the last
-  committed checkpoint, and reruns the *full* image count from there. The
-  program re-executes its allocation preamble — the resilience service
+* **restart** (budget 0, the default) — the classic coordinated
+  checkpoint/restart loop, :func:`run_resilient`. The run executes until a
+  failure surfaces (an eager ULFM-style error, a watchdog timeout on a
+  fault-induced hang, a deadlock); the driver strips the crashes that
+  already fired from the fault plan, rewinds to the last committed
+  checkpoint, and reruns the *full* image count from there. The program
+  re-executes its allocation preamble — the resilience service
   transparently refills each allocation from the checkpoint — and skips
   completed iterations via ``img.resilience.resume_step()``.
 
-* **shrink** — ULFM-style in-run recovery. The program itself catches the
-  failure, survivors agree and rebuild a smaller team
-  (:meth:`~repro.caf.image.Image.shrink_team`, barrier-free), repartition
-  the dead image's data out of the last checkpoint, and keep computing.
-  The driver's job is only to configure the service and run once.
+* **shrink** (``run_caf(..., max_recoveries=N)``, no driver) — ULFM-style
+  in-run recovery. The program itself catches the failure, survivors agree
+  and rebuild a smaller team (:meth:`~repro.caf.image.Image.shrink_team`,
+  barrier-free), repartition the dead image's data out of the last
+  checkpoint, and keep computing, up to N times.
 """
 
 from __future__ import annotations
@@ -71,79 +73,34 @@ def _strip_fired_crashes(plan: "FaultPlan", cluster) -> "FaultPlan":
     return fresh
 
 
-def check_recovery_mode(mode: str) -> None:
-    """Refuse a recovery discipline other than ``restart`` or ``shrink``."""
-    if mode not in ("restart", "shrink"):
-        raise ResilienceError(
-            f"unknown recovery mode {mode!r}: use 'restart' or 'shrink'"
-        )
-
-
 def run_resilient(
     program,
     nranks: int,
     spec=None,
     *,
-    mode: str = "restart",
-    backend: str = "mpi",
-    checkpoint_every: int | None = None,
     store: CheckpointStore | None = None,
     faults: "FaultPlan | None" = None,
-    reliable: bool = False,
-    deadline: float | None = None,
-    sanitize: bool = False,
     max_restarts: int = 8,
-    sim_seed: int = 12345,
-    **program_kwargs: Any,
+    **kwargs: Any,
 ) -> ResilientOutcome:
-    """Run ``program`` to completion despite injected failures.
+    """Run ``program`` to completion despite injected failures, rerunning
+    the full image count from the last checkpoint after each failure.
 
-    ``mode="restart"`` loops full-size reruns from the last checkpoint;
-    ``mode="shrink"`` runs once and expects the program to recover in-run
-    (catch the failure, ``img.resilience.recover_shrink()``, repartition,
-    continue). Either way the returned outcome carries the final
-    successful :class:`~repro.caf.program.CafRun`, the checkpoint store,
-    and one record per failed attempt.
+    Every other keyword goes to :func:`~repro.caf.program.run_caf`
+    (``backend``, ``checkpoint_every``, ``deadline``, ``max_recoveries``,
+    the program's own keywords, ...). The returned outcome carries the
+    final successful :class:`~repro.caf.program.CafRun`, the checkpoint
+    store, and one record per failed attempt.
     """
-    check_recovery_mode(mode)
     store = store if store is not None else CheckpointStore()
     attempts: list[dict[str, Any]] = []
     plan = faults
-
-    if mode == "shrink":
-        run = run_caf(
-            program,
-            nranks,
-            spec,
-            backend=backend,
-            faults=plan,
-            reliable=reliable,
-            deadline=deadline,
-            sanitize=sanitize,
-            sim_seed=sim_seed,
-            checkpoint_every=checkpoint_every,
-            checkpoint_store=store,
-            **program_kwargs,
-        )
-        return ResilientOutcome(run=run, store=store, restarts=0, attempts=attempts)
-
     restarts = 0
     while True:
         try:
             run = run_caf(
-                program,
-                nranks,
-                spec,
-                backend=backend,
-                faults=plan,
-                reliable=reliable,
-                deadline=deadline,
-                sanitize=sanitize,
-                sim_seed=sim_seed,
-                checkpoint_every=checkpoint_every,
-                checkpoint_store=store,
-                resume_from=store.latest(),
-                **program_kwargs,
+                program, nranks, spec, faults=plan, checkpoint_store=store,
+                resume_from=store.latest(), **kwargs,
             )
             return ResilientOutcome(
                 run=run, store=store, restarts=restarts, attempts=attempts

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.cgpop import run_cgpop
 from repro.apps.fft import make_input, run_fft
 from repro.apps.hpl import run_hpl
-from repro.apps.randomaccess import run_randomaccess
+from repro.apps.randomaccess import reference_tables, run_randomaccess
 from repro.apps.verification import (
     verify_cgpop,
     verify_fft,
@@ -40,6 +40,17 @@ def test_randomaccess_verification_detects_corruption(backend):
     )
     assert not report.passed
     assert report.value == pytest.approx(10 / (4 * 64))
+
+
+def test_randomaccess_verification_counts_a_missing_table_as_all_wrong():
+    """A partition nobody wrote back fails the check; it does not raise."""
+    tables = dict(enumerate(reference_tables(5, 4, 6, 256)))
+    del tables[3]
+    report = verify_randomaccess(
+        tables, seed=5, nranks=4, table_bits_per_image=6, updates_per_image=256
+    )
+    assert not report.passed
+    assert report.value == 1 / 4
 
 
 def test_fft_verification_passes(backend):

@@ -90,6 +90,22 @@ def test_crash_mid_script_unwinds_the_blocked_call(backend):
         assert victim.block_reason == "event_wait(slot=0, count=1)"
 
 
+def test_shrink_team_refuses_an_image_declared_failed(backend):
+    """A live image the run has declared failed (as a transport give-up
+    does) is not a survivor: its shrink_team() names it and what to do."""
+
+    def program(img):
+        if img.rank == 1:
+            img.cluster.declare_failed(1)
+            img.shrink_team()
+
+    with pytest.raises(CafError, match="image 1 called shrink_team") as info:
+        run_caf(program, 2, backend=backend)
+    assert str(info.value).endswith(
+        "end this image's program instead of recovering it"
+    ), str(info.value)
+
+
 def test_shrink_team_yields_working_survivor_team(backend):
     """ULFM-style recovery at the CAF level: survivors shrink TEAM_WORLD
     and the new team supports allocation, RMA, and collectives."""

@@ -232,6 +232,22 @@ def test_shrink_after_revoke_gives_a_clean_comm():
     assert all(r == 3.0 for i, r in enumerate(results) if i != VICTIM)
 
 
+def test_shrink_refuses_a_rank_declared_failed():
+    """A live rank the run has declared failed (as a transport give-up
+    does) is not a survivor: its shrink() names it and what to do."""
+
+    def program(mpi, ctx):
+        if ctx.rank == 1:
+            ctx.cluster.declare_failed(1)
+            mpi.COMM_WORLD.shrink()
+
+    with pytest.raises(MpiError, match="rank 1 called shrink") as info:
+        crash_run(program)
+    assert str(info.value).endswith(
+        "end this rank's program instead of recovering it"
+    ), str(info.value)
+
+
 def test_shrink_yields_a_working_survivor_comm():
     def program(mpi, ctx):
         comm = mpi.COMM_WORLD

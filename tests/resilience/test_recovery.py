@@ -35,7 +35,7 @@ def _midpoint(backend):
 
 def test_restart_completes_through_crash(backend):
     plan = FaultPlan(seed=7, crashes=[(2, _midpoint(backend))])
-    out = run_resilient(stepper, NR, mode="restart", backend=backend,
+    out = run_resilient(stepper, NR, backend=backend,
                         checkpoint_every=3, faults=plan, deadline=5.0)
     assert out.results == [float(ITERS)] * NR
     assert out.restarts == 1
@@ -50,7 +50,7 @@ def test_restart_completes_through_crash(backend):
 def test_restart_budget_exhaustion(backend):
     plan = FaultPlan(seed=7, crashes=[(2, _midpoint(backend))])
     with pytest.raises(ResilienceError, match="restart budget"):
-        run_resilient(stepper, NR, mode="restart", backend=backend,
+        run_resilient(stepper, NR, backend=backend,
                       checkpoint_every=3, faults=plan, deadline=5.0,
                       max_restarts=0)
 
@@ -58,7 +58,7 @@ def test_restart_budget_exhaustion(backend):
 def test_restart_survives_multiple_crashes(backend):
     t = _midpoint(backend)
     plan = FaultPlan(seed=7, crashes=[(1, t * 0.8), (3, t)])
-    out = run_resilient(stepper, NR, mode="restart", backend=backend,
+    out = run_resilient(stepper, NR, backend=backend,
                         checkpoint_every=2, faults=plan, deadline=5.0)
     assert out.results == [float(ITERS)] * NR
     assert out.restarts == 2
@@ -70,14 +70,8 @@ def test_non_failure_errors_pass_through(backend):
         raise CafError("application bug, not a crash")
 
     with pytest.raises(CafError, match="application bug"):
-        run_resilient(buggy, NR, mode="restart", backend=backend,
+        run_resilient(buggy, NR, backend=backend,
                       checkpoint_every=2, max_restarts=3)
-
-
-def test_unknown_mode_rejected():
-    with pytest.raises(ResilienceError, match="unknown recovery mode") as info:
-        run_resilient(stepper, NR, mode="rollback")
-    assert str(info.value).endswith("use 'restart' or 'shrink'"), str(info.value)
 
 
 def test_strip_fired_crashes_rewinds_plan():

@@ -608,6 +608,36 @@ def test_one_randomaccess():
     )
 
 
+def test_one_recovery_knob():
+    def params(fn) -> set[str]:
+        a = fn.args
+        return {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs}
+
+    functions = list(_functions("src/repro"))
+    knobs = [
+        f"{path}:{fn.lineno}:{fn.name}" for path, _, fn in functions
+        if params(fn) & {"recovery", "wait_timeout"}
+        or (fn.name == "run_resilient" and "mode" in params(fn))
+    ]
+    assert not knobs, (
+        "the recovery discipline is run_caf's in-run budget, max_recoveries: no "
+        "function takes a recovery mode or wait bound (WAIT_TIMEOUT is a constant "
+        "of resilience/apps.py), and run_resilient takes no mode",
+        knobs,
+    )
+    budgets = sorted(
+        owner or fn.name for _, owner, fn in functions if "max_recoveries" in params(fn)
+    )
+    assert budgets == ["ResilienceService", "run_caf"], (
+        "only run_caf declares the in-run budget, and only ResilienceService "
+        "stores it (resilience.apps._admit reads it there)",
+        budgets,
+    )
+    assert not grep(r"check_recovery_mode", "src/repro"), (
+        "check_recovery_mode is gone: no mode string is left to check"
+    )
+
+
 def test_one_agreement_protocol():
     def barriers_on_a_result_board(fn) -> bool:
         nodes = list(ast.walk(fn))

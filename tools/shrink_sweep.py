@@ -1,11 +1,11 @@
 """Per-fraction shrink-recovery table for one resilient app.
 
 Crashes one image at each given fraction of the app's fault-free makespan,
-runs ``run_resilient(mode="shrink")`` and prints, per backend and fraction,
+runs it with an in-run shrink budget and prints, per backend and fraction,
 whether the run recovered and verified, and if not, the error it ended in
-(a deadlock report names where each survivor is parked). The app, its
-keywords and its verifier come from ``repro.resilience.chaos.APPS``, so the
-same command compares two checkouts whose app signatures differ::
+(a deadlock report names where each survivor is parked). The sweep is
+``repro.resilience.chaos.crash_sweep``; the app, its keywords and its
+verifier come from ``repro.resilience.chaos.APPS``::
 
     PYTHONPATH=src python tools/shrink_sweep.py --app ra --nranks 4 --victim 1
     PYTHONPATH=src python tools/shrink_sweep.py --app ra --nranks 8 --victim 3 \\
@@ -19,38 +19,7 @@ import json
 
 import numpy as np
 
-from repro.caf.program import run_caf
-from repro.resilience.chaos import APPS
-from repro.resilience.recovery import run_resilient
-from repro.sim.faults import FaultPlan
-
-
-def sweep(app: str, nranks: int, victim: int, fracs, backend: str,
-          kwargs: dict | None = None) -> list[tuple]:
-    """``(frac, outcome, detail)`` per fraction; outcome is ``recovered``,
-    ``unverified``, ``no-crash`` (the run ended before the crash) or the
-    error's class name. ``kwargs`` replaces the app's keywords."""
-    spec = APPS[app]
-    kw = spec.kwargs if kwargs is None else kwargs
-    elapsed = run_caf(spec.program, nranks, backend=backend, wait_timeout=None,
-                      **kw).elapsed
-    rows = []
-    for frac in fracs:
-        plan = FaultPlan(seed=3, crashes=[(victim, elapsed * frac)])
-        try:
-            out = run_resilient(spec.program, nranks, mode="shrink", backend=backend,
-                                checkpoint_every=spec.checkpoint_every, faults=plan,
-                                deadline=10.0, recovery="shrink", **kw)
-        except Exception as exc:  # the table reports every ending
-            rows.append((frac, type(exc).__name__, str(exc).splitlines()[0]))
-            continue
-        if victim not in out.cluster.failed_ranks:
-            rows.append((frac, "no-crash", ""))
-        elif spec.verify(out.cluster, kw):
-            rows.append((frac, "recovered", ""))
-        else:
-            rows.append((frac, "unverified", ""))
-    return rows
+from repro.resilience.chaos import APPS, crash_sweep
 
 
 def main() -> None:
@@ -67,11 +36,11 @@ def main() -> None:
     fracs = ([float(f) for f in args.fracs.split(",")] if args.fracs
              else np.linspace(0.3, 0.95, 9).round(2).tolist())
     for backend in args.backends.split(","):
-        rows = sweep(args.app, args.nranks, args.victim, fracs, backend, args.kw)
-        ok = sum(outcome == "recovered" for _, outcome, _ in rows)
+        rows = crash_sweep(args.app, args.nranks, args.victim, fracs, backend, args.kw)
+        ok = sum(outcome == "recovered" for _, outcome, _, _ in rows)
         print(f"{args.app} P={args.nranks} victim={args.victim} {backend}: "
               f"{ok}/{len(rows)} recovered")
-        for frac, outcome, detail in rows:
+        for frac, outcome, detail, _ in rows:
             print(f"  {frac:.2f} {outcome:<22} {detail}")
 
 
