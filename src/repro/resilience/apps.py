@@ -1,7 +1,7 @@
 """Resilience-aware application ports: RandomAccess and CGPOP.
 
-Each is the paper's own per-image object under a recovery loop, and both
-loops share one admission check for a failure. RandomAccess is the
+Each is the paper's own per-image object under one recovery loop,
+:func:`_shrink_loop`. RandomAccess is the
 hypercube router, :class:`~repro.apps.randomaccess.RaRouter`, over
 **logical partitions** (over-decomposition): the table is P partitions, P
 the *initial* image count, and an owner map (partition to world rank) is
@@ -23,8 +23,9 @@ Every blocking wait in the steady-state loop carries a timeout,
 :class:`~repro.util.errors.MpiRevokedError` (MPI side) on every survivor in
 bounded virtual time — no barriers stand between a failure and its
 detection. (The coordinated checkpoint itself still barriers; a crash
-landing inside that narrow window is recovered by the watchdog + restart
-path, a known property of blocking coordinated checkpoints.)
+landing inside that narrow window can stall shrink recovery, and a shrink
+run has no restart path unless ``run_resilient`` drives it: ROADMAP item
+19.)
 """
 
 from __future__ import annotations
@@ -66,21 +67,55 @@ _ALL_FAILURES = (
 WAIT_TIMEOUT = 0.25
 
 
-def _admit(img: "Image", recoveries: int, exc: Exception) -> int:
-    """Admit ``exc`` as one more shrink recovery, or re-raise it: only with
-    a nonzero budget (``run_caf(..., max_recoveries=N)``), only once a crash
-    is confirmed (a timeout with nobody dead is a real bug, not a crash),
-    and only within the budget. Returns the new recovery count."""
+def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
+    """The shrink-recovery loop both resilient apps run.
+
+    ``attempt(team, comm, saved, ckpt)`` is a generator. Its first step
+    builds the app's object on ``team`` from this image's app state
+    ``saved``: the restart state on the first pass; after a shrink, this
+    image's share of ``ckpt``, the checkpoint it reloads data from, or
+    ``{}`` with no checkpoint (a cold restart on the survivors). It then
+    runs one iteration per step and yields the app state to checkpoint
+    after it. A failure is recovered only with a nonzero budget
+    (``run_caf(..., max_recoveries=N)``), only once a crash is confirmed (a
+    timeout with nobody dead is a real bug, not a crash), and only within
+    the budget: survivors revoke ``comm``, shrink the team, and go back to
+    the build, which shrinks ``comm`` first. Returns the final team and
+    the recovery count; the team is None if the run declared this image
+    failed while it was alive, which then leaves the loop.
+    """
     r = img.resilience
-    max_recoveries = r.service.max_recoveries if r is not None else 0
-    if not max_recoveries or not img.cluster.failed_ranks:
-        raise exc
-    if recoveries >= max_recoveries:
-        raise ResilienceError(
-            f"recovery budget exhausted after {max_recoveries} shrinks: "
-            "raise max_recoveries"
-        ) from exc
-    return recoveries + 1
+    team, ckpt, recoveries = img.team_world, None, 0
+    # A restarted run's coarrays and drained credits refill from the
+    # checkpoint as they are allocated; ``saved`` is its app state.
+    saved = r.resume_state(default={}) if r is not None else {}
+    while True:
+        try:
+            if recoveries and comm is not None:
+                comm = comm.shrink()
+            for state in attempt(team, comm, saved, ckpt):
+                if r is not None:
+                    r.step(state=state, team=team)
+            break
+        except _ALL_FAILURES as exc:
+            max_recoveries = r.service.max_recoveries if r is not None else 0
+            if not max_recoveries or not img.cluster.failed_ranks:
+                raise
+            if img.rank in img.cluster.failed_ranks:
+                return None, recoveries  # only survivors shrink
+            if recoveries >= max_recoveries:
+                raise ResilienceError(
+                    f"recovery budget exhausted after {max_recoveries} shrinks: "
+                    "raise max_recoveries"
+                ) from exc
+            recoveries += 1
+            if comm is not None:
+                comm.revoke()  # frees peers parked inside MPI
+            team, ckpt = r.recover_shrink(team)
+            saved = ckpt.app_state[img.rank] if ckpt is not None else {}
+    img.backend.quiet()
+    img.barrier(team)
+    return team, recoveries
 
 
 # =========================================================================
@@ -151,41 +186,24 @@ def run_resilient_randomaccess(
         table_bits_per_image=table_bits_per_image, updates_per_image=updates_per_image,
         batches=batches, seed=seed,
     )
-    r = img.resilience
-    team = img.team_world
-    # A restarted run's tables and drained credits refill from the
-    # checkpoint as they are allocated; batch and owners are its app state.
-    saved = r.resume_state(default={}) if r is not None else {}
-    b = saved.get("batch", 0)
-    owners = saved.get("owners", list(team.members))
-    armed, ckpt, router = b > 0, None, None
+    owners, router = list(img.team_world.members), None
 
-    recoveries = 0
-    while router is None or b < batches:
-        try:
-            if router is None:
-                # Allocations are collective, so building synchronizes.
-                router, index = _ra_router(img, team, owners, armed, **kw)
-                if ckpt is not None:
-                    _reload_tables(router, ckpt, saved)
-                continue
+    def attempt(team, comm, saved, ckpt):
+        nonlocal owners, router
+        # A cold restart keeps the owners it had, with the dead ones' reassigned.
+        owners = _reassign(saved.get("owners", owners), team.members)
+        # Allocations are collective, so building synchronizes. Only a
+        # restart's first build finds its drained credits posted (armed).
+        router, index = _ra_router(img, team, owners, bool(saved) and ckpt is None, **kw)
+        if ckpt is not None:
+            _reload_tables(router, ckpt, saved)
+        for b in range(saved.get("batch", 0), batches):
             router.batch(b)
-            b += 1
-            if r is not None:
-                state = {"batch": b, "owners": owners, "table_index": index}
-                r.step(state=state, team=team)
-        except _ALL_FAILURES as exc:
-            recoveries = _admit(img, recoveries, exc)
-            team, ckpt = r.recover_shrink(team, require_checkpoint=False)
-            # Without a checkpoint (the crash came before the first one), RA
-            # cold-restarts on the shrunken team.
-            saved = ckpt.app_state[img.rank] if ckpt is not None else {}
-            b = saved.get("batch", 0)
-            owners = _reassign(saved.get("owners", owners), team.members)
-            armed, router = False, None
+            yield {"batch": b + 1, "owners": owners, "table_index": index}
 
-    img.backend.quiet()
-    img.barrier(team)
+    team, recoveries = _shrink_loop(img, attempt)
+    if team is None:
+        return {"rank": img.rank, "left": True, "recoveries": recoveries}
     out = img.cluster.shared("ra-tables", dict)
     for i, p in enumerate(router.parts):
         out[p] = router.tables[i].copy()
@@ -246,55 +264,37 @@ def run_resilient_cgpop(
 
     The solver survives a mid-run crash either by full restart from the
     last checkpoint or by shrinking: survivors revoke the communicator
-    (freeing peers parked in MPI), ``MPIX_COMM_SHRINK`` a clean one,
-    shrink the CAF team, build a new solver on it (near-equal strips of
+    (freeing peers parked in MPI), shrink the CAF team, ``MPIX_COMM_SHRINK``
+    a clean communicator, build a new solver on them (near-equal strips of
     the survivors) and reload x / r / p from the checkpoint. The converged
     strip lands in ``run_cgpop``'s record,
     ``img.cluster.shared('cgpop-solution', dict)[rank] = (row0, 0, x)``.
     """
-    r = img.resilience
-    team = img.team_world
-    comm = img.mpi().COMM_WORLD
-    # A restarted run's state coarray and drained credits refill from the
-    # checkpoint as they are allocated; rr and bnorm2 are its app state.
-    saved = r.resume_state(default={}) if r is not None else {}
-    solver, index = _cg_solver(img, team, comm, ny, nx, seed, armed=bool(saved))
-    cold, it = not saved, 0  # cold: x / r / p still to initialize
-    if saved:
-        it, solver.rr, solver.bnorm2 = saved["it"], saved["rr"], saved["bnorm2"]
-    img.sync_all()
+    solver, it, converged = None, 0, False
 
-    recoveries = 0
-    converged = False
-    while cold or (it < max_iter and not converged):
-        try:
-            if cold:
-                solver.start()
-                cold = False
-                continue
+    def attempt(team, comm, saved, ckpt):
+        nonlocal solver, it, converged
+        solver, index = _cg_solver(
+            img, team, comm, ny, nx, seed, armed=bool(saved) and ckpt is None
+        )
+        if ckpt is not None:
+            _reload(solver, ckpt, saved["index"], ny, nx)
+        if team is img.team_world:
+            img.sync_all()  # the first build synchronizes as run_cgpop's does
+        it = saved.get("it", 0)
+        if saved:
+            solver.rr, solver.bnorm2 = saved["rr"], saved["bnorm2"]
+        else:
+            solver.start()  # x / r / p from scratch
+        while it < max_iter and not converged:
             converged = solver.step(tol)
             it += 1
-            if r is not None and not converged:
-                state = {"it": it, "rr": solver.rr, "bnorm2": solver.bnorm2, "index": index}
-                r.step(state=state, team=team)
-        except _ALL_FAILURES as exc:
-            recoveries = _admit(img, recoveries, exc)
-            # Free peers parked inside MPI, then rebuild both runtimes'
-            # survivor-side objects.
-            comm.revoke()
-            team, ckpt = r.recover_shrink(team, require_checkpoint=False)
-            comm = comm.shrink()
-            solver, index = _cg_solver(img, team, comm, ny, nx, seed, armed=False)
-            # Without a checkpoint (the crash came before the first one), CG
-            # cold-restarts on the shrunken team.
-            cold, it = ckpt is None, 0
-            if not cold:
-                saved = ckpt.app_state[img.rank]
-                _reload(solver, ckpt, saved["index"], ny, nx)
-                it, solver.rr, solver.bnorm2 = saved["it"], saved["rr"], saved["bnorm2"]
+            if not converged:
+                yield {"it": it, "rr": solver.rr, "bnorm2": solver.bnorm2, "index": index}
 
-    img.backend.quiet()
-    img.barrier(team)
+    team, recoveries = _shrink_loop(img, attempt, img.mpi().COMM_WORLD)
+    if team is None:
+        return {"rank": img.rank, "left": True, "recoveries": recoveries}
     img.cluster.shared("cgpop-solution", dict)[img.rank] = (solver.row0, 0, solver.x.copy())
     return {
         "rank": img.rank,

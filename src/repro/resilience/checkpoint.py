@@ -335,28 +335,20 @@ class ImageResilience:
 
     # -- recovery-side ----------------------------------------------------
 
-    def recover_shrink(
-        self, team: "Team | None" = None, *, require_checkpoint: bool = True
-    ) -> tuple["Team", Checkpoint | None]:
+    def recover_shrink(self, team: "Team | None" = None) -> tuple["Team", Checkpoint | None]:
         """Survivor-side shrink recovery: agree on the dead set, rebuild.
 
         Every surviving image of ``team`` calls this after observing a
         failure (an :class:`~repro.util.errors.ImageFailedError`, an event
         timeout, ...). Returns the shrunken team plus the last committed
-        checkpoint to repartition from. With ``require_checkpoint=False``
-        a crash that predates the first checkpoint yields ``(team, None)``
-        and the caller cold-restarts on the shrunken team instead. Either
-        way the iteration counter rewinds to the checkpoint's step (0 for a
-        cold restart): survivors that saw the failure in different
+        checkpoint to repartition from, or None if the crash predates the
+        first one: the caller then cold-restarts on the shrunken team.
+        Either way the iteration counter rewinds to the checkpoint's step
+        (0 for a cold restart): survivors that saw the failure in different
         iterations must agree on the next :meth:`step` that checkpoints.
         """
         img = self.img
         ckpt = self.latest()
-        if ckpt is None and require_checkpoint:
-            raise ResilienceError(
-                "shrink recovery needs a committed checkpoint to restore from: "
-                "set checkpoint_every, or pass require_checkpoint=False"
-            )
         small = img.shrink_team(team)
         self._step = 0 if ckpt is None else ckpt.step
         return small, ckpt

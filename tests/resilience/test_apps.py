@@ -16,7 +16,15 @@ from repro.apps.randomaccess import run_randomaccess
 from repro.caf.program import run_caf
 from repro.resilience import run_resilient
 from repro.resilience.apps import run_resilient_cgpop, run_resilient_randomaccess
-from repro.resilience.chaos import APPS, crash_sweep, fault_free_elapsed
+from repro.resilience.chaos import (
+    APPS,
+    SHRINK_BUDGET,
+    CampaignConfig,
+    CampaignRunner,
+    case_from_seed,
+    crash_sweep,
+    fault_free_elapsed,
+)
 from repro.sim.faults import FaultPlan
 from repro.util.errors import ResilienceError
 
@@ -147,18 +155,61 @@ def test_cgpop_is_the_paper_solver(backend):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("app", ["ra", "cgpop"])
-def test_shrink_budget_names_the_keyword(app):
-    """A budget of one shrink, two crashes: the second names the keyword.
+def _two_crashes(app):
+    """Image 1 crashes at 0.3 and image 2 at 0.6 of the CAF-MPI makespan."""
+    t = fault_free_elapsed(app, NR, "mpi")
+    return FaultPlan(seed=3, crashes=[(1, t * 0.3), (2, t * 0.6)])
+
+
+@pytest.mark.parametrize(
+    "app, every",
+    [("ra", APPS["ra"].checkpoint_every), ("cgpop", APPS["cgpop"].checkpoint_every),
+     ("cgpop", 2)],
+    ids=["ra", "cgpop", "cgpop-rebuild"],
+)
+def test_shrink_budget_names_the_keyword(app, every):
+    """A budget of one shrink, two crashes: the second names the keyword,
+    also when it lands in the rebuild after the first (cgpop-rebuild).
     (CAF-MPI only: on CAF-GASNet, RA's second shrink deadlocks in a wait
     that ignores a dead member, ROADMAP item 19(b).)"""
-    t = fault_free_elapsed(app, NR, "mpi")
-    plan = FaultPlan(seed=3, crashes=[(1, t * 0.3), (2, t * 0.6)])
     spec = APPS[app]
     with pytest.raises(ResilienceError, match="recovery budget exhausted") as info:
-        run_caf(spec.program, NR, backend="mpi", faults=plan, deadline=10.0,
-                checkpoint_every=spec.checkpoint_every, max_recoveries=1, **spec.kwargs)
+        run_caf(spec.program, NR, backend="mpi", faults=_two_crashes(app), deadline=10.0,
+                checkpoint_every=every, max_recoveries=1, **spec.kwargs)
     assert str(info.value).endswith("raise max_recoveries"), str(info.value)
+
+
+def test_a_crash_during_the_rebuild_is_one_more_recovery():
+    """The second crash lands while the survivors rebuild the solver after
+    the first: building is the loop's first step, so it is one more
+    recovery, not an error that ends the run."""
+    run = run_caf(run_resilient_cgpop, NR, backend="mpi", faults=_two_crashes("cgpop"),
+                  deadline=10.0, checkpoint_every=2, max_recoveries=2, **CG_KW)
+    assert _verified("cgpop", run.cluster)
+    live = {r["rank"]: r for r in run.results if r is not None}
+    assert sorted(live) == [0, 3]
+    assert all((r["recoveries"], r["team_size"]) == (2, 2) for r in live.values())
+
+
+def test_an_image_declared_failed_leaves_the_loop():
+    """Chaos case 92 at the default seed: the transport gives up on image 2
+    while it is alive. It leaves the loop without publishing, and the
+    survivors' run verifies."""
+    cfg = CampaignConfig()
+    case = case_from_seed(cfg, 92)
+    assert (case["app"], case["backend"], case["mode"]) == ("cgpop", "mpi", "shrink")
+    plan = FaultPlan(
+        seed=case["seed"], crashes=[(case["victim"], CampaignRunner(cfg).crash_time(case))],
+        **{k: case[k] for k in ("drop_rate", "corrupt_rate", "dup_rate", "delay_rate")},
+    )
+    run = run_caf(run_resilient_cgpop, NR, backend="mpi", faults=plan, reliable=True,
+                  deadline=cfg.deadline, checkpoint_every=APPS["cgpop"].checkpoint_every,
+                  max_recoveries=SHRINK_BUDGET, **CG_KW)
+    assert [f["rank"] for f in run.cluster.failure_log] == [3, 2]
+    assert run.results[2] == {"rank": 2, "left": True, "recoveries": 0}
+    assert 2 not in run.cluster.shared("cgpop-solution", dict)
+    assert [r["team_size"] for r in (run.results[0], run.results[1])] == [2, 2]
+    assert _verified("cgpop", run.cluster)
 
 
 def test_ra_rejects_non_power_of_two():

@@ -162,17 +162,6 @@ def test_load_rejects_wrong_version(tmp_path):
         CheckpointStore.load(tmp_path)
 
 
-def test_shrink_without_a_checkpoint_names_the_fix():
-    def shrink_first(img):
-        img.resilience.recover_shrink()
-
-    with pytest.raises(ResilienceError, match="needs a committed checkpoint") as info:
-        run_caf(shrink_first, 2, backend="mpi", checkpoint_every=EVERY)
-    assert str(info.value).endswith(
-        "set checkpoint_every, or pass require_checkpoint=False"
-    ), str(info.value)
-
-
 def test_shrink_rewinds_the_checkpoint_cadence(backend):
     """Survivors that saw the failure in different iterations still agree
     on the next checkpoint: recover_shrink rewinds every image's counter to

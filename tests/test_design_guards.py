@@ -630,11 +630,33 @@ def test_one_recovery_knob():
     )
     assert budgets == ["ResilienceService", "run_caf"], (
         "only run_caf declares the in-run budget, and only ResilienceService "
-        "stores it (resilience.apps._admit reads it there)",
+        "stores it (resilience.apps._shrink_loop reads it there)",
         budgets,
     )
     assert not grep(r"check_recovery_mode", "src/repro"), (
         "check_recovery_mode is gone: no mode string is left to check"
+    )
+
+
+def test_one_recovery_loop():
+    catches = [
+        f"{file.relative_to(ROOT)}:{node.lineno}"
+        for file in sorted((ROOT / "src/repro").rglob("*.py"))
+        for node in ast.walk(ast.parse(file.read_text()))
+        if isinstance(node, ast.ExceptHandler) and node.type is not None
+        and "_ALL_FAILURES" in ast.unparse(node.type)
+    ]
+    shrinks = [
+        hit for hit in grep(r"recover_shrink\(", "src/repro") if "def recover_shrink(" not in hit
+    ]
+    assert len(catches) == 1 and len(shrinks) == 1, (
+        "both resilient apps run one shrink-recovery loop, resilience.apps._shrink_loop: "
+        "one except clause catches _ALL_FAILURES and one call site shrinks; an app "
+        "supplies only how to build its object and run one iteration",
+        catches, shrinks,
+    )
+    assert not grep(r"\b_admit\b", "src/repro"), (
+        "_admit is gone: its checks are inlined in the one loop that calls them"
     )
 
 
