@@ -49,7 +49,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.agree import next_global_id
+from repro.caf.teams import next_global_id
 from repro.sim.sync import Counter, SimEvent
 from repro.util.errors import CafError, CafTimeoutError
 
@@ -172,16 +172,6 @@ class RuntimeBackend(abc.ABC):
         """Wake this image's progress engine so it re-evaluates predicates."""
         self._activity.add()
 
-    def kick_rank(self, world_rank: int) -> None:
-        """Wake *another* image's progress engine (scheduler-safe).
-
-        Survivor-only agreement deposits into a shared board and then must
-        wake the other participants' ``progress_wait`` loops — a barrier
-        would hang on the dead images, so a direct cross-rank kick is the
-        only wake-up channel available.
-        """
-        self.ctx.cluster.shared("caf-images", dict)[world_rank].backend.kick()
-
     def progress_wait(
         self, pred: Callable[[], bool], reason: str, extras: tuple[SimEvent, ...] = ()
     ) -> None:
@@ -239,10 +229,11 @@ class RuntimeBackend(abc.ABC):
     def shrink_team_handle(self, parent: "Team", team: "Team") -> Any:
         """Survivor-only handle construction for a post-failure shrink.
 
-        ``team`` is the already-agreed survivor team (fresh id, contiguous
-        renumbering). Dead images cannot participate, so implementations
-        must not run collectives over ``parent`` — only barrier-free
-        survivor agreement (see :func:`repro.caf.agree.survivor_agree`).
+        ``team`` is ``parent``'s successor, decided by the first survivor
+        to shrink it (fresh id, contiguous renumbering). Dead images cannot
+        participate, so implementations run no collective and wait for no
+        member: the first survivor here builds the handle of every
+        survivor, and each later one takes its own.
         """
         raise NotImplementedError(
             f"backend {self.name} does not support team shrink"

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.agree import next_team_id, survivor_agree
 from repro.caf.backend import EventStorage, RuntimeBackend
+from repro.caf.teams import next_team_id
 from repro.gasnet.collectives import TEAM_SIGNAL_HANDLER_BASE, PeerBases, TeamExchange
 from repro.gasnet.core import GasnetWorld, Handle, Token
 from repro.gasnet.segment import SegmentAllocator
@@ -152,23 +152,25 @@ class GasnetBackend(RuntimeBackend):
         return exchange
 
     def shrink_team_handle(self, parent: "Team", team: "Team"):
-        # Survivor-only base exchange: same shape as split_team_handle but
-        # over the barrier-free agreement (dead images can't barrier).
-        exchange = TeamExchange(
-            self.gasnet, team.team_id, team.members, team.my_index, self.allocator
-        )
-        my_world = team.members[team.my_index]
-        peers = survivor_agree(
-            self,
-            self.ctx.cluster,
-            ("caf-gasnet-shrink-bases", team.team_id),
-            my_world,
-            team.members,
-            exchange.bases,
-            lambda table: PeerBases.of(table[w] for w in team.members),
-        )
-        exchange.set_peer_bases(peers)
-        return exchange
+        # The first survivor builds every survivor's exchange, each on that
+        # survivor's own conduit and segment, and their one base table:
+        # nobody waits for a member that may never come.
+        cluster = self.ctx.cluster
+
+        def build() -> dict[int, TeamExchange]:
+            images = cluster.shared("caf-images", dict)
+            exchanges = {}
+            for index, w in enumerate(team.members):
+                backend = images[w].backend
+                exchanges[w] = TeamExchange(
+                    backend.gasnet, team.team_id, team.members, index, backend.allocator
+                )
+            peers = PeerBases.of(x.bases for x in exchanges.values())
+            for exchange in exchanges.values():
+                exchange.set_peer_bases(peers)
+            return exchanges
+
+        return cluster.shared(("caf-gasnet-shrink", team.team_id), build)[self.ctx.rank]
 
     # -- coarrays ----------------------------------------------------------------------
 

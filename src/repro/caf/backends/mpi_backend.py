@@ -134,9 +134,11 @@ class MpiBackend(RuntimeBackend):
         return parent.handle.split(color, key)
 
     def shrink_team_handle(self, parent: "Team", team: "Team"):
-        # ULFM MPIX_COMM_SHRINK over the survivors; agreement runs through
-        # the cluster board, not a barrier, so dead images are not needed.
-        return parent.handle.shrink()
+        # ULFM MPIX_COMM_SHRINK: the survivor that decided the team builds
+        # the communicator's successor here too, from the same failed set.
+        comm = parent.handle.shrink()
+        assert comm.state.group == team.members, (comm.state.group, team.members)
+        return comm
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 

@@ -13,12 +13,11 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.caf.agree import next_team_id
 from repro.caf.backend import RuntimeBackend
 from repro.caf.coarray import Coarray
 from repro.caf.events import EventArray
 from repro.caf.finish import FinishBlock
-from repro.caf.teams import Team, split_team, world_members
+from repro.caf.teams import Team, next_team_id, split_team, world_members
 from repro.util.errors import CafError, ImageFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -135,9 +134,12 @@ class Image:
         """Survivor-only team over ``team``'s live members (ULFM shrink).
 
         Every *surviving* member of ``team`` must call this after a
-        failure; dead images are excluded and never participate (the
-        agreement is barrier-free). Survivors keep their relative order
-        and are renumbered contiguously.
+        failure; dead images are excluded and never wait for one another.
+        The first survivor to shrink ``team`` decides its successor from
+        the failed set it sees, and every later caller gets that team:
+        the failed set only grows, so a later caller is either in it (and
+        refused) or a member. Survivors keep their relative order and are
+        renumbered contiguously.
         """
         team = team or self.team_world
         failed = self._failed_ranks
@@ -147,16 +149,17 @@ class Image:
                 "it failed (a crash or a transport give-up): only survivors "
                 "shrink, so end this image's program instead of recovering it"
             )
-        survivors = tuple(w for w in team.members if w not in failed)
-        if self.rank not in survivors:
+        if self.rank not in team.members:
             raise CafError(
                 f"image {self.rank} is not a member of team {team.team_id}"
             )
-        # The first survivor's tuple becomes the team's: the others drop
-        # theirs once they have used it as the agreement key.
-        team_id, survivors = self.cluster.shared(
-            ("caf-shrink-id", team.team_id, survivors),
-            lambda: (next_team_id(self.cluster), survivors),
+        cluster = self.cluster
+        team_id, survivors = cluster.shared(
+            ("caf-shrink", team.team_id),
+            lambda: (
+                next_team_id(cluster),
+                tuple(w for w in team.members if w not in failed),
+            ),
         )
         new_team = Team(team_id, survivors, survivors.index(self.rank))
         new_team.handle = self.backend.shrink_team_handle(team, new_team)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.caf.agree import next_team_id
 from repro.sim.sync import split_groups
 from repro.util.errors import CafError
 
@@ -48,6 +47,21 @@ class Team:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Team {self.team_id} image {self.my_index}/{self.size}>"
+
+
+def next_global_id(cluster: "Cluster", space: str, first: int = 0) -> int:
+    """Draw from a cluster-wide monotone counter that starts at ``first``
+    (call under agreement)."""
+    box = cluster.shared(space, lambda: [first])
+    value = box[0]
+    box[0] += 1
+    return value
+
+
+def next_team_id(cluster: "Cluster") -> int:
+    """A fresh team id (0 is TEAM_WORLD); call under agreement. Async twins
+    of CAF-GASNet teams draw from the same space."""
+    return next_global_id(cluster, "caf-team-ids", first=1)
 
 
 def world_members(cluster: "Cluster") -> tuple[int, ...]:

@@ -38,7 +38,7 @@ from repro.gasnet.core import GasnetRank
 from repro.sim import costs as _costs
 from repro.gasnet.segment import SegmentAllocator
 from repro.sim.sync import agree_steps
-from repro.util.errors import GasnetError
+from repro.util.errors import GasnetError, GasnetProcFailedError
 
 
 def _collective(steps):
@@ -200,7 +200,7 @@ class TeamExchange:
 
     def _wait_signals_steps(self, seq: int, count: int, round_no: int = 0):
         key = (seq, round_no)
-        yield from self.gasnet._block_until_steps(
+        yield from self._team_wait_steps(
             lambda: self._signals.get(key, 0) >= count,
             f"team{self.team_id}.signals(seq={seq},round={round_no})",
         )
@@ -228,9 +228,27 @@ class TeamExchange:
             ge = flags >= marker
             return int(np.count_nonzero(ge)) - int(ge[me]) == others
 
-        return self.gasnet._block_until_steps(
+        return self._team_wait_steps(
             every_peer_flagged, f"team{self.team_id}.flags(marker={marker})"
         )
+
+    def _team_wait_steps(self, satisfied, reason: str):
+        """Wait until ``satisfied()``, or fail once a member has died.
+
+        What already arrived still counts: a satisfied wait returns even
+        with a dead member. An unsatisfied one raises
+        :class:`GasnetProcFailedError` naming the dead member instead of
+        parking forever (the world wakes every rank when one fails)."""
+        failed = self.gasnet.ctx.cluster.failed_ranks
+        members = self.members
+        yield from self.gasnet._block_until_steps(
+            lambda: satisfied() or (failed and not failed.isdisjoint(members)), reason
+        )
+        if not satisfied():
+            dead = next(w for w in members if w in failed)
+            raise GasnetProcFailedError(
+                dead, f"{reason}: team member world rank {dead} has failed"
+            )
 
     def _next_seq(self) -> int:
         seq = self.seq

@@ -120,6 +120,14 @@ class GasnetWorld:
         #: Per-message destination-NIC occupancy the SRQ adds (Fig. 3).
         self.rx_extra = _costs.srq_penalty(cluster.spec, cluster.nranks)
         self._attached = Counter("gasnet.attached")
+        # A rank blocked on a team member that dies must wake to see it.
+        cluster.failure_listeners.append(self._on_rank_failure)
+
+    def _on_rank_failure(self, world_rank: int) -> None:
+        """Scheduler-context: a rank died; wake every rank's blocked calls
+        so their waits re-check (team waits then fail on the dead member)."""
+        for g in self.ranks.values():
+            g.activity.add()
 
     def _end_run(self) -> None:
         """gasnet_exit for every rank once the run is over (the cluster ends

@@ -179,28 +179,29 @@ class Comm:
         """ULFM's MPIX_COMM_SHRINK: a new communicator over the survivors.
 
         Every surviving rank must call this. Dead ranks cannot participate
-        in a collective, so agreement runs through the cluster's shared
-        board (the simulation-level stand-in for ULFM's fault-tolerant
-        agreement protocol) rather than a barrier.
+        in a collective, so the first survivor to shrink this communicator
+        builds its successor for every survivor, from the failed set it
+        sees, in the cluster's shared table (the simulation-level stand-in
+        for ULFM's fault-tolerant agreement protocol). The failed set only
+        grows, so a later caller is either in it (and refused) or in the
+        successor's group.
         """
-        if self.rank in self.failed_ranks():
+        failed = self.ctx.cluster.failed_ranks
+        my_world = self.state.group[self.rank]
+        if my_world in failed:
             raise MpiError(
                 f"rank {self.rank} called shrink() but the run has declared it "
                 "failed (a crash or a transport give-up): only survivors "
                 "shrink, so end this rank's program instead of recovering it"
             )
-        failed = self.ctx.cluster.failed_ranks
-        survivors = tuple(w for w in self.state.group if w not in failed)
-        key = ("mpi-shrink", self.state.context_id, survivors)
+        world = self.state.world
 
         def build() -> _CommState:
-            return _CommState(
-                self.state.world, survivors, self.state.world.next_context_id()
-            )
+            survivors = tuple(w for w in self.state.group if w not in failed)
+            return _CommState(world, survivors, world.next_context_id())
 
-        new_state = self.ctx.cluster.shared(key, build)
-        my_world = self.state.group[self.rank]
-        return Comm(new_state, self.ctx, survivors.index(my_world))
+        new_state = self.ctx.cluster.shared(("mpi-shrink", self.state.context_id), build)
+        return Comm(new_state, self.ctx, new_state.group.index(my_world))
 
     # -- point-to-point (user context) -------------------------------------
 

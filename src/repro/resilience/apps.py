@@ -13,7 +13,8 @@ with 0 a failure ends the run and
 checkpoint; with N > 0 survivors rebuild fresh communication state on the
 shrunken team (RA adopts the dead image's partitions, CGPOP re-cuts
 near-equal strips), reload their data from the last checkpoint, and keep
-going, up to N times.
+going, up to N times. The first survivor to shrink decides the team (and
+CGPOP's communicator) for every survivor, so none waits for another.
 
 Every blocking wait in the steady-state loop carries a timeout,
 :data:`WAIT_TIMEOUT`, so a crash anywhere surfaces as
@@ -22,10 +23,11 @@ Every blocking wait in the steady-state loop carries a timeout,
 :class:`~repro.util.errors.MpiProcFailedError` /
 :class:`~repro.util.errors.MpiRevokedError` (MPI side) on every survivor in
 bounded virtual time — no barriers stand between a failure and its
-detection. (The coordinated checkpoint itself still barriers; a crash
-landing inside that narrow window can stall shrink recovery, and a shrink
-run has no restart path unless ``run_resilient`` drives it: ROADMAP item
-19.)
+detection. (The coordinated checkpoint itself still barriers, and a team
+barrier fails on a dead member; a survivor can still stall waiting on
+another survivor that left for recovery, or on a one-sided op to the dead
+image, and a shrink run has no restart path unless ``run_resilient``
+drives it: ROADMAP item 19.)
 """
 
 from __future__ import annotations
@@ -79,10 +81,12 @@ def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
     after it. A failure is recovered only with a nonzero budget
     (``run_caf(..., max_recoveries=N)``), only once a crash is confirmed (a
     timeout with nobody dead is a real bug, not a crash), and only within
-    the budget: survivors revoke ``comm``, shrink the team, and go back to
-    the build, which shrinks ``comm`` first. Returns the final team and
-    the recovery count; the team is None if the run declared this image
-    failed while it was alive, which then leaves the loop.
+    the budget: survivors revoke and shrink ``comm``, shrink the team, and
+    go back to the build. Nothing between the two shrinks yields, so the
+    first survivor to shrink decides the communicator and the team from one
+    failed set. Returns the final team and the recovery count; the team is
+    None if the run declared this image failed while it was alive, which
+    then leaves the loop.
     """
     r = img.resilience
     team, ckpt, recoveries = img.team_world, None, 0
@@ -91,8 +95,6 @@ def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
     saved = r.resume_state(default={}) if r is not None else {}
     while True:
         try:
-            if recoveries and comm is not None:
-                comm = comm.shrink()
             for state in attempt(team, comm, saved, ckpt):
                 if r is not None:
                     r.step(state=state, team=team)
@@ -111,6 +113,7 @@ def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
             recoveries += 1
             if comm is not None:
                 comm.revoke()  # frees peers parked inside MPI
+                comm = comm.shrink()
             team, ckpt = r.recover_shrink(team)
             saved = ckpt.app_state[img.rank] if ckpt is not None else {}
     img.backend.quiet()
@@ -264,9 +267,9 @@ def run_resilient_cgpop(
 
     The solver survives a mid-run crash either by full restart from the
     last checkpoint or by shrinking: survivors revoke the communicator
-    (freeing peers parked in MPI), shrink the CAF team, ``MPIX_COMM_SHRINK``
-    a clean communicator, build a new solver on them (near-equal strips of
-    the survivors) and reload x / r / p from the checkpoint. The converged
+    (freeing peers parked in MPI), ``MPIX_COMM_SHRINK`` a clean one, shrink
+    the CAF team, build a new solver on them (near-equal strips of the
+    survivors) and reload x / r / p from the checkpoint. The converged
     strip lands in ``run_cgpop``'s record,
     ``img.cluster.shared('cgpop-solution', dict)[rank] = (row0, 0, x)``.
     """

@@ -14,10 +14,11 @@ Two recovery disciplines over the same checkpoint artifact, chosen by
   completed iterations via ``img.resilience.resume_step()``.
 
 * **shrink** (``run_caf(..., max_recoveries=N)``, no driver) — ULFM-style
-  in-run recovery. The program itself catches the failure, survivors agree
-  and rebuild a smaller team (:meth:`~repro.caf.image.Image.shrink_team`,
-  barrier-free), repartition the dead image's data out of the last
-  checkpoint, and keep computing, up to N times.
+  in-run recovery. The program itself catches the failure, survivors
+  rebuild a smaller team (:meth:`~repro.caf.image.Image.shrink_team`: the
+  first survivor to shrink builds it for all, so none waits), repartition
+  the dead image's data out of the last checkpoint, and keep computing, up
+  to N times.
 """
 
 from __future__ import annotations

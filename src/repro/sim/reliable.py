@@ -155,9 +155,9 @@ class _Send:
         self.timer = None
         t = self.transport
         fabric = t.fabric
-        if self.acked or fabric.engine._finished:
-            return
         src, dst = self.pair
+        if self.acked or fabric.engine._finished or src in fabric.failed_ranks:
+            return  # a dead sender retransmits nothing, nor gives up on anyone
         n = self.attempts
         if n > t.max_retries:
             t.gave_up += 1

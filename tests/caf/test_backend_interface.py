@@ -40,7 +40,7 @@ ENTRY_POINTS = {
 }
 WRITTEN_ONCE = {
     "ship_function", "allocate_events", "shipped_minus_completed",
-    "completed_count", "defer", "run_continuations", "agree", "kick_rank",
+    "completed_count", "defer", "run_continuations", "agree",
     "kick", "_progress_steps", "_progress_wait_steps",
     "barrier", "broadcast", "bcast", "reduce", "allreduce", "alltoall",
     "allgather",

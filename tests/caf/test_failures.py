@@ -6,18 +6,24 @@ import pytest
 from repro.caf import run_caf
 from repro.mpi.constants import SUM
 from repro.sim.faults import FaultPlan
-from repro.util.errors import CafError, CafTimeoutError, ImageFailedError
+from repro.util.errors import (
+    CafError,
+    CafTimeoutError,
+    GasnetProcFailedError,
+    ImageFailedError,
+)
 
 CRASH_AT = 2e-3
 VICTIM = 3
 
 
-def _crash_run(program, backend, nranks=4):
+def _crash_run(program, backend, nranks=4, **kwargs):
     return run_caf(
         program,
         nranks,
         backend=backend,
         faults=FaultPlan(seed=1, crashes=[(VICTIM, CRASH_AT)]),
+        **kwargs,
     )
 
 
@@ -90,6 +96,35 @@ def test_crash_mid_script_unwinds_the_blocked_call(backend):
         assert victim.block_reason == "event_wait(slot=0, count=1)"
 
 
+def test_a_gasnet_team_wait_fails_on_a_dead_member():
+    """CAF-GASNet's team barrier raises GasnetProcFailedError on a member
+    that died before signalling, instead of parking the survivors. On an
+    async twin's agent the same error ends the run at the crash: the
+    agent has no caller to hand it to."""
+
+    def program(img, asynchronous):
+        recv = np.zeros(1)
+        img.team_allreduce_async(np.ones(1), recv, SUM)  # the twin, before the crash
+        img.cofence()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        img.compute(seconds=3 * CRASH_AT)
+        if asynchronous:
+            img.team_allreduce_async(np.ones(1), recv, SUM)
+            img.cofence()
+            return "unreachable"
+        with pytest.raises(GasnetProcFailedError) as info:
+            img.barrier()
+        return info.value.failed_rank
+
+    run = _crash_run(program, "gasnet", asynchronous=False)
+    assert run.results == [VICTIM] * 3 + [None]
+    with pytest.raises(GasnetProcFailedError, match="team member world rank 3") as info:
+        _crash_run(program, "gasnet", asynchronous=True)
+    assert info.value.caf_cluster.elapsed < 4 * CRASH_AT
+
+
 def test_shrink_team_refuses_an_image_declared_failed(backend):
     """A live image the run has declared failed (as a transport give-up
     does) is not a survivor: its shrink_team() names it and what to do."""
@@ -104,6 +139,27 @@ def test_shrink_team_refuses_an_image_declared_failed(backend):
     assert str(info.value).endswith(
         "end this image's program instead of recovering it"
     ), str(info.value)
+
+
+def test_a_late_survivor_gets_the_first_survivors_team(backend):
+    """Image 0 shrinks TEAM_WORLD after image 3's crash; image 1 crashes
+    next, and image 2 shrinks only then. The first shrink decided the
+    successor for every survivor, so both get the same team, image 1 in it."""
+
+    def program(img):
+        img.sync_all()
+        if img.rank in (1, VICTIM):
+            img.compute(seconds=1.0)  # killed long before this finishes
+            return None
+        img.compute(seconds=(3 if img.rank == 0 else 6) * CRASH_AT)
+        small = img.shrink_team()
+        return small.team_id, small.members
+
+    crashes = [(VICTIM, CRASH_AT), (1, 4 * CRASH_AT)]
+    run = run_caf(program, 4, backend=backend, faults=FaultPlan(seed=1, crashes=crashes))
+    assert run.cluster.failed_ranks == {1, VICTIM}
+    assert run.results[0] == run.results[2]
+    assert run.results[0][1] == (0, 1, 2)
 
 
 def test_shrink_team_yields_working_survivor_team(backend):

@@ -248,6 +248,29 @@ def test_shrink_refuses_a_rank_declared_failed():
     ), str(info.value)
 
 
+def test_a_late_survivor_gets_the_first_survivors_comm():
+    """Rank 0 shrinks after rank 3's crash; rank 1 crashes next, and rank 2
+    shrinks only then. The first shrink built the successor for every
+    survivor, so both get the same communicator, rank 1 in its group."""
+    crashes = [(VICTIM, CRASH_AT), (1, 4 * CRASH_AT)]
+    cluster = Cluster(4, MachineSpec(name="test"), faults=FaultPlan(seed=1, crashes=crashes))
+
+    def wrapper(ctx):
+        comm = MpiWorld.get(ctx.cluster).init(ctx).COMM_WORLD
+        comm.barrier()
+        if ctx.rank in (1, VICTIM):
+            ctx.proc.sleep(1.0)
+            return None
+        ctx.proc.sleep((3 if ctx.rank == 0 else 6) * CRASH_AT)
+        small = comm.shrink()
+        return small.state.context_id, small.state.group
+
+    results = cluster.run(wrapper)
+    assert cluster.failed_ranks == {1, VICTIM}
+    assert results[0] == results[2]
+    assert results[0][1] == (0, 1, 2)
+
+
 def test_shrink_yields_a_working_survivor_comm():
     def program(mpi, ctx):
         comm = mpi.COMM_WORLD

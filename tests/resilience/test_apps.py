@@ -16,15 +16,7 @@ from repro.apps.randomaccess import run_randomaccess
 from repro.caf.program import run_caf
 from repro.resilience import run_resilient
 from repro.resilience.apps import run_resilient_cgpop, run_resilient_randomaccess
-from repro.resilience.chaos import (
-    APPS,
-    SHRINK_BUDGET,
-    CampaignConfig,
-    CampaignRunner,
-    case_from_seed,
-    crash_sweep,
-    fault_free_elapsed,
-)
+from repro.resilience.chaos import APPS, SHRINK_BUDGET, crash_sweep, fault_free_elapsed
 from repro.sim.faults import FaultPlan
 from repro.util.errors import ResilienceError
 
@@ -81,6 +73,18 @@ def test_ra_shrink_recovers_from_crash(backend):
 
 def test_ra_shrink_on_eight_images_doubles_up_a_survivor(backend):
     _ra_shrink_recovers(backend, 8, 3, {0: [0, 3]})
+
+
+def test_gasnet_ra_shrink_survives_a_crash_early_in_the_run():
+    """CAF-GASNet, image 1 crashing at 0.30 of the makespan: no survivor
+    waits for another to build the shrunken team, and a team wait on the
+    dead image fails instead of parking, so the run recovers."""
+    [(_frac, outcome, detail, run)] = crash_sweep("ra", NR, 1, (0.3,), "gasnet")
+    assert outcome == "recovered", detail
+    live = {r["rank"]: r for r in run.results if r is not None}
+    assert sorted(live) == [0, 2, 3]
+    assert all(r["team_size"] == NR - 1 for r in live.values())
+    assert live[0]["parts"] == [0, 1]
 
 
 def test_ra_is_the_paper_router(backend):
@@ -162,19 +166,19 @@ def _two_crashes(app):
 
 
 @pytest.mark.parametrize(
-    "app, every",
-    [("ra", APPS["ra"].checkpoint_every), ("cgpop", APPS["cgpop"].checkpoint_every),
-     ("cgpop", 2)],
-    ids=["ra", "cgpop", "cgpop-rebuild"],
+    "app, every, backend",
+    [("ra", APPS["ra"].checkpoint_every, "mpi"),
+     ("cgpop", APPS["cgpop"].checkpoint_every, "mpi"),
+     ("cgpop", 2, "mpi"), ("ra", APPS["ra"].checkpoint_every, "gasnet")],
+    ids=["ra", "cgpop", "cgpop-rebuild", "ra-gasnet"],
 )
-def test_shrink_budget_names_the_keyword(app, every):
+def test_shrink_budget_names_the_keyword(app, every, backend):
     """A budget of one shrink, two crashes: the second names the keyword,
-    also when it lands in the rebuild after the first (cgpop-rebuild).
-    (CAF-MPI only: on CAF-GASNet, RA's second shrink deadlocks in a wait
-    that ignores a dead member, ROADMAP item 19(b).)"""
+    also when it lands in the rebuild after the first (cgpop-rebuild), and
+    on CAF-GASNet, whose team waits fail on the second dead image."""
     spec = APPS[app]
     with pytest.raises(ResilienceError, match="recovery budget exhausted") as info:
-        run_caf(spec.program, NR, backend="mpi", faults=_two_crashes(app), deadline=10.0,
+        run_caf(spec.program, NR, backend=backend, faults=_two_crashes(app), deadline=10.0,
                 checkpoint_every=every, max_recoveries=1, **spec.kwargs)
     assert str(info.value).endswith("raise max_recoveries"), str(info.value)
 
@@ -192,18 +196,20 @@ def test_a_crash_during_the_rebuild_is_one_more_recovery():
 
 
 def test_an_image_declared_failed_leaves_the_loop():
-    """Chaos case 92 at the default seed: the transport gives up on image 2
-    while it is alive. It leaves the loop without publishing, and the
-    survivors' run verifies."""
-    cfg = CampaignConfig()
-    case = case_from_seed(cfg, 92)
-    assert (case["app"], case["backend"], case["mode"]) == ("cgpop", "mpi", "shrink")
-    plan = FaultPlan(
-        seed=case["seed"], crashes=[(case["victim"], CampaignRunner(cfg).crash_time(case))],
-        **{k: case[k] for k in ("drop_rate", "corrupt_rate", "dup_rate", "delay_rate")},
-    )
-    run = run_caf(run_resilient_cgpop, NR, backend="mpi", faults=plan, reliable=True,
-                  deadline=cfg.deadline, checkpoint_every=APPS["cgpop"].checkpoint_every,
+    """The run declares image 2 failed while it is alive (as a transport
+    give-up does), at the instant image 3 crashes. Image 2 leaves the loop
+    without publishing, and the survivors' run verifies."""
+    t = fault_free_elapsed("cgpop", NR, "mpi") * 0.5
+
+    def program(img, **kw):
+        if img.rank == 0:
+            cluster = img.cluster
+            img.ctx.engine.call_at(t, lambda: cluster.declare_failed(2))
+        return run_resilient_cgpop(img, **kw)
+
+    run = run_caf(program, NR, backend="mpi", faults=FaultPlan(seed=3, crashes=[(3, t)]),
+                  reliable=True, deadline=10.0,
+                  checkpoint_every=APPS["cgpop"].checkpoint_every,
                   max_recoveries=SHRINK_BUDGET, **CG_KW)
     assert [f["rank"] for f in run.cluster.failure_log] == [3, 2]
     assert run.results[2] == {"rank": 2, "left": True, "recoveries": 0}

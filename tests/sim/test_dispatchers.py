@@ -15,7 +15,10 @@ The two fault rows (``ra-crash*``) run the reliable transport and were
 re-recorded once since: its retry timer is now cancelled when the ack
 arrives instead of firing as a no-op, so those runs execute fewer
 callbacks (and CAF-MPI's ``ra-crash`` no longer ends at a dead timer);
-the profiler totals did not move.
+the profiler totals did not move. CAF-GASNet's ``ra-crash-drops`` was
+re-recorded once more when a team wait began to fail on a dead member: it
+used to park in the team barrier until the deadlock report, and now ends
+at the crash with ``GasnetProcFailedError``, as the CAF-MPI row does.
 """
 
 import errno
@@ -122,8 +125,8 @@ GOLDEN = {
         "bc6bacbf394050323726ed12641d524f", 155, "0x1.a36e2eb1c432dp-13",
     ),
     ("ra-crash-drops", "gasnet"): (
-        "DeadlockError", [5],
-        "9eddd3d202b4fd3dd548fb4e0e9beca6", 237, "0x1.96da97c49fadbp-3",
+        "GasnetProcFailedError", [5],
+        "0022daa3beb50a2ca9e8ec2deae390ab", 235, "0x1.a3a3de96f9ac3p-13",
     ),
 }
 

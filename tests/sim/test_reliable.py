@@ -117,6 +117,29 @@ def test_give_up_invokes_failure_hook_with_the_dead_pair():
     assert fabric.reliable.gave_up == 1
 
 
+def test_a_dead_sender_stops_retransmitting():
+    """The sender dies with a frame unacked: its retries stop there, so it
+    never gives up on (and gets declared failed) a live receiver."""
+    eng = Engine()
+    fabric = NetFabric(eng, 2, make_spec())
+    fabric.faults = FaultPlan(seed=11, drop_rate=1.0)
+    fabric.reliable = ReliableTransport(fabric, max_retries=3)
+    gave_up = []
+    fabric.reliable.on_give_up = lambda src, dst: gave_up.append((src, dst))
+
+    def body(p):
+        fabric.send(0, 1, 500, lambda: None)
+        p.sleep(150e-6)  # past the first timeout, before the last retry
+        fabric.failed_ranks.add(0)
+        p.sleep(60.0)
+
+    eng.spawn(body)
+    eng.run()
+    assert gave_up == []
+    assert fabric.reliable.gave_up == 0
+    assert fabric.reliable.retransmits == 1
+
+
 def test_jittered_backoff_is_deterministic_and_bounded():
     from repro.util.rng import rank_rng
 

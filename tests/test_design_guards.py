@@ -660,6 +660,56 @@ def test_one_recovery_loop():
     )
 
 
+def test_one_shrink():
+    hits = grep(r"survivor_agree|kick_rank", "src/repro")
+    assert not hits, (
+        "a shrink agrees one way: the first survivor builds the successor for every "
+        "survivor, so no survivor-only board and no cross-image kick remain",
+        hits,
+    )
+    keys = {
+        f"{path}:{cls}.{fn.name}": [
+            ast.unparse(call.args[0])
+            for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and ast.unparse(call.func).endswith(".shared")
+            and not isinstance(call.args[0], ast.Constant)
+        ]
+        for path, cls, fn in _functions("src/repro")
+        if fn.name in ("shrink", "shrink_team", "shrink_team_handle")
+    }
+    assert keys == {
+        "src/repro/caf/image.py:Image.shrink_team": ["('caf-shrink', team.team_id)"],
+        "src/repro/mpi/comm.py:Comm.shrink": ["('mpi-shrink', self.state.context_id)"],
+        "src/repro/caf/backends/gasnet_backend.py:GasnetBackend.shrink_team_handle": [
+            "('caf-gasnet-shrink', team.team_id)"
+        ],
+        "src/repro/caf/backends/mpi_backend.py:MpiBackend.shrink_team_handle": [],
+        "src/repro/caf/backend.py:RuntimeBackend.shrink_team_handle": [],
+    }, (
+        "each shrink's shared record is keyed on the team it decides alone, never on "
+        "the survivors one caller saw: the first caller's build decides for all",
+        keys,
+    )
+    loop = next(fn for _p, _c, fn in _functions("src/repro/resilience")
+                if fn.name == "_shrink_loop")
+
+    def shrink_calls(node):
+        return {
+            n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Call) and ast.unparse(n.func).endswith(".shrink")
+        }
+
+    shrinks = shrink_calls(loop)
+    in_handler = set().union(
+        *(shrink_calls(h) for h in ast.walk(loop) if isinstance(h, ast.ExceptHandler))
+    )
+    assert len(shrinks) == 1 and shrinks == in_handler, (
+        "_shrink_loop shrinks the app communicator once, in its except handler right "
+        "before recover_shrink, so one image decides both from one failed set",
+        shrinks,
+    )
+
+
 def test_one_agreement_protocol():
     def barriers_on_a_result_board(fn) -> bool:
         nodes = list(ast.walk(fn))
