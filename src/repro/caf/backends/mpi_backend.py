@@ -168,7 +168,7 @@ class MpiBackend(RuntimeBackend):
 
     def _waitall_steps(self, requests: list[Request], reason: str):
         """``MPI_WAITALL`` that keeps running AM handlers meanwhile."""
-        done = tuple(r._event for r in requests)
+        done = tuple(requests)
         return self._progress_wait_steps(lambda: all(ev.is_set for ev in done), reason, done)
 
     # -- coarrays (§3.1) ---------------------------------------------------------------
@@ -238,7 +238,7 @@ class MpiBackend(RuntimeBackend):
         # implicit-PUT array for cofence (FLUSH_ALL covers the rest).
         req = win.rput(data, target, offset)
         self._implicit_puts.append(req)
-        return req._event
+        return req
 
     def coarray_read_async(
         self, storage: _CoarrayStorage, target: int, offset: int, out: np.ndarray
@@ -246,7 +246,7 @@ class MpiBackend(RuntimeBackend):
         # Case 2: MPI_RGET — request completion is local *and* remote.
         req = storage.win.rget(out, target, offset)
         self._implicit_gets.append(req)
-        return req._event
+        return req
 
     # -- events (§3.4) ------------------------------------------------------------------------
 
@@ -343,4 +343,4 @@ class MpiBackend(RuntimeBackend):
     def collective_async(self, team: "Team", kind: str, args: tuple):
         """CAF 2.0 asynchronous collectives map straight onto the MPI-3
         nonblocking collectives (one of the paper's interoperability wins)."""
-        return getattr(team.handle, "i" + kind)(*args)._event
+        return getattr(team.handle, "i" + kind)(*args)

@@ -274,7 +274,7 @@ NOT_MODELLED = (
     ("image", "profile"),
     ("event", "count"), ("event", "on_next_post"),
     ("mpi_world", "next_context_id"), ("mpi_world", "next_win_id"),
-    ("comm", "world_rank"), ("comm", "check_peer"), ("comm", "check_alive"),
+    ("comm", "check_peer"), ("comm", "check_alive"),
     ("comm", "failed_ranks"), ("comm", "check_revoked"), ("comm", "revoke"),
     ("comm", "shrink"), ("comm", "iprobe"), ("comm", "split"), ("comm", "dup"),
     ("window", "attach"), ("window", "detach"), ("window", "region"), ("window", "free"),

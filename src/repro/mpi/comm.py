@@ -54,7 +54,7 @@ class _CommState:
         self.revoked = False
         # ULFM eager failure: when a group member dies, pending receives
         # from it (and rendezvous sends parked at it) complete in error
-        # instead of hanging forever.
+        # instead of hanging forever, and so do its own pending receives.
         world.failure_listeners.append(self._on_rank_failure)
 
     def _on_rank_failure(self, world_rank: int) -> None:
@@ -63,13 +63,16 @@ class _CommState:
             return
         c = self.group.index(world_rank)
         for matching in (self.user, self.coll, self.nbc):
+            # Its own receives: a rank declared failed may be alive, but nobody
+            # sends to it any more.
+            pending, matching.posted[c][:] = matching.posted[c][:], []
+            for posted in pending:
+                posted._fail(p2p._declared_failed(c, posted))
             for dst in range(len(self.group)):
-                if dst == c:
-                    continue
                 still = []
                 for posted in matching.posted[dst]:
                     if posted.src == c:
-                        posted.request._fail(
+                        posted._fail(
                             MpiProcFailedError(
                                 world_rank,
                                 f"pending receive from failed peer {c} "
@@ -83,7 +86,7 @@ class _CommState:
             # will never move, so the senders' requests fail now.
             for env in matching.unexpected[c]:
                 if env.rendezvous is not None:
-                    env.rendezvous.send_request._fail(
+                    env.rendezvous._fail(
                         MpiProcFailedError(
                             world_rank,
                             f"rendezvous send to failed peer {c} "
@@ -102,10 +105,10 @@ class _CommState:
             for dst in range(len(self.group)):
                 pending, matching.posted[dst][:] = matching.posted[dst][:], []
                 for posted in pending:
-                    posted.request._fail(exc)
+                    posted._fail(exc)
                 for env in matching.unexpected[dst]:
                     if env.rendezvous is not None:
-                        env.rendezvous.send_request._fail(exc)
+                        env.rendezvous._fail(exc)
                 # Wake blocked probes so they re-check the flag.
                 matching.arrivals[dst].add()
 
@@ -123,15 +126,15 @@ class Comm:
         self.ctx = ctx
         self.rank = rank
         self.size = len(state.group)
-        self._space = space
+        #: The matching context and sequence numbers its collectives use.
+        nbc = space == "nbc"
+        self._coll_matching = state.nbc if nbc else state.coll
+        self._coll_seq_list = state.nbc_seq if nbc else state.coll_seq
         #: This rank's nonblocking-collective progress agent for this
         #: communicator and its agent-side view, made at the first NBC.
         self._nbc: tuple[Any, Comm] | None = None
 
     # -- identity ---------------------------------------------------------
-
-    def world_rank(self, comm_rank: int) -> int:
-        return self.state.group[comm_rank]
 
     def check_peer(self, peer: int) -> None:
         if not 0 <= peer < self.size:
@@ -260,14 +263,6 @@ class Comm:
 
     # -- internal p2p on the collective context ----------------------------
 
-    @property
-    def _coll_matching(self) -> Matching:
-        return self.state.nbc if self._space == "nbc" else self.state.coll
-
-    @property
-    def _coll_seq_list(self) -> list[int]:
-        return self.state.nbc_seq if self._space == "nbc" else self.state.coll_seq
-
     def _coll_send_steps(self, buf, dest: int, tag: int):
         return self._send_steps(self._coll_matching, buf, dest, tag)
 
@@ -345,7 +340,7 @@ class Comm:
         agent, view = self._nbc
         req = Request("i%s(ctx=%s)", self.ctx.proc, kind, self.state.context_id)
         done = agent.submit(lambda agent_ctx: agent_ctx.proc.run_script(steps(view)))
-        done.subscribe(lambda: req._complete())
+        done.subscribe(req.fire)
         return req
 
     def ibarrier(self) -> Request:

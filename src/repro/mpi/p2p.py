@@ -26,6 +26,7 @@ Figure 2 warns about lives one level up, in CAF's Active-Message layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.request import Request
 from repro.sim import costs as _costs
 from repro.sim.sync import Counter
-from repro.util.errors import MpiError
+from repro.util.errors import MpiError, MpiProcFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.comm import Comm
@@ -65,48 +66,20 @@ class _Envelope:
     nbytes: int
     #: Eager payload (byte snapshot); None for an RTS or a zero-byte message.
     data: np.ndarray | None
-    rendezvous: "_Rendezvous | None"
+    #: An RTS's send request; its ``buf`` views the send buffer, which may not
+    #: be reused until the request completes, so no snapshot is taken.
+    rendezvous: Request | None
     #: Sender's vector-clock snapshot (sanitized runs only): a completed
     #: receive is a happens-before edge from send to receiver.
     clock: tuple | None = None
-
-
-@dataclass
-class _Rendezvous:
-    """Sender-side state referenced by an RTS envelope."""
-
-    payload: np.ndarray  # flat byte view of the send buffer (reuse is
-    # forbidden until the send request completes, so no snapshot is taken)
-    send_request: Request
-    src_world: int
-
-
-def _filters_match(src_filter: int, tag_filter: int, env: _Envelope) -> bool:
-    return (src_filter in (ANY_SOURCE, env.src)) and (
-        tag_filter in (ANY_TAG, env.tag)
-    )
-
-
-@dataclass(slots=True)
-class _PostedRecv:
-    src: int  # comm rank or ANY_SOURCE
-    tag: int  # or ANY_TAG
-    buf: np.ndarray  # flat byte view of the user buffer
-    request: Request
-    #: World rank of the receiver (recorded at post time — completion may
-    #: run under the *sender's* comm object, whose rank is not ours).
-    dst_world: int = -1
-
-    def matches(self, env: _Envelope) -> bool:
-        return _filters_match(self.src, self.tag, env)
 
 
 class Matching:
     """Posted-receive and unexpected-message queues for one context."""
 
     def __init__(self, nranks: int, label: str):
-        self.label = label
-        self.posted: list[list[_PostedRecv]] = [[] for _ in range(nranks)]
+        #: Posted receives per rank: their requests, in posting order.
+        self.posted: list[list[Request]] = [[] for _ in range(nranks)]
         self.unexpected: list[list[_Envelope]] = [[] for _ in range(nranks)]
         # Bumped on every arrival at each rank; lets probe() block.
         self.arrivals: list[Counter] = [
@@ -116,7 +89,7 @@ class Matching:
 
 def _complete_recv(
     comm: "Comm",
-    posted: _PostedRecv,
+    posted: Request,
     env: _Envelope,
     data: np.ndarray,
     *,
@@ -144,43 +117,40 @@ def _complete_recv(
         if nbytes and not land_now:
             posted.buf[:nbytes] = data[:nbytes]
         san = comm.ctx.sanitizer
-        if san is not None and env.clock is not None and posted.dst_world >= 0:
+        if san is not None and env.clock is not None:
             san.merge(posted.dst_world, env.clock)
-        status = posted.request.status
-        status.source = env.src
-        status.tag = env.tag
-        status.count = nbytes
-        posted.request._complete()
+        status = posted.status
+        status.source, status.tag, status.count = env.src, env.tag, nbytes
+        posted.fire()
 
     _costs.charge_in(comm.ctx, "mpi.match", finish, nbytes)
 
 
-def _start_rendezvous_data(comm: "Comm", posted: _PostedRecv, env: _Envelope) -> None:
+def _start_rendezvous_data(comm: "Comm", posted: Request, env: _Envelope) -> None:
     """Target matched an RTS: send CTS back, then move the payload."""
-    rv = env.rendezvous
-    assert rv is not None
+    send = env.rendezvous
+    assert send is not None
     fabric = comm.ctx.fabric
-    dst_world = comm.world_rank(comm.rank)
+    group = comm.state.group
+    src_world, dst_world = group[env.src], group[comm.rank]
 
     def on_cts_at_sender() -> None:
         def on_payload_delivered() -> None:
             # Land the payload before completing the send request: once the
             # sender's wait() returns it may legally scribble on the buffer
-            # rv.payload views, so the copy-out cannot be deferred.
-            _complete_recv(comm, posted, env, rv.payload, land_now=True)
-            rv.send_request._complete()
+            # send.buf views, so the copy-out cannot be deferred.
+            _complete_recv(comm, posted, env, send.buf, land_now=True)
+            send.fire()
 
-        fabric.send(
-            rv.src_world, dst_world, env.nbytes, on_payload_delivered
-        )
+        fabric.send(src_world, dst_world, env.nbytes, on_payload_delivered)
 
-    fabric.send(dst_world, rv.src_world, _ENVELOPE_BYTES, on_cts_at_sender)
+    fabric.send(dst_world, src_world, _ENVELOPE_BYTES, on_cts_at_sender)
 
 
 def deliver(comm: "Comm", dst: int, env: _Envelope, matching: Matching) -> None:
     """Scheduler-context arrival of ``env`` at comm rank ``dst``."""
     for i, posted in enumerate(matching.posted[dst]):
-        if posted.matches(env):
+        if posted._matches(env):
             del matching.posted[dst][i]
             if env.rendezvous is not None:
                 _start_rendezvous_data(comm, posted, env)
@@ -200,9 +170,11 @@ def isend(comm: "Comm", matching: Matching, buf, dest: int, tag: int) -> Request
 def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
     """:func:`isend` as a script (see ``Proc.run_script``)."""
     ctx = comm.ctx
-    spec = ctx.spec
-    comm.check_revoked()
-    comm.check_peer(dest)
+    group = comm.state.group
+    if comm.state.revoked:  # the guards are tested here; ``check_*`` only raise
+        comm.check_revoked()
+    if not 0 <= dest < comm.size or group[dest] in ctx.cluster.failed_ranks:
+        comm.check_peer(dest)
     if tag < 0:
         raise MpiError(
             f"send tag must be >= 0, got {tag}: ANY_TAG is a receive-only wildcard"
@@ -213,44 +185,28 @@ def isend_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
         view = _as_bytes_view(buf)
         nbytes = view.nbytes
     req = Request("isend(dst=%s,tag=%s)", ctx.proc, dest, tag)
-    req.status.source = comm.rank
-    req.status.tag = tag
-    req.status.count = nbytes
-    src_world = comm.world_rank(comm.rank)
-    dst_world = comm.world_rank(dest)
+    status = req.status
+    status.source, status.tag, status.count = comm.rank, tag, nbytes
+    src_world, dst_world = group[comm.rank], group[dest]
 
-    san = ctx.sanitizer
-    if nbytes <= spec.mpi_eager_threshold:
-        # Copy into the library's eager buffer, inject, complete locally.
-        # The copy is mandatory: an eager send returns with the user buffer
-        # immediately reusable.
-        data = view.copy() if nbytes else None
-        yield _costs.cost(ctx, "mpi.send", nbytes)
-        env = _Envelope(comm.rank, tag, nbytes, data, None)
-        if san is not None:
-            env.clock = san.snapshot(src_world)
-        ctx.fabric.send(
-            src_world,
-            dst_world,
-            nbytes + _ENVELOPE_BYTES,
-            lambda: deliver(comm, dest, env, matching),
-        )
-        req._complete()
-    else:
-        # Rendezvous: ship a view — the user buffer may not be reused until
-        # the send request completes, which is when the payload lands, so
-        # the only copy is the fill into the posted receive buffer.
-        yield _costs.cost(ctx, "mpi.send", nbytes)
-        rv = _Rendezvous(payload=view, send_request=req, src_world=src_world)
-        env = _Envelope(comm.rank, tag, nbytes, None, rv)
-        if san is not None:
-            env.clock = san.snapshot(src_world)
-        ctx.fabric.send(
-            src_world,
-            dst_world,
-            _ENVELOPE_BYTES,
-            lambda: deliver(comm, dest, env, matching),
-        )
+    # Eager: copy into the library's eager buffer, inject, complete locally.
+    # The copy is mandatory: an eager send returns with the user buffer
+    # immediately reusable. Rendezvous: inject an RTS that ships a view —
+    # the user buffer may not be reused until the send request completes,
+    # which is when the payload lands, so the only copy is the fill into the
+    # posted receive buffer.
+    eager = nbytes <= ctx.spec.mpi_eager_threshold
+    data = view.copy() if eager and nbytes else None
+    yield _costs.cost(ctx, "mpi.send", nbytes)
+    if not eager:
+        req.buf = view
+    env = _Envelope(comm.rank, tag, nbytes, data, None if eager else req)
+    if ctx.sanitizer is not None:
+        env.clock = ctx.sanitizer.snapshot(src_world)
+    wire = nbytes + _ENVELOPE_BYTES if eager else _ENVELOPE_BYTES
+    ctx.fabric.send(src_world, dst_world, wire, partial(deliver, comm, dest, env, matching))
+    if eager:
+        req.fire()
     return req
 
 
@@ -262,14 +218,16 @@ def irecv(comm: "Comm", matching: Matching, buf, source: int, tag: int) -> Reque
 def irecv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
     """:func:`irecv` as a script (see ``Proc.run_script``)."""
     ctx = comm.ctx
-    comm.check_revoked()
+    state = comm.state
+    if state.revoked:
+        comm.check_revoked()
     view = _NO_BYTES if buf is None else _as_bytes_view(buf)
     if view.nbytes and not view.flags.writeable:
         raise MpiError(
             "receive buffer is read-only: a receive writes into it, pass a writable array"
         )
     req = Request("irecv(src=%s,tag=%s)", ctx.proc, source, tag)
-    posted = _PostedRecv(source, tag, view, req, comm.world_rank(comm.rank))
+    req.src, req.tag, req.buf, req.dst_world = source, tag, view, state.group[comm.rank]
     yield _costs.cost(ctx, "mpi.recv", view.nbytes)
     # Search the unexpected queue in arrival order. As in ULFM, a message
     # that already arrived completes even if its sender has since failed;
@@ -278,19 +236,31 @@ def irecv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
     # as not yet arrived.
     queue = matching.unexpected[comm.rank]
     for i, env in enumerate(queue):
-        if posted.matches(env):
+        if req._matches(env):
             if env.rendezvous is not None:
                 comm.check_alive(env.src)
                 del queue[i]
-                _start_rendezvous_data(comm, posted, env)
+                _start_rendezvous_data(comm, req, env)
             else:
                 del queue[i]
-                _complete_recv(comm, posted, env, env.data)
+                _complete_recv(comm, req, env, env.data)
             return req
-    if source != ANY_SOURCE:
+    failed = ctx.cluster.failed_ranks
+    if source != ANY_SOURCE and not (0 <= source < comm.size and state.group[source] not in failed):
         comm.check_peer(source)
-    matching.posted[comm.rank].append(posted)
+    if req.dst_world in failed:
+        raise _declared_failed(comm.rank, req)
+    matching.posted[comm.rank].append(req)
     return req
+
+
+def _declared_failed(rank: int, req: Request) -> MpiProcFailedError:
+    """``rank``'s receive ``req``: the run declared ``rank`` failed, so nobody sends to it."""
+    return MpiProcFailedError(req.dst_world, (
+        f"rank {rank} (world rank {req.dst_world}) was declared failed, and a failed rank gets "
+        f"no more messages: its receive (src={req.src}, tag={req.tag}) would never complete, "
+        "so end this rank's program instead of communicating"
+    ))
 
 
 def probe(
@@ -300,7 +270,7 @@ def probe(
     while True:
         comm.check_revoked()
         for env in matching.unexpected[comm.rank]:
-            if _filters_match(source, tag, env):
+            if source in (ANY_SOURCE, env.src) and tag in (ANY_TAG, env.tag):
                 return env
         if not blocking:
             return None

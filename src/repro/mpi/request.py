@@ -1,25 +1,33 @@
 """MPI request objects: nonblocking-operation completion handles.
 
-A :class:`Request` wraps a :class:`~repro.sim.sync.SimEvent`. Waiting on a
-request blocks the calling image until the simulated operation completes;
-because the library progresses communication asynchronously (callbacks on
-the event heap), no polling loop is needed at the MPI level.
+A :class:`Request` is the :class:`~repro.sim.sync.SimEvent` the library
+fires when the operation completes, and a posted receive is its request.
+Waiting on one blocks the calling image until then; because the library
+progresses communication asynchronously (callbacks on the event heap), no
+polling loop is needed at the MPI level.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 
+from repro.mpi.constants import ANY_SOURCE, ANY_TAG
+from repro.mpi.status import Status
 from repro.sim import irhook as _irhook
 from repro.sim.engine import Proc
 from repro.sim.sync import SimEvent
-from repro.mpi.status import Status
 
 
-class Request:
+class Request(SimEvent):
     """Completion handle for a nonblocking MPI operation."""
 
-    __slots__ = ("_kind", "_kind_args", "_proc", "_event", "status", "error")
+    __slots__ = (
+        "_kind", "_kind_args", "_proc", "status", "error",
+        # A posted receive's match filter, buffer and world rank (completion
+        # may run under the sender's comm object, whose rank is not ours);
+        # a rendezvous send's payload view is its ``buf``.
+        "src", "tag", "buf", "dst_world",
+    )
 
     def __init__(self, kind: str, proc: Proc, *kind_args):
         #: The operation's name, or a ``%`` template for it plus arguments:
@@ -28,7 +36,10 @@ class Request:
         self._kind = kind
         self._kind_args = kind_args
         self._proc = proc
-        self._event = SimEvent("req")  # labelled by whoever parks on it
+        self.is_set = False
+        self.value = None
+        self._waiters: list[Proc] = []
+        self._callbacks: list = []
         self.status = Status()
         #: Set by :meth:`_fail`; re-raised from :meth:`wait` — the ULFM
         #: model where a pending operation involving a failed process
@@ -37,23 +48,24 @@ class Request:
 
     # -- completion (library side) ---------------------------------------
 
-    def _complete(self, value=None) -> None:
-        self._event.fire(value)
-
     def _fail(self, exc: Exception) -> None:
         """Complete the request in error (idempotent, scheduler context)."""
-        if self._event.is_set:
+        if self.is_set:
             return
         self.error = exc
-        self._event.fire(None)
+        self.fire()
+
+    def _matches(self, env) -> bool:
+        """Does this posted receive take ``env`` (a p2p envelope)?"""
+        return self.src in (ANY_SOURCE, env.src) and self.tag in (ANY_TAG, env.tag)
 
     @property
     def kind(self) -> str:
-        return self._kind % self._kind_args if self._kind_args else self._kind
+        return self._kind % self._kind_args
 
     @property
     def completed(self) -> bool:
-        return self._event.is_set
+        return self.is_set
 
     # -- user side --------------------------------------------------------
 
@@ -63,23 +75,22 @@ class Request:
 
     def _wait_steps(self):
         """:meth:`wait` as a script (see ``Proc.run_script``)."""
-        event = self._event
-        if event.is_set:
-            # Nothing to wait for: what the event's own script would do on
-            # its way out, without opening it.
-            rec = _irhook.RECORDER
-            if rec is not None:
-                rec.on_wait_geq(event, 1)
-        else:
-            event.label = f"req:{self.kind}"  # the block reason reports show
-            yield from event._wait_steps(self._proc)
+        proc = self._proc
+        while not self.is_set:
+            self._waiters.append(proc)
+            yield f"wait(req:{self._kind % self._kind_args})"  # what reports show
+            if proc in self._waiters:  # woken by someone else's stale wake
+                self._waiters.remove(proc)
+        rec = _irhook.RECORDER
+        if rec is not None:
+            rec.on_wait_geq(self, 1)  # at wait exit, as every event's wait
         if self.error is not None:
             raise self._raised_error()
         return self.status
 
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check."""
-        if self._event.is_set:
+        if self.is_set:
             if self.error is not None:
                 raise self._raised_error()
             return True, self.status

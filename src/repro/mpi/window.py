@@ -333,7 +333,7 @@ class Window:
             op, is_write=is_write, atomic=atomic,
         )
         if round_trip and rec is not None:
-            req._event.subscribe(lambda: san.release_records((rec,)))
+            req.subscribe(lambda: san.release_records((rec,)))
         return req
 
     def _op_done(self, target: int) -> None:
@@ -378,7 +378,7 @@ class Window:
                 def acked() -> None:
                     self._op_done(target)
                     if req is not None:
-                        req._complete()
+                        req.fire()
 
                 apply()
                 _costs.charge_in(ctx, "ack", acked, a=src, b=dst)
@@ -410,7 +410,7 @@ class Window:
                 def at_origin() -> None:
                     dest[...] = result
                     self._op_done(target)
-                    req._complete()
+                    req.fire()
 
                 fabric.send(dst, src, response_nbytes, at_origin)
 
@@ -469,7 +469,7 @@ class Window:
         self._one_way(target, payload.nbytes, commit, req)
         if eager:
             # Small transfers are buffered by the library: locally complete now.
-            req._complete()
+            req.fire()
         return req
 
     def get(self, dest, target: int, offset: int = 0) -> None:
@@ -551,7 +551,7 @@ class Window:
             lambda: self.state.apply_target(target, offset, snap, op), req,
         )
         if snap.nbytes <= self.ctx.spec.mpi_eager_threshold:
-            req._complete()
+            req.fire()
         return req
 
     def get_accumulate(self, data, result, target: int, offset: int = 0, op: Op = NO_OP):
@@ -728,21 +728,21 @@ class Window:
                 None if target is None else self._world(target),
             )
             if open_recs:
-                req._event.subscribe(lambda: san.release_records(open_recs))
+                req.subscribe(lambda: san.release_records(open_recs))
         # Per-target tracking, not the _inflight counter: the request must
         # complete when the ops pending *at call time* drain, and _inflight
         # also counts ops the origin issues after rflush returns — including
         # ops to targets that had nothing pending here.
         remaining = [t for t in sorted(self._pending) if target is None or t == target]
         if not remaining:
-            req._complete()
+            req.fire()
             return
         outstanding = [len(remaining)]
 
         def one_done() -> None:
             outstanding[0] -= 1
             if outstanding[0] == 0:
-                req._complete()
+                req.fire()
 
         for t in remaining:
             ev = SimEvent(f"rflush-track(o={self.rank},t={t})")

@@ -362,7 +362,9 @@ class Proc:
         if self._woken_gen == self._gen:
             engine.stale_wakes_dropped += 1
             return
-        engine._schedule_resume(engine.now, self, self._gen)
+        self._woken_gen = self._gen  # _schedule_resume at ``now``, in place
+        engine._due.append((engine.now, engine._seq, self, self._gen))
+        engine._seq += 1
 
     def sleep(self, duration: float) -> None:
         """Advance this process's local (virtual) time by ``duration``."""
@@ -526,6 +528,9 @@ class Engine:
         self.stale_wakes_dropped = 0
         self._handoffs = 0
         self._digest: Any = None
+        #: Whether a digest, sanitizer or telemetry sees resumes, fixed in
+        #: :meth:`run` (all three are attached before it).
+        self._observed = False
         if os.environ.get("REPRO_SIM_DIGEST"):
             self.enable_order_digest()
 
@@ -730,6 +735,7 @@ class Engine:
         pop = heapq.heappop
         deadline = self._deadline
         digest = self._digest
+        observed = self._observed
         while True:
             if due:
                 d = due[0]
@@ -758,7 +764,11 @@ class Engine:
                 if gen != proc._gen or proc.state == Proc.DONE:
                     continue  # stale resume (re-block or died process)
                 self.events_executed += 1
-                self._make_running(proc)
+                proc.state = Proc.RUNNING  # all _make_running does, unobserved
+                proc.last_progress = when
+                self._current = proc
+                if observed:
+                    self._make_running(proc)
                 if proc._script is None:
                     return proc
                 if self._drive(proc):
@@ -806,7 +816,7 @@ class Engine:
                 proc.state = Proc.BLOCKED
                 proc._block_site = step
                 return False
-            if callable(step):
+            if type(step) is not float and callable(step):
                 proc._script_call = step
                 return True
             if step < 0:
@@ -828,12 +838,17 @@ class Engine:
                     proc._gen += 1
                     self.now = when
                     self.events_executed += 1
-                    self._make_running(proc)
+                    if self._observed:
+                        self._make_running(proc)
+                    else:
+                        proc.last_progress = when  # already running and current
                     continue
-            proc._gen += 1
+            gen = proc._gen = proc._woken_gen = proc._gen + 1
             proc.state = Proc.BLOCKED
             proc._block_site = step
-            self._schedule_resume(when, proc, proc._gen)
+            # _schedule_resume, in place: the heap orders it by (when, seq).
+            heapq.heappush(self._heap, (when, self._seq, proc, gen))
+            self._seq += 1
             return False
 
     def _hand_off(self, nxt: Proc | None) -> None:
@@ -880,6 +895,7 @@ class Engine:
             raise SimulationError(f"deadline must be non-negative, got {deadline}")
         self._ran = True
         self._deadline = deadline
+        self._observed = any(o is not None for o in (self._digest, self.sanitizer, self.telemetry))
         self._fiber_cpu = _caller_cpu()
         self._fiber_batch = self._fiber_cpu is not None
         self._malloc_arenas = _one_malloc_arena()

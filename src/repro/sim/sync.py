@@ -24,6 +24,9 @@ class SimEvent:
     handles that deliver data, e.g. fetched RMA results).
     """
 
+    #: ``_ir_id`` is the IR recorder's object id, set at first record.
+    __slots__ = ("label", "is_set", "value", "_waiters", "_callbacks", "_ir_id")
+
     def __init__(self, label: str = "event"):
         self.label = label
         self.is_set = False

@@ -332,3 +332,43 @@ def test_barrier_makes_no_numpy_call():
 
     mpi_run(program, 4)
     assert [call.__name__ for call in numpy_calls] == ["empty"] * 4
+
+
+#: Python-level calls (generator resumes included) one dissemination-barrier
+#: round costs one rank: 78.9 when a request wrapped its event, a posted
+#: receive was a record of its own, and every guard was a call; 49.9 since.
+BARRIER_ROUND_CALLS = 50
+
+
+def test_barrier_round_host_work_budget(monkeypatch):
+    """The host work of one zero-byte message, counted, so exact on any
+    host: the calls of 20 barriers on 4 ranks less those of 10, per round
+    per rank. Work added to every message fails here with its number."""
+    monkeypatch.delenv("REPRO_SIM_DIGEST", raising=False)  # a digest adds calls
+
+    def calls(nbarriers):
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+
+        def program(mpi, ctx):
+            comm = mpi.COMM_WORLD
+            comm.barrier()  # warm-up: lazy set-up is not the barrier's
+            sys.setprofile(profile)  # on every fiber: any of them dispatches
+            for _ in range(nbarriers):
+                comm.barrier()
+
+        try:
+            mpi_run(program, 4)
+        finally:
+            sys.setprofile(None)
+        return count[0]
+
+    rounds = 10 * 2 * 4  # 10 more barriers, log2(4) rounds each, 4 ranks
+    per_round = (calls(20) - calls(10)) / rounds
+    assert per_round <= BARRIER_ROUND_CALLS, (
+        f"a barrier round costs {per_round} Python calls per rank, over the "
+        f"budget of {BARRIER_ROUND_CALLS}: what does every message do now?"
+    )

@@ -150,6 +150,37 @@ def test_pending_recv_from_dead_rank_fails_eagerly():
     assert cluster.elapsed < 1.5  # woke at the crash, not at a watchdog
 
 
+def test_a_rank_declared_failed_has_its_pending_receives_failed():
+    """A live rank the run declares failed gets no more messages (senders
+    refuse it), so a receive it already waits in completes with
+    MPI_ERR_PROC_FAILED instead of parking until the deadlock report, and
+    a receive it posts afterwards is refused at the call."""
+
+    def program(mpi, ctx):
+        comm = mpi.COMM_WORLD
+        if ctx.rank == 0:
+            ctx.proc.sleep(1e-4)
+            ctx.cluster.declare_failed(2)
+        elif ctx.rank == 2:
+            out = []
+            for _ in range(2):
+                with pytest.raises(MpiProcFailedError) as exc_info:
+                    comm.recv(np.zeros(4), source=1, tag=5)
+                out.append((exc_info.value.failed_rank, str(exc_info.value), ctx.now))
+            return out
+        return None
+
+    cluster, results = crash_run(program)
+    (pending, woke_at), (posted, refused_at) = [(r[:2], r[2]) for r in results[2]]
+    assert woke_at == 1e-4 and refused_at > woke_at
+    assert pending == posted
+    failed_rank, message = pending
+    assert failed_rank == 2
+    assert message.startswith("rank 2 (world rank 2) was declared failed"), message
+    assert "its receive (src=1, tag=5) would never complete" in message, message
+    assert message.endswith("end this rank's program instead of communicating"), message
+
+
 def test_crash_inside_a_scripted_barrier_unwinds_the_script():
     """The victim dies parked inside a barrier that runs as one script: its
     fiber unwinds, the script is closed (its ``finally`` runs, as a blocking

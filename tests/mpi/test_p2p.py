@@ -1,10 +1,12 @@
 """Point-to-point semantics: matching, wildcards, protocols, ordering."""
 
+import re
+
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG
-from repro.util.errors import DeadlockError, MpiError
+from repro.mpi import ANY_SOURCE, ANY_TAG, p2p
+from repro.util.errors import DeadlockError, MpiError, MpiProcFailedError, MpiRevokedError
 
 from tests.mpi.conftest import mpi_run
 
@@ -299,6 +301,50 @@ def test_bad_peer_rank_raises(run):
 
     with pytest.raises(MpiError, match="out of range"):
         mpi_run(program, 2)
+
+
+#: ``(call, peer, what happened first, error, message)``: on 2 ranks, a peer
+#: must lie in [0, 2), be alive, and the communicator must not be revoked.
+#: ``source=-1`` is ANY_SOURCE, so a negative receive peer is -2.
+_GUARDS = [
+    ("isend", -1, None, MpiError, r"peer rank -1 out of range \[0, 2\)"),
+    ("isend", 2, None, MpiError, r"peer rank 2 out of range \[0, 2\)"),
+    ("irecv", -2, None, MpiError, r"peer rank -2 out of range \[0, 2\)"),
+    ("irecv", 2, None, MpiError, r"peer rank 2 out of range \[0, 2\)"),
+    ("isend", 1, "declare_failed", MpiProcFailedError, "peer 1 .world rank 1. has failed"),
+    ("irecv", 1, "declare_failed", MpiProcFailedError, "peer 1 .world rank 1. has failed"),
+    ("isend", 1, "revoke", MpiRevokedError, r"context \d+\) has been revoked"),
+    ("irecv", 1, "revoke", MpiRevokedError, r"context \d+\) has been revoked"),
+]
+
+
+@pytest.mark.parametrize("context", ["user", "coll"])
+@pytest.mark.parametrize(
+    "call, peer, first, error, message", _GUARDS,
+    ids=[f"{c}-{p}-{f or 'range'}" for c, p, f, _, _ in _GUARDS],
+)
+def test_p2p_guards_refuse_at_the_call(run, call, peer, first, error, message, context):
+    """Every entry check of ``isend`` / ``irecv`` raises its own message, on
+    the user context and on the collective one. A negative peer is refused,
+    not wrapped around the group."""
+
+    def program(mpi, ctx):
+        if ctx.rank == 1:
+            return None
+        comm = mpi.COMM_WORLD
+        if first == "declare_failed":
+            ctx.cluster.declare_failed(1)
+        elif first == "revoke":
+            comm.revoke()
+        matching = comm.state.user if context == "user" else comm._coll_matching
+        try:
+            getattr(p2p, call)(comm, matching, None, peer, 0)
+        except MpiError as exc:
+            return exc
+
+    _, results = run(program, 2)
+    assert type(results[0]) is error
+    assert re.search(message, str(results[0])), str(results[0])
 
 
 def test_noncontiguous_buffer_rejected(run):

@@ -44,7 +44,7 @@ def test_window_state_for_4096_ranks_is_small_and_has_no_per_rank_container():
 def _note_acks(times, engine, **requests):
     """File the virtual time each request completes under its name."""
     for name, req in requests.items():
-        req._event.subscribe(lambda name=name: times.__setitem__(name, engine.now))
+        req.subscribe(lambda name=name: times.__setitem__(name, engine.now))
 
 
 def test_two_origins_flushing_one_target_each_wake_at_their_own_ack():

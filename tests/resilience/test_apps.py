@@ -195,11 +195,11 @@ def test_a_crash_during_the_rebuild_is_one_more_recovery():
     assert all((r["recoveries"], r["team_size"]) == (2, 2) for r in live.values())
 
 
-def test_an_image_declared_failed_leaves_the_loop():
+def test_an_image_declared_failed_leaves_the_loop(frac=0.5):
     """The run declares image 2 failed while it is alive (as a transport
     give-up does), at the instant image 3 crashes. Image 2 leaves the loop
     without publishing, and the survivors' run verifies."""
-    t = fault_free_elapsed("cgpop", NR, "mpi") * 0.5
+    t = fault_free_elapsed("cgpop", NR, "mpi") * frac
 
     def program(img, **kw):
         if img.rank == 0:
@@ -216,6 +216,14 @@ def test_an_image_declared_failed_leaves_the_loop():
     assert 2 not in run.cluster.shared("cgpop-solution", dict)
     assert [r["team_size"] for r in (run.results[0], run.results[1])] == [2, 2]
     assert _verified("cgpop", run.cluster)
+
+
+def test_an_image_declared_failed_between_probe_and_receive_leaves_the_loop():
+    """At 0.3 the declaration lands while image 2 is inside the AM drain's
+    receive, after its probe saw a message: the declaration drops that
+    message, and the receive it then posts is refused instead of parking
+    until the deadlock report."""
+    test_an_image_declared_failed_leaves_the_loop(frac=0.3)
 
 
 def test_ra_rejects_non_power_of_two():

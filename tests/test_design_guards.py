@@ -181,6 +181,16 @@ def test_message_path_builds_nothing_only_diagnostics_read():
         "receive view in mpi/p2p.py, no array per barrier round",
         hits,
     )
+    from repro.mpi.request import Request
+    from repro.sim.sync import SimEvent
+
+    hits = grep(r"_PostedRecv|\._event\b", "src/repro/mpi", "src/repro/caf/backends")
+    assert issubclass(Request, SimEvent) and not hits, (
+        "a Request is its completion event: the library fires it and waiters "
+        "park on it, and a posted receive is its request (src, tag, buf, "
+        "dst_world); no wrapped event, no record per posted receive",
+        hits,
+    )
 
 
 def test_prices_come_from_the_run_table():
