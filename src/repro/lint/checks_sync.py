@@ -178,6 +178,8 @@ def check_finish_usage(model: ModuleModel) -> list[Finding]:
             continue
         if not isinstance(node.func, ast.Attribute):
             continue
+        if len(node.args) > 1:
+            continue  # CAF's finish takes at most a team: another API's method
         if id(node) in with_exprs:
             continue
         # `fb = img.finish()` later entered via `with fb:` is fine.

@@ -35,7 +35,12 @@ directly, one context switch; and when a process sleeps with no earlier
 pending event it simply advances the clock and keeps running (no switch, no
 heap traffic). Same-time events bypass the heap through a FIFO ``_due``
 deque, merged with the heap by ``(time, seq)``, so events always execute in
-global ``(time, seq)`` order.
+global ``(time, seq)`` order. A future event at the time of the previous
+future push shares that push's heap slot: it joins the slot's *run*, a FIFO
+keyed by the head entry's ``seq`` (SPMD ranks charge the same costs in
+lockstep, so most pushes at large P coincide). When the head is popped its
+run becomes ``_due``, ahead of whatever ``_due`` held, which was pushed
+later at the same time; the merge then yields the same global order.
 
 A blocking *library* call — a barrier, a flush, a put-then-flush — is a
 sequence of modelled costs and waits with no user code in between, and is
@@ -493,6 +498,17 @@ class Engine:
         #: FIFO; it stays sorted by ``(when, seq)`` because ``now`` never
         #: decreases, and is merged with the heap head on pop.
         self._due: deque[tuple[float, int, Any, int | None]] = deque()
+        #: Future events that share a heap slot: the entries pushed after
+        #: the head ``seq`` at its time, with no other future push between.
+        #: Every member runs right after its head, before any later push.
+        self._runs: dict[int, deque[tuple[float, int, Any, int | None]]] = {}
+        #: Time, ``seq`` and run (``None`` until a push joins it) of the last
+        #: entry pushed on the heap; a future push at that time joins its run.
+        #: ``-1.0`` (no push matches) before the first, and once a cancel left
+        #: that slot empty.
+        self._last_when = -1.0
+        self._last_seq = -1
+        self._last_run: deque[tuple[float, int, Any, int | None]] | None = None
         self._seq = 0
         self.now = 0.0
         self.procs: list[Proc] = []
@@ -654,13 +670,22 @@ class Engine:
         rec = _irhook.RECORDER
         if rec is not None:
             fn = rec.on_call_at(when - now, fn)
-        seq = self._seq
+        seq = self._seq  # _schedule_resume's push, in place
         entry = (when, seq, fn, None)
         self._seq = seq + 1
         if when == now:
             self._due.append(entry)
+        elif when == self._last_when:
+            run = self._last_run
+            if run is None:
+                self._last_run = self._runs[self._last_seq] = deque((entry,))
+            else:
+                run.append(entry)
         else:
             heapq.heappush(self._heap, entry)
+            self._last_when = when
+            self._last_seq = seq
+            self._last_run = None
         return seq
 
     def call_in(self, delay: float, fn: Callable[[], None]) -> int:
@@ -679,25 +704,58 @@ class Engine:
         or hold the clock. The ticket is the entry's sequence number, so a
         callback may keep its own (a retry timer) without a reference cycle.
         The entry leaves the queue here: the dispatch loop checks nothing."""
-        for queue in (self._due, self._heap):
+        entry = self._withdraw(ticket)
+        rec = _irhook.RECORDER
+        if entry is not None and rec is not None:
+            rec.void_call(entry[2])
+
+    def _withdraw(self, ticket: int) -> tuple[float, int, Any, int | None] | None:
+        """Take the entry ``ticket`` out of the queue; ``None`` if absent."""
+        for queue in (self._due, *self._runs.values()):
             for i, entry in enumerate(queue):
                 if entry[1] == ticket:
                     del queue[i]
-                    if queue is self._heap:
-                        heapq.heapify(queue)
-                    rec = _irhook.RECORDER
-                    if rec is not None:
-                        rec.void_call(entry[2])
-                    return
+                    return entry
+        heap = self._heap
+        for i, entry in enumerate(heap):
+            if entry[1] == ticket:
+                break
+        else:
+            return None
+        run = self._runs.pop(ticket, None)
+        if run:
+            # The run's next entry takes the slot: same time, and no other
+            # entry's seq lies between the two, so the heap order holds.
+            heap[i] = nxt = run.popleft()
+            self._runs[nxt[1]] = run
+            if self._last_seq == ticket:
+                self._last_seq = nxt[1]
+        else:
+            del heap[i]
+            heapq.heapify(heap)
+            if self._last_seq == ticket:
+                self._last_when = -1.0  # a later push at its time heads a slot
+        return entry
 
     def _schedule_resume(self, when: float, proc: Proc, gen: int) -> None:
         proc._woken_gen = gen
-        entry = (when, self._seq, proc, gen)
-        self._seq += 1
+        seq = self._seq
+        entry = (when, seq, proc, gen)
+        self._seq = seq + 1
         if when == self.now:
             self._due.append(entry)
+        elif when == self._last_when:
+            # The previous future push's time: share its heap slot.
+            run = self._last_run
+            if run is None:
+                self._last_run = self._runs[self._last_seq] = deque((entry,))
+            else:
+                run.append(entry)
         else:
             heapq.heappush(self._heap, entry)
+            self._last_when = when
+            self._last_seq = seq
+            self._last_run = None
 
     # -- dispatch ---------------------------------------------------------
 
@@ -732,23 +790,24 @@ class Engine:
             return None
         heap = self._heap
         due = self._due
+        runs = self._runs
         pop = heapq.heappop
         deadline = self._deadline
         digest = self._digest
         observed = self._observed
         while True:
-            if due:
-                d = due[0]
-                if heap:
-                    h = heap[0]
-                    if h[0] < d[0] or (h[0] == d[0] and h[1] < d[1]):
-                        ev = pop(heap)
-                    else:
-                        ev = due.popleft()
-                else:
-                    ev = due.popleft()
+            # Entries compare as ``(time, seq)``: a seq is never repeated.
+            if due and not (heap and heap[0] < due[0]):
+                ev = due.popleft()
             elif heap:
                 ev = pop(heap)
+                if runs:
+                    run = runs.pop(ev[1], None)
+                    if run is not None:
+                        # Pushed before ``now`` reached its time, so ahead
+                        # of everything ``_due`` holds.
+                        run.extend(due)
+                        self._due = due = run
             else:
                 return None
             when, _, target, gen = ev
@@ -846,9 +905,22 @@ class Engine:
             gen = proc._gen = proc._woken_gen = proc._gen + 1
             proc.state = Proc.BLOCKED
             proc._block_site = step
-            # _schedule_resume, in place: the heap orders it by (when, seq).
-            heapq.heappush(self._heap, (when, self._seq, proc, gen))
-            self._seq += 1
+            seq = self._seq  # _schedule_resume's push, in place
+            entry = (when, seq, proc, gen)
+            self._seq = seq + 1
+            if when == self.now:
+                self._due.append(entry)
+            elif when == self._last_when:
+                run = self._last_run
+                if run is None:
+                    self._last_run = self._runs[self._last_seq] = deque((entry,))
+                else:
+                    run.append(entry)
+            else:
+                heapq.heappush(self._heap, entry)
+                self._last_when = when
+                self._last_seq = seq
+                self._last_run = None
             return False
 
     def _hand_off(self, nxt: Proc | None) -> None:
@@ -935,6 +1007,8 @@ class Engine:
         digest and each process's ``state`` / ``crashed`` stay readable."""
         self._heap.clear()
         self._due.clear()
+        self._runs.clear()
+        self._last_when, self._last_run = -1.0, None
         self._failure = self.sanitizer = None
         for proc in self.procs:
             proc.engine = proc._target = proc._thread = None

@@ -1,12 +1,15 @@
 """Collective correctness against NumPy references, at several sizes."""
 
 import gc
+import heapq
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
+import repro.sim.engine
 from repro.mpi import MAX, MIN, PROD, SUM
 from repro.util.errors import DeadlockError
 
@@ -371,4 +374,44 @@ def test_barrier_round_host_work_budget(monkeypatch):
     assert per_round <= BARRIER_ROUND_CALLS, (
         f"a barrier round costs {per_round} Python calls per rank, over the "
         f"budget of {BARRIER_ROUND_CALLS}: what does every message do now?"
+    )
+
+
+#: Engine heap pushes one dissemination-barrier round costs one rank at
+#: P = 64: 4.17 when every future event took its own heap slot; 0.22 since
+#: lockstep ranks' events at one time share one (0.05 at P = 256).
+BARRIER_ROUND_HEAP_PUSHES = 0.25
+
+
+def test_barrier_round_heap_pushes(monkeypatch):
+    """The engine queue's work per message, counted through the engine's
+    ``heapq``, so exact on any host: the pushes of 20 barriers on 64 ranks
+    less those of 10, per round per rank."""
+    count = [0]
+
+    def heappush(heap, entry):
+        count[0] += 1
+        heapq.heappush(heap, entry)
+
+    shim = types.SimpleNamespace(
+        heappush=heappush, heappop=heapq.heappop, heapify=heapq.heapify
+    )
+    monkeypatch.setattr(repro.sim.engine, "heapq", shim)
+
+    def pushes(nbarriers):
+        def program(mpi, ctx):
+            comm = mpi.COMM_WORLD
+            comm.barrier()  # warm-up: lazy set-up is not the barrier's
+            for _ in range(nbarriers):
+                comm.barrier()
+
+        count[0] = 0
+        mpi_run(program, 64)
+        return count[0]
+
+    rounds = 10 * 6 * 64  # 10 more barriers, log2(64) rounds each, 64 ranks
+    per_round = (pushes(20) - pushes(10)) / rounds
+    assert per_round <= BARRIER_ROUND_HEAP_PUSHES, (
+        f"a barrier round pushes {per_round} heap entries per rank, over "
+        f"{BARRIER_ROUND_HEAP_PUSHES}: do lockstep events still share a slot?"
     )
