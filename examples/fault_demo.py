@@ -8,8 +8,9 @@ Three demonstrations on the simulated cluster:
    RandomAccess tables still verify against the serial reference.
 2. **Image crash, surviving gracefully** — image 3 is killed mid-run;
    survivors observe it through ``failed_images()``, get eager
-   ``ImageFailedError`` from operations naming it, and bound their waits
-   with ``event_wait(timeout=...)`` instead of hanging.
+   ``ImageFailedError`` from operations naming it, and an event wait on
+   its team raises ``ImageFailedError`` before its timer instead of
+   hanging.
 3. **The watchdog** — when a crash leaves a survivor retransmitting into
    a dead NIC forever, ``deadline=`` converts the hang into a
    ``SimTimeoutError`` naming who is stuck where.
@@ -22,7 +23,7 @@ import numpy as np
 from repro.apps.randomaccess import reference_tables, run_randomaccess
 from repro.caf import run_caf
 from repro.sim.faults import FaultPlan
-from repro.util.errors import CafTimeoutError, ImageFailedError, SimTimeoutError
+from repro.util.errors import ImageFailedError, SimTimeoutError
 
 
 def demo_reliable_delivery():
@@ -65,8 +66,11 @@ def _crash_program(img):
         report.append(f"  write to 3 raised ImageFailedError (rank {exc.failed_image})")
     try:
         ev.wait(slot=0, timeout=1e-3)  # image 3 was the notifier
-    except CafTimeoutError:
-        report.append("  event_wait(timeout=1ms) timed out instead of hanging")
+    except ImageFailedError as exc:
+        report.append(
+            f"  event_wait(timeout=1ms) on its team raised ImageFailedError "
+            f"(rank {exc.failed_image}) before its timer"
+        )
     return report
 
 
@@ -86,22 +90,22 @@ def demo_crash_surfacing():
 
 
 def _hang_program(img):
-    # The survivor must block in an operation naming no peer: eager
-    # ULFM-style checks fail pending point-to-point traffic with the
-    # corpse as MpiProcFailedError, so only a peer-less event wait can
-    # still hang and reach the watchdog.
+    # The survivor must block in a wait that depends on no image: a wait
+    # that depends on the corpse fails (point-to-point traffic with
+    # MpiProcFailedError, an event wait on its team with ImageFailedError),
+    # so only serving a function the corpse would ship can still hang and
+    # reach the watchdog.
     comm = img.mpi().COMM_WORLD
-    ev = img.allocate_events(1)
     buf = np.zeros(4)
     comm.barrier()
     t_after_barrier = img.now
     if img.rank == 0:
         comm.send(np.ones(4), 1)  # frame in flight when image 1 dies
-        ev.wait(0)  # only (dead) image 1 would notify
+        img.serve(1)  # only (dead) image 1 would ship
     else:
         comm.recv(buf, 0)
-        img.compute(seconds=1.0)  # killed long before notifying
-        ev.notify(0)
+        img.compute(seconds=1.0)  # killed long before shipping
+        img.spawn(0, lambda im: None)
     return t_after_barrier
 
 

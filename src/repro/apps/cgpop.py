@@ -94,12 +94,11 @@ class _HaloExchanger:
 
     def __init__(
         self, img: Image, team: Team, px: int, py: int, ny: int, nx: int,
-        ry: int, rx: int, mode: str, timeout: float | None, armed: bool,
+        ry: int, rx: int, mode: str, armed: bool,
     ):
         if mode not in ("push", "pull"):
             raise CafError(f"halo mode must be 'push' or 'pull', got {mode!r}")
         self.mode = mode
-        self.timeout = timeout
         me = team.my_index
         ix, iy = me % px, me // px
         self.lengths = (rx, rx, ry, ry)
@@ -125,7 +124,7 @@ class _HaloExchanger:
         without a neighbor is the zero Dirichlet boundary."""
         if self._round > 0:
             for _nbr, _edge, _theirs, mine in self.links:
-                self.drained.wait(slot=mine, timeout=self.timeout)
+                self.drained.wait(slot=mine)
         for nbr, edge, theirs, mine in self.links:
             if self.mode == "pull":
                 self.buf.local[mine, : self.lengths[mine]] = edge(local)
@@ -136,7 +135,7 @@ class _HaloExchanger:
         halos = [np.zeros(n) for n in self.lengths]
         for nbr, _edge, theirs, mine in self.links:
             n = self.lengths[mine]
-            self.arrive.wait(slot=mine, timeout=self.timeout)
+            self.arrive.wait(slot=mine)
             if self.mode == "pull":
                 halos[mine] = self.buf.read(nbr, offset=theirs * self.width, count=n)
             else:
@@ -161,8 +160,8 @@ class CgSolver:
 
     def __init__(
         self, img: Image, team: Team, comm: Comm, *, ny: int, nx: int, px: int = 1,
-        mode: str = "push", seed: int = 11, timeout: float | None = None,
-        state: np.ndarray | None = None, armed: bool = False,
+        mode: str = "push", seed: int = 11, state: np.ndarray | None = None,
+        armed: bool = False,
     ):
         p = team.size
         if px < 1 or p % px:
@@ -180,7 +179,7 @@ class CgSolver:
         self.img = img
         self.comm = comm
         self.b = make_rhs(seed, ny, nx)[self.row0 : self.row1, self.col0 : col1].copy()
-        self.halo = _HaloExchanger(img, team, px, py, ny, nx, ry, rx, mode, timeout, armed)
+        self.halo = _HaloExchanger(img, team, px, py, ny, nx, ry, rx, mode, armed)
         if state is None:
             state = np.zeros((3, ry, rx))
         self.x, self.r, self.p = state[0], state[1], state[2]

@@ -95,14 +95,14 @@ class RaRouter:
     is already posted (a restarted run gets them back from its checkpoint).
     """
 
-    __slots__ = ("parts", "owners", "dims", "img", "me", "timeout", "table_bits", "total",
+    __slots__ = ("parts", "owners", "dims", "img", "me", "table_bits", "total",
                  "tables", "capacity", "land", "arrive", "drained", "streams", "bounds",
                  "_round")
 
     def __init__(
         self, img: Image, team: Team, *, table_bits_per_image: int, updates_per_image: int,
         batches: int, seed: int, owners: Sequence[int] | None = None,
-        tables: np.ndarray | None = None, timeout: float | None = None, armed: bool = False,
+        tables: np.ndarray | None = None, armed: bool = False,
     ):
         me = team.my_index
         if owners is None:
@@ -118,7 +118,7 @@ class RaRouter:
                 f"got {nparts}: run on a power-of-two number of images"
             )
         self.dims = dims = int(np.log2(nparts)) if nparts > 1 else 0
-        self.img, self.me, self.timeout = img, me, timeout
+        self.img, self.me = img, me
         self.table_bits = table_bits_per_image
         self.total = nparts << table_bits_per_image
         if tables is None:
@@ -171,7 +171,7 @@ class RaRouter:
                     continue
                 # The partner must have drained what this row wrote there last batch.
                 if self._round > 0:
-                    self.drained.wait(slot=i * self.dims + d, timeout=self.timeout)
+                    self.drained.wait(slot=i * self.dims + d)
                 payload = np.empty(outgoing.size + 1, np.uint64)
                 payload[0] = outgoing.size
                 payload[1:] = outgoing
@@ -182,7 +182,7 @@ class RaRouter:
                 if host == self.me:
                     incoming = handed[i]
                 else:
-                    self.arrive.wait(slot=i * self.dims + d, timeout=self.timeout)
+                    self.arrive.wait(slot=i * self.dims + d)
                     base = i * (self.capacity + 1)
                     n_in = int(self.land[d].local[base])
                     incoming = self.land[d].local[base + 1 : base + 1 + n_in].copy()

@@ -51,7 +51,7 @@ import numpy as np
 
 from repro.caf.teams import next_global_id
 from repro.sim.sync import Counter, SimEvent
-from repro.util.errors import CafError, CafTimeoutError
+from repro.util.errors import CafError, CafTimeoutError, ImageFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
@@ -197,18 +197,24 @@ class RuntimeBackend(abc.ABC):
     ):
         """:meth:`progress_wait` as a script (``GASNET_BLOCKUNTIL``; §3.2's
         ``iprobe``/``recv`` loop): turn the engine until ``pred()``,
-        sleeping on the activity counter between turns."""
+        sleeping on the activity counter between turns. Then the first of
+        ``extras`` that failed (an op whose peer died, an async
+        collective's error) is raised here, on the waiting image."""
         activity = self._activity
+        unsubscribed = extras
         while True:
             more = yield from self._progress_steps()
             if pred():
-                return
-            for ev in extras:
+                break
+            for ev in unsubscribed:
                 # Spurious activity bumps are harmless: they just rescan.
                 ev.subscribe(activity.add)
-            extras = ()  # subscribed, once
+            unsubscribed = ()  # subscribed, once
             if not more:
                 yield from activity._wait_geq_steps(self.ctx.proc, activity.count + 1, reason)
+        for ev in extras:
+            if ev.error is not None:
+                raise ev._raised_error()
 
     # -- teams -----------------------------------------------------------
 
@@ -338,15 +344,19 @@ class RuntimeBackend(abc.ABC):
         self, storage: EventStorage, slot: int, count: int, timeout: float | None = None
     ) -> None:
         """Block until ``count`` notifications are pending, then consume them;
-        raise :class:`CafTimeoutError`, consuming nothing, if they are not
-        all there ``timeout`` virtual seconds after the call."""
+        raise, consuming nothing, :class:`CafTimeoutError` if they are not
+        all there ``timeout`` virtual seconds after the call, or
+        :class:`ImageFailedError` once a member of the event's team has
+        failed before they are (Fortran 2018's ``STAT_FAILED_IMAGE``)."""
         self.ctx.proc.run_script(self._event_wait_steps(storage, slot, count, timeout))
 
     def _event_wait_steps(
         self, storage: EventStorage, slot: int, count: int, timeout: float | None = None
     ):
         """:meth:`event_wait`: the timer, if any, is armed here and kicks the
-        progress engine when it fires, so the wait's predicate reruns."""
+        progress engine when it fires, so the wait's predicate reruns, as a
+        failure does. What already arrived still counts: a satisfied wait
+        returns whoever has failed."""
         reason = f"event_wait(slot={slot}, count={count})"
         expired = [False]
         timer = None
@@ -358,19 +368,31 @@ class RuntimeBackend(abc.ABC):
                 self.kick()
 
             timer = self.ctx.engine.call_in(timeout, fire)
+        failed, team = self.ctx.cluster.failed_ranks, storage.team
         yield from self._await_event_steps(
-            storage, lambda: expired[0] or storage.count(slot) >= count, reason
+            storage,
+            lambda: storage.count(slot) >= count or expired[0]
+            or (failed and not failed.isdisjoint(team.members)),
+            reason,
         )
         if timer is not None:
             # Satisfied first: a timer left armed would still hold the
             # clock (the run would end at the timeout) and count an event.
             self.ctx.engine.cancel(timer)
         have = storage.count(slot)
-        if have < count:
+        if have < count and expired[0]:
             raise CafTimeoutError(
                 f"event_wait(slot={slot}) timed out after {timeout}s "
                 f"with {have}/{count} notifications"
             )
+        if have < count:
+            index, w = next((i, w) for i, w in enumerate(team.members) if w in failed)
+            raise ImageFailedError(w, (
+                f"event_wait(slot={slot}) with {have}/{count} notifications: image "
+                f"{index} of team {team.team_id} (world rank {w}) has failed, so the "
+                "rest may never come: recover on the survivors (shrink_team) or "
+                "restart from a checkpoint"
+            ))
         storage.consume(slot, count)
 
     def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):

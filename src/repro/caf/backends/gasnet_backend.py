@@ -170,6 +170,11 @@ class GasnetBackend(RuntimeBackend):
                 exchange.set_peer_bases(peers)
             return exchanges
 
+        # Transfers to failed images are abandoned with their team: no
+        # later sync reports them.
+        failed = cluster.failed_ranks
+        self._outstanding_puts = [h for h in self._outstanding_puts if h.peer not in failed]
+        self._outstanding_gets = [h for h in self._outstanding_gets if h.peer not in failed]
         return cluster.shared(("caf-gasnet-shrink", team.team_id), build)[self.ctx.rank]
 
     # -- coarrays ----------------------------------------------------------------------
@@ -237,7 +242,10 @@ class GasnetBackend(RuntimeBackend):
         yield from self._send_thunk_steps(
             target_world, self.AM_BYTES + data.nbytes, on_target
         )
-        yield from self.gasnet._block_until_steps(lambda: acks[0] > 0, "am_write ack")
+        yield from self.gasnet._block_until_steps(
+            self.gasnet._unless_failed(lambda: acks[0] > 0, (target_world,), "am_write ack"),
+            "am_write ack",
+        )
 
     def _read_steps(self, storage: _CoarrayStorage, target: int, runs: list, out: np.ndarray):
         return self.gasnet._get_steps(
@@ -303,9 +311,7 @@ class GasnetBackend(RuntimeBackend):
             handles += self._outstanding_gets
             self._outstanding_gets = []
         # wait_syncnb_all, turning the CAF progress engine meanwhile.
-        yield from self._progress_wait_steps(
-            lambda: all(h.done for h in handles), "wait_syncnb_all"
-        )
+        yield from self._progress_wait_steps(self.gasnet._synced(handles), "wait_syncnb_all")
         self.gasnet._san_release(handles)
 
     def _quiet_steps(self):

@@ -106,6 +106,8 @@ class MpiBackend(RuntimeBackend):
         self.am_comm = self.mpi.COMM_WORLD.dup()
         self._am_matching = self.am_comm.state.user
         self._activity = self._am_matching.arrivals[ctx.rank]
+        # A wait that depends on an image that fails must rerun its test.
+        ctx.cluster.failure_listeners.append(lambda _rank: self.kick())
         # §3.5: the runtime "internally maintains an array of request
         # handles of implicitly synchronized PUT operations and another
         # array ... of GET operations"; cofence WAITALLs them selectively.
@@ -127,18 +129,34 @@ class MpiBackend(RuntimeBackend):
 
     # -- teams ----------------------------------------------------------------
 
+    @staticmethod
+    def _team_comm(comm):
+        """A team's communicator (None for an image outside the split): it
+        is revoked when a member fails, so every wait over the team fails
+        unless satisfied, also one on a member that is alive."""
+        if comm is not None:
+            comm.state.revoke_on_failure = True
+        return comm
+
     def make_world_team_handle(self, team: "Team"):
-        return self._team_world_comm
+        return self._team_comm(self._team_world_comm)
 
     def split_team_handle(self, parent: "Team", color: int, key: int, entry):
-        return parent.handle.split(color, key)
+        return self._team_comm(parent.handle.split(color, key))
 
     def shrink_team_handle(self, parent: "Team", team: "Team"):
         # ULFM MPIX_COMM_SHRINK: the survivor that decided the team builds
         # the communicator's successor here too, from the same failed set.
         comm = parent.handle.shrink()
         assert comm.state.group == team.members, (comm.state.group, team.members)
-        return comm
+        # What the old team lost is abandoned with it: completion stops
+        # walking revoked teams' windows, and no later wait reports a failed op.
+        self._windows = [w for w in self._windows if not w.comm.state.revoked]
+        self._implicit_puts, self._implicit_gets, self._am_sends = (
+            [req for req in reqs if req.error is None]
+            for reqs in (self._implicit_puts, self._implicit_gets, self._am_sends)
+        )
+        return self._team_comm(comm)
 
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 

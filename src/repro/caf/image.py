@@ -92,9 +92,10 @@ class Image:
         """
         w = team.world_rank(index)
         if w in self._failed_ranks:
-            raise ImageFailedError(
-                w, f"image {index} of team {team.team_id} (world rank {w}) has failed"
-            )
+            raise ImageFailedError(w, (
+                f"image {index} of team {team.team_id} (world rank {w}) has failed: "
+                "recover on the survivors (shrink_team) or restart from a checkpoint"
+            ))
 
     # -- allocation -------------------------------------------------------------
 
@@ -223,10 +224,19 @@ class Image:
                 board[(p, p)] = board.get((p, p), 0) + 1
             else:
                 self.spawn(p, _sync_images_mark, self.rank)
+
+        def missing() -> list[int]:
+            return [p for p in partners if board.get((self.rank, p), 0) < needed[p]]
+
+        # The wait depends on the partners whose token has not come: it
+        # fails once one of them has.
+        failed = self._failed_ranks
         self.backend.progress_wait(
-            lambda: all(board.get((self.rank, p), 0) >= needed[p] for p in partners),
+            lambda: not missing() or (failed and not failed.isdisjoint(missing())),
             f"sync_images({partners})",
         )
+        for p in missing():
+            self._check_alive(self.team_world, p)
         for p in partners:
             self._sync_consumed[p] = needed[p]
 

@@ -38,7 +38,7 @@ from repro.gasnet.core import GasnetRank
 from repro.sim import costs as _costs
 from repro.gasnet.segment import SegmentAllocator
 from repro.sim.sync import agree_steps
-from repro.util.errors import GasnetError, GasnetProcFailedError
+from repro.util.errors import GasnetError
 
 
 def _collective(steps):
@@ -233,22 +233,13 @@ class TeamExchange:
         )
 
     def _team_wait_steps(self, satisfied, reason: str):
-        """Wait until ``satisfied()``, or fail once a member has died.
-
-        What already arrived still counts: a satisfied wait returns even
-        with a dead member. An unsatisfied one raises
-        :class:`GasnetProcFailedError` naming the dead member instead of
-        parking forever (the world wakes every rank when one fails)."""
-        failed = self.gasnet.ctx.cluster.failed_ranks
-        members = self.members
-        yield from self.gasnet._block_until_steps(
-            lambda: satisfied() or (failed and not failed.isdisjoint(members)), reason
+        """Wait until ``satisfied()``: a wait over the team depends on every
+        member, so an unsatisfied one fails once a member has
+        (:meth:`~repro.gasnet.core.GasnetRank._unless_failed`)."""
+        g = self.gasnet
+        return g._block_until_steps(
+            g._unless_failed(satisfied, self.members, reason, "team member"), reason
         )
-        if not satisfied():
-            dead = next(w for w in members if w in failed)
-            raise GasnetProcFailedError(
-                dead, f"{reason}: team member world rank {dead} has failed"
-            )
 
     def _next_seq(self) -> int:
         seq = self.seq

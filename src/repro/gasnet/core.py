@@ -48,6 +48,8 @@ class Handle:
     """Completion handle for a nonblocking put/get (gasnet_handle_t)."""
 
     kind: str
+    #: World rank of the segment's owner: a sync fails if it fails first.
+    peer: int
     event: SimEvent = field(default_factory=lambda: SimEvent("gasnet-handle"))
     #: Sanitizer shadow records released when this handle is synced.
     records: list = field(default_factory=list)
@@ -246,9 +248,10 @@ class GasnetRank:
         if limit is None:
             return
         if self._credits.get(dest, limit) <= 0:
+            reason = f"am credits to rank {dest}"
             yield from self._block_until_steps(
-                lambda: self._credits.get(dest, limit) > 0,
-                f"am credits to rank {dest}",
+                self._unless_failed(lambda: self._credits.get(dest, limit) > 0, (dest,), reason),
+                reason,
             )
         self._credits[dest] = self._credits.get(dest, limit) - 1
 
@@ -450,6 +453,39 @@ class GasnetRank:
                 continue  # more AMs this caller may handle arrived mid-poll
             yield from activity._wait_geq_steps(proc, seen + 1, reason)
 
+    # -- failures: one rule for every wait ----------------------------------------
+
+    def _unless_failed(
+        self, satisfied: Callable[[], bool], peers, reason: str, role: str = "peer"
+    ) -> Callable[[], bool]:
+        """``satisfied`` as a wait's predicate under the failure rule: once
+        the wait is unsatisfied and depends on a failed image — this rank,
+        or a world rank of ``peers`` (an iterable, or a callable giving one)
+        — it raises :class:`GasnetProcFailedError` naming it. What already
+        arrived still counts. The world wakes every rank when one fails, so
+        a parked wait reruns it."""
+        failed = self.ctx.cluster.failed_ranks
+
+        def pred() -> bool:
+            if satisfied():
+                return True
+            if not failed:
+                return False
+            ranks = (self.rank, *(peers() if callable(peers) else peers))
+            dead = next((w for w in ranks if w in failed), None)
+            if dead is None:
+                return False
+            what = (
+                f"this rank (world rank {dead}) was declared failed" if dead == self.rank
+                else f"{role} world rank {dead} has failed"
+            )
+            raise GasnetProcFailedError(dead, (
+                f"{reason}: {what}, so it cannot complete: recover on the survivors "
+                "(shrink the team) or restart from a checkpoint"
+            ))
+
+        return pred
+
     # -- one-sided RDMA ---------------------------------------------------------
 
     def _begin(self, op: str, owner: int, ranges, *, is_write: bool) -> Handle:
@@ -457,7 +493,7 @@ class GasnetRank:
         with the access recorded by the sanitizer (a no-op unless the
         cluster sanitizes); the record releases when the handle is synced
         (wait_syncnb[_all])."""
-        handle = Handle(kind=f"{op}({'dest' if is_write else 'src'}={owner})")
+        handle = Handle(kind=f"{op}({'dest' if is_write else 'src'}={owner})", peer=owner)
         san = self.ctx.sanitizer
         if san is not None:
             rec = san.record_remote(
@@ -609,12 +645,14 @@ class GasnetRank:
         return ranges
 
     def wait_syncnb(self, handle: Handle) -> None:
-        """gasnet_wait_syncnb: block (with AM progress) until the handle fires."""
+        """gasnet_wait_syncnb: block (with AM progress) until the handle
+        fires; raise :class:`GasnetProcFailedError` if its peer fails first."""
         self.ctx.proc.run_script(self._wait_syncnb_steps(handle))
 
     def _wait_syncnb_steps(self, handle: Handle):
+        reason = f"wait_syncnb({handle.kind})"
         yield from self._block_until_steps(
-            lambda: handle.done, f"wait_syncnb({handle.kind})"
+            self._unless_failed(lambda: handle.done, (handle.peer,), reason), reason
         )
         self._san_release((handle,))
 
@@ -622,10 +660,16 @@ class GasnetRank:
         self.ctx.proc.run_script(self._wait_syncnb_all_steps(handles))
 
     def _wait_syncnb_all_steps(self, handles: list[Handle]):
-        yield from self._block_until_steps(
-            lambda: all(h.done for h in handles), "wait_syncnb_all"
-        )
+        yield from self._block_until_steps(self._synced(handles), "wait_syncnb_all")
         self._san_release(handles)
+
+    def _synced(self, handles) -> Callable[[], bool]:
+        """The predicate of a sync of ``handles``: all done, or raise once
+        the peer of one still open has failed."""
+        return self._unless_failed(
+            lambda: all(h.done for h in handles),
+            lambda: (h.peer for h in handles if not h.done), "wait_syncnb_all",
+        )
 
     def put(self, dest: int, dest_offset: int, data) -> None:
         """gasnet_put (blocking): returns when remotely complete."""

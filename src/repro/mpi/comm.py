@@ -49,9 +49,14 @@ class _CommState:
         # {"result": ...}.
         self.agree_seq = [0] * n
         self.agree_boards: dict[int, dict[str, Any]] = {}
-        #: ULFM revocation flag: set by :meth:`Comm.revoke`, checked on
-        #: every p2p entry so the error propagates comm-wide.
-        self.revoked = False
+        #: ULFM revocation: None, or the message of the error every pending
+        #: and later op raises (set by :meth:`Comm.revoke`, checked on every
+        #: p2p entry so the error propagates comm-wide).
+        self.revoked: str | None = None
+        #: Revoke when a member fails (a CAF team's communicator: Fortran
+        #: 2018's image control over a team with a failed image fails, so a
+        #: member waiting on a live one wakes too).
+        self.revoke_on_failure = False
         # ULFM eager failure: when a group member dies, pending receives
         # from it (and rendezvous sends parked at it) complete in error
         # instead of hanging forever, and so do its own pending receives.
@@ -75,8 +80,9 @@ class _CommState:
                         posted._fail(
                             MpiProcFailedError(
                                 world_rank,
-                                f"pending receive from failed peer {c} "
-                                f"(world rank {world_rank})",
+                                f"pending receive from failed peer {c} (world rank "
+                                f"{world_rank}): shrink the communicator over the "
+                                "survivors, or restart from a checkpoint",
                             )
                         )
                     else:
@@ -89,18 +95,25 @@ class _CommState:
                     env.rendezvous._fail(
                         MpiProcFailedError(
                             world_rank,
-                            f"rendezvous send to failed peer {c} "
-                            f"(world rank {world_rank})",
+                            f"rendezvous send to failed peer {c} (world rank "
+                            f"{world_rank}): shrink the communicator over the "
+                            "survivors, or restart from a checkpoint",
                         )
                     )
             matching.unexpected[c].clear()
+        if self.revoke_on_failure:
+            self._revoke(
+                f"communicator (context {self.context_id}) was revoked when member "
+                f"{c} (world rank {world_rank}) failed: shrink it over the "
+                "survivors, or restart from a checkpoint"
+            )
 
-    def _revoke(self) -> None:
+    def _revoke(self, message: str | None = None) -> None:
         """Scheduler-safe revocation: fail every pending p2p operation."""
         if self.revoked:
             return
-        self.revoked = True
-        exc = MpiRevokedError(self.context_id)
+        exc = MpiRevokedError(self.context_id, message)
+        self.revoked = str(exc)
         for matching in (self.user, self.coll, self.nbc):
             for dst in range(len(self.group)):
                 pending, matching.posted[dst][:] = matching.posted[dst][:], []
@@ -151,9 +164,10 @@ class Comm:
         """
         w = self.state.group[peer]
         if w in self.ctx.cluster.failed_ranks:
-            raise MpiProcFailedError(
-                w, f"peer {peer} (world rank {w}) has failed"
-            )
+            raise MpiProcFailedError(w, (
+                f"peer {peer} (world rank {w}) has failed: shrink the "
+                "communicator over the survivors, or restart from a checkpoint"
+            ))
 
     def failed_ranks(self) -> list[int]:
         """Comm ranks of group members known to have crashed
@@ -164,7 +178,7 @@ class Comm:
     def check_revoked(self) -> None:
         """Raise :class:`MpiRevokedError` if this communicator is revoked."""
         if self.state.revoked:
-            raise MpiRevokedError(self.state.context_id)
+            raise MpiRevokedError(self.state.context_id, self.state.revoked)
 
     def revoke(self) -> None:
         """ULFM's MPIX_COMM_REVOKE: poison the communicator everywhere.
@@ -340,7 +354,9 @@ class Comm:
         agent, view = self._nbc
         req = Request("i%s(ctx=%s)", self.ctx.proc, kind, self.state.context_id)
         done = agent.submit(lambda agent_ctx: agent_ctx.proc.run_script(steps(view)))
-        done.subscribe(req.fire)
+        # An error on the agent (a dead peer, a revoked communicator) is
+        # the request's: its waiter re-raises it.
+        done.subscribe(lambda: req.fire() if done.error is None else req._fail(done.error))
         return req
 
     def ibarrier(self) -> Request:

@@ -22,7 +22,7 @@ class Request(SimEvent):
     """Completion handle for a nonblocking MPI operation."""
 
     __slots__ = (
-        "_kind", "_kind_args", "_proc", "status", "error",
+        "_kind", "_kind_args", "_proc", "status",
         # A posted receive's match filter, buffer and world rank (completion
         # may run under the sender's comm object, whose rank is not ours);
         # a rendezvous send's payload view is its ``buf``.
@@ -41,19 +41,7 @@ class Request(SimEvent):
         self._waiters: list[Proc] = []
         self._callbacks: list = []
         self.status = Status()
-        #: Set by :meth:`_fail`; re-raised from :meth:`wait` — the ULFM
-        #: model where a pending operation involving a failed process
-        #: completes in error instead of hanging.
-        self.error: Exception | None = None
-
-    # -- completion (library side) ---------------------------------------
-
-    def _fail(self, exc: Exception) -> None:
-        """Complete the request in error (idempotent, scheduler context)."""
-        if self.is_set:
-            return
-        self.error = exc
-        self.fire()
+        self.error = None  # see SimEvent._fail
 
     def _matches(self, env) -> bool:
         """Does this posted receive take ``env`` (a p2p envelope)?"""
@@ -95,15 +83,6 @@ class Request(SimEvent):
                 raise self._raised_error()
             return True, self.status
         return False, None
-
-    def _raised_error(self) -> Exception:
-        """A copy of :attr:`error` to raise. The stored one never carries a
-        traceback: its frames hold this request (and whatever holds it), so
-        the pair would be a reference cycle outliving the run."""
-        error = self.error
-        raised = type(error).__new__(type(error), *error.args)
-        raised.__dict__.update(error.__dict__)
-        return raised
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Request {self.kind} {'done' if self.completed else 'pending'}>"

@@ -35,7 +35,7 @@ from repro.mpi.request import Request, recorded_steps
 from repro.sim import costs as _costs
 from repro.sim.sync import SimEvent
 from repro.util.buffers import flatten, snapshot
-from repro.util.errors import MpiError
+from repro.util.errors import MpiError, MpiProcFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.comm import Comm
@@ -149,10 +149,15 @@ class Window:
         self._obs = comm.ctx.metrics
         # Remote completion is a fact about the *origin's* ops (FLUSH only
         # speaks about the caller's own), so this handle owns it: target ->
-        # my ops not yet complete there (absent = none), and their sum, so
-        # FLUSH_ALL tests one integer.
-        self._pending: dict[int, int] = {}
+        # the requests of my ops not yet complete there (absent = none), and
+        # their count, so FLUSH_ALL tests one integer.
+        self._pending: dict[int, list[Request]] = {}
         self._inflight = 0
+        # ULFM: ops a failure dropped (target -> the failed world rank),
+        # until the next flush covering the target reports them. Creation
+        # (_create_window) joins the handle to the run's failed set.
+        self._failed: set[int] = set()
+        self._lost: dict[int, int] = {}
         self._dirty = False  # epoch activity since my last FLUSH_ALL
         self._lock_all_held = False
         # Events fired when _pending[target] / _inflight drain to zero.
@@ -310,12 +315,19 @@ class Window:
         record until the op's synchronization point: a flush, or for
         ``round_trip`` ops request completion, which *is* remote completion.
         """
-        self._pending[target] = self._pending.get(target, 0) + 1
-        self._inflight += 1
-        self._dirty = True
+        if self._failed:  # the target, or this rank, may have failed meanwhile
+            self.comm.check_alive(self.rank)
+            self.comm.check_alive(target)
         req = Request(
             "%s(win=%d,target=%d)", self.ctx.proc, label or op, self.win_id, target
         )
+        reqs = self._pending.get(target)
+        if reqs is None:
+            self._pending[target] = [req]
+        else:
+            reqs.append(req)
+        self._inflight += 1
+        self._dirty = True
         san = self._san
         if san is None:
             return req
@@ -336,21 +348,65 @@ class Window:
             req.subscribe(lambda: san.release_records((rec,)))
         return req
 
-    def _op_done(self, target: int) -> None:
-        """One of my ops is complete at ``target`` (its ack or response
+    def _op_done(self, target: int, req: Request) -> None:
+        """My op ``req`` is complete at ``target`` (its ack or response
         landed here): wake my flushes that were waiting for exactly that."""
-        left = self._pending[target] - 1
+        try:
+            reqs = self._pending[target]
+        except KeyError:  # a failure already dropped it (_on_rank_failure)
+            return
+        reqs.remove(req)
         self._inflight -= 1
-        if left:
-            self._pending[target] = left
-        else:
+        if not reqs:
             del self._pending[target]
-            for ev in self._flush_waiters.pop(target, ()):
-                ev.fire()
+            self._drained(target)
+
+    def _drained(self, target: int) -> None:
+        """No op of mine is pending at ``target`` any more: wake the flushes
+        waiting for that, and for everything if nothing is."""
+        for ev in self._flush_waiters.pop(target, ()):
+            ev.fire()
         if self._inflight == 0 and self._quiet_waiters:
             waiters, self._quiet_waiters = self._quiet_waiters, []
             for ev in waiters:
                 ev.fire()
+
+    # -- failures (ULFM) ---------------------------------------------------------
+
+    def _on_rank_failure(self, world_rank: int) -> None:
+        """Scheduler-context: my ops pending at ``world_rank`` (at every
+        target, if it is this rank) will never complete. Their requests
+        fail, they stop counting, their flushes wake, and the next flush
+        covering them raises the loss once."""
+        group = self.state.group
+        if world_rank not in group:
+            return
+        dead = group.index(world_rank)
+        for t in list(self._pending) if dead == self.rank else [dead]:
+            reqs = self._pending.pop(t, None)
+            if reqs is None:
+                continue
+            self._inflight -= len(reqs)
+            self._lost[t] = world_rank
+            for req in reqs:
+                req._fail(self._lost_op(t, world_rank))
+            self._drained(t)
+
+    def _lost_op(self, target: int, failed: int) -> MpiProcFailedError:
+        """The error of my op to ``target`` that world rank ``failed`` (the
+        target or this rank) dropped."""
+        return MpiProcFailedError(failed, (
+            f"RMA on window {self.win_id} to target {target}: world rank {failed} "
+            "failed before the op completed, so its data may not have landed: "
+            "shrink the communicator over the survivors, or restart from a checkpoint"
+        ))
+
+    def _lost_error(self, target: int | None) -> MpiProcFailedError | None:
+        """The error of a flush of ``target`` (None: of every target) over
+        dropped ops, or None. Reported once: the next flush completes."""
+        lost = sorted(self._lost) if target is None else [t for t in self._lost if t == target]
+        failed = [self._lost.pop(t) for t in lost]
+        return self._lost_op(lost[0], failed[0]) if lost else None
 
     def _observed(self, kind: str, nbytes: int, steps):
         """``steps`` (one blocking op's script) — followed, when metrics
@@ -362,13 +418,13 @@ class Window:
 
     # -- one-sided data movement ------------------------------------------------
 
-    def _one_way(self, target: int, nbytes: int, apply, req: Request | None = None) -> None:
+    def _one_way(self, target: int, nbytes: int, apply, req: Request) -> None:
         """Ship a one-way op (PUT/ACCUMULATE) of ``nbytes`` payload.
 
         ``apply()`` commits it at delivery — after the target-side software
         delay when RMA rides send/recv (Fig. 5) — but the origin only
         *learns* of remote completion an ack later, which is when the op
-        stops being pending and ``req`` (if any) completes.
+        stops being pending and ``req`` completes.
         """
         ctx = self.ctx
         src, dst = self._world(self.rank), self._world(target)
@@ -376,9 +432,8 @@ class Window:
         def on_delivered() -> None:
             def commit() -> None:
                 def acked() -> None:
-                    self._op_done(target)
-                    if req is not None:
-                        req.fire()
+                    self._op_done(target, req)
+                    req.fire()
 
                 apply()
                 _costs.charge_in(ctx, "ack", acked, a=src, b=dst)
@@ -409,7 +464,7 @@ class Window:
 
                 def at_origin() -> None:
                     dest[...] = result
-                    self._op_done(target)
+                    self._op_done(target, req)
                     req.fire()
 
                 fabric.send(dst, src, response_nbytes, at_origin)
@@ -699,7 +754,8 @@ class Window:
         return self.ctx.proc.run_script(self._rflush_steps(target))
 
     def _rflush_steps(self, target: int):
-        self._check_target(target, 0, 0)
+        if target not in self._lost:  # else its loss is the error
+            self._check_target(target, 0, 0)
         yield _costs.cost(self.ctx, "mpi.rflush")
         req = Request("rflush(win=%d,t=%d)", self.ctx.proc, self.win_id, target)
         self._when_quiet(req, target)
@@ -719,7 +775,8 @@ class Window:
 
     def _when_quiet(self, req: Request, target: int | None = None) -> None:
         """Complete ``req`` once my ops pending *now* — at ``target``, or at
-        every target — are done; the sanitizer records they hold open are
+        every target — are done, or fail it if a failure dropped some
+        (:meth:`_lost_error`); the sanitizer records they hold open are
         released with it."""
         san = self._san
         if san is not None:
@@ -734,15 +791,23 @@ class Window:
         # also counts ops the origin issues after rflush returns — including
         # ops to targets that had nothing pending here.
         remaining = [t for t in sorted(self._pending) if target is None or t == target]
+
+        def settle() -> None:
+            err = self._lost_error(target) if self._lost else None
+            if err is None:
+                req.fire()
+            else:
+                req._fail(err)
+
         if not remaining:
-            req.fire()
+            settle()
             return
         outstanding = [len(remaining)]
 
         def one_done() -> None:
             outstanding[0] -= 1
             if outstanding[0] == 0:
-                req.fire()
+                settle()
 
         for t in remaining:
             ev = SimEvent(f"rflush-track(o={self.rank},t={t})")
@@ -757,12 +822,17 @@ class Window:
         return self._observed("mpi.flush", 0, self._flush_wait(target))
 
     def _flush_wait(self, target: int):
-        self._check_target(target, 0, 0)
+        if target not in self._lost:  # else its loss is the error
+            self._check_target(target, 0, 0)
         yield _costs.cost(self.ctx, "mpi.flush_overhead")
         while target in self._pending:
             ev = SimEvent(f"flush(win={self.win_id},o={self.rank},t={target})")
             self._flush_waiters.setdefault(target, []).append(ev)
             yield from ev._wait_steps(self.ctx.proc)
+        if self._lost:
+            err = self._lost_error(target)
+            if err is not None:
+                raise err
         san = self._san
         if san is not None:
             san.release_window(
@@ -800,6 +870,8 @@ class Window:
             ev = SimEvent(f"flush_all(win={self.win_id},o={self.rank})")
             self._quiet_waiters.append(ev)
             yield from ev._wait_steps(self.ctx.proc)
+        if self._lost:
+            raise self._lost_error(None)
         san = self._san
         if san is not None:
             san.release_window(self.win_id, self._world(self.rank))
@@ -965,6 +1037,8 @@ def _create_window(comm: "Comm", build, segment_bytes: int | None = None) -> Win
         comm._agree_steps(None, lambda _args: build(world.next_win_id()))
     )
     win = Window(state, comm)
+    win._failed = comm.ctx.cluster.failed_ranks
+    world.failure_listeners.append(win._on_rank_failure)
     if segment_bytes is not None:
         comm.ctx.memory.alloc(comm.ctx.rank, f"mpi/win{win.win_id}", segment_bytes)
     return win

@@ -16,18 +16,18 @@ near-equal strips), reload their data from the last checkpoint, and keep
 going, up to N times. The first survivor to shrink decides the team (and
 CGPOP's communicator) for every survivor, so none waits for another.
 
-Every blocking wait in the steady-state loop carries a timeout,
-:data:`WAIT_TIMEOUT`, so a crash anywhere surfaces as
-:class:`~repro.util.errors.CafTimeoutError` /
-:class:`~repro.util.errors.ImageFailedError` (CAF side) or
+A crash reaches every survivor by one rule of the runtimes: an unsatisfied
+wait raises once it depends on a failed image — its target, or any member
+of the team or communicator it waits over — and what already arrived still
+counts. So a survivor parked in an event wait, a team barrier or
+agreement, a flush, a handle sync or an async collective's ``cofence``
+wakes with :class:`~repro.util.errors.ImageFailedError`,
 :class:`~repro.util.errors.MpiProcFailedError` /
-:class:`~repro.util.errors.MpiRevokedError` (MPI side) on every survivor in
-bounded virtual time — no barriers stand between a failure and its
-detection. (The coordinated checkpoint itself still barriers, and a team
-barrier fails on a dead member; a survivor can still stall waiting on
-another survivor that left for recovery, or on a one-sided op to the dead
-image, and a shrink run has no restart path unless ``run_resilient``
-drives it: ROADMAP item 19.)
+:class:`~repro.util.errors.MpiRevokedError` or
+:class:`~repro.util.errors.GasnetProcFailedError` at the crash's virtual
+time: the model is a perfect, immediate failure detector, and no wait
+carries a timer. A crash before the program's first statement (inside the
+backend's start-up collectives) ends the run: no recovery loop exists yet.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ import numpy as np
 from repro.apps.cgpop import CgSolver, assemble_solution, block_bounds
 from repro.apps.randomaccess import RaRouter
 from repro.util.errors import (
-    CafTimeoutError,
     GasnetProcFailedError,
     ImageFailedError,
     MpiProcFailedError,
@@ -51,22 +50,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
     from repro.caf.teams import Team
 
-#: Everything a crash can surface as on a survivor: CAF-level image failure
-#: or bounded-wait timeout, plus the conduit-level process-failure errors
-#: leaking through the CAF-over-MPI / CAF-over-GASNet backends or the
-#: app's own MPI collectives. A survivor must confirm a real crash
-#: (``img.cluster.failed_ranks``) before treating one as recoverable.
+#: Everything a crash can surface as on a survivor: CAF-level image
+#: failure, plus the conduit-level process-failure errors leaking through
+#: the CAF-over-MPI / CAF-over-GASNet backends or the app's own MPI
+#: collectives. A survivor recovers only once a member of its team has
+#: failed.
 _ALL_FAILURES = (
     ImageFailedError,
-    CafTimeoutError,
     MpiProcFailedError,
     MpiRevokedError,
     GasnetProcFailedError,
 )
-
-#: Virtual seconds a steady-state wait allows; a satisfied wait cancels its
-#: timer, so the bound never moves a fault-free schedule.
-WAIT_TIMEOUT = 0.25
 
 
 def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
@@ -79,10 +73,10 @@ def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
     ``{}`` with no checkpoint (a cold restart on the survivors). It then
     runs one iteration per step and yields the app state to checkpoint
     after it. A failure is recovered only with a nonzero budget
-    (``run_caf(..., max_recoveries=N)``), only once a crash is confirmed (a
-    timeout with nobody dead is a real bug, not a crash), and only within
-    the budget: survivors revoke and shrink ``comm``, shrink the team, and
-    go back to the build. Nothing between the two shrinks yields, so the
+    (``run_caf(..., max_recoveries=N)``), only once a member of ``team``
+    has failed (an error with none dead is a real bug, not a crash), and
+    only within the budget: survivors revoke and shrink ``comm``, shrink
+    the team, and go back to the build. Nothing between the two shrinks yields, so the
     first survivor to shrink decides the communicator and the team from one
     failed set. Returns the final team and the recovery count; the team is
     None if the run declared this image failed while it was alive, which
@@ -101,9 +95,10 @@ def _shrink_loop(img: "Image", attempt, comm=None) -> "tuple[Team | None, int]":
             break
         except _ALL_FAILURES as exc:
             max_recoveries = r.service.max_recoveries if r is not None else 0
-            if not max_recoveries or not img.cluster.failed_ranks:
+            failed = img.cluster.failed_ranks
+            if not max_recoveries or failed.isdisjoint(team.members):
                 raise
-            if img.rank in img.cluster.failed_ranks:
+            if img.rank in failed:
                 return None, recoveries  # only survivors shrink
             if recoveries >= max_recoveries:
                 raise ResilienceError(
@@ -140,7 +135,7 @@ def _ra_router(
     index_of = {w: i for i, w in enumerate(team.members)}
     router = RaRouter(
         img, team, owners=[index_of[w] for w in owners], tables=tables.local,
-        timeout=WAIT_TIMEOUT, armed=armed, **kw,
+        armed=armed, **kw,
     )
     r = img.resilience
     return router, r.coarray_index(tables) if r is not None else 0
@@ -234,8 +229,8 @@ def _cg_solver(
     state = img.allocate_coarray((3, -(-ny // team.size), nx), np.float64, team=team)
     row0, row1 = block_bounds(team.my_index, ny, team.size)
     solver = CgSolver(
-        img, team, comm, ny=ny, nx=nx, seed=seed, timeout=WAIT_TIMEOUT,
-        state=state.local[:, : row1 - row0], armed=armed,
+        img, team, comm, ny=ny, nx=nx, seed=seed, state=state.local[:, : row1 - row0],
+        armed=armed,
     )
     r = img.resilience
     return solver, r.coarray_index(state) if r is not None else 0

@@ -339,8 +339,8 @@ class ImageResilience:
         """Survivor-side shrink recovery: agree on the dead set, rebuild.
 
         Every surviving image of ``team`` calls this after observing a
-        failure (an :class:`~repro.util.errors.ImageFailedError`, an event
-        timeout, ...). Returns the shrunken team plus the last committed
+        failure (an :class:`~repro.util.errors.ImageFailedError`, a revoked
+        team, ...). Returns the shrunken team plus the last committed
         checkpoint to repartition from, or None if the crash predates the
         first one: the caller then cold-restarts on the shrunken team.
         Either way the iteration counter rewinds to the checkpoint's step
@@ -348,7 +348,11 @@ class ImageResilience:
         iterations must agree on the next :meth:`step` that checkpoints.
         """
         img = self.img
-        ckpt = self.latest()
+        # Decided once, with the shrink, by its first caller: a survivor
+        # still finishing the checkpoint's agreement may commit a newer one.
+        ckpt = img.cluster.shared(
+            ("shrink-checkpoint", (team or img.team_world).team_id), self.latest
+        )
         small = img.shrink_team(team)
         self._step = 0 if ckpt is None else ckpt.step
         return small, ckpt

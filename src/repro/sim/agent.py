@@ -5,7 +5,10 @@ owning rank's machine parameters but has its own virtual timeline, so work
 it performs overlaps with the rank's main computation — which is the whole
 point of nonblocking collectives and asynchronous CAF operations.
 
-Work items run strictly FIFO, one at a time, on the agent's process.
+Work items run strictly FIFO, one at a time, on the agent's process. A
+work item that fails (a peer died under a collective, a communicator was
+revoked) fails its done event instead of ending the run: the image that
+waits on the event re-raises the error, and the agent takes its next item.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Any
 from repro.sim.cluster import RankCtx
 from repro.sim.engine import Proc
 from repro.sim.sync import Channel, SimEvent
+from repro.util.errors import ReproError
 
 
 class WorkerAgent:
@@ -36,7 +40,7 @@ class WorkerAgent:
 
     def submit(self, work: Callable[[RankCtx], Any]) -> SimEvent:
         """Queue ``work(agent_ctx)``; the returned event fires with its
-        result when the agent completes it."""
+        result when the agent completes it, or fails with its error."""
         done = SimEvent("agent-work")
         self._queue.put((work, done))
         return done
@@ -44,6 +48,10 @@ class WorkerAgent:
     def _loop(self, proc: Proc) -> None:
         while True:
             work, done = self._queue.get(proc)
-            result = work(self.ctx)
+            try:
+                result = work(self.ctx)
+            except ReproError as exc:
+                done._fail(exc.with_traceback(None))
+            else:
+                done.fire(result)
             self.items_executed += 1
-            done.fire(result)

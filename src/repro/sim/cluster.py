@@ -190,15 +190,7 @@ class Cluster:
 
     def _crash_rank(self, rank: int) -> None:
         """Scheduler-context delivery of an injected image crash."""
-        if rank in self.failed_ranks:
-            return
-        self.failed_ranks.add(rank)
-        self.failure_log.append(
-            {"rank": rank, "time": self.engine.now, "reason": "crash"}
-        )
-        self.ctxs[rank].proc._crash()
-        for listener in list(self.failure_listeners):
-            listener(rank)
+        self._fail_rank(rank, "crash", kill=True)
 
     def declare_failed(self, rank: int, *, reason: str = "declared") -> None:
         """Mark ``rank`` failed without killing its process.
@@ -209,12 +201,17 @@ class Cluster:
         ``ImageFailedError``/``MpiProcFailedError``, exactly as for a real
         crash.
         """
+        self._fail_rank(rank, reason, kill=False)
+
+    def _fail_rank(self, rank: int, reason: str, *, kill: bool) -> None:
+        """``rank`` enters the failed set and the log (once); with ``kill``
+        its process dies; then every failure listener hears of it."""
         if rank in self.failed_ranks:
             return
         self.failed_ranks.add(rank)
-        self.failure_log.append(
-            {"rank": rank, "time": self.engine.now, "reason": reason}
-        )
+        self.failure_log.append({"rank": rank, "time": self.engine.now, "reason": reason})
+        if kill:
+            self.ctxs[rank].proc._crash()
         for listener in list(self.failure_listeners):
             listener(rank)
 

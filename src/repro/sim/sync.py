@@ -21,16 +21,20 @@ class SimEvent:
     """A one-shot level-triggered flag processes can wait on.
 
     Optionally carries a value set at fire time (used for completion
-    handles that deliver data, e.g. fetched RMA results).
+    handles that deliver data, e.g. fetched RMA results), or the error it
+    completed in (:meth:`_fail`), which its waiter re-raises.
     """
 
     #: ``_ir_id`` is the IR recorder's object id, set at first record.
-    __slots__ = ("label", "is_set", "value", "_waiters", "_callbacks", "_ir_id")
+    __slots__ = ("label", "is_set", "value", "error", "_waiters", "_callbacks", "_ir_id")
 
     def __init__(self, label: str = "event"):
         self.label = label
         self.is_set = False
         self.value: Any = None
+        #: Set by :meth:`_fail` — the ULFM model where a pending operation
+        #: involving a failed process completes in error instead of hanging.
+        self.error: Exception | None = None
         self._waiters: list[Proc] = []
         self._callbacks: list[Callable[[], None]] = []
 
@@ -52,6 +56,22 @@ class SimEvent:
         for cb in callbacks:
             cb()
 
+    def _fail(self, exc: Exception) -> None:
+        """Complete in error (idempotent, scheduler context)."""
+        if self.is_set:
+            return
+        self.error = exc
+        self.fire()
+
+    def _raised_error(self) -> Exception:
+        """A copy of :attr:`error` to raise. The stored one never carries a
+        traceback: its frames hold this event (and whatever holds it), so
+        the pair would be a reference cycle outliving the run."""
+        error = self.error
+        raised = type(error).__new__(type(error), *error.args)
+        raised.__dict__.update(error.__dict__)
+        return raised
+
     def subscribe(self, cb: Callable[[], None]) -> None:
         """Run ``cb`` when the event fires (immediately if already set)."""
         if self.is_set:
@@ -60,7 +80,8 @@ class SimEvent:
             self._callbacks.append(cb)
 
     def wait(self, proc: Proc) -> Any:
-        """Block ``proc`` until the flag is set; returns the fired value."""
+        """Block ``proc`` until the flag is set; returns the fired value, or
+        raises the error the event failed with."""
         return proc.run_script(self._wait_steps(proc))
 
     def _wait_steps(self, proc: Proc):
@@ -75,6 +96,8 @@ class SimEvent:
             # Recorded at wait *exit*: the op's id order is live completion
             # order, which is how replay re-resolves same-time wake races.
             rec.on_wait_geq(self, 1)
+        if self.error is not None:
+            raise self._raised_error()
         return self.value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,6 +11,8 @@ from repro.util.errors import (
     CafTimeoutError,
     GasnetProcFailedError,
     ImageFailedError,
+    MpiProcFailedError,
+    MpiRevokedError,
 )
 
 CRASH_AT = 2e-3
@@ -29,8 +31,8 @@ def _crash_run(program, backend, nranks=4, **kwargs):
 
 def test_crash_surfaces_everywhere(backend):
     """Survivors observe the dead image through every CAF surface: the
-    failure query, eager errors on operations naming it, and a bounded
-    event wait instead of a hang."""
+    failure query, eager errors on operations naming it, and an event wait
+    on its team failing (before its timer) instead of a hang."""
 
     def program(img):
         co = img.allocate_coarray(4, np.float64)
@@ -47,17 +49,11 @@ def test_crash_surfaces_everywhere(backend):
             ("notify", lambda: ev.notify(VICTIM)),
             ("spawn", lambda: img.spawn(VICTIM, lambda im: None)),
             ("sync_images", lambda: img.sync_images([VICTIM])),
+            ("wait", lambda: ev.wait(slot=0, timeout=1e-3)),
         ]:
             with pytest.raises(ImageFailedError) as exc_info:
                 op()
             out[label] = exc_info.value.failed_image
-        # The dead image was this slot's notifier: the wait times out
-        # instead of hanging the survivor forever.
-        try:
-            ev.wait(slot=0, timeout=1e-3)
-            out["wait"] = "posted"
-        except CafTimeoutError:
-            out["wait"] = "timeout"
         return out
 
     result = _crash_run(program, backend)
@@ -67,9 +63,8 @@ def test_crash_surfaces_everywhere(backend):
         if rank == VICTIM:
             continue
         assert out["failed"] == [VICTIM]
-        for label in ("write", "read", "notify", "spawn", "sync_images"):
+        for label in ("write", "read", "notify", "spawn", "sync_images", "wait"):
             assert out[label] == VICTIM  # error identifies the failed rank
-        assert out["wait"] == "timeout"
 
 
 def test_crash_mid_script_unwinds_the_blocked_call(backend):
@@ -99,8 +94,8 @@ def test_crash_mid_script_unwinds_the_blocked_call(backend):
 def test_a_gasnet_team_wait_fails_on_a_dead_member():
     """CAF-GASNet's team barrier raises GasnetProcFailedError on a member
     that died before signalling, instead of parking the survivors. On an
-    async twin's agent the same error ends the run at the crash: the
-    agent has no caller to hand it to."""
+    async twin's agent the same error reaches the image's cofence, and
+    this program lets it end the run at the crash."""
 
     def program(img, asynchronous):
         recv = np.zeros(1)
@@ -123,6 +118,167 @@ def test_a_gasnet_team_wait_fails_on_a_dead_member():
     with pytest.raises(GasnetProcFailedError, match="team member world rank 3") as info:
         _crash_run(program, "gasnet", asynchronous=True)
     assert info.value.caf_cluster.elapsed < 4 * CRASH_AT
+
+
+#: The error a survivor's wait ends in once it depends on a failed image.
+FAILURES = (ImageFailedError, MpiProcFailedError, MpiRevokedError, GasnetProcFailedError)
+
+
+def _names_the_dead_image_and_what_to_do(message):
+    assert f"world rank {VICTIM}" in message, message
+    assert message.endswith("or restart from a checkpoint"), message
+
+
+def test_an_event_wait_on_a_team_with_a_dead_member_raises(backend):
+    """Fortran 2018: a wait over a team with a failed image returns
+    STAT_FAILED_IMAGE. An untimed event_wait on TEAM_WORLD raises
+    ImageFailedError once image 3 dies — parked before the crash or called
+    after it — and what already arrived still counts: a wait whose posts
+    came before the crash returns."""
+
+    def program(img):
+        ev = img.allocate_events(2)
+        img.sync_all()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)  # killed long before this finishes
+            return None
+        if img.rank == 0:
+            ev.notify(1, slot=1)
+        else:
+            img.compute(seconds=3 * CRASH_AT)
+        if img.rank == 1:
+            ev.wait(slot=1)  # posted before the crash: satisfied
+        with pytest.raises(ImageFailedError) as info:
+            ev.wait(slot=0)  # nobody posts it
+        _names_the_dead_image_and_what_to_do(str(info.value))
+        return info.value.failed_image, img.now
+
+    run = _crash_run(program, backend)
+    assert [r[0] for r in run.results[:VICTIM]] == [VICTIM] * 3
+    assert run.results[0][1] == pytest.approx(CRASH_AT, abs=1e-6)  # woke at the crash
+
+
+def test_a_sync_images_parked_on_a_dead_partner_raises(backend):
+    """SYNC IMAGES depends on the partners whose token has not come: image
+    0, parked on images 1 and 3, raises ImageFailedError naming image 3 at
+    its crash, although image 1's token arrived."""
+
+    def program(img):
+        img.sync_all()
+        if img.rank == 1:
+            img.sync_images([0])
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+        if img.rank != 0:
+            return None
+        with pytest.raises(ImageFailedError) as info:
+            img.sync_images([1, VICTIM])
+        _names_the_dead_image_and_what_to_do(str(info.value))
+        return info.value.failed_image, img.now
+
+    failed, woke = _crash_run(program, backend).results[0]
+    assert (failed, woke) == (VICTIM, pytest.approx(CRASH_AT, abs=1e-6))
+
+
+def test_an_mpi_team_barrier_with_a_dead_member_fails_unless_satisfied():
+    """CAF-MPI revokes a team's communicator when a member fails (ULFM
+    revoke; F2018 STAT_FAILED_IMAGE). A barrier every member passed before
+    the crash returned; one a survivor is parked in at the crash — image 0,
+    possibly on a live member — and one entered after it fail, naming the
+    dead image and what to do."""
+
+    def program(img):
+        img.barrier()  # satisfied: every member came
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        if img.rank != 0:
+            img.compute(seconds=3 * CRASH_AT)
+        with pytest.raises((MpiRevokedError, MpiProcFailedError)) as info:
+            img.barrier()
+        _names_the_dead_image_and_what_to_do(str(info.value))
+        return img.now
+
+    run = _crash_run(program, "mpi")
+    assert run.results[0] == pytest.approx(CRASH_AT, abs=1e-6)
+    assert all(t > CRASH_AT for t in run.results[1:VICTIM])
+
+
+def test_a_gasnet_sync_on_a_dead_destination_raises():
+    """gasnet_wait_syncnb on a put whose destination dies before the put
+    completes raises GasnetProcFailedError at the crash, naming it and what
+    to do, instead of parking."""
+    nbytes = 1 << 20  # on the wire for ~330 us: the destination dies under it
+
+    def program(img):
+        co = img.allocate_coarray(nbytes, np.uint8)
+        img.sync_all()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        if img.rank != 0:
+            return None
+        img.compute(seconds=CRASH_AT - 1e-4 - img.now)
+        g = img.backend.gasnet
+        handle = g.put_nb(VICTIM, co.storage.offsets[VICTIM], np.ones(nbytes, np.uint8))
+        with pytest.raises(GasnetProcFailedError) as info:
+            g.wait_syncnb(handle)
+        _names_the_dead_image_and_what_to_do(str(info.value))
+        return info.value.failed_rank, img.now
+
+    failed_rank, woke = _crash_run(program, "gasnet").results[0]
+    assert (failed_rank, woke) == (VICTIM, pytest.approx(CRASH_AT, abs=1e-6))
+
+
+def test_an_async_collective_error_reaches_cofence_and_the_run_recovers(backend):
+    """team_allreduce_async after a crash fails on its progress agent (a
+    revoked team communicator under CAF-MPI, a dead member under
+    CAF-GASNet's twin). The error reaches the image's cofence instead of
+    ending the run, and the survivors shrink and reduce again."""
+
+    def program(img):
+        recv = np.zeros(1)
+        img.team_allreduce_async(np.ones(1), recv, SUM)  # before the crash
+        img.cofence()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        img.compute(seconds=3 * CRASH_AT)
+        img.team_allreduce_async(np.ones(1), recv, SUM)
+        with pytest.raises(FAILURES):
+            img.cofence()
+        small = img.shrink_team()
+        img.team_allreduce_async(np.ones(1), recv, SUM, team=small)
+        img.cofence()
+        return float(recv[0])
+
+    assert _crash_run(program, backend).results == [3.0] * 3 + [None]
+
+
+def test_a_shrink_abandons_what_the_old_team_lost(backend):
+    """Image 0's async write to image 3 is on the wire when image 3 dies,
+    and image 0 learns of the crash in an event wait, not a sync. The write
+    is lost with the old team: after the shrink, completing everything
+    (``sync_all`` on the new team) does not report it again."""
+    nelems = 1 << 17  # 1 MiB, on the wire for ~330 us: image 3 dies under it
+
+    def program(img):
+        co = img.allocate_coarray(nelems, np.float64)
+        ev = img.allocate_events(1)
+        img.sync_all()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        if img.rank == 0:
+            img.compute(seconds=CRASH_AT - 1e-4 - img.now)
+            co.write_async(VICTIM, np.ones(nelems))
+        with pytest.raises(ImageFailedError):
+            ev.wait()  # nobody posts it
+        small = img.shrink_team()
+        img.sync_all(small)
+        return small.size
+
+    assert _crash_run(program, backend).results == [3] * 3 + [None]
 
 
 def test_shrink_team_refuses_an_image_declared_failed(backend):

@@ -82,6 +82,44 @@ def test_rma_on_failed_rank_raises_eagerly():
     assert all(r == VICTIM for i, r in enumerate(results) if i != VICTIM)
 
 
+def test_a_flush_over_a_dead_target_raises_once():
+    """ULFM: my ops pending at a target that fails will never complete.
+    The flush parked on them — FLUSH on that target (rank 0), FLUSH_ALL
+    (rank 1) — fails at the crash with MPI_ERR_PROC_FAILED naming it and
+    what to do, and so does a later FLUSH naming it. The loss is reported
+    once: a later FLUSH_ALL over live targets completes."""
+    big = 1 << 17  # 1 MiB, on the wire for ~330 us: the victim dies under it
+
+    def program(mpi, ctx):
+        win = mpi.win_allocate(shape=big, dtype=np.float64)
+        win.lock_all()
+        mpi.COMM_WORLD.barrier()
+        if ctx.rank == VICTIM:
+            ctx.proc.sleep(1.0)
+            return None
+        if ctx.rank == 2:
+            return None
+        ctx.proc.sleep(CRASH_AT - 1e-4 - ctx.now)
+        win.put(np.ones(big), VICTIM)
+        with pytest.raises(MpiProcFailedError) as parked:
+            if ctx.rank == 0:
+                win.flush(VICTIM)
+            else:
+                win.flush_all()
+        woke = ctx.now
+        with pytest.raises(MpiProcFailedError):
+            win.flush(VICTIM)
+        win.put(np.ones(4), 2)
+        win.flush_all()
+        return parked.value.failed_rank, str(parked.value), woke
+
+    _, results = crash_run(program)
+    for failed_rank, message, woke in results[:2]:
+        assert (failed_rank, woke) == (VICTIM, CRASH_AT)
+        assert "world rank 3 failed before the op completed" in message, message
+        assert message.endswith("or restart from a checkpoint"), message
+
+
 def test_a_message_that_arrived_before_its_sender_died_is_received():
     """As in ULFM, a receive whose message already arrived completes after
     its sender died; only a receive that would wait on it fails."""

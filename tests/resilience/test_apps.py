@@ -1,11 +1,11 @@
 """Resilient RandomAccess and CGPOP: verified answers under mid-run crashes.
 
-Crash times are expressed as fractions of the fault-free makespan. Shrink
-recovery has unprotected windows (a crash landing inside the checkpoint
-collective can deadlock the agreement — the classic blocking-coordinated-
-checkpoint caveat), so the shrink tests probe a few fractions and require
-at least one to recover end-to-end; the simulator is deterministic, so
-whichever fraction works keeps working.
+Crash times are expressed as fractions of the fault-free makespan. The
+shrink tests are ROADMAP item 19's three tables — RA and CGPOP at P = 4
+over nine fractions from 0.3 to 0.95, RA at P = 8 over five — and every
+row must recover, verify and finish within 10x the fault-free makespan: a
+crash reaches every wait that depends on the dead image at once, so no
+survivor stalls on a timer or on another survivor.
 """
 
 import numpy as np
@@ -23,7 +23,9 @@ from repro.util.errors import ResilienceError
 NR = 4
 RA_KW = APPS["ra"].kwargs
 CG_KW = APPS["cgpop"].kwargs
-SHRINK_FRACS = (0.55, 0.7, 0.85, 0.95)
+#: The crash fractions of item 19's tables: P = 4, and RA at P = 8.
+TABLE_FRACS = tuple(np.linspace(0.3, 0.95, 9).round(2).tolist())
+P8_FRACS = (0.3, 0.55, 0.7, 0.85, 0.95)
 
 
 def _verified(app, cluster):
@@ -49,30 +51,34 @@ def test_ra_restart_recovers_from_crash(backend):
     assert _verified("ra", out.cluster)
 
 
-def _ra_shrink_recovers(backend, nranks, victim, doubled):
-    """Shrink recovery from ``victim``'s crash at each of SHRINK_FRACS: a
-    survivor adopts the victim's partition (``doubled`` maps it to the
-    partitions it then hosts), and the run still verifies."""
-    recovered = []
-    for frac, outcome, _, run in crash_sweep("ra", nranks, victim, SHRINK_FRACS, backend):
-        if run is None or outcome == "no-crash":
-            continue  # an unprotected collective window, or no crash fired
+def _shrink_table(app, backend, nranks, victim, fracs):
+    """One shrink-recovery table: ``victim`` crashes at each fraction, and
+    every row recovers and verifies within 10x the fault-free makespan, its
+    survivors on one shrunken team. Yields each row's live results."""
+    bound = 10 * fault_free_elapsed(app, nranks, backend)
+    for frac, outcome, detail, run in crash_sweep(app, nranks, victim, fracs, backend):
+        assert outcome == "recovered", (frac, outcome, detail)
+        assert run.elapsed <= bound, (frac, run.elapsed, bound)
         live = {r["rank"]: r for r in run.results if r is not None}
-        assert sorted(live) == [w for w in range(nranks) if w != victim]
-        assert all(r["team_size"] == nranks - 1 for r in live.values())
-        assert all(r["recoveries"] >= 1 for r in live.values())
-        assert all(r["parts"] == doubled.get(w, [w]) for w, r in live.items())
-        assert outcome == "recovered", frac
-        recovered.append(frac)
-    assert recovered, "no crash fraction produced a successful shrink recovery"
+        assert sorted(live) == [w for w in range(nranks) if w != victim], frac
+        assert all(r["team_size"] == nranks - 1 for r in live.values()), frac
+        assert all(r["recoveries"] >= 1 for r in live.values()), frac
+        yield frac, live
+
+
+def _ra_shrink_recovers(backend, nranks, victim, fracs, doubled):
+    """A survivor adopts the victim's partition (``doubled`` maps it to the
+    partitions it then hosts) in every row of the table."""
+    for frac, live in _shrink_table("ra", backend, nranks, victim, fracs):
+        assert all(r["parts"] == doubled.get(w, [w]) for w, r in live.items()), frac
 
 
 def test_ra_shrink_recovers_from_crash(backend):
-    _ra_shrink_recovers(backend, NR, 1, {0: [0, 1]})
+    _ra_shrink_recovers(backend, NR, 1, TABLE_FRACS, {0: [0, 1]})
 
 
 def test_ra_shrink_on_eight_images_doubles_up_a_survivor(backend):
-    _ra_shrink_recovers(backend, 8, 3, {0: [0, 3]})
+    _ra_shrink_recovers(backend, 8, 3, P8_FRACS, {0: [0, 3]})
 
 
 def test_gasnet_ra_shrink_survives_a_crash_early_in_the_run():
@@ -119,17 +125,8 @@ def test_cgpop_restart_recovers_from_crash(backend):
 
 
 def test_cgpop_shrink_recovers_from_crash(backend):
-    recovered = []
-    for frac, outcome, _, run in crash_sweep("cgpop", NR, 2, SHRINK_FRACS, backend):
-        if run is None or outcome == "no-crash":
-            continue
-        live = [r for r in run.results if r is not None]
-        assert all(r["team_size"] == NR - 1 for r in live)
-        assert all(r["recoveries"] >= 1 for r in live)
-        assert all(r["converged"] for r in live)
-        assert outcome == "recovered", frac
-        recovered.append(frac)
-    assert recovered, "no crash fraction produced a successful shrink recovery"
+    for frac, live in _shrink_table("cgpop", backend, NR, 2, TABLE_FRACS):
+        assert all(r["converged"] for r in live.values()), frac
 
 
 def test_cgpop_uneven_strips_faultfree(backend):

@@ -1,10 +1,12 @@
 """Watchdog firing on crash-induced hangs, on both backends.
 
-An event wait whose notifier is a corpse can never complete; plain
-deadlock detection may not fire (retransmission timers keep the heap
-busy), so the virtual-time watchdog is the backstop. The diagnostic must
-do the post-mortem for you: name every blocked survivor with its call
-site, and stamp the failed-image set onto the error.
+A wait for a function only a corpse would ship can never complete, and it
+names no image, so no failure reaches it (an event wait depends on its
+team, and fails on a dead member instead). Plain deadlock detection may
+not fire (retransmission timers keep the heap busy), so the virtual-time
+watchdog is the backstop. The diagnostic must do the post-mortem for you:
+name every blocked survivor with its call site, and stamp the failed-image
+set onto the error.
 """
 
 import re
@@ -19,13 +21,13 @@ VICTIM = 2
 
 
 def orphaned_wait(img):
-    """Ranks 0/1 wait on a slot only the (about to die) rank 2 would post."""
-    ev = img.allocate_events(1)
+    """Ranks 0/1 serve a function only the (about to die) rank 2 would ship."""
     img.sync_all()
     if img.rank == VICTIM:
         img.compute(seconds=1.0)  # killed long before this finishes
+        img.spawn(0, lambda im: None)
         return
-    ev.wait(0)
+    img.serve(1)
 
 
 def test_watchdog_names_corpse_and_blocked_ranks(backend):
@@ -34,10 +36,10 @@ def test_watchdog_names_corpse_and_blocked_ranks(backend):
                 faults=FaultPlan(seed=4, crashes=[(VICTIM, 1e-3)]))
     exc = exc_info.value
 
-    # Both survivors are reported blocked, at a wait call site; the dead
+    # Both survivors are reported blocked, at their call site; the dead
     # image is not listed as blocked (it is listed as dead).
     assert sorted(exc.blocked) == [0, 1]
-    assert all("wait" in why for why in exc.blocked.values())
+    assert all("serve(1)" in why for why in exc.blocked.values())
     assert VICTIM not in exc.blocked
 
     # The error names the corpse, both structurally and in the message.

@@ -108,10 +108,11 @@ def test_crash_plus_retransmits_become_sim_timeout():
     detection — only the watchdog can convert the hang into
     SimTimeoutError naming who is stuck where.
 
-    The survivor must block in an operation that names no peer (an event
-    wait): ULFM-style eager checks fail pending point-to-point traffic
-    with the corpse as MpiProcFailedError (see tests/mpi/test_failures),
-    so only peer-less waits still reach the watchdog."""
+    The survivor must block in an operation that depends on no image (it
+    serves a function): a wait that depends on the corpse fails instead —
+    point-to-point traffic with MpiProcFailedError (see
+    tests/mpi/test_failures), an event wait on its team with
+    ImageFailedError — so only such waits still reach the watchdog."""
     import numpy as np
 
     from repro.caf.program import run_caf
@@ -121,17 +122,16 @@ def test_crash_plus_retransmits_become_sim_timeout():
 
     def program(img):
         comm = img.mpi().COMM_WORLD
-        ev = img.allocate_events(1)
         buf = np.zeros(4)
         comm.barrier()
         t_after_barrier = img.now
         if img.rank == 0:
             comm.send(np.ones(4), 1)  # eager: frame in flight at the crash
-            ev.wait(0)  # only (dead) rank 1 would notify; names no peer
+            img.serve(1)  # only (dead) rank 1 would ship; names no image
         else:
             comm.recv(buf, 0)
-            img.compute(seconds=1.0)  # killed long before notifying
-            ev.notify(0)
+            img.compute(seconds=1.0)  # killed long before shipping
+            img.spawn(0, lambda im: None)
         return t_after_barrier
 
     # Runs are deterministic: a fault-free probe run measures when the
@@ -154,7 +154,7 @@ def test_crash_plus_retransmits_become_sim_timeout():
     assert exc.deadline == crash_at + 0.05
     assert 0 in exc.blocked  # rank 0 reported with its blocking call site
     assert 1 not in exc.blocked  # the crashed rank is not "blocked"
-    assert "wait" in exc.blocked[0]
+    assert "serve(1)" in exc.blocked[0]
     assert "failed images: [1]" in str(exc)
     # The cluster's annotations go before the hint, which stays last.
     assert str(exc).endswith(HINT), str(exc)

@@ -631,8 +631,9 @@ def test_one_recovery_knob():
     ]
     assert not knobs, (
         "the recovery discipline is run_caf's in-run budget, max_recoveries: no "
-        "function takes a recovery mode or wait bound (WAIT_TIMEOUT is a constant "
-        "of resilience/apps.py), and run_resilient takes no mode",
+        "function takes a recovery mode or wait bound (a crash reaches every wait "
+        "that depends on the dead image: test_one_failure_route), and "
+        "run_resilient takes no mode",
         knobs,
     )
     budgets = sorted(
@@ -645,6 +646,26 @@ def test_one_recovery_knob():
     )
     assert not grep(r"check_recovery_mode", "src/repro"), (
         "check_recovery_mode is gone: no mode string is left to check"
+    )
+
+
+def test_one_failure_route():
+    timers = grep(r"WAIT_TIMEOUT", "src/repro")
+    bounded = sorted(
+        f"{path}:{fn.lineno}:{fn.name}"
+        for root in ("src/repro/apps", "src/repro/resilience")
+        for path, _, fn in _functions(root)
+        if "timeout" in {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+    )
+    from repro.resilience.apps import _ALL_FAILURES
+    from repro.util.errors import CafTimeoutError
+
+    assert not timers and not bounded and CafTimeoutError not in _ALL_FAILURES, (
+        "a crash reaches a survivor by one route: an unsatisfied wait raises once it "
+        "depends on a failed image (its target, or a member of the team or "
+        "communicator it waits over). No app or recovery wait carries a timer, and a "
+        "timeout is no crash for the recovery loop to admit",
+        timers, bounded,
     )
 
 

@@ -176,7 +176,8 @@ def test_caf_misuse_raises_caf_error():
 def test_transport_give_up_feeds_image_failed_path():
     """A peer that never acks is declared failed after max_retries: the
     sender's later API calls on it raise ImageFailedError, exactly as if
-    the image had crashed (the transport-level failure taxonomy)."""
+    the image had crashed (the transport-level failure taxonomy), and so
+    does the declared image's own wait on its team."""
     from repro.sim.faults import FaultDecision, FaultPlan
 
     class PartitionPlan(FaultPlan):
@@ -214,13 +215,13 @@ def test_transport_give_up_feeds_image_failed_path():
             return "gave-up"
         try:
             ev.wait(0, timeout=1.0)
-        except CafTimeoutError:
-            return "timed-out"
+        except ImageFailedError as exc:
+            return exc.failed_image
         return "notified"
 
     run = run_caf(program, 2, backend="mpi", reliable=True, faults=plan, deadline=10.0)
     assert run.results[0] == "gave-up"
-    assert run.results[1] == "timed-out"
+    assert run.results[1] == 1
     log = run.cluster.failure_log
     assert len(log) == 1 and log[0]["rank"] == 1
     assert log[0]["reason"].startswith("transport")
