@@ -50,8 +50,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.caf.teams import next_global_id
-from repro.sim.sync import Counter, SimEvent
-from repro.util.errors import CafError, CafTimeoutError, ImageFailedError
+from repro.sim.sync import Counter, SimEvent, unless_failed
+from repro.util.errors import CafError, CafTimeoutError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
@@ -368,31 +368,24 @@ class RuntimeBackend(abc.ABC):
                 self.kick()
 
             timer = self.ctx.engine.call_in(timeout, fire)
-        failed, team = self.ctx.cluster.failed_ranks, storage.team
-        yield from self._await_event_steps(
-            storage,
-            lambda: storage.count(slot) >= count or expired[0]
-            or (failed and not failed.isdisjoint(team.members)),
-            reason,
+        team = storage.team
+        ready = unless_failed(
+            lambda: storage.count(slot) >= count or expired[0],
+            self.ctx.cluster.failed_ranks, team.members, team.failed_member, reason,
         )
-        if timer is not None:
-            # Satisfied first: a timer left armed would still hold the
-            # clock (the run would end at the timeout) and count an event.
-            self.ctx.engine.cancel(timer)
+        try:
+            yield from self._await_event_steps(storage, ready, reason)
+        finally:
+            if timer is not None:
+                # Satisfied first: a timer left armed would still hold the
+                # clock (the run would end at the timeout) and count an event.
+                self.ctx.engine.cancel(timer)
         have = storage.count(slot)
-        if have < count and expired[0]:
+        if have < count:
             raise CafTimeoutError(
                 f"event_wait(slot={slot}) timed out after {timeout}s "
                 f"with {have}/{count} notifications"
             )
-        if have < count:
-            index, w = next((i, w) for i, w in enumerate(team.members) if w in failed)
-            raise ImageFailedError(w, (
-                f"event_wait(slot={slot}) with {have}/{count} notifications: image "
-                f"{index} of team {team.team_id} (world rank {w}) has failed, so the "
-                "rest may never come: recover on the survivors (shrink_team) or "
-                "restart from a checkpoint"
-            ))
         storage.consume(slot, count)
 
     def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):

@@ -243,7 +243,9 @@ class GasnetBackend(RuntimeBackend):
             target_world, self.AM_BYTES + data.nbytes, on_target
         )
         yield from self.gasnet._block_until_steps(
-            self.gasnet._unless_failed(lambda: acks[0] > 0, (target_world,), "am_write ack"),
+            self.gasnet._unless_failed(
+                lambda: acks[0] > 0, (self.ctx.rank, target_world), "am_write ack"
+            ),
             "am_write ack",
         )
 

@@ -106,8 +106,10 @@ class MpiBackend(RuntimeBackend):
         self.am_comm = self.mpi.COMM_WORLD.dup()
         self._am_matching = self.am_comm.state.user
         self._activity = self._am_matching.arrivals[ctx.rank]
-        # A wait that depends on an image that fails must rerun its test.
-        ctx.cluster.failure_listeners.append(lambda _rank: self.kick())
+        #: The run's CAF team communicators (context id -> shared state): a
+        #: member's failure revokes one.
+        self._team_states: dict = ctx.cluster.shared("caf-mpi-team-comms", dict)
+        ctx.cluster.failure_listeners.append(self._on_rank_failure)
         # §3.5: the runtime "internally maintains an array of request
         # handles of implicitly synchronized PUT operations and another
         # array ... of GET operations"; cofence WAITALLs them selectively.
@@ -129,14 +131,25 @@ class MpiBackend(RuntimeBackend):
 
     # -- teams ----------------------------------------------------------------
 
-    @staticmethod
-    def _team_comm(comm):
-        """A team's communicator (None for an image outside the split): it
-        is revoked when a member fails, so every wait over the team fails
-        unless satisfied, also one on a member that is alive."""
+    def _team_comm(self, comm):
+        """A team's communicator (None for an image outside the split),
+        revoked when a member fails (:meth:`_on_rank_failure`)."""
         if comm is not None:
-            comm.state.revoke_on_failure = True
+            self._team_states[comm.state.context_id] = comm.state
         return comm
+
+    def _on_rank_failure(self, world_rank: int) -> None:
+        """Scheduler-context: a wait over a team with a failed member fails
+        unless satisfied (Fortran 2018), also one on a live member, so the
+        team's communicator is revoked; and every wait reruns its test."""
+        for state in self._team_states.values():
+            if world_rank in state.group:
+                state._revoke(
+                    f"team communicator (context {state.context_id}) was revoked "
+                    f"when world rank {world_rank} failed: shrink the team over the "
+                    "survivors, or restart from a checkpoint"
+                )
+        self.kick()
 
     def make_world_team_handle(self, team: "Team"):
         return self._team_comm(self._team_world_comm)

@@ -162,7 +162,7 @@ class Coarray:
                 if reusable is None:  # the transport already copied ``arr``
                     sev._post_local(sslot)
                 else:
-                    reusable.subscribe(lambda: sev._post_local(sslot))
+                    sev._post_on(reusable, sslot)
 
         if predicate is None:
             start()
@@ -194,7 +194,7 @@ class Coarray:
             )
             if dest_event is not None:
                 ev, slot = dest_event
-                landed.subscribe(lambda: ev._post_local(slot))
+                ev._post_on(landed, slot)
 
         if predicate is None:
             start()

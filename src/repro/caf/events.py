@@ -19,6 +19,7 @@ from repro.util.errors import CafError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
     from repro.caf.teams import Team
+    from repro.sim.sync import SimEvent
 
 
 class EventArray:
@@ -52,6 +53,12 @@ class EventArray:
         events); on the image's own fiber, what it releases runs now."""
         self.storage.post(slot)
         self.img.backend.run_continuations()
+
+    def _post_on(self, done: "SimEvent", slot: int) -> None:
+        """Post this image's own ``slot`` when the op of ``done`` completes,
+        unless it failed: then nothing arrived, and a wait on the slot fails
+        under the failure rule instead of returning over missing data."""
+        done.subscribe(lambda: done.error is None and self._post_local(slot))
 
     def _san_consumed(self, slot: int, count: int) -> None:
         """Sanitized runs: a consumed wait is the happens-before edge from

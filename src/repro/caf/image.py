@@ -18,7 +18,8 @@ from repro.caf.coarray import Coarray
 from repro.caf.events import EventArray
 from repro.caf.finish import FinishBlock
 from repro.caf.teams import Team, next_team_id, split_team, world_members
-from repro.util.errors import CafError, ImageFailedError
+from repro.sim.sync import unless_failed
+from repro.util.errors import CafError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.cluster import RankCtx
@@ -92,10 +93,7 @@ class Image:
         """
         w = team.world_rank(index)
         if w in self._failed_ranks:
-            raise ImageFailedError(w, (
-                f"image {index} of team {team.team_id} (world rank {w}) has failed: "
-                "recover on the survivors (shrink_team) or restart from a checkpoint"
-            ))
+            raise team.failed_member(w)
 
     # -- allocation -------------------------------------------------------------
 
@@ -228,15 +226,15 @@ class Image:
         def missing() -> list[int]:
             return [p for p in partners if board.get((self.rank, p), 0) < needed[p]]
 
-        # The wait depends on the partners whose token has not come: it
-        # fails once one of them has.
-        failed = self._failed_ranks
+        # The wait depends on the partners whose token has not come.
+        reason = f"sync_images({partners})"
         self.backend.progress_wait(
-            lambda: not missing() or (failed and not failed.isdisjoint(missing())),
-            f"sync_images({partners})",
+            unless_failed(
+                lambda: not missing(), self._failed_ranks, missing,
+                self.team_world.failed_member, reason,
+            ),
+            reason,
         )
-        for p in missing():
-            self._check_alive(self.team_world, p)
         for p in partners:
             self._sync_consumed[p] = needed[p]
 
@@ -280,12 +278,13 @@ class Image:
     def _collective_async(self, kind, args, team, data_event, op_event):
         """``kind`` names the blocking collective of a team handle."""
         done = self.backend.collective_async(team or self.team_world, kind, args)
-        self._async_colls = [ev for ev in self._async_colls if not ev.is_set]
+        # Completed ones leave; failed ones stay until cofence raises them.
+        self._async_colls = [ev for ev in self._async_colls if not ev.is_set or ev.error]
         self._async_colls.append(done)
         for spec_ in (data_event, op_event):
             if spec_ is not None:
                 ev, slot = spec_
-                done.subscribe(lambda ev=ev, slot=slot: ev._post_local(slot))
+                ev._post_on(done, slot)
 
     def team_broadcast_async(
         self, buf, root: int = 0, team: Team | None = None, *,
@@ -417,7 +416,7 @@ class Image:
                 )
                 if src_event is not None:
                     ev, slot = src_event
-                    landed.subscribe(lambda: ev._post_local(slot))
+                    ev._post_on(landed, slot)
 
                 def forward() -> None:
                     self._copy_deliver(
@@ -426,8 +425,9 @@ class Image:
 
                 # Completion fires in scheduler context; the forwarding leg
                 # issues communication, so it runs as a runtime
-                # continuation on this image's next progress poll.
-                landed.subscribe(lambda: self.backend.defer(forward))
+                # continuation on this image's next progress poll (none
+                # if the read failed: nothing arrived to forward).
+                landed.subscribe(lambda: landed.error or self.backend.defer(forward))
 
         if predicate is None:
             start()

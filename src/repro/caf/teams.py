@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.sync import split_groups
-from repro.util.errors import CafError
+from repro.util.errors import CafError, ImageFailedError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.image import Image
@@ -44,6 +44,15 @@ class Team:
         if not 0 <= index < self.size:
             raise CafError(f"image index {index} out of range [0, {self.size})")
         return self.members[index]
+
+    def failed_member(self, w: int, what: str | None = None) -> ImageFailedError:
+        """The error of ``what`` (an op, or a wait over this team) that
+        depends on member world rank ``w``, which has failed."""
+        return ImageFailedError(w, (
+            f"{what + ': ' if what else ''}image {self.members.index(w)} of team "
+            f"{self.team_id} (world rank {w}) has failed: recover on the survivors "
+            "(shrink_team) or restart from a checkpoint"
+        ))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Team {self.team_id} image {self.my_index}/{self.size}>"

@@ -36,7 +36,7 @@ from repro.gasnet.segment import make_segment
 from repro.sim import costs as _costs
 from repro.sim.cluster import Cluster, RankCtx
 from repro.sim.memory import MB
-from repro.sim.sync import Counter, SimEvent
+from repro.sim.sync import Counter, SimEvent, unless_failed
 from repro.util.errors import GasnetError, GasnetProcFailedError
 
 AM_MAX_ARGS = 16
@@ -250,7 +250,9 @@ class GasnetRank:
         if self._credits.get(dest, limit) <= 0:
             reason = f"am credits to rank {dest}"
             yield from self._block_until_steps(
-                self._unless_failed(lambda: self._credits.get(dest, limit) > 0, (dest,), reason),
+                self._unless_failed(
+                    lambda: self._credits.get(dest, limit) > 0, (self.rank, dest), reason
+                ),
                 reason,
             )
         self._credits[dest] = self._credits.get(dest, limit) - 1
@@ -458,33 +460,20 @@ class GasnetRank:
     def _unless_failed(
         self, satisfied: Callable[[], bool], peers, reason: str, role: str = "peer"
     ) -> Callable[[], bool]:
-        """``satisfied`` as a wait's predicate under the failure rule: once
-        the wait is unsatisfied and depends on a failed image — this rank,
-        or a world rank of ``peers`` (an iterable, or a callable giving one)
-        — it raises :class:`GasnetProcFailedError` naming it. What already
-        arrived still counts. The world wakes every rank when one fails, so
-        a parked wait reruns it."""
-        failed = self.ctx.cluster.failed_ranks
+        """``satisfied`` under the failure rule (:func:`unless_failed`) of a
+        wait that depends on the world ranks ``peers`` (this rank among
+        them): it raises :class:`GasnetProcFailedError` naming the failed one."""
+        return unless_failed(
+            satisfied, self.ctx.cluster.failed_ranks, peers, self._failed_error, reason, role
+        )
 
-        def pred() -> bool:
-            if satisfied():
-                return True
-            if not failed:
-                return False
-            ranks = (self.rank, *(peers() if callable(peers) else peers))
-            dead = next((w for w in ranks if w in failed), None)
-            if dead is None:
-                return False
-            what = (
-                f"this rank (world rank {dead}) was declared failed" if dead == self.rank
-                else f"{role} world rank {dead} has failed"
-            )
-            raise GasnetProcFailedError(dead, (
-                f"{reason}: {what}, so it cannot complete: recover on the survivors "
-                "(shrink the team) or restart from a checkpoint"
-            ))
-
-        return pred
+    def _failed_error(self, dead: int, reason: str, role: str) -> GasnetProcFailedError:
+        """The error of the wait ``reason`` on world rank ``dead``, a ``role``."""
+        who = "this rank" if dead == self.rank else role
+        return GasnetProcFailedError(dead, (
+            f"{reason}: {who} world rank {dead} has failed, so it cannot complete: "
+            "recover on the survivors (shrink the team) or restart from a checkpoint"
+        ))
 
     # -- one-sided RDMA ---------------------------------------------------------
 
@@ -652,7 +641,7 @@ class GasnetRank:
     def _wait_syncnb_steps(self, handle: Handle):
         reason = f"wait_syncnb({handle.kind})"
         yield from self._block_until_steps(
-            self._unless_failed(lambda: handle.done, (handle.peer,), reason), reason
+            self._unless_failed(lambda: handle.done, (self.rank, handle.peer), reason), reason
         )
         self._san_release((handle,))
 
@@ -668,7 +657,7 @@ class GasnetRank:
         the peer of one still open has failed."""
         return self._unless_failed(
             lambda: all(h.done for h in handles),
-            lambda: (h.peer for h in handles if not h.done), "wait_syncnb_all",
+            lambda: (self.rank, *(h.peer for h in handles if not h.done)), "wait_syncnb_all",
         )
 
     def put(self, dest: int, dest_offset: int, data) -> None:

@@ -53,10 +53,6 @@ class _CommState:
         #: and later op raises (set by :meth:`Comm.revoke`, checked on every
         #: p2p entry so the error propagates comm-wide).
         self.revoked: str | None = None
-        #: Revoke when a member fails (a CAF team's communicator: Fortran
-        #: 2018's image control over a team with a failed image fails, so a
-        #: member waiting on a live one wakes too).
-        self.revoke_on_failure = False
         # ULFM eager failure: when a group member dies, pending receives
         # from it (and rendezvous sends parked at it) complete in error
         # instead of hanging forever, and so do its own pending receives.
@@ -101,12 +97,6 @@ class _CommState:
                         )
                     )
             matching.unexpected[c].clear()
-        if self.revoke_on_failure:
-            self._revoke(
-                f"communicator (context {self.context_id}) was revoked when member "
-                f"{c} (world rank {world_rank}) failed: shrink it over the "
-                "survivors, or restart from a checkpoint"
-            )
 
     def _revoke(self, message: str | None = None) -> None:
         """Scheduler-safe revocation: fail every pending p2p operation."""

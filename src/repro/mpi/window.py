@@ -149,15 +149,15 @@ class Window:
         self._obs = comm.ctx.metrics
         # Remote completion is a fact about the *origin's* ops (FLUSH only
         # speaks about the caller's own), so this handle owns it: target ->
-        # the requests of my ops not yet complete there (absent = none), and
-        # their count, so FLUSH_ALL tests one integer.
-        self._pending: dict[int, list[Request]] = {}
+        # my ops not yet complete there (absent = none), and their sum, so
+        # FLUSH_ALL tests one integer; and their requests (-> target), which
+        # a failure fails.
+        self._pending: dict[int, int] = {}
         self._inflight = 0
-        # ULFM: ops a failure dropped (target -> the failed world rank),
-        # until the next flush covering the target reports them. Creation
-        # (_create_window) joins the handle to the run's failed set.
-        self._failed: set[int] = set()
-        self._lost: dict[int, int] = {}
+        self._open: dict[Request, int] = {}
+        # ULFM: target -> the first of my ops there a failure dropped, until
+        # the next flush covering the target raises its error.
+        self._lost: dict[int, Request] = {}
         self._dirty = False  # epoch activity since my last FLUSH_ALL
         self._lock_all_held = False
         # Events fired when _pending[target] / _inflight drain to zero.
@@ -315,18 +315,15 @@ class Window:
         record until the op's synchronization point: a flush, or for
         ``round_trip`` ops request completion, which *is* remote completion.
         """
-        if self._failed:  # the target, or this rank, may have failed meanwhile
+        if self.ctx.cluster.failed_ranks:  # the target, or this rank, may have failed
             self.comm.check_alive(self.rank)
             self.comm.check_alive(target)
         req = Request(
             "%s(win=%d,target=%d)", self.ctx.proc, label or op, self.win_id, target
         )
-        reqs = self._pending.get(target)
-        if reqs is None:
-            self._pending[target] = [req]
-        else:
-            reqs.append(req)
+        self._pending[target] = self._pending.get(target, 0) + 1
         self._inflight += 1
+        self._open[req] = target
         self._dirty = True
         san = self._san
         if san is None:
@@ -351,13 +348,13 @@ class Window:
     def _op_done(self, target: int, req: Request) -> None:
         """My op ``req`` is complete at ``target`` (its ack or response
         landed here): wake my flushes that were waiting for exactly that."""
-        try:
-            reqs = self._pending[target]
-        except KeyError:  # a failure already dropped it (_on_rank_failure)
+        if self._open.pop(req, None) is None:  # a failure dropped it already
             return
-        reqs.remove(req)
+        left = self._pending[target] - 1
         self._inflight -= 1
-        if not reqs:
+        if left:
+            self._pending[target] = left
+        else:
             del self._pending[target]
             self._drained(target)
 
@@ -383,30 +380,28 @@ class Window:
             return
         dead = group.index(world_rank)
         for t in list(self._pending) if dead == self.rank else [dead]:
-            reqs = self._pending.pop(t, None)
-            if reqs is None:
+            if self._pending.pop(t, None) is None:
                 continue
-            self._inflight -= len(reqs)
-            self._lost[t] = world_rank
+            reqs = [req for req, at in self._open.items() if at == t]
             for req in reqs:
-                req._fail(self._lost_op(t, world_rank))
+                del self._open[req]
+            self._inflight -= len(reqs)
+            error = MpiProcFailedError(world_rank, (
+                f"RMA on window {self.win_id} to target {t}: world rank {world_rank} "
+                "failed before the op completed, so its data may not have landed: "
+                "shrink the communicator over the survivors, or restart from a checkpoint"
+            ))
+            for req in reqs:
+                req._fail(error)
+            self._lost.setdefault(t, reqs[0])
             self._drained(t)
 
-    def _lost_op(self, target: int, failed: int) -> MpiProcFailedError:
-        """The error of my op to ``target`` that world rank ``failed`` (the
-        target or this rank) dropped."""
-        return MpiProcFailedError(failed, (
-            f"RMA on window {self.win_id} to target {target}: world rank {failed} "
-            "failed before the op completed, so its data may not have landed: "
-            "shrink the communicator over the survivors, or restart from a checkpoint"
-        ))
-
-    def _lost_error(self, target: int | None) -> MpiProcFailedError | None:
+    def _lost_error(self, target: int | None) -> Exception | None:
         """The error of a flush of ``target`` (None: of every target) over
         dropped ops, or None. Reported once: the next flush completes."""
         lost = sorted(self._lost) if target is None else [t for t in self._lost if t == target]
-        failed = [self._lost.pop(t) for t in lost]
-        return self._lost_op(lost[0], failed[0]) if lost else None
+        reqs = [self._lost.pop(t) for t in lost]
+        return reqs[0]._raised_error() if reqs else None
 
     def _observed(self, kind: str, nbytes: int, steps):
         """``steps`` (one blocking op's script) — followed, when metrics
@@ -930,6 +925,7 @@ class Window:
             )
         if self.rank == 0:
             self.state.freed = True
+        self.ctx.cluster.failure_listeners.remove(self._on_rank_failure)
         yield from self.comm._barrier_steps()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1037,8 +1033,7 @@ def _create_window(comm: "Comm", build, segment_bytes: int | None = None) -> Win
         comm._agree_steps(None, lambda _args: build(world.next_win_id()))
     )
     win = Window(state, comm)
-    win._failed = comm.ctx.cluster.failed_ranks
-    world.failure_listeners.append(win._on_rank_failure)
+    world.failure_listeners.append(win._on_rank_failure)  # until free()
     if segment_bytes is not None:
         comm.ctx.memory.alloc(comm.ctx.rank, f"mpi/win{win.win_id}", segment_bytes)
     return win

@@ -10,7 +10,7 @@ a split (:func:`split_groups`).
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.sim import irhook as _irhook
@@ -161,6 +161,36 @@ class Channel:
         self._gets += 1
         yield from self._puts._wait_geq_steps(proc, self._gets, f"get({self.label})")
         return self._items.popleft()
+
+
+def unless_failed(
+    satisfied: Callable[[], bool],
+    failed: set[int],
+    peers: Iterable[int] | Callable[[], Iterable[int]],
+    error: Callable[..., Exception],
+    *args: Any,
+) -> Callable[[], bool]:
+    """``satisfied`` as a wait's predicate under every layer's failure rule:
+    once the wait is unsatisfied and depends on a failed image — the first
+    world rank of ``peers`` (or of ``peers()``, for a wait whose dependence
+    shrinks as it progresses) in ``failed`` — it raises ``error(rank,
+    *args)``. What already arrived still counts. Failure listeners wake
+    every parked wait, so each reruns its predicate at the crash's virtual
+    time."""
+
+    # Bound as defaults, not closure cells: one allocation per wait, which
+    # every fault-free wait pays.
+    def pred(satisfied=satisfied, failed=failed, peers=peers, error=error, args=args) -> bool:
+        if satisfied():
+            return True
+        if failed:
+            ranks = peers() if callable(peers) else peers
+            dead = next((w for w in ranks if w in failed), None)
+            if dead is not None:
+                raise error(dead, *args)
+        return False
+
+    return pred
 
 
 def agree_steps(

@@ -255,6 +255,59 @@ def test_an_async_collective_error_reaches_cofence_and_the_run_recovers(backend)
     assert _crash_run(program, backend).results == [3.0] * 3 + [None]
 
 
+def test_an_event_of_a_get_from_an_image_that_dies_mid_get_never_posts(backend):
+    """Image 0's read_async from image 3 is on the wire when image 3 dies.
+    Its dest_event must not post over data that never came: the wait on it
+    raises instead of returning with an unfilled buffer."""
+    nelems = 1 << 17  # 1 MiB, on the wire for ~330 us: image 3 dies under it
+
+    def program(img):
+        co = img.allocate_coarray(nelems, np.float64)
+        ev = img.allocate_events(1)
+        img.sync_all()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        if img.rank != 0:
+            return "bystander"
+        img.compute(seconds=CRASH_AT - 1e-4 - img.now)
+        co.read_async(VICTIM, np.zeros(nelems), dest_event=(ev, 0))
+        with pytest.raises(ImageFailedError) as info:
+            ev.wait(0)
+        _names_the_dead_image_and_what_to_do(str(info.value))
+        return info.value.failed_image
+
+    run = _crash_run(program, backend)
+    assert run.results == [VICTIM, "bystander", "bystander", None]
+
+
+def test_an_async_collective_that_fails_posts_no_event_and_stays_for_cofence(backend):
+    """team_allreduce_async after a crash: its op_event must not post (the
+    event wait raises), and a later async collective does not hide its
+    error from cofence."""
+
+    def program(img):
+        ev = img.allocate_events(1)
+        recv, again = np.zeros(1), np.zeros(1)
+        img.team_allreduce_async(np.ones(1), recv, SUM)  # the twin, before the crash
+        img.cofence()
+        if img.rank == VICTIM:
+            img.compute(seconds=1.0)
+            return None
+        img.compute(seconds=3 * CRASH_AT)
+        img.team_allreduce_async(np.ones(1), recv, SUM, op_event=(ev, 0))
+        img.compute(seconds=CRASH_AT)  # long enough for the agent to fail it
+        with pytest.raises(ImageFailedError):
+            ev.wait(0)
+        small = img.shrink_team()
+        img.team_allreduce_async(np.ones(1), again, SUM, team=small)
+        with pytest.raises(FAILURES):
+            img.cofence()
+        return float(again[0])
+
+    assert _crash_run(program, backend).results == [3.0] * 3 + [None]
+
+
 def test_a_shrink_abandons_what_the_old_team_lost(backend):
     """Image 0's async write to image 3 is on the wire when image 3 dies,
     and image 0 learns of the crash in an event wait, not a sync. The write

@@ -660,12 +660,19 @@ def test_one_failure_route():
     from repro.resilience.apps import _ALL_FAILURES
     from repro.util.errors import CafTimeoutError
 
+    # The recovery loop's own test (has my team lost a member?) is no wait.
+    inlined = [hit for hit in grep(r"\.isdisjoint\(", "src/repro") if "resilience/apps.py" not in hit]
     assert not timers and not bounded and CafTimeoutError not in _ALL_FAILURES, (
         "a crash reaches a survivor by one route: an unsatisfied wait raises once it "
         "depends on a failed image (its target, or a member of the team or "
         "communicator it waits over). No app or recovery wait carries a timer, and a "
         "timeout is no crash for the recovery loop to admit",
         timers, bounded,
+    )
+    assert not inlined, (
+        "a wait tests its dependence on failed images through one predicate, "
+        "repro.sim.sync.unless_failed, not an inline failed-set test",
+        inlined,
     )
 
 
