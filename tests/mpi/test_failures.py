@@ -120,6 +120,21 @@ def test_a_flush_over_a_dead_target_raises_once():
         assert message.endswith("or restart from a checkpoint"), message
 
 
+def test_a_freed_window_leaves_no_failure_listener():
+    """A window listens for failures only while it lives: allocating and
+    freeing windows leaves the run's listener list as it was."""
+
+    def program(mpi, ctx):
+        mpi.COMM_WORLD.barrier()
+        before = len(ctx.cluster.failure_listeners)
+        for _ in range(3):
+            mpi.win_allocate(shape=4, dtype=np.float64).free()
+        return len(ctx.cluster.failure_listeners) - before
+
+    cluster = Cluster(4, MachineSpec(name="test"))
+    assert cluster.run(lambda ctx: program(MpiWorld.get(ctx.cluster).init(ctx), ctx)) == [0] * 4
+
+
 def test_a_message_that_arrived_before_its_sender_died_is_received():
     """As in ULFM, a receive whose message already arrived completes after
     its sender died; only a receive that would wait on it fails."""
