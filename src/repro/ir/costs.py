@@ -67,11 +67,24 @@ def obs_formula(
     nranks: int,
 ) -> np.ndarray | None:
     """Re-priced per-call seconds for ``kind``, or None (span-measured)."""
+    sizes, inverse = np.unique(nbytes, return_inverse=True)
+    per_size = obs_prices(kind, sizes, target, recorded, nranks)
+    return None if per_size is None else per_size[inverse]
+
+
+def obs_prices(
+    kind: str,
+    sizes: np.ndarray,
+    target: MachineSpec,
+    recorded: MachineSpec,
+    nranks: int,
+) -> np.ndarray | None:
+    """Re-priced seconds of one ``kind`` call at each of the message
+    ``sizes``, or None (span-measured)."""
     row = TABLE.get(kind)
     if row is None or not row.recorded:
         return None
-    sizes, inverse = np.unique(nbytes, return_inverse=True)
     per_size = [
         price(expression(kind, recorded, int(nb)), target, nranks) for nb in sizes
     ]
-    return np.array(per_size, dtype=np.float64)[inverse]
+    return np.array(per_size, dtype=np.float64)

@@ -110,6 +110,7 @@ class Recorder:
         return cid
 
     def _oid(self, obj) -> int:
+        """``obj``'s waitable id: 0, 1, ... in order of first sight."""
         try:
             return obj._ir_id
         except AttributeError:
@@ -118,34 +119,29 @@ class Recorder:
             obj._ir_id = oid
             return oid
 
-    def _append(
-        self, kind: int, chain: int, ck: int, a: int, b: int, c: int,
-        c0: float, c1: float, c2: float, d: float,
-    ) -> None:
-        self._kind.append(kind)
-        self._chain.append(chain)
-        self._ck.append(ck)
-        self._a.append(a)
-        self._b.append(b)
-        self._c.append(c)
-        self._c0.append(c0)
-        self._c1.append(c1)
-        self._c2.append(c2)
-        self._d.append(d)
-
-    def _consume_cost(self) -> tuple[int, float, float, float]:
-        pc = self.pending_cost
-        if pc is None:
-            return (_irhook.CK_LIT, 0.0, 0.0, 0.0)
-        self.pending_cost = None
-        return (int(pc[0]), pc[1], pc[2], pc[3])
-
     # -- hook callbacks ---------------------------------------------------
+    #
+    # Each hook appends its row to the ten op columns in place: they run
+    # once per recorded op.
 
     def on_sleep(self, duration: float) -> None:
         chain = self._ctx()
-        ck, c0, c1, c2 = self._consume_cost()
-        self._append(_ops.OP_SLEEP, chain, ck, 0, 0, 0, c0, c1, c2, duration)
+        pc = self.pending_cost
+        if pc is None:
+            ck, c0, c1, c2 = _irhook.CK_LIT, 0.0, 0.0, 0.0
+        else:
+            self.pending_cost = None
+            ck, c0, c1, c2 = pc
+        self._kind.append(_ops.OP_SLEEP)
+        self._chain.append(chain)
+        self._ck.append(ck)
+        self._a.append(0)
+        self._b.append(0)
+        self._c.append(0)
+        self._c0.append(c0)
+        self._c1.append(c1)
+        self._c2.append(c2)
+        self._d.append(duration)
 
     def on_call_at(self, delay: float, fn):
         raw = self.pending_delay
@@ -156,8 +152,22 @@ class Recorder:
             return fn  # a transfer delivery, already recorded and chained
         chain = self._ctx()
         child = self._new_chain(_ops.CHAIN_CB, True, -1, 0.0)
-        ck, c0, c1, c2 = self._consume_cost()
-        self._append(_ops.OP_CALL, chain, ck, child, 0, 0, c0, c1, c2, delay)
+        pc = self.pending_cost
+        if pc is None:
+            ck, c0, c1, c2 = _irhook.CK_LIT, 0.0, 0.0, 0.0
+        else:
+            self.pending_cost = None
+            ck, c0, c1, c2 = pc
+        self._kind.append(_ops.OP_CALL)
+        self._chain.append(chain)
+        self._ck.append(ck)
+        self._a.append(child)
+        self._b.append(0)
+        self._c.append(0)
+        self._c0.append(c0)
+        self._c1.append(c1)
+        self._c2.append(c2)
+        self._d.append(delay)
         return _irhook.CbThunk(self, child, fn)
 
     def void_call(self, fn) -> None:
@@ -180,24 +190,47 @@ class Recorder:
     ):
         chain = self._ctx()
         child = self._new_chain(_ops.CHAIN_CB, True, -1, 0.0)
-        self._append(
-            _ops.OP_XFER, chain, 0, src * self.nranks + dst, child, nbytes,
-            1.0 if rx_extra > 0.0 else 0.0, 0.0, 0.0, deliver,
-        )
+        self._kind.append(_ops.OP_XFER)
+        self._chain.append(chain)
+        self._ck.append(0)
+        self._a.append(src * self.nranks + dst)
+        self._b.append(child)
+        self._c.append(nbytes)
+        self._c0.append(1.0 if rx_extra > 0.0 else 0.0)
+        self._c1.append(0.0)
+        self._c2.append(0.0)
+        self._d.append(deliver)
         return _irhook.CbThunk(self, child, fn)
 
     # Every waitable records as a counter: a fired SimEvent is ADD 1 and a
     # finished wait on it WAITGE 1; a Channel is a Counter of its arrivals.
     def on_add(self, waitable, n: int) -> None:
-        self._append(
-            _ops.OP_ADD, self._ctx(), 0, self._oid(waitable), n, 0, 0.0, 0.0, 0.0, 0.0
-        )
+        chain = self._ctx()
+        oid = self._oid(waitable)
+        self._kind.append(_ops.OP_ADD)
+        self._chain.append(chain)
+        self._ck.append(0)
+        self._a.append(oid)
+        self._b.append(n)
+        self._c.append(0)
+        self._c0.append(0.0)
+        self._c1.append(0.0)
+        self._c2.append(0.0)
+        self._d.append(0.0)
 
     def on_wait_geq(self, waitable, threshold: int) -> None:
-        self._append(
-            _ops.OP_WAITGE, self._ctx(), 0, self._oid(waitable), threshold, 0,
-            0.0, 0.0, 0.0, 0.0,
-        )
+        chain = self._ctx()
+        oid = self._oid(waitable)
+        self._kind.append(_ops.OP_WAITGE)
+        self._chain.append(chain)
+        self._ck.append(0)
+        self._a.append(oid)
+        self._b.append(threshold)
+        self._c.append(0)
+        self._c0.append(0.0)
+        self._c1.append(0.0)
+        self._c2.append(0.0)
+        self._d.append(0.0)
 
     def on_obs(self, rank: int, kind: str, nbytes: int, seconds: float) -> None:
         kid = self._obs_kind_ids.get(kind)
@@ -214,24 +247,6 @@ class Recorder:
         import dataclasses
 
         spec = self.cluster.spec
-        counts: dict[str, int] = {}
-        for k in self._kind:
-            name = _ops.OP_NAMES[k]
-            counts[name] = counts.get(name, 0) + 1
-        manifest: dict[str, Any] = {
-            "ir_version": TRACE_VERSION,
-            "app": self.cluster.app or "",
-            "backend": self.cluster.backend or "",
-            "nranks": self.nranks,
-            "sim_seed": self.cluster.seed,
-            "spec": dataclasses.asdict(spec),
-            "makespan": makespan,
-            "nops": len(self._kind),
-            "nchains": len(self._chain_kind),
-            "op_counts": counts,
-            "obs_kinds": list(self._obs_kind_ids),
-            "cost_fields": list(_irhook.COST_FIELDS),
-        }
         arrays = {
             "kind": np.asarray(self._kind, np.uint8),
             "chain": np.asarray(self._chain, np.uint32),
@@ -251,6 +266,27 @@ class Recorder:
             "obs_kind": np.asarray(self._obs_kind, np.int32),
             "obs_nbytes": np.asarray(self._obs_nbytes, np.int64),
             "obs_seconds": np.asarray(self._obs_seconds, np.float64),
+        }
+        # Op counts per kind name, in order of each kind's first op.
+        kinds, firsts, ns = np.unique(
+            arrays["kind"], return_index=True, return_counts=True
+        )
+        counts = {
+            _ops.OP_NAMES[int(kinds[j])]: int(ns[j]) for j in np.argsort(firsts)
+        }
+        manifest: dict[str, Any] = {
+            "ir_version": TRACE_VERSION,
+            "app": self.cluster.app or "",
+            "backend": self.cluster.backend or "",
+            "nranks": self.nranks,
+            "sim_seed": self.cluster.seed,
+            "spec": dataclasses.asdict(spec),
+            "makespan": makespan,
+            "nops": len(self._kind),
+            "nchains": len(self._chain_kind),
+            "op_counts": counts,
+            "obs_kinds": list(self._obs_kind_ids),
+            "cost_fields": list(_irhook.COST_FIELDS),
         }
         return Trace(manifest=manifest, arrays=arrays)
 

@@ -28,9 +28,9 @@ from typing import Any
 import numpy as np
 
 from repro.ir import ops as _ops
-from repro.ir.costs import obs_formula, structure_warnings
+from repro.ir.costs import obs_prices, structure_warnings
 from repro.ir.trace import Trace
-from repro.sim.costs import NicState, eval_costs, srq_penalty
+from repro.sim.costs import NicState, cost_index, eval_costs, srq_penalty
 from repro.sim.network import MachineSpec
 
 
@@ -85,36 +85,88 @@ class ReplayResult:
 
 
 class CompiledTrace:
-    """Spec-independent replay structure: per-chain op lists + raw columns.
+    """Spec-independent replay structure, built once per trace and shared
+    by every replay of it (the sweep path's win). It precomputes:
 
-    Compile once, replay under many specs (the sweep path's win).
+    * the op columns ``kind``/``chain``/``a``/``b``/``c``/``c0``/``d`` as
+      python lists;
+    * the chains as links: each op's successor in its chain (``next``,
+      -1 after the last) and each chain's first gseq (``chain_first``,
+      -1 for an empty chain);
+    * ``nwait``, the waitable id space (``Recorder._oid`` numbers
+      waitables 0..n-1), so a replay's counters are two dense lists;
+    * the initial heap (every process chain at its start), the latest
+      start of a process chain with no ops, and the non-daemon process
+      chains a finished replay must have drained;
+    * ``cost_index``, the rows of each cost expression kind, which
+      :func:`~repro.sim.costs.eval_costs` prices under a target spec;
+    * the transfer pattern's comm matrices, which no spec changes;
+    * the obs side table grouped per ``(rank, kind)`` in record order,
+      and per obs kind its rows and their message sizes (``np.unique``
+      values and inverse), what re-pricing the kind reads.
     """
 
     def __init__(self, trace: Trace):
         self.trace = trace
         a = trace.arrays
         self.nranks = trace.nranks
-        self.kind = a["kind"].tolist()
+        kind = a["kind"]
+        self.kind = kind.tolist()
         self.a = a["a"].tolist()
         self.b = a["b"].tolist()
         self.c = a["c"].tolist()
         self.c0 = a["c0"].tolist()
         self.d = a["d"].tolist()
-        self.chain_kind = a["chain_kind"].tolist()
-        self.chain_daemon = a["chain_daemon"].tolist()
+        chain_kind = a["chain_kind"].tolist()
+        chain_daemon = a["chain_daemon"].tolist()
+        chain_start = a["chain_start"].tolist()
         self.chain_rank = a["chain_rank"].tolist()
-        self.chain_start = a["chain_start"].tolist()
         nchains = trace.nchains
-        chain_ops: list[list[int]] = [[] for _ in range(nchains)]
-        for i, ch in enumerate(a["chain"].tolist()):
-            chain_ops[ch].append(i)
-        self.chain_ops = chain_ops
+        # Each op's successor in its chain (-1 after the last) and each
+        # chain's first op (-1 for an empty chain): a replay walks a chain
+        # by gseq alone.
+        self.chain = a["chain"].tolist()
+        self.next = nxt = [-1] * len(self.chain)
+        self.chain_first = first = [-1] * nchains
+        tail = [-1] * nchains
+        for i, ch in enumerate(self.chain):
+            if tail[ch] < 0:
+                first[ch] = i
+            else:
+                nxt[tail[ch]] = i
+            tail[ch] = i
+        waits = a["a"][(kind == _ops.OP_ADD) | (kind == _ops.OP_WAITGE)]
+        self.nwait = int(waits.max()) + 1 if waits.size else 0
+        # Process chains start the replay (callback chains wait for their
+        # CALL / XFER). A sorted list is a heap; keys (time, gseq) are
+        # unique, so the pop order is the one sequential pushes give.
+        start_heap = []
+        self.start_last = 0.0
+        for cid in range(nchains):
+            if chain_kind[cid] == _ops.CHAIN_CB:
+                continue
+            start = chain_start[cid]
+            if first[cid] >= 0:
+                start_heap.append((start, first[cid], cid))
+            elif start > self.start_last:
+                self.start_last = start
+        start_heap.sort()
+        self.start_heap = start_heap
+        #: Non-daemon process chains with ops: each must reach its end.
+        self.proc_chains = [
+            cid
+            for cid in range(nchains)
+            if chain_kind[cid] == _ops.CHAIN_PROC
+            and not chain_daemon[cid]
+            and first[cid] >= 0
+        ]
+        self.cost_index = cost_index(a["ck"])
         self.recorded_spec = trace.recorded_spec()
         self._recorded_fields = dataclasses.asdict(self.recorded_spec)
         self._recorded_fields.pop("name")
         # Comm matrices are spec-independent: the transfer pattern is frozen.
         nranks = self.nranks
-        sel = a["kind"] == _ops.OP_XFER
+        sel = kind == _ops.OP_XFER
         pairs = a["a"][sel].astype(np.int64)
         nb = a["c"][sel]
         n2 = nranks * nranks
@@ -127,7 +179,6 @@ class CompiledTrace:
         # Obs side-table grouping: per (rank, kind) row indices in record
         # order, so per-spec totals reduce to grouped cumulative sums.
         obs_kinds: list[str] = trace.manifest.get("obs_kinds", [])
-        self.obs_kinds = obs_kinds
         groups: list[dict[str, list[int]]] = [{} for _ in range(nranks)]
         for row, (r, kid) in enumerate(
             zip(a["obs_rank"].tolist(), a["obs_kind"].tolist())
@@ -141,6 +192,15 @@ class CompiledTrace:
                 idx_a = np.asarray(idx)
                 compiled[kname] = (idx_a, len(idx), int(obs_nbytes[idx_a].sum()))
             self.obs_groups.append(compiled)
+        # Per obs kind: its rows and its message sizes (unique + inverse),
+        # what re-pricing a kind under a target spec reads.
+        kind_col = a["obs_kind"]
+        self.obs_rows: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
+        for kid, kname in enumerate(obs_kinds):
+            rows = np.nonzero(kind_col == kid)[0]
+            if rows.size:
+                sizes, inverse = np.unique(obs_nbytes[rows], return_inverse=True)
+                self.obs_rows.append((kname, rows, sizes, inverse))
 
     def same_spec(self, spec: MachineSpec) -> bool:
         if spec is self.recorded_spec:
@@ -152,7 +212,7 @@ class CompiledTrace:
     def costs_for(self, spec: MachineSpec) -> np.ndarray:
         a = self.trace.arrays
         return eval_costs(
-            a["ck"], a["c0"], a["c1"], a["c2"], a["d"], spec, self.nranks
+            self.cost_index, a["c0"], a["c1"], a["c2"], a["d"], spec, self.nranks
         )
 
 
@@ -220,31 +280,25 @@ def _run(
     faults,
     check_deliver: bool,
 ) -> tuple[float, int]:
-    kind_l = compiled.kind
+    kind_l, chain_l, next_l = compiled.kind, compiled.chain, compiled.next
     a_l, b_l, c_l, c0_l, d_l = compiled.a, compiled.b, compiled.c, compiled.c0, compiled.d
-    chain_ops = compiled.chain_ops
-    nchains = len(chain_ops)
-    ptr = [0] * nchains
+    first = compiled.chain_first
+    done = [False] * len(first)
+    # Waitable id -> its count, and the gseqs of the WAITGE ops parked on it.
+    count = [0] * compiled.nwait
+    waiters: list[list[int] | None] = [None] * compiled.nwait
 
     # The fabric model NetFabric.transfer steps, under the target spec.
     nic_deliver = NicState(spec, nranks).deliver
     srq_pen = srq_penalty(spec, nranks)
 
-    heap: list[tuple[float, int, int]] = []
+    # Entries are (time, gseq of the op the chain resumes at, chain).
+    heap = list(compiled.start_heap)
     push = heapq.heappush
     pop = heapq.heappop
-    counters: dict[int, list] = {}  # waitable id -> [count, waiter chains]
-    last = 0.0
+    last = compiled.start_last
     deliver_miss = 0
     faults_active = faults is not None and getattr(faults, "active", False)
-
-    def sched(child: int, start: float) -> None:
-        nonlocal last
-        ops_c = chain_ops[child]
-        if ops_c:
-            push(heap, (start, ops_c[0], child))
-        elif start > last:
-            last = start
 
     OP_SLEEP = _ops.OP_SLEEP
     OP_CALL = _ops.OP_CALL
@@ -252,38 +306,41 @@ def _run(
     OP_ADD = _ops.OP_ADD
     OP_WAITGE = _ops.OP_WAITGE
 
-    for cid in range(nchains):
-        if compiled.chain_kind[cid] != _ops.CHAIN_CB:
-            sched(cid, compiled.chain_start[cid])
-
     while heap:
-        t, _gq, ch = pop(heap)
+        t, i, ch = pop(heap)
         if t > last:
             last = t
-        ops_ch = chain_ops[ch]
-        n_ch = len(ops_ch)
-        p = ptr[ch]
         t0 = t
-        while True:
-            if p == n_ch:
-                ptr[ch] = p
-                if t > last:
-                    last = t
-                break
-            i = ops_ch[p]
+        while i >= 0:
             k = kind_l[i]
             if k == OP_SLEEP:
                 t += cost[i]
-                p += 1
+                i = next_l[i]
                 continue
             if t != t0:
                 # The chain's clock moved past the popped time: this op is
                 # a fresh scheduling point — NIC/sync state must be touched
                 # in global time order.
-                ptr[ch] = p
                 push(heap, (t, i, ch))
                 break
-            if k == OP_XFER:
+            if k == OP_ADD:
+                w = a_l[i]
+                count[w] += b_l[i]
+                parked = waiters[w]
+                if parked is not None:
+                    waiters[w] = None
+                    for wi in parked:
+                        push(heap, (t, wi, chain_l[wi]))
+            elif k == OP_WAITGE:
+                w = a_l[i]
+                if count[w] < b_l[i]:
+                    parked = waiters[w]
+                    if parked is None:
+                        waiters[w] = [i]
+                    else:
+                        parked.append(i)
+                    break
+            elif k == OP_XFER:
                 pair = a_l[i]
                 src = pair // nranks
                 dst = pair - src * nranks
@@ -302,53 +359,32 @@ def _run(
                         deliver += decision.extra_delay
                 if check_deliver and deliver != d_l[i]:
                     deliver_miss += 1
-                child = b_l[i]  # inlined sched() — this is the hot path
-                child_ops = chain_ops[child]
-                if child_ops:
-                    push(heap, (deliver, child_ops[0], child))
+                child = b_l[i]
+                g = first[child]
+                if g >= 0:
+                    push(heap, (deliver, g, child))
                 elif deliver > last:
                     last = deliver
             elif k == OP_CALL:
                 child = a_l[i]
                 start = t + cost[i]
-                child_ops = chain_ops[child]
-                if child_ops:
-                    push(heap, (start, child_ops[0], child))
+                g = first[child]
+                if g >= 0:
+                    push(heap, (start, g, child))
                 elif start > last:
                     last = start
-            elif k == OP_ADD:
-                st = counters.get(a_l[i])
-                if st is None:
-                    counters[a_l[i]] = [b_l[i], []]
-                else:
-                    st[0] += b_l[i]
-                    w = st[1]
-                    if w:
-                        st[1] = []
-                        for wch in w:
-                            push(heap, (t, chain_ops[wch][ptr[wch]], wch))
-            elif k == OP_WAITGE:
-                st = counters.get(a_l[i])
-                if st is None:
-                    st = counters[a_l[i]] = [0, []]
-                if st[0] < b_l[i]:
-                    st[1].append(ch)
-                    ptr[ch] = p
-                    break
             else:  # pragma: no cover - format invariant
                 raise ReplayError(f"unknown op kind {k} at gseq {i}")
-            p += 1
+            i = next_l[i]
+        else:
+            done[ch] = True
+            if t > last:
+                last = t
 
     # Every non-daemon process chain must have drained (at the recorded
     # spec this mirrors the live run completing; elsewhere a stuck chain
     # means the frozen pattern is invalid under the target conditions).
-    stuck = [
-        cid
-        for cid in range(nchains)
-        if compiled.chain_kind[cid] == _ops.CHAIN_PROC
-        and not compiled.chain_daemon[cid]
-        and ptr[cid] < len(chain_ops[cid])
-    ]
+    stuck = [cid for cid in compiled.proc_chains if not done[cid]]
     if stuck:
         ranks = [compiled.chain_rank[cid] for cid in stuck]
         raise ReplayError(f"replay deadlock: process chains stuck (ranks {ranks})")
@@ -362,24 +398,17 @@ def _obs_totals(
     recorded: MachineSpec,
     same_spec: bool,
 ) -> tuple[dict, list, list[str]]:
-    arr = compiled.trace.arrays
-    obs_kinds = compiled.obs_kinds
-    nranks = compiled.nranks
-    seconds = arr["obs_seconds"]
+    seconds = compiled.trace.arrays["obs_seconds"]
     warnings: list[str] = []
-    if not same_spec and obs_kinds:
+    if not same_spec and compiled.obs_rows:
         seconds = seconds.copy()
-        kind_col = arr["obs_kind"]
         unrepriced = []
-        for kid, kname in enumerate(obs_kinds):
-            mask = kind_col == kid
-            if not mask.any():
-                continue
-            priced = obs_formula(kname, arr["obs_nbytes"][mask], spec, recorded, nranks)
-            if priced is None:
+        for kname, rows, sizes, inverse in compiled.obs_rows:
+            per_size = obs_prices(kname, sizes, spec, recorded, compiled.nranks)
+            if per_size is None:
                 unrepriced.append(kname)
             else:
-                seconds[mask] = priced
+                seconds[rows] = per_size[inverse]
         if unrepriced:
             warnings.append(
                 "per-op totals kept recorded values for span-measured kinds: "

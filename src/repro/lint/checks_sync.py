@@ -99,7 +99,7 @@ def check_event_pairing(model: ModuleModel) -> list[Finding]:
     waits: dict[str, list[ast.Call]] = {}
     bounded_waits: dict[str, list[ast.Call]] = {}
 
-    for node in ast.walk(model.tree):
+    for node in model.nodes:
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
             continue
         recv = target_key(_peel(node.func.value))
@@ -164,16 +164,24 @@ def check_finish_usage(model: ModuleModel) -> list[Finding]:
     """CAF008: ``finish()`` must be entered as a context manager."""
     with_exprs: set[int] = set()
     with_names: set[str] = set()
-    for node in ast.walk(model.tree):
+    #: id of an assigned value -> its first tracked target.
+    assigned: dict[int, str] = {}
+    for node in model.nodes:
         if isinstance(node, (ast.With, ast.AsyncWith)):
             for item in node.items:
                 with_exprs.add(id(item.context_expr))
                 key = target_key(item.context_expr)
                 if key:
                     with_names.add(key)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                key = target_key(target)
+                if key:
+                    assigned.setdefault(id(node.value), key)
+                    break
 
     findings: list[Finding] = []
-    for node in ast.walk(model.tree):
+    for node in model.nodes:
         if not isinstance(node, ast.Call) or method_name(node) != "finish":
             continue
         if not isinstance(node.func, ast.Attribute):
@@ -183,8 +191,7 @@ def check_finish_usage(model: ModuleModel) -> list[Finding]:
         if id(node) in with_exprs:
             continue
         # `fb = img.finish()` later entered via `with fb:` is fine.
-        assigned = _assigned_name_for(node, model.tree)
-        if assigned and assigned in with_names:
+        if assigned.get(id(node)) in with_names:
             continue
         findings.append(
             Finding(
@@ -201,13 +208,3 @@ def check_finish_usage(model: ModuleModel) -> list[Finding]:
             )
         )
     return findings
-
-
-def _assigned_name_for(call: ast.Call, tree: ast.Module) -> str | None:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and node.value is call:
-            for target in node.targets:
-                key = target_key(target)
-                if key:
-                    return key
-    return None

@@ -104,6 +104,9 @@ class FunctionInfo:
 class ModuleModel:
     path: str
     tree: ast.Module
+    #: every node of ``tree`` in ``ast.walk`` order: the module is walked
+    #: once, and the module-wide scans iterate this list.
+    nodes: list[ast.AST] = field(default_factory=list)
     functions: list[FunctionInfo] = field(default_factory=list)
     #: tracked handle tags: name/self.attr -> "coarray"|"event"|"window"|"mpi"|"gasnet"
     tags: dict[str, str] = field(default_factory=dict)
@@ -124,9 +127,9 @@ class ModuleModel:
         return fn._ops
 
 
-def _assignment_pairs(tree: ast.Module):
+def _assignment_pairs(nodes: list[ast.AST]):
     """Yield (target_keys, value) for every assignment-like statement."""
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Assign):
             keys = [k for t in node.targets for k in _flatten_targets(t)]
             yield keys, node.value
@@ -236,7 +239,7 @@ def _collect_functions(model: ModuleModel) -> None:
 
 
 def _collect_am_handlers(model: ModuleModel) -> None:
-    for node in ast.walk(model.tree):
+    for node in model.nodes:
         if not (isinstance(node, ast.Call) and method_name(node) == "register_handler"):
             continue
         if len(node.args) < 2:
@@ -252,7 +255,7 @@ def _collect_escapes(model: ModuleModel) -> None:
     """Event vars passed *into* calls (``dest_event=(ev, 0)``, helper
     functions, async collectives) are paired by code the linter cannot
     see; pairing rules must not fire on them."""
-    for node in ast.walk(model.tree):
+    for node in model.nodes:
         if not isinstance(node, ast.Call):
             continue
         mname = method_name(node)
@@ -267,7 +270,7 @@ def _collect_escapes(model: ModuleModel) -> None:
 
 
 def build_model(tree: ast.Module, path: str) -> ModuleModel:
-    model = ModuleModel(path=path, tree=tree)
+    model = ModuleModel(path=path, tree=tree, nodes=list(ast.walk(tree)))
     _collect_functions(model)
 
     # Fixpoint over assignments: handle tags and rank taint both
@@ -275,7 +278,7 @@ def build_model(tree: ast.Module, path: str) -> ModuleModel:
     # extracted once; the sweeps themselves are cheap set operations.
     facts = [
         _value_facts(keys, value)
-        for keys, value in _assignment_pairs(tree)
+        for keys, value in _assignment_pairs(model.nodes)
         if keys
     ]
     for _ in range(4):

@@ -285,12 +285,19 @@ def entry_functions(model: ModuleModel) -> list[FunctionInfo]:
     module itself never calls — the per-image mains the cluster spawns.
     Calls under ``if __name__ == "__main__"`` don't count: that guard is
     exactly where a module launches its own entry point."""
-    called: set[str] = set()
-    roots = [stmt for stmt in model.tree.body if not _is_main_guard(stmt)]
-    for root in roots:
-        for node in ast.walk(root):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                called.add(node.func.id)
+    guarded = {
+        id(node)
+        for stmt in model.tree.body
+        if _is_main_guard(stmt)
+        for node in ast.walk(stmt)
+    }
+    called = {
+        node.func.id
+        for node in model.nodes
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and id(node) not in guarded
+    }
     out = []
     for fn in model.functions:
         if fn.cls is not None or fn.qualname in called:
@@ -317,7 +324,7 @@ def launch_hints(model: ModuleModel) -> dict[str, int]:
     size.  First hint wins when a module launches at several sizes.
     """
     hints: dict[str, int] = {}
-    for node in ast.walk(model.tree):
+    for node in model.nodes:
         if not isinstance(node, ast.Call) or len(node.args) < 2:
             continue
         first, second = node.args[0], node.args[1]

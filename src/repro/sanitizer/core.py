@@ -40,6 +40,11 @@ class Sanitizer:
         self.engine = engine
         self.clocks = [[0] * nranks for _ in range(nranks)]
         self.regions: dict[tuple, RegionState] = {}
+        #: Unreleased remote window records by ``(win_id, origin)``: each
+        #: ``id(record) -> (target, record)``, what a flush releases.
+        self._in_flight: dict[tuple[int, int], dict[int, tuple[int, AccessRecord]]] = {}
+        #: ``id(record) -> (win_id, origin)`` for every record indexed above.
+        self._flight_key: dict[int, tuple[int, int]] = {}
         self.report = SanitizerReport(nranks)
         #: Windows currently inside a fence epoch (fence() adds before its
         #: closing flush_all) — puts there are epoch-legal.
@@ -158,6 +163,10 @@ class Sanitizer:
             time=self.engine.now,
         )
         self._check_and_add(region, rec)
+        if region[0] == "win":
+            key = (region[1], origin)
+            self._in_flight.setdefault(key, {})[id(rec)] = (region[2], rec)
+            self._flight_key[id(rec)] = key
         return rec
 
     def record_local(
@@ -242,32 +251,25 @@ class Sanitizer:
                 rec.released = True
                 rec.release_clock = self.snapshot(rec.origin)
                 self.stats["released"] += 1
+                key = self._flight_key.pop(id(rec), None)
+                if key is not None:
+                    del self._in_flight[key][id(rec)]
 
     def release_window(self, win_id: int, origin: int, target: int | None = None) -> None:
         """flush(target) / flush_all / unlock: release this origin's
         in-flight records on the window (one target or all)."""
-        for key, state in self.regions.items():
-            if key[0] != "win" or key[1] != win_id:
-                continue
-            if target is not None and key[2] != target:
-                continue
-            self.release_records(
-                r for r in state.records if not r.released and r.origin == origin
-            )
+        self.release_records(self.open_window_records(win_id, origin, target))
 
     def open_window_records(self, win_id: int, origin: int, target: int | None = None):
-        """This origin's in-flight records on a window (for rflush, whose
-        release point is the returned request's completion)."""
-        out = []
-        for key, state in self.regions.items():
-            if key[0] != "win" or key[1] != win_id:
-                continue
-            if target is not None and key[2] != target:
-                continue
-            out.extend(
-                r for r in state.records if not r.released and r.origin == origin
-            )
-        return out
+        """This origin's in-flight records on a window, at one target or all
+        (for rflush, whose release point is the returned request's
+        completion)."""
+        entries = self._in_flight.get((win_id, origin))
+        if not entries:
+            return []
+        return [
+            rec for tgt, rec in entries.values() if target is None or tgt == target
+        ]
 
     # -- epoch / memory-model checks ---------------------------------------
 

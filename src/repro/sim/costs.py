@@ -300,8 +300,22 @@ def field_vector(spec: "MachineSpec") -> np.ndarray:
     return np.array([getattr(spec, f) for f in COST_FIELDS], dtype=np.float64)
 
 
+def cost_index(ck: np.ndarray) -> dict[int, np.ndarray]:
+    """The rows of each closed-form cost kind in the cost-kind column
+    ``ck``: what :func:`eval_costs` prices, computed once per trace."""
+    index = {}
+    for kind in (
+        CK_PARAM, CK_PARAM2, CK_COPY, CK_PARAM_COPY, CK_PARAM2_COPY,
+        CK_FLOPS, CK_MUL, CK_ACK, CK_HANDLER,
+    ):
+        idx = np.nonzero(ck == kind)[0]
+        if idx.size:
+            index[kind] = idx
+    return index
+
+
 def eval_costs(
-    ck: np.ndarray,
+    index: dict[int, np.ndarray],
     c0: np.ndarray,
     c1: np.ndarray,
     c2: np.ndarray,
@@ -309,7 +323,8 @@ def eval_costs(
     spec: "MachineSpec",
     nranks: int,
 ) -> np.ndarray:
-    """Evaluate every op's cost expression under ``spec`` (one pass per kind).
+    """Evaluate every op's cost expression under ``spec`` (one pass per kind
+    of :func:`cost_index`).
 
     ``CK_LIT`` rows (unannotated sleeps: literal ``compute(seconds=)``
     charges, timeouts) keep their ``recorded`` duration.
@@ -317,41 +332,38 @@ def eval_costs(
     fv = field_vector(spec)
     out = recorded.astype(np.float64, copy=True)
 
-    def sel(kind):
-        return np.nonzero(ck == kind)[0]
-
     def field(col, idx):
         return fv[col[idx].astype(np.int64)]
 
-    idx = sel(CK_PARAM)
-    if idx.size:
+    idx = index.get(CK_PARAM)
+    if idx is not None:
         out[idx] = field(c0, idx)
-    idx = sel(CK_PARAM2)
-    if idx.size:
+    idx = index.get(CK_PARAM2)
+    if idx is not None:
         out[idx] = field(c0, idx) + field(c1, idx)
-    idx = sel(CK_COPY)
-    if idx.size:
+    idx = index.get(CK_COPY)
+    if idx is not None:
         out[idx] = c0[idx] / spec.mem_copy_bw
-    idx = sel(CK_PARAM_COPY)
-    if idx.size:
+    idx = index.get(CK_PARAM_COPY)
+    if idx is not None:
         out[idx] = field(c0, idx) + c1[idx] / spec.mem_copy_bw
-    idx = sel(CK_PARAM2_COPY)
-    if idx.size:
+    idx = index.get(CK_PARAM2_COPY)
+    if idx is not None:
         out[idx] = (field(c0, idx) + field(c1, idx)) + c2[idx] / spec.mem_copy_bw
-    idx = sel(CK_FLOPS)
-    if idx.size:
+    idx = index.get(CK_FLOPS)
+    if idx is not None:
         out[idx] = c0[idx] / spec.flops_per_sec
-    idx = sel(CK_MUL)
-    if idx.size:
+    idx = index.get(CK_MUL)
+    if idx is not None:
         out[idx] = c1[idx] * field(c0, idx)
-    idx = sel(CK_ACK)
-    if idx.size:
+    idx = index.get(CK_ACK)
+    if idx is not None:
         same = (c0[idx].astype(np.int64) // spec.ranks_per_node) == (
             c1[idx].astype(np.int64) // spec.ranks_per_node
         )
         out[idx] = np.where(same, spec.loopback_latency, spec.latency)
-    idx = sel(CK_HANDLER)
-    if idx.size:
+    idx = index.get(CK_HANDLER)
+    if idx is not None:
         out[idx] = price((CK_HANDLER, 0, 0, 0), spec, nranks)
     return out
 

@@ -7,8 +7,12 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.lint import protocol
+import pytest
+
+from repro.lint import lint_file, protocol
 from repro.lint.model import build_model
+
+FIXTURES = sorted((Path(__file__).parent / "fixtures").glob("caf*.py"))
 
 
 def _model(source: str):
@@ -92,6 +96,23 @@ def test_am_handler_registration_is_discovered():
         """
     )
     assert model.am_handlers == {"pong"}
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=[p.stem for p in FIXTURES])
+def test_lint_walks_a_module_once(path, monkeypatch):
+    """The model walks the module once and every module-wide scan reads its
+    node list: one ``ast.walk`` of an ``ast.Module`` per linted file."""
+    walk = ast.walk
+    modules = []
+
+    def counted(node):
+        if isinstance(node, ast.Module):
+            modules.append(node)
+        return walk(node)
+
+    monkeypatch.setattr(ast, "walk", counted)
+    lint_file(str(path))
+    assert len(modules) <= 1
 
 
 def test_architecture_doc_embeds_the_protocol_table():

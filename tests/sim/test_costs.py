@@ -62,7 +62,7 @@ def test_scalar_price_equals_eval_costs_bit_for_bit(platform, monkeypatch):
                 )
         cols = np.array(rows, dtype=np.float64).T
         vector = costs.eval_costs(
-            cols[0].astype(np.uint8), cols[1], cols[2], cols[3],
+            costs.cost_index(cols[0].astype(np.uint8)), cols[1], cols[2], cols[3],
             np.zeros(len(rows)), spec, nranks,
         )
         for row, got in zip(rows, vector.tolist()):
@@ -70,7 +70,7 @@ def test_scalar_price_equals_eval_costs_bit_for_bit(platform, monkeypatch):
 
     # CK_LIT has nothing to evaluate: the recorded duration passes through.
     lit = costs.eval_costs(
-        np.array([irhook.CK_LIT], np.uint8), *np.zeros((3, 1)),
+        costs.cost_index(np.array([irhook.CK_LIT], np.uint8)), *np.zeros((3, 1)),
         np.array([1.25e-6]), spec, 4,
     )
     assert lit.tolist() == [1.25e-6]
