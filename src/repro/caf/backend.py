@@ -43,6 +43,7 @@ Conventions:
 from __future__ import annotations
 
 import abc
+import functools
 import itertools
 from collections.abc import Callable
 from typing import TYPE_CHECKING, Any
@@ -56,6 +57,15 @@ from repro.util.errors import CafError, CafTimeoutError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.caf.teams import Team
     from repro.sim.cluster import RankCtx
+
+
+@functools.lru_cache(maxsize=1024)
+def _wait_reason(slot: int, count: int, timeout: float | None) -> str:
+    """What reports name an event wait: one string per slot, count and
+    timeout, not one per wait."""
+    if timeout is None:
+        return f"event_wait(slot={slot}, count={count})"
+    return f"event_wait(slot={slot}, timeout={timeout})"
 
 
 class EventStorage:
@@ -357,21 +367,17 @@ class RuntimeBackend(abc.ABC):
         progress engine when it fires, so the wait's predicate reruns, as a
         failure does. What already arrived still counts: a satisfied wait
         returns whoever has failed."""
-        reason = f"event_wait(slot={slot}, count={count})"
-        expired = [False]
-        timer = None
-        if timeout is not None:
-            reason = f"event_wait(slot={slot}, timeout={timeout})"
+        reason = _wait_reason(slot, count, timeout)
+        if timeout is None:
+            timer = None
 
-            def fire() -> None:
-                expired[0] = True
-                self.kick()
-
-            timer = self.ctx.engine.call_in(timeout, fire)
+            def satisfied(storage=storage, slot=slot, count=count) -> bool:
+                return storage.count(slot) >= count
+        else:
+            timer, satisfied = self._timed(storage, slot, count, timeout)
         team = storage.team
         ready = unless_failed(
-            lambda: storage.count(slot) >= count or expired[0],
-            self.ctx.cluster.failed_ranks, team.members, team.failed_member, reason,
+            satisfied, self.ctx.cluster.failed_ranks, team.members, team.failed_member, reason
         )
         try:
             yield from self._await_event_steps(storage, ready, reason)
@@ -387,6 +393,19 @@ class RuntimeBackend(abc.ABC):
                 f"with {have}/{count} notifications"
             )
         storage.consume(slot, count)
+
+    def _timed(self, storage: EventStorage, slot: int, count: int, timeout: float):
+        """A timed wait's timer ticket and predicate: satisfied, or expired."""
+        expired = [False]
+
+        def fire() -> None:
+            expired[0] = True
+            self.kick()
+
+        def satisfied() -> bool:
+            return storage.count(slot) >= count or expired[0]
+
+        return self.ctx.engine.call_in(timeout, fire), satisfied
 
     def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):
         """The wait of :meth:`event_wait` until ``ready()``: by driving the

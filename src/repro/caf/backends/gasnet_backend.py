@@ -312,8 +312,16 @@ class GasnetBackend(RuntimeBackend):
         if gets:
             handles += self._outstanding_gets
             self._outstanding_gets = []
-        # wait_syncnb_all, turning the CAF progress engine meanwhile.
-        yield from self._progress_wait_steps(self.gasnet._synced(handles), "wait_syncnb_all")
+        # wait_syncnb_all, turning the CAF progress engine meanwhile: over
+        # handles already done, the one turn a sync takes, with no predicate.
+        for h in handles:
+            if not h.done:
+                yield from self._progress_wait_steps(
+                    self.gasnet._synced(handles), "wait_syncnb_all"
+                )
+                break
+        else:
+            yield from self._progress_steps()
         self.gasnet._san_release(handles)
 
     def _quiet_steps(self):

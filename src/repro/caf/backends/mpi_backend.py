@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.caf.backend import EventStorage, RuntimeBackend
 from repro.mpi import p2p
-from repro.mpi.constants import ANY_SOURCE, SUM
+from repro.mpi.constants import SUM
 from repro.mpi.request import Request
 from repro.mpi.world import MpiWorld
 from repro.sim.sync import SimEvent
@@ -174,10 +174,11 @@ class MpiBackend(RuntimeBackend):
     # -- Active Messages over MPI_ISEND (§3.2) ------------------------------------
 
     def _send_thunk_steps(self, target_world: int, wire_bytes: int, thunk: Callable[..., Any]):
-        """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk."""
-        header = np.array([self._board(thunk)], dtype=np.int64)
-        payload = np.zeros(max(wire_bytes, header.nbytes), np.uint8)
-        payload[: header.nbytes] = header.view(np.uint8)
+        """Inject an AM: an eager MPI_ISEND plus an out-of-band thunk. The
+        payload is the thunk's 8-byte board number, zero-padded to
+        ``wire_bytes``."""
+        header = self._board(thunk).to_bytes(8, "little")
+        payload = np.frombuffer(header.ljust(wire_bytes, b"\0"), np.uint8)
         req = yield from p2p.isend_steps(
             self.am_comm, self._am_matching, payload, target_world, AM_TAG
         )
@@ -185,22 +186,38 @@ class MpiBackend(RuntimeBackend):
 
     def _poll_steps(self):
         """Drain arrived AMs (§3.2): probe, receive, run the thunk, take the
-        steps it returns, until the probe finds none."""
+        steps it returns, until the probe finds none. Every message on the
+        runtime's AM communicator is an AM, so the probe for one is its
+        oldest unexpected message."""
         comm = self.am_comm
+        matching = self._am_matching
+        arrived = matching.unexpected[comm.rank]
         while True:
-            ok, status = comm.iprobe(source=ANY_SOURCE, tag=AM_TAG)
-            if not ok:
+            if comm.state.revoked:
+                comm.check_revoked()
+            if not arrived:
                 return False
-            buf = np.zeros(status.count, np.uint8)
-            st = yield from comm._recv_steps(self._am_matching, buf, status.source, AM_TAG)
-            steps = self._run_thunk(st.source, int(buf[:8].view(np.int64)[0]))
+            source, buf = arrived[0].src, np.empty(arrived[0].nbytes, np.uint8)
+            yield from p2p.recv_steps(comm, matching, buf, source, AM_TAG)
+            steps = self._run_thunk(source, int.from_bytes(buf[:8], "little"))
             if steps is not None:
                 yield from steps
 
     def _waitall_steps(self, requests: list[Request], reason: str):
-        """``MPI_WAITALL`` that keeps running AM handlers meanwhile."""
-        done = tuple(requests)
-        return self._progress_wait_steps(lambda: all(ev.is_set for ev in done), reason, done)
+        """``MPI_WAITALL`` that keeps running AM handlers meanwhile. Over
+        requests already complete it is one progress turn still (AM order
+        holds), and it builds nothing."""
+        for req in requests:
+            if not req.is_set:
+                done = tuple(requests)
+                yield from self._progress_wait_steps(
+                    lambda: all(ev.is_set for ev in done), reason, done
+                )
+                return
+        yield from self._progress_steps()
+        for req in requests:
+            if req.error is not None:
+                raise req._raised_error()
 
     # -- coarrays (§3.1) ---------------------------------------------------------------
 
@@ -338,7 +355,10 @@ class MpiBackend(RuntimeBackend):
 
     def _await_event_steps(self, storage: EventStorage, ready: Callable[[], bool], reason: str):
         if not isinstance(storage, _AtomicEventStorage):
-            return (yield from super()._await_event_steps(storage, ready, reason))
+            return super()._await_event_steps(storage, ready, reason)
+        return self._atomic_await_steps(ready, reason)
+
+    def _atomic_await_steps(self, ready: Callable[[], bool], reason: str):
         # Busy-wait on the local counter (the MPI_COMPARE_AND_SWAP polling
         # loop of §3.4), turning the progress engine as we spin; a timed
         # wait's timer makes ``ready`` true when it expires.

@@ -31,14 +31,11 @@ class Team:
     def __init__(self, team_id: int, members: tuple[int, ...], my_index: int):
         self.team_id = team_id
         self.members = members  # team index -> world rank
+        self.size = len(members)
         self.my_index = my_index
         #: Backend-specific, and the team's blocking-collective API
         #: (``barrier()``, ``bcast(buf, root)``, ``allreduce(...)``, ...).
         self.handle: Any = None
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
     def world_rank(self, index: int) -> int:
         if not 0 <= index < self.size:

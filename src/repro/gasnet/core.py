@@ -378,10 +378,12 @@ class GasnetRank:
         ctx = self.ctx
         yield _costs.cost(ctx, "gasnet.poll")
         ran = 0
-        pending = []
+        pending = None  # built only when a handler is held back
         while self.am_queue:
             qam = self.am_queue.popleft()
             if allowed is not None and qam.handler_idx not in allowed:
+                if pending is None:
+                    pending = []
                 pending.append(qam)
                 continue
             yield _costs.cost(ctx, "gasnet.handler")
@@ -419,8 +421,8 @@ class GasnetRank:
                         a=qam.src, b=self.rank,
                     )
         # Re-queue messages this caller wasn't allowed to handle, in order.
-        for qam in reversed(pending):
-            self.am_queue.appendleft(qam)
+        if pending is not None:
+            self.am_queue.extendleft(reversed(pending))
         if ran:
             # Handlers mutate state other blocked contexts (progress
             # agents, the main image) may be waiting on; make them re-check.

@@ -102,8 +102,9 @@ class CompiledTrace:
       :func:`~repro.sim.costs.eval_costs` prices under a target spec;
     * the transfer pattern's comm matrices, which no spec changes;
     * the obs side table grouped per ``(rank, kind)`` in record order,
-      and per obs kind its rows and their message sizes (``np.unique``
-      values and inverse), what re-pricing the kind reads.
+      with each group's recorded time, and per obs kind its rows and
+      their message sizes (``np.unique`` values and inverse), what
+      re-pricing the kind reads.
     """
 
     def __init__(self, trace: Trace):
@@ -184,13 +185,19 @@ class CompiledTrace:
             zip(a["obs_rank"].tolist(), a["obs_kind"].tolist())
         ):
             groups[r].setdefault(obs_kinds[kid], []).append(row)
+        # Each group also keeps its recorded time, summed once: a replay
+        # re-sums only the groups of kinds a target spec re-prices.
         obs_nbytes = a["obs_nbytes"]
-        self.obs_groups: list[dict[str, tuple[np.ndarray, int, int]]] = []
+        obs_seconds = a["obs_seconds"]
+        self.obs_groups: list[dict[str, tuple[np.ndarray, int, int, float]]] = []
         for per in groups:
-            compiled: dict[str, tuple[np.ndarray, int, int]] = {}
+            compiled: dict[str, tuple[np.ndarray, int, int, float]] = {}
             for kname, idx in per.items():
                 idx_a = np.asarray(idx)
-                compiled[kname] = (idx_a, len(idx), int(obs_nbytes[idx_a].sum()))
+                compiled[kname] = (
+                    idx_a, len(idx), int(obs_nbytes[idx_a].sum()),
+                    float(np.cumsum(obs_seconds[idx_a])[-1]),
+                )
             self.obs_groups.append(compiled)
         # Per obs kind: its rows and its message sizes (unique + inverse),
         # what re-pricing a kind under a target spec reads.
@@ -400,6 +407,7 @@ def _obs_totals(
 ) -> tuple[dict, list, list[str]]:
     seconds = compiled.trace.arrays["obs_seconds"]
     warnings: list[str] = []
+    repriced: set[str] = set()
     if not same_spec and compiled.obs_rows:
         seconds = seconds.copy()
         unrepriced = []
@@ -409,6 +417,7 @@ def _obs_totals(
                 unrepriced.append(kname)
             else:
                 seconds[rows] = per_size[inverse]
+                repriced.add(kname)
         if unrepriced:
             warnings.append(
                 "per-op totals kept recorded values for span-measured kinds: "
@@ -417,15 +426,17 @@ def _obs_totals(
     # Per-(rank, kind) cumulative sums over the precompiled record-order
     # index groups: the same left-to-right IEEE additions the live Metrics
     # registry performs, one C loop per group instead of a python row walk.
+    # A kind this spec did not re-price keeps the group's recorded sum.
     per_rank: list[dict[str, dict[str, Any]]] = []
     for groups in compiled.obs_groups:
         per = {}
-        for kname, (idx, calls, nbytes) in groups.items():
-            secs = seconds[idx]
+        for kname, (idx, calls, nbytes, recorded_time) in groups.items():
             per[kname] = {
                 "calls": calls,
                 "bytes": nbytes,
-                "time": float(np.cumsum(secs)[-1]) if calls else 0.0,
+                "time": (
+                    float(np.cumsum(seconds[idx])[-1]) if kname in repriced else recorded_time
+                ),
             }
         per_rank.append(per)
     totals: dict[str, dict[str, Any]] = {}

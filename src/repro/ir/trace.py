@@ -146,7 +146,9 @@ class Trace:
         stem.parent.mkdir(parents=True, exist_ok=True)
         npz_path = stem.with_suffix(".npz")
         json_path = stem.with_suffix(".json")
-        np.savez_compressed(npz_path, **self.arrays)
+        # Uncompressed: compressing cost ~30 ms a trace for files nobody
+        # ships; load reads either form.
+        np.savez(npz_path, **self.arrays)
         write(json_path, self.manifest)
         return npz_path, json_path
 

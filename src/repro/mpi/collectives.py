@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.mpi import p2p
 from repro.mpi.constants import SUM, Op
 from repro.sim import costs as _costs
 from repro.util.errors import MpiError
@@ -44,12 +45,12 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 def barrier_steps(comm: "Comm"):
     """Dissemination barrier: ceil(log2(P)) rounds of zero-byte messages."""
     tag = yield from _enter_steps(comm)
-    rank, size = comm.rank, comm.size
+    rank, size, matching = comm.rank, comm.size, comm._coll_matching
     k = 1
     while k < size:
         dst = (rank + k) % size
         src = (rank - k) % size
-        yield from comm._coll_sendrecv_steps(None, dst, None, src, tag)
+        yield from p2p.sendrecv_steps(comm, matching, None, dst, tag, None, src, tag)
         k <<= 1
 
 
@@ -65,14 +66,14 @@ def bcast_steps(comm: "Comm", buf, root: int = 0):
     while mask < size:
         if vr & mask:
             src = ((vr - mask) + root) % size
-            yield from comm._coll_recv_steps(arr, src, tag)
+            yield from p2p.recv_steps(comm, comm._coll_matching, arr, src, tag)
             break
         mask <<= 1
     mask >>= 1
     while mask > 0:
         if vr + mask < size:
             dst = ((vr + mask) + root) % size
-            yield from comm._coll_send_steps(arr, dst, tag)
+            yield from p2p.send_steps(comm, comm._coll_matching, arr, dst, tag)
         mask >>= 1
 
 
@@ -92,12 +93,12 @@ def reduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int
                 partner_vr = vr | mask
                 if partner_vr < size:
                     src = (partner_vr + root) % size
-                    yield from comm._coll_recv_steps(tmp, src, tag)
+                    yield from p2p.recv_steps(comm, comm._coll_matching, tmp, src, tag)
                     acc = op(acc, tmp)
                     yield _costs.cost(comm.ctx, "flops", acc.size)  # one combine per element
             else:
                 dst = ((vr - mask) + root) % size
-                yield from comm._coll_send_steps(acc, dst, tag)
+                yield from p2p.send_steps(comm, comm._coll_matching, acc, dst, tag)
                 break
             mask <<= 1
     if rank == root:
@@ -120,7 +121,9 @@ def allreduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None):
         mask = 1
         while mask < size:
             partner = comm.rank ^ mask
-            yield from comm._coll_sendrecv_steps(acc, partner, tmp, partner, tag)
+            yield from p2p.sendrecv_steps(
+                comm, comm._coll_matching, acc, partner, tag, tmp, partner, tag
+            )
             acc = op(acc, tmp)
             yield _costs.cost(comm.ctx, "flops", acc.size)  # one combine per element
             mask <<= 1
@@ -165,7 +168,9 @@ def _alltoall_bruck_steps(comm: "Comm", send: np.ndarray, recv: np.ndarray, tag:
         outgoing = np.ascontiguousarray(tmp[sel])
         incoming = np.empty_like(outgoing)
         yield _costs.cost(comm.ctx, "copy", outgoing.nbytes)  # pack
-        yield from comm._coll_sendrecv_steps(outgoing, dst, incoming, src, tag)
+        yield from p2p.sendrecv_steps(
+            comm, comm._coll_matching, outgoing, dst, tag, incoming, src, tag
+        )
         tmp[sel] = incoming  # unpack into the same slots
         yield _costs.cost(comm.ctx, "copy", incoming.nbytes)
         pof2 <<= 1
@@ -207,8 +212,9 @@ def alltoall_steps(comm: "Comm", sendbuf, recvbuf):
         else:
             dst = (rank + i) % size
             src = (rank - i) % size
-        yield from comm._coll_sendrecv_steps(
-            np.ascontiguousarray(send[dst]), dst, recv[src], src, tag
+        yield from p2p.sendrecv_steps(
+            comm, comm._coll_matching, np.ascontiguousarray(send[dst]), dst, tag,
+            recv[src], src, tag,
         )
 
 
@@ -227,6 +233,7 @@ def allgather_steps(comm: "Comm", sendbuf, recvbuf):
     for step in range(size - 1):
         send_block = (rank - step) % size
         recv_block = (rank - step - 1) % size
-        yield from comm._coll_sendrecv_steps(
-            np.ascontiguousarray(recv[send_block]), right, recv[recv_block], left, tag
+        yield from p2p.sendrecv_steps(
+            comm, comm._coll_matching, np.ascontiguousarray(recv[send_block]), right, tag,
+            recv[recv_block], left, tag,
         )

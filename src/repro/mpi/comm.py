@@ -57,6 +57,7 @@ class _CommState:
         # from it (and rendezvous sends parked at it) complete in error
         # instead of hanging forever, and so do its own pending receives.
         world.failure_listeners.append(self._on_rank_failure)
+        world.comm_states.append(self)
 
     def _on_rank_failure(self, world_rank: int) -> None:
         """Scheduler-context: a world rank died; fail pending ops on it."""
@@ -84,11 +85,11 @@ class _CommState:
                     else:
                         still.append(posted)
                 matching.posted[dst][:] = still
-            # Rendezvous RTS envelopes parked at the dead rank: the payload
-            # will never move, so the senders' requests fail now.
-            for env in matching.unexpected[c]:
-                if env.rendezvous is not None:
-                    env.rendezvous._fail(
+            # Rendezvous RTSs parked at the dead rank: the payload will never
+            # move, so the senders' requests fail now.
+            for send in matching.unexpected[c]:
+                if send.buf is not None:
+                    send._fail(
                         MpiProcFailedError(
                             world_rank,
                             f"rendezvous send to failed peer {c} (world rank "
@@ -109,9 +110,9 @@ class _CommState:
                 pending, matching.posted[dst][:] = matching.posted[dst][:], []
                 for posted in pending:
                     posted._fail(exc)
-                for env in matching.unexpected[dst]:
-                    if env.rendezvous is not None:
-                        env.rendezvous._fail(exc)
+                for send in matching.unexpected[dst]:
+                    if send.buf is not None:  # a rendezvous RTS
+                        send._fail(exc)
                 # Wake blocked probes so they re-check the flag.
                 matching.arrivals[dst].add()
 
@@ -219,72 +220,40 @@ class Comm:
         return p2p.irecv(self, self.state.user, buf, source, tag)
 
     def send(self, buf, dest: int, tag: int = 0) -> None:
-        self.ctx.proc.run_script(self._send_steps(self.state.user, buf, dest, tag))
+        self.ctx.proc.run_script(p2p.send_steps(self, self.state.user, buf, dest, tag))
 
     def recv(self, buf, source: int, tag: int = ANY_TAG) -> Status:
         return self.ctx.proc.run_script(
-            self._recv_steps(self.state.user, buf, source, tag)
-        )
+            p2p.recv_steps(self, self.state.user, buf, source, tag)
+        ).status
 
     def sendrecv(
         self, sendbuf, dest: int, recvbuf, source: int, sendtag: int = 0, recvtag: int = ANY_TAG
     ) -> Status:
         return self.ctx.proc.run_script(
-            self._sendrecv_steps(
-                self.state.user, sendbuf, dest, sendtag, recvbuf, source, recvtag
+            p2p.sendrecv_steps(
+                self, self.state.user, sendbuf, dest, sendtag, recvbuf, source, recvtag
             )
-        )
-
-    # Blocking p2p as scripts (see ``Proc.run_script``), on any context.
-
-    def _send_steps(self, matching: Matching, buf, dest: int, tag: int):
-        req = yield from p2p.isend_steps(self, matching, buf, dest, tag)
-        yield from req._wait_steps()
-
-    def _recv_steps(self, matching: Matching, buf, source: int, tag: int):
-        req = yield from p2p.irecv_steps(self, matching, buf, source, tag)
-        return (yield from req._wait_steps())
-
-    def _sendrecv_steps(
-        self, matching: Matching, sendbuf, dest: int, sendtag: int,
-        recvbuf, source: int, recvtag: int,
-    ):
-        rreq = yield from p2p.irecv_steps(self, matching, recvbuf, source, recvtag)
-        sreq = yield from p2p.isend_steps(self, matching, sendbuf, dest, sendtag)
-        yield from sreq._wait_steps()
-        return (yield from rreq._wait_steps())
+        ).status
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        env = p2p.probe(self, self.state.user, source, tag, blocking=True)
-        assert env is not None
-        return Status(source=env.src, tag=env.tag, count=env.nbytes)
+        send = p2p.probe(self, self.state.user, source, tag, blocking=True)
+        assert send is not None
+        return Status(source=send.src, tag=send.tag, count=send.nbytes)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[bool, Status | None]:
-        env = p2p.probe(self, self.state.user, source, tag, blocking=False)
-        if env is None:
+        send = p2p.probe(self, self.state.user, source, tag, blocking=False)
+        if send is None:
             return False, None
-        return True, Status(source=env.src, tag=env.tag, count=env.nbytes)
+        return True, Status(source=send.src, tag=send.tag, count=send.nbytes)
 
-    # -- internal p2p on the collective context ----------------------------
-
-    def _coll_send_steps(self, buf, dest: int, tag: int):
-        return self._send_steps(self._coll_matching, buf, dest, tag)
-
-    def _coll_recv_steps(self, buf, source: int, tag: int):
-        return self._recv_steps(self._coll_matching, buf, source, tag)
-
-    def _coll_sendrecv_steps(self, sendbuf, dest: int, recvbuf, source: int, tag: int):
-        return self._sendrecv_steps(
-            self._coll_matching, sendbuf, dest, tag, recvbuf, source, tag
-        )
+    # -- collectives ---------------------------------------------------------
 
     def _next_coll_tag(self) -> int:
         seq_list = self._coll_seq_list
         tag = seq_list[self.rank]
         seq_list[self.rank] += 1
         return tag
-
-    # -- collectives --------------------------------------------------------
 
     def _observed(self, kind: str, steps, *moved):
         """``steps`` (one collective's script) — followed, when metrics are

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.mpi.constants import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Status
 from repro.sim import irhook as _irhook
 from repro.sim.engine import Proc
@@ -21,13 +20,7 @@ from repro.sim.sync import SimEvent
 class Request(SimEvent):
     """Completion handle for a nonblocking MPI operation."""
 
-    __slots__ = (
-        "_kind", "_kind_args", "_proc", "status",
-        # A posted receive's match filter, buffer and world rank (completion
-        # may run under the sender's comm object, whose rank is not ours);
-        # a rendezvous send's payload view is its ``buf``.
-        "src", "tag", "buf", "dst_world",
-    )
+    __slots__ = ("_kind", "_kind_args", "_proc")
 
     def __init__(self, kind: str, proc: Proc, *kind_args):
         #: The operation's name, or a ``%`` template for it plus arguments:
@@ -40,12 +33,14 @@ class Request(SimEvent):
         self.value = None
         self._waiters: list[Proc] = []
         self._callbacks: list = []
-        self.status = Status()
         self.error = None  # see SimEvent._fail
 
-    def _matches(self, env) -> bool:
-        """Does this posted receive take ``env`` (a p2p envelope)?"""
-        return self.src in (ANY_SOURCE, env.src) and self.tag in (ANY_TAG, env.tag)
+    @property
+    def status(self) -> Status:
+        """MPI_Status, built when read: empty for an operation that moves
+        no message (RMA, a nonblocking collective); a two-sided request's
+        is its message's source, tag and count (``repro.mpi.p2p``)."""
+        return Status()
 
     @property
     def kind(self) -> str:
@@ -59,10 +54,12 @@ class Request(SimEvent):
 
     def wait(self) -> Status:
         """Block until the operation completes; returns its status."""
-        return self._proc.run_script(self._wait_steps())
+        self._proc.run_script(self._wait_steps())
+        return self.status
 
     def _wait_steps(self):
-        """:meth:`wait` as a script (see ``Proc.run_script``)."""
+        """:meth:`wait` as a script (see ``Proc.run_script``); it builds no
+        status: a caller that wants one reads :attr:`status` after it."""
         proc = self._proc
         while not self.is_set:
             self._waiters.append(proc)
@@ -74,7 +71,6 @@ class Request(SimEvent):
             rec.on_wait_geq(self, 1)  # at wait exit, as every event's wait
         if self.error is not None:
             raise self._raised_error()
-        return self.status
 
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check."""
@@ -98,10 +94,10 @@ def wait_all(requests: Iterable[Request]) -> list[Status]:
 
 def wait_all_steps(requests: Iterable[Request]):
     """:func:`wait_all` as a script (see ``Proc.run_script``)."""
-    statuses = []
+    requests = list(requests)
     for req in requests:
-        statuses.append((yield from req._wait_steps()))
-    return statuses
+        yield from req._wait_steps()
+    return [req.status for req in requests]
 
 
 def recorded_steps(obs, engine, rank: int, kind: str, nbytes: int, steps):

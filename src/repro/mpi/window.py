@@ -631,7 +631,8 @@ class Window:
             lambda: self.state.apply_target(target, offset, snap, op),
             result_arr, req,
         )
-        return (yield from req._wait_steps())
+        yield from req._wait_steps()
+        return req.status
 
     def compare_and_swap(self, compare, value, result, target: int, offset: int = 0):
         """MPI_COMPARE_AND_SWAP on a single element."""

@@ -32,8 +32,8 @@ class MpiWorld:
         return cluster.shared("mpi-world", lambda: cls(cluster))
 
     def __init__(self, cluster: Cluster):
-        # No edge back to the cluster or to the communicators: they reach
-        # this world, so holding them would make the run's state cyclic.
+        # No edge back to the cluster: the communicators reach it. Their
+        # states register in ``comm_states`` for :meth:`_end_run` to cut.
         self.nranks = cluster.nranks
         #: The cluster's own list: each communicator registers its ULFM
         #: handler there (the cluster drops them when the run ends).
@@ -41,6 +41,18 @@ class MpiWorld:
         self._context_counter = 0
         self.initialized: set[int] = set()
         self._window_counter = 0
+        self.comm_states: list[_CommState] = []
+
+    def _end_run(self) -> None:
+        """The run is over (``Cluster._end_run``): a message nobody received
+        still routes back to its queue, so it lets go of its route, and the
+        world of its communicators."""
+        for state in self.comm_states:
+            for matching in (state.user, state.coll, state.nbc):
+                for queue in matching.unexpected:
+                    for send in queue:
+                        send._comm = send._matching = None
+        self.comm_states.clear()
 
     def next_context_id(self) -> int:
         cid = self._context_counter

@@ -17,7 +17,7 @@ from repro.sim import irhook as _irhook
 from repro.sim.engine import Engine, Proc
 from repro.sim.memory import MemoryMeter
 from repro.sim.network import MachineSpec, NetFabric
-from repro.sim.profiler import Profiler
+from repro.sim.profiler import Profiler, _Region
 from repro.sim.trace import Tracer
 from repro.util.errors import DeadlockError, SimTimeoutError, SimulationError
 from repro.util.rng import rank_rng
@@ -69,7 +69,8 @@ class RankCtx:
             self.profiler.sleep_in(self.rank, self.proc, category, seconds)
 
     def profile(self, category: str, kind: str | None = None, nbytes: int = 0):
-        return self.profiler.region(self.rank, category, kind, nbytes)
+        """``Profiler.region`` of this rank, built here: a CAF op opens one."""
+        return _Region(self.profiler, self.rank, category, kind, nbytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankCtx rank={self.rank}/{self.nranks}>"
@@ -300,6 +301,7 @@ class Cluster:
             # Installed for exactly this run: the finally below detaches it
             # on every exit path, so a recorder cannot outlive its run.
             _irhook.RECORDER = recorder
+        self.fabric._fix_hooks()
         failure: BaseException | None = None
         try:
             rank_procs = []

@@ -441,8 +441,10 @@ def cost(ctx, kind: str, nbytes: int = 0, a: int = 0, b: int = 0) -> float | Non
     script, or :func:`charge` them. ``None`` (nothing to sleep, nothing
     annotated) when the spec's structure has no such cost.
     """
-    priced = ctx.prices._rows[kind]  # a run-long row is read in place
-    if type(priced) is not tuple and (priced := ctx.prices.priced(kind, nbytes, a, b)) is None:
+    priced = ctx.prices._rows[kind]  # a run-long row, or a size seen, is read in place
+    if type(priced) is not tuple and (
+        type(priced) is not dict or (priced := priced.get(nbytes)) is None
+    ) and (priced := ctx.prices.priced(kind, nbytes, a, b)) is None:
         return None
     expr, seconds = priced
     if kind in _RECORDED:
@@ -474,8 +476,10 @@ def charge(
 def charge_in(ctx, kind: str, fn, nbytes: int = 0, a: int = 0, b: int = 0) -> None:
     """Run ``fn`` in scheduler context after one ``kind`` delay — at once
     when the spec's structure has no such delay."""
-    priced = ctx.prices._rows[kind]  # a run-long row is read in place
-    if type(priced) is not tuple and (priced := ctx.prices.priced(kind, nbytes, a, b)) is None:
+    priced = ctx.prices._rows[kind]  # a run-long row, or a size seen, is read in place
+    if type(priced) is not tuple and (
+        type(priced) is not dict or (priced := priced.get(nbytes)) is None
+    ) and (priced := ctx.prices.priced(kind, nbytes, a, b)) is None:
         fn()
         return
     expr, seconds = priced

@@ -143,6 +143,8 @@ class NetFabric:
         #: accounting (:class:`repro.obs.metrics.CommMatrix`). One predicate
         #: guard per transfer; None keeps the hot path untouched.
         self.comm_matrix = None
+        #: Whether a transfer runs its hooks (:meth:`_fix_hooks`).
+        self._hooked = True
 
     def _check_rank(self, rank: int) -> None:
         if not 0 <= rank < self.nranks:
@@ -189,11 +191,36 @@ class NetFabric:
         now = engine.now
         self.messages_sent += 1
         self.bytes_sent += nbytes
+        deliver = self.nic.deliver(src, dst, nbytes, now, rx_extra)
+        if self._hooked:
+            return self._hooked_transfer(src, dst, nbytes, rx_extra, now, deliver, on_delivered)
+        engine.call_at(deliver, on_delivered)
+        return deliver
+
+    def _fix_hooks(self) -> None:
+        """Decide, once for the coming run, whether :meth:`transfer` has a
+        hook to run — a fault plan, the sanitizer's count, the comm matrix,
+        the IR recorder, an enabled tracer — the way ``Engine.run`` fixes
+        ``Engine._observed``. ``Cluster.run`` calls it once everything the
+        run arms is attached; a fabric never fixed runs every hook test."""
+        self._hooked = (
+            self.faults is not None
+            or self.sanitizer is not None
+            or self.comm_matrix is not None
+            or _irhook.RECORDER is not None
+            or (self.tracer is not None and self.tracer.enabled)
+        )
+
+    def _hooked_transfer(
+        self, src: int, dst: int, nbytes: int, rx_extra: float, now: float,
+        deliver: float, on_delivered: Callable[[], None],
+    ) -> float:
+        """The rest of :meth:`transfer` when a hook may be armed."""
+        engine = self.engine
         if self.sanitizer is not None:
             self.sanitizer.stats["transfers"] += 1
         if self.comm_matrix is not None:
             self.comm_matrix.record(src, dst, nbytes)
-        deliver = self.nic.deliver(src, dst, nbytes, now, rx_extra)
 
         decision = None
         if self.faults is not None and self.faults.active:

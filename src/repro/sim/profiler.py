@@ -43,17 +43,23 @@ class _Region:
         category = self.category
         counts = prof.counts[rank]
         counts[category] = counts.get(category, 0) + 1
-        prof._charge_top(rank)
-        self.entered = prof.engine.now
-        prof._stack[rank].append([category, self.entered])
+        self.entered = now = prof.engine.now
+        stack = prof._stack[rank]
+        if stack:  # the enclosing region's segment ends here
+            top = stack[-1]
+            times = prof.times[rank]
+            times[top[0]] = times.get(top[0], 0.0) + now - top[1]
+            top[1] = now
+        stack.append([category, now])
 
     def __exit__(self, *exc: object) -> None:
         prof = self.profiler
         rank = self.rank
-        prof._charge_top(rank)
-        stack = prof._stack[rank]
-        stack.pop()
         now = prof.engine.now
+        stack = prof._stack[rank]
+        cat, start = stack.pop()
+        times = prof.times[rank]
+        times[cat] = times.get(cat, 0.0) + now - start
         if stack:
             stack[-1][1] = now
         tracer = prof.tracer
@@ -79,15 +85,6 @@ class Profiler:
         self.counts: list[dict[str, int]] = [{} for _ in range(nranks)]
         # Per rank: stack of [category, segment_start] with the top segment open.
         self._stack: list[list[list]] = [[] for _ in range(nranks)]
-
-    def _charge_top(self, rank: int) -> None:
-        stack = self._stack[rank]
-        if stack:
-            cat, start = stack[-1]
-            now = self.engine.now
-            times = self.times[rank]
-            times[cat] = times.get(cat, 0.0) + now - start
-            stack[-1][1] = now
 
     def region(
         self, rank: int, category: str, kind: str | None = None, nbytes: int = 0

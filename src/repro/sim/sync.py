@@ -49,12 +49,14 @@ class SimEvent:
             rec.on_add(self, 1)
         self.is_set = True
         self.value = value
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc.wake()
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb()
+        if self._waiters:  # set: nobody joins the list any more
+            for proc in self._waiters:
+                proc.wake()
+            self._waiters.clear()
+        if self._callbacks:  # nothing is allocated when nothing subscribed
+            callbacks, self._callbacks = self._callbacks, []
+            for cb in callbacks:
+                cb()
 
     def _fail(self, exc: Exception) -> None:
         """Complete in error (idempotent, scheduler context)."""
@@ -117,9 +119,10 @@ class Counter:
         if rec is not None:
             rec.on_add(self, n)
         self.count += n
-        waiters, self._waiters = self._waiters, []
-        for proc in waiters:
-            proc.wake()
+        if self._waiters:  # nothing is allocated when nothing waits
+            waiters, self._waiters = self._waiters, []
+            for proc in waiters:
+                proc.wake()
 
     def wait_geq(self, proc: Proc, threshold: int, reason: str | None = None) -> None:
         """Block until ``count >= threshold`` (does not consume)."""

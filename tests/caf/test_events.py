@@ -1,10 +1,13 @@
 """CAF event semantics (§2.1, §3.4) on both backends."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.caf import run_caf
 from repro.caf.backends.mpi_backend import MpiBackend
+from repro.sim.network import MachineSpec
 from repro.util.errors import CafError, CafTimeoutError, DeadlockError, SimTimeoutError
 
 from tests.caf.conftest import handoffs_per_call
@@ -405,3 +408,48 @@ def test_allocate_events_costs_one_handoff(backend):
             img.allocate_events(1)
 
     assert handoffs_per_call(program, 8, backend) <= 1
+
+
+#: Python-level calls (generator resumes included) one ``event_notify`` to
+#: the next image plus one ``event_wait`` cost one image at P = 4: 146 on
+#: CAF-MPI and 144 on CAF-GASNet while every progress turn probed through a
+#: Status, a wait over no requests built its predicate, each wait formatted
+#: its reason and a profiler region took eight calls; 113 and 127 since.
+NOTIFY_WAIT_PAIR_CALLS = {"mpi": 113, "gasnet": 127}
+
+
+def test_notify_wait_pair_host_work_budget(backend, monkeypatch):
+    """The host work of one CAF event post, counted, so exact on any host:
+    the calls of 20 notify+wait pairs on 4 images less those of 10, per
+    pair per image. Work added to every notify or wait fails here."""
+    monkeypatch.delenv("REPRO_SIM_DIGEST", raising=False)  # a digest adds calls
+
+    def calls(npairs):
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+
+        def program(img):
+            ev = img.allocate_events(1)
+            right = (img.rank + 1) % img.nranks
+            ev.notify(right)  # warm-up: lazy set-up is not the pair's
+            ev.wait()
+            sys.setprofile(profile)  # on every fiber: any of them dispatches
+            for _ in range(npairs):
+                ev.notify(right)
+                ev.wait()
+
+        try:
+            run_caf(program, 4, MachineSpec("test"), backend=backend)
+        finally:
+            sys.setprofile(None)
+        return count[0]
+
+    per_pair = (calls(20) - calls(10)) / (10 * 4)
+    budget = NOTIFY_WAIT_PAIR_CALLS[backend]
+    assert per_pair <= budget, (
+        f"a notify+wait pair costs {per_pair} Python calls per image on "
+        f"{backend}, over the budget of {budget}: what does every post do now?"
+    )

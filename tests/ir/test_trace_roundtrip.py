@@ -1,7 +1,9 @@
 """Trace persistence: round-trip fidelity, versioning, fault policies."""
 
 import json
+import zipfile
 
+import numpy as np
 import pytest
 
 from repro.ir import Trace, TraceVersionError, replay
@@ -29,6 +31,29 @@ def test_save_load_replay_round_trip(tmp_path):
     a, b = replay(trace), replay(loaded)
     assert b.makespan == a.makespan == run.elapsed
     assert b.op_totals == a.op_totals
+
+
+def test_a_compressed_trace_still_loads(tmp_path):
+    """Traces were once written with ``np.savez_compressed``; such a file
+    still loads, array for array."""
+    _, trace = record_run(tmp_path, "fft", "mpi", "laptop")
+    npz_path, _ = trace.save(tmp_path / "old")
+    np.savez_compressed(npz_path, **trace.arrays)
+    with zipfile.ZipFile(npz_path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+    loaded = Trace.load(tmp_path / "old")
+    assert loaded.arrays.keys() == trace.arrays.keys()
+    for name, column in trace.arrays.items():
+        assert loaded.arrays[name].dtype == column.dtype
+        assert np.array_equal(loaded.arrays[name], column), name
+    assert replay(loaded).makespan == replay(trace).makespan
+
+
+def test_a_trace_is_saved_uncompressed(tmp_path):
+    _, trace = record_run(tmp_path, "fft", "mpi", "laptop")
+    npz_path, _ = trace.save(tmp_path / "rt")
+    with zipfile.ZipFile(npz_path) as zf:
+        assert {info.compress_type for info in zf.infolist()} == {zipfile.ZIP_STORED}
 
 
 def test_version_mismatch_is_rejected(tmp_path):

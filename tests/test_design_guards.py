@@ -163,7 +163,7 @@ def test_team_construction_builds_nothing_sized_by_the_team():
         )
 
 
-def test_message_path_builds_nothing_only_diagnostics_read():
+def test_message_path_builds_nothing_only_diagnostics_read(monkeypatch):
     hits = grep(r"Request\(f[\"']", "src/repro")
     assert not hits, (
         "a request name is formatted per op: pass a % template and its "
@@ -190,6 +190,38 @@ def test_message_path_builds_nothing_only_diagnostics_read():
         "park on it, and a posted receive is its request (src, tag, buf, "
         "dst_world); no wrapped event, no record per posted receive",
         hits,
+    )
+    hits = grep(r"_Envelope\b", "src/repro")
+    assert not hits, (
+        "a message is its send request: it carries src, tag, nbytes, the eager "
+        "snapshot and the sanitizer clock, and no envelope record is built",
+        hits,
+    )
+    from repro.mpi import status
+    from repro.mpi.world import MpiWorld
+    from repro.sim.cluster import Cluster
+    from repro.sim.network import MachineSpec
+
+    built = []
+    init = status.Status.__init__
+    monkeypatch.setattr(
+        status.Status, "__init__", lambda self, *a, **kw: (built.append(1), init(self, *a, **kw))[1]
+    )
+
+    def program(ctx):
+        comm = MpiWorld.get(ctx.cluster).init(ctx).COMM_WORLD
+        for _ in range(3):
+            comm.barrier()
+        peer = ctx.rank ^ 1
+        comm.isend(None, peer)
+        comm.irecv(None, peer).wait()  # a status is built when a caller reads it
+
+    Cluster(4, MachineSpec("test")).run(program)
+    assert len(built) == 4, (
+        "a request builds its Status only when a caller reads req.status (here: "
+        "each rank's one wait()); until then a two-sided request's own src, tag "
+        "and nbytes are its status",
+        len(built),
     )
 
 
