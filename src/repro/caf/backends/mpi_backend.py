@@ -36,6 +36,7 @@ from repro.caf.backend import EventStorage, RuntimeBackend
 from repro.mpi import p2p
 from repro.mpi.constants import SUM
 from repro.mpi.request import Request
+from repro.mpi.window import flush_all_steps
 from repro.mpi.world import MpiWorld
 from repro.sim.sync import SimEvent
 from repro.util.errors import CafError
@@ -314,12 +315,14 @@ class MpiBackend(RuntimeBackend):
         """Remote completion on every window: MPI_WIN_FLUSH_ALL — the
         linear-in-P cost of Figure 4 when the epoch has activity, a cheap
         constant-cost walk when idle (why the paper's NOTIFY *microbenchmark*
-        stays flat in P) — or, with ``use_rflush``, §5's proposal: requests at
-        constant software cost, waited on while polling AMs."""
+        stays flat in P), one loop over the windows — or, with
+        ``use_rflush``, §5's proposal: requests at constant software cost,
+        waited on while polling AMs."""
         if not self.use_rflush:
-            for win in self._windows:
-                yield from win._flush_all_steps()
-            return
+            return flush_all_steps(self._windows)
+        return self._rflush_windows_steps(reason)
+
+    def _rflush_windows_steps(self, reason: str):
         requests = []
         for win in self._windows:
             requests.append((yield from win._rflush_all_steps()))

@@ -10,8 +10,10 @@ hotspot), while CAF-GASNet's hand-rolled all-to-all (see
 :mod:`repro.gasnet.collectives`) blasts puts at every target and suffers
 delivery-side contention.
 
-All buffers are contiguous NumPy arrays; reductions assume commutative ops
-(all predefined ops here are commutative).
+Each collective first pays its per-call software overhead
+(``mpi.coll_overhead``), then takes the next collective tag. All buffers
+are contiguous NumPy arrays; reductions assume commutative ops (all
+predefined ops here are commutative).
 """
 
 from __future__ import annotations
@@ -29,12 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mpi.comm import Comm
 
 
-def _enter_steps(comm: "Comm"):
-    """Pay the per-call software overhead; returns this collective's tag."""
-    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
-    return comm._next_coll_tag()
-
-
 def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
     if a.shape != b.shape or a.dtype != b.dtype:
         raise MpiError(
@@ -44,7 +40,8 @@ def _check_same_shape(a: np.ndarray, b: np.ndarray, what: str) -> None:
 
 def barrier_steps(comm: "Comm"):
     """Dissemination barrier: ceil(log2(P)) rounds of zero-byte messages."""
-    tag = yield from _enter_steps(comm)
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+    tag = comm._next_coll_tag()
     rank, size, matching = comm.rank, comm.size, comm._coll_matching
     k = 1
     while k < size:
@@ -56,7 +53,8 @@ def barrier_steps(comm: "Comm"):
 
 def bcast_steps(comm: "Comm", buf, root: int = 0):
     """Binomial-tree broadcast (MPICH short-message algorithm)."""
-    tag = yield from _enter_steps(comm)
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+    tag = comm._next_coll_tag()
     arr = np.asarray(buf)
     rank, size = comm.rank, comm.size
     if size == 1:
@@ -80,7 +78,8 @@ def bcast_steps(comm: "Comm", buf, root: int = 0):
 def reduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None, root: int = 0):
     """Binomial-tree reduction toward ``root`` (commutative ops)."""
     op = op or SUM
-    tag = yield from _enter_steps(comm)
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+    tag = comm._next_coll_tag()
     send = np.asarray(sendbuf)
     rank, size = comm.rank, comm.size
     acc = send.copy()
@@ -115,16 +114,19 @@ def allreduce_steps(comm: "Comm", sendbuf, recvbuf, op: Op | None = None):
     _check_same_shape(send, recv, "allreduce")
     size = comm.size
     if size & (size - 1) == 0 and size > 1:
-        tag = yield from _enter_steps(comm)
+        yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+        tag = comm._next_coll_tag()
         acc = send.copy()
         tmp = np.empty_like(acc)
+        # Combined in place, so each buffer's byte view serves every round.
+        acc_bytes, tmp_bytes = p2p._as_bytes_view(acc), p2p._as_bytes_view(tmp)
         mask = 1
         while mask < size:
             partner = comm.rank ^ mask
             yield from p2p.sendrecv_steps(
-                comm, comm._coll_matching, acc, partner, tag, tmp, partner, tag
+                comm, comm._coll_matching, acc_bytes, partner, tag, tmp_bytes, partner, tag
             )
-            acc = op(acc, tmp)
+            acc[...] = op(acc, tmp)
             yield _costs.cost(comm.ctx, "flops", acc.size)  # one combine per element
             mask <<= 1
         recv[...] = acc
@@ -189,7 +191,8 @@ def alltoall_steps(comm: "Comm", sendbuf, recvbuf):
     algorithm (:func:`_alltoall_bruck_steps`); everything else the pairwise
     exchange (MPICH's long-message algorithm).
     """
-    tag = yield from _enter_steps(comm)
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+    tag = comm._next_coll_tag()
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
     _check_same_shape(send, recv, "alltoall")
@@ -220,7 +223,8 @@ def alltoall_steps(comm: "Comm", sendbuf, recvbuf):
 
 def allgather_steps(comm: "Comm", sendbuf, recvbuf):
     """Ring allgather (bandwidth-optimal): P-1 neighbor forwarding steps."""
-    tag = yield from _enter_steps(comm)
+    yield _costs.cost(comm.ctx, "mpi.coll_overhead")
+    tag = comm._next_coll_tag()
     send = np.asarray(sendbuf)
     recv = np.asarray(recvbuf)
     rank, size = comm.rank, comm.size

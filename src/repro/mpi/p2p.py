@@ -49,11 +49,18 @@ _NO_BYTES = np.empty(0, np.uint8)
 _NO_BYTES.flags.writeable = False
 
 
+_BYTE = np.dtype(np.uint8)
+
+
 def _as_bytes_view(buf) -> np.ndarray:
-    """View any contiguous numpy buffer as flat bytes (zero-copy)."""
-    arr = np.asarray(buf)
+    """View any contiguous numpy buffer as flat bytes (zero-copy); a flat
+    byte view — what a collective builds once for all its rounds — is
+    its own."""
+    arr = buf if type(buf) is np.ndarray else np.asarray(buf)
     if arr.size and not arr.flags["C_CONTIGUOUS"]:
         raise MpiError("message buffers must be C-contiguous")
+    if arr.dtype is _BYTE and arr.ndim == 1:
+        return arr
     return arr.reshape(-1).view(np.uint8)
 
 
@@ -83,6 +90,16 @@ class _SendRequest(Request):
     __slots__ = ("src", "tag", "nbytes", "data", "buf", "clock", "_comm", "_matching", "_dst")
 
     status = property(_status)
+
+    def __init__(self, comm: "Comm", matching: Matching, dest: int, tag: int):
+        self._kind = "isend(dst=%s,tag=%s)"
+        self._kind_args = (dest, tag)
+        self._proc = comm.ctx.proc
+        self.is_set = False
+        self.value = self.error = self.clock = None
+        self._waiters = self._callbacks = ()
+        self.src, self.tag, self._dst = comm.rank, tag, dest
+        self._comm, self._matching = comm, matching
 
     def _deliver(self) -> None:
         """Scheduler-context arrival at comm rank ``_dst``: the first
@@ -116,6 +133,16 @@ class _RecvRequest(Request):
     __slots__ = ("src", "tag", "nbytes", "buf", "dst_world", "_matched")
 
     status = property(_status)
+
+    def __init__(self, comm: "Comm", view: np.ndarray, source: int, tag: int):
+        self._kind = "irecv(src=%s,tag=%s)"
+        self._kind_args = (source, tag)
+        self._proc = comm.ctx.proc
+        self.is_set = False
+        self.value = self.error = None
+        self._waiters = self._callbacks = ()
+        self.src, self.tag, self.buf = source, tag, view
+        self.dst_world = comm.state.group[comm.rank]
 
     def _match(self, ctx, send: _SendRequest) -> None:
         """Take ``send`` and complete after the match overhead.
@@ -204,9 +231,7 @@ def _send_request(comm: "Comm", matching: Matching, buf, dest: int, tag: int) ->
         raise MpiError(
             f"send tag must be >= 0, got {tag}: ANY_TAG is a receive-only wildcard"
         )
-    req = _SendRequest("isend(dst=%s,tag=%s)", ctx.proc, dest, tag)
-    req.src, req.tag, req._comm, req._matching, req._dst = comm.rank, tag, comm, matching, dest
-    req.clock = None
+    req = _SendRequest(comm, matching, dest, tag)
     if buf is None:
         req.nbytes, req.data, req.buf = 0, None, None
         return req
@@ -250,9 +275,7 @@ def _recv_request(comm: "Comm", buf, source: int, tag: int) -> _RecvRequest:
         raise MpiError(
             "receive buffer is read-only: a receive writes into it, pass a writable array"
         )
-    req = _RecvRequest("irecv(src=%s,tag=%s)", comm.ctx.proc, source, tag)
-    req.src, req.tag, req.buf, req.dst_world = source, tag, view, state.group[comm.rank]
-    return req
+    return _RecvRequest(comm, view, source, tag)
 
 
 def _post(comm: "Comm", matching: Matching, req: _RecvRequest) -> None:
@@ -322,7 +345,8 @@ def send_steps(comm: "Comm", matching: Matching, buf, dest: int, tag: int):
     req = _send_request(comm, matching, buf, dest, tag)
     yield _costs.cost(comm.ctx, "mpi.send", req.nbytes)
     _inject(req)
-    yield from req._wait_steps()
+    yield req
+    req._outcome()
 
 
 def recv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
@@ -331,7 +355,8 @@ def recv_steps(comm: "Comm", matching: Matching, buf, source: int, tag: int):
     req = _recv_request(comm, buf, source, tag)
     yield _costs.cost(comm.ctx, "mpi.recv", req.buf.nbytes)
     _post(comm, matching, req)
-    yield from req._wait_steps()
+    yield req
+    req._outcome()
     return req
 
 
@@ -349,8 +374,10 @@ def sendrecv_steps(
     yield _costs.cost(ctx, "mpi.send", sreq.nbytes)
     _inject(sreq)
     if not sreq.is_set or sreq.error is not None or _irhook.RECORDER is not None:
-        yield from sreq._wait_steps()  # a done eager send has nothing to wait or record
-    yield from rreq._wait_steps()
+        yield sreq  # a done eager send has nothing to wait or record
+        sreq._outcome()
+    yield rreq
+    rreq._outcome()
     return rreq
 
 

@@ -30,10 +30,8 @@ class Request(SimEvent):
         self._kind_args = kind_args
         self._proc = proc
         self.is_set = False
-        self.value = None
-        self._waiters: list[Proc] = []
-        self._callbacks: list = []
-        self.error = None  # see SimEvent._fail
+        self.value = self.error = None  # error: see SimEvent._fail
+        self._waiters = self._callbacks = ()  # as SimEvent's
 
     @property
     def status(self) -> Status:
@@ -53,24 +51,15 @@ class Request(SimEvent):
     # -- user side --------------------------------------------------------
 
     def wait(self) -> Status:
-        """Block until the operation completes; returns its status."""
+        """Block until the operation completes; returns its status. In a
+        script, the wait is ``yield req`` then ``req._outcome()``
+        (:class:`~repro.sim.sync.SimEvent`), which builds no status: a
+        caller that wants one reads :attr:`status` after it."""
         self._proc.run_script(self._wait_steps())
         return self.status
 
-    def _wait_steps(self):
-        """:meth:`wait` as a script (see ``Proc.run_script``); it builds no
-        status: a caller that wants one reads :attr:`status` after it."""
-        proc = self._proc
-        while not self.is_set:
-            self._waiters.append(proc)
-            yield f"wait(req:{self._kind % self._kind_args})"  # what reports show
-            if proc in self._waiters:  # woken by someone else's stale wake
-                self._waiters.remove(proc)
-        rec = _irhook.RECORDER
-        if rec is not None:
-            rec.on_wait_geq(self, 1)  # at wait exit, as every event's wait
-        if self.error is not None:
-            raise self._raised_error()
+    def _wait_reason(self) -> str:
+        return f"wait(req:{self._kind % self._kind_args})"
 
     def test(self) -> tuple[bool, Status | None]:
         """Nonblocking completion check."""
@@ -96,7 +85,8 @@ def wait_all_steps(requests: Iterable[Request]):
     """:func:`wait_all` as a script (see ``Proc.run_script``)."""
     requests = list(requests)
     for req in requests:
-        yield from req._wait_steps()
+        yield req
+        req._outcome()
     return [req.status for req in requests]
 
 

@@ -631,7 +631,8 @@ class Window:
             lambda: self.state.apply_target(target, offset, snap, op),
             result_arr, req,
         )
-        yield from req._wait_steps()
+        yield req
+        req._outcome()
         return req.status
 
     def compare_and_swap(self, compare, value, result, target: int, offset: int = 0):
@@ -666,7 +667,8 @@ class Window:
             target, 2 * dtype.itemsize + _RMA_ENVELOPE_BYTES, dtype.itemsize,
             swap, result_arr[:1], req,
         )
-        yield from req._wait_steps()
+        yield req
+        req._outcome()
         return result_arr[0]
 
     # -- passive-target synchronization ------------------------------------------
@@ -718,7 +720,8 @@ class Window:
                 lock["queue"].append(me)
             ev = SimEvent(f"lock(win={self.win_id},t={target})")
             lock.setdefault("waiters", []).append(ev)
-            yield from ev._wait_steps(self.ctx.proc)
+            yield ev
+            ev._outcome()
         if me in lock["queue"]:
             lock["queue"].remove(me)
         lock["mode"] = "exclusive" if exclusive else "shared"
@@ -824,7 +827,8 @@ class Window:
         while target in self._pending:
             ev = SimEvent(f"flush(win={self.win_id},o={self.rank},t={target})")
             self._flush_waiters.setdefault(target, []).append(ev)
-            yield from ev._wait_steps(self.ctx.proc)
+            yield ev
+            ev._outcome()
         if self._lost:
             err = self._lost_error(target)
             if err is not None:
@@ -845,32 +849,7 @@ class Window:
         self.ctx.proc.run_script(self._flush_all_steps())
 
     def _flush_all_steps(self):
-        # Active epochs and the idle walk are distinct cost-table rows
-        # (mpi.flush_all.walk vs .skip) — mirror the split in the metrics so
-        # the linear-in-P active cost is not averaged away under the flat
-        # idle calls (§3.4, Fig. 4).
-        kind = "mpi.flush_all" if self._dirty else "mpi.flush_all.idle"
-        return self._observed(kind, 0, self._flush_all_wait())
-
-    def _flush_all_wait(self):
-        if self._dirty:
-            yield _costs.cost(self.ctx, "mpi.flush_all.walk", a=self.group_size)
-            self._dirty = False
-        else:
-            yield _costs.cost(self.ctx, "mpi.flush_all.skip")
-        # The modeled cost above is linear in group size (MPICH behaviour);
-        # the wall-clock wait is one counter check — _inflight hits zero
-        # exactly when the last pending op to any target completes, so this
-        # resumes at the same virtual time a per-target loop would.
-        while self._inflight > 0:
-            ev = SimEvent(f"flush_all(win={self.win_id},o={self.rank})")
-            self._quiet_waiters.append(ev)
-            yield from ev._wait_steps(self.ctx.proc)
-        if self._lost:
-            raise self._lost_error(None)
-        san = self._san
-        if san is not None:
-            san.release_window(self.win_id, self._world(self.rank))
+        return flush_all_steps((self,))
 
     def flush_local(self, target: int) -> None:
         """MPI_WIN_FLUSH_LOCAL: origin buffers reusable (ops may still be in
@@ -931,6 +910,46 @@ class Window:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Window id={self.win_id} rank={self.rank}/{self.group_size}>"
+
+
+def flush_all_steps(windows):
+    """MPI_WIN_FLUSH_ALL on each of ``windows`` in turn, as one script:
+    CAF-MPI's release walk over its windows (§3.4), and
+    :meth:`Window.flush_all` as the walk over one window.
+
+    Active epochs and the idle walk are distinct cost-table rows
+    (``mpi.flush_all.walk`` vs ``.skip``). With metrics armed, each
+    window's flush is an ``mpi.flush_all`` or ``mpi.flush_all.idle`` span,
+    so the linear-in-P active cost is not averaged away under the flat idle
+    calls (§3.4, Fig. 4).
+    """
+    for win in windows:
+        ctx = win.ctx
+        obs = win._obs
+        if obs is not None:
+            kind = "mpi.flush_all" if win._dirty else "mpi.flush_all.idle"
+            t0 = ctx.engine.now
+        if win._dirty:
+            yield _costs.cost(ctx, "mpi.flush_all.walk", a=win.group_size)
+            win._dirty = False
+        else:
+            yield _costs.cost(ctx, "mpi.flush_all.skip")
+        # The modeled cost above is linear in group size (MPICH behaviour);
+        # the wall-clock wait is one counter check — _inflight hits zero
+        # exactly when the last pending op to any target completes, so this
+        # resumes at the same virtual time a per-target loop would.
+        while win._inflight > 0:
+            ev = SimEvent(f"flush_all(win={win.win_id},o={win.rank})")
+            win._quiet_waiters.append(ev)
+            yield ev
+            ev._outcome()
+        if win._lost:
+            raise win._lost_error(None)
+        san = win._san
+        if san is not None:
+            san.release_window(win.win_id, win._world(win.rank))
+        if obs is not None:
+            obs.record(ctx.rank, kind, 0, ctx.engine.now - t0)
 
 
 def win_allocate(

@@ -483,10 +483,12 @@ def charge_in(ctx, kind: str, fn, nbytes: int = 0, a: int = 0, b: int = 0) -> No
         fn()
         return
     expr, seconds = priced
+    engine = ctx.engine
     rec = _irhook.RECORDER
     if rec is not None:
         rec.pending_cost = expr
-    ctx.engine.call_in(seconds, fn)
+        rec.pending_delay = seconds  # what Engine.call_in hands the recorder
+    engine.call_at(engine.now + seconds, fn)
 
 
 # -- the NIC step ---------------------------------------------------------------

@@ -155,6 +155,22 @@ def _one_malloc_arena() -> int | None:
     return 1
 
 
+class Site:
+    """What a script yields to wait for it: an event (a
+    :class:`~repro.sim.sync.SimEvent`, a request), with an ``is_set`` flag
+    and a ``_waiters`` list its firing wakes. Unless it is set,
+    :meth:`Engine._drive` makes the process its waiter and parks the script
+    on it, and the reason is built only when a report reads
+    :attr:`Proc.block_reason`. A ``(template, *args)`` tuple is the other
+    lazy reason: ``template % args``.
+    """
+
+    __slots__ = ()
+
+    def _wait_reason(self) -> str:
+        raise NotImplementedError
+
+
 class _Killed(BaseException):
     """Raised inside a process fiber to unwind it during engine teardown.
 
@@ -193,9 +209,10 @@ class Proc:
         self.daemon = daemon
         self.state = Proc.NEW
         #: What the process is parked on: a call-site string from
-        #: :meth:`block`, or the bare duration of a parked :meth:`sleep` —
+        #: :meth:`block`, the :class:`Site` or ``(template, *args)`` a script
+        #: yielded, or the bare duration of a parked :meth:`sleep` —
         #: formatted only when :attr:`block_reason` is read.
-        self._block_site: str | float = "not started"
+        self._block_site: Any = "not started"
         #: Virtual time this process last resumed execution — the watchdog
         #: and deadlock diagnostics report it so a hung rank can be told
         #: apart from a slow one.
@@ -286,7 +303,13 @@ class Proc:
     def block_reason(self) -> str:
         """Where this process is (or was last) parked, for diagnostics."""
         site = self._block_site
-        return site if type(site) is str else f"sleep({site:g})"
+        if type(site) is str:
+            return site
+        if isinstance(site, Site):
+            return site._wait_reason()
+        if type(site) is tuple:
+            return site[0] % site[1:]
+        return f"sleep({site:g})"
 
     def _run(self) -> None:
         eng = self.engine
@@ -335,11 +358,13 @@ class Proc:
         if self._killed:
             raise _Killed
 
-    def block(self, reason: str) -> None:
+    def block(self, reason: Any) -> None:
         """Yield until some other party calls :meth:`wake`.
 
         The caller must have registered itself with whatever structure will
-        eventually wake it *before* blocking.
+        eventually wake it *before* blocking. ``reason`` is a call-site
+        string, or a :class:`Site` or ``(template, *args)`` that
+        :attr:`block_reason` formats when read.
         """
         self._check_running("block")
         self._gen += 1
@@ -412,8 +437,10 @@ class Proc:
 
         The script yields a number (sleep that long: what :meth:`sleep`
         does), a string (block with that reason: what :meth:`block` does),
-        ``None`` (nothing: a cost the machine does not charge) or a callable
-        (below), and composes with ``yield from``. Every
+        a ``(template, *args)`` (block with the reason it formats when
+        read), a :class:`Site` (wait for that event: its firing is the
+        wake), ``None`` (nothing: a cost the machine does not charge) or a
+        callable (below), and composes with ``yield from``. Every
         resume stays an event of this process with the ``(time, seq)`` it
         would have had; only *who executes it* changes — whichever fiber is
         dispatching advances the generator in place (:meth:`Engine._drive`)
@@ -853,7 +880,10 @@ class Engine:
 
         A yielded duration is :meth:`Proc.sleep`, a yielded reason is
         :meth:`Proc.block`, statement for statement; the caller dispatches
-        instead of parking a fiber.
+        instead of parking a fiber. A yielded ``(template, *args)`` is a
+        reason formatted only when read, and a yielded :class:`Site` is a
+        wait for it: unless it is set, the process joins its waiters and
+        parks on it (its firing is what wakes the process).
         """
         script = proc._script
         send = script.send  # send(None) is next(script), and the cheaper call
@@ -870,14 +900,26 @@ class Engine:
                 return True
             if step is None:
                 continue
-            if type(step) is str:
-                proc._gen += 1
-                proc.state = Proc.BLOCKED
-                proc._block_site = step
-                return False
-            if type(step) is not float and callable(step):
-                proc._script_call = step
-                return True
+            if type(step) is not float:
+                if isinstance(step, Site):
+                    if step.is_set:
+                        continue  # nothing to wait for
+                    if step._waiters:
+                        step._waiters.append(proc)
+                    else:
+                        step._waiters = [proc]
+                    proc._gen += 1
+                    proc.state = Proc.BLOCKED
+                    proc._block_site = step
+                    return False
+                if type(step) is str or type(step) is tuple:
+                    proc._gen += 1
+                    proc.state = Proc.BLOCKED
+                    proc._block_site = step
+                    return False
+                if callable(step):
+                    proc._script_call = step
+                    return True
             if step < 0:
                 script.close()
                 proc._script = None
@@ -1004,7 +1046,9 @@ class Engine:
         it: each process drops its target, engine and thread, the queue its
         callbacks that never ran, the engine its sanitizer and its failure
         (which travels on as the raised exception). Counters, the order
-        digest and each process's ``state`` / ``crashed`` stay readable."""
+        digest and each process's ``state`` / ``crashed`` stay readable, and
+        so does its :attr:`~Proc.block_reason`: a site it parked on last is
+        formatted here, since the waitable may hold the process."""
         self._heap.clear()
         self._due.clear()
         self._runs.clear()
@@ -1012,6 +1056,8 @@ class Engine:
         self._failure = self.sanitizer = None
         for proc in self.procs:
             proc.engine = proc._target = proc._thread = None
+            if isinstance(proc._block_site, (Site, tuple)):
+                proc._block_site = proc.block_reason
 
     def _blocked_report(self) -> dict[int, str]:
         """Per-rank call-site of every unfinished, non-daemon process."""

@@ -14,10 +14,11 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.sim import irhook as _irhook
-from repro.sim.engine import Proc
+from repro.sim.engine import Proc, Site
+from repro.util.errors import SimulationError
 
 
-class SimEvent:
+class SimEvent(Site):
     """A one-shot level-triggered flag processes can wait on.
 
     Optionally carries a value set at fire time (used for completion
@@ -35,8 +36,10 @@ class SimEvent:
         #: Set by :meth:`_fail` — the ULFM model where a pending operation
         #: involving a failed process completes in error instead of hanging.
         self.error: Exception | None = None
-        self._waiters: list[Proc] = []
-        self._callbacks: list[Callable[[], None]] = []
+        #: Parked processes and subscribed callbacks: ``()`` until the
+        #: first joins, so an event nobody waits on allocates no list.
+        self._waiters: list[Proc] | tuple = ()
+        self._callbacks: list[Callable[[], None]] | tuple = ()
 
     def fire(self, value: Any = None) -> None:
         """Set the flag, wake every waiter and run subscribed callbacks. Idempotent."""
@@ -52,9 +55,9 @@ class SimEvent:
         if self._waiters:  # set: nobody joins the list any more
             for proc in self._waiters:
                 proc.wake()
-            self._waiters.clear()
-        if self._callbacks:  # nothing is allocated when nothing subscribed
-            callbacks, self._callbacks = self._callbacks, []
+            self._waiters = ()
+        if self._callbacks:
+            callbacks, self._callbacks = self._callbacks, ()
             for cb in callbacks:
                 cb()
 
@@ -78,21 +81,31 @@ class SimEvent:
         """Run ``cb`` when the event fires (immediately if already set)."""
         if self.is_set:
             cb()
-        else:
+        elif self._callbacks:
             self._callbacks.append(cb)
+        else:
+            self._callbacks = [cb]
 
     def wait(self, proc: Proc) -> Any:
         """Block ``proc`` until the flag is set; returns the fired value, or
         raises the error the event failed with."""
-        return proc.run_script(self._wait_steps(proc))
+        return proc.run_script(self._wait_steps())
 
-    def _wait_steps(self, proc: Proc):
-        """:meth:`wait` as a script (see :meth:`Proc.run_script`)."""
-        while not self.is_set:
-            self._waiters.append(proc)
-            yield f"wait({self.label})"
-            if proc in self._waiters:  # woken by someone else's stale wake
-                self._waiters.remove(proc)
+    def _wait_steps(self):
+        """:meth:`wait` as a script (see :meth:`Proc.run_script`). A script
+        waits for an event by yielding it — ``Engine._drive`` parks the
+        script on it until it fires — and then takes its :meth:`_outcome`;
+        this is those two steps as a generator of their own."""
+        yield self
+        return self._outcome()
+
+    def _outcome(self) -> Any:
+        """The end of a wait for this event, which has fired: the wait is
+        recorded, and the error the event failed with is raised, or its
+        value returned."""
+        if not self.is_set:
+            # Only the event's firing wakes its waiter (Engine._drive).
+            raise SimulationError(f"{self._wait_reason()} resumed before its event fired")
         rec = _irhook.RECORDER
         if rec is not None:
             # Recorded at wait *exit*: the op's id order is live completion
@@ -101,6 +114,10 @@ class SimEvent:
         if self.error is not None:
             raise self._raised_error()
         return self.value
+
+    def _wait_reason(self) -> str:
+        """What a process parked on this event is doing, for reports."""
+        return f"wait({self.label})"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SimEvent {self.label} set={self.is_set}>"
@@ -128,11 +145,13 @@ class Counter:
         """Block until ``count >= threshold`` (does not consume)."""
         proc.run_script(self._wait_geq_steps(proc, threshold, reason))
 
-    def _wait_geq_steps(self, proc: Proc, threshold: int, reason: str | None = None):
-        """:meth:`wait_geq` as a script (see :meth:`Proc.run_script`)."""
+    def _wait_geq_steps(self, proc: Proc, threshold: int, reason: str | tuple | None = None):
+        """:meth:`wait_geq` as a script (see :meth:`Proc.run_script`).
+        ``reason`` is what a report shows, a string or a lazy
+        ``(template, *args)``; by default the counter and threshold."""
         while self.count < threshold:
             self._waiters.append(proc)
-            yield reason or f"wait_geq({self.label}, {threshold})"
+            yield reason or ("wait_geq(%s, %s)", self.label, threshold)
             if proc in self._waiters:
                 self._waiters.remove(proc)
         rec = _irhook.RECORDER
@@ -162,7 +181,7 @@ class Channel:
     def _get_steps(self, proc: Proc):
         """:meth:`get` as a script (see :meth:`Proc.run_script`)."""
         self._gets += 1
-        yield from self._puts._wait_geq_steps(proc, self._gets, f"get({self.label})")
+        yield from self._puts._wait_geq_steps(proc, self._gets, ("get(%s)", self.label))
         return self._items.popleft()
 
 

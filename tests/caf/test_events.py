@@ -414,8 +414,61 @@ def test_allocate_events_costs_one_handoff(backend):
 #: the next image plus one ``event_wait`` cost one image at P = 4: 146 on
 #: CAF-MPI and 144 on CAF-GASNet while every progress turn probed through a
 #: Status, a wait over no requests built its predicate, each wait formatted
-#: its reason and a profiler region took eight calls; 113 and 127 since.
-NOTIFY_WAIT_PAIR_CALLS = {"mpi": 113, "gasnet": 127}
+#: its reason and a profiler region took eight calls; 113 and 127 while
+#: ``costs.charge_in`` scheduled through ``Engine.call_in``; 112 and 126
+#: since.
+NOTIFY_WAIT_PAIR_CALLS = {"mpi": 112, "gasnet": 126}
+
+
+#: Python-level calls one more coarray window adds to a CAF-MPI
+#: notify+wait pair, per image at P = 4: the release walk's FLUSH_ALL of
+#: that window. 8.0 while each window's flush opened a wrapper and a
+#: generator of its own (``_flush_all_steps`` -> ``_observed`` ->
+#: ``_flush_all_wait``); 4.0 since: its cost, and the resume the cost parks for.
+RELEASE_WALK_WINDOW_CALLS = 4
+
+
+def test_release_walk_host_work_per_window(monkeypatch):
+    """The host work of the release walk (§3.4: FLUSH_ALL on every
+    window), counted, so exact on any host: the calls of a notify+wait
+    pair with ten coarrays less those with one, per extra window; each
+    pair's calls are those of 20 pairs less 10, per pair per image."""
+    monkeypatch.delenv("REPRO_SIM_DIGEST", raising=False)  # a digest adds calls
+
+    def calls(npairs, ncoarrays):
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                count[0] += 1
+
+        def program(img):
+            for _ in range(ncoarrays):
+                img.allocate_coarray(8, np.float64)
+            ev = img.allocate_events(1)
+            right = (img.rank + 1) % img.nranks
+            ev.notify(right)  # warm-up: lazy set-up is not the pair's
+            ev.wait()
+            sys.setprofile(profile)  # on every fiber: any of them dispatches
+            for _ in range(npairs):
+                ev.notify(right)
+                ev.wait()
+
+        try:
+            run_caf(program, 4, MachineSpec("test"), backend="mpi")
+        finally:
+            sys.setprofile(None)
+        return count[0]
+
+    def per_pair(ncoarrays):
+        return (calls(20, ncoarrays) - calls(10, ncoarrays)) / (10 * 4)
+
+    per_window = (per_pair(10) - per_pair(1)) / 9
+    assert per_window <= RELEASE_WALK_WINDOW_CALLS, (
+        f"the release walk costs {per_window} Python calls per window per "
+        f"notify, over the budget of {RELEASE_WALK_WINDOW_CALLS}: what does "
+        "every window's FLUSH_ALL do now?"
+    )
 
 
 def test_notify_wait_pair_host_work_budget(backend, monkeypatch):

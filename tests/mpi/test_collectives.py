@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import repro.sim.engine
-from repro.mpi import MAX, MIN, PROD, SUM
+from repro.mpi import LAND, MAX, MIN, PROD, SUM
 from repro.util.errors import DeadlockError
 
 from tests.mpi.conftest import mpi_run
@@ -337,12 +337,68 @@ def test_barrier_makes_no_numpy_call():
     assert [call.__name__ for call in numpy_calls] == ["empty"] * 4
 
 
+def test_allreduce_round_builds_its_byte_views_once_per_call():
+    """A recursive-doubling allreduce combines in place, so the byte views
+    of its two buffers are built once per call, not once per round: per
+    round per rank at P = 4 with 3 doubles, 8.5 numpy calls when every
+    round rebuilt them (``asarray`` 3, ``reshape`` 2, ``view`` 2, ``copy``
+    1.5), 4.5 since. Counted, so exact on any host; results unchanged."""
+
+    def census(ncalls):
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "c_call" and (
+                (getattr(arg, "__module__", None) or "").startswith("numpy")
+                or isinstance(getattr(arg, "__self__", None), np.ndarray)
+            ):
+                names.append(arg.__name__)
+
+        def program(mpi, ctx):
+            comm = mpi.COMM_WORLD
+            send, recv = np.arange(3.0) + ctx.rank, np.empty(3)
+            comm.allreduce(send, recv)  # warm-up: lazy set-up is not the call's
+            sys.setprofile(profile)  # on every fiber: any of them dispatches
+            for _ in range(ncalls):
+                comm.allreduce(send, recv)
+            sys.setprofile(None)
+            return recv.tolist()
+
+        _, results = mpi_run(program, 4)
+        assert results == [[6.0, 10.0, 14.0]] * 4
+        return names
+
+    fewer, more = census(10), census(20)
+    rounds = 10 * 2 * 4  # 10 more calls, log2(4) rounds each, 4 ranks
+    per_round = {name: (more.count(name) - fewer.count(name)) / rounds for name in set(more)}
+    assert per_round == {"asarray": 1.0, "reshape": 1.0, "view": 1.0, "copy": 1.5}
+
+
+def test_allreduce_with_an_op_that_changes_the_dtype_agrees_on_every_rank():
+    """A logical op on doubles returns booleans. The recursive doubling
+    combines into its double accumulator, so every round sends a whole
+    operand: when the accumulator took the op's dtype, later rounds sent
+    one byte per element into an 8-byte receive and ranks disagreed."""
+
+    def program(mpi, ctx):
+        send = np.array([1.0, 1.0, 0.0]) if ctx.rank == 2 else np.array([1.0, 0.0, 2.0])
+        recv = np.empty(3)
+        mpi.COMM_WORLD.allreduce(send, recv, LAND)
+        return recv.tolist()
+
+    _, results = mpi_run(program, 4)
+    assert results == [[1.0, 0.0, 0.0]] * 4
+
+
 #: Python-level calls (generator resumes included) one dissemination-barrier
 #: round costs one rank: 78.9 when a request wrapped its event, a posted
 #: receive was a record of its own, and every guard was a call; 49.9 while
 #: a message was an envelope beside its send request, isend/irecv were
-#: generators of their own and every request built its Status; 41.9 since.
-BARRIER_ROUND_CALLS = 42
+#: generators of their own and every request built its Status; 41.9 while
+#: each wait was a generator of its own, each request's constructor a
+#: second call, the entry cost a sub-generator and ``charge_in`` a wrapper
+#: of ``call_in``; 38.9 since.
+BARRIER_ROUND_CALLS = 39
 
 
 def test_barrier_round_host_work_budget(monkeypatch):

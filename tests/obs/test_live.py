@@ -8,6 +8,7 @@ valid, renderable progress trail that failure diagnostics can stamp.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.apps.randomaccess import run_randomaccess
@@ -20,7 +21,10 @@ from repro.obs.live import (
     validate_meta,
     validate_snapshot,
 )
+from repro.mpi.world import MpiWorld
 from repro.obs.report import SchemaError
+from repro.sim.cluster import Cluster
+from repro.sim.network import MachineSpec
 from repro.util.errors import DeadlockError, SimTimeoutError
 
 RA_KW = dict(table_bits_per_image=8, updates_per_image=64, batches=4)
@@ -212,3 +216,65 @@ def test_follow_top_returns_on_final_and_times_out(tmp_path, capsys):
     hung.write_text("".join(json.dumps(r) + "\n" for r in lines))
     assert follow_top(hung, interval=0.01, max_wait=0.05) == 2
     capsys.readouterr()
+
+
+def _sites(path):
+    _meta, snaps = read_telemetry(path)
+    return sorted({(row["rank"], row["site"]) for snap in snaps for row in snap["blocked"]})
+
+
+def test_blocked_site_rows_are_pinned_verbatim(tmp_path):
+    """The ``site`` of a blocked-rank row is ``Proc.block_reason``, formatted
+    when the snapshot reads it: a parked MPI receive, a window flush and a
+    CAF event wait each read as they did when every park formatted its
+    reason. A snapshot on every resume sees every park."""
+    spec = MachineSpec(name="slow-wire", bandwidth=1e8, ranks_per_node=1)
+
+    def mpi_program(ctx):
+        mpi = MpiWorld.get(ctx.cluster).init(ctx)
+        win = mpi.win_allocate(shape=1 << 16, dtype=np.float64)
+        win.lock_all()
+        if ctx.rank == 0:
+            mpi.COMM_WORLD.recv(np.empty(1), 1, tag=5)
+        elif ctx.rank == 1:
+            ctx.proc.sleep(1e-3)
+            mpi.COMM_WORLD.send(np.ones(1), 0, tag=5)
+        elif ctx.rank == 2:
+            win.put(np.ones(1 << 16), 3)
+            win.flush(3)
+        win.unlock_all()
+
+    live = LiveTelemetry(tmp_path / "mpi.jsonl", interval_s=0.0, check_every=1)
+    Cluster(4, spec, live=live).run(mpi_program)
+    rounds = [f"wait(req:irecv(src={src},tag={tag}))" for src in range(4) for tag in (0, 1)]
+    costs = ["sleep(6e-07)", "sleep(8e-07)"]
+    assert _sites(tmp_path / "mpi.jsonl") == sorted(
+        [(0, site) for site in costs + ["wait(req:irecv(src=1,tag=5))"] + rounds[4:]]
+        + [(1, site) for site in costs + ["not started", "sleep(0.001)"] + rounds[:2] + rounds[6:]]
+        + [(2, site) for site in costs + ["not started", "sleep(1.2e-06)"] + rounds[:4]]
+        + [(2, "wait(flush(win=0,o=2,t=3))")]
+        + [(3, site) for site in costs + ["not started", "sleep(2e-07)"] + rounds[2:6]]
+    )
+
+    def caf_program(img):
+        ev = img.allocate_events(1)
+        if img.rank == 0:
+            ev.wait()
+        elif img.rank == 1:
+            img.compute(seconds=1e-3)
+            ev.notify(0)
+
+    live = LiveTelemetry(tmp_path / "caf.jsonl", interval_s=0.0, check_every=1)
+    run_caf(caf_program, 2, live=live)
+    assert _sites(tmp_path / "caf.jsonl") == [
+        (0, "event_wait(slot=0, count=1)"),
+        (0, "sleep(6e-07)"),
+        (0, "sleep(8e-07)"),
+        (0, "wait(req:irecv(src=1,tag=0))"),
+        (0, "wait(req:irecv(src=1,tag=2))"),
+        (1, "not started"),
+        (1, "sleep(6e-07)"),
+        (1, "sleep(8e-07)"),
+        (1, "wait(req:irecv(src=0,tag=1))"),
+        (1, "wait(req:irecv(src=0,tag=3))"),
+    ]

@@ -86,7 +86,8 @@ def test_scalar_price_equals_eval_costs_bit_for_bit(platform, monkeypatch):
         variant = spec.with_overrides(mpi_rma_over_sendrecv=over_sendrecv)
         for nranks in (4, 256):  # SRQ off / on
             delays = []
-            engine = types.SimpleNamespace(call_in=lambda s, fn: delays.append(s))
+            # charge_in schedules at now + delay: at now = 0 the time is the delay
+            engine = types.SimpleNamespace(now=0.0, call_at=lambda when, fn: delays.append(when))
             ctx = types.SimpleNamespace(
                 prices=costs.PricedTable(variant, nranks), metrics=None, rank=0, engine=engine
             )

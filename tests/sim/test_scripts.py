@@ -7,8 +7,9 @@ import traceback
 
 import pytest
 
-from repro.sim.engine import Engine
-from repro.sim.sync import SimEvent
+from repro.sim.engine import Engine, Site
+from repro.mpi.request import Request
+from repro.sim.sync import Counter, SimEvent
 from repro.util.errors import SimTimeoutError, SimulationError
 
 
@@ -79,7 +80,9 @@ def _script(board, rank):
         yield 1e-6 * (rank + 1)
         engine.call_in(0.5e-6, lambda: board.inbox[right].fire(rank))
         yield 2e-6
-        seen.append((engine.now, (yield from board.inbox[rank]._wait_steps(p))))
+        now = engine.now
+        yield board.inbox[rank]  # a wait: the event itself, then its outcome
+        seen.append((now, board.inbox[rank]._outcome()))
         seen.append((yield from _exchange_steps(board, p, rank, right)))
         board.parked[rank].fire()
         yield "toy.park"
@@ -92,19 +95,25 @@ def _script(board, rank):
 def _exchange_steps(board, p, rank, right):
     yield 0.25e-6
     board.token[right].fire(("token", rank))
-    value = yield from board.token[rank]._wait_steps(p)
+    value = yield from board.token[rank]._wait_steps()
     return board.engine.now, value
 
 
 def _interpret(p, script):
     """The definition of a script, executed with the blocking primitives: a
-    yielded number is ``sleep``, a yielded string is ``block``."""
+    yielded number is ``sleep``, a yielded reason (a string, or a template
+    that formats one when read) is ``block``, and a yielded event is a wait
+    for it: unless it is set, join its waiters and ``block`` on it."""
     while True:
         try:
             step = next(script)
         except StopIteration as stop:
             return stop.value
-        if type(step) is str:
+        if isinstance(step, Site):
+            if not step.is_set:
+                step._waiters = [*step._waiters, p]
+                p.block(step)
+        elif isinstance(step, (str, tuple)):
             p.block(step)
         else:
             p.sleep(step)
@@ -394,3 +403,55 @@ def test_failing_callable_ends_the_call_and_closes_the_script():
     proc = engine.spawn(owner)
     engine.run()
     assert closed == [1.0] and proc.result == 2.0 and proc._script is None
+
+
+class _Spy:
+    """A template argument that counts how often it is formatted."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def __str__(self):
+        self.reads += 1
+        return "spy"
+
+
+def test_a_parked_wait_formats_no_reason():
+    """A wait formats nothing until a report reads it: a request, an event
+    and a counter parked on hold what names the wait, and only
+    ``Proc.block_reason`` formats it. The spy sits in each one's template
+    arguments, and each waker reads the parked process's reason before it
+    wakes it."""
+    engine = Engine()
+    spy = _Spy()
+    seen = []
+
+    def body(p):
+        req, ev, counter = Request("isend(dst=%s)", p, spy), SimEvent(spy), Counter(spy)
+
+        def after_a_read(wake):
+            def waker():
+                before = spy.reads
+                seen.append((before, p.block_reason, spy.reads))
+                wake()
+
+            return waker
+
+        def steps():
+            engine.call_in(1e-6, after_a_read(req.fire))
+            yield req
+            req._outcome()
+            engine.call_in(1e-6, after_a_read(ev.fire))
+            yield from ev._wait_steps()
+            engine.call_in(1e-6, after_a_read(counter.add))
+            yield from counter._wait_geq_steps(p, 1)
+
+        p.run_script(steps())
+
+    engine.spawn(body)
+    engine.run()
+    assert seen == [
+        (0, "wait(req:isend(dst=spy))", 1),
+        (1, "wait(spy)", 2),
+        (2, "wait_geq(spy, 1)", 3),
+    ]

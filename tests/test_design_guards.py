@@ -435,6 +435,8 @@ def test_one_op_vocabulary():
                 name, owner = call.func.attr, getattr(call.func.value, "id", None)
                 if name in cost_sites and owner == "_costs":
                     index, declared = cost_sites[name], costs.TABLE
+                elif name == "record" and owner == "obs":  # a span recorded in place
+                    index, declared = 1, costs.SPANS
                 elif name in span_sites:
                     index, declared = span_sites[name], costs.SPANS
                 else:
